@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 HALF_LOG_TWO_PI = 0.9189385332046727  # ln(2*pi)/2
+HALF_LOG_TWO = 0.34657359027997264  # ln(2)/2
+_LOG_F_SERIES_FROM = 100  # log_f switches to its asymptotic series here
 
 # Lanczos coefficients, g = 7, 9 terms (Godfrey's set).  Relative accuracy of
 # the resulting ln Gamma is a few ulp over the whole positive real axis.
@@ -86,12 +88,28 @@ def log_gamma(x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
 
 
 def log_f(n: Union[int, float, np.ndarray]) -> Union[float, np.ndarray]:
-    """ln of the normalized Gamma ratio: ln Gamma((n+1)/2) - ln Gamma(n/2) - ln(n)/2."""
+    """ln of the normalized Gamma ratio: ln Gamma((n+1)/2) - ln Gamma(n/2) - ln(n)/2.
+
+    From n = 100 on this is the asymptotic series of ln(Gamma(k+1/2)/Gamma(k))
+    at k = n/2, -ln(2)/2 - 1/(4n) + 1/(24n^3) - 1/(20n^5) + 17/(112n^7), which
+    is within 1e-16 of the exact value there.  The difference of two ln Gamma
+    values near n/2 is off by up to ~3e-9 at n ~ 1e6, more than the true
+    K(n, n-1) - 1 ~ 1/(2n^2), so it would put K at or below 1.
+    """
     arr = np.asarray(n, dtype=float)
     if arr.size and np.any(arr < 1):
         raise DomainError("f requires n >= 1")
-    val = log_gamma((arr + 1.0) / 2.0) - log_gamma(arr / 2.0) - 0.5 * np.log(arr)
-    return val
+    val = np.empty_like(arr)
+    big = arr >= _LOG_F_SERIES_FROM
+    small = arr[~big]
+    val[~big] = (
+        log_gamma((small + 1.0) / 2.0) - log_gamma(small / 2.0) - 0.5 * np.log(small)
+    )
+    t = 1.0 / arr[big]
+    t2 = t * t
+    series = -0.25 + t2 * (1.0 / 24.0 + t2 * (-0.05 + t2 * (17.0 / 112.0)))
+    val[big] = t * series - HALF_LOG_TWO
+    return val[()]
 
 
 def f(n: int) -> float:

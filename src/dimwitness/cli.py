@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from .embedding_opt import load_kernel_csv, seesaw_maximize
 from .errors import DomainError, ResourceError
 from .quantum import MAX_GENERATORS, correlation, tsirelson_strategy
 from .seeding import derive_seed, make_rng
-from .sphere import SphereSampler, build_eps_net, net_header, net_points_csv
+from .sphere import SphereSampler, build_eps_net, save_net
 from .witness import VERDICT_VIOLATION, WitnessConfig, run_witness
 
 # net sizes above this need --deep; the deep default matches the library cap
@@ -45,7 +44,6 @@ class RunManifest:
     command: str
     argv: List[str]
     seed: int
-    threads: int
     version: str = __version__
 
     def finish(self, started: float) -> dict:
@@ -53,7 +51,6 @@ class RunManifest:
             "command": self.command,
             "argv": list(self.argv),
             "seed": self.seed,
-            "threads": self.threads,
             "version": self.version,
             # timestamp fields: excluded from determinism comparisons
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -92,13 +89,8 @@ def _cmd_net(args, manifest: RunManifest, started: float) -> int:
     prefix = args.out or f"net_d{args.dim}_e{args.eps:g}_s{args.seed}"
     csv_path = prefix + ".csv"
     header_path = prefix + ".json"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(net_points_csv(net))
-    header = net_header(net)
-    header["manifest"] = manifest.finish(started)
-    with open(header_path, "w", encoding="utf-8") as fh:
-        json.dump(header, fh, indent=2)
-        fh.write("\n")
+    save_net(net, csv_path, header_path,
+             extra_header={"manifest": manifest.finish(started)})
     print(f"wrote {net.size} points to {csv_path} (header {header_path})")
     return 0
 
@@ -257,10 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="master seed")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("DIMWITNESS_THREADS", "0")),
-                       help="worker cap (0 = library default); results do not "
-                       "depend on it")
         p.add_argument("--out", type=str, default=None, help="output path")
 
     p = sub.add_parser("bound", help="evaluate the analytic ratio lower bound")
@@ -327,7 +315,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         command=args.command,
         argv=argv,
         seed=getattr(args, "seed", 0),
-        threads=getattr(args, "threads", 0),
     )
     started = time.monotonic()
     try:

@@ -20,7 +20,6 @@ import numpy as np
 
 from .analytic_bounds import y_closed_form
 from .errors import DomainError, ResourceError
-from .seeding import make_rng
 from .sphere import EpsNet, RegionMoments, SphereSampler, assign_regions
 
 __all__ = [
@@ -216,16 +215,6 @@ def _normalize_rows(vecs: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return vecs / norms[:, None]
 
 
-def _random_assignment(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
-    g = rng.standard_normal((count, m))
-    norms = np.linalg.norm(g, axis=1)
-    while np.any(norms == 0.0):
-        bad = norms == 0.0
-        g[bad] = rng.standard_normal((int(bad.sum()), m))
-        norms = np.linalg.norm(g, axis=1)
-    return g / norms[:, None]
-
-
 def seesaw_maximize(
     kernel: Kernel,
     m: int,
@@ -252,7 +241,6 @@ def seesaw_maximize(
 
     best: Optional[SeesawResult] = None
     for restart in range(restarts):
-        rng = make_rng(seed, restart)
         if restart == 0 and init is not None:
             if init.row_vectors.shape[0] != r or init.col_vectors.shape[0] != s:
                 raise DomainError("init assignment shape mismatch")
@@ -263,8 +251,9 @@ def seesaw_maximize(
             rows = np.zeros((r, m))
             rows[:, : init.m] = init.row_vectors
         else:
-            cols = _random_assignment(rng, s, m)
-            rows = _random_assignment(rng, r, m)
+            sampler = SphereSampler(m, seed, restart)
+            cols = sampler.sample(s)
+            rows = sampler.sample(r)
 
         trace: List[float] = []
         prev = -math.inf

@@ -29,7 +29,6 @@ __all__ = [
     "tsirelson_strategy",
     "correlation",
     "vectorize",
-    "observables_to_json",
 ]
 
 MAX_GENERATORS = 16  # d = 2^8 = 256: dense matrices stay desk-scale
@@ -170,10 +169,3 @@ def vectorize(strategy: QuantumStrategy, a: np.ndarray, b: np.ndarray) -> Realiz
     bob = np.concatenate([y.real, y.imag])
     return RealizedVectors(dim=2 * strategy.d**2, alice_vector=alice, bob_vector=bob)
 
-
-def observables_to_json(matrices: List[np.ndarray]) -> list:
-    """Debug dump (real/imag arrays); not a stability-guaranteed format."""
-    return [
-        {"real": np.asarray(m).real.tolist(), "imag": np.asarray(m).imag.tolist()}
-        for m in matrices
-    ]

@@ -11,7 +11,6 @@ _MANIFEST = {
         "argv": {"type": "array", "items": {"type": "string"}},
         "seed": {"type": "integer"},
         "version": {"type": "string"},
-        "threads": {"type": "integer"},
         "timestamp": {"type": "string"},
         "duration_s": {"type": "number"},
     },

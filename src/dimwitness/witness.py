@@ -32,7 +32,13 @@ from .embedding_opt import (
 from .errors import DomainError, NumericalIntegrityError
 from .quantum import MAX_GENERATORS, correlation, tsirelson_strategy
 from .seeding import derive_seed, make_rng
-from .sphere import RegionMoments, SphereSampler, build_eps_net, region_moments
+from .sphere import (
+    RegionMoments,
+    SphereSampler,
+    build_eps_net,
+    mc_mean_and_sem,
+    region_moments,
+)
 
 __all__ = [
     "WitnessConfig",
@@ -180,10 +186,8 @@ def bell_value_infinite(
         raise DomainError("sampler dimension mismatch")
     if samples < 1:
         raise DomainError("samples must be positive")
-    total = total_sq = 0.0
-    done = 0
-    while done < samples:
-        b = min(8192, samples - done)
+
+    def draw(b: int) -> np.ndarray:
         pair = sampler.sample(2 * b)
         a_pts, b_pts = pair[:b], pair[b:]
         corr = np.asarray(correlation_fn(a_pts, b_pts), dtype=float)
@@ -191,13 +195,9 @@ def bell_value_infinite(
             raise DomainError("correlation_fn must return one value per pair")
         if np.any(np.abs(corr) > 1.0 + 1e-9):
             raise DomainError("correlations must lie in [-1, 1]")
-        vals = np.einsum("ij,ij->i", a_pts, b_pts) * corr
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += b
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return mean, math.sqrt(var / samples)
+        return np.einsum("ij,ij->i", a_pts, b_pts) * corr
+
+    return mc_mean_and_sem(samples, draw)
 
 
 def bell_value_finite(net, moments: RegionMoments, correlations) -> float:

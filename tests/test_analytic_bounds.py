@@ -107,6 +107,16 @@ class TestKgLowerBound:
         # the two evaluation paths agree to 12 significant digits
         assert rep.bound == pytest.approx(ratio_form, rel=1e-12)
 
+    def test_above_one_at_large_n(self):
+        # K(n, n-1) - 1 ~ 1/(2n^2) is below the error of a difference of
+        # ln Gamma values near n/2, so this needs log_f's series branch
+        for n in range(60_000, 10**6 + 1, 997):
+            assert kg_lower_bound(n, n - 1).bound > 1.0, n
+        assert kg_lower_bound(10**6, 10**6 - 1).bound - 1.0 == pytest.approx(
+            0.5 / (10**6 * (10**6 - 1)), rel=1e-3
+        )
+        assert monotonicity_check(10**5) == (True, None)
+
     def test_monotone_in_each_argument(self):
         ns = [1, 2, 3, 5, 8, 13, 40, 90, 200]
         for m in (1, 2, 7, 33):

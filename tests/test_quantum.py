@@ -12,7 +12,6 @@ from dimwitness import (
     tsirelson_strategy,
     vectorize,
 )
-from dimwitness.quantum import observables_to_json
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -215,9 +214,3 @@ class TestIntegrity:
         e1 = np.array([1.0, 0.0])
         with pytest.raises(NumericalIntegrityError):
             correlation(broken, e1, e1)
-
-    def test_observable_dump(self):
-        cs = clifford_generators(2)
-        dump = observables_to_json(cs.generators)
-        assert len(dump) == 2
-        assert dump[1]["imag"][0][1] == -1.0

@@ -139,13 +139,43 @@ class TestNearestPoint:
         dist = np.linalg.norm(probes - net.points[idx], axis=1)
         assert dist.max() <= 0.3
 
-    def test_grid_equals_linear(self):
-        net = build_eps_net(3, 0.2, seed=3)
+    def test_matches_brute_force_argmax(self):
         probes = SphereSampler(3, 19).sample(20_000)
-        assert np.array_equal(
-            assign_regions(net, probes, method="grid"),
-            assign_regions(net, probes, method="linear"),
-        )
+
+        def check(net):
+            expected = np.argmax(probes @ net.points.T, axis=1)
+            got = assign_regions(net, probes)
+            assert np.array_equal(got, expected)
+            return got
+
+        # z-band path: more than 256 net points
+        net = build_eps_net(3, 0.15, seed=3)
+        assert net.size > 256
+        check(net)
+
+        # fallback: a ring of 300 points at z = 0 plus the poles leaves most
+        # probes farther than eps from the net, many with an empty z-band
+        t = 2 * np.pi * np.arange(300) / 300
+        ring = np.column_stack([np.cos(t), np.sin(t), np.zeros(300)])
+        poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        sparse = EpsNet(dim=3, eps=0.01, points=np.vstack([ring, poles]), seed=0)
+        dist = np.linalg.norm(probes - sparse.points[check(sparse)], axis=1)
+        assert np.mean(dist > sparse.eps) > 0.9
+
+        # ties: a duplicated row never wins over its lower-index original
+        pts = np.insert(net.points, 6, net.points[5], axis=0)
+        dup = EpsNet(dim=3, eps=0.15, points=pts, seed=3)
+        got = check(dup)
+        assert not np.any(got == 6)
+        assert np.any(got == 5)
+        # an exact tie between rows at different heights also goes to the
+        # lower index, whatever their order in last coordinate
+        c = math.sqrt(1.0 - 0.01)
+        filler = SphereSampler(3, 23).sample(300)
+        filler[:, 0] = -np.abs(filler[:, 0])
+        mirror = np.vstack([[[c, 0.0, 0.1], [c, 0.0, -0.1]], filler])
+        tied = EpsNet(dim=3, eps=0.15, points=mirror, seed=0)
+        assert nearest_point(tied, np.array([1.0, 0.0, 0.0])) == 0
 
 
 class TestPartialNorm:
