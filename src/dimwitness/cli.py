@@ -34,9 +34,8 @@ from .seeding import derive_seed, make_rng
 from .sphere import SphereSampler, build_eps_net, save_net
 from .witness import VERDICT_VIOLATION, WitnessConfig, run_witness
 
-# net sizes above this need --deep; the deep default matches the library cap
+# net sizes above this need --deep, which lifts the cap to the library default
 _SHALLOW_NET_POINTS = 50_000
-_DEEP_NET_POINTS = 200_000
 
 
 @dataclass
@@ -130,7 +129,7 @@ def _cmd_tsirelson(args, manifest: RunManifest, started: float) -> int:
 
 
 def _cmd_witness(args, manifest: RunManifest, started: float) -> int:
-    cap = _DEEP_NET_POINTS if args.deep else _SHALLOW_NET_POINTS
+    cap = WitnessConfig.max_net_points if args.deep else _SHALLOW_NET_POINTS
     if args.max_net_points is not None:
         if not args.deep:
             raise DomainError("--max-net-points requires --deep")
@@ -283,13 +282,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("d", type=int)
     p.add_argument("eps", type=float)
     p.add_argument("--deep", action="store_true",
-                   help="allow nets up to 200k points (certified-regime runs)")
+                   help=f"allow nets up to {WitnessConfig.max_net_points} "
+                   "points (certified-regime runs)")
     p.add_argument("--max-net-points", type=int, default=None,
-                   help="override the --deep net cap (certified runs at the "
-                   "analytic threshold need ~2.4e5 regions at n=3)")
+                   help="override the --deep net cap (at n=3 the analytic "
+                   "threshold eps* ~6.5e-3 needs ~2.1e5 regions, eps 0.006 "
+                   "~2.4e5)")
     p.add_argument("--allow-small-n", action="store_true",
                    help="permit n <= 2 d^2 (no separation possible)")
-    p.add_argument("--moment-samples", type=int, default=100,
+    p.add_argument("--moment-samples", type=int,
+                   default=WitnessConfig.moment_samples_per_region,
                    help="moment samples per net region")
     common(p)
     p.set_defaults(handler=_cmd_witness)

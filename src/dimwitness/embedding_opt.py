@@ -35,7 +35,7 @@ __all__ = [
     "project_embed",
     "empirical_ratio",
     "kernel_value",
-    "aligned_full_dim_value",
+    "dot_adversary",
     "moment_value_std_error",
     "save_kernel_csv",
     "load_kernel_csv",
@@ -43,9 +43,11 @@ __all__ = [
 
 DOT_KERNEL = "dot"  # sentinel for the inner-product kernel M'(a, b) = a.b
 
-_SEPARABLE_MANDATORY_ABOVE = 1000  # dense r x s storage is the bottleneck past this
+SEESAW_RESTARTS = 16
+SEESAW_MAX_ITERS = 10_000  # sweeps per restart
+SEESAW_TOL = 1e-10
 # value improvement scales like the squared first-order residual, so a value
-# plateau alone leaves vectors ~sqrt(tol) from stationarity; convergence also
+# plateau alone leaves vectors ~sqrt(SEESAW_TOL) from stationarity; convergence also
 # requires the per-sweep assignment movement to drop below this
 _STATIONARY_MOVEMENT = 2.5e-7
 
@@ -152,7 +154,6 @@ def discretize_kernel(
     moments: RegionMoments,
     samples: Optional[int] = None,
     sampler: Optional[SphereSampler] = None,
-    force_dense: bool = False,
 ) -> Kernel:
     """Entries M_ij = integral of M'(a, b) over region pairs R_i x R_j.
 
@@ -169,12 +170,6 @@ def discretize_kernel(
         raise DomainError("moments were built on a different net")
     if kernel == DOT_KERNEL:
         w = moments.moment_vectors
-        if force_dense:
-            if net.size > _SEPARABLE_MANDATORY_ABOVE:
-                raise ResourceError(
-                    f"dense form refused above {_SEPARABLE_MANDATORY_ABOVE} net points"
-                )
-            return KernelMatrix(entries=w @ w.T, provenance="exact dot kernel (dense)")
         return SeparableKernel(left_vectors=w.copy(), right_vectors=w.copy())
     if not callable(kernel):
         raise DomainError("kernel must be DOT_KERNEL or a callable")
@@ -218,9 +213,7 @@ def _normalize_rows(vecs: np.ndarray, fallback: np.ndarray) -> np.ndarray:
 def seesaw_maximize(
     kernel: Kernel,
     m: int,
-    restarts: int = 16,
-    max_iters: int = 10_000,
-    tol: float = 1e-10,
+    restarts: int = SEESAW_RESTARTS,
     seed: int = 0,
     init: Optional[VectorAssignment] = None,
 ) -> SeesawResult:
@@ -228,7 +221,7 @@ def seesaw_maximize(
 
     Each half-sweep sets one side to the normalized kernel-weighted sum of the
     other, so the objective is nondecreasing; convergence is declared when a
-    full sweep improves by less than tol (relative).  The best result over
+    full sweep improves by less than SEESAW_TOL (relative).  The best result over
     `restarts` independent starts is returned (ties to the lowest restart
     index).  An optional `init` seeds restart 0, which makes the value
     monotone under embedding into a larger m.
@@ -259,7 +252,7 @@ def seesaw_maximize(
         prev = -math.inf
         converged = False
         sweeps = 0
-        for sweeps in range(1, max_iters + 1):
+        for sweeps in range(1, SEESAW_MAX_ITERS + 1):
             new_rows = _normalize_rows(_apply_rows(kernel, cols), rows)
             new_cols = _normalize_rows(_apply_cols(kernel, new_rows), cols)
             movement = max(
@@ -273,7 +266,9 @@ def seesaw_maximize(
                 converged = True
                 break
             trace.append(val)
-            plateau = math.isfinite(prev) and val - prev <= tol * max(1.0, abs(prev))
+            plateau = math.isfinite(prev) and (
+                val - prev <= SEESAW_TOL * max(1.0, abs(prev))
+            )
             if plateau and movement <= _STATIONARY_MOVEMENT:
                 converged = True
                 prev = val
@@ -353,21 +348,6 @@ def project_embed(a: np.ndarray, m: int) -> np.ndarray:
     return head / norm
 
 
-def aligned_full_dim_value(moments: RegionMoments) -> float:
-    """Value of the dot-kernel bilinear form at x_u = y_u = w_u / ||w_u||.
-
-    This mirrors the identity embedding of the continuous problem (each region
-    mapped to its own moment direction) and is exact given the moments;
-    regions with zero moment contribute nothing.  ||W^T What||_F^2 form.
-    """
-    w = moments.moment_vectors
-    norms = np.linalg.norm(w, axis=1)
-    keep = norms > 0.0
-    what = w[keep] / norms[keep, None]
-    t = w[keep].T @ what
-    return float(np.sum(t * t))
-
-
 def moment_value_std_error(
     moments: RegionMoments, rows: np.ndarray, cols: np.ndarray
 ) -> float:
@@ -383,20 +363,39 @@ def moment_value_std_error(
     return float(np.sqrt(np.sum((grad_norms * moments.standard_errors) ** 2)))
 
 
+def dot_adversary(
+    moments: RegionMoments, m: int, seed: int
+) -> Tuple[SeesawResult, float, float, float]:
+    """(see-saw, its SE, full-dim value, its SE) of the kernel M_uv = w_u . w_v.
+
+    The see-saw runs over unit vectors in R^m.  The full-dimension value is
+    the bilinear form at x_u = y_u = w_u / ||w_u||, the identity embedding of
+    the continuous problem: exact given the moments, a lower bound on the
+    full-dimension optimum.  Empty regions get zero vectors and contribute
+    nothing.  SEs are first order in the moments.
+    """
+    w = moments.moment_vectors
+    seesaw = seesaw_maximize(
+        SeparableKernel(left_vectors=w, right_vectors=w), m, seed=seed
+    )
+    seesaw_se = moment_value_std_error(
+        moments, seesaw.assignment.row_vectors, seesaw.assignment.col_vectors
+    )
+    norms = np.linalg.norm(w, axis=1)
+    safe = np.where(norms == 0, 1.0, norms)
+    what = np.where(norms[:, None] > 0, w / safe[:, None], 0.0)
+    t = w.T @ what  # ||W^T What||_F^2 form of the aligned value
+    full_dim_se = moment_value_std_error(moments, what, what)
+    return seesaw, seesaw_se, float(np.sum(t * t)), full_dim_se
+
+
 def empirical_ratio(
-    n: int,
-    m: int,
-    net: EpsNet,
-    moments: RegionMoments,
-    restarts: int = 16,
-    max_iters: int = 10_000,
-    tol: float = 1e-10,
-    seed: int = 0,
+    n: int, m: int, net: EpsNet, moments: RegionMoments, seed: int = 0
 ) -> Tuple[float, dict]:
     """Net-resolution-limited estimate of the bound certified by the dot kernel.
 
     numerator   = aligned full-dimension value of the discretized kernel
-                  (exact given the moments, see aligned_full_dim_value)
+                  (the see-saw value itself when m = n), see dot_adversary
     denominator = see-saw value at embedding dimension m
     The ratio approaches the analytic bound from below as eps shrinks; a
     finite net only resolves so much.
@@ -405,25 +404,13 @@ def empirical_ratio(
         raise DomainError("net dimension does not match n")
     if not (1 <= m <= n):
         raise DomainError("need 1 <= m <= n")
-    w = moments.moment_vectors
-    kernel = SeparableKernel(left_vectors=w, right_vectors=w)
-
-    result = seesaw_maximize(
-        kernel, m, restarts=restarts, max_iters=max_iters, tol=tol, seed=seed
-    )
-    den_se = moment_value_std_error(
-        moments, result.assignment.row_vectors, result.assignment.col_vectors
-    )
+    result, den_se, full_dim, full_dim_se = dot_adversary(moments, m, seed)
 
     if m == n:
         # the numerator optimization at dimension n is the denominator itself
         numerator, num_se = result.value, den_se
     else:
-        numerator = aligned_full_dim_value(moments)
-        norms = np.linalg.norm(w, axis=1)
-        safe = np.where(norms == 0, 1.0, norms)
-        what = np.where(norms[:, None] > 0, w / safe[:, None], 0.0)
-        num_se = moment_value_std_error(moments, what, what)
+        numerator, num_se = full_dim, full_dim_se
     ratio = numerator / result.value
     ratio_se = abs(ratio) * math.sqrt(
         (num_se / numerator) ** 2 + (den_se / result.value) ** 2

@@ -103,8 +103,12 @@ WITNESS_REPORT_SCHEMA = {
         "b_finite_seesaw_d": {"type": "number"},
         "b_finite_seesaw_se": {"type": "number", "minimum": 0},
         "full_dim_value": {"type": "number"},
+        "full_dim_value_se": {"type": "number", "minimum": 0},
         "eps_threshold": {"type": "number", "minimum": 0},
         "net_size": {"type": "integer", "minimum": 0},
+        "empty_regions": {"type": "integer", "minimum": 0},
+        "tsirelson_validation_dev": {"type": ["number", "null"], "minimum": 0},
+        "seesaw_converged": {"type": "boolean"},
         "chain_checks": {"type": "array", "items": _CHAIN_CHECK},
         "verdict": {
             "enum": [

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _BATCH = 8192
+MIN_SAMPLES_PER_REGION = 100
 # up to this many rows one matrix product over the whole set beats the
 # sort and per-band products of the z-band screen
 _SINGLE_BAND_ROWS = 256
@@ -337,8 +338,8 @@ def region_moments(net: EpsNet, samples: int, sampler: SphereSampler) -> RegionM
     """Estimate region weights and vector moments from `samples` uniform points."""
     if sampler.dim != net.dim:
         raise DomainError("sampler dimension mismatch")
-    if samples < 100 * net.size:
-        raise DomainError("samples must be >= 100 * net size")
+    if samples < MIN_SAMPLES_PER_REGION * net.size:
+        raise DomainError(f"samples must be >= {MIN_SAMPLES_PER_REGION} * net size")
     counts = np.zeros(net.size, dtype=np.int64)
     sums = np.zeros((net.size, net.dim))
     done = 0

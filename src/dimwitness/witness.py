@@ -24,15 +24,17 @@ import numpy as np
 
 from .analytic_bounds import kg_lower_bound
 from .embedding_opt import (
-    SeparableKernel,
-    aligned_full_dim_value,
+    SEESAW_MAX_ITERS,
+    SEESAW_RESTARTS,
+    SEESAW_TOL,
+    dot_adversary,
     moment_value_std_error,
-    seesaw_maximize,
 )
 from .errors import DomainError, NumericalIntegrityError
 from .quantum import MAX_GENERATORS, correlation, tsirelson_strategy
 from .seeding import derive_seed, make_rng
 from .sphere import (
+    MIN_SAMPLES_PER_REGION,
     RegionMoments,
     SphereSampler,
     build_eps_net,
@@ -58,6 +60,7 @@ VERDICT_CONSISTENT = "consistent_but_uncertified"
 VERDICT_VIOLATION = "violation_of_theory"
 
 SLACK_SIGMAS = 4.0
+VALIDATION_PAIRS = 64  # sampled net pairs on which the Tsirelson strategy is checked
 
 
 @dataclass(frozen=True)
@@ -72,11 +75,7 @@ class WitnessConfig:
     d: int
     eps: float
     seed: int = 0
-    moment_samples_per_region: int = 100
-    validation_pairs: int = 64
-    seesaw_restarts: int = 16
-    seesaw_max_iters: int = 10_000
-    seesaw_tol: float = 1e-10
+    moment_samples_per_region: int = MIN_SAMPLES_PER_REGION
     max_net_points: int = 200_000
     allow_small_n: bool = False
 
@@ -89,6 +88,10 @@ class WitnessConfig:
             raise DomainError("n and d must be positive")
         if not (0.0 < self.eps < 1.0):
             raise DomainError("eps must lie in (0, 1)")
+        if self.moment_samples_per_region < MIN_SAMPLES_PER_REGION:
+            raise DomainError(
+                f"need >= {MIN_SAMPLES_PER_REGION} moment samples per region"
+            )
         if self.n < self.m + 1 and not self.allow_small_n:
             raise DomainError(
                 f"need n >= 2*d^2 + 1 = {self.m + 1} (or allow_small_n=True)"
@@ -102,10 +105,10 @@ class WitnessConfig:
             "m": self.m,
             "seed": self.seed,
             "moment_samples_per_region": self.moment_samples_per_region,
-            "validation_pairs": self.validation_pairs,
-            "seesaw_restarts": self.seesaw_restarts,
-            "seesaw_max_iters": self.seesaw_max_iters,
-            "seesaw_tol": self.seesaw_tol,
+            "validation_pairs": VALIDATION_PAIRS,
+            "seesaw_restarts": SEESAW_RESTARTS,
+            "seesaw_max_iters": SEESAW_MAX_ITERS,
+            "seesaw_tol": SEESAW_TOL,
             "max_net_points": self.max_net_points,
             "allow_small_n": self.allow_small_n,
         }
@@ -236,7 +239,8 @@ def eps_threshold(n: int, d: int) -> float:
     if n <= m:
         raise DomainError("eps_threshold requires n > 2*d^2")
     k = kg_lower_bound(n, m).bound
-    assert k > 1.0, "ratio bound must exceed 1 for m < n"
+    if not k > 1.0:
+        raise NumericalIntegrityError(f"ratio bound K({n}, {m}) = {k!r} is not above 1")
     return (k - 1.0) / (2.0 * n * (k + 1.0))
 
 
@@ -284,35 +288,19 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     )
 
     validation_dev = _validate_tsirelson_on_net(
-        net, config.validation_pairs, derive_seed(config.seed, "validation")
+        net, VALIDATION_PAIRS, derive_seed(config.seed, "validation")
     )
 
-    w = moments.moment_vectors
     u = net.points
 
     # finite Bell value of the inner-product correlations, E = U U^T factored
     b_fq = bell_value_finite(net, moments, (u, u))
     b_fq_se = moment_value_std_error(moments, u, u)
 
-    kernel = SeparableKernel(left_vectors=w, right_vectors=w)
-    seesaw = seesaw_maximize(
-        kernel,
-        m,
-        restarts=config.seesaw_restarts,
-        max_iters=config.seesaw_max_iters,
-        tol=config.seesaw_tol,
-        seed=derive_seed(config.seed, "seesaw"),
+    seesaw, b_fs_se, full_dim, full_dim_se = dot_adversary(
+        moments, m, derive_seed(config.seed, "seesaw")
     )
     b_fs = seesaw.value
-    b_fs_se = moment_value_std_error(
-        moments, seesaw.assignment.row_vectors, seesaw.assignment.col_vectors
-    )
-
-    full_dim = aligned_full_dim_value(moments)
-    norms = np.linalg.norm(w, axis=1)
-    safe = np.where(norms == 0, 1.0, norms)
-    what = np.where(norms[:, None] > 0, w / safe[:, None], 0.0)
-    full_dim_se = moment_value_std_error(moments, what, what)
 
     k_lower = kg_lower_bound(n, m).bound if m <= n else 1.0
     b_inf = 1.0 / n

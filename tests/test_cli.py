@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import dimwitness
 from dimwitness.cli import main
 from dimwitness.schemas import (
     APPENDIX_REPORT_SCHEMA,
@@ -199,3 +204,23 @@ class TestDeterminism:
         run_cli(capsys, "net", "2", "0.3", "--seed", "1", "--out", a)
         run_cli(capsys, "net", "2", "0.3", "--seed", "2", "--out", b)
         assert (tmp_path / "a.csv").read_text() != (tmp_path / "b.csv").read_text()
+
+
+class TestImportCost:
+    def test_no_scipy_at_import(self):
+        # scipy.spatial alone adds 0.35 s and 32 MB to every run's start-up
+        src = str(Path(dimwitness.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, dimwitness, dimwitness.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        ).stdout
+        assert out.strip() == "[]"

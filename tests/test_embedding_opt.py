@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from dimwitness import (
 )
 from dimwitness.embedding_opt import (
     VectorAssignment,
-    aligned_full_dim_value,
+    dot_adversary,
     kernel_value,
     load_kernel_csv,
     save_kernel_csv,
@@ -53,13 +54,6 @@ class TestDiscretize:
         assert isinstance(kernel, SeparableKernel)
         dense = kernel.dense().entries
         assert np.allclose(dense, 0.25 * np.array([[1, -1], [-1, 1]]), atol=1e-15)
-
-    def test_dot_kernel_dense_equals_separable(self):
-        net = build_eps_net(3, 0.4, seed=2)
-        mom = region_moments(net, 100 * net.size, SphereSampler(3, 30))
-        sep = discretize_kernel(DOT_KERNEL, net, mom)
-        dense = discretize_kernel(DOT_KERNEL, net, mom, force_dense=True)
-        assert np.abs(sep.dense().entries - dense.entries).max() <= 1e-15
 
     def test_constant_kernel_mc(self):
         net = build_eps_net(2, 0.5, seed=3)
@@ -162,7 +156,7 @@ class TestSeesaw:
         net = build_eps_net(3, 0.4, seed=2)
         mom = region_moments(net, 100 * net.size, SphereSampler(3, 35))
         sep = discretize_kernel(DOT_KERNEL, net, mom)
-        dense = discretize_kernel(DOT_KERNEL, net, mom, force_dense=True)
+        dense = sep.dense()
         vs = seesaw_maximize(sep, 2, restarts=8, seed=4).value
         vd = seesaw_maximize(dense, 2, restarts=8, seed=4).value
         assert vs == pytest.approx(vd, abs=1e-9)
@@ -284,7 +278,24 @@ class TestEmpiricalRatio:
             kernel,
             VectorAssignment(m=3, row_vectors=what, col_vectors=what),
         )
-        assert aligned_full_dim_value(mom) == pytest.approx(by_assignment, rel=1e-12)
+        _, _, full_dim, _ = dot_adversary(mom, 2, seed=0)
+        assert full_dim == pytest.approx(by_assignment, rel=1e-12)
+
+    def test_empty_region_contributes_nothing(self):
+        net, mom = self._net_and_moments(3, 0.3, seed=5)
+        w = mom.moment_vectors.copy()
+        w[0] = 0.0
+        emptied = dataclasses.replace(
+            mom, moment_vectors=w, empty_regions=np.array([0], dtype=np.int64)
+        )
+        rest = w[1:] / np.linalg.norm(w[1:], axis=1)[:, None]
+        by_assignment = kernel_value(
+            SeparableKernel(left_vectors=w[1:], right_vectors=w[1:]),
+            VectorAssignment(m=3, row_vectors=rest, col_vectors=rest),
+        )
+        _, _, full_dim, full_dim_se = dot_adversary(emptied, 2, seed=0)
+        assert full_dim == pytest.approx(by_assignment, rel=1e-12)
+        assert math.isfinite(full_dim_se)
 
 
 class TestKernelCsv:

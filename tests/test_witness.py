@@ -1,11 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import dimwitness.witness
 from dimwitness import (
     DomainError,
     EpsNet,
+    NumericalIntegrityError,
     SphereSampler,
     WitnessConfig,
     analytic_d,
@@ -18,6 +21,7 @@ from dimwitness import (
     region_moments,
     run_witness,
 )
+from dimwitness.schemas import WITNESS_REPORT_SCHEMA
 from dimwitness.sphere import RegionMoments
 from dimwitness.witness import (
     VERDICT_CERTIFIED,
@@ -155,6 +159,12 @@ class TestEpsThreshold:
         with pytest.raises(DomainError):
             eps_threshold(2, 1)
 
+    def test_bound_not_above_one_is_integrity_error(self, monkeypatch):
+        at_one = dataclasses.replace(kg_lower_bound(3, 2), bound=1.0)
+        monkeypatch.setattr(dimwitness.witness, "kg_lower_bound", lambda n, m: at_one)
+        with pytest.raises(NumericalIntegrityError):
+            eps_threshold(3, 1)
+
 
 class TestWitnessConfig:
     def test_m_is_twice_d_squared(self):
@@ -172,6 +182,11 @@ class TestWitnessConfig:
     def test_eps_domain(self):
         with pytest.raises(DomainError):
             WitnessConfig(n=3, d=1, eps=0.0)
+
+    def test_too_few_moment_samples(self):
+        # region_moments would refuse them only after the whole net is built
+        with pytest.raises(DomainError):
+            WitnessConfig(n=3, d=1, eps=0.1, moment_samples_per_region=99)
 
 
 class TestRunWitness:
@@ -222,6 +237,11 @@ class TestRunWitness:
         assert doc["config"]["m"] == 2
         assert doc["verdict"] == report.verdict
         assert len(doc["chain_checks"]) == 4
+
+    def test_schema_lists_every_report_key(self):
+        doc = run_witness(WitnessConfig(n=3, d=1, eps=0.3, seed=6)).to_dict()
+        keys = set(doc) | {"manifest"}
+        assert keys <= set(WITNESS_REPORT_SCHEMA["properties"])
 
     def test_determinism(self):
         a = run_witness(WitnessConfig(n=3, d=1, eps=0.3, seed=9))
