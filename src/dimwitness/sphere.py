@@ -13,6 +13,14 @@ eps of a probe has its last coordinate within eps of the probe's, so sorting
 the net by last coordinate limits each probe to a band of rows.  Region
 assignment rescans the whole net only for probes farther than eps from every
 net point.
+
+The net build needs only whether a candidate's largest dot product with the
+net exceeds 1 - eps^2/2, not which point attains it.  Up to 256 net points
+it answers that with a float32 product: float32 rounding moves a dot product
+of unit vectors in dimension dim by at most about (dim + 2) 2^-24, so every
+candidate whose float32 maximum lies farther than 2 (dim + 2) 2^-24 from the
+threshold is decided as float64 would decide it, and only the candidates
+inside that margin are re-decided in float64.  Nets stay bit-identical.
 """
 
 from __future__ import annotations
@@ -52,6 +60,14 @@ _SINGLE_BAND_ROWS = 256
 # slivers of measure g survive with probability ~exp(-g T), and covering is
 # validated with 1e5 probes, so T must comfortably exceed 1e5
 _MIN_TAIL_REJECTIONS = 2_000_000
+# float32 screen margin per unit of (dim + 2): rounding two unit vectors to
+# float32 and summing their dim products in float32, in any order, errs by at
+# most gamma_(dim+2) sum |a_i b_i| <= (dim+2) 2^-24 / (1 - (dim+2) 2^-24),
+# and the float64 product errs by at most gamma_dim ~ dim 2^-53; while
+# (dim+2) 2^-24 <= 1/4 (dim < 4e6) both together stay below 2 (dim+2) 2^-24,
+# with room for float32 underflow (at most dim 2^-126), so a float32 max dot
+# farther than that from the threshold is on the same side as the float64 one
+_F32_MARGIN_UNIT = 2.0 ** -23
 
 
 @dataclass
@@ -154,6 +170,40 @@ def _band_nearest(
     return index, dot
 
 
+def _screen_max_dot(
+    rows: np.ndarray,
+    rows32: np.ndarray,
+    eps: float,
+    batch: np.ndarray,
+    prod: np.ndarray,
+    top: np.ndarray,
+) -> np.ndarray:
+    """Mask of the candidates whose largest dot with `rows` is <= 1 - eps^2/2.
+
+    `rows32` is `rows` in float32.  The float32 product rows32 @ batch.T goes
+    into `prod` (at least rows x batch size) and its column maxima into `top`
+    (batch size); they decide every candidate farther than
+    _F32_MARGIN_UNIT * (dim + 2) from the threshold, and `_band_nearest`
+    re-decides the others in float64, so the mask is the float64 decision.
+    """
+    r, count = rows.shape[0], batch.shape[0]
+    if r == 0:
+        return np.ones(count, dtype=bool)
+    thresh = 1.0 - 0.5 * eps * eps
+    margin = _F32_MARGIN_UNIT * (rows.shape[1] + 2)
+    # numpy >= 2 compares float32 with np.float64 bounds in float64; numpy 1
+    # rounds the bounds to float32, by at most 2^-25, inside the margin's slack
+    lo, hi = np.float64(thresh - margin), np.float64(thresh + margin)
+    np.matmul(rows32, batch.astype(np.float32).T, out=prod[:r])
+    np.max(prod[:r], axis=0, out=top)
+    passed = top < lo
+    unsure = np.nonzero(~passed & (top <= hi))[0]
+    if unsure.size:
+        _, dot = _band_nearest(rows, eps, batch[unsure])
+        passed[unsure] = dot <= thresh
+    return passed
+
+
 def _projected_size_bounds(dim: int, eps: float) -> Tuple[float, float]:
     # crude covering lower bound and the volume-argument upper bound (3/eps)^dim
     lo = (1.0 / (3.0 * eps)) ** max(dim - 1, 0)
@@ -171,8 +221,13 @@ def build_eps_net(
 
     Streams seeded candidates, accepting any at distance >= eps from all
     accepted points, and stops after max(2e6, 200 x current net size)
-    consecutive rejections.  Raises ResourceError when the net would exceed
-    max_points; the volume bound (3/eps)^dim caps the attainable size.
+    consecutive rejections.  Each batch of candidates is tested against the
+    net as it stood before the batch: by the float32 screen `_screen_max_dot`
+    (float64 re-decision within 2 (dim + 2) 2^-24 of the threshold) while
+    the net has at most 256 points, by the float64 z-band screen after that;
+    either way the decision is the float64 one.  Raises ResourceError when
+    the net would exceed max_points; the volume bound (3/eps)^dim caps the
+    attainable size.
     """
     if not (0.0 < eps < 1.0):
         raise DomainError("eps must lie in (0, 1)")
@@ -189,6 +244,11 @@ def build_eps_net(
     dot_thresh = 1.0 - 0.5 * eps * eps  # ||u-v|| >= eps  <=>  u.v <= 1 - eps^2/2
     cap = 1024
     pts = np.empty((cap, dim))
+    pts32 = np.empty((cap, dim), dtype=np.float32)  # mirror for the screen
+    # screen buffers, allocated once: a net of r <= _SINGLE_BAND_ROWS rows
+    # touches only the first r rows of the product
+    prod = np.empty((_SINGLE_BAND_ROWS, _BATCH), dtype=np.float32)
+    top = np.empty(_BATCH, dtype=np.float32)
     size = 0
     rejections = 0
 
@@ -196,11 +256,13 @@ def build_eps_net(
         return max(_MIN_TAIL_REJECTIONS, 200 * size)
 
     def accept(c: np.ndarray) -> None:
-        nonlocal cap, pts, size, rejections
+        nonlocal cap, pts, pts32, size, rejections
         if size == cap:
             cap *= 2
             pts = np.vstack([pts, np.empty((cap - size, dim))])
+            pts32 = np.vstack([pts32, np.empty((cap - size, dim), dtype=np.float32)])
         pts[size] = c
+        pts32[size] = c
         size += 1
         rejections = 0
         if size > max_points:
@@ -212,11 +274,15 @@ def build_eps_net(
         batch = sampler.sample(_BATCH)
         base = size
         # vectorized pass/fail against the frozen prefix of the net (exact:
-        # every point within eps of a candidate is in its band), then a
-        # gap-walk over the passing candidates so the consecutive-rejection
+        # the screen re-decides in float64 near the threshold, and every
+        # point within eps of a candidate is in its band), then a gap-walk
+        # over the passing candidates so the consecutive-rejection
         # accounting matches the sequential semantics exactly
-        _, maxdot = _band_nearest(pts[:base], eps, batch)
-        pass_idx = np.nonzero(maxdot <= dot_thresh)[0]
+        if base <= _SINGLE_BAND_ROWS:
+            passed = _screen_max_dot(pts[:base], pts32[:base], eps, batch, prod, top)
+        else:
+            passed = _band_nearest(pts[:base], eps, batch)[1] <= dot_thresh
+        pass_idx = np.nonzero(passed)[0]
         cursor = 0
         stopped = False
         for i in pass_idx:

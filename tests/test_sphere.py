@@ -16,7 +16,46 @@ from dimwitness import (
     sample_uniform,
     y_closed_form,
 )
+from dimwitness import sphere
 from dimwitness.sphere import assign_regions, load_net, save_net
+
+
+@pytest.fixture(scope="module")
+def net_3_015():
+    """A net of more than 256 points, so its build and queries use the z-bands."""
+    return build_eps_net(3, 0.15, seed=3)
+
+
+def float64_eps_net(dim, eps, seed):
+    """Reference for build_eps_net: every candidate batch tested in float64."""
+    sampler = SphereSampler(dim, seed)
+    thresh = 1.0 - 0.5 * eps * eps
+    pts = np.empty((0, dim))
+    rejections = 0
+
+    def limit():
+        return max(sphere._MIN_TAIL_REJECTIONS, 200 * pts.shape[0])
+
+    while rejections < limit():
+        batch = sampler.sample(sphere._BATCH)
+        base = pts.shape[0]
+        _, maxdot = sphere._band_nearest(pts, eps, batch)
+        cursor = 0
+        for i in np.nonzero(maxdot <= thresh)[0]:
+            gap = int(i) - cursor
+            if rejections + gap >= limit():
+                rejections = limit()
+                break
+            rejections += gap
+            cursor = int(i) + 1
+            if pts.shape[0] > base and np.max(pts[base:] @ batch[i]) > thresh:
+                rejections += 1
+            else:
+                pts = np.vstack([pts, batch[i]])
+                rejections = 0
+        else:
+            rejections += sphere._BATCH - cursor
+    return pts
 
 
 class TestSampler:
@@ -105,6 +144,18 @@ class TestEpsNet:
         with pytest.raises(DomainError):
             build_eps_net(3, 0.0, seed=0)
 
+    @pytest.mark.parametrize(
+        "dim, eps, seed", [(1, 0.5, 0), (2, 0.1, 5), (3, 0.3, 7), (5, 0.7, 1)]
+    )
+    def test_equals_float64_reference(self, dim, eps, seed):
+        net = build_eps_net(dim, eps, seed=seed)
+        assert np.array_equal(net.points, float64_eps_net(dim, eps, seed))
+
+    def test_equals_float64_reference_across_band_cut(self, net_3_015):
+        # the float32 screen runs up to 256 points and the z-bands after
+        assert net_3_015.size > sphere._SINGLE_BAND_ROWS
+        assert np.array_equal(net_3_015.points, float64_eps_net(3, 0.15, 3))
+
     def test_save_load_roundtrip(self, tmp_path):
         net = build_eps_net(3, 0.4, seed=2)
         csv_path = str(tmp_path / "net.csv")
@@ -139,7 +190,7 @@ class TestNearestPoint:
         dist = np.linalg.norm(probes - net.points[idx], axis=1)
         assert dist.max() <= 0.3
 
-    def test_matches_brute_force_argmax(self):
+    def test_matches_brute_force_argmax(self, net_3_015):
         probes = SphereSampler(3, 19).sample(20_000)
 
         def check(net):
@@ -149,7 +200,7 @@ class TestNearestPoint:
             return got
 
         # z-band path: more than 256 net points
-        net = build_eps_net(3, 0.15, seed=3)
+        net = net_3_015
         assert net.size > 256
         check(net)
 
@@ -176,6 +227,51 @@ class TestNearestPoint:
         mirror = np.vstack([[[c, 0.0, 0.1], [c, 0.0, -0.1]], filler])
         tied = EpsNet(dim=3, eps=0.15, points=mirror, seed=0)
         assert nearest_point(tied, np.array([1.0, 0.0, 0.0])) == 0
+
+
+class TestMaxDotScreen:
+    @pytest.mark.parametrize("dim", [1, 3, 5])
+    def test_ambiguous_band_matches_float64(self, dim, monkeypatch):
+        eps = 0.3
+        thresh = 1.0 - 0.5 * eps * eps
+        rng = np.random.default_rng(dim)
+        target = SphereSampler(dim, 40 + dim).sample(1)[0]
+        # the other rows lie in the far hemisphere of the target, far from
+        # every probe (in dim 1 that is the opposite point)
+        others = SphereSampler(dim, 50 + dim).sample(20)
+        others[others @ target > 0] *= -1.0
+        rows = np.vstack([others[:10], target, others[10:]])
+        # probe dots with the target at thresh + k 1e-9, inside and outside
+        # the float32 margin of 2 (dim + 2) 2^-24 <= 8.4e-7
+        dots = thresh + 1e-9 * np.arange(-1200, 1201)
+        if dim == 1:
+            probes = dots[:, None] * target  # S^0 has no other direction
+        else:
+            side = rng.standard_normal((dots.size, dim))
+            side -= np.outer(side @ target, target)
+            side /= np.linalg.norm(side, axis=1)[:, None]
+            probes = dots[:, None] * target + np.sqrt(1.0 - dots**2)[:, None] * side
+        index, maxdot = sphere._band_nearest(rows, eps, probes)
+        assert np.all(index == 10)
+        expected = maxdot <= thresh
+        assert expected.any() and not expected.all()
+
+        rechecked = []
+        band_nearest = sphere._band_nearest
+
+        def counting(points, eps, batch):
+            rechecked.append(batch.shape[0])
+            return band_nearest(points, eps, batch)
+
+        monkeypatch.setattr(sphere, "_band_nearest", counting)
+        prod = np.empty((rows.shape[0], probes.shape[0]), dtype=np.float32)
+        top = np.empty(probes.shape[0], dtype=np.float32)
+        passed = sphere._screen_max_dot(
+            rows, rows.astype(np.float32), eps, probes, prod, top
+        )
+        assert np.array_equal(passed, expected)
+        # the float64 fallback ran, on part of the probes only
+        assert 0 < sum(rechecked) < probes.shape[0]
 
 
 class TestPartialNorm:
