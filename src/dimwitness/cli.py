@@ -27,8 +27,8 @@ from .analytic_bounds import (
     monotonicity_check,
     robbins_bounds,
 )
-from .embedding_opt import load_kernel_csv, seesaw_maximize
-from .errors import DomainError, ResourceError
+from .embedding_opt import SEESAW_RESTARTS, load_kernel_csv, seesaw_maximize
+from .errors import DomainError, NumericalIntegrityError, ResourceError
 from .quantum import MAX_GENERATORS, correlation, tsirelson_strategy
 from .seeding import derive_seed, make_rng
 from .sphere import SphereSampler, build_eps_net, save_net
@@ -108,6 +108,8 @@ def _cmd_seesaw(args, manifest: RunManifest, started: float) -> int:
 def _cmd_tsirelson(args, manifest: RunManifest, started: float) -> int:
     if args.n > MAX_GENERATORS:
         raise DomainError(f"n must satisfy n ≤ {MAX_GENERATORS}")
+    if args.pairs < 1:
+        raise DomainError("--pairs must be >= 1")
     strategy = tsirelson_strategy(args.n)
     sampler = SphereSampler(args.n, derive_seed(args.seed, "tsirelson-pairs"))
     worst = 0.0
@@ -170,7 +172,7 @@ def _cmd_appendix_check(args, manifest: RunManifest, started: float) -> int:
     for x in xs:
         try:
             lo, hi = robbins_bounds(float(x))  # certifies the strict bracket
-        except AssertionError:
+        except NumericalIntegrityError:
             robbins_ok = False
             worst = float(x)
             break
@@ -195,7 +197,7 @@ def _cmd_appendix_check(args, manifest: RunManifest, started: float) -> int:
     try:
         for n in ns:
             log1p_bounds(int(n))
-    except AssertionError as exc:
+    except NumericalIntegrityError as exc:
         log1p_ok = False
         detail = str(exc)
     checks.append(("log(1+1/n) bracket", log1p_ok, detail))
@@ -266,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("seesaw", help="maximize a CSV kernel over R^m unit vectors")
     p.add_argument("matrix", type=str, help="CSV matrix file")
     p.add_argument("m", type=int)
-    p.add_argument("--restarts", type=int, default=16)
+    p.add_argument("--restarts", type=int, default=SEESAW_RESTARTS)
     p.add_argument("--trace", action="store_true", help="include the value trace")
     common(p)
     p.set_defaults(handler=_cmd_seesaw)

@@ -254,13 +254,14 @@ def seesaw_maximize(
         sweeps = 0
         for sweeps in range(1, SEESAW_MAX_ITERS + 1):
             new_rows = _normalize_rows(_apply_rows(kernel, cols), rows)
-            new_cols = _normalize_rows(_apply_cols(kernel, new_rows), cols)
+            pulled = _apply_cols(kernel, new_rows)
+            new_cols = _normalize_rows(pulled, cols)
             movement = max(
                 float(np.abs(new_rows - rows).max()),
                 float(np.abs(new_cols - cols).max()),
             )
             rows, cols = new_rows, new_cols
-            val = float(np.sum(cols * _apply_cols(kernel, rows)))
+            val = float(np.sum(cols * pulled))
             if val < prev:
                 # rounding echo at the plateau; the exact update is monotone
                 converged = True

@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes (domain/usage -> 2, resource -> 3);
 NumericalIntegrityError signals an internal consistency failure that should
-never occur in a correct build and is deliberately left uncaught.
+never occur in a correct build and is deliberately left uncaught, except by
+appendix-check, which reports a failed certification as a FAIL line.
 """
 
 

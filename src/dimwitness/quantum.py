@@ -5,7 +5,9 @@ expectation <psi| A tensor B |psi> reduces to Tr(A B^T) / d.  With Alice's
 observable sum_i a_i G_i built from anticommuting generators and Bob's from
 their transposes, trace orthonormality Tr(G_i G_j) = d delta_ij makes the
 correlation exactly a . b.  Bob's transpose is essential: without it any
-antisymmetric generator (every Y factor) flips sign.
+antisymmetric generator (every Y factor) flips sign.  Since every generator
+is Hermitian, G^T = conj(G), so Bob's observable for a real direction b is
+the complex conjugate of Alice's observable for b.
 
 The generators come from the Jordan-Wigner chain on floor(n/2) qubits
 (X and Y at each site behind a Z string; odd n appends the full Z string),
@@ -106,7 +108,6 @@ def tsirelson_strategy(n: int) -> QuantumStrategy:
     """
     cs = clifford_generators(n)
     gens = np.stack(cs.generators)
-    gens_t = np.stack([g.T for g in cs.generators])
     d = cs.d
     state = (np.eye(d, dtype=complex) / np.sqrt(d)).reshape(-1)
 
@@ -115,8 +116,7 @@ def tsirelson_strategy(n: int) -> QuantumStrategy:
         return np.tensordot(a, gens, axes=(0, 0))
 
     def bob_map(b: np.ndarray) -> np.ndarray:
-        b = _require_unit(b, n)
-        return np.tensordot(b, gens_t, axes=(0, 0))
+        return alice_map(b).conj()
 
     return QuantumStrategy(d=d, state=state, alice_map=alice_map, bob_map=bob_map)
 

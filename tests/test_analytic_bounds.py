@@ -66,6 +66,9 @@ class TestKgLowerBound:
     def test_two_to_one(self):
         assert kg_lower_bound(2, 1).bound == pytest.approx(math.pi**2 / 8, abs=1e-10)
 
+    def test_two_to_one_to_rounding(self):
+        assert abs(kg_lower_bound(2, 1).bound - math.pi**2 / 8) <= 2e-15
+
     def test_three_to_two(self):
         assert kg_lower_bound(3, 2).bound == pytest.approx(
             32 / (3 * math.pi**2), abs=1e-10

@@ -10,6 +10,7 @@ import pytest
 
 import dimwitness
 from dimwitness.cli import main
+from dimwitness.errors import NumericalIntegrityError
 from dimwitness.schemas import (
     APPENDIX_REPORT_SCHEMA,
     BOUND_REPORT_SCHEMA,
@@ -41,7 +42,9 @@ class TestBoundCommand:
     def test_three_two(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "3", "2")
         assert code == 0
-        assert "1.0807592921849332" in out
+        bound = dimwitness.kg_lower_bound(3, 2).bound
+        assert f">= {bound!r}\n" in out
+        assert abs(bound - 32 / (3 * math.pi**2)) <= 2e-15
 
     def test_equal_dims(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "5", "5")
@@ -137,6 +140,12 @@ class TestTsirelsonCommand:
         assert code == 2
         assert "16" in err
 
+    def test_no_pairs_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "tsirelson", "3", "--pairs", "0")
+        assert code == 2
+        assert out == ""
+        assert "--pairs" in err
+
 
 class TestWitnessCommand:
     def test_baseline(self, capsys, tmp_path):
@@ -175,6 +184,16 @@ class TestAppendixCommand:
         assert code == 0
         assert out.count("PASS") == 4
         assert "FAIL" not in out
+
+    def test_failed_certification_is_reported(self, capsys, monkeypatch):
+        def uncertified(x):
+            raise NumericalIntegrityError(f"factorial bracket failed at x={x}")
+
+        monkeypatch.setattr("dimwitness.cli.robbins_bounds", uncertified)
+        code, out, _ = run_cli(capsys, "appendix-check", "--nmax", "2000")
+        assert code == 4
+        assert "factorial bracket" in out and "FAIL" in out
+        assert out.count("PASS") == 3
 
     def test_json_output(self, capsys):
         code, out, _ = run_cli(capsys, "appendix-check", "--nmax", "2000", "--json")

@@ -138,6 +138,17 @@ class TestTsirelsonStrategy:
         e2 = np.array([0.0, 1.0])  # the Y generator direction
         assert abs(correlation(naive, e2, e2) - 1.0) > 0.5
 
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_bob_is_conjugate_of_alice(self, n):
+        # Hermitian generators give G^T = conj(G), so Bob's sum_i b_i G_i^T
+        # is conj(sum_i b_i G_i) for real b, to the last bit
+        st = tsirelson_strategy(n)
+        transposed = np.stack([g.T for g in clifford_generators(n).generators])
+        for b in SphereSampler(n, seed=54).sample(3):
+            bob = st.bob_map(b)
+            assert np.array_equal(bob, st.alice_map(b).conj())
+            assert np.array_equal(bob, np.tensordot(b, transposed, axes=(0, 0)))
+
     def test_correlations_within_unit_interval(self):
         st = tsirelson_strategy(6)
         sampler = SphereSampler(6, seed=53)
