@@ -51,6 +51,7 @@ from .sphere import (
     SphereSampler,
     build_eps_net,
     dot_squared_expectation,
+    geodesic_net,
     nearest_point,
     partial_norm_expectation,
     region_moments,
@@ -103,6 +104,7 @@ __all__ = [
     "SphereSampler",
     "build_eps_net",
     "dot_squared_expectation",
+    "geodesic_net",
     "nearest_point",
     "partial_norm_expectation",
     "region_moments",

@@ -287,9 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"allow nets up to {WitnessConfig.max_net_points} "
                    "points (certified-regime runs)")
     p.add_argument("--max-net-points", type=int, default=None,
-                   help="override the --deep net cap (at n=3 the analytic "
-                   "threshold eps* ~6.5e-3 needs ~2.1e5 regions, eps 0.006 "
-                   "~2.4e5)")
+                   help="override the --deep net cap (at n=3 the geodesic net "
+                   "for the analytic threshold eps* ~6.5e-3 has k=119, 141612 "
+                   "points; for eps 0.006 k=128, 163842 points)")
     p.add_argument("--allow-small-n", action="store_true",
                    help="permit n <= 2 d^2 (no separation possible)")
     p.add_argument("--moment-samples", type=int,

@@ -106,6 +106,7 @@ WITNESS_REPORT_SCHEMA = {
         "full_dim_value_se": {"type": "number", "minimum": 0},
         "eps_threshold": {"type": "number", "minimum": 0},
         "net_size": {"type": "integer", "minimum": 0},
+        "covering_radius": {"type": ["number", "null"], "exclusiveMinimum": 0},
         "empty_regions": {"type": "integer", "minimum": 0},
         "tsirelson_validation_dev": {"type": ["number", "null"], "minimum": 0},
         "seesaw_converged": {"type": "boolean"},

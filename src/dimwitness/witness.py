@@ -38,6 +38,8 @@ from .sphere import (
     RegionMoments,
     SphereSampler,
     build_eps_net,
+    geodesic_frequency,
+    geodesic_net,
     mc_mean_and_sem,
     region_moments,
 )
@@ -139,6 +141,7 @@ class WitnessReport:
     full_dim_value_se: float
     eps_threshold: float
     net_size: int
+    covering_radius: Optional[float]
     empty_regions: int
     tsirelson_validation_dev: Optional[float]
     seesaw_converged: bool
@@ -160,6 +163,7 @@ class WitnessReport:
             "full_dim_value_se": self.full_dim_value_se,
             "eps_threshold": self.eps_threshold,
             "net_size": self.net_size,
+            "covering_radius": self.covering_radius,
             "empty_regions": self.empty_regions,
             "tsirelson_validation_dev": self.tsirelson_validation_dev,
             "seesaw_converged": self.seesaw_converged,
@@ -271,17 +275,29 @@ def _validate_tsirelson_on_net(net, pairs: int, seed: int) -> Optional[float]:
 def run_witness(config: WitnessConfig) -> WitnessReport:
     """Run net -> moments -> Bell values -> see-saw -> inequality chain.
 
+    At n = 3 the net is the geodesic net of the smallest frequency whose
+    computed covering radius rho is <= eps; in other dimensions it is the
+    greedy eps-packing, whose covering radius is not computed, and the
+    chain uses eps in place of rho.
+
     Chain checks (slack is the satisfied margin, 4-sigma statistical):
-      c1: finite quantum value >= 1/n - 2 eps        (discretization loss)
+      c1: finite quantum value >= 1/n - 2 rho        (discretization loss)
       c2: see-saw at m = 2d^2 <= (1/K) (1/n)         (embedding cap)
-      c3: see-saw <= (1/K) (finite quantum + 2 eps)  (combined chain)
+      c3: see-saw <= (1/K) (finite quantum + 2 rho)  (combined chain)
       c4: see-saw <= aligned full-dimension value    (only for m < n)
+
+    The verdict is certified_separation only for a computed rho <= eps*, so
+    a greedy net never certifies.
     """
     n, eps, m = config.n, config.eps, config.m
 
-    net = build_eps_net(
-        n, eps, seed=derive_seed(config.seed, "net"), max_points=config.max_net_points
-    )
+    net_seed = derive_seed(config.seed, "net")
+    if n == 3:
+        net = geodesic_net(geodesic_frequency(eps, config.max_net_points), net_seed)
+    else:
+        net = build_eps_net(n, eps, seed=net_seed, max_points=config.max_net_points)
+    rho = net.covering_radius
+    loss = 2.0 * (eps if rho is None else rho)
     sampler = SphereSampler(n, derive_seed(config.seed, "moments"))
     moments = region_moments(
         net, samples=config.moment_samples_per_region * net.size, sampler=sampler
@@ -308,14 +324,14 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
 
     checks: List[ChainCheck] = []
 
-    slack1 = b_fq - (b_inf - 2.0 * eps - SLACK_SIGMAS * b_fq_se)
+    slack1 = b_fq - (b_inf - loss - SLACK_SIGMAS * b_fq_se)
     checks.append(ChainCheck("c1_finite_quantum_floor", slack1 >= 0.0, slack1))
 
     slack2 = (b_inf / k_lower + SLACK_SIGMAS * b_fs_se) - b_fs
     checks.append(ChainCheck("c2_seesaw_embedding_cap", slack2 >= 0.0, slack2))
 
     se3 = math.sqrt((b_fq_se / k_lower) ** 2 + b_fs_se**2)
-    slack3 = ((b_fq + 2.0 * eps) / k_lower + SLACK_SIGMAS * se3) - b_fs
+    slack3 = ((b_fq + loss) / k_lower + SLACK_SIGMAS * se3) - b_fs
     checks.append(ChainCheck("c3_seesaw_chain_cap", slack3 >= 0.0, slack3))
 
     if m < n:
@@ -328,7 +344,7 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     else:
         gap = b_fq - b_fs
         gap_se = math.sqrt(b_fq_se**2 + b_fs_se**2)
-        if thr > 0.0 and eps <= thr and gap > SLACK_SIGMAS * gap_se:
+        if rho is not None and rho <= thr and gap > SLACK_SIGMAS * gap_se:
             verdict = VERDICT_CERTIFIED
         else:
             verdict = VERDICT_CONSISTENT
@@ -345,6 +361,7 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
         full_dim_value_se=full_dim_se,
         eps_threshold=thr,
         net_size=net.size,
+        covering_radius=rho,
         empty_regions=int(moments.empty_regions.size),
         tsirelson_validation_dev=validation_dev,
         seesaw_converged=seesaw.converged,

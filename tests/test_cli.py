@@ -226,12 +226,13 @@ class TestDeterminism:
 
 
 class TestImportCost:
-    def test_no_scipy_at_import(self):
-        # scipy.spatial alone adds 0.35 s and 32 MB to every run's start-up
+    # scipy.spatial alone adds 0.35 s and 32 MB to every run's start-up
+    @staticmethod
+    def scipy_modules_after(statement):
         src = str(Path(dimwitness.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = (
-            "import sys, dimwitness, dimwitness.cli; "
+            f"import sys, dimwitness, dimwitness.cli; {statement}; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         out = subprocess.run(
@@ -242,4 +243,11 @@ class TestImportCost:
             check=True,
             timeout=60,
         ).stdout
-        assert out.strip() == "[]"
+        return out.strip().splitlines()[-1]
+
+    def test_no_scipy_at_import(self):
+        assert self.scipy_modules_after("pass") == "[]"
+
+    def test_no_scipy_in_n3_witness(self):
+        statement = "dimwitness.run_witness(dimwitness.WitnessConfig(3, 1, 0.3))"
+        assert self.scipy_modules_after(statement) == "[]"

@@ -10,6 +10,8 @@ from dimwitness import (
     SphereSampler,
     build_eps_net,
     dot_squared_expectation,
+    eps_threshold,
+    geodesic_net,
     nearest_point,
     partial_norm_expectation,
     region_moments,
@@ -17,7 +19,13 @@ from dimwitness import (
     y_closed_form,
 )
 from dimwitness import sphere
-from dimwitness.sphere import assign_regions, load_net, save_net
+from dimwitness.sphere import (
+    assign_regions,
+    geodesic_frequency,
+    geodesic_radius,
+    load_net,
+    save_net,
+)
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +171,81 @@ class TestEpsNet:
         back = load_net(csv_path)
         assert back.dim == net.dim and back.eps == net.eps and back.seed == net.seed
         assert np.array_equal(back.points, net.points)
+
+
+class TestGeodesicNet:
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_size_norms_and_separation(self, k):
+        net = geodesic_net(k, seed=k)
+        assert net.size == 10 * k * k + 2
+        assert net.points.shape == (net.size, 3)
+        assert np.abs(np.linalg.norm(net.points, axis=1) - 1.0).max() <= 1e-15
+        # every point is built once: no two closer than half the radius
+        gram = net.points @ net.points.T
+        np.fill_diagonal(gram, -1.0)
+        min_dist = math.sqrt(max(2.0 - 2.0 * gram.max(), 0.0))
+        assert min_dist >= 0.5 * geodesic_radius(k)
+
+    def test_seed_selects_the_rotation_only(self):
+        a, b = geodesic_net(6, seed=4), geodesic_net(6, seed=4)
+        c = geodesic_net(6, seed=5)
+        assert np.array_equal(a.points, b.points)
+        assert not np.array_equal(a.points, c.points)
+        assert a.covering_radius == c.covering_radius == a.eps == geodesic_radius(6)
+        # the rotation preserves every distance
+        gram_a, gram_c = a.points @ a.points.T, c.points @ c.points.T
+        assert np.allclose(gram_a, gram_c, rtol=0, atol=1e-14)
+
+    def test_radius_equals_hull_facet_caps(self):
+        # Delaunay caps of points on the sphere are empty, so the largest
+        # chord from a convex-hull facet's unit normal to its vertices is the
+        # exact covering radius
+        from scipy.spatial import ConvexHull
+
+        for k in range(1, 17):
+            for seed in range(3):
+                net = geodesic_net(k, seed=seed)
+                hull = ConvexHull(net.points)
+                normals = hull.equations[:, :3]
+                chords = np.linalg.norm(
+                    net.points[hull.simplices] - normals[:, None, :], axis=2
+                )
+                assert abs(net.covering_radius - chords.max()) <= 1e-12, (k, seed)
+
+    def test_uniform_probes_are_covered(self):
+        net = geodesic_net(10, seed=2)
+        probes = SphereSampler(3, 29).sample(100_000)
+        dist = np.linalg.norm(probes - net.points[assign_regions(net, probes)], axis=1)
+        assert dist.max() <= net.covering_radius
+
+    def test_frequency_is_the_smallest_covering_one(self):
+        radii = [geodesic_radius(k) for k in range(1, 200)]
+        assert all(a > b for a, b in zip(radii, radii[1:]))
+        for eps in (0.9, 0.6, 0.3, 0.1, 0.02):
+            k = geodesic_frequency(eps, 10**6)
+            assert geodesic_radius(k) <= eps
+            assert k == 1 or geodesic_radius(k - 1) > eps
+
+    def test_certified_regime_sizes(self):
+        # eps* ~ 6.47e-3 at n = 3, d = 1 needs k = 119 (141 612 points) and
+        # eps 0.006 needs k = 128 (163 842): both fit the --deep cap of 2e5
+        assert geodesic_frequency(eps_threshold(3, 1), 200_000) == 119
+        assert geodesic_frequency(0.006, 200_000) == 128
+
+    def test_size_guard_builds_nothing(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("net geometry computed before the size guard")
+
+        monkeypatch.setattr(sphere, "_project", never)
+        # the area bound alone puts eps 0.004 at k >= 158, 249 642 points
+        with pytest.raises(ResourceError, match="exceeds"):
+            geodesic_frequency(0.004, 50_000)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            geodesic_net(0)
+        with pytest.raises(DomainError):
+            geodesic_frequency(1.0, 10**6)
 
 
 class TestNearestPoint:

@@ -22,7 +22,7 @@ from dimwitness import (
     run_witness,
 )
 from dimwitness.schemas import WITNESS_REPORT_SCHEMA
-from dimwitness.sphere import RegionMoments
+from dimwitness.sphere import RegionMoments, geodesic_radius
 from dimwitness.witness import (
     VERDICT_CERTIFIED,
     VERDICT_CONSISTENT,
@@ -214,6 +214,36 @@ class TestRunWitness:
             report = run_witness(WitnessConfig(n=3, d=1, eps=eps, seed=0))
             values.append(report.b_finite_quantum)
         assert values[0] < values[1] < values[2] <= 1 / 3 + 0.01
+
+    def test_n3_net_is_the_coarsest_covering_geodesic_net(self):
+        for eps in (0.3, 0.2):
+            report = run_witness(WitnessConfig(n=3, d=1, eps=eps, seed=1))
+            k = round(((report.net_size - 2) / 10) ** 0.5)
+            assert report.net_size == 10 * k * k + 2
+            assert report.covering_radius == geodesic_radius(k) <= eps
+            assert geodesic_radius(k - 1) > eps
+            c1, _, c3, _ = report.chain_checks
+            rho2, se = 2.0 * report.covering_radius, report.b_finite_quantum_se
+            assert c1.slack == report.b_finite_quantum - (1 / 3 - rho2 - 4.0 * se)
+            assert c3.slack < ((report.b_finite_quantum + 2.0 * eps) / report.k_lower
+                               + 4.0 * se - report.b_finite_seesaw_d)
+
+    def test_certification_needs_a_computed_radius(self, monkeypatch):
+        # with eps* raised above both runs' eps, only the geodesic net, whose
+        # covering radius is computed, may certify; the greedy n = 4 net has
+        # none.  4000 samples per region put both gaps beyond 4 sigma.
+        monkeypatch.setattr(dimwitness.witness, "eps_threshold", lambda n, d: 0.9)
+        geo = run_witness(WitnessConfig(n=3, d=1, eps=0.3, seed=0,
+                                        moment_samples_per_region=4000))
+        greedy = run_witness(WitnessConfig(n=4, d=1, eps=0.7, seed=0,
+                                           moment_samples_per_region=4000))
+        for report in (geo, greedy):
+            gap = report.b_finite_quantum - report.b_finite_seesaw_d
+            assert gap > 4.0 * np.hypot(report.b_finite_quantum_se,
+                                        report.b_finite_seesaw_se)
+        assert geo.verdict == VERDICT_CERTIFIED
+        assert greedy.covering_radius is None
+        assert greedy.verdict == VERDICT_CONSISTENT
 
     def test_small_n_override_never_certifies(self):
         report = run_witness(
