@@ -141,8 +141,18 @@ class EpsNet:
         return self.points.shape[0]
 
 
+def _z_order(points: np.ndarray) -> Optional[np.ndarray]:
+    """Rows of `points` by ascending last coordinate, or None for a single band."""
+    if points.shape[0] <= _SINGLE_BAND_ROWS:
+        return None
+    return np.argsort(points[:, -1], kind="stable")
+
+
 def _band_nearest(
-    points: np.ndarray, eps: float, probes: np.ndarray
+    points: np.ndarray,
+    eps: float,
+    probes: np.ndarray,
+    z_order: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Nearest row of `points` to each probe within the probe's z-band.
 
@@ -150,7 +160,9 @@ def _band_nearest(
     probe's eps-bucket, so it contains every row within distance eps of the
     probe.  Returns (index, dot): the largest dot product with the probe over
     the band, ties to the lowest row index, and dot = -inf where the band is
-    empty.  At most _SINGLE_BAND_ROWS rows form a single band.
+    empty.  At most _SINGLE_BAND_ROWS rows form a single band.  `z_order`
+    is `_z_order(points)`, passed by callers that query one point set many
+    times; it is computed here when omitted.
     """
     count = probes.shape[0]
     index = np.zeros(count, dtype=np.int64)
@@ -167,7 +179,7 @@ def _band_nearest(
         flat += index
         np.take(dots.reshape(-1), flat, out=dot)
         return index, dot
-    order = np.argsort(points[:, -1], kind="stable")
+    order = _z_order(points) if z_order is None else z_order
     z = points[order, -1]
     buckets = np.floor(probes[:, -1] / eps).astype(np.int64)
     for b in np.unique(buckets):
@@ -435,16 +447,25 @@ def geodesic_net(k: int, seed: int = 0) -> EpsNet:
     return EpsNet(dim=3, eps=rho, points=pts @ rot.T, seed=seed, covering_radius=rho)
 
 
-def assign_regions(net: EpsNet, probes: np.ndarray) -> np.ndarray:
-    """Region index (nearest net point, ties to the lowest index) per probe row."""
+def assign_regions(
+    net: EpsNet, probes: np.ndarray, z_order: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Region index (nearest net point, ties to the lowest index) per probe row.
+
+    `z_order` is `_z_order(net.points)`, passed by callers that assign many
+    probe batches to one net so that the net is sorted once; it is computed
+    here when omitted.
+    """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     if probes.shape[1] != net.dim:
         raise DomainError("probe dimension does not match net dimension")
+    if z_order is None:
+        z_order = _z_order(net.points)
     eps2 = net.eps * net.eps
     out = np.empty(probes.shape[0], dtype=np.int64)
     for start in range(0, probes.shape[0], _BATCH):
         block = probes[start : start + _BATCH]
-        index, dot = _band_nearest(net.points, net.eps, block)
+        index, dot = _band_nearest(net.points, net.eps, block, z_order)
         # ||p - u||^2 = ||p||^2 + 1 - 2 p.u for unit u; the band is exact only
         # for probes within eps of some net point, so rescan the others
         far = np.einsum("ij,ij->i", block, block) + 1.0 - 2.0 * dot > eps2
@@ -539,11 +560,12 @@ def region_moments(net: EpsNet, samples: int, sampler: SphereSampler) -> RegionM
         raise DomainError(f"samples must be >= {MIN_SAMPLES_PER_REGION} * net size")
     counts = np.zeros(net.size, dtype=np.int64)
     sums = np.zeros((net.size, net.dim))
+    z_order = _z_order(net.points)
     done = 0
     while done < samples:
         b = min(_BATCH, samples - done)
         pts = sampler.sample(b)
-        idx = assign_regions(net, pts)
+        idx = assign_regions(net, pts, z_order)
         counts += np.bincount(idx, minlength=net.size)
         for c in range(net.dim):
             sums[:, c] += np.bincount(idx, weights=pts[:, c], minlength=net.size)

@@ -226,7 +226,8 @@ class TestDeterminism:
 
 
 class TestImportCost:
-    # scipy.spatial alone adds 0.35 s and 32 MB to every run's start-up
+    # scipy.spatial alone adds 0.35 s and 32 MB to every run's start-up, and
+    # scipy.optimize about 0.5 s and 44 MB
     @staticmethod
     def scipy_modules_after(statement):
         src = str(Path(dimwitness.__file__).resolve().parents[1])
@@ -250,4 +251,14 @@ class TestImportCost:
 
     def test_no_scipy_in_n3_witness(self):
         statement = "dimwitness.run_witness(dimwitness.WitnessConfig(3, 1, 0.3))"
+        assert self.scipy_modules_after(statement) == "[]"
+
+    def test_no_scipy_in_n5_witness(self):
+        statement = "dimwitness.run_witness(dimwitness.WitnessConfig(5, 1, 0.7))"
+        assert self.scipy_modules_after(statement) == "[]"
+
+    def test_no_scipy_in_seesaw_command(self, tmp_path):
+        matrix = tmp_path / "chsh.csv"
+        matrix.write_text(CHSH_CSV)
+        statement = f"dimwitness.cli.main(['seesaw', {str(matrix)!r}, '2'])"
         assert self.scipy_modules_after(statement) == "[]"

@@ -23,7 +23,11 @@ from dimwitness import (
     seesaw_maximize,
     y_closed_form,
 )
+from dimwitness import embedding_opt
 from dimwitness.embedding_opt import (
+    SEESAW_MAX_ITERS,
+    SEESAW_TOL,
+    SeesawResult,
     VectorAssignment,
     dot_adversary,
     kernel_value,
@@ -33,6 +37,74 @@ from dimwitness.embedding_opt import (
 from dimwitness.sphere import RegionMoments
 
 CHSH = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+def serial_runs(kernel, m, restarts, seed, init=None):
+    """Reference for seesaw_maximize: each restart alone, on 2-d arrays."""
+
+    def normalize(vecs, fallback):
+        norms = np.linalg.norm(vecs, axis=1)
+        zero = norms == 0.0
+        if np.any(zero):
+            vecs = vecs.copy()
+            vecs[zero] = fallback[zero]
+            norms = np.linalg.norm(vecs, axis=1)
+        return vecs / norms[:, None]
+
+    r, s = kernel.rows, kernel.cols
+    runs = []
+    for restart in range(restarts):
+        if restart == 0 and init is not None:
+            cols = np.zeros((s, m))
+            cols[:, : init.m] = init.col_vectors
+            rows = np.zeros((r, m))
+            rows[:, : init.m] = init.row_vectors
+        else:
+            sampler = SphereSampler(m, seed, restart)
+            cols = sampler.sample(s)
+            rows = sampler.sample(r)
+        trace = []
+        prev = -math.inf
+        converged = False
+        for sweeps in range(1, SEESAW_MAX_ITERS + 1):
+            new_rows = normalize(embedding_opt._apply_rows(kernel, cols), rows)
+            pulled = embedding_opt._apply_cols(kernel, new_rows)
+            new_cols = normalize(pulled, cols)
+            movement = max(
+                float(np.abs(new_rows - rows).max()),
+                float(np.abs(new_cols - cols).max()),
+            )
+            rows, cols = new_rows, new_cols
+            val = float(np.sum(cols * pulled))
+            if val < prev:
+                converged = True
+                break
+            trace.append(val)
+            plateau = math.isfinite(prev) and (
+                val - prev <= SEESAW_TOL * max(1.0, abs(prev))
+            )
+            if plateau and movement <= embedding_opt._STATIONARY_MOVEMENT:
+                converged = True
+                break
+            prev = val
+        assignment = VectorAssignment(m=m, row_vectors=rows, col_vectors=cols)
+        runs.append(SeesawResult(
+            value=kernel_value(kernel, assignment),
+            assignment=assignment,
+            iterations=sweeps,
+            converged=converged,
+            value_trace=trace,
+        ))
+    return runs
+
+
+def serial_seesaw(kernel, m, restarts, seed, init=None):
+    """The best of serial_runs, ties to the lowest restart index."""
+    best = None
+    for result in serial_runs(kernel, m, restarts, seed, init):
+        if best is None or result.value > best.value:
+            best = result
+    return best
 
 
 def exact_moments_dim1():
@@ -166,6 +238,69 @@ class TestSeesaw:
             seesaw_maximize(KernelMatrix(entries=CHSH), 0)
         with pytest.raises(DomainError):
             seesaw_maximize(KernelMatrix(entries=CHSH), 1, restarts=0)
+
+
+def _separable_with_zero_row(rows, seed):
+    w = np.random.default_rng(seed).normal(size=(rows, 3))
+    w[0] = 0.0  # its row update is zero every sweep: the fallback keeps the start
+    return SeparableKernel(left_vectors=w, right_vectors=w)
+
+
+def _warm_start_case():
+    kernel = KernelMatrix(entries=np.random.default_rng(13).uniform(-1, 1, (4, 6)))
+    init = serial_seesaw(kernel, 2, restarts=4, seed=2).assignment
+    return kernel, 3, 8, 5, init
+
+
+def _uneven_stops_case():
+    # restart 0 starts at a fixed point and stops after 2 sweeps; random
+    # starts on this nearly isotropic kernel take 28 to 87
+    w = SphereSampler(3, 22).sample(100)
+    kernel = SeparableKernel(left_vectors=w, right_vectors=w)
+    init = serial_seesaw(kernel, 2, restarts=1, seed=0).assignment
+    return kernel, 2, 16, 6, init
+
+
+def _grouped_case():
+    kernel = _separable_with_zero_row(embedding_opt._STACK_ROWS // 3 + 1, seed=15)
+    return kernel, 2, 5, 8, None
+
+
+class TestStackedSeesaw:
+    """Every restart of the stacked see-saw equals a lone run bit for bit."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda: (KernelMatrix(entries=CHSH), 1, 16, 0, None),
+            lambda: (KernelMatrix(entries=CHSH), 2, 16, 0, None),
+            _warm_start_case,
+            lambda: (_separable_with_zero_row(40, seed=16), 2, 16, 9, None),
+            _uneven_stops_case,
+            _grouped_case,
+        ],
+        ids=["chsh-m1", "chsh-m2", "warm-start", "zero-row", "uneven-stops", "groups"],
+    )
+    def test_equals_serial_loop(self, case):
+        kernel, m, restarts, seed, init = case()
+        got = seesaw_maximize(kernel, m, restarts=restarts, seed=seed, init=init)
+        want = serial_seesaw(kernel, m, restarts, seed, init)
+        assert got.value == want.value
+        assert np.array_equal(got.assignment.row_vectors, want.assignment.row_vectors)
+        assert np.array_equal(got.assignment.col_vectors, want.assignment.col_vectors)
+        assert got.iterations == want.iterations
+        assert got.converged == want.converged
+        assert np.array_equal(got.value_trace, want.value_trace)
+
+    def test_cases_exercise_the_stack(self):
+        # restarts leave the stack at very different sweeps ...
+        kernel, m, restarts, seed, init = _uneven_stops_case()
+        runs = serial_runs(kernel, m, restarts, seed, init)
+        sweeps = [run.iterations for run in runs]
+        assert max(sweeps) >= 4 * min(sweeps)
+        # ... and a kernel this tall advances in several groups
+        kernel, _, restarts, _, _ = _grouped_case()
+        assert 1 < embedding_opt._STACK_ROWS // kernel.rows < restarts
 
 
 class TestBruteForce:

@@ -432,6 +432,36 @@ class TestRegionMoments:
         ratio = norms[busy] / mom.weights[busy]
         assert np.all(ratio >= 1.0 - 0.3**2 / 2)
 
+    def test_net_sorted_once_equals_per_batch_sort(self):
+        # 400 scattered points: z-bands, and probes farther than eps rescanned
+        pts = SphereSampler(3, 25).sample(400)
+        net = EpsNet(dim=3, eps=0.15, points=pts, seed=25)
+        samples = 5 * sphere._BATCH + 123
+        mom = region_moments(net, samples, SphereSampler(3, 26))
+
+        # reference: every batch sorts the net inside assign_regions
+        sampler = SphereSampler(3, 26)
+        counts = np.zeros(net.size, dtype=np.int64)
+        sums = np.zeros((net.size, 3))
+        done = 0
+        while done < samples:
+            b = min(sphere._BATCH, samples - done)
+            probes = sampler.sample(b)
+            idx = assign_regions(net, probes)
+            counts += np.bincount(idx, minlength=net.size)
+            for c in range(3):
+                sums[:, c] += np.bincount(idx, weights=probes[:, c], minlength=net.size)
+            done += b
+        weights, moments = counts / float(samples), sums / float(samples)
+        norms_sq = np.einsum("ij,ij->i", moments, moments)
+        assert np.array_equal(mom.weights, weights)
+        assert np.array_equal(mom.moment_vectors, moments)
+        assert np.array_equal(
+            mom.standard_errors,
+            np.sqrt(np.maximum(weights - norms_sq, 0.0) / samples),
+        )
+        assert np.array_equal(mom.empty_regions, np.nonzero(counts == 0)[0])
+
     def test_weights_sum_and_errors(self):
         net = build_eps_net(2, 0.3, seed=8)
         mom = region_moments(net, 100 * net.size, SphereSampler(2, 24))
