@@ -12,12 +12,20 @@ the complex conjugate of Alice's observable for b.
 The generators come from the Jordan-Wigner chain on floor(n/2) qubits
 (X and Y at each site behind a Z string; odd n appends the full Z string),
 chosen because every required identity can be checked factor by factor.
+
+Both costs of a contraction are O(n d + d^2), not O(n d^2 + d^3).  Each
+generator is a Pauli string with one nonzero per row (+-1, or +-i when it
+holds a Y), so an observable is built by writing those n d entries into a
+zeroed d x d array.  A Schmidt-diagonal state (no nonzero off-diagonal entry
+in its d x d matrix, the maximally entangled state among them) turns both
+products with the state into scalings of rows or columns; any other state
+takes the two dense O(d^3) products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -101,22 +109,52 @@ def _require_unit(vec: np.ndarray, n: int, tol: float = 1e-9) -> np.ndarray:
     return vec
 
 
+def _row_nonzeros(gens: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions and signs of the one nonzero in each row of every generator.
+
+    Returns `slots`, shape (n, d): the index of the entry's real (X, Z
+    strings) or imaginary (Y strings) part in the float view of a flat d x d
+    complex array, and `signs`, shape (n, d), each +-1.  No two generators
+    share a slot (X and Y at one site differ in real/imaginary part, sites
+    differ in the flipped bit, and the Z string is the only diagonal one), so
+    writing sum_i a_i G_i slot by slot equals the dense sum bit for bit.
+    """
+    d = gens[0].shape[0]
+    rows = np.arange(d)
+    slots, signs = [], []
+    for g in gens:
+        cols = np.argmax(g != 0, axis=1)
+        vals = g[rows, cols]
+        imaginary = vals.imag != 0
+        slots.append(2 * (rows * d + cols) + imaginary)
+        signs.append(np.where(imaginary, vals.imag, vals.real))
+    return np.stack(slots), np.stack(signs)
+
+
 def tsirelson_strategy(n: int) -> QuantumStrategy:
     """Strategy whose joint correlation equals a . b exactly.
 
     Alice measures sum_i a_i G_i, Bob sum_i b_i G_i^T, on sum_i |ii> / sqrt(d).
+    The sum is written from each generator's one nonzero per row, O(n d).
     """
     cs = clifford_generators(n)
-    gens = np.stack(cs.generators)
+    slots, signs = _row_nonzeros(cs.generators)
     d = cs.d
     state = (np.eye(d, dtype=complex) / np.sqrt(d)).reshape(-1)
 
+    # Bob's observable is the conjugate of Alice's: its imaginary parts negated
+    conj_signs = np.where(slots % 2 == 1, -signs, signs)
+
+    def observable(v: np.ndarray, row_signs: np.ndarray) -> np.ndarray:
+        parts = np.zeros(2 * d * d)
+        parts[slots] = _require_unit(v, n)[:, None] * row_signs
+        return parts.view(complex).reshape(d, d)
+
     def alice_map(a: np.ndarray) -> np.ndarray:
-        a = _require_unit(a, n)
-        return np.tensordot(a, gens, axes=(0, 0))
+        return observable(a, signs)
 
     def bob_map(b: np.ndarray) -> np.ndarray:
-        return alice_map(b).conj()
+        return observable(b, conj_signs)
 
     return QuantumStrategy(d=d, state=state, alice_map=alice_map, bob_map=bob_map)
 
@@ -129,14 +167,33 @@ def _state_matrix(strategy: QuantumStrategy) -> np.ndarray:
     return psi.reshape(d, d)
 
 
+def _schmidt_diagonal(psi: np.ndarray) -> Optional[np.ndarray]:
+    """The diagonal of the state matrix if no off-diagonal entry is nonzero, else None.
+
+    Dropping the first entry of the flattened d x d matrix and folding the
+    rest into rows of d + 1 puts each diagonal entry at the end of a row, so
+    the first d columns are exactly the off-diagonal entries.
+    """
+    d = psi.shape[0]
+    if np.any(psi.reshape(-1)[1:].reshape(d - 1, d + 1)[:, :d]):
+        return None
+    return np.diagonal(psi)
+
+
 def correlation(strategy: QuantumStrategy, a: np.ndarray, b: np.ndarray) -> float:
     """<psi| A_a tensor B_b |psi>, asserted real to 1e-12.
 
-    Row-major identity (A tensor B) vec(Psi) = vec(A Psi B^T) keeps the
-    contraction at O(d^3).
+    Row-major identity (A tensor B) vec(Psi) = vec(A Psi B^T).  For a
+    Schmidt-diagonal Psi = diag(s) this is sum_i conj(s_i) sum_k A_ik s_k B_ik,
+    O(d^2); any other state takes the two dense products, O(d^3).
     """
     psi = _state_matrix(strategy)
-    val = complex(np.vdot(psi, strategy.alice_map(a) @ psi @ strategy.bob_map(b).T))
+    s = _schmidt_diagonal(psi)
+    obs_a, obs_b = strategy.alice_map(a), strategy.bob_map(b)
+    if s is not None:
+        val = complex(np.vdot(s, (obs_a * obs_b) @ s))
+    else:
+        val = complex(np.vdot(psi, obs_a @ psi @ obs_b.T))
     if abs(val.imag) > 1e-12:
         raise NumericalIntegrityError(
             f"correlation has imaginary part {val.imag:.3e}"
@@ -160,11 +217,19 @@ def vectorize(strategy: QuantumStrategy, a: np.ndarray, b: np.ndarray) -> Realiz
     B(b) realifies (I tensor B_b)|psi>; the real inner product is then
     Re <(A tensor I) psi, (I tensor B) psi> = <psi| A tensor B |psi>.  Both
     are unit vectors because the observables square to the identity.  Works
-    for any unit state, not only the maximally entangled one.
+    for any unit state, not only the maximally entangled one.  A
+    Schmidt-diagonal Psi = diag(s) makes A Psi = A * s and Psi B^T = s * B^T
+    scalings, O(d^2); any other state takes the dense products, O(d^3).
     """
     psi = _state_matrix(strategy)
-    x = (strategy.alice_map(a) @ psi).reshape(-1)
-    y = (psi @ strategy.bob_map(b).T).reshape(-1)
+    s = _schmidt_diagonal(psi)
+    obs_a, obs_b = strategy.alice_map(a), strategy.bob_map(b)
+    if s is not None:
+        x = (obs_a * s).reshape(-1)
+        y = (s[:, None] * obs_b.T).reshape(-1)
+    else:
+        x = (obs_a @ psi).reshape(-1)
+        y = (psi @ obs_b.T).reshape(-1)
     alice = np.concatenate([x.real, x.imag])
     bob = np.concatenate([y.real, y.imag])
     return RealizedVectors(dim=2 * strategy.d**2, alice_vector=alice, bob_vector=bob)

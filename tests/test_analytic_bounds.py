@@ -55,11 +55,33 @@ class TestLogGamma:
         for i, x in enumerate(xs):
             assert vec[i] == log_gamma(float(x))
 
+    @pytest.mark.parametrize("xs", [
+        np.array([0.1, 0.5, 3.0, 1e5, 1e6]),
+        np.linspace(0.01, 1e6, 24).reshape(4, 6),
+        np.array([]),
+        np.ones((0, 3)),
+    ])
+    def test_arrays_equal_math_lgamma(self, xs):
+        out = log_gamma(xs)
+        assert isinstance(out, np.ndarray) and out.dtype == float
+        assert out.shape == xs.shape
+        want = np.array([math.lgamma(v) for v in xs.ravel().tolist()]).reshape(xs.shape)
+        assert np.array_equal(out, want)
+
+    def test_scalars_give_float(self):
+        for x in (2.5, 3, np.float64(0.5), np.array(7.0)):
+            out = log_gamma(x)
+            assert type(out) is float
+            assert out == math.lgamma(float(x))
+
     def test_domain(self):
         with pytest.raises(DomainError):
             log_gamma(0.0)
         with pytest.raises(DomainError):
             log_gamma(-1.5)
+        for bad in ([1.0, 0.0], [2.0, -1.0], [1.0, np.inf], [np.nan], [[1.0], [-3.0]]):
+            with pytest.raises(DomainError):
+                log_gamma(np.array(bad))
 
 
 class TestKgLowerBound:

@@ -257,6 +257,14 @@ class TestImportCost:
         statement = "dimwitness.run_witness(dimwitness.WitnessConfig(5, 1, 0.7))"
         assert self.scipy_modules_after(statement) == "[]"
 
+    def test_no_scipy_in_tsirelson_command(self):
+        statement = "dimwitness.cli.main(['tsirelson', '16', '--pairs', '10'])"
+        assert self.scipy_modules_after(statement) == "[]"
+
+    def test_no_scipy_in_log_gamma(self):
+        statement = "import numpy; dimwitness.log_gamma(numpy.linspace(0.5, 1e6, 1000))"
+        assert self.scipy_modules_after(statement) == "[]"
+
     def test_no_scipy_in_seesaw_command(self, tmp_path):
         matrix = tmp_path / "chsh.csv"
         matrix.write_text(CHSH_CSV)

@@ -12,10 +12,25 @@ from dimwitness import (
     tsirelson_strategy,
     vectorize,
 )
+from dimwitness import quantum
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def dense_correlation(strategy, a, b):
+    """<psi| A tensor B |psi> through the two dense products, for any state."""
+    psi = strategy.state.reshape(strategy.d, strategy.d)
+    return complex(np.vdot(psi, strategy.alice_map(a) @ psi @ strategy.bob_map(b).T))
+
+
+def dense_vectorize(strategy, a, b):
+    """The realified (A tensor I)|psi> and (I tensor B)|psi>, dense products."""
+    psi = strategy.state.reshape(strategy.d, strategy.d)
+    x = (strategy.alice_map(a) @ psi).reshape(-1)
+    y = (psi @ strategy.bob_map(b).T).reshape(-1)
+    return np.concatenate([x.real, x.imag]), np.concatenate([y.real, y.imag])
 
 
 def check_clifford_invariants(cs, tol=1e-12):
@@ -149,6 +164,27 @@ class TestTsirelsonStrategy:
             assert np.array_equal(bob, st.alice_map(b).conj())
             assert np.array_equal(bob, np.tensordot(b, transposed, axes=(0, 0)))
 
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_alice_is_dense_generator_sum(self, n):
+        # the observable written from one nonzero per row equals the dense
+        # sum_i a_i G_i to the last bit
+        st = tsirelson_strategy(n)
+        gens = np.stack(clifford_generators(n).generators)
+        for a in SphereSampler(n, seed=58).sample(3):
+            assert np.array_equal(st.alice_map(a), np.tensordot(a, gens, axes=(0, 0)))
+
+    @pytest.mark.parametrize("n", range(13, 17))
+    def test_exactness_above_twelve(self, n):
+        st = tsirelson_strategy(n)
+        for pair in SphereSampler(n, seed=59 + n).sample(400).reshape(200, 2, n):
+            a, b = pair
+            corr = correlation(st, a, b)
+            assert abs(corr - float(a @ b)) <= 1e-10
+            rv = vectorize(st, a, b)
+            assert abs(float(rv.alice_vector @ rv.bob_vector) - corr) <= 1e-10
+            assert abs(np.linalg.norm(rv.alice_vector) - 1.0) <= 1e-12
+            assert abs(np.linalg.norm(rv.bob_vector) - 1.0) <= 1e-12
+
     def test_correlations_within_unit_interval(self):
         st = tsirelson_strategy(6)
         sampler = SphereSampler(6, seed=53)
@@ -211,6 +247,65 @@ class TestVectorize:
             corr = correlation(strategy, pair[0], pair[1])
             assert abs(float(rv.alice_vector @ rv.bob_vector) - corr) <= 1e-10
             assert abs(np.linalg.norm(rv.alice_vector) - 1.0) <= 1e-12
+
+
+class TestSchmidtDiagonalContraction:
+    # correlation and vectorize contract a Schmidt-diagonal state in O(d^2);
+    # dense_correlation and dense_vectorize are the O(d^3) reference
+    @staticmethod
+    def assert_matches_dense(strategy, n, seed, pairs=5):
+        for a, b in SphereSampler(n, seed=seed).sample(2 * pairs).reshape(pairs, 2, n):
+            ref = dense_correlation(strategy, a, b)
+            assert abs(ref.imag) <= 1e-12
+            assert abs(correlation(strategy, a, b) - ref.real) <= 1e-12
+            rv = vectorize(strategy, a, b)
+            ref_alice, ref_bob = dense_vectorize(strategy, a, b)
+            assert rv.dim == ref_alice.size
+            assert np.abs(rv.alice_vector - ref_alice).max() <= 1e-12
+            assert np.abs(rv.bob_vector - ref_bob).max() <= 1e-12
+
+    @staticmethod
+    def schmidt_state(d, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        return np.diag(coeffs / np.linalg.norm(coeffs))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_tsirelson_matches_dense(self, n):
+        st = tsirelson_strategy(n)
+        assert quantum._schmidt_diagonal(st.state.reshape(st.d, st.d)) is not None
+        self.assert_matches_dense(st, n, seed=60 + n)
+
+    @pytest.mark.parametrize("n", (4, 7))
+    def test_complex_schmidt_coefficients(self, n):
+        base = tsirelson_strategy(n)
+        psi = self.schmidt_state(base.d, seed=70 + n)
+        st = QuantumStrategy(d=base.d, state=psi.reshape(-1),
+                             alice_map=base.alice_map, bob_map=base.bob_map)
+        assert np.array_equal(quantum._schmidt_diagonal(psi), np.diagonal(psi))
+        self.assert_matches_dense(st, n, seed=80 + n, pairs=20)
+
+    @pytest.mark.parametrize("n", (4, 7))
+    def test_one_off_diagonal_entry_takes_dense_path(self, n):
+        base = tsirelson_strategy(n)
+        psi = self.schmidt_state(base.d, seed=70 + n)
+        psi[0, base.d - 1] = 0.3 - 0.2j
+        psi /= np.linalg.norm(psi)
+        st = QuantumStrategy(d=base.d, state=psi.reshape(-1),
+                             alice_map=base.alice_map, bob_map=base.bob_map)
+        assert quantum._schmidt_diagonal(psi) is None
+        self.assert_matches_dense(st, n, seed=90 + n, pairs=20)
+
+    @pytest.mark.parametrize("d", (1, 2, 3, 8))
+    def test_every_off_diagonal_entry_is_seen(self, d):
+        psi = self.schmidt_state(d, seed=d)
+        assert np.array_equal(quantum._schmidt_diagonal(psi), np.diagonal(psi))
+        for i in range(d):
+            for j in range(d):
+                if i != j:
+                    bent = psi.copy()
+                    bent[i, j] = 1e-300j
+                    assert quantum._schmidt_diagonal(bent) is None
 
 
 class TestIntegrity:
