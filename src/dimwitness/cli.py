@@ -3,7 +3,7 @@
 Every command is deterministic given its full flag set (all randomness flows
 from --seed through named substreams), emits machine-readable JSON on request,
 and embeds a run manifest in each output document.  Exit codes: 0 success,
-2 usage or domain error, 3 resource limit, 4 theory-violation tripwire.
+2 usage, domain or file error, 3 resource limit, 4 theory-violation tripwire.
 """
 
 from __future__ import annotations
@@ -323,7 +323,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     started = time.monotonic()
     try:
         return args.handler(args, manifest, started)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceError as exc:

@@ -13,11 +13,12 @@ result is a packing by construction, but not a certified eps-covering: its
 covering radius is only sampled, and the benchmark measured it at
 1.005 eps (n = 3, eps 0.3) and 1.024 eps (n = 5, eps 0.7).
 
-Every nearest-point query goes through one z-band screen: any point within
-eps of a probe has its last coordinate within eps of the probe's, so sorting
-the net by last coordinate limits each probe to a band of rows.  Region
-assignment rescans the whole net only for probes farther than eps from every
-net point.
+Every nearest-point query, on a net of any size, goes through one z-band
+scan: any point within eps of a probe has its last coordinate within eps of
+the probe's, so sorting the net by last coordinate limits each probe to a
+band of rows.  A net is sorted once, on first use (`EpsNet.z_order`).
+Region assignment rescans the whole net only for probes farther than eps
+from every net point.
 
 The greedy build needs only whether a candidate's largest dot product with the
 net exceeds 1 - eps^2/2, not which point attains it.  Up to 256 net points
@@ -31,6 +32,7 @@ inside that margin are re-decided in float64.  Nets stay bit-identical.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -61,9 +63,10 @@ __all__ = [
 
 _BATCH = 8192
 MIN_SAMPLES_PER_REGION = 100
-# up to this many rows one matrix product over the whole set beats the
-# sort and per-band products of the z-band screen
-_SINGLE_BAND_ROWS = 256
+# the greedy build tests candidates with the float32 max-dot screen while its
+# net has at most this many rows: up to here one float32 product over the
+# whole net beats the sort and per-band float64 products of the z-band scan
+_SCREEN_ROWS = 256
 # floor on the consecutive-rejection stopping budget: residual uncovered
 # slivers of measure g survive with probability ~exp(-g T), and covering is
 # validated with 1e5 probes, so T must comfortably exceed 1e5
@@ -128,6 +131,9 @@ class EpsNet:
     certified covering, not an eps-packing: every point of the sphere lies
     within `covering_radius` (a computed chord length) of a net point, and
     `eps` equals that radius.
+
+    `z_order`, the rows by ascending last coordinate, is computed on first
+    use and kept, so every nearest-point query on the net shares one sort.
     """
 
     dim: int
@@ -140,19 +146,16 @@ class EpsNet:
     def size(self) -> int:
         return self.points.shape[0]
 
-
-def _z_order(points: np.ndarray) -> Optional[np.ndarray]:
-    """Rows of `points` by ascending last coordinate, or None for a single band."""
-    if points.shape[0] <= _SINGLE_BAND_ROWS:
-        return None
-    return np.argsort(points[:, -1], kind="stable")
+    @functools.cached_property
+    def z_order(self) -> np.ndarray:
+        return np.argsort(self.points[:, -1], kind="stable")
 
 
 def _band_nearest(
     points: np.ndarray,
     eps: float,
     probes: np.ndarray,
-    z_order: Optional[np.ndarray] = None,
+    order: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Nearest row of `points` to each probe within the probe's z-band.
 
@@ -160,30 +163,24 @@ def _band_nearest(
     probe's eps-bucket, so it contains every row within distance eps of the
     probe.  Returns (index, dot): the largest dot product with the probe over
     the band, ties to the lowest row index, and dot = -inf where the band is
-    empty.  At most _SINGLE_BAND_ROWS rows form a single band.  `z_order`
-    is `_z_order(points)`, passed by callers that query one point set many
-    times; it is computed here when omitted.
+    empty.  `order` is the stable argsort of the last coordinate (a net's
+    `z_order`); it is computed here when omitted, as for the build's growing
+    net and the screen's float64 re-decision.  Probes are grouped by bucket with one stable sort, so each group
+    keeps ascending probe order.
     """
     count = probes.shape[0]
     index = np.zeros(count, dtype=np.int64)
     dot = np.full(count, -np.inf)
-    if points.shape[0] == 0:
+    if points.shape[0] == 0 or count == 0:
         return index, dot
-    if points.shape[0] <= _SINGLE_BAND_ROWS:
-        # every array is allocated before the (count, rows) product and none
-        # after it; a result allocated after it and kept fragmented the heap
-        # and raised peak RSS of the n = 3 CLI witness benchmark by 6 MB
-        flat = np.arange(0, count * points.shape[0], points.shape[0])
-        dots = probes @ points.T
-        np.argmax(dots, axis=1, out=index)
-        flat += index
-        np.take(dots.reshape(-1), flat, out=dot)
-        return index, dot
-    order = _z_order(points) if z_order is None else z_order
+    if order is None:
+        order = np.argsort(points[:, -1], kind="stable")
     z = points[order, -1]
     buckets = np.floor(probes[:, -1] / eps).astype(np.int64)
-    for b in np.unique(buckets):
-        sel = np.nonzero(buckets == b)[0]
+    by_bucket = np.argsort(buckets, kind="stable")
+    starts = np.flatnonzero(np.diff(buckets[by_bucket])) + 1
+    for sel in np.split(by_bucket, starts):
+        b = buckets[sel[0]]
         lo = np.searchsorted(z, b * eps - eps, side="left")
         hi = np.searchsorted(z, (b + 1) * eps + eps, side="right")
         if lo == hi:
@@ -198,7 +195,6 @@ def _band_nearest(
 
 def _screen_max_dot(
     rows: np.ndarray,
-    rows32: np.ndarray,
     eps: float,
     batch: np.ndarray,
     prod: np.ndarray,
@@ -206,9 +202,9 @@ def _screen_max_dot(
 ) -> np.ndarray:
     """Mask of the candidates whose largest dot with `rows` is <= 1 - eps^2/2.
 
-    `rows32` is `rows` in float32.  The float32 product rows32 @ batch.T goes
-    into `prod` (at least rows x batch size) and its column maxima into `top`
-    (batch size); they decide every candidate farther than
+    `rows` and `batch` are rounded to float32 here.  Their float32 product
+    goes into `prod` (at least rows x batch size) and its column maxima into
+    `top` (batch size); they decide every candidate farther than
     _F32_MARGIN_UNIT * (dim + 2) from the threshold, and `_band_nearest`
     re-decides the others in float64, so the mask is the float64 decision.
     """
@@ -220,7 +216,7 @@ def _screen_max_dot(
     # numpy >= 2 compares float32 with np.float64 bounds in float64; numpy 1
     # rounds the bounds to float32, by at most 2^-25, inside the margin's slack
     lo, hi = np.float64(thresh - margin), np.float64(thresh + margin)
-    np.matmul(rows32, batch.astype(np.float32).T, out=prod[:r])
+    np.matmul(rows.astype(np.float32), batch.astype(np.float32).T, out=prod[:r])
     np.max(prod[:r], axis=0, out=top)
     passed = top < lo
     unsure = np.nonzero(~passed & (top <= hi))[0]
@@ -250,7 +246,7 @@ def build_eps_net(
     consecutive rejections.  Each batch of candidates is tested against the
     net as it stood before the batch: by the float32 screen `_screen_max_dot`
     (float64 re-decision within 2 (dim + 2) 2^-24 of the threshold) while
-    the net has at most 256 points, by the float64 z-band screen after that;
+    the net has at most 256 points, by the float64 z-band scan after that;
     either way the decision is the float64 one.  Raises ResourceError when
     the net would exceed max_points; the volume bound (3/eps)^dim caps the
     attainable size.
@@ -270,10 +266,9 @@ def build_eps_net(
     dot_thresh = 1.0 - 0.5 * eps * eps  # ||u-v|| >= eps  <=>  u.v <= 1 - eps^2/2
     cap = 1024
     pts = np.empty((cap, dim))
-    pts32 = np.empty((cap, dim), dtype=np.float32)  # mirror for the screen
-    # screen buffers, allocated once: a net of r <= _SINGLE_BAND_ROWS rows
+    # screen buffers, allocated once: a net of r <= _SCREEN_ROWS rows
     # touches only the first r rows of the product
-    prod = np.empty((_SINGLE_BAND_ROWS, _BATCH), dtype=np.float32)
+    prod = np.empty((_SCREEN_ROWS, _BATCH), dtype=np.float32)
     top = np.empty(_BATCH, dtype=np.float32)
     size = 0
     rejections = 0
@@ -282,13 +277,11 @@ def build_eps_net(
         return max(_MIN_TAIL_REJECTIONS, 200 * size)
 
     def accept(c: np.ndarray) -> None:
-        nonlocal cap, pts, pts32, size, rejections
+        nonlocal cap, pts, size, rejections
         if size == cap:
             cap *= 2
             pts = np.vstack([pts, np.empty((cap - size, dim))])
-            pts32 = np.vstack([pts32, np.empty((cap - size, dim), dtype=np.float32)])
         pts[size] = c
-        pts32[size] = c
         size += 1
         rejections = 0
         if size > max_points:
@@ -304,8 +297,8 @@ def build_eps_net(
         # point within eps of a candidate is in its band), then a gap-walk
         # over the passing candidates so the consecutive-rejection
         # accounting matches the sequential semantics exactly
-        if base <= _SINGLE_BAND_ROWS:
-            passed = _screen_max_dot(pts[:base], pts32[:base], eps, batch, prod, top)
+        if base <= _SCREEN_ROWS:
+            passed = _screen_max_dot(pts[:base], eps, batch, prod, top)
         else:
             passed = _band_nearest(pts[:base], eps, batch)[1] <= dot_thresh
         pass_idx = np.nonzero(passed)[0]
@@ -447,25 +440,20 @@ def geodesic_net(k: int, seed: int = 0) -> EpsNet:
     return EpsNet(dim=3, eps=rho, points=pts @ rot.T, seed=seed, covering_radius=rho)
 
 
-def assign_regions(
-    net: EpsNet, probes: np.ndarray, z_order: Optional[np.ndarray] = None
-) -> np.ndarray:
+def assign_regions(net: EpsNet, probes: np.ndarray) -> np.ndarray:
     """Region index (nearest net point, ties to the lowest index) per probe row.
 
-    `z_order` is `_z_order(net.points)`, passed by callers that assign many
-    probe batches to one net so that the net is sorted once; it is computed
-    here when omitted.
+    Each batch of probes takes the z-band scan over the net's cached
+    `z_order`, so the net is sorted once however many batches it serves.
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     if probes.shape[1] != net.dim:
         raise DomainError("probe dimension does not match net dimension")
-    if z_order is None:
-        z_order = _z_order(net.points)
     eps2 = net.eps * net.eps
     out = np.empty(probes.shape[0], dtype=np.int64)
     for start in range(0, probes.shape[0], _BATCH):
         block = probes[start : start + _BATCH]
-        index, dot = _band_nearest(net.points, net.eps, block, z_order)
+        index, dot = _band_nearest(net.points, net.eps, block, net.z_order)
         # ||p - u||^2 = ||p||^2 + 1 - 2 p.u for unit u; the band is exact only
         # for probes within eps of some net point, so rescan the others
         far = np.einsum("ij,ij->i", block, block) + 1.0 - 2.0 * dot > eps2
@@ -560,12 +548,11 @@ def region_moments(net: EpsNet, samples: int, sampler: SphereSampler) -> RegionM
         raise DomainError(f"samples must be >= {MIN_SAMPLES_PER_REGION} * net size")
     counts = np.zeros(net.size, dtype=np.int64)
     sums = np.zeros((net.size, net.dim))
-    z_order = _z_order(net.points)
     done = 0
     while done < samples:
         b = min(_BATCH, samples - done)
         pts = sampler.sample(b)
-        idx = assign_regions(net, pts, z_order)
+        idx = assign_regions(net, pts)
         counts += np.bincount(idx, minlength=net.size)
         for c in range(net.dim):
             sums[:, c] += np.bincount(idx, weights=pts[:, c], minlength=net.size)
@@ -602,6 +589,7 @@ def save_net(net: EpsNet, csv_path: str, header_path: Optional[str] = None,
         "eps": net.eps,
         "seed": net.seed,
         "size": net.size,
+        "covering_radius": net.covering_radius,
         **(extra_header or {}),
     }
     if header_path is None:
@@ -612,6 +600,12 @@ def save_net(net: EpsNet, csv_path: str, header_path: Optional[str] = None,
 
 
 def load_net(csv_path: str, header_path: Optional[str] = None) -> EpsNet:
+    """Read a net written by `save_net`; every row must be a unit vector.
+
+    Raises DomainError, naming the first bad row, for a non-finite entry or
+    a row whose norm is off 1 by more than 1e-12.  A header without
+    `covering_radius` loads with None.
+    """
     if header_path is None:
         header_path = csv_path.rsplit(".", 1)[0] + ".json"
     with open(header_path, "r", encoding="utf-8") as fh:
@@ -619,5 +613,14 @@ def load_net(csv_path: str, header_path: Optional[str] = None) -> EpsNet:
     pts = np.loadtxt(csv_path, delimiter=",", ndmin=2)
     if pts.shape != (header["size"], header["dim"]):
         raise DomainError("net CSV does not match its header")
-    return EpsNet(dim=int(header["dim"]), eps=float(header["eps"]),
-                  points=pts, seed=int(header["seed"]))
+    # a non-finite entry makes the norm NaN or inf, which fails the test too
+    bad = ~(np.abs(np.linalg.norm(pts, axis=1) - 1.0) <= 1e-12)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise DomainError(
+            f"{csv_path}: line {row + 1} is not a unit vector: {pts[row].tolist()}"
+        )
+    rho = header.get("covering_radius")
+    return EpsNet(dim=int(header["dim"]), eps=float(header["eps"]), points=pts,
+                  seed=int(header["seed"]),
+                  covering_radius=None if rho is None else float(rho))

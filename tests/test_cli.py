@@ -95,6 +95,14 @@ class TestNetCommand:
         header = json.loads((tmp_path / "net3.json").read_text())
         assert header["size"] <= 1000
 
+    def test_header_carries_covering_radius(self, capsys, tmp_path):
+        prefix = str(tmp_path / "net2")
+        code, _, _ = run_cli(capsys, "net", "2", "0.5", "--out", prefix)
+        assert code == 0
+        header = json.loads((tmp_path / "net2.json").read_text())
+        jsonschema.validate(header, NET_HEADER_SCHEMA)
+        assert header["covering_radius"] is None  # greedy nets have no radius
+
 
 class TestSeesawCommand:
     def test_chsh_signs(self, capsys, tmp_path):
@@ -119,6 +127,24 @@ class TestSeesawCommand:
         code, _, err = run_cli(capsys, "seesaw", str(matrix), "1")
         assert code == 2
         assert "line 1" in err
+
+    def test_missing_input_is_usage_error(self, capsys, tmp_path):
+        missing = tmp_path / "missing.csv"
+        code, out, err = run_cli(capsys, "seesaw", str(missing), "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(missing) in err
+
+
+class TestOutputPath:
+    def test_missing_directory_is_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "no_dir" / "x.json"
+        code, out, err = run_cli(capsys, "bound", "3", "2", "--json",
+                                 "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(out_path) in err
+        assert not out_path.parent.exists()
 
 
 class TestTsirelsonCommand:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -30,7 +31,8 @@ from dimwitness.sphere import (
 
 @pytest.fixture(scope="module")
 def net_3_015():
-    """A net of more than 256 points, so its build and queries use the z-bands."""
+    """A net of more than 256 points: its build runs the float32 screen up to
+    256 points and the z-band scan after that."""
     return build_eps_net(3, 0.15, seed=3)
 
 
@@ -161,7 +163,7 @@ class TestEpsNet:
 
     def test_equals_float64_reference_across_band_cut(self, net_3_015):
         # the float32 screen runs up to 256 points and the z-bands after
-        assert net_3_015.size > sphere._SINGLE_BAND_ROWS
+        assert net_3_015.size > sphere._SCREEN_ROWS
         assert np.array_equal(net_3_015.points, float64_eps_net(3, 0.15, 3))
 
     def test_save_load_roundtrip(self, tmp_path):
@@ -171,6 +173,30 @@ class TestEpsNet:
         back = load_net(csv_path)
         assert back.dim == net.dim and back.eps == net.eps and back.seed == net.seed
         assert np.array_equal(back.points, net.points)
+
+    def test_save_load_keeps_covering_radius(self, tmp_path):
+        geo = geodesic_net(4, seed=1)
+        save_net(geo, str(tmp_path / "geo.csv"))
+        back = load_net(str(tmp_path / "geo.csv"))
+        assert back.eps == geo.eps and back.covering_radius == geo.covering_radius
+        assert np.array_equal(back.points, geo.points)
+
+        save_net(build_eps_net(3, 0.4, seed=2), str(tmp_path / "greedy.csv"))
+        assert load_net(str(tmp_path / "greedy.csv")).covering_radius is None
+        # a header written before the key existed still loads
+        header = json.loads((tmp_path / "geo.json").read_text())
+        del header["covering_radius"]
+        (tmp_path / "geo.json").write_text(json.dumps(header))
+        assert load_net(str(tmp_path / "geo.csv")).covering_radius is None
+
+    @pytest.mark.parametrize("bad_row", ["nan,0,0", "0,2,0", "inf,0,0"])
+    def test_load_refuses_rows_off_the_sphere(self, tmp_path, bad_row):
+        net = EpsNet(dim=3, eps=0.5, points=np.eye(3)[:2], seed=0)
+        csv_path = tmp_path / "net.csv"
+        save_net(net, str(csv_path))
+        csv_path.write_text(f"1.0,0.0,0.0\n{bad_row}\n")
+        with pytest.raises(DomainError, match="line 2 is not a unit vector"):
+            load_net(str(csv_path))
 
 
 class TestGeodesicNet:
@@ -273,6 +299,29 @@ class TestNearestPoint:
         dist = np.linalg.norm(probes - net.points[idx], axis=1)
         assert dist.max() <= 0.3
 
+    def test_every_net_size_takes_the_z_bands(self):
+        # geodesic nets of 12 to 252 points and small greedy nets go through
+        # the same z-band scan as large nets and must equal the full argmax
+        nets = [geodesic_net(k, seed=k) for k in range(1, 6)]
+        nets += [build_eps_net(5, 0.7, seed=1), build_eps_net(1, 0.5, seed=0)]
+        for net in nets:
+            probes = np.vstack([SphereSampler(net.dim, 31).sample(20_000), net.points])
+            expected = np.argmax(probes @ net.points.T, axis=1)
+            assert np.array_equal(assign_regions(net, probes), expected), net.size
+
+    def test_net_is_sorted_once(self):
+        # a ring at z = 0 between the poles: 300 tied last coordinates keep
+        # their index order
+        t = 2 * np.pi * np.arange(300) / 300
+        ring = np.column_stack([np.cos(t), np.sin(t), np.zeros(300)])
+        pts = np.vstack([[[0.0, 0.0, 1.0]], ring, [[0.0, 0.0, -1.0]]])
+        net = EpsNet(dim=3, eps=0.1, points=pts, seed=0)
+        order = net.z_order
+        assert net.z_order is order
+        assert np.array_equal(order, np.r_[301, 1:301, 0])
+        assign_regions(net, SphereSampler(3, 32).sample(100))
+        assert net.z_order is order
+
     def test_matches_brute_force_argmax(self, net_3_015):
         probes = SphereSampler(3, 19).sample(20_000)
 
@@ -349,9 +398,7 @@ class TestMaxDotScreen:
         monkeypatch.setattr(sphere, "_band_nearest", counting)
         prod = np.empty((rows.shape[0], probes.shape[0]), dtype=np.float32)
         top = np.empty(probes.shape[0], dtype=np.float32)
-        passed = sphere._screen_max_dot(
-            rows, rows.astype(np.float32), eps, probes, prod, top
-        )
+        passed = sphere._screen_max_dot(rows, eps, probes, prod, top)
         assert np.array_equal(passed, expected)
         # the float64 fallback ran, on part of the probes only
         assert 0 < sum(rechecked) < probes.shape[0]
