@@ -29,7 +29,7 @@ from .analytic_bounds import (
 )
 from .embedding_opt import SEESAW_RESTARTS, load_kernel_csv, seesaw_maximize
 from .errors import DomainError, NumericalIntegrityError, ResourceError
-from .quantum import MAX_GENERATORS, correlation, tsirelson_strategy
+from .quantum import MAX_GENERATORS, max_correlation_deviation, tsirelson_strategy
 from .seeding import derive_seed, make_rng
 from .sphere import SphereSampler, build_eps_net, save_net
 from .witness import VERDICT_VIOLATION, WitnessConfig, run_witness
@@ -71,6 +71,8 @@ def _emit(doc: dict, out: Optional[str]) -> None:
 # ----------------------------------------------------------------------
 
 def _cmd_bound(args, manifest: RunManifest, started: float) -> int:
+    if args.out and not args.json:
+        raise DomainError("--out requires --json")
     report = kg_lower_bound(args.n, args.m)
     if args.json:
         doc = {"schema": 1, "kind": "lower_bound_report", **report.to_dict()}
@@ -87,10 +89,8 @@ def _cmd_net(args, manifest: RunManifest, started: float) -> int:
     net = build_eps_net(args.dim, args.eps, seed=args.seed)
     prefix = args.out or f"net_d{args.dim}_e{args.eps:g}_s{args.seed}"
     csv_path = prefix + ".csv"
-    header_path = prefix + ".json"
-    save_net(net, csv_path, header_path,
-             extra_header={"manifest": manifest.finish(started)})
-    print(f"wrote {net.size} points to {csv_path} (header {header_path})")
+    save_net(net, csv_path, extra_header={"manifest": manifest.finish(started)})
+    print(f"wrote {net.size} points to {csv_path} (header {prefix}.json)")
     return 0
 
 
@@ -112,11 +112,8 @@ def _cmd_tsirelson(args, manifest: RunManifest, started: float) -> int:
         raise DomainError("--pairs must be >= 1")
     strategy = tsirelson_strategy(args.n)
     sampler = SphereSampler(args.n, derive_seed(args.seed, "tsirelson-pairs"))
-    worst = 0.0
-    for _ in range(args.pairs):
-        pair = sampler.sample(2)
-        dev = abs(correlation(strategy, pair[0], pair[1]) - float(pair[0] @ pair[1]))
-        worst = max(worst, dev)
+    points = sampler.sample(2 * args.pairs)
+    worst = max_correlation_deviation(strategy, points[0::2], points[1::2])
     doc = {
         "schema": 1,
         "kind": "tsirelson_report",
@@ -157,6 +154,8 @@ def _cmd_witness(args, manifest: RunManifest, started: float) -> int:
 
 
 def _cmd_appendix_check(args, manifest: RunManifest, started: float) -> int:
+    if args.out and not args.json:
+        raise DomainError("--out requires --json")
     checks = []
 
     ok, first_bad = monotonicity_check(args.nmax)

@@ -12,8 +12,6 @@ in cache; each restart's iterates equal those of a lone run bit for bit.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
@@ -22,7 +20,14 @@ import numpy as np
 
 from .analytic_bounds import y_closed_form
 from .errors import DomainError, ResourceError
-from .sphere import EpsNet, RegionMoments, SphereSampler, assign_regions
+from .sphere import (
+    EpsNet,
+    RegionMoments,
+    SphereSampler,
+    assign_regions,
+    read_matrix_csv,
+    write_matrix_csv,
+)
 
 __all__ = [
     "KernelMatrix",
@@ -64,10 +69,9 @@ _STACK_ROWS = 2 ** 14
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Dense discretized kernel with a provenance note."""
+    """Dense discretized kernel."""
 
     entries: np.ndarray  # (rows, cols)
-    provenance: str = ""
 
     @property
     def rows(self) -> int:
@@ -94,10 +98,7 @@ class SeparableKernel:
         return self.right_vectors.shape[0]
 
     def dense(self) -> KernelMatrix:
-        return KernelMatrix(
-            entries=self.left_vectors @ self.right_vectors.T,
-            provenance="densified separable kernel",
-        )
+        return KernelMatrix(entries=self.left_vectors @ self.right_vectors.T)
 
 
 Kernel = Union[KernelMatrix, SeparableKernel]
@@ -199,10 +200,7 @@ def discretize_kernel(
         ib = assign_regions(net, b_pts)
         np.add.at(acc, (ia, ib), np.asarray(kernel(a_pts, b_pts), dtype=float))
         done += b
-    return KernelMatrix(
-        entries=acc / float(samples),
-        provenance=f"MC discretization, {samples} pairs, seed {sampler.seed}",
-    )
+    return KernelMatrix(entries=acc / float(samples))
 
 
 # ----------------------------------------------------------------------
@@ -487,37 +485,16 @@ def empirical_ratio(
 # ----------------------------------------------------------------------
 
 def save_kernel_csv(kernel: Kernel, path: str) -> None:
+    """Write the dense entries with `sphere.write_matrix_csv`."""
     if isinstance(kernel, SeparableKernel):
         kernel = kernel.dense()
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in kernel.entries:
-        writer.writerow([repr(float(x)) for x in row])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+    write_matrix_csv(path, kernel.entries)
 
 
 def load_kernel_csv(path: str) -> KernelMatrix:
-    rows: List[List[float]] = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(csv.reader(fh), start=1):
-            if not line:
-                continue
-            try:
-                row = [float(x) for x in line]
-            except ValueError as exc:
-                raise DomainError(f"{path}: line {lineno}: {exc}") from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DomainError(
-                    f"{path}: line {lineno}: expected {width} columns, got {len(row)}"
-                )
-            rows.append(row)
-    if not rows:
-        raise DomainError(f"{path}: empty matrix")
-    entries = np.asarray(rows)
+    """Read a kernel with `sphere.read_matrix_csv`, which names a bad line;
+    DomainError also for non-finite entries."""
+    entries = read_matrix_csv(path)
     if not np.all(np.isfinite(entries)):
         raise DomainError(f"{path}: non-finite entries")
-    return KernelMatrix(entries=entries, provenance=f"loaded from {path}")
+    return KernelMatrix(entries=entries)

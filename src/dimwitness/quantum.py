@@ -38,6 +38,7 @@ __all__ = [
     "clifford_generators",
     "tsirelson_strategy",
     "correlation",
+    "max_correlation_deviation",
     "vectorize",
 ]
 
@@ -199,6 +200,16 @@ def correlation(strategy: QuantumStrategy, a: np.ndarray, b: np.ndarray) -> floa
             f"correlation has imaginary part {val.imag:.3e}"
         )
     return float(val.real)
+
+
+def max_correlation_deviation(
+    strategy: QuantumStrategy, a_rows: np.ndarray, b_rows: np.ndarray
+) -> float:
+    """max |correlation(strategy, a, b) - a.b| over the paired rows (0.0 for none)."""
+    worst = 0.0
+    for a, b in zip(a_rows, b_rows):
+        worst = max(worst, abs(correlation(strategy, a, b) - float(a @ b)))
+    return worst
 
 
 @dataclass(frozen=True)

@@ -572,16 +572,48 @@ def region_moments(net: EpsNet, samples: int, sampler: SphereSampler) -> RegionM
 
 
 # ----------------------------------------------------------------------
-# serialization: CSV points + JSON header
+# serialization: CSV matrices (net points, kernels) + JSON net header
 # ----------------------------------------------------------------------
 
-def save_net(net: EpsNet, csv_path: str, header_path: Optional[str] = None,
-             extra_header: Optional[dict] = None) -> None:
-    """Write points as CSV (full decimal precision) plus a JSON header."""
-    with open(csv_path, "w", encoding="utf-8") as fh:
+def write_matrix_csv(path: str, matrix: np.ndarray) -> None:
+    """Write one row per line, each entry as repr(float(x)) (round-trips exactly)."""
+    with open(path, "w", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        for row in net.points:
+        for row in matrix:
             writer.writerow([repr(float(x)) for x in row])
+
+
+def read_matrix_csv(path: str) -> np.ndarray:
+    """CSV matrix as a 2-D float array, blank lines skipped; DomainError names
+    the line of an entry float() rejects or of a row whose length differs
+    from the first, and refuses a file with no rows (nan and inf are read).
+    Bytes that are not UTF-8 become U+FFFD, so float() names their line."""
+    rows = []
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(csv.reader(fh), start=1):
+            if not line:
+                continue
+            try:
+                row = [float(x) for x in line]
+            except ValueError as exc:
+                raise DomainError(f"{path}: line {lineno}: {exc}") from None
+            if rows and len(row) != len(rows[0]):
+                raise DomainError(f"{path}: line {lineno}: expected "
+                                  f"{len(rows[0])} columns, got {len(row)}")
+            rows.append(row)
+    if not rows:
+        raise DomainError(f"{path}: empty matrix")
+    return np.asarray(rows)
+
+
+def _header_path(csv_path: str) -> str:
+    return csv_path.rsplit(".", 1)[0] + ".json"
+
+
+def save_net(net: EpsNet, csv_path: str, extra_header: Optional[dict] = None) -> None:
+    """Write the points with `write_matrix_csv` and, at csv_path with a .json
+    extension, a header: dim, eps, seed, size, covering_radius, extra_header."""
+    write_matrix_csv(csv_path, net.points)
     header = {
         "schema": 1,
         "kind": "eps_net",
@@ -592,27 +624,33 @@ def save_net(net: EpsNet, csv_path: str, header_path: Optional[str] = None,
         "covering_radius": net.covering_radius,
         **(extra_header or {}),
     }
-    if header_path is None:
-        header_path = csv_path.rsplit(".", 1)[0] + ".json"
-    with open(header_path, "w", encoding="utf-8") as fh:
+    with open(_header_path(csv_path), "w", encoding="utf-8") as fh:
         json.dump(header, fh, indent=2)
         fh.write("\n")
 
 
-def load_net(csv_path: str, header_path: Optional[str] = None) -> EpsNet:
-    """Read a net written by `save_net`; every row must be a unit vector.
+def load_net(csv_path: str) -> EpsNet:
+    """Read a net written by `save_net`; DomainError names the bad file and line.
 
-    Raises DomainError, naming the first bad row, for a non-finite entry or
-    a row whose norm is off 1 by more than 1e-12.  A header without
-    `covering_radius` loads with None.
+    Refused: a header that is not JSON or lacks a numeric dim, size, eps or
+    seed; a CSV that `read_matrix_csv` refuses or whose shape differs from
+    the header's; a row whose norm is off 1 by more than 1e-12 or not finite.
+    A header without `covering_radius` loads with None.
     """
-    if header_path is None:
-        header_path = csv_path.rsplit(".", 1)[0] + ".json"
+    header_path = _header_path(csv_path)
     with open(header_path, "r", encoding="utf-8") as fh:
-        header = json.load(fh)
-    pts = np.loadtxt(csv_path, delimiter=",", ndmin=2)
-    if pts.shape != (header["size"], header["dim"]):
-        raise DomainError("net CSV does not match its header")
+        try:
+            header = json.load(fh)
+            dim, size = int(header["dim"]), int(header["size"])
+            eps, seed = float(header["eps"]), int(header["seed"])
+            rho = header.get("covering_radius")
+            rho = None if rho is None else float(rho)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DomainError(f"{header_path}: bad net header: {exc!r}") from None
+    pts = read_matrix_csv(csv_path)
+    if pts.shape != (size, dim):
+        raise DomainError(f"{csv_path}: shape {pts.shape} differs from the header's "
+                          f"{(size, dim)}")
     # a non-finite entry makes the norm NaN or inf, which fails the test too
     bad = ~(np.abs(np.linalg.norm(pts, axis=1) - 1.0) <= 1e-12)
     if bad.any():
@@ -620,7 +658,4 @@ def load_net(csv_path: str, header_path: Optional[str] = None) -> EpsNet:
         raise DomainError(
             f"{csv_path}: line {row + 1} is not a unit vector: {pts[row].tolist()}"
         )
-    rho = header.get("covering_radius")
-    return EpsNet(dim=int(header["dim"]), eps=float(header["eps"]), points=pts,
-                  seed=int(header["seed"]),
-                  covering_radius=None if rho is None else float(rho))
+    return EpsNet(dim=dim, eps=eps, points=pts, seed=seed, covering_radius=rho)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -31,7 +31,7 @@ from .embedding_opt import (
     moment_value_std_error,
 )
 from .errors import DomainError, NumericalIntegrityError
-from .quantum import MAX_GENERATORS, correlation, tsirelson_strategy
+from .quantum import MAX_GENERATORS, max_correlation_deviation, tsirelson_strategy
 from .seeding import derive_seed, make_rng
 from .sphere import (
     MIN_SAMPLES_PER_REGION,
@@ -122,9 +122,6 @@ class ChainCheck:
     holds: bool
     slack: float  # margin by which the inequality is satisfied (>= 0 iff holds)
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "holds": self.holds, "slack": self.slack}
-
 
 @dataclass(frozen=True)
 class WitnessReport:
@@ -149,32 +146,16 @@ class WitnessReport:
     verdict: str
 
     def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "kind": "witness_report",
-            "config": self.config.to_dict(),
-            "k_lower": self.k_lower,
-            "b_infinite_quantum": self.b_infinite_quantum,
-            "b_finite_quantum": self.b_finite_quantum,
-            "b_finite_quantum_se": self.b_finite_quantum_se,
-            "b_finite_seesaw_d": self.b_finite_seesaw_d,
-            "b_finite_seesaw_se": self.b_finite_seesaw_se,
-            "full_dim_value": self.full_dim_value,
-            "full_dim_value_se": self.full_dim_value_se,
-            "eps_threshold": self.eps_threshold,
-            "net_size": self.net_size,
-            "covering_radius": self.covering_radius,
-            "empty_regions": self.empty_regions,
-            "tsirelson_validation_dev": self.tsirelson_validation_dev,
-            "seesaw_converged": self.seesaw_converged,
-            "chain_checks": [c.to_dict() for c in self.chain_checks],
-            "verdict": self.verdict,
-        }
+        """`schema` and `kind`, then every field in declaration order, with the
+        config as `WitnessConfig.to_dict` and each chain check as a dict."""
+        doc = {"schema": 1, "kind": "witness_report"}
+        doc.update((f.name, getattr(self, f.name)) for f in fields(self))
+        doc["config"] = self.config.to_dict()
+        doc["chain_checks"] = [asdict(c) for c in self.chain_checks]
+        return doc
 
-    def to_json(self, **extra) -> str:
-        out = self.to_dict()
-        out.update(extra)
-        return json.dumps(out, indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 # ----------------------------------------------------------------------
@@ -257,14 +238,9 @@ def _validate_tsirelson_on_net(net, pairs: int, seed: int) -> Optional[float]:
     to simulate densely."""
     if net.dim > MAX_GENERATORS or net.size < 1:
         return None
-    strategy = tsirelson_strategy(net.dim)
-    rng = make_rng(seed, 0)
-    worst = 0.0
-    for _ in range(pairs):
-        u = net.points[int(rng.integers(net.size))]
-        v = net.points[int(rng.integers(net.size))]
-        dev = abs(correlation(strategy, u, v) - float(u @ v))
-        worst = max(worst, dev)
+    pair_index = make_rng(seed, 0).integers(net.size, size=(pairs, 2))
+    u, v = net.points[pair_index.T]
+    worst = max_correlation_deviation(tsirelson_strategy(net.dim), u, v)
     if worst > 1e-10:
         raise NumericalIntegrityError(
             f"inner-product strategy deviated by {worst:.3e} on net points"

@@ -56,6 +56,13 @@ class TestBoundCommand:
         assert code == 2
         assert "m must satisfy m ≤ n" in err
 
+    def test_out_without_json_is_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "x.json"
+        code, out, err = run_cli(capsys, "bound", "3", "2", "--out", str(out_path))
+        assert code == 2
+        assert out == "" and "--out requires --json" in err
+        assert not out_path.exists()
+
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "3", "2", "--json")
         assert code == 0
@@ -220,6 +227,14 @@ class TestAppendixCommand:
         assert code == 4
         assert "factorial bracket" in out and "FAIL" in out
         assert out.count("PASS") == 3
+
+    def test_out_without_json_is_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "y.json"
+        code, out, err = run_cli(capsys, "appendix-check", "--nmax", "2000",
+                                 "--out", str(out_path))
+        assert code == 2
+        assert out == "" and "--out requires --json" in err
+        assert not out_path.exists()
 
     def test_json_output(self, capsys):
         code, out, _ = run_cli(capsys, "appendix-check", "--nmax", "2000", "--json")

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -34,7 +35,7 @@ from dimwitness.embedding_opt import (
     load_kernel_csv,
     save_kernel_csv,
 )
-from dimwitness.sphere import RegionMoments
+from dimwitness.sphere import RegionMoments, load_net
 
 CHSH = np.array([[1.0, 1.0], [1.0, -1.0]])
 
@@ -433,6 +434,19 @@ class TestEmpiricalRatio:
         assert math.isfinite(full_dim_se)
 
 
+def load_two_point_net(csv_path):
+    """load_net on csv_path beside a valid header for two points in R^2."""
+    header = {"schema": 1, "kind": "eps_net", "dim": 2, "eps": 0.5, "seed": 0, "size": 2}
+    with open(csv_path.rsplit(".", 1)[0] + ".json", "w", encoding="utf-8") as fh:
+        json.dump(header, fh)
+    return load_net(csv_path)
+
+
+# nets and kernels share one CSV reader; both must name the bad line
+CSV_LOADERS = [load_kernel_csv, load_two_point_net]
+CSV_LOADER_IDS = ["load_kernel_csv", "load_net"]
+
+
 class TestKernelCsv:
     def test_roundtrip(self, tmp_path):
         path = str(tmp_path / "kernel.csv")
@@ -440,14 +454,23 @@ class TestKernelCsv:
         back = load_kernel_csv(path)
         assert np.array_equal(back.entries, CHSH)
 
-    def test_parse_error_reports_line(self, tmp_path):
+    @pytest.mark.parametrize("load", CSV_LOADERS, ids=CSV_LOADER_IDS)
+    def test_parse_error_reports_line(self, tmp_path, load):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0\nx,3.0\n")
         with pytest.raises(DomainError, match="line 2"):
-            load_kernel_csv(str(path))
+            load(str(path))
 
-    def test_ragged_rejected(self, tmp_path):
+    @pytest.mark.parametrize("load", CSV_LOADERS, ids=CSV_LOADER_IDS)
+    def test_undecodable_bytes_report_line(self, tmp_path, load):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"1.0,2.0\n\xff\xfe,3.0\n")
+        with pytest.raises(DomainError, match="line 2"):
+            load(str(path))
+
+    @pytest.mark.parametrize("load", CSV_LOADERS, ids=CSV_LOADER_IDS)
+    def test_ragged_rejected(self, tmp_path, load):
         path = tmp_path / "ragged.csv"
         path.write_text("1.0,2.0\n3.0\n")
         with pytest.raises(DomainError, match="line 2"):
-            load_kernel_csv(str(path))
+            load(str(path))

@@ -111,6 +111,19 @@ class TestTsirelsonStrategy:
             worst = max(worst, dev)
         assert worst <= 1e-10
 
+    def test_max_deviation_pairs_rows_in_order(self):
+        st = tsirelson_strategy(5)
+        rows = SphereSampler(5, seed=52).sample(40)
+        left, right = rows[::2], rows[1::2]
+        devs = [abs(correlation(st, a, b) - float(a @ b)) for a, b in zip(left, right)]
+        max_dev = quantum.max_correlation_deviation
+        assert max_dev(st, left, right) == max(devs)
+        assert max_dev(st, rows[:0], rows[:0]) == 0.0
+        # Bob's sign flipped: correlation -1 against a.b = 1 on a repeated row
+        flipped = QuantumStrategy(d=st.d, state=st.state, alice_map=st.alice_map,
+                                  bob_map=lambda b: -st.bob_map(b))
+        assert max_dev(flipped, rows[:1], rows[:1]) == pytest.approx(2.0)
+
     def test_observables_square_to_identity(self):
         st = tsirelson_strategy(5)
         a = SphereSampler(5, seed=51).sample(1)[0]

@@ -167,12 +167,13 @@ class TestEpsNet:
         assert np.array_equal(net_3_015.points, float64_eps_net(3, 0.15, 3))
 
     def test_save_load_roundtrip(self, tmp_path):
-        net = build_eps_net(3, 0.4, seed=2)
-        csv_path = str(tmp_path / "net.csv")
-        save_net(net, csv_path)
-        back = load_net(csv_path)
-        assert back.dim == net.dim and back.eps == net.eps and back.seed == net.seed
-        assert np.array_equal(back.points, net.points)
+        # a dim-1 net is written one entry per line and must load as (size, 1)
+        for net in (build_eps_net(3, 0.4, seed=2), build_eps_net(1, 0.5, seed=0)):
+            csv_path = str(tmp_path / f"net{net.dim}.csv")
+            save_net(net, csv_path)
+            back = load_net(csv_path)
+            assert back.dim == net.dim and back.eps == net.eps and back.seed == net.seed
+            assert np.array_equal(back.points, net.points)
 
     def test_save_load_keeps_covering_radius(self, tmp_path):
         geo = geodesic_net(4, seed=1)
@@ -188,6 +189,19 @@ class TestEpsNet:
         del header["covering_radius"]
         (tmp_path / "geo.json").write_text(json.dumps(header))
         assert load_net(str(tmp_path / "geo.csv")).covering_radius is None
+
+    @pytest.mark.parametrize("header_text", [
+        '{"dim": 3, "size": 2,',
+        '{"dim": 3, "eps": 0.5, "seed": 0}',
+        '{"dim": "three", "size": 2, "eps": 0.5, "seed": 0}',
+        '[3, 2, 0.5, 0]',
+    ], ids=["not_json", "no_size", "non_numeric_dim", "not_an_object"])
+    def test_load_refuses_bad_header(self, tmp_path, header_text):
+        net = EpsNet(dim=3, eps=0.5, points=np.eye(3)[:2], seed=0)
+        save_net(net, str(tmp_path / "net.csv"))
+        (tmp_path / "net.json").write_text(header_text)
+        with pytest.raises(DomainError, match="net.json: bad net header"):
+            load_net(str(tmp_path / "net.csv"))
 
     @pytest.mark.parametrize("bad_row", ["nan,0,0", "0,2,0", "inf,0,0"])
     def test_load_refuses_rows_off_the_sphere(self, tmp_path, bad_row):

@@ -268,6 +268,20 @@ class TestRunWitness:
         assert doc["verdict"] == report.verdict
         assert len(doc["chain_checks"]) == 4
 
+    def test_report_keys_follow_the_fields(self):
+        doc = run_witness(WitnessConfig(n=3, d=1, eps=0.3, seed=6)).to_dict()
+        fields = [f.name for f in dataclasses.fields(dimwitness.witness.WitnessReport)]
+        assert list(doc) == ["schema", "kind", *fields]
+        assert list(doc) == [
+            "schema", "kind", "config", "k_lower", "b_infinite_quantum",
+            "b_finite_quantum", "b_finite_quantum_se", "b_finite_seesaw_d",
+            "b_finite_seesaw_se", "full_dim_value", "full_dim_value_se",
+            "eps_threshold", "net_size", "covering_radius", "empty_regions",
+            "tsirelson_validation_dev", "seesaw_converged", "chain_checks", "verdict",
+        ]
+        assert doc["config"] == WitnessConfig(n=3, d=1, eps=0.3, seed=6).to_dict()
+        assert [list(c) for c in doc["chain_checks"]] == [["name", "holds", "slack"]] * 4
+
     def test_schema_lists_every_report_key(self):
         doc = run_witness(WitnessConfig(n=3, d=1, eps=0.3, seed=6)).to_dict()
         keys = set(doc) | {"manifest"}
