@@ -1,20 +1,32 @@
 """Bilinear-form maximization over unit-vector assignments.
 
-Kernels discretized over a net are maximized by see-saw alternation: with one
-side fixed, each vector's optimal update is the normalized kernel-weighted sum
-of the other side (the inner product with a fixed vector is maximized by the
-parallel unit vector), so the objective is nondecreasing per half-sweep.  The
-method is local; restarts with independent random initializations are the
-standard remedy, and an exact sign-enumeration oracle covers tiny instances.
-The restarts advance together as one stack, bounded in size so that it stays
-in cache; each restart's iterates equal those of a lone run bit for bit.
+General kernels (CSV kernels, CHSH) are maximized by see-saw alternation:
+with one side fixed, each vector's optimal update is the normalized
+kernel-weighted sum of the other side (the inner product with a fixed vector
+is maximized by the parallel unit vector), so the objective is nondecreasing
+per half-sweep.  The method is local; restarts with independent random
+initializations are the standard remedy, and an exact sign-enumeration
+oracle covers tiny instances.
+
+The inner-product kernel M_uv = w_u . w_v of the witness has a reduced
+form: its optimum over unit vectors in R^m is (max f)^2 with
+f(C) = sum_u ||C^T w_u|| over n x m matrices of unit Frobenius norm, and
+the see-saw is the fixed-point iteration C <- W^T X / ||W^T X||_F of f.
+`dot_adversary` climbs f on the n x m state instead of the regions x m
+rows: damped Riemannian Newton steps, with that fixed-point step as the
+monotone fallback, converge in tens of iterations where the see-saw took
+hundreds of sweeps.
+
+Restarts of either method advance together as one stack, bounded in size so
+that it stays in cache; each restart's iterates equal those of a lone run
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -57,14 +69,25 @@ SEESAW_TOL = 1e-10
 # plateau alone leaves vectors ~sqrt(SEESAW_TOL) from stationarity; convergence also
 # requires the per-sweep assignment movement to drop below this
 _STATIONARY_MOVEMENT = 2.5e-7
-# restarts x rows of the see-saw stack that advance together: on small
-# kernels a sweep costs its ~20 numpy calls, which the stack shares among
-# restarts; on large ones the stack's arrays leave cache.  Median CPU time
+# restarts x rows of a see-saw or dot-adversary stack that advance together:
+# on small kernels a sweep costs its ~20 numpy calls, which the stack shares
+# among restarts; on large ones the stack's arrays leave cache.  Median CPU time
 # of 16 restarts on geodesic dot kernels at m = 2 (one BLAS thread, 2-core
 # x86 VM, 2 MB of L2 per core), against one restart at a time: 4 x 4002
 # rows 4.17 s against 4.43 s, 16 x 4002 rows 4.63 s (slower), 6 x 2562
-# rows 1.94 s against 2.14 s
+# rows 1.94 s against 2.14 s.  dot_adversary at m = 2, same machine: 16 002
+# regions 0.42 s (one restart per stack) against 0.44 s for all 16 in one
+# stack, 2 562 regions 0.071 s (6 per stack) against 0.059 s
 _STACK_ROWS = 2 ** 14
+
+# the dot-kernel adversary (dot_adversary)
+ADVERSARY_RESTARTS = 16
+ADVERSARY_MAX_ITERS = 1000  # iterations per restart
+ADVERSARY_STOP_RULE = "neither the damped Newton step nor the fixed-point step raises f"
+# relative eigenvalue floor of the Newton step: 1e-9 f leaves a nondegenerate
+# maximum's step undamped; failed steps raise it tenfold, up to f itself
+_DAMPING_MIN = 1e-9
+_DAMPING_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -417,30 +440,218 @@ def moment_value_std_error(
     return float(np.sqrt(np.sum((grad_norms * moments.standard_errors) ** 2)))
 
 
+@dataclass(frozen=True)
+class _Pairs:
+    """The pairs a <= b of range(k), for packed symmetric k x k tables:
+    full[a, b] = full[b, a] is the position of pair (a, b)."""
+
+    a: np.ndarray
+    b: np.ndarray
+    full: np.ndarray
+
+    @classmethod
+    def of(cls, k: int) -> "_Pairs":
+        a, b = np.triu_indices(k)
+        full = np.empty((k, k), dtype=np.intp)
+        full[a, b] = full[b, a] = np.arange(a.size)
+        return cls(a=a, b=b, full=full)
+
+    def table(self, v: np.ndarray) -> np.ndarray:
+        """Products v_a v_b, a <= b, along the last axis."""
+        return v[..., self.a] * v[..., self.b]
+
+
+def _dot_objective(
+    w: np.ndarray, c: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Y, s, f) of a (stack, n, k) state: Y = W C, s_u = ||C^T w_u||, f = sum_u s_u."""
+    y = np.matmul(w, c)
+    s = np.sqrt(np.einsum("rnk,rnk->rn", y, y))
+    return y, s, s.sum(axis=1)
+
+
+def _unit_states(c: np.ndarray) -> np.ndarray:
+    return c / np.linalg.norm(c, axis=(1, 2), keepdims=True)
+
+
+class _DotNewton:
+    """Damped Riemannian Newton steps for f(C) = sum_u ||C^T w_u|| on ||C||_F = 1.
+
+    The Euclidean Hessian is H = sum_u (w_u w_u^T / s_u) (x) (I - x_u x_u^T)
+    with x_u = C^T w_u / s_u.  It is assembled from the fixed regions x
+    n(n+1)/2 table of w_u w_u^T and a regions x k(k+1)/2 table of
+    x_u x_u^T / s_u per state, never from a regions x n k array.
+    """
+
+    def __init__(self, w: np.ndarray, k: int):
+        n = w.shape[1]
+        self.w = w
+        self.n_pairs, self.k_pairs = _Pairs.of(n), _Pairs.of(k)
+        self.w_pairs = self.n_pairs.table(w)
+        self.gauge = [(i, j) for i, j in zip(self.k_pairs.a, self.k_pairs.b) if i < j]
+        self.eye_k, self.eye_nk = np.eye(k), np.eye(n * k)
+
+    def directions(
+        self, c: np.ndarray, y: np.ndarray, s: np.ndarray, f: np.ndarray, damping: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(X, grad, step) of each state of a (stack, n, k) stack.
+
+        X has rows x_u (zero where s_u = 0) and grad = W^T X is the Euclidean
+        gradient of f.  The step solves (f I - Pg H Pg) D = Pg grad, with Pg
+        the projector off the normal direction C and the gauge directions C E
+        (E antisymmetric; f(CQ) = f(C) for orthogonal Q): the Riemannian
+        Newton step, with the direction off the sphere and the directions
+        along which f is flat taken out.  Each eigenvalue enters as
+        max(|lambda|, damping f), so the step ascends, and a larger damping
+        shortens it.
+        """
+        stack, n, k = c.shape
+        full_n, full_k = self.n_pairs.full, self.k_pairs.full
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0.0)
+        x = y * inv[..., None]
+        grad = np.matmul(self.w.T, x)
+        # per state (1, regions) @ (regions, pairs): the same product for any stack
+        q = np.matmul(inv[:, None, :], self.w_pairs)[:, 0][:, full_n]
+        x_pairs = self.k_pairs.table(x) * inv[..., None]
+        wx = np.matmul(self.w_pairs.T, x_pairs)[:, full_n][:, :, :, full_k]
+        hess = q[..., None, None] * self.eye_k - wx  # (stack, n, n, k, k)
+        hess = hess.transpose(0, 1, 3, 2, 4).reshape(stack, n * k, n * k)
+
+        normal_and_gauge = [c]
+        for i, j in self.gauge:
+            ce = np.zeros_like(c)
+            ce[:, :, j] = c[:, :, i]
+            ce[:, :, i] = -c[:, :, j]
+            normal_and_gauge.append(ce)
+        v = np.stack(normal_and_gauge, axis=-1).reshape(stack, n * k, -1)
+        off = self.eye_nk - v @ np.linalg.pinv(v)
+        # Pg grad = grad - f C, since <grad, C> = f and grad is orthogonal
+        # to every gauge direction
+        tangent = (grad - f[:, None, None] * c).reshape(stack, n * k)
+        lam, vecs = np.linalg.eigh(f[:, None, None] * self.eye_nk - off @ hess @ off)
+        coef = np.einsum("rij,ri->rj", vecs, tangent)
+        coef /= np.maximum(np.abs(lam), (damping * f)[:, None])
+        step = np.einsum("rij,rj->ri", vecs, coef).reshape(stack, n, k)
+        return x, grad, step
+
+
+def _dot_ascent(
+    w: np.ndarray, c: np.ndarray
+) -> List[Tuple[float, np.ndarray, int, bool, List[float]]]:
+    """Maximize f(C) = sum_u ||C^T w_u|| over ||C||_F = 1 from each start.
+
+    All states of the (stack, n, k) stack `c` advance together; a state that
+    stops leaves the stack.  Each iteration tries the damped Newton step of
+    `_DotNewton` and, where it does not raise f, the fixed-point step
+    C <- W^T X / ||W^T X||_F, which never lowers f (it is one see-saw
+    sweep).  A Newton step that raises f divides the damping by
+    _DAMPING_FACTOR (down to _DAMPING_MIN); one that does not multiplies it
+    (up to 1).  A state stops, converged, when neither step raises f, or
+    after ADVERSARY_MAX_ITERS iterations.  Returns per start
+    (f, X, iterations, converged, f^2 at the start of each iteration).
+    """
+    newton = _DotNewton(w, c.shape[2])
+    y, s, f = _dot_objective(w, c)
+    damping = np.full(c.shape[0], _DAMPING_MIN)
+    live = list(range(c.shape[0]))
+    traces: List[List[float]] = [[] for _ in live]
+    done: List = [None] * len(live)
+    for iteration in range(1, ADVERSARY_MAX_ITERS + 1):
+        for start, value in zip(live, f.tolist()):
+            traces[start].append(value * value)
+        x, grad, step = newton.directions(c, y, s, f, damping)
+        new_c = _unit_states(c + step)
+        new_y, new_s, new_f = _dot_objective(w, new_c)
+        newton_up = new_f > f
+        raised = newton_up.copy()
+        fall = np.flatnonzero(~newton_up)
+        if fall.size:
+            fixed = _unit_states(grad[fall])
+            fixed_y, fixed_s, fixed_f = _dot_objective(w, fixed)
+            new_c[fall], new_y[fall], new_s[fall] = fixed, fixed_y, fixed_s
+            new_f[fall] = fixed_f
+            raised[fall] = fixed_f > f[fall]
+        damping = np.where(newton_up, np.maximum(damping / _DAMPING_FACTOR, _DAMPING_MIN),
+                           np.minimum(damping * _DAMPING_FACTOR, 1.0))
+        leaving = ~raised | (iteration == ADVERSARY_MAX_ITERS)
+        for slot in np.flatnonzero(leaving):
+            start = live[slot]
+            done[start] = (float(f[slot]), x[slot].copy(), iteration, not raised[slot],
+                           traces[start])
+        keep = ~leaving
+        if not np.any(keep):
+            break
+        live = [start for start, kept in zip(live, keep.tolist()) if kept]
+        c, y, s, f = new_c[keep], new_y[keep], new_s[keep], new_f[keep]
+        damping = damping[keep]
+    return done
+
+
+def _dot_restarts(
+    w: np.ndarray, k: int, seed: int
+) -> Iterator[Tuple[float, np.ndarray, int, bool, List[float]]]:
+    """`_dot_ascent` runs of every restart, in restart order, from stacks of
+    at most max(1, _STACK_ROWS // regions) starts.  Restart r starts at
+    C ∝ W^T Y, Y the first draw of SphereSampler(k, seed, r)."""
+    regions = w.shape[0]
+    group = max(1, _STACK_ROWS // regions)
+    for first in range(0, ADVERSARY_RESTARTS, group):
+        starts = np.stack([
+            w.T @ SphereSampler(k, seed, restart).sample(regions)
+            for restart in range(first, min(first + group, ADVERSARY_RESTARTS))
+        ])
+        yield from _dot_ascent(w, _unit_states(starts))
+
+
 def dot_adversary(
     moments: RegionMoments, m: int, seed: int
 ) -> Tuple[SeesawResult, float, float, float]:
-    """(see-saw, its SE, full-dim value, its SE) of the kernel M_uv = w_u . w_v.
+    """(adversary, its SE, full-dim value, its SE) of the kernel M_uv = w_u . w_v.
 
-    The see-saw runs over unit vectors in R^m.  The full-dimension value is
-    the bilinear form at x_u = y_u = w_u / ||w_u||, the identity embedding of
-    the continuous problem: exact given the moments, a lower bound on the
-    full-dimension optimum.  Empty regions get zero vectors and contribute
-    nothing.  SEs are first order in the moments.
+    The adversary maximizes sum_uv (w_u . w_v) x_u . y_v over unit vectors
+    in R^m.  Its optimum is (max f)^2, f(C) = sum_u ||C^T w_u|| over n x m
+    matrices C with ||C||_F = 1, attained at x_u = y_u = C^T w_u / ||C^T w_u||;
+    as rank C <= n, m >= n is solved at m = n and zero-padded.  Each of the
+    ADVERSARY_RESTARTS restarts (`_dot_restarts`) starts where a see-saw run
+    from the same seeded draw stands after its first row update, and climbs
+    by `_dot_ascent`.  The best f wins, ties to the lowest restart.  The
+    result's value is `kernel_value` at its assignment, X for rows and
+    columns (regions with C^T w_u = 0, the empty ones among them, get e_1);
+    `converged` is false only when the restart hit ADVERSARY_MAX_ITERS.
+
+    The full-dimension value is the bilinear form at x_u = y_u = w_u / ||w_u||,
+    the identity embedding of the continuous problem: exact given the
+    moments, a lower bound on the full-dimension optimum.  Empty regions get
+    zero vectors and contribute nothing.  SEs are first order in the moments.
     """
+    if m < 1:
+        raise DomainError("m must be >= 1")
     w = moments.moment_vectors
-    seesaw = seesaw_maximize(
-        SeparableKernel(left_vectors=w, right_vectors=w), m, seed=seed
+    regions, n = w.shape
+    k = min(m, n)
+    best = None
+    for run in _dot_restarts(w, k, seed):
+        if best is None or run[0] > best[0]:
+            best = run
+    _, x, iterations, converged, trace = best
+    vectors = np.zeros((regions, m))
+    vectors[:, :k] = x
+    vectors[~np.any(x != 0.0, axis=1), 0] = 1.0
+    assignment = VectorAssignment(m=m, row_vectors=vectors, col_vectors=vectors)
+    adversary = SeesawResult(
+        value=kernel_value(SeparableKernel(left_vectors=w, right_vectors=w), assignment),
+        assignment=assignment,
+        iterations=iterations,
+        converged=converged,
+        value_trace=trace,
     )
-    seesaw_se = moment_value_std_error(
-        moments, seesaw.assignment.row_vectors, seesaw.assignment.col_vectors
-    )
+    adversary_se = moment_value_std_error(moments, vectors, vectors)
     norms = np.linalg.norm(w, axis=1)
     safe = np.where(norms == 0, 1.0, norms)
     what = np.where(norms[:, None] > 0, w / safe[:, None], 0.0)
     t = w.T @ what  # ||W^T What||_F^2 form of the aligned value
     full_dim_se = moment_value_std_error(moments, what, what)
-    return seesaw, seesaw_se, float(np.sum(t * t)), full_dim_se
+    return adversary, adversary_se, float(np.sum(t * t)), full_dim_se
 
 
 def empirical_ratio(
@@ -449,8 +660,8 @@ def empirical_ratio(
     """Net-resolution-limited estimate of the bound certified by the dot kernel.
 
     numerator   = aligned full-dimension value of the discretized kernel
-                  (the see-saw value itself when m = n), see dot_adversary
-    denominator = see-saw value at embedding dimension m
+                  (the adversary value itself when m = n), see dot_adversary
+    denominator = adversary value at embedding dimension m
     The ratio approaches the analytic bound from below as eps shrinks; a
     finite net only resolves so much.
     """

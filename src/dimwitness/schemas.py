@@ -78,6 +78,28 @@ TSIRELSON_REPORT_SCHEMA = {
     },
 }
 
+_WITNESS_CONFIG = {
+    "type": "object",
+    "required": ["n", "d", "eps", "m", "seed", "moment_samples_per_region",
+                 "validation_pairs", "adversary_restarts", "adversary_max_iters",
+                 "adversary_stop_rule", "max_net_points", "allow_small_n"],
+    "properties": {
+        "n": {"type": "integer", "minimum": 1},
+        "d": {"type": "integer", "minimum": 1},
+        "eps": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+        "m": {"type": "integer", "minimum": 2},
+        "seed": {"type": "integer"},
+        "moment_samples_per_region": {"type": "integer", "minimum": 1},
+        "validation_pairs": {"type": "integer", "minimum": 1},
+        "adversary_restarts": {"type": "integer", "minimum": 1},
+        "adversary_max_iters": {"type": "integer", "minimum": 1},
+        "adversary_stop_rule": {"type": "string"},
+        "max_net_points": {"type": "integer", "minimum": 1},
+        "allow_small_n": {"type": "boolean"},
+    },
+    "additionalProperties": False,
+}
+
 _CHAIN_CHECK = {
     "type": "object",
     "required": ["name", "holds", "slack"],
@@ -96,7 +118,7 @@ WITNESS_REPORT_SCHEMA = {
     "properties": {
         "schema": {"const": 1},
         "kind": {"const": "witness_report"},
-        "config": {"type": "object"},
+        "config": _WITNESS_CONFIG,
         "k_lower": {"type": "number", "minimum": 1},
         "b_infinite_quantum": {"type": "number"},
         "b_finite_quantum": {"type": "number"},
@@ -110,7 +132,12 @@ WITNESS_REPORT_SCHEMA = {
         "covering_radius": {"type": ["number", "null"], "exclusiveMinimum": 0},
         "empty_regions": {"type": "integer", "minimum": 0},
         "tsirelson_validation_dev": {"type": ["number", "null"], "minimum": 0},
-        "seesaw_converged": {"type": "boolean"},
+        "seesaw_converged": {
+            "type": "boolean",
+            "description": "the best adversary restart stopped because "
+                           "config.adversary_stop_rule held, not at "
+                           "config.adversary_max_iters",
+        },
         "chain_checks": {"type": "array", "items": _CHAIN_CHECK},
         "verdict": {
             "enum": [

@@ -36,7 +36,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -588,7 +588,12 @@ def read_matrix_csv(path: str) -> np.ndarray:
     the line of an entry float() rejects or of a row whose length differs
     from the first, and refuses a file with no rows (nan and inf are read).
     Bytes that are not UTF-8 become U+FFFD, so float() names their line."""
-    rows = []
+    return _read_matrix_lines(path)[0]
+
+
+def _read_matrix_lines(path: str) -> Tuple[np.ndarray, List[int]]:
+    """`read_matrix_csv` and the file line of each row."""
+    rows, lines = [], []
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(csv.reader(fh), start=1):
             if not line:
@@ -601,9 +606,10 @@ def read_matrix_csv(path: str) -> np.ndarray:
                 raise DomainError(f"{path}: line {lineno}: expected "
                                   f"{len(rows[0])} columns, got {len(row)}")
             rows.append(row)
+            lines.append(lineno)
     if not rows:
         raise DomainError(f"{path}: empty matrix")
-    return np.asarray(rows)
+    return np.asarray(rows), lines
 
 
 def _header_path(csv_path: str) -> str:
@@ -647,7 +653,7 @@ def load_net(csv_path: str) -> EpsNet:
             rho = None if rho is None else float(rho)
         except (ValueError, KeyError, TypeError) as exc:
             raise DomainError(f"{header_path}: bad net header: {exc!r}") from None
-    pts = read_matrix_csv(csv_path)
+    pts, lines = _read_matrix_lines(csv_path)
     if pts.shape != (size, dim):
         raise DomainError(f"{csv_path}: shape {pts.shape} differs from the header's "
                           f"{(size, dim)}")
@@ -656,6 +662,6 @@ def load_net(csv_path: str) -> EpsNet:
     if bad.any():
         row = int(np.argmax(bad))
         raise DomainError(
-            f"{csv_path}: line {row + 1} is not a unit vector: {pts[row].tolist()}"
+            f"{csv_path}: line {lines[row]} is not a unit vector: {pts[row].tolist()}"
         )
     return EpsNet(dim=dim, eps=eps, points=pts, seed=seed, covering_radius=rho)

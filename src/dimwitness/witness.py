@@ -24,9 +24,9 @@ import numpy as np
 
 from .analytic_bounds import kg_lower_bound
 from .embedding_opt import (
-    SEESAW_MAX_ITERS,
-    SEESAW_RESTARTS,
-    SEESAW_TOL,
+    ADVERSARY_MAX_ITERS,
+    ADVERSARY_RESTARTS,
+    ADVERSARY_STOP_RULE,
     dot_adversary,
     moment_value_std_error,
 )
@@ -108,9 +108,9 @@ class WitnessConfig:
             "seed": self.seed,
             "moment_samples_per_region": self.moment_samples_per_region,
             "validation_pairs": VALIDATION_PAIRS,
-            "seesaw_restarts": SEESAW_RESTARTS,
-            "seesaw_max_iters": SEESAW_MAX_ITERS,
-            "seesaw_tol": SEESAW_TOL,
+            "adversary_restarts": ADVERSARY_RESTARTS,
+            "adversary_max_iters": ADVERSARY_MAX_ITERS,
+            "adversary_stop_rule": ADVERSARY_STOP_RULE,
             "max_net_points": self.max_net_points,
             "allow_small_n": self.allow_small_n,
         }
@@ -141,6 +141,8 @@ class WitnessReport:
     covering_radius: Optional[float]
     empty_regions: int
     tsirelson_validation_dev: Optional[float]
+    # the best adversary restart stopped because neither the damped Newton
+    # step nor the fixed-point step raised f, not at adversary_max_iters
     seesaw_converged: bool
     chain_checks: List[ChainCheck]
     verdict: str
@@ -249,18 +251,21 @@ def _validate_tsirelson_on_net(net, pairs: int, seed: int) -> Optional[float]:
 
 
 def run_witness(config: WitnessConfig) -> WitnessReport:
-    """Run net -> moments -> Bell values -> see-saw -> inequality chain.
+    """Run net -> moments -> Bell values -> adversary -> inequality chain.
 
     At n = 3 the net is the geodesic net of the smallest frequency whose
     computed covering radius rho is <= eps; in other dimensions it is the
     greedy eps-packing, whose covering radius is not computed, and the
-    chain uses eps in place of rho.
+    chain uses eps in place of rho.  The adversary is `dot_adversary` at
+    m = 2d^2: the best of ADVERSARY_RESTARTS damped Newton ascents of the
+    reduced objective, a lower bound on the true maximum over R^m vectors.
+    The chain-check names keep their see-saw wording.
 
     Chain checks (slack is the satisfied margin, 4-sigma statistical):
       c1: finite quantum value >= 1/n - 2 rho        (discretization loss)
-      c2: see-saw at m = 2d^2 <= (1/K) (1/n)         (embedding cap)
-      c3: see-saw <= (1/K) (finite quantum + 2 rho)  (combined chain)
-      c4: see-saw <= aligned full-dimension value    (only for m < n)
+      c2: adversary at m = 2d^2 <= (1/K) (1/n)       (embedding cap)
+      c3: adversary <= (1/K) (finite quantum + 2 rho) (combined chain)
+      c4: adversary <= aligned full-dimension value  (only for m < n)
 
     The verdict is certified_separation only for a computed rho <= eps*, so
     a greedy net never certifies.
@@ -289,10 +294,10 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     b_fq = bell_value_finite(net, moments, (u, u))
     b_fq_se = moment_value_std_error(moments, u, u)
 
-    seesaw, b_fs_se, full_dim, full_dim_se = dot_adversary(
+    adversary, b_fs_se, full_dim, full_dim_se = dot_adversary(
         moments, m, derive_seed(config.seed, "seesaw")
     )
-    b_fs = seesaw.value
+    b_fs = adversary.value
 
     k_lower = kg_lower_bound(n, m).bound if m <= n else 1.0
     b_inf = 1.0 / n
@@ -340,7 +345,7 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
         covering_radius=rho,
         empty_regions=int(moments.empty_regions.size),
         tsirelson_validation_dev=validation_dev,
-        seesaw_converged=seesaw.converged,
+        seesaw_converged=adversary.converged,
         chain_checks=checks,
         verdict=verdict,
     )

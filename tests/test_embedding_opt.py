@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 
@@ -18,6 +19,7 @@ from dimwitness import (
     build_eps_net,
     discretize_kernel,
     empirical_ratio,
+    geodesic_net,
     kg_lower_bound,
     project_embed,
     region_moments,
@@ -35,7 +37,8 @@ from dimwitness.embedding_opt import (
     load_kernel_csv,
     save_kernel_csv,
 )
-from dimwitness.sphere import RegionMoments, load_net
+from dimwitness.seeding import derive_seed
+from dimwitness.sphere import RegionMoments, geodesic_frequency, load_net
 
 CHSH = np.array([[1.0, 1.0], [1.0, -1.0]])
 
@@ -302,6 +305,145 @@ class TestStackedSeesaw:
         # ... and a kernel this tall advances in several groups
         kernel, _, restarts, _, _ = _grouped_case()
         assert 1 < embedding_opt._STACK_ROWS // kernel.rows < restarts
+
+
+def geodesic_moments(k, seed):
+    net = geodesic_net(k, seed)
+    return region_moments(net, 100 * net.size, SphereSampler(3, seed + 100))
+
+
+def witness_moments(eps, seed):
+    """(moments, adversary seed) of run_witness(WitnessConfig(3, 1, eps, seed))."""
+    net = geodesic_net(geodesic_frequency(eps, 200_000), derive_seed(seed, "net"))
+    sampler = SphereSampler(3, derive_seed(seed, "moments"))
+    return region_moments(net, 100 * net.size, sampler), derive_seed(seed, "seesaw")
+
+
+def greedy_2d_moments():
+    """(moments, adversary seed) of acceptance criterion 8's (n, m) = (2, 1)
+    input at eps 0.1."""
+    net = build_eps_net(2, 0.1, seed=108)
+    return region_moments(net, 1600 * net.size, SphereSampler(2, 109)), 110
+
+
+# (maker of (moments, adversary seed), m)
+PARITY_CASES = [
+    *[pytest.param(lambda k=k, s=s: (geodesic_moments(k, s), s), 2, id=f"geodesic-k{k}-seed{s}")
+      for k in range(1, 5) for s in range(3)],
+    *[pytest.param(functools.partial(witness_moments, 0.1, s), 2, id=f"criterion9-seed{s}")
+      for s in range(3)],
+    pytest.param(greedy_2d_moments, 1, id="n2-m1"),
+]
+
+
+class TestDotAdversary:
+    """The Newton adversary against the see-saw it replaced, and its edge cases."""
+
+    @pytest.mark.parametrize("make, m", PARITY_CASES)
+    def test_not_below_the_seesaw(self, make, m):
+        moments, seed = make()
+        w = moments.moment_vectors
+        seesaw = seesaw_maximize(SeparableKernel(left_vectors=w, right_vectors=w), m, seed=seed)
+        adversary = dot_adversary(moments, m, seed)[0]
+        assert adversary.value >= seesaw.value - 1e-9
+        assert adversary.converged
+
+    def test_assignment_reproduces_the_value(self):
+        moments, seed = witness_moments(0.3, 4)
+        adversary = dot_adversary(moments, 2, seed)[0]
+        rows = adversary.assignment.row_vectors
+        assert np.array_equal(rows, adversary.assignment.col_vectors)
+        assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() <= 1e-12
+        w = moments.moment_vectors
+        dense = SeparableKernel(left_vectors=w, right_vectors=w).dense()
+        assert kernel_value(dense, adversary.assignment) == pytest.approx(
+            adversary.value, rel=1e-12)
+        # a stationary point: each row is the best response to the others
+        best = w @ (w.T @ rows)
+        best /= np.linalg.norm(best, axis=1, keepdims=True)
+        assert np.abs(best - rows).max() <= 1e-9
+
+    def test_zero_moment_row(self):
+        moments = geodesic_moments(3, 1)
+        w = moments.moment_vectors.copy()
+        w[5] = 0.0
+        emptied = dataclasses.replace(moments, moment_vectors=w)
+        first, second = dot_adversary(emptied, 2, 3), dot_adversary(emptied, 2, 3)
+        assert np.isfinite(first[0].value) and np.isfinite(first[1])
+        assert np.array_equal(first[0].assignment.row_vectors[5], [1.0, 0.0])
+        assert first[0].value == second[0].value
+        assert np.array_equal(first[0].assignment.row_vectors,
+                              second[0].assignment.row_vectors)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_dimension_reaches_the_sign_optimum(self, seed):
+        moments = geodesic_moments(1, seed)  # 12 regions: signs enumerate
+        w = moments.moment_vectors
+        exact = brute_force_signs(SeparableKernel(left_vectors=w, right_vectors=w).dense())
+        first, second = dot_adversary(moments, 1, seed)[0], dot_adversary(moments, 1, seed)[0]
+        assert first.value == pytest.approx(exact, rel=1e-14)
+        assert first.value == second.value
+        assert np.abs(np.abs(first.assignment.row_vectors) - 1.0).max() <= 1e-15
+
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_m_at_least_n_is_solved_at_n(self, m):
+        moments = geodesic_moments(2, 2)
+        at_n = dot_adversary(moments, 3, 7)[0]
+        padded = dot_adversary(moments, m, 7)[0]
+        assert padded.value == pytest.approx(at_n.value, rel=1e-15)
+        assert padded.assignment.m == m
+        assert np.array_equal(padded.assignment.row_vectors[:, :3],
+                              at_n.assignment.row_vectors)
+        assert not padded.assignment.row_vectors[:, 3:].any()
+
+    def test_restarts_equal_lone_runs(self, monkeypatch):
+        w = geodesic_moments(8, 0).moment_vectors  # 642 regions: one stack of 16
+        stacked = list(embedding_opt._dot_restarts(w, 2, seed=3))
+        monkeypatch.setattr(embedding_opt, "_STACK_ROWS", 1)
+        alone = list(embedding_opt._dot_restarts(w, 2, seed=3))
+        assert len(stacked) == len(alone) == embedding_opt.ADVERSARY_RESTARTS
+        for (f, x, iters, conv, trace), (f1, x1, iters1, conv1, trace1) in zip(stacked, alone):
+            assert f == f1 and iters == iters1 and conv == conv1 and trace == trace1
+            assert np.array_equal(x, x1)
+
+    def test_restarts_start_where_the_seesaw_stands(self):
+        # restart r starts at C ∝ W^T Y, Y the see-saw's seeded column draw,
+        # so its rows x_u ∝ C^T w_u are the see-saw's first row update
+        w = geodesic_moments(2, 1).moment_vectors
+        for restart, run in enumerate(embedding_opt._dot_restarts(w, 2, seed=8)):
+            pulled = w.T @ SphereSampler(2, 8, restart).sample(len(w))
+            f0 = np.linalg.norm(w @ pulled, axis=1).sum() / np.linalg.norm(pulled)
+            assert run[4][0] == pytest.approx(f0 * f0, rel=1e-13)
+
+    def test_iteration_count_guard(self):
+        # counts repeat exactly.  Measured: largest 40 and total 440; without
+        # the damping of failed Newton steps, 153 and 1123
+        w = geodesic_moments(16, 0).moment_vectors  # 2 562 regions
+        iterations = [run[2] for run in embedding_opt._dot_restarts(w, 2, seed=1)]
+        assert max(iterations) <= 300
+        assert sum(iterations) <= 800
+
+    @pytest.mark.parametrize("n, k", [(3, 2), (5, 2), (4, 3)])
+    def test_newton_step_is_tangent_and_off_the_gauge(self, n, k):
+        w = SphereSampler(n, 40 + n).sample(60) / 60
+        c = embedding_opt._unit_states(np.random.default_rng(k).normal(size=(2, n, k)))
+        y, s, f = embedding_opt._dot_objective(w, c)
+        x, grad, step = embedding_opt._DotNewton(w, k).directions(
+            c, y, s, f, np.full(2, embedding_opt._DAMPING_MIN))
+        assert np.array_equal(grad, np.matmul(w.T, x))
+        gauge = [c]
+        for i in range(k):
+            for j in range(i + 1, k):
+                e = np.zeros((k, k))
+                e[i, j], e[j, i] = 1.0, -1.0
+                gauge.append(c @ e)
+        for direction in gauge:  # f is flat along C E, and C is normal
+            along = np.einsum("rij,rij->r", step, direction)
+            assert np.abs(along).max() <= 1e-12 * np.linalg.norm(step)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            dot_adversary(geodesic_moments(1, 0), 0, 0)
 
 
 class TestBruteForce:

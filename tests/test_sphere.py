@@ -212,6 +212,15 @@ class TestEpsNet:
         with pytest.raises(DomainError, match="line 2 is not a unit vector"):
             load_net(str(csv_path))
 
+    def test_off_sphere_row_names_its_file_line(self, tmp_path):
+        # the blank line 2 holds no row, so the bad row is row 2 but line 3
+        net = EpsNet(dim=3, eps=0.5, points=np.eye(3)[:2], seed=0)
+        csv_path = tmp_path / "net.csv"
+        save_net(net, str(csv_path))
+        csv_path.write_text("1.0,0.0,0.0\n\n0.0,2.0,0.0\n")
+        with pytest.raises(DomainError, match="line 3 is not a unit vector"):
+            load_net(str(csv_path))
+
 
 class TestGeodesicNet:
     @pytest.mark.parametrize("k", range(1, 13))

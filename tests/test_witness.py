@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dimwitness.witness
+from dimwitness import embedding_opt
 from dimwitness import (
     DomainError,
     EpsNet,
@@ -286,6 +287,15 @@ class TestRunWitness:
         doc = run_witness(WitnessConfig(n=3, d=1, eps=0.3, seed=6)).to_dict()
         keys = set(doc) | {"manifest"}
         assert keys <= set(WITNESS_REPORT_SCHEMA["properties"])
+        config = WITNESS_REPORT_SCHEMA["properties"]["config"]
+        assert set(doc["config"]) == set(config["properties"]) == set(config["required"])
+
+    def test_config_echoes_the_adversary_that_ran(self):
+        config = WitnessConfig(n=3, d=1, eps=0.3, seed=6).to_dict()
+        assert config["adversary_restarts"] == embedding_opt.ADVERSARY_RESTARTS
+        assert config["adversary_max_iters"] == embedding_opt.ADVERSARY_MAX_ITERS
+        assert config["adversary_stop_rule"] == embedding_opt.ADVERSARY_STOP_RULE
+        assert not any(key.startswith("seesaw_") for key in config)
 
     def test_determinism(self):
         a = run_witness(WitnessConfig(n=3, d=1, eps=0.3, seed=9))
