@@ -56,6 +56,7 @@ from .sphere import (
     partial_norm_expectation,
     region_moments,
     sample_uniform,
+    voronoi_moments,
 )
 from .witness import (
     WitnessConfig,
@@ -109,6 +110,7 @@ __all__ = [
     "partial_norm_expectation",
     "region_moments",
     "sample_uniform",
+    "voronoi_moments",
     "WitnessConfig",
     "WitnessReport",
     "bell_value_finite",

@@ -293,7 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="permit n <= 2 d^2 (no separation possible)")
     p.add_argument("--moment-samples", type=int,
                    default=WitnessConfig.moment_samples_per_region,
-                   help="moment samples per net region")
+                   help="Monte Carlo moment samples per net region; acts "
+                   "only on greedy nets (n != 3), since the n=3 geodesic net "
+                   "has exact moments")
     common(p)
     p.set_defaults(handler=_cmd_witness)
 

@@ -88,6 +88,10 @@ ADVERSARY_STOP_RULE = "neither the damped Newton step nor the fixed-point step r
 # maximum's step undamped; failed steps raise it tenfold, up to f itself
 _DAMPING_MIN = 1e-9
 _DAMPING_FACTOR = 10.0
+# a step raises f only when its gain exceeds this share of the summed
+# magnitudes of the gain's terms, about the rounding of their sum; near a
+# nondegenerate maximum only steps of about 2^-50 or shorter fall under it
+_GAIN_ROUNDING = 2.0 ** -50
 
 
 @dataclass(frozen=True)
@@ -432,8 +436,11 @@ def moment_value_std_error(
 
     Gradient w.r.t. w_t is sum_v (x_t . y_v) w_v + sum_u (x_u . y_t) w_u; the
     per-region moment errors combine in quadrature (regions are sampled from
-    one multinomial draw, so this slightly overstates the error).
+    one multinomial draw, so this slightly overstates the error).  Exact
+    moments (every standard error 0) have none, and no gradient is formed.
     """
+    if not np.any(moments.standard_errors):
+        return 0.0
     w = moments.moment_vectors
     grad = rows @ (cols.T @ w) + cols @ (rows.T @ w)
     grad_norms = np.linalg.norm(grad, axis=1)
@@ -470,6 +477,32 @@ def _dot_objective(
     return y, s, s.sum(axis=1)
 
 
+def _dot_gain(
+    w: np.ndarray, c: np.ndarray, y: np.ndarray, s: np.ndarray, f: np.ndarray,
+    new_c: np.ndarray, new_s: np.ndarray,
+) -> np.ndarray:
+    """Gain of f(C) / ||C||_F from c to new_c per state, less its rounding.
+
+    With D = C' - C and d_u = D^T w_u, s'_u^2 - s_u^2 = (2 y_u + d_u) . d_u,
+    so f(C') - f(C) = sum_u (2 y_u + d_u) . d_u / (s'_u + s_u), and
+    f (||C'||^2 - ||C||^2) / 2 = f <2 C + D, D> / 2 takes out, to first
+    order, what the rounding of the states' unit norms adds (f is
+    homogeneous of degree 1).  Each term keeps its own relative precision,
+    and _GAIN_ROUNDING times their summed magnitudes is subtracted, so the
+    result is positive only for a gain that rounding cannot fake.  The
+    difference of the two values of f cannot resolve gains below f 2^-52:
+    an ascent deciding on it stopped with rows 8e-9 from stationarity.
+    """
+    delta = new_c - c
+    d = np.matmul(w, delta)
+    num = np.einsum("rnk,rnk->rn", 2.0 * y + d, d)
+    total = s + new_s
+    terms = np.divide(num, total, out=np.zeros_like(num), where=total > 0.0)
+    norm = 0.5 * f * np.einsum("rnk,rnk->r", 2.0 * c + delta, delta)
+    rounding = _GAIN_ROUNDING * (np.abs(terms).sum(axis=1) + np.abs(norm))
+    return terms.sum(axis=1) - norm - rounding
+
+
 def _unit_states(c: np.ndarray) -> np.ndarray:
     return c / np.linalg.norm(c, axis=(1, 2), keepdims=True)
 
@@ -490,6 +523,33 @@ class _DotNewton:
         self.w_pairs = self.n_pairs.table(w)
         self.gauge = [(i, j) for i, j in zip(self.k_pairs.a, self.k_pairs.b) if i < j]
         self.eye_k, self.eye_nk = np.eye(k), np.eye(n * k)
+
+    def normal_and_gauge(self, c: np.ndarray) -> np.ndarray:
+        """(stack, n k, 1 + k(k-1)/2): C and each C E_ij of a (stack, n, k)
+        stack, flattened, with E_ij = e_i e_j^T - e_j e_i^T."""
+        directions = [c]
+        for i, j in self.gauge:
+            ce = np.zeros_like(c)
+            ce[:, :, j] = c[:, :, i]
+            ce[:, :, i] = -c[:, :, j]
+            directions.append(ce)
+        stack, n, k = c.shape
+        return np.stack(directions, axis=-1).reshape(stack, n * k, -1)
+
+    def off_gauge(self, c: np.ndarray) -> np.ndarray:
+        """Projector off the span of `normal_and_gauge(c)`, per unit state.
+
+        At k <= 2 the spanning directions are orthonormal, so the projector
+        is I - V V^T: C is a unit vector, and the one C E (k = 2) is C with
+        its columns turned by a right angle, a unit vector orthogonal to C
+        (<C, C E> = tr(C^T C E) = 0, C^T C symmetric and E antisymmetric).
+        From k = 3 the C E_ij are not orthogonal, and the pseudoinverse
+        gives I - V V^+.
+        """
+        v = self.normal_and_gauge(c)
+        if c.shape[2] <= 2:
+            return self.eye_nk - v @ v.transpose(0, 2, 1)
+        return self.eye_nk - v @ np.linalg.pinv(v)
 
     def directions(
         self, c: np.ndarray, y: np.ndarray, s: np.ndarray, f: np.ndarray, damping: np.ndarray
@@ -517,14 +577,7 @@ class _DotNewton:
         hess = q[..., None, None] * self.eye_k - wx  # (stack, n, n, k, k)
         hess = hess.transpose(0, 1, 3, 2, 4).reshape(stack, n * k, n * k)
 
-        normal_and_gauge = [c]
-        for i, j in self.gauge:
-            ce = np.zeros_like(c)
-            ce[:, :, j] = c[:, :, i]
-            ce[:, :, i] = -c[:, :, j]
-            normal_and_gauge.append(ce)
-        v = np.stack(normal_and_gauge, axis=-1).reshape(stack, n * k, -1)
-        off = self.eye_nk - v @ np.linalg.pinv(v)
+        off = self.off_gauge(c)
         # Pg grad = grad - f C, since <grad, C> = f and grad is orthogonal
         # to every gauge direction
         tangent = (grad - f[:, None, None] * c).reshape(stack, n * k)
@@ -546,8 +599,10 @@ def _dot_ascent(
     C <- W^T X / ||W^T X||_F, which never lowers f (it is one see-saw
     sweep).  A Newton step that raises f divides the damping by
     _DAMPING_FACTOR (down to _DAMPING_MIN); one that does not multiplies it
-    (up to 1).  A state stops, converged, when neither step raises f, or
-    after ADVERSARY_MAX_ITERS iterations.  Returns per start
+    (up to 1).  Whether a step raises f is decided by the sign of its
+    `_dot_gain`, not by comparing two rounded values of f.  A state stops,
+    converged, when neither step raises f, or after ADVERSARY_MAX_ITERS
+    iterations.  Returns per start
     (f, X, iterations, converged, f^2 at the start of each iteration).
     """
     newton = _DotNewton(w, c.shape[2])
@@ -562,15 +617,16 @@ def _dot_ascent(
         x, grad, step = newton.directions(c, y, s, f, damping)
         new_c = _unit_states(c + step)
         new_y, new_s, new_f = _dot_objective(w, new_c)
-        newton_up = new_f > f
+        newton_up = _dot_gain(w, c, y, s, f, new_c, new_s) > 0.0
         raised = newton_up.copy()
         fall = np.flatnonzero(~newton_up)
         if fall.size:
             fixed = _unit_states(grad[fall])
             fixed_y, fixed_s, fixed_f = _dot_objective(w, fixed)
+            raised[fall] = _dot_gain(w, c[fall], y[fall], s[fall], f[fall],
+                                     fixed, fixed_s) > 0.0
             new_c[fall], new_y[fall], new_s[fall] = fixed, fixed_y, fixed_s
             new_f[fall] = fixed_f
-            raised[fall] = fixed_f > f[fall]
         damping = np.where(newton_up, np.maximum(damping / _DAMPING_FACTOR, _DAMPING_MIN),
                            np.minimum(damping * _DAMPING_FACTOR, 1.0))
         leaving = ~raised | (iteration == ADVERSARY_MAX_ITERS)

@@ -130,6 +130,12 @@ WITNESS_REPORT_SCHEMA = {
         "eps_threshold": {"type": "number", "minimum": 0},
         "net_size": {"type": "integer", "minimum": 0},
         "covering_radius": {"type": ["number", "null"], "exclusiveMinimum": 0},
+        "moment_method": {
+            "enum": ["exact", "monte_carlo"],
+            "description": "exact: closed-form Voronoi moments of the geodesic "
+                           "net (n = 3), every standard error 0; monte_carlo: "
+                           "config.moment_samples_per_region samples per region",
+        },
         "empty_regions": {"type": "integer", "minimum": 0},
         "tsirelson_validation_dev": {"type": ["number", "null"], "minimum": 0},
         "seesaw_converged": {

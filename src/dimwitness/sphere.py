@@ -1,9 +1,12 @@
-"""Uniform sphere sampling, eps-nets, Voronoi regions and MC integrals.
+"""Uniform sphere sampling, eps-nets, Voronoi regions and their moments.
 
 Two nets are built here.  On S^2 the geodesic net is a certified covering:
 the 20 faces of an icosahedron are each subdivided k times and projected
 onto the sphere, and its covering radius is computed from the small
-triangles, not sampled.  It is not built as an eps-packing: nearest
+triangles, not sampled.  Those triangles are its Delaunay triangulation, so
+the weights and vector moments of its Voronoi regions have closed forms
+(`voronoi_moments`); on any other net they are Monte Carlo estimates
+(`region_moments`).  It is not built as an eps-packing: nearest
 neighbours sit 1.17 to 1.73 covering radii apart (measured for k up to
 191).  In other dimensions the net is a randomized greedy eps-packing:
 candidates are streamed from a seeded sampler and accepted whenever they
@@ -57,6 +60,7 @@ __all__ = [
     "partial_norm_expectation",
     "dot_squared_expectation",
     "region_moments",
+    "voronoi_moments",
     "save_net",
     "load_net",
 ]
@@ -132,8 +136,12 @@ class EpsNet:
     within `covering_radius` (a computed chord length) of a net point, and
     `eps` equals that radius.
 
-    `z_order`, the rows by ascending last coordinate, is computed on first
-    use and kept, so every nearest-point query on the net shares one sort.
+    `triangles` holds a geodesic net's Delaunay triangulation, rows of
+    point indices counterclockwise seen from outside the sphere, from which
+    `voronoi_moments` integrates exactly; it is None for greedy and loaded
+    nets.  `z_order`, the rows by ascending last coordinate, is computed on
+    first use and kept, so every nearest-point query on the net shares one
+    sort.
     """
 
     dim: int
@@ -141,6 +149,7 @@ class EpsNet:
     points: np.ndarray  # (size, dim)
     seed: int
     covering_radius: Optional[float] = None
+    triangles: Optional[np.ndarray] = field(default=None, repr=False)  # (count, 3)
 
     @property
     def size(self) -> int:
@@ -340,6 +349,8 @@ _ICO_FACES = np.array([
     for l in np.nonzero(_ICO_ADJ[i] & _ICO_ADJ[j])[0]
     if l > j
 ])
+# faces whose vertex order (i, j, l) runs clockwise seen from outside
+_ICO_INWARD = np.linalg.det(_ICO_VERTS[_ICO_FACES]) < 0.0
 
 
 def _grid(k: int, lo: int = 0) -> Tuple[np.ndarray, np.ndarray]:
@@ -410,6 +421,41 @@ def geodesic_frequency(eps: float, max_points: int) -> int:
         k += 1
 
 
+def _geodesic_triangles(k: int) -> np.ndarray:
+    """(20 k^2, 3) point indices of the small triangles of `geodesic_net(k)`,
+    each counterclockwise seen from outside the sphere.
+
+    Each face's grid (i, j) maps to the index its point has in the net: a
+    face corner, the point t of an edge (weight t / k on the edge's higher
+    vertex), or the face's own interior point.  The grid triangles (i, j),
+    (i+1, j), (i, j+1) and (i+1, j), (i+1, j+1), (i, j+1) run the same way
+    round as the face's corners, so inward faces swap two columns.
+    """
+    # index of the point t = 1 of edge (p, q), p < q
+    edge_start = np.zeros((12, 12), dtype=np.int64)
+    edge_start[_ICO_EDGES[:, 0], _ICO_EDGES[:, 1]] = 12 + (k - 1) * np.arange(30)
+    a, b, c = _ICO_FACES.T
+    t = np.arange(1, k)
+    i, j = _grid(k, lo=1)
+    index = np.zeros((20, k + 1, k + 1), dtype=np.int64)
+    index[:, 0, 0], index[:, k, 0], index[:, 0, k] = a, b, c
+    index[:, t, 0] = edge_start[a, b][:, None] + t - 1
+    index[:, 0, t] = edge_start[a, c][:, None] + t - 1
+    index[:, k - t, t] = edge_start[b, c][:, None] + t - 1
+    index[:, i, j] = 12 + 30 * (k - 1) + np.arange(20 * i.size).reshape(20, i.size)
+    i, j = _grid(k)
+    up = i + j < k
+    dn = i + j < k - 1
+    tri = np.stack([
+        np.concatenate([index[:, i[up], j[up]], index[:, i[dn] + 1, j[dn]]], axis=1),
+        np.concatenate([index[:, i[up] + 1, j[up]], index[:, i[dn] + 1, j[dn] + 1]],
+                       axis=1),
+        np.concatenate([index[:, i[up], j[up] + 1], index[:, i[dn], j[dn] + 1]], axis=1),
+    ], axis=2)
+    tri[_ICO_INWARD] = tri[_ICO_INWARD][:, :, [0, 2, 1]]
+    return tri.reshape(-1, 3)
+
+
 def geodesic_net(k: int, seed: int = 0) -> EpsNet:
     """Frequency-k icosahedral geodesic net on S^2, at a seeded rotation.
 
@@ -419,7 +465,9 @@ def geodesic_net(k: int, seed: int = 0) -> EpsNet:
     (k - 1)(k - 2) / 2 interior points per face, each built once.  The whole
     net is turned by the rotation of a uniform unit quaternion drawn from
     SphereSampler(4, seed), a Haar-random rotation, so the seed selects the
-    net.  `covering_radius` and `eps` are `geodesic_radius(k)`.
+    net.  `covering_radius` and `eps` are `geodesic_radius(k)`; `triangles`
+    are the 20 k^2 small triangles (`_geodesic_triangles`), the net's
+    Delaunay triangulation.
     """
     rho = geodesic_radius(k)
     # an edge (p, q) is the side j = 0 of the degenerate face (p, q, q)
@@ -437,7 +485,8 @@ def geodesic_net(k: int, seed: int = 0) -> EpsNet:
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
     ])
-    return EpsNet(dim=3, eps=rho, points=pts @ rot.T, seed=seed, covering_radius=rho)
+    return EpsNet(dim=3, eps=rho, points=pts @ rot.T, seed=seed, covering_radius=rho,
+                  triangles=_geodesic_triangles(k))
 
 
 def assign_regions(net: EpsNet, probes: np.ndarray) -> np.ndarray:
@@ -530,6 +579,11 @@ class RegionMoments:
                                  combined: sqrt((mu_u - ||w_u||^2) / N))
     empty_regions              = indices that received zero samples; their
                                  moment is zero with infinite relative error.
+
+    `region_moments` estimates them from N = samples_used uniform points.
+    `voronoi_moments` computes them in closed form on a triangulated
+    (geodesic) net: there samples_used is 0, every standard error is 0 and
+    no region is empty.
     """
 
     net: EpsNet
@@ -568,6 +622,75 @@ def region_moments(net: EpsNet, samples: int, sampler: SphereSampler) -> RegionM
         samples_used=int(samples),
         standard_errors=std_err,
         empty_regions=np.nonzero(counts == 0)[0],
+    )
+
+
+def voronoi_moments(net: EpsNet) -> RegionMoments:
+    """Exact region weights and vector moments of a net with `triangles`.
+
+    The triangulation is Delaunay, so the Voronoi cell of p has a vertex at
+    the circumcenter c_T of each triangle T around p, and its edge toward a
+    neighbour q is the arc between the circumcenters c_T, c_T' of the two
+    triangles on the edge pq.  That arc, of angle theta_pq, lies in the
+    bisector plane of p and q, whose unit normal toward p is
+    (p - q) / ||p - q||.  Over the normalized measure
+
+        mu_p = (1 / 4 pi) sum_q area(p, c_T', c_T),
+        w_p  = (1 / 8 pi) sum_q theta_pq (p - q) / ||p - q||,
+
+    the first by splitting the cell into triangles at p, each area by the
+    Van Oosterom-Strackee formula, the second as the integral of x over a
+    region bounded by great-circle arcs, half the sum of arc angle times
+    the arc plane's inward unit normal.  Both sums reduce with np.bincount
+    over the half-edges.  An edge's two half-edges share one theta and
+    opposite normals, so the moments sum to zero up to the rounding of
+    those reductions.
+    """
+    if net.triangles is None:
+        raise DomainError("exact moments need a triangulated (geodesic) net")
+    pts, tri = net.points, net.triangles
+    a, b, c = pts[tri[:, 0]], pts[tri[:, 1]], pts[tri[:, 2]]
+    center = np.cross(b - a, c - a)  # outward: the triangles run counterclockwise
+    center /= np.linalg.norm(center, axis=1)[:, None]
+    # half-edge 3 t + e runs from corner e of triangle t to corner e + 1; the
+    # two half-edges of an edge sort next to each other by their vertex pair
+    tail, head = tri.ravel(), tri[:, [1, 2, 0]].ravel()
+    edge = np.minimum(tail, head) * net.size + np.maximum(tail, head)
+    pairs = np.argsort(edge).reshape(-1, 2)
+
+    def area(apex: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # det(apex, u, v) from the differences, which are nearly tangent at
+        # apex, so small cells keep their relative precision
+        det = np.einsum("ij,ij->i", apex, np.cross(u - apex, v - apex))
+        dots = (np.einsum("ij,ij->i", apex, u) + np.einsum("ij,ij->i", u, v)
+                + np.einsum("ij,ij->i", v, apex))
+        return 2.0 * np.arctan2(det, 1.0 + dots)
+
+    # edges in batches, so that the temporaries stay small on large nets
+    area_sums = np.zeros(net.size)
+    arc_sums = np.zeros((net.size, net.dim))
+    for start in range(0, pairs.shape[0], _BATCH):
+        fwd, back = pairs[start : start + _BATCH].T
+        p, q = pts[tail[fwd]], pts[tail[back]]
+        # c_T lies left of its half-edge p -> q seen from outside, c_T' right
+        left, right = center[fwd // 3], center[back // 3]
+        theta = 2.0 * np.arcsin(0.5 * np.linalg.norm(left - right, axis=1))
+        arcs = (p - q) * (theta / np.linalg.norm(p - q, axis=1))[:, None]
+        owner = np.concatenate([tail[fwd], tail[back]])
+        area_sums += np.bincount(
+            owner, np.concatenate([area(p, right, left), area(q, left, right)]), net.size
+        )
+        for i in range(net.dim):
+            arc_sums[:, i] += np.bincount(
+                owner, np.concatenate([arcs[:, i], -arcs[:, i]]), net.size
+            )
+    return RegionMoments(
+        net=net,
+        weights=area_sums / (4.0 * math.pi),
+        moment_vectors=arc_sums / (8.0 * math.pi),
+        samples_used=0,
+        standard_errors=np.zeros(net.size),
+        empty_regions=np.zeros(0, dtype=np.int64),
     )
 
 

@@ -9,8 +9,10 @@ chain of inequalities connecting the two is checked explicitly on every run;
 a failure beyond the statistical slack is a theory violation and trips the
 build.
 
-Statistical slack is fixed at 4 standard errors (the inequalities are exact;
-only the moment estimators fluctuate), with MC errors combined in quadrature.
+At n = 3 the moments are exact (`voronoi_moments` on the geodesic net) and
+there is no statistical slack.  On greedy nets they are Monte Carlo
+estimates, and the slack is 4 standard errors (the inequalities are exact;
+only the moment estimators fluctuate), with errors combined in quadrature.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .sphere import (
     geodesic_net,
     mc_mean_and_sem,
     region_moments,
+    voronoi_moments,
 )
 
 __all__ = [
@@ -71,6 +74,8 @@ class WitnessConfig:
 
     The pipeline needs n >= 2 d^2 + 1 for a separation to be possible at all;
     smaller n is allowed only with allow_small_n (useful as a null test).
+    moment_samples_per_region acts only on greedy nets (n != 3): the n = 3
+    geodesic net takes exact moments and draws no samples.
     """
 
     n: int
@@ -139,6 +144,8 @@ class WitnessReport:
     eps_threshold: float
     net_size: int
     covering_radius: Optional[float]
+    # "exact" (`voronoi_moments`, n = 3) or "monte_carlo" (`region_moments`)
+    moment_method: str
     empty_regions: int
     tsirelson_validation_dev: Optional[float]
     # the best adversary restart stopped because neither the damped Newton
@@ -254,14 +261,18 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     """Run net -> moments -> Bell values -> adversary -> inequality chain.
 
     At n = 3 the net is the geodesic net of the smallest frequency whose
-    computed covering radius rho is <= eps; in other dimensions it is the
-    greedy eps-packing, whose covering radius is not computed, and the
-    chain uses eps in place of rho.  The adversary is `dot_adversary` at
+    computed covering radius rho is <= eps, and its moments are exact
+    (`voronoi_moments`): every standard error is exactly 0, so c1-c4 have no
+    4-sigma term.  In other dimensions the net is the greedy eps-packing,
+    whose covering radius is not computed, so the chain uses eps in place of
+    rho, and its moments are Monte Carlo estimates (`region_moments`,
+    moment_samples_per_region per region).  The adversary is `dot_adversary` at
     m = 2d^2: the best of ADVERSARY_RESTARTS damped Newton ascents of the
     reduced objective, a lower bound on the true maximum over R^m vectors.
     The chain-check names keep their see-saw wording.
 
-    Chain checks (slack is the satisfied margin, 4-sigma statistical):
+    Chain checks (slack is the satisfied margin, with 4 sigma of moment
+    error where the moments are Monte Carlo):
       c1: finite quantum value >= 1/n - 2 rho        (discretization loss)
       c2: adversary at m = 2d^2 <= (1/K) (1/n)       (embedding cap)
       c3: adversary <= (1/K) (finite quantum + 2 rho) (combined chain)
@@ -275,14 +286,17 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     net_seed = derive_seed(config.seed, "net")
     if n == 3:
         net = geodesic_net(geodesic_frequency(eps, config.max_net_points), net_seed)
+        moments = voronoi_moments(net)
+        moment_method = "exact"
     else:
         net = build_eps_net(n, eps, seed=net_seed, max_points=config.max_net_points)
+        sampler = SphereSampler(n, derive_seed(config.seed, "moments"))
+        moments = region_moments(
+            net, samples=config.moment_samples_per_region * net.size, sampler=sampler
+        )
+        moment_method = "monte_carlo"
     rho = net.covering_radius
     loss = 2.0 * (eps if rho is None else rho)
-    sampler = SphereSampler(n, derive_seed(config.seed, "moments"))
-    moments = region_moments(
-        net, samples=config.moment_samples_per_region * net.size, sampler=sampler
-    )
 
     validation_dev = _validate_tsirelson_on_net(
         net, VALIDATION_PAIRS, derive_seed(config.seed, "validation")
@@ -343,6 +357,7 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
         eps_threshold=thr,
         net_size=net.size,
         covering_radius=rho,
+        moment_method=moment_method,
         empty_regions=int(moments.empty_regions.size),
         tsirelson_validation_dev=validation_dev,
         seesaw_converged=adversary.converged,

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import dimwitness.cli
 from dimwitness import (
     SphereSampler,
     WitnessConfig,
@@ -209,3 +210,18 @@ def test_criterion_10_determinism():
         r1 = run_witness(WitnessConfig(n=3, d=1, eps=0.2, seed=3))
         r2 = run_witness(WitnessConfig(n=3, d=1, eps=0.2, seed=3))
         assert json.dumps(r1.to_dict()) == json.dumps(r2.to_dict())
+
+
+def test_criterion_11_certified_deep_run(tmp_path):
+    with Budget("11 certified deep run", 30.0):
+        # eps 0.006 < eps* ~ 6.47e-3: the k = 128 geodesic net, 163 842
+        # regions, with exact moments and no statistical slack
+        out = tmp_path / "deep.json"
+        code = dimwitness.cli.main(
+            ["witness", "3", "1", "0.006", "--deep", "--out", str(out)]
+        )
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert code == 0
+        assert doc["net_size"] == 163_842 and doc["moment_method"] == "exact"
+        assert [c["holds"] for c in doc["chain_checks"]] == [True] * 4
+        assert doc["verdict"] == VERDICT_CERTIFIED

@@ -24,6 +24,7 @@ from dimwitness import (
     project_embed,
     region_moments,
     seesaw_maximize,
+    voronoi_moments,
     y_closed_form,
 )
 from dimwitness import embedding_opt
@@ -315,8 +316,7 @@ def geodesic_moments(k, seed):
 def witness_moments(eps, seed):
     """(moments, adversary seed) of run_witness(WitnessConfig(3, 1, eps, seed))."""
     net = geodesic_net(geodesic_frequency(eps, 200_000), derive_seed(seed, "net"))
-    sampler = SphereSampler(3, derive_seed(seed, "moments"))
-    return region_moments(net, 100 * net.size, sampler), derive_seed(seed, "seesaw")
+    return voronoi_moments(net), derive_seed(seed, "seesaw")
 
 
 def greedy_2d_moments():
@@ -416,7 +416,7 @@ class TestDotAdversary:
             assert run[4][0] == pytest.approx(f0 * f0, rel=1e-13)
 
     def test_iteration_count_guard(self):
-        # counts repeat exactly.  Measured: largest 40 and total 440; without
+        # counts repeat exactly.  Measured: largest 46 and total 463; without
         # the damping of failed Newton steps, 153 and 1123
         w = geodesic_moments(16, 0).moment_vectors  # 2 562 regions
         iterations = [run[2] for run in embedding_opt._dot_restarts(w, 2, seed=1)]
@@ -440,6 +440,37 @@ class TestDotAdversary:
         for direction in gauge:  # f is flat along C E, and C is normal
             along = np.einsum("rij,rij->r", step, direction)
             assert np.abs(along).max() <= 1e-12 * np.linalg.norm(step)
+
+    def test_gain_is_the_difference_of_values_above_rounding(self):
+        w = SphereSampler(3, 61).sample(50) / 50
+        rng = np.random.default_rng(62)
+        c = embedding_opt._unit_states(rng.normal(size=(4, 3, 2)))
+        moved = embedding_opt._unit_states(c + 1e-3 * rng.normal(size=c.shape))
+        y, s, f = embedding_opt._dot_objective(w, c)
+        _, new_s, new_f = embedding_opt._dot_objective(w, moved)
+        gain = embedding_opt._dot_gain(w, c, y, s, f, moved, new_s)
+        assert np.allclose(gain, new_f - f, rtol=1e-9, atol=0.0)
+        # staying put gains nothing that rounding could not fake
+        assert np.all(embedding_opt._dot_gain(w, c, y, s, f, c, s) <= 0.0)
+
+    def test_converged_states_stop_at_once(self):
+        # from each restart's own result no step gains beyond rounding; the
+        # gain without its rounding allowance, or without the norm term, let
+        # some restarts take more iterations on rounding noise
+        moments, seed = witness_moments(0.3, 4)
+        w = moments.moment_vectors
+        results = [run[1] for run in embedding_opt._dot_restarts(w, 2, seed)]
+        states = embedding_opt._unit_states(np.stack([w.T @ x for x in results]))
+        assert [run[2] for run in embedding_opt._dot_ascent(w, states)] == [1] * 16
+
+    @pytest.mark.parametrize("n, k", [(3, 1), (3, 2), (5, 1), (5, 2)])
+    def test_closed_form_projector_equals_the_pseudoinverse(self, n, k):
+        w = SphereSampler(n, 50 + n).sample(40) / 40
+        c = embedding_opt._unit_states(np.random.default_rng(k).normal(size=(3, n, k)))
+        newton = embedding_opt._DotNewton(w, k)
+        v = newton.normal_and_gauge(c)
+        reference = np.eye(n * k) - v @ np.linalg.pinv(v)
+        assert np.abs(newton.off_gauge(c) - reference).max() <= 1e-14
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -17,6 +17,7 @@ from dimwitness import (
     partial_norm_expectation,
     region_moments,
     sample_uniform,
+    voronoi_moments,
     y_closed_form,
 )
 from dimwitness import sphere
@@ -181,6 +182,7 @@ class TestEpsNet:
         back = load_net(str(tmp_path / "geo.csv"))
         assert back.eps == geo.eps and back.covering_radius == geo.covering_radius
         assert np.array_equal(back.points, geo.points)
+        assert back.triangles is None  # the CSV holds points only
 
         save_net(build_eps_net(3, 0.4, seed=2), str(tmp_path / "greedy.csv"))
         assert load_net(str(tmp_path / "greedy.csv")).covering_radius is None
@@ -295,6 +297,62 @@ class TestGeodesicNet:
             geodesic_net(0)
         with pytest.raises(DomainError):
             geodesic_frequency(1.0, 10**6)
+
+
+def half_edges(triangles):
+    """(tail, head) of each triangle's three half-edges, corner e to e + 1."""
+    return triangles.ravel(), triangles[:, [1, 2, 0]].ravel()
+
+
+class TestGeodesicTriangulation:
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_closed_outward_surface(self, k):
+        net = geodesic_net(k, seed=k)
+        tri = net.triangles
+        assert tri.shape == (20 * k * k, 3)
+        a, b, c = (net.points[tri[:, e]] for e in range(3))
+        assert np.einsum("ij,ij->i", a, np.cross(b - a, c - a)).min() > 0.0
+        # every half-edge p -> q once, and its twin q -> p once: each edge
+        # lies in exactly two triangles, traversed in opposite directions
+        tail, head = half_edges(tri)
+        directed = tail * net.size + head
+        assert np.unique(directed).size == directed.size
+        assert np.array_equal(np.sort(directed), np.sort(head * net.size + tail))
+        assert np.array_equal(np.unique(tri), np.arange(net.size))
+        edges = directed.size // 2
+        assert net.size - edges + tri.shape[0] == 2
+
+    @pytest.mark.parametrize("k", [*range(1, 17), 119, 128])
+    def test_every_edge_is_locally_delaunay(self, k):
+        # the vertex across an edge lies outside the circumcap of the
+        # triangle on this side: s . c_T <= p . c_T, up to rounding
+        net = geodesic_net(k, seed=k)
+        pts, tri = net.points, net.triangles
+        a, b, c = (pts[tri[:, e]] for e in range(3))
+        center = np.cross(b - a, c - a)
+        center /= np.linalg.norm(center, axis=1)[:, None]
+        tail, head = half_edges(tri)
+        opposite = tri[:, [2, 0, 1]].ravel()
+        order = np.argsort(np.minimum(tail, head) * net.size + np.maximum(tail, head))
+        one, other = order.reshape(-1, 2).T
+        for near, far in ((one, other), (other, one)):
+            cap = center[near // 3]
+            inside = np.einsum("ij,ij->i", pts[opposite[far]] - pts[tail[near]], cap)
+            assert inside.max() <= 1e-12, k
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_equals_the_convex_hull(self, k):
+        from scipy.spatial import ConvexHull
+
+        net = geodesic_net(k, seed=k)
+        ours = {tuple(sorted(t)) for t in net.triangles.tolist()}
+        hull = {tuple(sorted(t)) for t in ConvexHull(net.points).simplices.tolist()}
+        assert ours == hull
+
+    def test_rotation_keeps_the_triangles(self):
+        assert np.array_equal(geodesic_net(5, seed=1).triangles,
+                              geodesic_net(5, seed=2).triangles)
+        assert build_eps_net(3, 0.5, seed=0).triangles is None
 
 
 class TestNearestPoint:
@@ -560,3 +618,47 @@ class TestRegionMoments:
         assert 1 in mom.empty_regions
         assert mom.weights[1] == 0.0
         assert np.all(mom.moment_vectors[1] == 0.0)
+
+
+class TestVoronoiMoments:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_within_four_sigma_of_monte_carlo(self, k):
+        net = geodesic_net(k, seed=k)
+        exact = voronoi_moments(net)
+        mc = region_moments(net, 1_000_000, SphereSampler(3, 70 + k))
+        # one SE per region bounds every coordinate's own SE
+        se_w = mc.standard_errors[:, None]
+        assert np.all(np.abs(exact.moment_vectors - mc.moment_vectors) <= 4.0 * se_w)
+        se_mu = np.sqrt(exact.weights * (1.0 - exact.weights) / mc.samples_used)
+        assert np.all(np.abs(exact.weights - mc.weights) <= 4.0 * se_mu)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_sums_and_cap_concentration(self, k):
+        net = geodesic_net(k, seed=k)
+        mom = voronoi_moments(net)
+        assert abs(mom.weights.sum() - 1.0) <= 1e-14
+        assert np.linalg.norm(mom.moment_vectors.sum(axis=0)) <= 1e-14
+        # every point of a region lies within chord rho of its net point
+        norms = np.linalg.norm(mom.moment_vectors, axis=1)
+        rho = net.covering_radius
+        assert np.all(mom.weights * (1.0 - rho * rho / 2.0) <= norms)
+        assert np.all(norms <= mom.weights)
+
+    def test_exact_fields(self):
+        net = geodesic_net(3, seed=0)
+        mom = voronoi_moments(net)
+        assert mom.net is net and mom.samples_used == 0
+        assert np.array_equal(mom.standard_errors, np.zeros(net.size))
+        assert mom.empty_regions.size == 0
+        assert np.array_equal(mom.weights, voronoi_moments(net).weights)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_weights_do_not_depend_on_the_rotation(self, k):
+        base = voronoi_moments(geodesic_net(k, seed=0)).weights
+        for seed in (1, 2, 3):
+            other = voronoi_moments(geodesic_net(k, seed=seed)).weights
+            assert np.abs(other - base).max() <= 1e-15
+
+    def test_needs_triangles(self):
+        with pytest.raises(DomainError, match="triangulated"):
+            voronoi_moments(EpsNet(dim=3, eps=0.5, points=np.eye(3), seed=0))

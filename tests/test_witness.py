@@ -229,6 +229,20 @@ class TestRunWitness:
             assert c3.slack < ((report.b_finite_quantum + 2.0 * eps) / report.k_lower
                                + 4.0 * se - report.b_finite_seesaw_d)
 
+    def test_moment_method_follows_the_net(self):
+        # the n = 3 geodesic net takes exact moments: no error, no samples,
+        # so the sample count changes nothing but its own config echo
+        exact = run_witness(WitnessConfig(n=3, d=1, eps=0.3, seed=2))
+        more = run_witness(WitnessConfig(n=3, d=1, eps=0.3, seed=2,
+                                         moment_samples_per_region=400))
+        assert exact.moment_method == "exact"
+        assert exact.b_finite_quantum_se == exact.b_finite_seesaw_se == 0.0
+        assert exact.full_dim_value_se == 0.0 and exact.empty_regions == 0
+        assert dataclasses.replace(more, config=exact.config) == exact
+        greedy = run_witness(WitnessConfig(n=4, d=1, eps=0.7, seed=2))
+        assert greedy.moment_method == "monte_carlo"
+        assert greedy.b_finite_quantum_se > 0.0
+
     def test_certification_needs_a_computed_radius(self, monkeypatch):
         # with eps* raised above both runs' eps, only the geodesic net, whose
         # covering radius is computed, may certify; the greedy n = 4 net has
@@ -277,8 +291,9 @@ class TestRunWitness:
             "schema", "kind", "config", "k_lower", "b_infinite_quantum",
             "b_finite_quantum", "b_finite_quantum_se", "b_finite_seesaw_d",
             "b_finite_seesaw_se", "full_dim_value", "full_dim_value_se",
-            "eps_threshold", "net_size", "covering_radius", "empty_regions",
-            "tsirelson_validation_dev", "seesaw_converged", "chain_checks", "verdict",
+            "eps_threshold", "net_size", "covering_radius", "moment_method",
+            "empty_regions", "tsirelson_validation_dev", "seesaw_converged",
+            "chain_checks", "verdict",
         ]
         assert doc["config"] == WitnessConfig(n=3, d=1, eps=0.3, seed=6).to_dict()
         assert [list(c) for c in doc["chain_checks"]] == [["name", "holds", "slack"]] * 4
