@@ -25,11 +25,19 @@ from every net point.
 
 The greedy build needs only whether a candidate's largest dot product with the
 net exceeds 1 - eps^2/2, not which point attains it.  Up to 256 net points
-it answers that with a float32 product: float32 rounding moves a dot product
-of unit vectors in dimension dim by at most about (dim + 2) 2^-24, so every
-candidate whose float32 maximum lies farther than 2 (dim + 2) 2^-24 from the
-threshold is decided as float64 would decide it, and only the candidates
-inside that margin are re-decided in float64.  Nets stay bit-identical.
+it answers that with a float32 product on the raw Gaussian draws g, before
+they are normalized, in column blocks of 1024 candidates so each block's
+product stays in cache: float32 rounding moves p.g by at most about
+(dim + 2) 2^-24 ||g||, so every candidate whose float32 maximum lies farther
+than 2 (dim + 2) 2^-24 ||g|| from the threshold times ||g|| is decided as
+float64 would decide its normalized draw, and only the candidates inside
+that margin are normalized and re-decided in float64.  Candidates that pass
+are normalized with the sampler's own expression and walked in stream
+order: each accepted one drops, with one matrix-vector product, the later
+passing candidates it surely blocks, and the survivors are re-checked in
+float64 against the points accepted in the batch, so the Python loop runs
+once per accepted point.  Nets stay bit-identical to a float64 build that
+tests one candidate at a time.
 """
 
 from __future__ import annotations
@@ -71,18 +79,33 @@ MIN_SAMPLES_PER_REGION = 100
 # net has at most this many rows: up to here one float32 product over the
 # whole net beats the sort and per-band float64 products of the z-band scan
 _SCREEN_ROWS = 256
+# the screen's float32 product runs over this many candidates at a time, so
+# one block's product (at most 256 x 1024 floats, 1 MB) stays in cache
+_SCREEN_BLOCK = 1024
 # floor on the consecutive-rejection stopping budget: residual uncovered
 # slivers of measure g survive with probability ~exp(-g T), and covering is
 # validated with 1e5 probes, so T must comfortably exceed 1e5
 _MIN_TAIL_REJECTIONS = 2_000_000
-# float32 screen margin per unit of (dim + 2): rounding two unit vectors to
-# float32 and summing their dim products in float32, in any order, errs by at
-# most gamma_(dim+2) sum |a_i b_i| <= (dim+2) 2^-24 / (1 - (dim+2) 2^-24),
-# and the float64 product errs by at most gamma_dim ~ dim 2^-53; while
-# (dim+2) 2^-24 <= 1/4 (dim < 4e6) both together stay below 2 (dim+2) 2^-24,
-# with room for float32 underflow (at most dim 2^-126), so a float32 max dot
-# farther than that from the threshold is on the same side as the float64 one
+# float32 screen margin per unit of (dim + 2), relative to the norm of a raw
+# candidate g: rounding a unit row p and g to float32 and summing their dim
+# products in float32, in any order, errs by at most gamma_(dim+2) sum |p_i g_i|
+# <= (dim+2) 2^-24 ||g|| / (1 - (dim+2) 2^-24) (Cauchy-Schwarz), which stays
+# below (4/3) (dim+2) 2^-24 ||g|| while dim < 4e6.  The float64 decision on
+# u = fl(g / ||g||) errs from p.g / ||g|| by at most about (dim/2 + 2) 2^-53
+# (the norm and the division) plus dim 2^-53 (the dot), and the scaled
+# thresholds (thresh -+ margin) ||g|| by about (dim/2 + 3) 2^-53 ||g||: all of
+# it fits in the remaining (2/3) (dim+2) 2^-24 ||g||.  So a float32 max dot
+# farther than 2 (dim+2) 2^-24 ||g|| from thresh ||g|| is on the same side as
+# the float64 one.  Float32 underflow adds at most 3 (dim+2) 2^-150 in
+# absolute terms; _F32_TINY covers it, and every row shorter than 2^-101
+# falls inside the widened margin and is re-decided in float64.
 _F32_MARGIN_UNIT = 2.0 ** -23
+_F32_TINY = 2.0 ** -100
+
+
+def _unit_rows(g: np.ndarray) -> np.ndarray:
+    """Rows of `g` divided by their norms: the sampler's one normalization."""
+    return g / np.linalg.norm(g, axis=1)[:, None]
 
 
 @dataclass
@@ -105,14 +128,27 @@ class SphereSampler:
 
     def sample(self, count: int) -> np.ndarray:
         """(count, dim) array of uniform unit vectors (Gaussian-normalize)."""
+        return _unit_rows(self._draw(count))
+
+    def _draw(self, count: int) -> np.ndarray:
+        """(count, dim) standard normal rows; a row whose norm computes to 0
+        is drawn again.
+
+        `sample` normalizes these rows; the greedy build screens them raw and
+        normalizes only the candidates it needs.
+        """
         g = self._rng.standard_normal((count, self.dim))
+        # a row's norm rounds to 0 only if every entry squares to 0, which
+        # needs |entry| < 2^-537; skip the row norms when no entry is that small
+        if np.abs(g).min(initial=np.inf) >= 2.0 ** -500:
+            return g
         norms = np.linalg.norm(g, axis=1)
         # exact-zero norm is a measure-zero event; resample defensively
         while np.any(norms == 0.0):
             bad = norms == 0.0
             g[bad] = self._rng.standard_normal((int(bad.sum()), self.dim))
             norms = np.linalg.norm(g, axis=1)
-        return g / norms[:, None]
+        return g
 
 
 def sample_uniform(sampler: SphereSampler) -> np.ndarray:
@@ -204,33 +240,42 @@ def _band_nearest(
 
 def _screen_max_dot(
     rows: np.ndarray,
+    rows32: np.ndarray,
     eps: float,
-    batch: np.ndarray,
+    raw: np.ndarray,
     prod: np.ndarray,
     top: np.ndarray,
 ) -> np.ndarray:
-    """Mask of the candidates whose largest dot with `rows` is <= 1 - eps^2/2.
+    """Mask of the raw candidates g whose normalized largest dot with `rows`
+    is <= 1 - eps^2/2.
 
-    `rows` and `batch` are rounded to float32 here.  Their float32 product
-    goes into `prod` (at least rows x batch size) and its column maxima into
-    `top` (batch size); they decide every candidate farther than
-    _F32_MARGIN_UNIT * (dim + 2) from the threshold, and `_band_nearest`
-    re-decides the others in float64, so the mask is the float64 decision.
+    `rows` are unit vectors and `rows32` their float32 copy; `raw` holds
+    unnormalized candidates with entries far below 2^64 in magnitude, as
+    Gaussian draws are.  Their float32 product goes, _SCREEN_BLOCK
+    candidates at a time, into `prod` (at least rows x _SCREEN_BLOCK), and
+    its column maxima into `top` (one per candidate).  A maximum farther
+    than _F32_MARGIN_UNIT (dim + 2) ||g|| + _F32_TINY from thresh ||g||
+    decides its candidate; the others are normalized with `_unit_rows` and
+    re-decided by `_band_nearest` in float64, so the mask is the float64
+    decision on the normalized candidates.
     """
-    r, count = rows.shape[0], batch.shape[0]
+    r, count = rows.shape[0], raw.shape[0]
     if r == 0:
         return np.ones(count, dtype=bool)
     thresh = 1.0 - 0.5 * eps * eps
     margin = _F32_MARGIN_UNIT * (rows.shape[1] + 2)
-    # numpy >= 2 compares float32 with np.float64 bounds in float64; numpy 1
-    # rounds the bounds to float32, by at most 2^-25, inside the margin's slack
-    lo, hi = np.float64(thresh - margin), np.float64(thresh + margin)
-    np.matmul(rows.astype(np.float32), batch.astype(np.float32).T, out=prod[:r])
-    np.max(prod[:r], axis=0, out=top)
-    passed = top < lo
-    unsure = np.nonzero(~passed & (top <= hi))[0]
+    cols = np.ascontiguousarray(raw.T)
+    norm = np.sqrt(np.einsum("ij,ij->j", cols, cols))
+    cols32 = cols.astype(np.float32)
+    for start in range(0, count, _SCREEN_BLOCK):
+        stop = min(start + _SCREEN_BLOCK, count)
+        block = prod[:r, : stop - start]
+        np.matmul(rows32, cols32[:, start:stop], out=block)
+        np.max(block, axis=0, out=top[start:stop])
+    passed = top < norm * (thresh - margin) - _F32_TINY
+    unsure = np.nonzero(~passed & (top <= norm * (thresh + margin) + _F32_TINY))[0]
     if unsure.size:
-        _, dot = _band_nearest(rows, eps, batch[unsure])
+        _, dot = _band_nearest(rows, eps, _unit_rows(raw[unsure]))
         passed[unsure] = dot <= thresh
     return passed
 
@@ -254,11 +299,17 @@ def build_eps_net(
     accepted points, and stops after max(2e6, 200 x current net size)
     consecutive rejections.  Each batch of candidates is tested against the
     net as it stood before the batch: by the float32 screen `_screen_max_dot`
-    (float64 re-decision within 2 (dim + 2) 2^-24 of the threshold) while
-    the net has at most 256 points, by the float64 z-band scan after that;
-    either way the decision is the float64 one.  Raises ResourceError when
-    the net would exceed max_points; the volume bound (3/eps)^dim caps the
-    attainable size.
+    on the raw Gaussian draws, in blocks of 1024 candidates (float64
+    re-decision within 2 (dim + 2) 2^-24 ||g|| of the threshold), while the
+    net has at most 256 points, by the float64 z-band scan after that;
+    either way the decision is the float64 one on the normalized draw.  The
+    passing candidates are then taken in stream order: each accepted one
+    drops the later ones whose float64 dot with it exceeds the threshold by
+    more than rounding can explain, and every survivor is re-checked
+    against the points accepted in the batch.  Dropped candidates count as
+    rejections in place, so the net and the stopping point equal those of a
+    one-candidate-at-a-time build.  Raises ResourceError when the net would
+    exceed max_points; the volume bound (3/eps)^dim caps the attainable size.
     """
     if not (0.0 < eps < 1.0):
         raise DomainError("eps must lie in (0, 1)")
@@ -273,11 +324,15 @@ def build_eps_net(
 
     sampler = SphereSampler(dim, seed)
     dot_thresh = 1.0 - 0.5 * eps * eps  # ||u-v|| >= eps  <=>  u.v <= 1 - eps^2/2
+    # a float64 dot of two unit vectors errs by at most about dim 2^-53 however
+    # it is summed, so a dot above this exceeds dot_thresh in any evaluation
+    drop_thresh = dot_thresh + 4 * (dim + 2) * 2.0 ** -53
     cap = 1024
     pts = np.empty((cap, dim))
-    # screen buffers, allocated once: a net of r <= _SCREEN_ROWS rows
-    # touches only the first r rows of the product
-    prod = np.empty((_SCREEN_ROWS, _BATCH), dtype=np.float32)
+    # screen buffers, allocated once: the float32 copy of the net's first
+    # _SCREEN_ROWS rows, kept as they are accepted, and one block's product
+    pts32 = np.empty((_SCREEN_ROWS, dim), dtype=np.float32)
+    prod = np.empty((_SCREEN_ROWS, _SCREEN_BLOCK), dtype=np.float32)
     top = np.empty(_BATCH, dtype=np.float32)
     size = 0
     rejections = 0
@@ -291,6 +346,8 @@ def build_eps_net(
             cap *= 2
             pts = np.vstack([pts, np.empty((cap - size, dim))])
         pts[size] = c
+        if size < _SCREEN_ROWS:
+            pts32[size] = c
         size += 1
         rejections = 0
         if size > max_points:
@@ -299,33 +356,49 @@ def build_eps_net(
             )
 
     while rejections < limit():
-        batch = sampler.sample(_BATCH)
+        raw = sampler._draw(_BATCH)
         base = size
         # vectorized pass/fail against the frozen prefix of the net (exact:
         # the screen re-decides in float64 near the threshold, and every
-        # point within eps of a candidate is in its band), then a gap-walk
-        # over the passing candidates so the consecutive-rejection
-        # accounting matches the sequential semantics exactly
+        # point within eps of a candidate is in its band)
         if base <= _SCREEN_ROWS:
-            passed = _screen_max_dot(pts[:base], eps, batch, prod, top)
+            pass_idx = np.nonzero(
+                _screen_max_dot(pts[:base], pts32[:base], eps, raw, prod, top))[0]
+            cand = _unit_rows(raw[pass_idx])
         else:
-            passed = _band_nearest(pts[:base], eps, batch)[1] <= dot_thresh
-        pass_idx = np.nonzero(passed)[0]
+            batch = _unit_rows(raw)
+            pass_idx = np.nonzero(_band_nearest(pts[:base], eps, batch)[1] <= dot_thresh)[0]
+            cand = batch[pass_idx]
+        # in-batch greedy: each accept drops the later passing candidates
+        # that it surely blocks, and the survivors are re-checked against the
+        # points accepted in this batch as a one-at-a-time build would; a
+        # dropped candidate counts as a rejection inside the gap before the
+        # next survivor, so the consecutive-rejection accounting (and a stop
+        # inside the batch) matches the sequential semantics exactly
+        live = np.ones(pass_idx.size, dtype=bool)
+        j = 0
         cursor = 0
         stopped = False
-        for i in pass_idx:
-            gap = int(i) - cursor
+        while j < pass_idx.size:
+            j += int(np.argmax(live[j:]))
+            if not live[j]:
+                break
+            i = int(pass_idx[j])
+            gap = i - cursor
             if rejections + gap >= limit():
                 rejections = limit()
                 stopped = True
                 break
             rejections += gap
-            cursor = int(i) + 1
-            c = batch[i]
+            cursor = i + 1
+            c = cand[j]
+            j += 1
             if size > base and np.max(pts[base:size] @ c) > dot_thresh:
                 rejections += 1  # blocked by a point accepted in this batch
             else:
                 accept(c)
+                if j < pass_idx.size:
+                    live[j:] &= cand[j:] @ c <= drop_thresh
         if not stopped:
             rejections += _BATCH - cursor
 
@@ -370,6 +443,7 @@ def _project(i: np.ndarray, j: np.ndarray, k: int, corners: np.ndarray) -> np.nd
     return flat / np.linalg.norm(flat, axis=2, keepdims=True)
 
 
+@functools.lru_cache(maxsize=None)
 def geodesic_radius(k: int) -> float:
     """Covering radius (chord) of the frequency-k geodesic net.
 
@@ -402,23 +476,38 @@ def geodesic_frequency(eps: float, max_points: int) -> int:
     """Smallest frequency k whose geodesic net covers S^2 within chord eps.
 
     A cap of chord radius r has area pi r^2, so N caps cover the sphere only
-    if N r^2 >= 4: no k with 10 k^2 + 2 < 4 / eps^2 can do, and the scan
-    starts there.  Raises ResourceError, before any net point is built,
-    once a net that the scan reaches would exceed max_points.
+    if N r^2 >= 4: no k with 10 k^2 + 2 < 4 / eps^2 can do, and the search
+    starts there.  It doubles its step until a radius is <= eps, then
+    bisects, since the radius falls strictly with k.  Raises ResourceError,
+    before any net point is built, when the answer's net (10 k^2 + 2
+    points) would exceed max_points.
     """
     if not (0.0 < eps < 1.0):
         raise DomainError("eps must lie in (0, 1)")
     k = max(1, math.floor(math.sqrt(max(4.0 / (eps * eps) - 2.0, 0.0) / 10.0)))
-    while True:
-        size = 10 * k * k + 2
-        if size > max_points:
-            raise ResourceError(
-                f"a geodesic net of covering radius {eps:g} needs at least "
-                f"{size} points (k = {k}), which exceeds max_points={max_points}"
-            )
-        if geodesic_radius(k) <= eps:
-            return k
-        k += 1
+    # the largest k whose net fits: 10 k^2 + 2 <= max_points
+    k_max = math.isqrt(max(max_points - 2, 0) // 10)
+
+    def too_large(k: int) -> ResourceError:
+        return ResourceError(
+            f"a geodesic net of covering radius {eps:g} needs at least "
+            f"{10 * k * k + 2} points (k = {k}), which exceeds max_points={max_points}"
+        )
+
+    if k > k_max:
+        raise too_large(k)
+    lo, step = k - 1, 1  # every k <= lo fails the area bound
+    while geodesic_radius(k) > eps:
+        if k == k_max:
+            raise too_large(k + 1)
+        lo, k, step = k, min(k + step, k_max), 2 * step
+    while k - lo > 1:
+        mid = (lo + k) // 2
+        if geodesic_radius(mid) <= eps:
+            k = mid
+        else:
+            lo = mid
+    return k
 
 
 def _geodesic_triangles(k: int) -> np.ndarray:

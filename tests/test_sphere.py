@@ -21,6 +21,7 @@ from dimwitness import (
     y_closed_form,
 )
 from dimwitness import sphere
+from dimwitness.seeding import make_rng
 from dimwitness.sphere import (
     assign_regions,
     geodesic_frequency,
@@ -109,6 +110,35 @@ class TestSampler:
         assert v.shape == (4,)
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_sample_is_the_normalized_stream(self, dim):
+        g = make_rng(17, 2).standard_normal((3000, dim))
+        pts = SphereSampler(dim, 17, stream_id=2).sample(3000)
+        assert np.array_equal(pts, g / np.linalg.norm(g, axis=1)[:, None])
+        # the greedy build normalizes only the candidates it keeps: any subset
+        # of rows, normalized alone, equals the same rows of the whole sample
+        for subset in (np.arange(0, 3000, 7), np.array([11]), np.array([2999, 0])):
+            assert np.array_equal(sphere._unit_rows(g[subset]), pts[subset])
+
+    def test_rows_of_zero_norm_are_drawn_again(self):
+        class Stub:
+            def __init__(self, draws):
+                self.draws = list(draws)
+
+            def standard_normal(self, shape):
+                return np.array(self.draws.pop(0), dtype=float).reshape(shape)
+
+        sampler = SphereSampler(2, seed=0)
+        # a zero row, and a row whose squares underflow: both norms compute to 0
+        sampler._rng = Stub([[[0.0, 0.0], [3.0, 4.0], [1e-300, -1e-300]],
+                             [[1e-200, 1.0], [0.0, 2.0]]])
+        assert np.array_equal(sampler._draw(3), [[1e-200, 1.0], [3.0, 4.0], [0.0, 2.0]])
+
+    def test_draw_is_the_raw_stream(self):
+        sampler = SphereSampler(5, seed=4)
+        raw = np.vstack([sampler._draw(1000), sampler._draw(24)])
+        assert np.array_equal(raw, make_rng(4).standard_normal((1024, 5)))
+
 
 class TestEpsNet:
     def test_dim1_half(self):
@@ -156,11 +186,26 @@ class TestEpsNet:
             build_eps_net(3, 0.0, seed=0)
 
     @pytest.mark.parametrize(
-        "dim, eps, seed", [(1, 0.5, 0), (2, 0.1, 5), (3, 0.3, 7), (5, 0.7, 1)]
+        "dim, eps, seed",
+        [(1, 0.5, 0), (2, 0.1, 5), (3, 0.3, 7), (4, 0.5, 1), (5, 0.7, 1), (6, 0.8, 0)],
     )
     def test_equals_float64_reference(self, dim, eps, seed):
         net = build_eps_net(dim, eps, seed=seed)
         assert np.array_equal(net.points, float64_eps_net(dim, eps, seed))
+
+    @pytest.mark.parametrize("tail", [1, 500, 5_000, 12_000])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_equals_float64_reference_with_short_tails(self, dim, tail, monkeypatch):
+        # at eps 0.9 the nets hold 5 to 46 points, so a short stopping
+        # budget ends the build inside a batch: for dims 2 to 5 mostly inside
+        # the first, all-passing batch after thousands of candidates blocked
+        # in it, for dim 6 inside a later one.  At seeds 1 (dim 3) and 2
+        # (dim 5) an uncovered candidate follows the stop in its batch, so a
+        # build that miscounted the blocked candidates would accept it.
+        monkeypatch.setattr(sphere, "_MIN_TAIL_REJECTIONS", tail)
+        for seed in range(4):
+            net = build_eps_net(dim, 0.9, seed=seed)
+            assert np.array_equal(net.points, float64_eps_net(dim, 0.9, seed))
 
     def test_equals_float64_reference_across_band_cut(self, net_3_015):
         # the float32 screen runs up to 256 points and the z-bands after
@@ -282,6 +327,21 @@ class TestGeodesicNet:
         # eps 0.006 needs k = 128 (163 842): both fit the --deep cap of 2e5
         assert geodesic_frequency(eps_threshold(3, 1), 200_000) == 119
         assert geodesic_frequency(0.006, 200_000) == 128
+
+    def test_frequency_equals_a_linear_scan(self):
+        def scan(eps):
+            k = max(1, math.floor(math.sqrt(max(4.0 / eps**2 - 2.0, 0.0) / 10.0)))
+            while geodesic_radius(k) > eps:
+                k += 1
+            return k
+
+        for eps in np.geomspace(0.005, 0.95, 300):
+            k = scan(eps)
+            assert geodesic_frequency(eps, 10**6) == k
+            # the net of the answer fits exactly, or misses by one point
+            assert geodesic_frequency(eps, 10 * k * k + 2) == k
+            with pytest.raises(ResourceError, match=f"k = {k}\\)"):
+                geodesic_frequency(eps, 10 * k * k + 1)
 
     def test_size_guard_builds_nothing(self, monkeypatch):
         def never(*args):
@@ -443,8 +503,28 @@ class TestNearestPoint:
 
 
 class TestMaxDotScreen:
-    @pytest.mark.parametrize("dim", [1, 3, 5])
-    def test_ambiguous_band_matches_float64(self, dim, monkeypatch):
+    @staticmethod
+    def screen_and_count(rows, eps, raw, monkeypatch):
+        """The screen's mask, and how many rows it re-decided in float64."""
+        rechecked = []
+        band_nearest = sphere._band_nearest
+
+        def counting(points, eps, batch):
+            rechecked.append(batch.shape[0])
+            return band_nearest(points, eps, batch)
+
+        monkeypatch.setattr(sphere, "_band_nearest", counting)
+        prod = np.empty((rows.shape[0], sphere._SCREEN_BLOCK), dtype=np.float32)
+        top = np.empty(raw.shape[0], dtype=np.float32)
+        passed = sphere._screen_max_dot(
+            rows, rows.astype(np.float32), eps, raw, prod, top)
+        return passed, sum(rechecked)
+
+    # on S^0 a normalized candidate's dots are +-1, never near the threshold
+    # of eps in (0, 1); test_dim1_threshold_near_one covers dim 1
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e2])
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_ambiguous_band_matches_float64(self, dim, scale, monkeypatch):
         eps = 0.3
         thresh = 1.0 - 0.5 * eps * eps
         rng = np.random.default_rng(dim)
@@ -457,32 +537,37 @@ class TestMaxDotScreen:
         # probe dots with the target at thresh + k 1e-9, inside and outside
         # the float32 margin of 2 (dim + 2) 2^-24 <= 8.4e-7
         dots = thresh + 1e-9 * np.arange(-1200, 1201)
-        if dim == 1:
-            probes = dots[:, None] * target  # S^0 has no other direction
-        else:
-            side = rng.standard_normal((dots.size, dim))
-            side -= np.outer(side @ target, target)
-            side /= np.linalg.norm(side, axis=1)[:, None]
-            probes = dots[:, None] * target + np.sqrt(1.0 - dots**2)[:, None] * side
-        index, maxdot = sphere._band_nearest(rows, eps, probes)
+        side = rng.standard_normal((dots.size, dim))
+        side -= np.outer(side @ target, target)
+        side /= np.linalg.norm(side, axis=1)[:, None]
+        probes = dots[:, None] * target + np.sqrt(1.0 - dots**2)[:, None] * side
+        # the screen sees raw rows, unnormalized, of norm `scale`
+        raw = probes * scale
+        index, maxdot = sphere._band_nearest(rows, eps, sphere._unit_rows(raw))
         assert np.all(index == 10)
         expected = maxdot <= thresh
         assert expected.any() and not expected.all()
 
-        rechecked = []
-        band_nearest = sphere._band_nearest
-
-        def counting(points, eps, batch):
-            rechecked.append(batch.shape[0])
-            return band_nearest(points, eps, batch)
-
-        monkeypatch.setattr(sphere, "_band_nearest", counting)
-        prod = np.empty((rows.shape[0], probes.shape[0]), dtype=np.float32)
-        top = np.empty(probes.shape[0], dtype=np.float32)
-        passed = sphere._screen_max_dot(rows, eps, probes, prod, top)
+        passed, rechecked = self.screen_and_count(rows, eps, raw, monkeypatch)
         assert np.array_equal(passed, expected)
         # the float64 fallback ran, on part of the probes only
-        assert 0 < sum(rechecked) < probes.shape[0]
+        assert 0 < rechecked < probes.shape[0]
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e2])
+    def test_dim1_threshold_near_one(self, scale, monkeypatch):
+        # eps 5e-4 puts the threshold 1.25e-7 below 1, inside the float32
+        # margin 6 2^-24 ~ 3.6e-7: probes on the net point are ambiguous and
+        # blocked, probes opposite it are clear and pass
+        eps = 5e-4
+        rows = np.array([[1.0]])
+        signs = np.where(np.random.default_rng(1).random(2401) < 0.5, -1.0, 1.0)
+        raw = signs[:, None] * scale * np.geomspace(0.5, 2.0, 2401)[:, None]
+        expected = sphere._band_nearest(rows, eps, sphere._unit_rows(raw))[1] <= 1 - eps**2 / 2
+        assert np.array_equal(expected, signs < 0)
+
+        passed, rechecked = self.screen_and_count(rows, eps, raw, monkeypatch)
+        assert np.array_equal(passed, expected)
+        assert rechecked == np.count_nonzero(signs > 0)
 
 
 class TestPartialNorm:
