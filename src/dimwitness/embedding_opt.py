@@ -17,9 +17,9 @@ rows: damped Riemannian Newton steps, with that fixed-point step as the
 monotone fallback, converge in tens of iterations where the see-saw took
 hundreds of sweeps.
 
-Restarts of either method advance together as one stack, bounded in size so
-that it stays in cache; each restart's iterates equal those of a lone run
-bit for bit.
+The see-saw runs its restarts one at a time.  The adversary's restarts
+advance together as one stack, bounded in size so that it stays in cache;
+each restart's iterates equal those of a lone run bit for bit.
 """
 
 from __future__ import annotations
@@ -69,15 +69,13 @@ SEESAW_TOL = 1e-10
 # plateau alone leaves vectors ~sqrt(SEESAW_TOL) from stationarity; convergence also
 # requires the per-sweep assignment movement to drop below this
 _STATIONARY_MOVEMENT = 2.5e-7
-# restarts x rows of a see-saw or dot-adversary stack that advance together:
-# on small kernels a sweep costs its ~20 numpy calls, which the stack shares
-# among restarts; on large ones the stack's arrays leave cache.  Median CPU time
-# of 16 restarts on geodesic dot kernels at m = 2 (one BLAS thread, 2-core
-# x86 VM, 2 MB of L2 per core), against one restart at a time: 4 x 4002
-# rows 4.17 s against 4.43 s, 16 x 4002 rows 4.63 s (slower), 6 x 2562
-# rows 1.94 s against 2.14 s.  dot_adversary at m = 2, same machine: 16 002
-# regions 0.42 s (one restart per stack) against 0.44 s for all 16 in one
-# stack, 2 562 regions 0.071 s (6 per stack) against 0.059 s
+# restarts x regions of a dot-adversary stack that advance together
+# (`_dot_restarts`): on small nets an iteration costs its numpy calls, which
+# the stack shares among restarts; on large ones the stack's arrays leave
+# cache.  dot_adversary at m = 2 (one BLAS thread, 2-core x86 VM, 2 MB of L2
+# per core): 16 002 regions 0.42 s (one restart per stack) against 0.44 s
+# for all 16 in one stack, 2 562 regions 0.071 s (6 per stack) against
+# 0.059 s
 _STACK_ROWS = 2 ** 14
 
 # the dot-kernel adversary (dot_adversary)
@@ -235,23 +233,31 @@ def discretize_kernel(
 # ----------------------------------------------------------------------
 
 def _normalize_rows(vecs: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """Normalize along the last axis; zero updates keep the previous vector."""
-    norms = np.linalg.norm(vecs, axis=-1, keepdims=True)
-    zero = norms == 0.0
-    if np.any(zero):
-        vecs = np.where(zero, fallback, vecs)
-        norms = np.linalg.norm(vecs, axis=-1, keepdims=True)
-    return vecs / norms
+    """Normalize each row of a (rows, m) array; zero rows keep the fallback's.
 
-
-def _max_change(new: np.ndarray, old: np.ndarray) -> np.ndarray:
-    """Largest |new - old| entry per restart.
-
-    One temporary, not the two of np.abs(new - old): on kernels of 16 002
-    rows the second one page-faulted on every sweep and cost ~10% of the run.
+    Each row is scaled by 2^-e before its norm is taken, e the frexp exponent
+    of its largest |entry|, so the squares neither overflow nor underflow.
+    A power-of-two scale is exact: wherever the unscaled squares and their
+    sum stay in float64's normal range, the quotient is the same bit for bit.
     """
-    change = np.subtract(new, old)
-    return np.abs(change, out=change).max(axis=(1, 2))
+    top = np.abs(vecs).max(axis=1)
+    zero = top == 0.0
+    if np.any(zero):
+        vecs = np.where(zero[:, None], fallback, vecs)
+        top = np.abs(vecs).max(axis=1)
+    scaled = np.ldexp(vecs, -np.frexp(top)[1][:, None])
+    return scaled / np.linalg.norm(scaled, axis=1, keepdims=True)
+
+
+def _abs_sum_bound(kernel: Kernel) -> float:
+    """An upper bound on sum_ij |M_ij|: the entry sum of |M| for a dense
+    kernel, ||L||_1 ||R||_1 (entrywise) for a separable one, which also
+    bounds each entry of its intermediate R^T Y by ||R||_1.  An overflow
+    gives inf, quietly."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(kernel, SeparableKernel):
+            return float(np.abs(kernel.left_vectors).sum() * np.abs(kernel.right_vectors).sum())
+        return float(np.abs(kernel.entries).sum())
 
 
 def _start(
@@ -287,10 +293,10 @@ def seesaw_maximize(
     restart index).  An optional `init` seeds restart 0, which makes the
     value monotone under embedding into a larger m.
 
-    The restarts advance together as one stack of at most
-    max(1, _STACK_ROWS // max(rows, cols)) restarts; a restart that stops
-    leaves the stack.  Each restart's iterates, trace and result equal those
-    of a lone run bit for bit.
+    Rows are rescaled by exact powers of two before normalizing, so their
+    norms neither overflow nor underflow at any kernel scale.  A kernel
+    whose sum_ij |M_ij| exceeds half of float64's maximum is refused
+    (DomainError) before the first sweep.
     """
     if m < 1:
         raise DomainError("m must be >= 1")
@@ -302,73 +308,43 @@ def seesaw_maximize(
             raise DomainError("init assignment shape mismatch")
         if init.m > m:
             raise DomainError("init dimension exceeds target m")
+    # |x_i . y_j| <= 1 for unit vectors, so sum_ij |M_ij| bounds every entry
+    # of M Y and M^T X and every partial sum of the value.  Rounding moves a
+    # sum of k terms by a relative k 2^-52 at most, which half of float64's
+    # maximum leaves room for; a NaN entry fails the comparison too
+    if not _abs_sum_bound(kernel) <= np.finfo(float).max / 2:
+        raise DomainError("kernel too large: sum of |entries| exceeds half of float64's maximum")
 
     best: Optional[SeesawResult] = None
-    group = max(1, _STACK_ROWS // max(r, s))
-    for first in range(0, restarts, group):
-        starts = [_start(kernel, m, seed, restart, init)
-                  for restart in range(first, min(first + group, restarts))]
-        for result in _seesaw_stack(kernel, m, starts):
-            if best is None or result.value > best.value:
-                best = result
+    for restart in range(restarts):
+        rows, cols = _start(kernel, m, seed, restart, init)
+        trace: List[float] = []
+        prev = -math.inf
+        converged = False
+        for sweeps in range(1, SEESAW_MAX_ITERS + 1):
+            new_rows = _normalize_rows(_apply_rows(kernel, cols), rows)
+            pulled = _apply_cols(kernel, new_rows)
+            new_cols = _normalize_rows(pulled, cols)
+            movement = max(float(np.abs(new_rows - rows).max()),
+                           float(np.abs(new_cols - cols).max()))
+            rows, cols = new_rows, new_cols
+            val = float(np.sum(cols * pulled))
+            # a drop is a rounding echo at the plateau; the exact update is monotone
+            if val < prev:
+                converged = True
+                break
+            trace.append(val)
+            plateau = math.isfinite(prev) and val - prev <= SEESAW_TOL * max(1.0, abs(prev))
+            if plateau and movement <= _STATIONARY_MOVEMENT:
+                converged = True
+                break
+            prev = val
+        assignment = VectorAssignment(m=m, row_vectors=rows, col_vectors=cols)
+        value = kernel_value(kernel, assignment)
+        if best is None or value > best.value:
+            best = SeesawResult(value=value, assignment=assignment, iterations=sweeps,
+                                converged=converged, value_trace=trace)
     return best
-
-
-def _seesaw_stack(
-    kernel: Kernel, m: int, starts: List[Tuple[np.ndarray, np.ndarray]]
-) -> List[SeesawResult]:
-    """Run the see-saw from each start, all live starts in one (stack, rows, m) array.
-
-    Reductions stay per start and in the order of a lone run: np.sum over
-    the trailing axes of a C-contiguous stack adds each start's products in
-    the same pairwise order as np.sum of that start alone (einsum does
-    not).  For a SeparableKernel, right_vectors.T @ cols is the reduced
-    n x m state B = W^T Y of each start.
-    """
-    rows = np.stack([r for r, _ in starts])
-    cols = np.stack([c for _, c in starts])
-    live = list(range(len(starts)))  # start index of each stack slot
-    traces: List[List[float]] = [[] for _ in starts]
-    done: List[Optional[SeesawResult]] = [None] * len(starts)
-    prev = np.full(len(starts), -math.inf)
-    for sweeps in range(1, SEESAW_MAX_ITERS + 1):
-        new_rows = _normalize_rows(_apply_rows(kernel, cols), rows)
-        pulled = _apply_cols(kernel, new_rows)
-        new_cols = _normalize_rows(pulled, cols)
-        movement = np.maximum(_max_change(new_rows, rows), _max_change(new_cols, cols))
-        rows, cols = new_rows, new_cols
-        vals = np.sum(cols * pulled, axis=(1, 2))
-        # a drop is a rounding echo at the plateau; the exact update is monotone
-        drop = vals < prev
-        plateau = np.isfinite(prev) & (
-            vals - prev <= SEESAW_TOL * np.maximum(1.0, np.abs(prev))
-        )
-        stop = drop | (plateau & (movement <= _STATIONARY_MOVEMENT))
-        for start, val, dropped in zip(live, vals.tolist(), drop.tolist()):
-            if not dropped:
-                traces[start].append(val)
-        leaving = stop | (sweeps == SEESAW_MAX_ITERS)
-        if not np.any(leaving):
-            prev = vals
-            continue
-        for slot in np.nonzero(leaving)[0]:
-            start = live[slot]
-            assignment = VectorAssignment(
-                m=m, row_vectors=rows[slot].copy(), col_vectors=cols[slot].copy()
-            )
-            done[start] = SeesawResult(
-                value=kernel_value(kernel, assignment),
-                assignment=assignment,
-                iterations=sweeps,
-                converged=bool(stop[slot]),
-                value_trace=traces[start],
-            )
-        keep = ~leaving
-        if not np.any(keep):
-            break
-        live = [start for start, k in zip(live, keep.tolist()) if k]
-        rows, cols, prev = rows[keep], cols[keep], vals[keep]
-    return done
 
 
 def brute_force_signs(kernel: KernelMatrix) -> float:

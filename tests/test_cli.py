@@ -128,6 +128,23 @@ class TestSeesawCommand:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(2 * math.sqrt(2), abs=1e-7)
 
+    def test_scaled_chsh(self, capsys, tmp_path):
+        matrix = tmp_path / "chsh.csv"
+        matrix.write_text("1e200,1e200\n1e200,-1e200\n")
+        code, out, _ = run_cli(capsys, "seesaw", str(matrix), "2")
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(2 * math.sqrt(2) * 1e200, rel=1e-12)
+
+    def test_value_beyond_float64_refused(self, capsys, tmp_path):
+        big = repr(math.ldexp(1.0, 1023))
+        matrix = tmp_path / "chsh.csv"
+        matrix.write_text(f"{big},{big}\n{big},-{big}\n")
+        code, out, err = run_cli(capsys, "seesaw", str(matrix), "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "too large" in err
+        assert "Traceback" not in err
+
     def test_malformed_csv(self, capsys, tmp_path):
         matrix = tmp_path / "bad.csv"
         matrix.write_text("1.0,oops\n")
