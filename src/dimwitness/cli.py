@@ -129,10 +129,6 @@ def _cmd_tsirelson(args, manifest: RunManifest, started: float) -> int:
 
 def _cmd_witness(args, manifest: RunManifest, started: float) -> int:
     cap = WitnessConfig.max_net_points if args.deep else _SHALLOW_NET_POINTS
-    if args.max_net_points is not None:
-        if not args.deep:
-            raise DomainError("--max-net-points requires --deep")
-        cap = args.max_net_points
     config = WitnessConfig(
         n=args.n,
         d=args.d,
@@ -283,12 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("d", type=int)
     p.add_argument("eps", type=float)
     p.add_argument("--deep", action="store_true",
-                   help=f"allow nets up to {WitnessConfig.max_net_points} "
-                   "points (certified-regime runs)")
-    p.add_argument("--max-net-points", type=int, default=None,
-                   help="override the --deep net cap (at n=3 the geodesic net "
-                   "for the analytic threshold eps* ~6.5e-3 has k=119, 141612 "
-                   "points; for eps 0.006 k=128, 163842 points)")
+                   help=f"allow nets up to {WitnessConfig.max_net_points} points, "
+                   f"not {_SHALLOW_NET_POINTS} (certified-regime runs: at n=3 "
+                   "the geodesic net for the analytic threshold eps* ~6.5e-3 "
+                   "has k=119, 141612 points; for eps 0.006 k=128, 163842 "
+                   "points)")
     p.add_argument("--allow-small-n", action="store_true",
                    help="permit n <= 2 d^2 (no separation possible)")
     p.add_argument("--moment-samples", type=int,

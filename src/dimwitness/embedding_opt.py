@@ -38,6 +38,7 @@ from .sphere import (
     SphereSampler,
     assign_regions,
     read_matrix_csv,
+    require_moments_of,
     write_matrix_csv,
 )
 
@@ -198,12 +199,7 @@ def discretize_kernel(
     must be a vectorized callable on (batch, dim) row pairs and is estimated
     by Monte Carlo over `samples` independent (a, b) pairs.
     """
-    if moments.net is not net and not (
-        moments.net.dim == net.dim
-        and moments.net.size == net.size
-        and np.array_equal(moments.net.points, net.points)
-    ):
-        raise DomainError("moments were built on a different net")
+    require_moments_of(net, moments)
     if kernel == DOT_KERNEL:
         w = moments.moment_vectors
         return SeparableKernel(left_vectors=w.copy(), right_vectors=w.copy())
@@ -405,20 +401,17 @@ def project_embed(a: np.ndarray, m: int) -> np.ndarray:
     return head / norm
 
 
-def moment_value_std_error(
-    moments: RegionMoments, rows: np.ndarray, cols: np.ndarray
-) -> float:
-    """First-order standard error of sum_uv (w_u . w_v) x_u . y_v in the moments.
+def moment_value_std_error(moments: RegionMoments, vectors: np.ndarray) -> float:
+    """First-order standard error of sum_uv (w_u . w_v) x_u . x_v in the moments.
 
-    Gradient w.r.t. w_t is sum_v (x_t . y_v) w_v + sum_u (x_u . y_t) w_u; the
-    per-region moment errors combine in quadrature (regions are sampled from
-    one multinomial draw, so this slightly overstates the error).  Exact
+    Gradient w.r.t. w_t is 2 sum_v (x_t . x_v) w_v, the rows of 2 X (X^T W);
+    the per-region moment errors combine in quadrature (regions are sampled
+    from one multinomial draw, so this slightly overstates the error).  Exact
     moments (every standard error 0) have none, and no gradient is formed.
     """
     if not np.any(moments.standard_errors):
         return 0.0
-    w = moments.moment_vectors
-    grad = rows @ (cols.T @ w) + cols @ (rows.T @ w)
+    grad = 2.0 * (vectors @ (vectors.T @ moments.moment_vectors))
     grad_norms = np.linalg.norm(grad, axis=1)
     return float(np.sqrt(np.sum((grad_norms * moments.standard_errors) ** 2)))
 
@@ -677,12 +670,12 @@ def dot_adversary(
         converged=converged,
         value_trace=trace,
     )
-    adversary_se = moment_value_std_error(moments, vectors, vectors)
+    adversary_se = moment_value_std_error(moments, vectors)
     norms = np.linalg.norm(w, axis=1)
     safe = np.where(norms == 0, 1.0, norms)
     what = np.where(norms[:, None] > 0, w / safe[:, None], 0.0)
     t = w.T @ what  # ||W^T What||_F^2 form of the aligned value
-    full_dim_se = moment_value_std_error(moments, what, what)
+    full_dim_se = moment_value_std_error(moments, what)
     return adversary, adversary_se, float(np.sum(t * t)), full_dim_se
 
 

@@ -1,20 +1,20 @@
 """Uniform sphere sampling, eps-nets, Voronoi regions and their moments.
 
-Two nets are built here.  On S^2 the geodesic net is a certified covering:
-the 20 faces of an icosahedron are each subdivided k times and projected
-onto the sphere, and its covering radius is computed from the small
-triangles, not sampled.  Those triangles are its Delaunay triangulation, so
-the weights and vector moments of its Voronoi regions have closed forms
-(`voronoi_moments`); on any other net they are Monte Carlo estimates
-(`region_moments`).  It is not built as an eps-packing: nearest
-neighbours sit 1.17 to 1.73 covering radii apart (measured for k up to
-191).  In other dimensions the net is a randomized greedy eps-packing:
-candidates are streamed from a seeded sampler and accepted whenever they
-sit at distance at least eps from every accepted point.  Construction stops
-once a run of consecutive rejections exceeds the stopping budget.  The
-result is a packing by construction, but not a certified eps-covering: its
-covering radius is only sampled, and the benchmark measured it at
-1.005 eps (n = 3, eps 0.3) and 1.024 eps (n = 5, eps 0.7).
+Two nets are built here.  On S^2 the geodesic net is a certified covering: the
+20 faces of an icosahedron are each subdivided k times and projected onto the
+sphere, one face-grid table (`_face_index`) numbers its points, and its
+covering radius is computed from the small triangles, not sampled.  Those
+triangles are its Delaunay triangulation, so the weights and vector moments of
+its Voronoi regions have closed forms (`voronoi_moments`); on any other net
+they are Monte Carlo estimates (`region_moments`).  It is not built as an
+eps-packing: nearest neighbours sit 1.17 to 1.73 covering radii apart
+(measured for k up to 191).  In other dimensions the net is a randomized
+greedy eps-packing: candidates are streamed from a seeded sampler and accepted
+whenever they sit at distance at least eps from every accepted point.
+Construction stops once a run of consecutive rejections exceeds the stopping
+budget.  The result is a packing by construction, but not a certified
+eps-covering: its covering radius is only sampled, and the benchmark measured
+it at 1.005 eps (n = 3, eps 0.3) and 1.024 eps (n = 5, eps 0.7).
 
 Every nearest-point query, on a net of any size, goes through one z-band
 scan: any point within eps of a probe has its last coordinate within eps of
@@ -426,13 +426,28 @@ _ICO_FACES = np.array([
 _ICO_INWARD = np.linalg.det(_ICO_VERTS[_ICO_FACES]) < 0.0
 
 
-def _grid(k: int, lo: int = 0) -> Tuple[np.ndarray, np.ndarray]:
-    """Barycentric grid (i, j) of a face subdivided k times, with i, j >= lo
-    and k - i - j >= lo: weight i on the face's second vertex, j on its
-    third and k - i - j on its first."""
-    r = np.arange(lo, k + 1)
-    i, j = np.nonzero(np.add.outer(r, r) <= k - lo)
-    return i + lo, j + lo
+def _grid(k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Barycentric grid (i, j), i + j <= k, of a face subdivided k times, in
+    row-major order: weight i on the face's second vertex, j on its third
+    and k - i - j on its first."""
+    r = np.arange(k + 1)
+    return np.nonzero(np.add.outer(r, r) <= k)
+
+
+def _small_triangles(k: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """A face grid's k^2 triangles as three (i, j) corner arrays, each the same
+    way round as the face: (i, j), (i+1, j), (i, j+1), then the down
+    triangles (i+1, j), (i+1, j+1), (i, j+1)."""
+    i, j = _grid(k)
+    up, dn = i + j < k, i + j < k - 1
+    i, j = np.concatenate([i[up], i[dn]]), np.concatenate([j[up], j[dn]])
+    down = np.arange(i.size) >= np.count_nonzero(up)
+    return [(i + down, j), (i + 1, j + down), (i, j + 1)]
+
+
+def _circumcenters(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Spherical circumcenters of the counterclockwise triangles (a, b, c)."""
+    return _unit_rows(np.cross(b - a, c - a))
 
 
 def _project(i: np.ndarray, j: np.ndarray, k: int, corners: np.ndarray) -> np.ndarray:
@@ -461,14 +476,8 @@ def geodesic_radius(k: int) -> float:
     i, j = _grid(k)
     grid = np.zeros((k + 1, k + 1, 3))
     grid[i, j] = _project(i, j, k, _ICO_VERTS[_ICO_FACES[:1]])[0]
-    up = i + j < k  # triangles (i, j), (i+1, j), (i, j+1)
-    dn = i + j < k - 1  # triangles (i+1, j), (i+1, j+1), (i, j+1)
-    a = np.concatenate([grid[i[up], j[up]], grid[i[dn] + 1, j[dn]]])
-    b = np.concatenate([grid[i[up] + 1, j[up]], grid[i[dn] + 1, j[dn] + 1]])
-    c = np.concatenate([grid[i[up], j[up] + 1], grid[i[dn], j[dn] + 1]])
-    center = np.cross(b - a, c - a)
-    center /= np.linalg.norm(center, axis=1)[:, None]
-    center *= np.sign(np.einsum("ij,ij->i", center, a))[:, None]
+    a, b, c = (grid[ii, jj] for ii, jj in _small_triangles(k))
+    center = _circumcenters(a, b, c) * (-1.0 if _ICO_INWARD[0] else 1.0)  # outward
     return float(max(np.linalg.norm(v - center, axis=1).max() for v in (a, b, c)))
 
 
@@ -510,64 +519,49 @@ def geodesic_frequency(eps: float, max_points: int) -> int:
     return k
 
 
-def _geodesic_triangles(k: int) -> np.ndarray:
-    """(20 k^2, 3) point indices of the small triangles of `geodesic_net(k)`,
-    each counterclockwise seen from outside the sphere.
-
-    Each face's grid (i, j) maps to the index its point has in the net: a
-    face corner, the point t of an edge (weight t / k on the edge's higher
-    vertex), or the face's own interior point.  The grid triangles (i, j),
-    (i+1, j), (i, j+1) and (i+1, j), (i+1, j+1), (i, j+1) run the same way
-    round as the face's corners, so inward faces swap two columns.
-    """
+def _face_index(k: int) -> np.ndarray:
+    """(20, k + 1, k + 1) net index of each face's grid point (i, j): the one
+    numbering of `geodesic_net(k)`.  The 12 vertices come first, then k - 1
+    points on each edge (p, q), p < q (point t has weight t / k on q), then
+    each face's interior points in grid order."""
     # index of the point t = 1 of edge (p, q), p < q
     edge_start = np.zeros((12, 12), dtype=np.int64)
     edge_start[_ICO_EDGES[:, 0], _ICO_EDGES[:, 1]] = 12 + (k - 1) * np.arange(30)
     a, b, c = _ICO_FACES.T
     t = np.arange(1, k)
-    i, j = _grid(k, lo=1)
+    i, j = _grid(k)
+    inner = (i > 0) & (j > 0) & (i + j < k)
+    i, j = i[inner], j[inner]
     index = np.zeros((20, k + 1, k + 1), dtype=np.int64)
     index[:, 0, 0], index[:, k, 0], index[:, 0, k] = a, b, c
     index[:, t, 0] = edge_start[a, b][:, None] + t - 1
     index[:, 0, t] = edge_start[a, c][:, None] + t - 1
     index[:, k - t, t] = edge_start[b, c][:, None] + t - 1
     index[:, i, j] = 12 + 30 * (k - 1) + np.arange(20 * i.size).reshape(20, i.size)
-    i, j = _grid(k)
-    up = i + j < k
-    dn = i + j < k - 1
-    tri = np.stack([
-        np.concatenate([index[:, i[up], j[up]], index[:, i[dn] + 1, j[dn]]], axis=1),
-        np.concatenate([index[:, i[up] + 1, j[up]], index[:, i[dn] + 1, j[dn] + 1]],
-                       axis=1),
-        np.concatenate([index[:, i[up], j[up] + 1], index[:, i[dn], j[dn] + 1]], axis=1),
-    ], axis=2)
-    tri[_ICO_INWARD] = tri[_ICO_INWARD][:, :, [0, 2, 1]]
-    return tri.reshape(-1, 3)
+    return index
 
 
 def geodesic_net(k: int, seed: int = 0) -> EpsNet:
     """Frequency-k icosahedral geodesic net on S^2, at a seeded rotation.
 
     Each of the 20 icosahedron faces is subdivided k times and its grid
-    points are projected onto the sphere: N = 10 k^2 + 2 points, namely the
-    12 vertices, k - 1 points on each of the 30 edges, then
-    (k - 1)(k - 2) / 2 interior points per face, each built once.  The whole
-    net is turned by the rotation of a uniform unit quaternion drawn from
-    SphereSampler(4, seed), a Haar-random rotation, so the seed selects the
-    net.  `covering_radius` and `eps` are `geodesic_radius(k)`; `triangles`
-    are the 20 k^2 small triangles (`_geodesic_triangles`), the net's
-    Delaunay triangulation.
+    points are projected onto the sphere: N = 10 k^2 + 2 points, numbered by
+    `_face_index`.  Faces sharing an edge project its points equally (their
+    barycentric sums differ by exact zeros); corners are the icosahedron's.
+    The whole net is turned by the rotation of a uniform unit quaternion
+    drawn from SphereSampler(4, seed), a Haar-random rotation, so the seed
+    selects the net.  `covering_radius` and `eps` are `geodesic_radius(k)`;
+    `triangles`, its Delaunay triangulation, are each face's
+    `_small_triangles`, with two columns swapped on clockwise faces.
     """
     rho = geodesic_radius(k)
-    # an edge (p, q) is the side j = 0 of the degenerate face (p, q, q)
-    t = np.arange(1, k)
-    edges = _ICO_VERTS[np.column_stack([_ICO_EDGES, _ICO_EDGES[:, 1]])]
-    i, j = _grid(k, lo=1)
-    pts = np.concatenate([
-        _ICO_VERTS,
-        _project(t, np.zeros_like(t), k, edges).reshape(-1, 3),
-        _project(i, j, k, _ICO_VERTS[_ICO_FACES]).reshape(-1, 3),
-    ])
+    index = _face_index(k)
+    i, j = _grid(k)
+    pts = np.empty((10 * k * k + 2, 3))
+    pts[index[:, i, j]] = _project(i, j, k, _ICO_VERTS[_ICO_FACES])
+    pts[:12] = _ICO_VERTS
+    tri = np.stack([index[:, ii, jj] for ii, jj in _small_triangles(k)], axis=2)
+    tri[_ICO_INWARD] = tri[_ICO_INWARD][:, :, [0, 2, 1]]
     w, x, y, z = SphereSampler(4, seed).sample(1)[0]
     rot = np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
@@ -575,7 +569,7 @@ def geodesic_net(k: int, seed: int = 0) -> EpsNet:
         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
     ])
     return EpsNet(dim=3, eps=rho, points=pts @ rot.T, seed=seed, covering_radius=rho,
-                  triangles=_geodesic_triangles(k))
+                  triangles=tri.reshape(-1, 3))
 
 
 def assign_regions(net: EpsNet, probes: np.ndarray) -> np.ndarray:
@@ -683,6 +677,12 @@ class RegionMoments:
     empty_regions: np.ndarray
 
 
+def require_moments_of(net: EpsNet, moments: RegionMoments) -> None:
+    """Raise DomainError unless `moments` were built on a net with `net`'s points."""
+    if moments.net is not net and not np.array_equal(moments.net.points, net.points):
+        raise DomainError("moments were built on a different net")
+
+
 def region_moments(net: EpsNet, samples: int, sampler: SphereSampler) -> RegionMoments:
     """Estimate region weights and vector moments from `samples` uniform points."""
     if sampler.dim != net.dim:
@@ -739,8 +739,7 @@ def voronoi_moments(net: EpsNet) -> RegionMoments:
         raise DomainError("exact moments need a triangulated (geodesic) net")
     pts, tri = net.points, net.triangles
     a, b, c = pts[tri[:, 0]], pts[tri[:, 1]], pts[tri[:, 2]]
-    center = np.cross(b - a, c - a)  # outward: the triangles run counterclockwise
-    center /= np.linalg.norm(center, axis=1)[:, None]
+    center = _circumcenters(a, b, c)  # outward: the triangles run counterclockwise
     # half-edge 3 t + e runs from corner e of triangle t to corner e + 1; the
     # two half-edges of an edge sort next to each other by their vertex pair
     tail, head = tri.ravel(), tri[:, [1, 2, 0]].ravel()

@@ -44,6 +44,7 @@ from .sphere import (
     geodesic_net,
     mc_mean_and_sem,
     region_moments,
+    require_moments_of,
     voronoi_moments,
 )
 
@@ -205,8 +206,7 @@ def bell_value_finite(net, moments: RegionMoments, correlations) -> float:
     the coordinate decomposition of w_u . w_v.
     """
     w = moments.moment_vectors
-    if moments.net is not net and not np.array_equal(moments.net.points, net.points):
-        raise DomainError("moments were built on a different net")
+    require_moments_of(net, moments)
     if isinstance(correlations, tuple):
         left, right = (np.asarray(x, dtype=float) for x in correlations)
         if left.shape[0] != net.size or right.shape[0] != net.size:
@@ -306,7 +306,7 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
 
     # finite Bell value of the inner-product correlations, E = U U^T factored
     b_fq = bell_value_finite(net, moments, (u, u))
-    b_fq_se = moment_value_std_error(moments, u, u)
+    b_fq_se = moment_value_std_error(moments, u)
 
     adversary, b_fs_se, full_dim, full_dim_se = dot_adversary(
         moments, m, derive_seed(config.seed, "seesaw")
@@ -331,7 +331,7 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
 
     if m < n:
         se4 = math.sqrt(full_dim_se**2 + b_fs_se**2)
-        slack4 = (full_dim + SLACK_SIGMAS * se4 + 1e-9) - b_fs
+        slack4 = (full_dim + SLACK_SIGMAS * se4) - b_fs
         checks.append(ChainCheck("c4_seesaw_below_full_dim", slack4 >= 0.0, slack4))
 
     if not all(c.holds for c in checks):

@@ -364,6 +364,88 @@ def half_edges(triangles):
     return triangles.ravel(), triangles[:, [1, 2, 0]].ravel()
 
 
+def reference_geodesic_net(k, seed):
+    """Points, triangles and covering radius of `geodesic_net(k, seed)` as an
+    earlier construction built them, each with its own point numbering: the
+    vertices, each edge projected as side j = 0 of the degenerate face
+    (p, q, q), then the face interiors; the triangles rebuilt that order from
+    a separate index table, and the radius had its own small-triangle
+    enumeration and circumcenter."""
+    verts, faces, edges = sphere._ICO_VERTS, sphere._ICO_FACES, sphere._ICO_EDGES
+
+    def grid(lo=0):
+        r = np.arange(lo, k + 1)
+        i, j = np.nonzero(np.add.outer(r, r) <= k - lo)
+        return i + lo, j + lo
+
+    def project(i, j, corners):
+        weights = np.stack([k - i - j, i, j], axis=1) / k
+        flat = np.einsum("pc,fcx->fpx", weights, corners)
+        return flat / np.linalg.norm(flat, axis=2, keepdims=True)
+
+    t = np.arange(1, k)
+    i, j = grid(lo=1)
+    pts = np.concatenate([
+        verts,
+        project(t, np.zeros_like(t), verts[np.column_stack([edges, edges[:, 1]])])
+        .reshape(-1, 3),
+        project(i, j, verts[faces]).reshape(-1, 3),
+    ])
+    w, x, y, z = SphereSampler(4, seed).sample(1)[0]
+    rot = np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+    edge_start = np.zeros((12, 12), dtype=np.int64)
+    edge_start[edges[:, 0], edges[:, 1]] = 12 + (k - 1) * np.arange(30)
+    a, b, c = faces.T
+    index = np.zeros((20, k + 1, k + 1), dtype=np.int64)
+    index[:, 0, 0], index[:, k, 0], index[:, 0, k] = a, b, c
+    index[:, t, 0] = edge_start[a, b][:, None] + t - 1
+    index[:, 0, t] = edge_start[a, c][:, None] + t - 1
+    index[:, k - t, t] = edge_start[b, c][:, None] + t - 1
+    index[:, i, j] = 12 + 30 * (k - 1) + np.arange(20 * i.size).reshape(20, i.size)
+    i, j = grid()
+    up = i + j < k
+    dn = i + j < k - 1
+    tri = np.stack([
+        np.concatenate([index[:, i[up], j[up]], index[:, i[dn] + 1, j[dn]]], axis=1),
+        np.concatenate([index[:, i[up] + 1, j[up]], index[:, i[dn] + 1, j[dn] + 1]],
+                       axis=1),
+        np.concatenate([index[:, i[up], j[up] + 1], index[:, i[dn], j[dn] + 1]], axis=1),
+    ], axis=2)
+    tri[sphere._ICO_INWARD] = tri[sphere._ICO_INWARD][:, :, [0, 2, 1]]
+
+    face = np.zeros((k + 1, k + 1, 3))
+    face[i, j] = project(i, j, verts[faces[:1]])[0]
+    a = np.concatenate([face[i[up], j[up]], face[i[dn] + 1, j[dn]]])
+    b = np.concatenate([face[i[up] + 1, j[up]], face[i[dn] + 1, j[dn] + 1]])
+    c = np.concatenate([face[i[up], j[up] + 1], face[i[dn], j[dn] + 1]])
+    center = np.cross(b - a, c - a)
+    center /= np.linalg.norm(center, axis=1)[:, None]
+    center *= np.sign(np.einsum("ij,ij->i", center, a))[:, None]
+    rho = float(max(np.linalg.norm(v - center, axis=1).max() for v in (a, b, c)))
+    return pts @ rot.T, tri.reshape(-1, 3), rho
+
+
+class TestGeodesicReference:
+    @pytest.mark.parametrize("k", [*range(1, 17), 119, 128])
+    def test_equals_the_reference_construction(self, k):
+        for seed in (0, 7):
+            points, triangles, rho = reference_geodesic_net(k, seed)
+            net = geodesic_net(k, seed)
+            assert np.array_equal(net.points, points), (k, seed)
+            assert np.array_equal(net.triangles, triangles), (k, seed)
+            assert geodesic_radius(k) == rho == net.covering_radius
+            ours = voronoi_moments(net)
+            ref = voronoi_moments(EpsNet(dim=3, eps=rho, points=points, seed=seed,
+                                         covering_radius=rho, triangles=triangles))
+            assert np.array_equal(ours.weights, ref.weights), (k, seed)
+            assert np.array_equal(ours.moment_vectors, ref.moment_vectors), (k, seed)
+
+
 class TestGeodesicTriangulation:
     @pytest.mark.parametrize("k", range(1, 17))
     def test_closed_outward_surface(self, k):

@@ -124,6 +124,18 @@ class TestBellValueFinite:
         )
         assert via_bell == pytest.approx(via_kernel, abs=1e-9)
 
+    def test_foreign_moments_rejected(self):
+        net, mom = self.exact_dim1()
+        corr = np.ones((2, 2))
+        # same size, other points: only the net check can refuse these
+        swapped = EpsNet(dim=1, eps=0.5, points=net.points[::-1].copy(), seed=0)
+        for other in (swapped, build_eps_net(2, 0.5, seed=4)):
+            with pytest.raises(DomainError, match="different net"):
+                bell_value_finite(other, mom, corr)
+        # a copy of the net with equal points is accepted
+        copy = EpsNet(dim=1, eps=0.5, points=net.points.copy(), seed=1)
+        assert bell_value_finite(copy, mom, corr) == bell_value_finite(net, mom, corr)
+
     def test_shape_validation(self):
         net, mom = self.exact_dim1()
         with pytest.raises(DomainError):
