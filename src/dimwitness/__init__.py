@@ -26,7 +26,6 @@ from .embedding_opt import (
     DOT_KERNEL,
     KernelMatrix,
     SeesawResult,
-    SeparableKernel,
     VectorAssignment,
     analytic_d,
     brute_force_signs,
@@ -82,7 +81,6 @@ __all__ = [
     "DOT_KERNEL",
     "KernelMatrix",
     "SeesawResult",
-    "SeparableKernel",
     "VectorAssignment",
     "analytic_d",
     "brute_force_signs",

@@ -1,25 +1,24 @@
 """Bilinear-form maximization over unit-vector assignments.
 
-General kernels (CSV kernels, CHSH) are maximized by see-saw alternation:
+A dense kernel (a CSV kernel, CHSH) is maximized by see-saw alternation:
 with one side fixed, each vector's optimal update is the normalized
 kernel-weighted sum of the other side (the inner product with a fixed vector
 is maximized by the parallel unit vector), so the objective is nondecreasing
 per half-sweep.  The method is local; restarts with independent random
 initializations are the standard remedy, and an exact sign-enumeration
-oracle covers tiny instances.
+oracle covers tiny instances.  The see-saw runs its restarts one at a time.
 
-The inner-product kernel M_uv = w_u . w_v of the witness has a reduced
-form: its optimum over unit vectors in R^m is (max f)^2 with
-f(C) = sum_u ||C^T w_u|| over n x m matrices of unit Frobenius norm, and
-the see-saw is the fixed-point iteration C <- W^T X / ||W^T X||_F of f.
-`dot_adversary` climbs f on the n x m state instead of the regions x m
-rows: damped Riemannian Newton steps, with that fixed-point step as the
-monotone fallback, converge in tens of iterations where the see-saw took
-hundreds of sweeps.
-
-The see-saw runs its restarts one at a time.  The adversary's restarts
-advance together as one stack, bounded in size so that it stays in cache;
-each restart's iterates equal those of a lone run bit for bit.
+The inner-product kernel M_uv = w_u . w_v of the witness has its own
+optimizer and never goes through the see-saw: its optimum over unit vectors
+in R^m is (max f)^2 with f(C) = sum_u ||C^T w_u|| over n x m matrices of
+unit Frobenius norm, and the see-saw is the fixed-point iteration
+C <- W^T X / ||W^T X||_F of f.  `dot_adversary` climbs f on the n x m state
+instead of the regions x m rows: damped Riemannian Newton steps, with that
+fixed-point step as the monotone fallback, converge in tens of iterations
+where the see-saw took hundreds of sweeps.  Its restarts advance together
+in stacks of bounded size; each restart's iterates equal those of a lone
+run bit for bit.  `dot_upper_bound` bounds the same optimum from above at
+every m.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from .sphere import (
 
 __all__ = [
     "KernelMatrix",
-    "SeparableKernel",
     "VectorAssignment",
     "SeesawResult",
     "DOT_KERNEL",
@@ -56,6 +54,7 @@ __all__ = [
     "empirical_ratio",
     "kernel_value",
     "dot_adversary",
+    "dot_upper_bound",
     "moment_value_std_error",
     "save_kernel_csv",
     "load_kernel_csv",
@@ -73,10 +72,10 @@ _STATIONARY_MOVEMENT = 2.5e-7
 # restarts x regions of a dot-adversary stack that advance together
 # (`_dot_restarts`): on small nets an iteration costs its numpy calls, which
 # the stack shares among restarts; on large ones the stack's arrays leave
-# cache.  dot_adversary at m = 2 (one BLAS thread, 2-core x86 VM, 2 MB of L2
-# per core): 16 002 regions 0.42 s (one restart per stack) against 0.44 s
-# for all 16 in one stack, 2 562 regions 0.071 s (6 per stack) against
-# 0.059 s
+# cache and fill memory.  dot_adversary at m = 2 on the deep run's net
+# (163 842 regions, one BLAS thread, 2-core x86 VM): 5.2 s and 116 MB peak
+# RSS with one restart per stack, against 6.8 s and 563 MB with all 16 in
+# one stack
 _STACK_ROWS = 2 ** 14
 
 # the dot-kernel adversary (dot_adversary)
@@ -106,42 +105,6 @@ class KernelMatrix:
     @property
     def cols(self) -> int:
         return self.entries.shape[1]
-
-
-@dataclass(frozen=True)
-class SeparableKernel:
-    """Low-rank factored kernel, entries[i, j] = left_vectors[i] . right_vectors[j]."""
-
-    left_vectors: np.ndarray  # (rows, n)
-    right_vectors: np.ndarray  # (cols, n)
-
-    @property
-    def rows(self) -> int:
-        return self.left_vectors.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.right_vectors.shape[0]
-
-    def dense(self) -> KernelMatrix:
-        return KernelMatrix(entries=self.left_vectors @ self.right_vectors.T)
-
-
-Kernel = Union[KernelMatrix, SeparableKernel]
-
-
-def _apply_rows(kernel: Kernel, cols: np.ndarray) -> np.ndarray:
-    """M @ Y without densifying a separable kernel."""
-    if isinstance(kernel, SeparableKernel):
-        return kernel.left_vectors @ (kernel.right_vectors.T @ cols)
-    return kernel.entries @ cols
-
-
-def _apply_cols(kernel: Kernel, rows: np.ndarray) -> np.ndarray:
-    """M^T @ X without densifying a separable kernel."""
-    if isinstance(kernel, SeparableKernel):
-        return kernel.right_vectors @ (kernel.left_vectors.T @ rows)
-    return kernel.entries.T @ rows
 
 
 @dataclass(frozen=True)
@@ -175,10 +138,9 @@ class SeesawResult:
         return out
 
 
-def kernel_value(kernel: Kernel, assignment: VectorAssignment) -> float:
+def kernel_value(kernel: KernelMatrix, assignment: VectorAssignment) -> float:
     """Bilinear form sum_ij M_ij x_i . y_j at the given assignment."""
-    my = _apply_rows(kernel, assignment.col_vectors)
-    return float(np.sum(assignment.row_vectors * my))
+    return float(np.sum(assignment.row_vectors * (kernel.entries @ assignment.col_vectors)))
 
 
 # ----------------------------------------------------------------------
@@ -191,18 +153,19 @@ def discretize_kernel(
     moments: RegionMoments,
     samples: Optional[int] = None,
     sampler: Optional[SphereSampler] = None,
-) -> Kernel:
+) -> KernelMatrix:
     """Entries M_ij = integral of M'(a, b) over region pairs R_i x R_j.
 
     For the inner-product kernel (pass DOT_KERNEL) the vector moments make the
-    integral exact: M_ij = w_i . w_j, kept in factored form.  A general kernel
+    integral exact: M_ij = w_i . w_j, the entries of W W^T.  The witness
+    itself never forms them: `dot_adversary` works on W.  A general kernel
     must be a vectorized callable on (batch, dim) row pairs and is estimated
     by Monte Carlo over `samples` independent (a, b) pairs.
     """
     require_moments_of(net, moments)
     if kernel == DOT_KERNEL:
         w = moments.moment_vectors
-        return SeparableKernel(left_vectors=w.copy(), right_vectors=w.copy())
+        return KernelMatrix(entries=w @ w.T)
     if not callable(kernel):
         raise DomainError("kernel must be DOT_KERNEL or a callable")
     if samples is None or sampler is None:
@@ -245,19 +208,8 @@ def _normalize_rows(vecs: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return scaled / np.linalg.norm(scaled, axis=1, keepdims=True)
 
 
-def _abs_sum_bound(kernel: Kernel) -> float:
-    """An upper bound on sum_ij |M_ij|: the entry sum of |M| for a dense
-    kernel, ||L||_1 ||R||_1 (entrywise) for a separable one, which also
-    bounds each entry of its intermediate R^T Y by ||R||_1.  An overflow
-    gives inf, quietly."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(kernel, SeparableKernel):
-            return float(np.abs(kernel.left_vectors).sum() * np.abs(kernel.right_vectors).sum())
-        return float(np.abs(kernel.entries).sum())
-
-
 def _start(
-    kernel: Kernel, m: int, seed: int, restart: int, init: Optional[VectorAssignment]
+    kernel: KernelMatrix, m: int, seed: int, restart: int, init: Optional[VectorAssignment]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(rows, cols) of one restart: `init` zero-padded to R^m, else seeded draws."""
     if restart == 0 and init is not None:
@@ -272,7 +224,7 @@ def _start(
 
 
 def seesaw_maximize(
-    kernel: Kernel,
+    kernel: KernelMatrix,
     m: int,
     restarts: int = SEESAW_RESTARTS,
     seed: int = 0,
@@ -307,8 +259,11 @@ def seesaw_maximize(
     # |x_i . y_j| <= 1 for unit vectors, so sum_ij |M_ij| bounds every entry
     # of M Y and M^T X and every partial sum of the value.  Rounding moves a
     # sum of k terms by a relative k 2^-52 at most, which half of float64's
-    # maximum leaves room for; a NaN entry fails the comparison too
-    if not _abs_sum_bound(kernel) <= np.finfo(float).max / 2:
+    # maximum leaves room for; a NaN entry fails the comparison too, and an
+    # overflowing sum gives inf, quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        abs_sum = float(np.abs(kernel.entries).sum())
+    if not abs_sum <= np.finfo(float).max / 2:
         raise DomainError("kernel too large: sum of |entries| exceeds half of float64's maximum")
 
     best: Optional[SeesawResult] = None
@@ -318,8 +273,8 @@ def seesaw_maximize(
         prev = -math.inf
         converged = False
         for sweeps in range(1, SEESAW_MAX_ITERS + 1):
-            new_rows = _normalize_rows(_apply_rows(kernel, cols), rows)
-            pulled = _apply_cols(kernel, new_rows)
+            new_rows = _normalize_rows(kernel.entries @ cols, rows)
+            pulled = kernel.entries.T @ new_rows
             new_cols = _normalize_rows(pulled, cols)
             movement = max(float(np.abs(new_rows - rows).max()),
                            float(np.abs(new_cols - cols).max()))
@@ -350,8 +305,6 @@ def brute_force_signs(kernel: KernelMatrix) -> float:
     cost is 2^(min(r,s)-1) evaluations (global sign symmetry halves the
     enumeration).  Refuses instances with r + s > 26.
     """
-    if isinstance(kernel, SeparableKernel):
-        kernel = kernel.dense()
     entries = kernel.entries
     r, s = entries.shape
     if r + s > 26:
@@ -628,10 +581,8 @@ def _dot_restarts(
         yield from _dot_ascent(w, _unit_states(starts))
 
 
-def dot_adversary(
-    moments: RegionMoments, m: int, seed: int
-) -> Tuple[SeesawResult, float, float, float]:
-    """(adversary, its SE, full-dim value, its SE) of the kernel M_uv = w_u . w_v.
+def dot_adversary(moments: RegionMoments, m: int, seed: int) -> Tuple[SeesawResult, float]:
+    """(adversary, its SE) of the kernel M_uv = w_u . w_v.
 
     The adversary maximizes sum_uv (w_u . w_v) x_u . y_v over unit vectors
     in R^m.  Its optimum is (max f)^2, f(C) = sum_u ||C^T w_u|| over n x m
@@ -640,14 +591,10 @@ def dot_adversary(
     ADVERSARY_RESTARTS restarts (`_dot_restarts`) starts where a see-saw run
     from the same seeded draw stands after its first row update, and climbs
     by `_dot_ascent`.  The best f wins, ties to the lowest restart.  The
-    result's value is `kernel_value` at its assignment, X for rows and
-    columns (regions with C^T w_u = 0, the empty ones among them, get e_1);
-    `converged` is false only when the restart hit ADVERSARY_MAX_ITERS.
-
-    The full-dimension value is the bilinear form at x_u = y_u = w_u / ||w_u||,
-    the identity embedding of the continuous problem: exact given the
-    moments, a lower bound on the full-dimension optimum.  Empty regions get
-    zero vectors and contribute nothing.  SEs are first order in the moments.
+    result's value is the bilinear form sum_u x_u . (W W^T X)_u at its
+    assignment, X for rows and columns (regions with C^T w_u = 0, the empty
+    ones among them, get e_1); `converged` is false only when the restart
+    hit ADVERSARY_MAX_ITERS.  The SE is first order in the moments.
     """
     if m < 1:
         raise DomainError("m must be >= 1")
@@ -664,19 +611,34 @@ def dot_adversary(
     vectors[~np.any(x != 0.0, axis=1), 0] = 1.0
     assignment = VectorAssignment(m=m, row_vectors=vectors, col_vectors=vectors)
     adversary = SeesawResult(
-        value=kernel_value(SeparableKernel(left_vectors=w, right_vectors=w), assignment),
+        value=float(np.sum(vectors * (w @ (w.T @ vectors)))),
         assignment=assignment,
         iterations=iterations,
         converged=converged,
         value_trace=trace,
     )
-    adversary_se = moment_value_std_error(moments, vectors)
+    return adversary, moment_value_std_error(moments, vectors)
+
+
+def dot_upper_bound(moments: RegionMoments) -> float:
+    """U = tr(M) lambda_max(M), M = sum_u w_u w_u^T / ||w_u|| over the nonzero
+    w_u: an upper bound on the optimum of the kernel M_uv = w_u . w_v over
+    unit vectors, at every m.
+
+    Any unit vectors x_u give the value ||W^T X||_F^2, and ||W^T X||_F =
+    <C, W^T X> = sum_u w_u . C x_u <= f(C) = sum_u ||C^T w_u|| with
+    C = W^T X / ||W^T X||_F.  By Cauchy-Schwarz, f(C) <= sqrt(tr M tr(C^T M C)):
+    tr M = sum_u ||w_u||, and tr(C^T M C) <= lambda_max(M) at ||C||_F = 1.
+    The bound holds for the moments as given, Monte Carlo estimates
+    included.  M is formed as V^T V, V = W / sqrt(||w||) row by row, so it
+    is symmetric.
+    """
+    w = moments.moment_vectors
     norms = np.linalg.norm(w, axis=1)
-    safe = np.where(norms == 0, 1.0, norms)
-    what = np.where(norms[:, None] > 0, w / safe[:, None], 0.0)
-    t = w.T @ what  # ||W^T What||_F^2 form of the aligned value
-    full_dim_se = moment_value_std_error(moments, what)
-    return adversary, adversary_se, float(np.sum(t * t)), full_dim_se
+    nonzero = norms > 0.0
+    v = w[nonzero] / np.sqrt(norms[nonzero])[:, None]
+    gram = v.T @ v
+    return float(np.trace(gram) * np.linalg.eigvalsh(gram)[-1])
 
 
 def empirical_ratio(
@@ -684,9 +646,11 @@ def empirical_ratio(
 ) -> Tuple[float, dict]:
     """Net-resolution-limited estimate of the bound certified by the dot kernel.
 
-    numerator   = aligned full-dimension value of the discretized kernel
-                  (the adversary value itself when m = n), see dot_adversary
-    denominator = adversary value at embedding dimension m
+    numerator   = aligned full-dimension value of the discretized kernel, the
+                  bilinear form at x_u = y_u = w_u / ||w_u|| (empty regions
+                  get zero vectors and contribute nothing), or the adversary
+                  value itself when m = n
+    denominator = adversary value at embedding dimension m (`dot_adversary`)
     The ratio approaches the analytic bound from below as eps shrinks; a
     finite net only resolves so much.
     """
@@ -694,13 +658,18 @@ def empirical_ratio(
         raise DomainError("net dimension does not match n")
     if not (1 <= m <= n):
         raise DomainError("need 1 <= m <= n")
-    result, den_se, full_dim, full_dim_se = dot_adversary(moments, m, seed)
+    result, den_se = dot_adversary(moments, m, seed)
 
     if m == n:
         # the numerator optimization at dimension n is the denominator itself
         numerator, num_se = result.value, den_se
     else:
-        numerator, num_se = full_dim, full_dim_se
+        w = moments.moment_vectors
+        norms = np.linalg.norm(w, axis=1)
+        safe = np.where(norms == 0, 1.0, norms)
+        what = np.where(norms[:, None] > 0, w / safe[:, None], 0.0)
+        t = w.T @ what  # ||W^T What||_F^2 form of the aligned value
+        numerator, num_se = float(np.sum(t * t)), moment_value_std_error(moments, what)
     ratio = numerator / result.value
     ratio_se = abs(ratio) * math.sqrt(
         (num_se / numerator) ** 2 + (den_se / result.value) ** 2
@@ -720,10 +689,8 @@ def empirical_ratio(
 # CSV I/O for kernel matrices
 # ----------------------------------------------------------------------
 
-def save_kernel_csv(kernel: Kernel, path: str) -> None:
-    """Write the dense entries with `sphere.write_matrix_csv`."""
-    if isinstance(kernel, SeparableKernel):
-        kernel = kernel.dense()
+def save_kernel_csv(kernel: KernelMatrix, path: str) -> None:
+    """Write the entries with `sphere.write_matrix_csv`."""
     write_matrix_csv(path, kernel.entries)
 
 

@@ -125,8 +125,13 @@ WITNESS_REPORT_SCHEMA = {
         "b_finite_quantum_se": {"type": "number", "minimum": 0},
         "b_finite_seesaw_d": {"type": "number"},
         "b_finite_seesaw_se": {"type": "number", "minimum": 0},
-        "full_dim_value": {"type": "number"},
-        "full_dim_value_se": {"type": "number", "minimum": 0},
+        "adversary_upper_bound": {
+            "type": "number",
+            "minimum": 0,
+            "description": "tr(M) lambda_max(M), M = sum_u w_u w_u^T / |w_u|: "
+                           "no assignment of unit vectors, in any dimension, "
+                           "scores above it on the net's kernel",
+        },
         "eps_threshold": {"type": "number", "minimum": 0},
         "net_size": {"type": "integer", "minimum": 0},
         "covering_radius": {"type": ["number", "null"], "exclusiveMinimum": 0},

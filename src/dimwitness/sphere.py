@@ -547,7 +547,8 @@ def geodesic_net(k: int, seed: int = 0) -> EpsNet:
     Each of the 20 icosahedron faces is subdivided k times and its grid
     points are projected onto the sphere: N = 10 k^2 + 2 points, numbered by
     `_face_index`.  Faces sharing an edge project its points equally (their
-    barycentric sums differ by exact zeros); corners are the icosahedron's.
+    barycentric sums differ by exact zeros), and a face's corners project to
+    the icosahedron's vertices bit for bit.
     The whole net is turned by the rotation of a uniform unit quaternion
     drawn from SphereSampler(4, seed), a Haar-random rotation, so the seed
     selects the net.  `covering_radius` and `eps` are `geodesic_radius(k)`;
@@ -559,7 +560,6 @@ def geodesic_net(k: int, seed: int = 0) -> EpsNet:
     i, j = _grid(k)
     pts = np.empty((10 * k * k + 2, 3))
     pts[index[:, i, j]] = _project(i, j, k, _ICO_VERTS[_ICO_FACES])
-    pts[:12] = _ICO_VERTS
     tri = np.stack([index[:, ii, jj] for ii, jj in _small_triangles(k)], axis=2)
     tri[_ICO_INWARD] = tri[_ICO_INWARD][:, :, [0, 2, 1]]
     w, x, y, z = SphereSampler(4, seed).sample(1)[0]

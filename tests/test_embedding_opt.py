@@ -12,7 +12,6 @@ from dimwitness import (
     EpsNet,
     KernelMatrix,
     ResourceError,
-    SeparableKernel,
     SphereSampler,
     analytic_d,
     brute_force_signs,
@@ -34,6 +33,7 @@ from dimwitness.embedding_opt import (
     SeesawResult,
     VectorAssignment,
     dot_adversary,
+    dot_upper_bound,
     kernel_value,
     load_kernel_csv,
     save_kernel_csv,
@@ -72,8 +72,8 @@ def serial_runs(kernel, m, restarts, seed, init=None):
         prev = -math.inf
         converged = False
         for sweeps in range(1, SEESAW_MAX_ITERS + 1):
-            new_rows = normalize(embedding_opt._apply_rows(kernel, cols), rows)
-            pulled = embedding_opt._apply_cols(kernel, new_rows)
+            new_rows = normalize(kernel.entries @ cols, rows)
+            pulled = kernel.entries.T @ new_rows
             new_cols = normalize(pulled, cols)
             movement = max(
                 float(np.abs(new_rows - rows).max()),
@@ -128,9 +128,8 @@ class TestDiscretize:
     def test_dot_kernel_exact_dim1(self):
         net, mom = exact_moments_dim1()
         kernel = discretize_kernel(DOT_KERNEL, net, mom)
-        assert isinstance(kernel, SeparableKernel)
-        dense = kernel.dense().entries
-        assert np.allclose(dense, 0.25 * np.array([[1, -1], [-1, 1]]), atol=1e-15)
+        assert isinstance(kernel, KernelMatrix)
+        assert np.allclose(kernel.entries, 0.25 * np.array([[1, -1], [-1, 1]]), atol=1e-15)
 
     def test_constant_kernel_mc(self):
         net = build_eps_net(2, 0.5, seed=3)
@@ -229,15 +228,6 @@ class TestSeesaw:
                     assert result.value >= prev.value - 1e-10
                 prev = result
 
-    def test_separable_equals_dense(self):
-        net = build_eps_net(3, 0.4, seed=2)
-        mom = region_moments(net, 100 * net.size, SphereSampler(3, 35))
-        sep = discretize_kernel(DOT_KERNEL, net, mom)
-        dense = sep.dense()
-        vs = seesaw_maximize(sep, 2, restarts=8, seed=4).value
-        vd = seesaw_maximize(dense, 2, restarts=8, seed=4).value
-        assert vs == pytest.approx(vd, abs=1e-9)
-
     @pytest.mark.parametrize("k", [-1000, -600, -520, 0, 520, 600, 1000])
     def test_scaled_chsh(self, k):
         # unscaled row norms underflow from about 2^-512 and overflow from 2^512
@@ -253,10 +243,8 @@ class TestSeesaw:
         [
             lambda: KernelMatrix(entries=np.ldexp(CHSH, 1023)),
             lambda: KernelMatrix(entries=np.array([[1.0, math.nan]])),
-            lambda: SeparableKernel(left_vectors=np.ldexp(np.eye(3), 600),
-                                    right_vectors=np.ldexp(np.eye(3), 600)),
         ],
-        ids=["chsh-2^1023", "nan", "separable-2^1200"],
+        ids=["chsh-2^1023", "nan"],
     )
     def test_value_beyond_float64_refused(self, kernel):
         with pytest.raises(DomainError, match="too large"):
@@ -269,10 +257,15 @@ class TestSeesaw:
             seesaw_maximize(KernelMatrix(entries=CHSH), 1, restarts=0)
 
 
-def _separable_with_zero_row(rows, seed):
+def dot_kernel(w):
+    """The dense inner-product kernel M_uv = w_u . w_v."""
+    return KernelMatrix(entries=w @ w.T)
+
+
+def _dot_kernel_with_zero_row(rows, seed):
     w = np.random.default_rng(seed).normal(size=(rows, 3))
     w[0] = 0.0  # its row update is zero every sweep: the fallback keeps the start
-    return SeparableKernel(left_vectors=w, right_vectors=w)
+    return dot_kernel(w)
 
 
 def _warm_start_case():
@@ -284,15 +277,9 @@ def _warm_start_case():
 def _uneven_stops_case():
     # restart 0 starts at a fixed point and stops after 2 sweeps; random
     # starts on this nearly isotropic kernel take 28 to 87
-    w = SphereSampler(3, 22).sample(100)
-    kernel = SeparableKernel(left_vectors=w, right_vectors=w)
+    kernel = dot_kernel(SphereSampler(3, 22).sample(100))
     init = serial_seesaw(kernel, 2, restarts=1, seed=0).assignment
     return kernel, 2, 16, 6, init
-
-
-def _grouped_case():
-    kernel = _separable_with_zero_row(embedding_opt._STACK_ROWS // 3 + 1, seed=15)
-    return kernel, 2, 5, 8, None
 
 
 class TestStackedSeesaw:
@@ -306,11 +293,10 @@ class TestStackedSeesaw:
             lambda: (KernelMatrix(entries=CHSH), 1, 16, 0, None),
             lambda: (KernelMatrix(entries=CHSH), 2, 16, 0, None),
             _warm_start_case,
-            lambda: (_separable_with_zero_row(40, seed=16), 2, 16, 9, None),
+            lambda: (_dot_kernel_with_zero_row(40, seed=16), 2, 16, 9, None),
             _uneven_stops_case,
-            _grouped_case,
         ],
-        ids=["chsh-m1", "chsh-m2", "warm-start", "zero-row", "uneven-stops", "groups"],
+        ids=["chsh-m1", "chsh-m2", "warm-start", "zero-row", "uneven-stops"],
     )
     def test_equals_serial_loop(self, case):
         kernel, m, restarts, seed, init = case()
@@ -342,6 +328,14 @@ def greedy_2d_moments():
     return region_moments(net, 1600 * net.size, SphereSampler(2, 109)), 110
 
 
+@functools.lru_cache(maxsize=None)
+def greedy_net_and_moments(n, eps, seed):
+    """A greedy net and its moments at 100 samples per region, built once per
+    session: the (3, 0.1) net alone takes seconds."""
+    net = build_eps_net(n, eps, seed=seed)
+    return net, region_moments(net, 100 * net.size, SphereSampler(n, seed + 1))
+
+
 # (maker of (moments, adversary seed), m)
 PARITY_CASES = [
     *[pytest.param(lambda k=k, s=s: (geodesic_moments(k, s), s), 2, id=f"geodesic-k{k}-seed{s}")
@@ -358,8 +352,7 @@ class TestDotAdversary:
     @pytest.mark.parametrize("make, m", PARITY_CASES)
     def test_not_below_the_seesaw(self, make, m):
         moments, seed = make()
-        w = moments.moment_vectors
-        seesaw = seesaw_maximize(SeparableKernel(left_vectors=w, right_vectors=w), m, seed=seed)
+        seesaw = seesaw_maximize(dot_kernel(moments.moment_vectors), m, seed=seed)
         adversary = dot_adversary(moments, m, seed)[0]
         assert adversary.value >= seesaw.value - 1e-9
         assert adversary.converged
@@ -371,8 +364,7 @@ class TestDotAdversary:
         assert np.array_equal(rows, adversary.assignment.col_vectors)
         assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() <= 1e-12
         w = moments.moment_vectors
-        dense = SeparableKernel(left_vectors=w, right_vectors=w).dense()
-        assert kernel_value(dense, adversary.assignment) == pytest.approx(
+        assert kernel_value(dot_kernel(w), adversary.assignment) == pytest.approx(
             adversary.value, rel=1e-12)
         # a stationary point: each row is the best response to the others
         best = w @ (w.T @ rows)
@@ -395,7 +387,7 @@ class TestDotAdversary:
     def test_one_dimension_reaches_the_sign_optimum(self, seed):
         moments = geodesic_moments(1, seed)  # 12 regions: signs enumerate
         w = moments.moment_vectors
-        exact = brute_force_signs(SeparableKernel(left_vectors=w, right_vectors=w).dense())
+        exact = brute_force_signs(dot_kernel(w))
         first, second = dot_adversary(moments, 1, seed)[0], dot_adversary(moments, 1, seed)[0]
         assert first.value == pytest.approx(exact, rel=1e-14)
         assert first.value == second.value
@@ -493,6 +485,40 @@ class TestDotAdversary:
             dot_adversary(geodesic_moments(1, 0), 0, 0)
 
 
+class TestDotUpperBound:
+    """U = tr(M) lambda_max(M) against the adversary at m = n, the largest
+    value it can reach."""
+
+    @pytest.mark.parametrize("n, eps", [(3, 0.1), (4, 0.5), (5, 0.7)])
+    def test_not_below_the_adversary_on_greedy_nets(self, n, eps):
+        # measured gaps 1.3e-3, 4.5e-3 and 5.3e-3
+        _, moments = greedy_net_and_moments(n, eps, 0)
+        assert dot_upper_bound(moments) >= dot_adversary(moments, n, 1)[0].value
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_tight_on_geodesic_nets(self, k):
+        # the net's icosahedral symmetry makes M a multiple of I, so C = I / sqrt 3
+        # attains the Cauchy-Schwarz bound: f^2 = (tr M)^2 / 3 = U.  Each side
+        # sums at most 3 r float64 terms (r regions); with pairwise or blocked
+        # sums and about ten roundings per region before them, each is off by
+        # at most (log2(3 r) + 10) 2^-53 relative, about 2e-15 at k = 4.
+        # Measured: at most 1.2e-15, either way.
+        for seed in range(3):
+            moments = voronoi_moments(geodesic_net(k, seed))
+            regions = moments.moment_vectors.shape[0]
+            allowance = 2 * (math.ceil(math.log2(3 * regions)) + 10) * 2.0 ** -53
+            upper = dot_upper_bound(moments)
+            assert abs(upper - dot_adversary(moments, 3, seed)[0].value) <= allowance * upper
+
+    def test_empty_regions_count_nothing(self):
+        moments = voronoi_moments(geodesic_net(3, 0))
+        w = moments.moment_vectors.copy()
+        w[[2, 7]] = 0.0
+        emptied = dataclasses.replace(moments, moment_vectors=w)
+        kept = dataclasses.replace(moments, moment_vectors=np.delete(w, [2, 7], axis=0))
+        assert dot_upper_bound(emptied) == dot_upper_bound(kept)
+
+
 class TestBruteForce:
     def test_single_entry(self):
         assert brute_force_signs(KernelMatrix(entries=np.array([[1.0]]))) == 1.0
@@ -570,44 +596,37 @@ class TestProjectEmbed:
 
 
 class TestEmpiricalRatio:
-    @staticmethod
-    def _net_and_moments(n, eps, seed):
-        net = build_eps_net(n, eps, seed=seed)
-        mom = region_moments(net, 100 * net.size, SphereSampler(n, seed + 1))
-        return net, mom
-
     def test_equal_dims_is_one(self):
-        net, mom = self._net_and_moments(3, 0.3, seed=5)
+        net, mom = greedy_net_and_moments(3, 0.3, 5)
         ratio, _ = empirical_ratio(3, 3, net, mom, seed=7)
         assert ratio == 1.0
 
     def test_three_two_bracket(self):
-        net, mom = self._net_and_moments(3, 0.1, seed=0)
+        net, mom = greedy_net_and_moments(3, 0.1, 0)
         ratio, details = empirical_ratio(3, 2, net, mom, seed=2)
         bound = kg_lower_bound(3, 2).bound
         assert 1.0 < ratio <= bound + 4 * details["ratio_std_error"]
 
     def test_two_one_bracket(self):
-        net, mom = self._net_and_moments(2, 0.05, seed=0)
+        net, mom = greedy_net_and_moments(2, 0.05, 0)
         ratio, details = empirical_ratio(2, 1, net, mom, seed=2)
         bound = kg_lower_bound(2, 1).bound
         assert 1.0 < ratio <= bound + 4 * details["ratio_std_error"]
 
     def test_aligned_value_consistency(self):
-        net, mom = self._net_and_moments(3, 0.3, seed=5)
+        net, mom = greedy_net_and_moments(3, 0.3, 5)
         w = mom.moment_vectors
         norms = np.linalg.norm(w, axis=1)
         what = w / norms[:, None]
-        kernel = SeparableKernel(left_vectors=w, right_vectors=w)
         by_assignment = kernel_value(
-            kernel,
+            dot_kernel(w),
             VectorAssignment(m=3, row_vectors=what, col_vectors=what),
         )
-        _, _, full_dim, _ = dot_adversary(mom, 2, seed=0)
-        assert full_dim == pytest.approx(by_assignment, rel=1e-12)
+        _, details = empirical_ratio(3, 2, net, mom, seed=0)
+        assert details["numerator"] == pytest.approx(by_assignment, rel=1e-12)
 
     def test_empty_region_contributes_nothing(self):
-        net, mom = self._net_and_moments(3, 0.3, seed=5)
+        net, mom = greedy_net_and_moments(3, 0.3, 5)
         w = mom.moment_vectors.copy()
         w[0] = 0.0
         emptied = dataclasses.replace(
@@ -615,12 +634,12 @@ class TestEmpiricalRatio:
         )
         rest = w[1:] / np.linalg.norm(w[1:], axis=1)[:, None]
         by_assignment = kernel_value(
-            SeparableKernel(left_vectors=w[1:], right_vectors=w[1:]),
+            dot_kernel(w[1:]),
             VectorAssignment(m=3, row_vectors=rest, col_vectors=rest),
         )
-        _, _, full_dim, full_dim_se = dot_adversary(emptied, 2, seed=0)
-        assert full_dim == pytest.approx(by_assignment, rel=1e-12)
-        assert math.isfinite(full_dim_se)
+        _, details = empirical_ratio(3, 2, net, emptied, seed=0)
+        assert details["numerator"] == pytest.approx(by_assignment, rel=1e-12)
+        assert math.isfinite(details["numerator_std_error"])
 
 
 def load_two_point_net(csv_path):

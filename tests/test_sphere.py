@@ -282,6 +282,13 @@ class TestGeodesicNet:
         min_dist = math.sqrt(max(2.0 - 2.0 * gram.max(), 0.0))
         assert min_dist >= 0.5 * geodesic_radius(k)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 64, 128])
+    def test_face_corners_project_to_the_vertices(self, k):
+        # the net's 12 vertices are its faces' grid corners, projected
+        corners = sphere._ICO_VERTS[sphere._ICO_FACES]
+        i, j = np.array([0, k, 0]), np.array([0, 0, k])
+        assert np.array_equal(sphere._project(i, j, k, corners), corners)
+
     def test_seed_selects_the_rotation_only(self):
         a, b = geodesic_net(6, seed=4), geodesic_net(6, seed=4)
         c = geodesic_net(6, seed=5)

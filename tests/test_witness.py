@@ -112,14 +112,14 @@ class TestBellValueFinite:
         assert 1.0 / n - 2 * eps - stat <= val <= 1.0 / n + stat
 
     def test_consistency_with_kernel_path(self):
-        from dimwitness.embedding_opt import SeparableKernel, VectorAssignment, kernel_value
+        from dimwitness.embedding_opt import KernelMatrix, VectorAssignment, kernel_value
 
         net = build_eps_net(3, 0.3, seed=7)
         mom = region_moments(net, 100 * net.size, SphereSampler(3, 67))
         w = mom.moment_vectors
         via_bell = bell_value_finite(net, mom, (net.points, net.points))
         via_kernel = kernel_value(
-            SeparableKernel(left_vectors=w, right_vectors=w),
+            KernelMatrix(entries=w @ w.T),
             VectorAssignment(m=3, row_vectors=net.points, col_vectors=net.points),
         )
         assert via_bell == pytest.approx(via_kernel, abs=1e-9)
@@ -249,11 +249,29 @@ class TestRunWitness:
                                          moment_samples_per_region=400))
         assert exact.moment_method == "exact"
         assert exact.b_finite_quantum_se == exact.b_finite_seesaw_se == 0.0
-        assert exact.full_dim_value_se == 0.0 and exact.empty_regions == 0
+        assert exact.empty_regions == 0
         assert dataclasses.replace(more, config=exact.config) == exact
         greedy = run_witness(WitnessConfig(n=4, d=1, eps=0.7, seed=2))
         assert greedy.moment_method == "monte_carlo"
         assert greedy.b_finite_quantum_se > 0.0
+
+    def test_adversary_above_its_upper_bound_is_a_violation(self, monkeypatch):
+        # an adversary a relative 1e-12 above U breaks c4 alone: c2 and c3
+        # still hold on this greedy net
+        adversary = dimwitness.witness.dot_adversary
+
+        def above(moments, m, seed):
+            result, se = adversary(moments, m, seed)
+            value = embedding_opt.dot_upper_bound(moments) * (1.0 + 1e-12)
+            return dataclasses.replace(result, value=value), se
+
+        monkeypatch.setattr(dimwitness.witness, "dot_adversary", above)
+        report = run_witness(WitnessConfig(n=4, d=1, eps=0.5, seed=0))
+        assert [c.holds for c in report.chain_checks] == [True, True, True, False]
+        c4 = report.chain_checks[3]
+        assert c4.name == "c4_seesaw_below_full_dim"
+        assert c4.slack == report.adversary_upper_bound - report.b_finite_seesaw_d
+        assert report.verdict == VERDICT_VIOLATION
 
     def test_certification_needs_a_computed_radius(self, monkeypatch):
         # with eps* raised above both runs' eps, only the geodesic net, whose
@@ -302,8 +320,7 @@ class TestRunWitness:
         assert list(doc) == [
             "schema", "kind", "config", "k_lower", "b_infinite_quantum",
             "b_finite_quantum", "b_finite_quantum_se", "b_finite_seesaw_d",
-            "b_finite_seesaw_se", "full_dim_value", "full_dim_value_se",
-            "eps_threshold", "net_size", "covering_radius", "moment_method",
+            "b_finite_seesaw_se", "adversary_upper_bound", "eps_threshold", "net_size", "covering_radius", "moment_method",
             "empty_regions", "tsirelson_validation_dev", "seesaw_converged",
             "chain_checks", "verdict",
         ]
