@@ -37,6 +37,7 @@ from .embedding_opt import (
 from .errors import DomainError, NumericalIntegrityError, ResourceError
 from .quantum import (
     CliffordSet,
+    PauliMap,
     QuantumStrategy,
     RealizedVectors,
     clifford_generators,
@@ -92,6 +93,7 @@ __all__ = [
     "NumericalIntegrityError",
     "ResourceError",
     "CliffordSet",
+    "PauliMap",
     "QuantumStrategy",
     "RealizedVectors",
     "clifford_generators",

@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
-from mpmath import mp
 
 from .errors import DomainError, NumericalIntegrityError
 
@@ -57,6 +56,14 @@ def log_gamma(x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     return np.fromiter(values, float, arr.size).reshape(arr.shape)
 
 
+def _log_f_series(n):
+    """The asymptotic series of log_f at n >= 50, for a float or an array."""
+    t = 1.0 / n
+    t2 = t * t
+    series = -0.25 + t2 * (1.0 / 24.0 + t2 * (-0.05 + t2 * (17.0 / 112.0)))
+    return t * series - HALF_LOG_TWO
+
+
 def log_f(n: Union[int, float, np.ndarray]) -> Union[float, np.ndarray]:
     """ln of the normalized Gamma ratio: ln Gamma((n+1)/2) - ln Gamma(n/2) - ln(n)/2.
 
@@ -66,7 +73,17 @@ def log_f(n: Union[int, float, np.ndarray]) -> Union[float, np.ndarray]:
     values near n/2 grows with their size: off by up to ~1e-14 at n ~ 60 and
     ~1e-9 at n ~ 1e6, more than the true K(n, n-1) - 1 ~ 1/(2n^2), so it
     would put K at or below 1.
+
+    A scalar takes `math.lgamma` and `math.log` directly, with no array
+    machinery; on integers it equals the array path bit for bit.
     """
+    if np.ndim(n) == 0:
+        x = float(n)
+        if x < 1:
+            raise DomainError("f requires n >= 1")
+        if x >= _LOG_F_SERIES_FROM:
+            return _log_f_series(x)
+        return math.lgamma((x + 1.0) / 2.0) - math.lgamma(x / 2.0) - 0.5 * math.log(x)
     arr = np.asarray(n, dtype=float)
     if arr.size and np.any(arr < 1):
         raise DomainError("f requires n >= 1")
@@ -76,11 +93,8 @@ def log_f(n: Union[int, float, np.ndarray]) -> Union[float, np.ndarray]:
     val[~big] = (
         log_gamma((small + 1.0) / 2.0) - log_gamma(small / 2.0) - 0.5 * np.log(small)
     )
-    t = 1.0 / arr[big]
-    t2 = t * t
-    series = -0.25 + t2 * (1.0 / 24.0 + t2 * (-0.05 + t2 * (17.0 / 112.0)))
-    val[big] = t * series - HALF_LOG_TWO
-    return val[()]
+    val[big] = _log_f_series(arr[big])
+    return val
 
 
 def f(n: int) -> float:
@@ -127,8 +141,8 @@ def kg_lower_bound(n: int, m: int) -> LowerBoundReport:
     _check_nm(n, m)
     n = int(n)
     m = int(m)
-    log_f_n = float(log_f(float(n)))
-    log_f_m = float(log_f(float(m)))
+    log_f_n = log_f(n)
+    log_f_m = log_f(m)
     log_bound = 2.0 * (log_f_n - log_f_m)
     return LowerBoundReport(
         n=n,
@@ -198,6 +212,8 @@ def robbins_bounds(x: float) -> Tuple[float, float]:
     """
     if x < 2:
         raise DomainError("robbins_bounds requires x >= 2")
+    from mpmath import mp  # 20-30 ms to import; only the brackets need it
+
     x = float(x)
     base = HALF_LOG_TWO_PI + (x + 0.5) * math.log(x) - x
     lo = base + 1.0 / (12.0 * x + 1.0)
@@ -221,6 +237,8 @@ def log1p_bounds(n: int) -> Tuple[float, float]:
     """
     if n < 1:
         raise DomainError("log1p_bounds requires n >= 1")
+    from mpmath import mp  # 20-30 ms to import; only the brackets need it
+
     n = int(n)
     with mp.workdps(60):
         inv = mp.mpf(1) / n

@@ -803,24 +803,28 @@ def read_matrix_csv(path: str) -> np.ndarray:
 
 
 def _read_matrix_lines(path: str) -> Tuple[np.ndarray, List[int]]:
-    """`read_matrix_csv` and the file line of each row."""
+    """`read_matrix_csv` and the file line of each row.
+
+    Each row becomes a float64 array as it is read, so the file is never
+    held as Python floats (about four times the array's size).
+    """
     rows, lines = [], []
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(csv.reader(fh), start=1):
             if not line:
                 continue
             try:
-                row = [float(x) for x in line]
+                row = np.array([float(x) for x in line])
             except ValueError as exc:
                 raise DomainError(f"{path}: line {lineno}: {exc}") from None
-            if rows and len(row) != len(rows[0]):
+            if rows and row.size != rows[0].size:
                 raise DomainError(f"{path}: line {lineno}: expected "
-                                  f"{len(rows[0])} columns, got {len(row)}")
+                                  f"{rows[0].size} columns, got {row.size}")
             rows.append(row)
             lines.append(lineno)
     if not rows:
         raise DomainError(f"{path}: empty matrix")
-    return np.asarray(rows), lines
+    return np.stack(rows), lines
 
 
 def _header_path(csv_path: str) -> str:

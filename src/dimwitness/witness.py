@@ -203,25 +203,21 @@ def bell_value_infinite(
 def bell_value_finite(net, moments: RegionMoments, correlations) -> float:
     """sum_uv (w_u . w_v) E[uv] over net regions.
 
-    `correlations` is either a dense (size, size) array or a factored pair
-    (L, R) with E = L R^T; the factored path runs in O(size * n) memory via
-    the coordinate decomposition of w_u . w_v.
+    `correlations` is the factored pair (L, R) with E = L R^T; the sum runs
+    in O(size * n) memory via the coordinate decomposition of w_u . w_v.
     """
     w = moments.moment_vectors
     require_moments_of(net, moments)
-    if isinstance(correlations, tuple):
-        left, right = (np.asarray(x, dtype=float) for x in correlations)
-        if left.shape[0] != net.size or right.shape[0] != net.size:
-            raise DomainError("factored correlations do not match the net size")
-        if left.shape[1] != right.shape[1]:
-            raise DomainError("factored correlations have mismatched inner dimension")
-        return float(np.sum((w.T @ left) * (w.T @ right)))
-    corr = np.asarray(correlations, dtype=float)
-    if corr.shape != (net.size, net.size):
-        raise DomainError("correlations must be a (size, size) matrix")
-    if np.any(np.abs(corr) > 1.0 + 1e-9):
-        raise DomainError("correlations must lie in [-1, 1]")
-    return float(np.sum((w.T @ corr) * w.T))
+    if not (isinstance(correlations, tuple) and len(correlations) == 2):
+        raise DomainError("correlations must be a factored pair (L, R) with E = L R^T")
+    left, right = (np.asarray(x, dtype=float) for x in correlations)
+    if left.ndim != 2 or right.ndim != 2:
+        raise DomainError("factored correlations must be matrices")
+    if left.shape[0] != net.size or right.shape[0] != net.size:
+        raise DomainError("factored correlations do not match the net size")
+    if left.shape[1] != right.shape[1]:
+        raise DomainError("factored correlations have mismatched inner dimension")
+    return float(np.sum((w.T @ left) * (w.T @ right)))
 
 
 def eps_threshold(n: int, d: int) -> float:

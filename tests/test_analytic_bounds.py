@@ -18,6 +18,7 @@ from dimwitness import (
     robbins_bounds,
     y_closed_form,
 )
+from dimwitness.analytic_bounds import LowerBoundReport, log_f
 
 mp.dps = 40
 
@@ -141,6 +142,32 @@ class TestKgLowerBound:
             0.5 / (10**6 * (10**6 - 1)), rel=1e-3
         )
         assert monotonicity_check(10**5) == (True, None)
+
+    def test_scalar_path_equals_array_path(self):
+        # kg_lower_bound takes log_f's scalar branch (math.lgamma, math.log);
+        # on the theory sweep grid and every m < n < 120 its reports equal,
+        # bit for bit, those built from the array branch
+        grid = np.unique(np.round(np.logspace(np.log10(2), 6, 300)).astype(int))
+        pairs = {(n, m) for n in grid.tolist()
+                 for m in {1, 2, 3, 8, n // 2, n - 1} if 1 <= m < n}
+        pairs |= {(n, m) for n in range(2, 120) for m in range(1, n)}
+        args = sorted({x for pair in pairs for x in pair})
+        by_array = dict(zip(args, log_f(np.array(args, dtype=float)).tolist()))
+        for x, want in by_array.items():
+            got = log_f(x)
+            assert type(got) is float and got == want, x
+        for n, m in sorted(pairs):
+            lf_n, lf_m = by_array[n], by_array[m]
+            log_bound = 2.0 * (lf_n - lf_m)
+            expected = LowerBoundReport(
+                n=n, m=m, bound=math.exp(log_bound), log_bound=log_bound,
+                asymptotic_estimate=asymptotic_estimate(n, m),
+                f_n=math.exp(lf_n), f_m=math.exp(lf_m),
+            )
+            assert kg_lower_bound(n, m) == expected, (n, m)
+        for bad in (0, 0.5, np.array([2.0, 0.5])):
+            with pytest.raises(DomainError):
+                log_f(bad)
 
     def test_monotone_in_each_argument(self):
         ns = [1, 2, 3, 5, 8, 13, 40, 90, 200]

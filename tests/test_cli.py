@@ -323,6 +323,33 @@ class TestImportCost:
         statement = "import numpy; dimwitness.log_gamma(numpy.linspace(0.5, 1e6, 1000))"
         assert self.scipy_modules_after(statement) == "[]"
 
+    def test_no_mpmath_at_import_or_in_runs(self):
+        # mpmath adds 20-30 ms to start-up; only the factorial and log1p
+        # brackets import it, on their first call
+        src = str(Path(dimwitness.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        steps = [
+            "pass",
+            "dimwitness.run_witness(dimwitness.WitnessConfig(3, 1, 0.3))",
+            "dimwitness.run_witness(dimwitness.WitnessConfig(5, 1, 0.7))",
+            "dimwitness.cli.main(['tsirelson', '16', '--pairs', '10'])",
+        ]
+        report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))"
+        code = "import sys, dimwitness, dimwitness.cli\n" + "".join(
+            f"{step}\n{report}\n" for step in steps
+        ) + "dimwitness.robbins_bounds(3.0)\n" + report
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        ).stdout
+        lines = [line for line in out.splitlines() if line.startswith("[")]
+        assert lines[:-1] == ["[]"] * len(steps)
+        assert "'mpmath'" in lines[-1]  # the check sees mpmath once it loads
+
     def test_no_scipy_in_seesaw_command(self, tmp_path):
         matrix = tmp_path / "chsh.csv"
         matrix.write_text(CHSH_CSV)

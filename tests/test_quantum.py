@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +17,9 @@ from dimwitness import (
     vectorize,
 )
 from dimwitness import quantum
+from dimwitness.quantum import max_correlation_deviation
 
+I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -22,15 +28,54 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 def dense_correlation(strategy, a, b):
     """<psi| A tensor B |psi> through the two dense products, for any state."""
     psi = strategy.state.reshape(strategy.d, strategy.d)
-    return complex(np.vdot(psi, strategy.alice_map(a) @ psi @ strategy.bob_map(b).T))
+    obs_a, obs_b = strategy.alice.observable(a), strategy.bob.observable(b)
+    return complex(np.vdot(psi, obs_a @ psi @ obs_b.T))
 
 
 def dense_vectorize(strategy, a, b):
     """The realified (A tensor I)|psi> and (I tensor B)|psi>, dense products."""
     psi = strategy.state.reshape(strategy.d, strategy.d)
-    x = (strategy.alice_map(a) @ psi).reshape(-1)
-    y = (psi @ strategy.bob_map(b).T).reshape(-1)
+    x = (strategy.alice.observable(a) @ psi).reshape(-1)
+    y = (psi @ strategy.bob.observable(b).T).reshape(-1)
     return np.concatenate([x.real, x.imag]), np.concatenate([y.real, y.imag])
+
+
+def schmidt_state(d, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return np.diag(coeffs / np.linalg.norm(coeffs))
+
+
+def dense_state(d, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+    return psi / np.linalg.norm(psi)
+
+
+def random_rotation(n, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return q
+
+
+def variant(name, n, seed=0):
+    """tsirelson_strategy(n) with one party or the state changed."""
+    base = tsirelson_strategy(n)
+    alice, bob, state = base.alice, base.bob, base.state
+    if name == "flipped":  # Bob's sign flipped
+        bob = dataclasses.replace(bob, mix=-bob.mix)
+    elif name == "naive":  # Bob without the transpose
+        bob = alice
+    elif name == "rotated":  # both parties measure in a rotated frame
+        q = random_rotation(n, seed)
+        alice, bob = (dataclasses.replace(p, mix=q) for p in (alice, bob))
+    elif name == "complex_schmidt":
+        state = schmidt_state(base.d, seed).reshape(-1)
+    elif name == "dense_state":
+        state = dense_state(base.d, seed)
+    return QuantumStrategy(d=base.d, state=state, alice=alice, bob=bob)
+
+
+VARIANTS = ("flipped", "naive", "rotated", "complex_schmidt", "dense_state")
 
 
 def check_clifford_invariants(cs, tol=1e-12):
@@ -79,10 +124,14 @@ class TestCliffordGenerators:
     def test_resource_cap(self):
         with pytest.raises(ResourceError):
             clifford_generators(17)
+        with pytest.raises(ResourceError):
+            tsirelson_strategy(17)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             clifford_generators(0)
+        with pytest.raises(DomainError):
+            tsirelson_strategy(0)
 
 
 class TestTsirelsonStrategy:
@@ -115,37 +164,37 @@ class TestTsirelsonStrategy:
         st = tsirelson_strategy(5)
         rows = SphereSampler(5, seed=52).sample(40)
         left, right = rows[::2], rows[1::2]
-        devs = [abs(correlation(st, a, b) - float(a @ b)) for a, b in zip(left, right)]
-        max_dev = quantum.max_correlation_deviation
-        assert max_dev(st, left, right) == max(devs)
-        assert max_dev(st, rows[:0], rows[:0]) == 0.0
+        devs = [abs(correlation(st, a, b) - float(np.sum(a * b)))
+                for a, b in zip(left, right)]
+        assert max_correlation_deviation(st, left, right) == max(devs)
+        assert max_correlation_deviation(st, rows[:0], rows[:0]) == 0.0
         # Bob's sign flipped: correlation -1 against a.b = 1 on a repeated row
-        flipped = QuantumStrategy(d=st.d, state=st.state, alice_map=st.alice_map,
-                                  bob_map=lambda b: -st.bob_map(b))
-        assert max_dev(flipped, rows[:1], rows[:1]) == pytest.approx(2.0)
+        flipped = variant("flipped", 5)
+        assert max_correlation_deviation(flipped, rows[:1], rows[:1]) == pytest.approx(2.0)
 
     def test_observables_square_to_identity(self):
         st = tsirelson_strategy(5)
         a = SphereSampler(5, seed=51).sample(1)[0]
-        obs = st.alice_map(a)
-        assert np.abs(obs @ obs - np.eye(st.d)).max() <= 1e-12
-        assert np.abs(obs - obs.conj().T).max() <= 1e-12
+        for obs in (st.alice.observable(a), st.bob.observable(a)):
+            assert np.abs(obs @ obs - np.eye(st.d)).max() <= 1e-12
+            assert np.abs(obs - obs.conj().T).max() <= 1e-12
 
     def test_non_unit_input_rejected(self):
         st = tsirelson_strategy(3)
+        big, e1 = np.array([2.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])
         with pytest.raises(DomainError):
-            st.alice_map(np.array([2.0, 0.0, 0.0]))
+            st.alice.observable(big)
         with pytest.raises(DomainError):
-            correlation(st, np.array([2.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+            correlation(st, big, e1)
+        with pytest.raises(DomainError):
+            vectorize(st, e1, big)
+        with pytest.raises(DomainError):
+            max_correlation_deviation(st, np.stack([e1, big]), np.stack([e1, e1]))
+        with pytest.raises(DomainError):
+            max_correlation_deviation(st, np.stack([e1, e1]), e1[None])
 
     def test_negated_bob(self):
-        base = tsirelson_strategy(3)
-        flipped = QuantumStrategy(
-            d=base.d,
-            state=base.state,
-            alice_map=base.alice_map,
-            bob_map=lambda b: -base.bob_map(b),
-        )
+        flipped = variant("flipped", 3)
         sampler = SphereSampler(3, seed=52)
         for _ in range(20):
             pair = sampler.sample(2)
@@ -156,13 +205,7 @@ class TestTsirelsonStrategy:
     def test_bob_transpose_convention_is_load_bearing(self):
         # naive Bob (no transpose) must break exactness whenever an
         # antisymmetric generator (any Y factor) is in play
-        base = tsirelson_strategy(2)
-        naive = QuantumStrategy(
-            d=base.d,
-            state=base.state,
-            alice_map=base.alice_map,
-            bob_map=base.alice_map,
-        )
+        naive = variant("naive", 2)
         e2 = np.array([0.0, 1.0])  # the Y generator direction
         assert abs(correlation(naive, e2, e2) - 1.0) > 0.5
 
@@ -173,8 +216,8 @@ class TestTsirelsonStrategy:
         st = tsirelson_strategy(n)
         transposed = np.stack([g.T for g in clifford_generators(n).generators])
         for b in SphereSampler(n, seed=54).sample(3):
-            bob = st.bob_map(b)
-            assert np.array_equal(bob, st.alice_map(b).conj())
+            bob = st.bob.observable(b)
+            assert np.array_equal(bob, st.alice.observable(b).conj())
             assert np.array_equal(bob, np.tensordot(b, transposed, axes=(0, 0)))
 
     @pytest.mark.parametrize("n", range(1, 17))
@@ -183,8 +226,9 @@ class TestTsirelsonStrategy:
         # sum_i a_i G_i to the last bit
         st = tsirelson_strategy(n)
         gens = np.stack(clifford_generators(n).generators)
+        assert np.array_equal(st.alice.generators(), gens)
         for a in SphereSampler(n, seed=58).sample(3):
-            assert np.array_equal(st.alice_map(a), np.tensordot(a, gens, axes=(0, 0)))
+            assert np.array_equal(st.alice.observable(a), np.tensordot(a, gens, axes=(0, 0)))
 
     @pytest.mark.parametrize("n", range(13, 17))
     def test_exactness_above_twelve(self, n):
@@ -236,23 +280,9 @@ class TestVectorize:
     def test_arbitrary_observables_and_state(self):
         # full strength: any involutory observables on any pure state, not
         # only the canonical construction on the maximally entangled state
-        rng = np.random.default_rng(56)
-        base = clifford_generators(4)
-        d = base.d
-
-        def random_rotation_maps():
-            q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-            gens = np.stack(base.generators)
-            rotated = np.tensordot(q, gens, axes=(1, 0))
-            return (
-                lambda a: np.tensordot(a, rotated, axes=(0, 0)),
-                lambda b: np.tensordot(b, np.transpose(rotated, (0, 2, 1)), axes=(0, 0)),
-            )
-
-        psi = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
-        psi /= np.linalg.norm(psi)
-        alice_map, bob_map = random_rotation_maps()
-        strategy = QuantumStrategy(d=d, state=psi, alice_map=alice_map, bob_map=bob_map)
+        base = variant("rotated", 4, seed=56)
+        strategy = QuantumStrategy(d=base.d, state=dense_state(base.d, 56),
+                                   alice=base.alice, bob=base.bob)
         sampler = SphereSampler(4, seed=57)
         for _ in range(200):
             pair = sampler.sample(2)
@@ -261,10 +291,28 @@ class TestVectorize:
             assert abs(float(rv.alice_vector @ rv.bob_vector) - corr) <= 1e-10
             assert abs(np.linalg.norm(rv.alice_vector) - 1.0) <= 1e-12
 
+    def test_peak_memory_is_the_two_outputs(self):
+        # at n = 16 (d = 256) the outputs are 2 x 1 MB; the only other
+        # allocation is the O(n d) array of weighted nonzeros, 128 KB here
+        st = tsirelson_strategy(16)
+        a, b = SphereSampler(16, seed=59).sample(2)
+        vectorize(st, a, b)
+        tracemalloc.start()
+        try:
+            rv = vectorize(st, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = rv.alice_vector.nbytes + rv.bob_vector.nbytes
+        nonzeros = 2 * 16 * st.d * np.dtype(complex).itemsize
+        assert outputs == 2 * 2 * st.d**2 * 8
+        assert peak <= outputs + 2 * nonzeros
+
 
 class TestSchmidtDiagonalContraction:
-    # correlation and vectorize contract a Schmidt-diagonal state in O(d^2);
-    # dense_correlation and dense_vectorize are the O(d^3) reference
+    # correlation and vectorize contract a Schmidt-diagonal state without a
+    # d x d product; dense_correlation and dense_vectorize are the O(d^3)
+    # reference
     @staticmethod
     def assert_matches_dense(strategy, n, seed, pairs=5):
         for a, b in SphereSampler(n, seed=seed).sample(2 * pairs).reshape(pairs, 2, n):
@@ -277,41 +325,71 @@ class TestSchmidtDiagonalContraction:
             assert np.abs(rv.alice_vector - ref_alice).max() <= 1e-12
             assert np.abs(rv.bob_vector - ref_bob).max() <= 1e-12
 
-    @staticmethod
-    def schmidt_state(d, seed):
-        rng = np.random.default_rng(seed)
-        coeffs = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        return np.diag(coeffs / np.linalg.norm(coeffs))
-
     @pytest.mark.parametrize("n", range(1, 17))
     def test_tsirelson_matches_dense(self, n):
         st = tsirelson_strategy(n)
         assert quantum._schmidt_diagonal(st.state.reshape(st.d, st.d)) is not None
+        assert st.realified is not None
         self.assert_matches_dense(st, n, seed=60 + n)
 
     @pytest.mark.parametrize("n", (4, 7))
     def test_complex_schmidt_coefficients(self, n):
-        base = tsirelson_strategy(n)
-        psi = self.schmidt_state(base.d, seed=70 + n)
-        st = QuantumStrategy(d=base.d, state=psi.reshape(-1),
-                             alice_map=base.alice_map, bob_map=base.bob_map)
+        st = variant("complex_schmidt", n, seed=70 + n)
+        psi = st.state.reshape(st.d, st.d)
         assert np.array_equal(quantum._schmidt_diagonal(psi), np.diagonal(psi))
         self.assert_matches_dense(st, n, seed=80 + n, pairs=20)
 
     @pytest.mark.parametrize("n", (4, 7))
     def test_one_off_diagonal_entry_takes_dense_path(self, n):
         base = tsirelson_strategy(n)
-        psi = self.schmidt_state(base.d, seed=70 + n)
+        psi = schmidt_state(base.d, seed=70 + n)
         psi[0, base.d - 1] = 0.3 - 0.2j
         psi /= np.linalg.norm(psi)
         st = QuantumStrategy(d=base.d, state=psi.reshape(-1),
-                             alice_map=base.alice_map, bob_map=base.bob_map)
+                             alice=base.alice, bob=base.bob)
         assert quantum._schmidt_diagonal(psi) is None
+        assert st.realified is None
         self.assert_matches_dense(st, n, seed=90 + n, pairs=20)
+
+    @pytest.mark.parametrize("name", VARIANTS)
+    @pytest.mark.parametrize("n", (2, 5, 8))
+    def test_table_matches_dense_observables(self, name, n):
+        # the table is computed, never assumed: each variant's a^T T b
+        # equals the dense <psi| A tensor B |psi>
+        st = variant(name, n, seed=100 + n)
+        self.assert_matches_dense(st, n, seed=110 + n, pairs=20)
+        if name == "flipped":
+            assert np.abs(st.table + np.eye(n)).max() <= 1e-15
+        if name == "naive" and n > 1:
+            assert np.abs(st.table - np.eye(n)).max() >= 1.0
+
+    def test_flipping_one_table_sign_fails(self):
+        st = tsirelson_strategy(5)
+        self.assert_matches_dense(st, 5, seed=120)
+        bent = copy.copy(st)
+        table = st.table.copy()
+        table[2, 2] = -table[2, 2]
+        object.__setattr__(bent, "table", table)
+        with pytest.raises(AssertionError):
+            self.assert_matches_dense(bent, 5, seed=120)
+
+    def test_flipping_one_pauli_sign_fails(self):
+        # one diagonal entry of the Z string negated: the generator stays a
+        # Hermitian involution, but is no longer traceless, T_44 drops to
+        # 1/2 and a . b is lost
+        base = tsirelson_strategy(5)
+        phases = base.alice.phases.copy()
+        phases[4, 0] = -phases[4, 0]
+        alice = dataclasses.replace(base.alice, phases=phases)
+        bent = QuantumStrategy(d=base.d, state=base.state, alice=alice, bob=base.bob)
+        self.assert_matches_dense(bent, 5, seed=121)
+        assert bent.table[4, 4] == pytest.approx(0.5, abs=1e-15)
+        rows = SphereSampler(5, seed=122).sample(128)
+        assert max_correlation_deviation(bent, rows[::2], rows[1::2]) > 1e-3
 
     @pytest.mark.parametrize("d", (1, 2, 3, 8))
     def test_every_off_diagonal_entry_is_seen(self, d):
-        psi = self.schmidt_state(d, seed=d)
+        psi = schmidt_state(d, seed=d)
         assert np.array_equal(quantum._schmidt_diagonal(psi), np.diagonal(psi))
         for i in range(d):
             for j in range(d):
@@ -321,15 +399,118 @@ class TestSchmidtDiagonalContraction:
                     assert quantum._schmidt_diagonal(bent) is None
 
 
+class TestBatchedDeviation:
+    @pytest.mark.parametrize("name", (None,) + VARIANTS)
+    def test_equals_the_per_pair_maximum(self, name):
+        for n in (3, 8, 16):
+            st = tsirelson_strategy(n) if name is None else variant(name, n, seed=130 + n)
+            rows = SphereSampler(n, seed=140 + n).sample(128)
+            left, right = rows[::2], rows[1::2]
+            devs = [abs(correlation(st, a, b) - float(np.sum(a * b)))
+                    for a, b in zip(left, right)]
+            assert max_correlation_deviation(st, left, right) == max(devs)
+
+    def test_witness_validation_has_no_per_pair_call(self, monkeypatch):
+        # the witness checks its 64 net pairs in one contraction
+        from dimwitness import build_eps_net
+        from dimwitness.witness import _validate_tsirelson_on_net
+
+        def refuse(*args):
+            raise AssertionError("per-pair correlation called")
+
+        monkeypatch.setattr(quantum, "correlation", refuse)
+        worst = _validate_tsirelson_on_net(build_eps_net(3, 0.5, seed=1), 64, seed=2)
+        assert 0.0 <= worst <= 1e-10
+
+
+def reference_generators(n):
+    """The Jordan-Wigner generators as dense Kronecker products."""
+    qubits = n // 2
+    if qubits == 0:
+        return [np.ones((1, 1), dtype=complex)]
+
+    def chain(factors):
+        out = factors[0]
+        for fac in factors[1:]:
+            out = np.kron(out, fac)
+        return out
+
+    gens = []
+    for k in range(qubits):
+        for local in (X, Y):
+            gens.append(chain([Z] * k + [local] + [I2] * (qubits - k - 1)))
+    if n % 2 == 1:
+        gens.append(chain([Z] * qubits))
+    return gens
+
+
+def reference_contraction(n, a, b):
+    """The d x d contraction of the Tsirelson strategy: dense observables
+    Alice sum_i a_i G_i and Bob its conjugate at b, scaled by the Schmidt
+    coefficients 1/sqrt(d) of the maximally entangled state."""
+    gens = np.stack(reference_generators(n))
+    d = gens.shape[1]
+    s = np.diagonal(np.eye(d, dtype=complex) / np.sqrt(d))
+    obs_a = np.tensordot(a, gens, axes=(0, 0))
+    obs_b = np.tensordot(b, gens, axes=(0, 0)).conj()
+    corr = complex(np.vdot(s, (obs_a * obs_b) @ s))
+    x = (obs_a * s).reshape(-1)
+    y = (s[:, None] * obs_b.T).reshape(-1)
+    return corr, np.concatenate([x.real, x.imag]), np.concatenate([y.real, y.imag])
+
+
+def rounding_allowance(n, d, a, b):
+    """First-order bound on |computed - exact| of both contractions, added.
+
+    Each sums products of |a_j|, |b_k|, Schmidt coefficients and unit phases
+    whose absolute values total at most |a|_1 |b|_1 (the |s_i|^2 sum to 1):
+    the reference in at most d + n + 3 rounded steps per term, the table in
+    at most d + n^2 + 3, and gamma_k = k u / (1 - k u) bounds each.
+    """
+    u = np.finfo(float).eps / 2
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    return (gamma(d + n + 3) + gamma(d + n * n + 3)) * np.abs(a).sum() * np.abs(b).sum()
+
+
+class TestTsirelsonReference:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_generators_equal_the_kronecker_products(self, n):
+        ref = reference_generators(n)
+        gens = clifford_generators(n).generators
+        assert len(gens) == len(ref) == n
+        assert all(np.array_equal(g, r) for g, r in zip(gens, ref))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_equals_the_reference_contraction(self, n):
+        st = tsirelson_strategy(n)
+        for a, b in SphereSampler(n, seed=150 + n).sample(20).reshape(10, 2, n):
+            corr, alice, bob = reference_contraction(n, a, b)
+            rv = vectorize(st, a, b)
+            assert np.array_equal(rv.alice_vector, alice)
+            assert np.array_equal(rv.bob_vector, bob)
+            assert abs(corr.imag) <= 1e-12
+            assert abs(correlation(st, a, b) - corr.real) <= rounding_allowance(
+                n, st.d, a, b)
+
+
 class TestIntegrity:
     def test_imaginary_part_tripwire(self):
         st = tsirelson_strategy(2)
-        broken = QuantumStrategy(
-            d=st.d,
-            state=st.state,
-            alice_map=lambda a: 1j * st.alice_map(a),
-            bob_map=st.bob_map,
-        )
+        alice = dataclasses.replace(st.alice, phases=1j * st.alice.phases)
+        broken = QuantumStrategy(d=st.d, state=st.state, alice=alice, bob=st.bob)
         e1 = np.array([1.0, 0.0])
         with pytest.raises(NumericalIntegrityError):
             correlation(broken, e1, e1)
+        with pytest.raises(NumericalIntegrityError):
+            max_correlation_deviation(broken, e1[None], e1[None])
+
+    def test_state_must_match_the_observables(self):
+        st = tsirelson_strategy(4)
+        with pytest.raises(DomainError):
+            QuantumStrategy(d=st.d, state=st.state[:-1], alice=st.alice, bob=st.bob)
+        with pytest.raises(DomainError):
+            QuantumStrategy(d=2 * st.d, state=np.ones(4 * st.d**2) / (2 * st.d),
+                            alice=st.alice, bob=st.bob)

@@ -87,19 +87,20 @@ class TestBellValueFinite:
 
     def test_zero_correlations(self):
         net, mom = self.exact_dim1()
-        assert bell_value_finite(net, mom, np.zeros((2, 2))) == 0.0
+        assert bell_value_finite(net, mom, (np.zeros((2, 1)), np.zeros((2, 1)))) == 0.0
 
     def test_dim1_hand_evaluation(self):
         # w = (+1/2, -1/2), E[uv] = u v: sum_uv w_u w_v u v = (sum_u w_u u)^2 = 1
         net, mom = self.exact_dim1()
-        corr = net.points @ net.points.T
+        corr = (net.points, net.points)
         assert bell_value_finite(net, mom, corr) == pytest.approx(1.0, abs=1e-15)
 
     def test_factored_matches_dense(self):
         net = build_eps_net(3, 0.3, seed=7)
         mom = region_moments(net, 100 * net.size, SphereSampler(3, 65))
-        u = net.points
-        dense = bell_value_finite(net, mom, u @ u.T)
+        u, w = net.points, mom.moment_vectors
+        # sum_uv (w_u . w_v) E_uv over the dense (size, size) E = u u^T
+        dense = float(np.sum((w.T @ (u @ u.T)) * w.T))
         factored = bell_value_finite(net, mom, (u, u))
         assert factored == pytest.approx(dense, abs=1e-12)
 
@@ -126,7 +127,7 @@ class TestBellValueFinite:
 
     def test_foreign_moments_rejected(self):
         net, mom = self.exact_dim1()
-        corr = np.ones((2, 2))
+        corr = (np.ones((2, 1)), np.ones((2, 1)))
         # same size, other points: only the net check can refuse these
         swapped = EpsNet(dim=1, eps=0.5, points=net.points[::-1].copy(), seed=0)
         for other in (swapped, build_eps_net(2, 0.5, seed=4)):
@@ -138,10 +139,15 @@ class TestBellValueFinite:
 
     def test_shape_validation(self):
         net, mom = self.exact_dim1()
-        with pytest.raises(DomainError):
-            bell_value_finite(net, mom, np.zeros((3, 3)))
-        with pytest.raises(DomainError):
-            bell_value_finite(net, mom, 1.5 * np.ones((2, 2)))
+        for corr in (
+            (np.zeros((3, 1)), np.zeros((2, 1))),  # not the net size
+            (np.zeros((2, 1)), np.zeros((2, 2))),  # mismatched inner dimension
+            (np.zeros(2), np.zeros(2)),  # not matrices
+            np.zeros((2, 2)),  # a dense matrix, not a factored pair
+            (np.zeros((2, 1)),) * 3,
+        ):
+            with pytest.raises(DomainError):
+                bell_value_finite(net, mom, corr)
 
 
 class TestEpsThreshold:
