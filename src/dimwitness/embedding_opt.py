@@ -92,7 +92,7 @@ _DAMPING_FACTOR = 10.0
 _GAIN_ROUNDING = 2.0 ** -50
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelMatrix:
     """Dense discretized kernel."""
 
@@ -107,7 +107,7 @@ class KernelMatrix:
         return self.entries.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorAssignment:
     """Unit vectors in R^m attached to the rows and columns of a kernel."""
 
@@ -116,7 +116,7 @@ class VectorAssignment:
     col_vectors: np.ndarray  # (cols, m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeesawResult:
     value: float
     assignment: VectorAssignment

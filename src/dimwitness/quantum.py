@@ -84,7 +84,7 @@ def _check_size(n: int) -> None:
         raise ResourceError(f"clifford_generators limited to n <= {MAX_GENERATORS}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CliffordSet:
     """Hermitian, involutory, pairwise-anticommuting, trace-orthonormal generators."""
 
@@ -116,7 +116,7 @@ def _require_unit(vec: np.ndarray, n: int) -> np.ndarray:
     return _require_unit_rows(vec[None], n)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PauliMap:
     """One party's observables, linear in the measurement direction.
 
@@ -174,7 +174,7 @@ def _realified_slots(a: PauliMap, b: PauliMap) -> np.ndarray:
     return np.stack([flat, flat + d * d], axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumStrategy:
     """Shared state plus the two parties' Pauli maps.
 
@@ -189,10 +189,10 @@ class QuantumStrategy:
     state: np.ndarray
     alice: PauliMap
     bob: PauliMap
-    table: np.ndarray = field(init=False, repr=False, compare=False)
+    table: np.ndarray = field(init=False, repr=False)
     # the slots and entries of A diag(s) and diag(s) B^T, stacked (2, n, d);
     # None when the state is not Schmidt-diagonal
-    realified: Optional[tuple] = field(init=False, repr=False, compare=False)
+    realified: Optional[tuple] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         a, b = self.alice, self.bob
@@ -305,7 +305,7 @@ def max_correlation_deviation(
     return float(np.abs(_correlations(strategy, a_rows, b_rows) - dots).max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealizedVectors:
     """Real unit vectors whose inner product reproduces the joint correlation."""
 

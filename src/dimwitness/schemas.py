@@ -134,7 +134,7 @@ WITNESS_REPORT_SCHEMA = {
         },
         "eps_threshold": {"type": "number", "minimum": 0},
         "net_size": {"type": "integer", "minimum": 0},
-        "covering_radius": {"type": ["number", "null"], "exclusiveMinimum": 0},
+        "covering_radius": {"type": ["number", "null"], "minimum": 0},
         "moment_method": {
             "enum": ["exact", "monte_carlo"],
             "description": "exact: closed-form Voronoi moments of the geodesic "

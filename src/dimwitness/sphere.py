@@ -10,11 +10,13 @@ they are Monte Carlo estimates (`region_moments`).  It is not built as an
 eps-packing: nearest neighbours sit 1.17 to 1.73 covering radii apart
 (measured for k up to 191).  In other dimensions the net is a randomized
 greedy eps-packing: candidates are streamed from a seeded sampler and accepted
-whenever they sit at distance at least eps from every accepted point.
-Construction stops once a run of consecutive rejections exceeds the stopping
-budget.  The result is a packing by construction, but not a certified
-eps-covering: its covering radius is only sampled, and the benchmark measured
-it at 1.005 eps (n = 3, eps 0.3) and 1.024 eps (n = 5, eps 0.7).
+whenever they sit at distance at least eps from every accepted point, until
+200 x (net size) consecutive rejections.  The convex hull of those points,
+computed by gift-wrapping, then gives every empty cap: the centers of the caps
+wider than eps are added until none is, so the net is both an eps-packing and
+a certified eps-covering, and its covering radius is the widest cap's.  A hull
+past a fixed memory bound (in practice from dim 9 on) ends the fill, and the
+net is then an eps-packing whose covering radius is not known.
 
 Every nearest-point query, on a net of any size, goes through one z-band
 scan: any point within eps of a probe has its last coordinate within eps of
@@ -36,8 +38,8 @@ are normalized with the sampler's own expression and walked in stream
 order: each accepted one drops, with one matrix-vector product, the later
 passing candidates it surely blocks, and the survivors are re-checked in
 float64 against the points accepted in the batch, so the Python loop runs
-once per accepted point.  Nets stay bit-identical to a float64 build that
-tests one candidate at a time.
+once per accepted point.  The random phase stays bit-identical to a float64
+build that tests one candidate at a time.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, NumericalIntegrityError, ResourceError
 from .seeding import make_rng
 
 __all__ = [
@@ -82,10 +84,15 @@ _SCREEN_ROWS = 256
 # the screen's float32 product runs over this many candidates at a time, so
 # one block's product (at most 256 x 1024 floats, 1 MB) stays in cache
 _SCREEN_BLOCK = 1024
-# floor on the consecutive-rejection stopping budget: residual uncovered
-# slivers of measure g survive with probability ~exp(-g T), and covering is
-# validated with 1e5 probes, so T must comfortably exceed 1e5
-_MIN_TAIL_REJECTIONS = 2_000_000
+# the random phase of the greedy build stops after this many consecutive
+# rejections per net point; the hull then fills what it left uncovered
+_REJECTIONS_PER_POINT = 200
+# the hull's per-chunk products hold at most about this many float64 values
+_HULL_CHUNK = 1 << 18
+# the hull gives up past this many facets x dim^2, about the entries of its
+# ridge rows: the peaks measured at dims 5 to 9 were 11 to 14 bytes per
+# facet x dim^2, so it stays under about 240 MB
+_HULL_MAX_FACET_DIMS2 = 1 << 24
 # float32 screen margin per unit of (dim + 2), relative to the norm of a raw
 # candidate g: rounding a unit row p and g to float32 and summing their dim
 # products in float32, in any order, errs by at most gamma_(dim+2) sum |p_i g_i|
@@ -160,17 +167,17 @@ def sample_uniform(sampler: SphereSampler) -> np.ndarray:
 # eps-nets
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpsNet:
     """A finite point set on S^(dim-1) that discretizes the sphere.
 
-    A greedy net (`build_eps_net`) is an eps-packing: any two points are at
-    least eps apart.  It is not certified to cover the sphere; its covering
-    radius is only sampled, can exceed eps by a few percent, and
-    `covering_radius` is None.  A geodesic net (`geodesic_net`) is a
-    certified covering, not an eps-packing: every point of the sphere lies
-    within `covering_radius` (a computed chord length) of a net point, and
-    `eps` equals that radius.
+    Every point of the sphere lies within `covering_radius`, a computed
+    chord length, of a net point.  A greedy net (`build_eps_net`) is also an
+    eps-packing, any two points at least eps apart, and its covering radius
+    is <= eps, or None where its hull passed the memory bound.  A geodesic
+    net (`geodesic_net`) is not an eps-packing, and `eps` equals its
+    covering radius.  A net loaded from a header without the key has
+    `covering_radius` None: it is not known to cover either.
 
     `triangles` holds a geodesic net's Delaunay triangulation, rows of
     point indices counterclockwise seen from outside the sphere, from which
@@ -287,41 +294,25 @@ def _projected_size_bounds(dim: int, eps: float) -> Tuple[float, float]:
     return lo, hi
 
 
-def build_eps_net(
-    dim: int,
-    eps: float,
-    seed: int = 0,
-    max_points: int = 1_000_000,
-) -> EpsNet:
-    """Greedy eps-packing of S^(dim-1).
+def _greedy_packing(dim: int, eps: float, seed: int, max_points: int) -> np.ndarray:
+    """The random phase of `build_eps_net`: a greedy eps-packing of
+    S^(dim-1) from seeded candidates, stopped after _REJECTIONS_PER_POINT x
+    (current size) consecutive rejections.
 
-    Streams seeded candidates, accepting any at distance >= eps from all
-    accepted points, and stops after max(2e6, 200 x current net size)
-    consecutive rejections.  Each batch of candidates is tested against the
-    net as it stood before the batch: by the float32 screen `_screen_max_dot`
-    on the raw Gaussian draws, in blocks of 1024 candidates (float64
-    re-decision within 2 (dim + 2) 2^-24 ||g|| of the threshold), while the
-    net has at most 256 points, by the float64 z-band scan after that;
-    either way the decision is the float64 one on the normalized draw.  The
-    passing candidates are then taken in stream order: each accepted one
-    drops the later ones whose float64 dot with it exceeds the threshold by
-    more than rounding can explain, and every survivor is re-checked
-    against the points accepted in the batch.  Dropped candidates count as
-    rejections in place, so the net and the stopping point equal those of a
+    Each batch of candidates is tested against the net as it stood before
+    the batch: by the float32 screen `_screen_max_dot` on the raw Gaussian
+    draws, in blocks of 1024 candidates (float64 re-decision within
+    2 (dim + 2) 2^-24 ||g|| of the threshold), while the net has at most 256
+    points, by the float64 z-band scan after that; either way the decision
+    is the float64 one on the normalized draw.  The passing candidates are
+    then taken in stream order: each accepted one drops the later ones
+    whose float64 dot with it exceeds the threshold by more than rounding
+    can explain, and every survivor is re-checked against the points
+    accepted in the batch.  Dropped candidates count as rejections in
+    place, so the points and the stopping point equal those of a
     one-candidate-at-a-time build.  Raises ResourceError when the net would
-    exceed max_points; the volume bound (3/eps)^dim caps the attainable size.
+    exceed max_points.
     """
-    if not (0.0 < eps < 1.0):
-        raise DomainError("eps must lie in (0, 1)")
-    if dim < 1:
-        raise DomainError("dim must be >= 1")
-    lo_est, hi_est = _projected_size_bounds(dim, eps)
-    if lo_est > max_points:
-        raise ResourceError(
-            f"projected net size >= {lo_est:.3g} (upper bound {hi_est:.3g}) "
-            f"exceeds max_points={max_points}"
-        )
-
     sampler = SphereSampler(dim, seed)
     dot_thresh = 1.0 - 0.5 * eps * eps  # ||u-v|| >= eps  <=>  u.v <= 1 - eps^2/2
     # a float64 dot of two unit vectors errs by at most about dim 2^-53 however
@@ -338,7 +329,8 @@ def build_eps_net(
     rejections = 0
 
     def limit() -> int:
-        return max(_MIN_TAIL_REJECTIONS, 200 * size)
+        # max(size, 1): an empty net must still draw its first point
+        return _REJECTIONS_PER_POINT * max(size, 1)
 
     def accept(c: np.ndarray) -> None:
         nonlocal cap, pts, size, rejections
@@ -351,9 +343,7 @@ def build_eps_net(
         size += 1
         rejections = 0
         if size > max_points:
-            raise ResourceError(
-                f"net exceeded max_points={max_points} (volume bound {hi_est:.3g})"
-            )
+            raise ResourceError(f"net exceeded max_points={max_points}")
 
     while rejections < limit():
         raw = sampler._draw(_BATCH)
@@ -402,7 +392,252 @@ def build_eps_net(
         if not stopped:
             rejections += _BATCH - cursor
 
-    return EpsNet(dim=dim, eps=float(eps), points=pts[:size].copy(), seed=seed)
+    return pts[:size].copy()
+
+
+def _first_facet(points: np.ndarray) -> np.ndarray:
+    """Sorted vertex indices of one facet of the convex hull of `points`.
+
+    The tangent plane x.m = 1 at point 0 (m = point 0) supports the hull.
+    Each step turns the plane about the points it holds, along a direction
+    v orthogonal to them, until it meets the next point q at
+    t_q = (1 - q.m) / (q.v), the smallest over q with q.v > 0, and holds q
+    too; after dim - 1 steps it holds a facet.  v is the component,
+    orthogonal to the held points, of the point with the largest such
+    component, so that point moves toward the plane and some q is met.
+    """
+    held = [0]
+    m = points[0]
+    basis = np.empty((0, points.shape[1]))  # orthonormal rows spanning the held points
+    for _ in range(points.shape[1] - 1):
+        w = points[held[-1]] - (basis @ points[held[-1]]) @ basis
+        basis = np.vstack([basis, w / np.linalg.norm(w)])
+        resid = points - (points @ basis.T) @ basis
+        v = resid[int(np.argmax(np.einsum("ij,ij->i", resid, resid)))]
+        rate = points @ v
+        rate[held] = 0.0
+        t = np.full(points.shape[0], np.inf)
+        np.divide(1.0 - points @ m, rate, out=t, where=rate > 0.0)
+        q = int(np.argmin(t))
+        if not np.isfinite(t[q]):
+            raise NumericalIntegrityError("the net lies in a hemisphere: its hull misses the origin")
+        m = m + t[q] * v
+        held.append(q)
+    return np.sort(held)
+
+
+def _wrap_ridges(points: np.ndarray, level: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Planes and neighbours of the facets `level` (rows of vertex indices).
+
+    Returns (m, met): each facet's plane x.m = 1, and for each vertex j the
+    point met by turning that plane about the ridge opposite j, away from
+    vertex j.  With V the facet's vertex rows, column j of V^-1 is
+    orthogonal to every vertex but j, and v = -(V^-1)[:, j] turns the plane
+    off vertex j; the point met is the one of least t_q = (1 - q.m) / (q.v),
+    q.v > 0.  Facets are taken _HULL_CHUNK / (points x dim) at a time.
+    Raises NumericalIntegrityError when some point lies above a facet
+    plane by more than rounding (the facet is not a hull facet) or when
+    no point is met (the points lie in a closed hemisphere).
+    """
+    size, dim = points.shape
+    m = np.empty(level.shape)
+    met = np.empty(level.shape, dtype=np.int64)
+    step = max(1, _HULL_CHUNK // (size * dim))
+    for start in range(0, level.shape[0], step):
+        part = slice(start, start + step)
+        rows = level[part]
+        count = rows.shape[0]
+        inv = np.linalg.inv(points[rows])  # vertex i . inv[:, :, j] = delta_ij
+        m[part] = inv.sum(axis=2)  # vertex . m = 1 for each vertex
+        gap = 1.0 - points @ m[part].T  # (size, count): >= 0 under the plane
+        # rounding: the computed plane misses the vertices by their computed
+        # gaps plus the dot's rounding, about dim 2^-53 ||m||, so a point by
+        # the facet that lies on the exact plane computes within twice that
+        resid = np.abs(gap[rows.T, np.arange(count)]).max(axis=0)
+        allowance = 2.0 * resid + 4 * (dim + 2) * 2.0 ** -53 * np.linalg.norm(m[part], axis=1)
+        if np.any(gap < -allowance):
+            worst = float(np.max(-gap / allowance))
+            raise NumericalIntegrityError(
+                f"a net point lies above a hull facet by {worst:.3g} rounding allowances"
+            )
+        rate = -(points @ inv.transpose(1, 0, 2).reshape(dim, -1)).reshape(size, count, dim)
+        t = np.full(rate.shape, np.inf)
+        np.divide(gap[:, :, None], rate, out=t, where=rate > 0.0)
+        t[rows.T, np.arange(count)] = np.inf  # the facet's own vertices
+        if not np.all(np.isfinite(t.min(axis=0))):
+            raise NumericalIntegrityError(
+                "the net lies in a closed hemisphere: its hull misses the origin"
+            )
+        met[part] = np.argmin(t, axis=0)
+    return m, met
+
+
+def _insert_sorted(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The ascending index rows `rows` with x[i] inserted into row i, still
+    ascending."""
+    at = np.count_nonzero(rows < x[:, None], axis=1)
+    after = np.arange(rows.shape[1] + 1) > at[:, None]
+    out = np.where(after, np.column_stack([rows[:, :1], rows]),
+                   np.column_stack([rows, rows[:, -1:]]))
+    out[np.arange(rows.shape[0]), at] = x
+    return out
+
+
+def _distinct_rows(rows: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(first, counts) over the distinct rows of `rows`, entries in
+    range(size): the index of each one's first occurrence and its number of
+    occurrences.  The entries are packed, as many as fit in 64 bits, into
+    uint64 keys; one key is argsorted (an unstable sort, several times
+    faster than a stable one), several are lexsorted."""
+    bits = max(1, (size - 1).bit_length())
+    per = 64 // bits
+    entries = rows.astype(np.uint64)
+    keys = []
+    for c in range(0, rows.shape[1], per):
+        key = entries[:, c].copy()
+        for column in entries[:, c + 1:c + per].T:
+            key <<= np.uint64(bits)
+            key |= column
+        keys.append(key)
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    new = np.zeros(rows.shape[0], dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ordered = key[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(new)
+    return np.minimum.reduceat(order, starts), np.diff(starts, append=rows.shape[0])
+
+
+def _hull_caps(points: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Convex hull of the unit rows `points` (dim >= 2) by gift-wrapping.
+
+    Returns (facets, centers, radii): each facet's sorted vertex indices,
+    the center m / ||m|| of its cap, m the facet plane x.m = 1, and the
+    cap's chord radius, the largest chord from that center to the facet's
+    vertices.  The facets are found breadth-first from `_first_facet`: the
+    neighbours across a level's ridges (`_wrap_ridges`), less the facets of
+    that level and the one before, form the next level, deduplicated with
+    `_distinct_rows` over their sorted index rows.
+
+    Every facet of a convex hull of points on the sphere is an empty cap
+    (no point lies above its plane), and the facets' caps cover the
+    sphere, so max(radii) is the covering radius of the points.  Both
+    properties are checked: every point lies under every facet plane up to
+    rounding, and every ridge lies in exactly two facets, else
+    NumericalIntegrityError.  Returns None, before wrapping the level that
+    would take it there, when facets x dim^2 would pass _HULL_MAX_FACET_DIMS2.
+    """
+    size, dim = points.shape
+    prev = np.empty((0, dim), dtype=np.int32)
+    level = _first_facet(points).astype(np.int32)[None]
+    facets, planes = [], []
+    found = 0
+    while level.shape[0]:
+        found += level.shape[0]
+        if found * dim * dim > _HULL_MAX_FACET_DIMS2:
+            return None
+        m, met = _wrap_ridges(points, level)
+        facets.append(level)
+        planes.append(m)
+        # the facet across ridge j of each facet of the level; a candidate
+        # that is not a row of prev or level, taken once, is a new facet
+        rows = np.concatenate([prev, level] + [
+            _insert_sorted(np.delete(level, j, axis=1), met[:, j]) for j in range(dim)
+        ])
+        first = _distinct_rows(rows, size)[0]
+        prev, level = level, rows[np.sort(first[first >= prev.shape[0] + level.shape[0]])]
+    facets, planes = np.concatenate(facets), np.concatenate(planes)
+    ridges = np.concatenate([np.delete(facets, j, axis=1) for j in range(dim)])
+    counts = _distinct_rows(ridges, size)[1]
+    if np.any(counts != 2):
+        raise NumericalIntegrityError(
+            f"hull ridges lie in {sorted(set(counts.tolist()) - {2})} facets, not two"
+        )
+    centers = _unit_rows(planes)
+    radii = np.max([np.linalg.norm(points[v] - centers, axis=1) for v in facets.T], axis=0)
+    return facets, centers, radii
+
+
+def _fill_caps(
+    points: np.ndarray, eps: float, max_points: int
+) -> Tuple[np.ndarray, Optional[float]]:
+    """Add points to the eps-packing `points` until it is an eps-covering;
+    returns the points and their covering radius.
+
+    Each pass computes the hull's caps (`_hull_caps`) and adds the centers
+    of those wider than eps, widest first, skipping a center within eps of
+    one added in the same pass.  A cap is empty, so its center lies at
+    least its width, more than eps, from every net point: the net stays an
+    eps-packing, which the float64 test of the random phase confirms for
+    each added center.  Once no cap is wider than eps, the widest cap's
+    width is the covering radius.  A hull past its memory bound (in
+    practice from dim 9 on) ends the fill: the points added so far are
+    returned, still an eps-packing, with radius None.  On S^0 the net holds
+    both points and the radius is 0.
+    """
+    dim = points.shape[1]
+    if dim == 1:
+        if points.shape[0] == 1:
+            points = np.vstack([points, -points])
+        return points, 0.0
+    thresh = 1.0 - 0.5 * eps * eps
+    while True:
+        hull = _hull_caps(points)
+        if hull is None:
+            return points, None
+        _, centers, radii = hull
+        order = np.argsort(-radii, kind="stable")
+        wide = centers[order[radii[order] > eps]]
+        if wide.shape[0] == 0:
+            return points, float(radii.max())
+        live = _band_nearest(points, eps, wide)[1] <= thresh
+        added = []
+        for j in np.nonzero(live)[0]:
+            if live[j]:
+                added.append(j)
+                live[j + 1:] &= wide[j + 1:] @ wide[j] <= thresh
+        if not added:
+            raise NumericalIntegrityError(
+                f"no center of the {wide.shape[0]} caps wider than eps is eps from the net"
+            )
+        points = np.vstack([points, wide[added]])
+        if points.shape[0] > max_points:
+            raise ResourceError(f"net exceeded max_points={max_points}")
+
+
+def build_eps_net(
+    dim: int,
+    eps: float,
+    seed: int = 0,
+    max_points: int = 1_000_000,
+) -> EpsNet:
+    """Greedy eps-packing of S^(dim-1) that is also a certified eps-covering.
+
+    The random phase (`_greedy_packing`) accepts seeded candidates at
+    distance >= eps from every accepted point until 200 x (current size)
+    consecutive rejections.  The fill (`_fill_caps`) then computes the
+    convex hull of the points, whose facets are the empty caps, and adds
+    the centers of the caps wider than eps until none is.  The net's
+    `covering_radius` is the widest cap's chord radius, computed, and
+    <= eps; it is None, the net an eps-packing only, when a hull passes
+    its memory bound, which at the usual eps happens from dim 9 on.
+    Raises ResourceError when the net would exceed max_points; the
+    volume bound (3/eps)^dim caps the attainable size.
+    """
+    if not (0.0 < eps < 1.0):
+        raise DomainError("eps must lie in (0, 1)")
+    if dim < 1:
+        raise DomainError("dim must be >= 1")
+    lo_est, hi_est = _projected_size_bounds(dim, eps)
+    if lo_est > max_points:
+        raise ResourceError(
+            f"projected net size >= {lo_est:.3g} (upper bound {hi_est:.3g}) "
+            f"exceeds max_points={max_points}"
+        )
+    points = _greedy_packing(dim, eps, seed, max_points)
+    points, rho = _fill_caps(points, eps, max_points)
+    return EpsNet(dim=dim, eps=float(eps), points=points, seed=seed, covering_radius=rho)
 
 
 # icosahedron: the 12 cyclic permutations of (0, +-1, +-phi)
@@ -652,7 +887,7 @@ def dot_squared_expectation(
     return mc_mean_and_sem(samples, draw)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionMoments:
     """Per-region weights and first vector moments of the uniform measure.
 

@@ -262,9 +262,9 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     computed covering radius rho is <= eps, and its moments are exact
     (`voronoi_moments`): every standard error is exactly 0, so c1-c4 have no
     4-sigma term.  In other dimensions the net is the greedy eps-packing,
-    whose covering radius is not computed, so the chain uses eps in place of
-    rho, and its moments are Monte Carlo estimates (`region_moments`,
-    moment_samples_per_region per region).  The adversary is `dot_adversary` at
+    filled until its hull's widest empty cap, its computed covering radius
+    rho, is <= eps, and its moments are Monte Carlo estimates
+    (`region_moments`, moment_samples_per_region per region).  The adversary is `dot_adversary` at
     m = 2d^2: the best of ADVERSARY_RESTARTS damped Newton ascents of the
     reduced objective, a lower bound on the true maximum over R^m vectors.
     The chain-check names keep their see-saw wording.
@@ -278,8 +278,10 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     U bounds every assignment's value for the moments as given, so c4 has
     no sigma term.
 
-    The verdict is certified_separation only for a computed rho <= eps*, so
-    a greedy net never certifies.
+    The verdict is certified_separation only for a computed rho <= eps*; a
+    net without a computed radius (covering_radius None: a greedy net whose
+    hull passed its memory bound, in practice at n >= 9) charges eps for
+    rho and never certifies.
     """
     n, eps, m = config.n, config.eps, config.m
 

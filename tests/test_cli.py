@@ -11,6 +11,7 @@ import pytest
 import dimwitness
 from dimwitness.cli import main
 from dimwitness.errors import NumericalIntegrityError
+from dimwitness.sphere import load_net
 from dimwitness.schemas import (
     APPENDIX_REPORT_SCHEMA,
     BOUND_REPORT_SCHEMA,
@@ -108,7 +109,9 @@ class TestNetCommand:
         assert code == 0
         header = json.loads((tmp_path / "net2.json").read_text())
         jsonschema.validate(header, NET_HEADER_SCHEMA)
-        assert header["covering_radius"] is None  # greedy nets have no radius
+        # the greedy net's hull computes its covering radius, at most eps
+        assert 0.0 < header["covering_radius"] <= 0.5
+        assert load_net(prefix + ".csv").covering_radius == header["covering_radius"]
 
 
 class TestSeesawCommand:
@@ -313,6 +316,13 @@ class TestImportCost:
 
     def test_no_scipy_in_n5_witness(self):
         statement = "dimwitness.run_witness(dimwitness.WitnessConfig(5, 1, 0.7))"
+        assert self.scipy_modules_after(statement) == "[]"
+
+    def test_no_scipy_in_greedy_nets(self, tmp_path):
+        # the hull that certifies a greedy net's covering radius is numpy only
+        prefix = str(tmp_path / "net5")
+        statement = ("dimwitness.build_eps_net(4, 0.5); "
+                     f"dimwitness.cli.main(['net', '5', '0.7', '--out', {prefix!r}])")
         assert self.scipy_modules_after(statement) == "[]"
 
     def test_no_scipy_in_tsirelson_command(self):

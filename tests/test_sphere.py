@@ -7,6 +7,7 @@ import pytest
 from dimwitness import (
     DomainError,
     EpsNet,
+    NumericalIntegrityError,
     ResourceError,
     SphereSampler,
     build_eps_net,
@@ -39,14 +40,15 @@ def net_3_015():
 
 
 def float64_eps_net(dim, eps, seed):
-    """Reference for build_eps_net: every candidate batch tested in float64."""
+    """Reference for the random phase of build_eps_net: every candidate batch
+    tested in float64, candidates taken one at a time."""
     sampler = SphereSampler(dim, seed)
     thresh = 1.0 - 0.5 * eps * eps
     pts = np.empty((0, dim))
     rejections = 0
 
     def limit():
-        return max(sphere._MIN_TAIL_REJECTIONS, 200 * pts.shape[0])
+        return sphere._REJECTIONS_PER_POINT * max(pts.shape[0], 1)
 
     while rejections < limit():
         batch = sampler.sample(sphere._BATCH)
@@ -190,27 +192,29 @@ class TestEpsNet:
         [(1, 0.5, 0), (2, 0.1, 5), (3, 0.3, 7), (4, 0.5, 1), (5, 0.7, 1), (6, 0.8, 0)],
     )
     def test_equals_float64_reference(self, dim, eps, seed):
-        net = build_eps_net(dim, eps, seed=seed)
-        assert np.array_equal(net.points, float64_eps_net(dim, eps, seed))
+        ref = float64_eps_net(dim, eps, seed)
+        assert np.array_equal(sphere._greedy_packing(dim, eps, seed, 10**6), ref)
+        # the fill appends to the random phase's points
+        assert np.array_equal(build_eps_net(dim, eps, seed=seed).points[: len(ref)], ref)
 
     @pytest.mark.parametrize("tail", [1, 500, 5_000, 12_000])
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
     def test_equals_float64_reference_with_short_tails(self, dim, tail, monkeypatch):
-        # at eps 0.9 the nets hold 5 to 46 points, so a short stopping
-        # budget ends the build inside a batch: for dims 2 to 5 mostly inside
-        # the first, all-passing batch after thousands of candidates blocked
-        # in it, for dim 6 inside a later one.  At seeds 1 (dim 3) and 2
-        # (dim 5) an uncovered candidate follows the stop in its batch, so a
-        # build that miscounted the blocked candidates would accept it.
-        monkeypatch.setattr(sphere, "_MIN_TAIL_REJECTIONS", tail)
+        # `tail` consecutive rejections per net point: at eps 0.9 the random
+        # phase holds 1 to 54 points, so the stop falls inside a batch, for
+        # the short budgets inside the first one after thousands of
+        # candidates blocked in it.  A build that miscounted the blocked
+        # candidates would stop elsewhere or accept a candidate after the stop.
+        monkeypatch.setattr(sphere, "_REJECTIONS_PER_POINT", tail)
         for seed in range(4):
-            net = build_eps_net(dim, 0.9, seed=seed)
-            assert np.array_equal(net.points, float64_eps_net(dim, 0.9, seed))
+            points = sphere._greedy_packing(dim, 0.9, seed, 10**6)
+            assert np.array_equal(points, float64_eps_net(dim, 0.9, seed))
 
-    def test_equals_float64_reference_across_band_cut(self, net_3_015):
+    def test_equals_float64_reference_across_band_cut(self):
         # the float32 screen runs up to 256 points and the z-bands after
-        assert net_3_015.size > sphere._SCREEN_ROWS
-        assert np.array_equal(net_3_015.points, float64_eps_net(3, 0.15, 3))
+        points = sphere._greedy_packing(3, 0.15, 3, 10**6)
+        assert points.shape[0] > sphere._SCREEN_ROWS
+        assert np.array_equal(points, float64_eps_net(3, 0.15, 3))
 
     def test_save_load_roundtrip(self, tmp_path):
         # a dim-1 net is written one entry per line and must load as (size, 1)
@@ -229,8 +233,10 @@ class TestEpsNet:
         assert np.array_equal(back.points, geo.points)
         assert back.triangles is None  # the CSV holds points only
 
-        save_net(build_eps_net(3, 0.4, seed=2), str(tmp_path / "greedy.csv"))
-        assert load_net(str(tmp_path / "greedy.csv")).covering_radius is None
+        greedy = build_eps_net(3, 0.4, seed=2)
+        assert greedy.covering_radius <= greedy.eps
+        save_net(greedy, str(tmp_path / "greedy.csv"))
+        assert load_net(str(tmp_path / "greedy.csv")).covering_radius == greedy.covering_radius
         # a header written before the key existed still loads
         header = json.loads((tmp_path / "geo.json").read_text())
         del header["covering_radius"]
@@ -267,6 +273,128 @@ class TestEpsNet:
         csv_path.write_text("1.0,0.0,0.0\n\n0.0,2.0,0.0\n")
         with pytest.raises(DomainError, match="line 3 is not a unit vector"):
             load_net(str(csv_path))
+
+
+def hull_oracle(points):
+    """scipy's convex hull of unit rows: its facets as sorted index rows, and
+    the covering radius sqrt(2 - 2 h) of the facet plane nearest the origin."""
+    from scipy.spatial import ConvexHull
+
+    hull = ConvexHull(points)
+    offsets = -hull.equations[:, -1]
+    return np.sort(hull.simplices, axis=1), math.sqrt(2.0 - 2.0 * offsets.min())
+
+
+GREEDY_CASES = [(1, 0.5), (2, 0.1), (2, 0.9), (3, 0.3), (3, 0.9), (4, 0.5),
+                (5, 0.7), (6, 0.8)]
+
+
+class TestCoveringCertificate:
+    @pytest.mark.parametrize("dim, eps", GREEDY_CASES)
+    def test_packing_with_a_computed_radius(self, dim, eps):
+        for seed in range(3):
+            net = build_eps_net(dim, eps, seed=seed)
+            assert net.covering_radius is not None and net.covering_radius <= eps
+            gram = net.points @ net.points.T
+            np.fill_diagonal(gram, -1.0)
+            assert math.sqrt(max(2.0 - 2.0 * gram.max(), 0.0)) >= eps, (dim, eps, seed)
+
+    @pytest.mark.parametrize("dim, eps", [case for case in GREEDY_CASES if case[0] > 1])
+    def test_hull_equals_scipy(self, dim, eps):
+        for seed in (0, 3):
+            for points in (sphere._greedy_packing(dim, eps, seed, 10**6),
+                           build_eps_net(dim, eps, seed=seed).points):
+                facets, _, radii = sphere._hull_caps(points)
+                expected, rho = hull_oracle(points)
+                assert len(facets) == len(expected)
+                assert set(map(tuple, facets)) == set(map(tuple, expected))
+                assert abs(radii.max() - rho) <= 1e-12
+        assert build_eps_net(dim, eps, seed=3).covering_radius == radii.max()
+
+    def test_random_phase_leaves_wider_caps(self):
+        # at (5, 0.7) the random phase alone covers only within 1.06-1.09 eps
+        for seed in range(3):
+            _, rho = hull_oracle(sphere._greedy_packing(5, 0.7, seed, 10**6))
+            assert rho > 0.7
+
+    @pytest.mark.parametrize("dim, eps, seed", [(2, 0.1, 5), (3, 0.3, 7), (4, 0.5, 1),
+                                                (5, 0.7, 1)])
+    def test_uniform_probes_are_covered(self, dim, eps, seed):
+        net = build_eps_net(dim, eps, seed=seed)
+        probes = SphereSampler(dim, 11).sample(100_000)
+        dist = np.linalg.norm(probes - net.points[assign_regions(net, probes)], axis=1)
+        assert dist.max() <= net.covering_radius
+
+    def test_dim1_radius_is_zero(self):
+        assert build_eps_net(1, 0.5, seed=3).covering_radius == 0.0
+        points, rho = sphere._fill_caps(np.array([[-1.0]]), 0.5, 10)
+        assert points.ravel().tolist() == [-1.0, 1.0] and rho == 0.0
+
+    def test_points_in_a_hemisphere_are_refused(self):
+        points = SphereSampler(3, 0).sample(50)
+        points[:, 2] = np.abs(points[:, 2])
+        points = np.vstack([points, [[0.0, 0.0, 1.0]]])
+        with pytest.raises(NumericalIntegrityError, match="hemisphere"):
+            sphere._hull_caps(points / np.linalg.norm(points, axis=1)[:, None])
+
+    def test_a_point_above_a_facet_is_refused(self):
+        points = build_eps_net(3, 0.5, seed=0).points
+        facet = sphere._hull_caps(points)[0][0]
+        # a plane through two vertices of a facet and the point farthest from
+        # it cuts the sphere, so net points lie above it
+        far = int(np.argmin(points @ points[facet].sum(axis=0)))
+        level = np.sort([[facet[0], facet[1], far]])
+        with pytest.raises(NumericalIntegrityError, match="above a hull facet"):
+            sphere._wrap_ridges(points, level)
+
+    def test_distinct_rows_match_numpy(self):
+        # 10^6 indices take 20 bits, so rows of 9 pack into three keys
+        rng = np.random.default_rng(0)
+        rows = np.sort(rng.integers(10**6 - 4, 10**6, (5000, 9)), axis=1)
+        first, counts = sphere._distinct_rows(rows, 10**6)
+        _, expected_first, expected_counts = np.unique(
+            rows, axis=0, return_index=True, return_counts=True)
+        assert np.array_equal(first, expected_first)
+        assert np.array_equal(counts, expected_counts)
+
+    def test_hull_of_thousands_of_points_in_dim_6(self):
+        # the join of a 3 400-gon in the first two coordinates and a regular
+        # 4-simplex in the other four: its facets are an edge of the polygon
+        # and a facet of the simplex, 3 400 x 5 of them, the widest cap's
+        # plane at the height of the polygon's edges times the simplex's
+        # facets, 1 / sqrt(1 / cos(pi / 3400)^2 + 4^2)
+        angles = 2.0 * np.pi * np.arange(3400) / 3400
+        simplex = np.eye(5) - 0.2
+        simplex = simplex @ np.linalg.svd(simplex)[2][:4].T
+        points = np.zeros((3405, 6))
+        points[:3400, 0], points[:3400, 1] = np.cos(angles), np.sin(angles)
+        points[3400:, 2:] = simplex / np.linalg.norm(simplex, axis=1)[:, None]
+        facets, _, radii = sphere._hull_caps(points)
+        polygon = [(i, (i + 1) % 3400) for i in range(3400)]
+        assert set(map(tuple, facets)) == {
+            tuple(sorted((*edge, *(3400 + np.delete(np.arange(5), j)))))
+            for edge in polygon for j in range(5)
+        }
+        height = 1.0 / math.sqrt(1.0 / math.cos(math.pi / 3400) ** 2 + 16.0)
+        assert abs(radii.max() - math.sqrt(2.0 - 2.0 * height)) <= 1e-12
+
+    def test_a_hull_past_its_bound_leaves_the_radius_unknown(self, monkeypatch):
+        # a (5, 0.7) hull has about 1 200 facets, 30 000 facets x dim^2
+        monkeypatch.setattr(sphere, "_HULL_MAX_FACET_DIMS2", 10_000)
+        net = build_eps_net(5, 0.7, seed=1)
+        assert net.covering_radius is None
+        assert np.array_equal(net.points, sphere._greedy_packing(5, 0.7, 1, 10**6))
+
+    def test_dim_9_net_is_a_packing_without_a_radius(self):
+        # the hull of the 96-point random phase passes the bound; the
+        # random phase is returned, still an eps-packing, and a witness
+        # charges eps for its radius
+        net = build_eps_net(9, 0.95, seed=0)
+        assert net.covering_radius is None
+        assert np.array_equal(net.points, sphere._greedy_packing(9, 0.95, 0, 10**6))
+        gram = net.points @ net.points.T
+        np.fill_diagonal(gram, -1.0)
+        assert math.sqrt(2.0 - 2.0 * gram.max()) >= 0.95
 
 
 class TestGeodesicNet:
