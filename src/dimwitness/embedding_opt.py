@@ -570,7 +570,9 @@ def _dot_restarts(
 ) -> Iterator[Tuple[float, np.ndarray, int, bool, List[float]]]:
     """`_dot_ascent` runs of every restart, in restart order, from stacks of
     at most max(1, _STACK_ROWS // regions) starts.  Restart r starts at
-    C ∝ W^T Y, Y the first draw of SphereSampler(k, seed, r)."""
+    C ∝ W^T Y, Y the first draw of SphereSampler(k, seed, r); where W^T Y is
+    exactly zero (at n = 1 the two regions' signs cancel for about half the
+    draws), at C = e_1 e_1^T instead."""
     regions = w.shape[0]
     group = max(1, _STACK_ROWS // regions)
     for first in range(0, ADVERSARY_RESTARTS, group):
@@ -578,6 +580,7 @@ def _dot_restarts(
             w.T @ SphereSampler(k, seed, restart).sample(regions)
             for restart in range(first, min(first + group, ADVERSARY_RESTARTS))
         ])
+        starts[~np.any(starts != 0.0, axis=(1, 2)), 0, 0] = 1.0
         yield from _dot_ascent(w, _unit_states(starts))
 
 

@@ -12,11 +12,12 @@ eps-packing: nearest neighbours sit 1.17 to 1.73 covering radii apart
 greedy eps-packing: candidates are streamed from a seeded sampler and accepted
 whenever they sit at distance at least eps from every accepted point, until
 200 x (net size) consecutive rejections.  The convex hull of those points,
-computed by gift-wrapping, then gives every empty cap: the centers of the caps
-wider than eps are added until none is, so the net is both an eps-packing and
-a certified eps-covering, and its covering radius is the widest cap's.  A hull
-past a fixed memory bound (in practice from dim 9 on) ends the fill, and the
-net is then an eps-packing whose covering radius is not known.
+computed once by gift-wrapping, then gives every empty cap: the centers of
+the caps wider than eps are inserted into the hull until none is, so the net
+is both an eps-packing and a certified eps-covering, and its covering radius
+is the widest cap's.  A hull past a fixed memory bound (in practice from dim 9
+on) ends the fill, and the net is then an eps-packing whose covering radius is
+not known.
 
 Every nearest-point query, on a net of any size, goes through one z-band
 scan: any point within eps of a probe has its last coordinate within eps of
@@ -49,7 +50,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -426,61 +427,73 @@ def _first_facet(points: np.ndarray) -> np.ndarray:
     return np.sort(held)
 
 
-def _wrap_ridges(points: np.ndarray, level: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _facet_planes(
+    points: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(inv, m, gap, allowance) of the facets `rows` (sorted vertex indices).
+
+    With V a facet's vertex rows, inv = V^-1 (vertex i . inv[:, j] =
+    delta_ij) and m = V^-1 1 is its plane x.m = 1; gap[f, q] = 1 - q.m_f is
+    >= 0 for the points q under plane f.  The allowance is a gap's rounding:
+    the computed plane misses the vertices by their computed gaps plus the
+    dot's rounding, about dim 2^-53 ||m||, so a point that lies on the exact
+    plane computes within twice that.  Raises NumericalIntegrityError when
+    some point lies above a plane by more than its allowance (the facet is
+    not a hull facet).
+    """
+    dim = points.shape[1]
+    inv = np.linalg.inv(points[rows])
+    m = inv.sum(axis=2)  # vertex . m = 1 for each vertex
+    gap = 1.0 - m @ points.T  # (facets, points)
+    resid = np.abs(np.take_along_axis(gap, rows, axis=1)).max(axis=1)
+    allowance = 2.0 * resid + 4 * (dim + 2) * 2.0 ** -53 * np.linalg.norm(m, axis=1)
+    if np.any(gap < -allowance[:, None]):
+        worst = float(np.max(-gap / allowance[:, None]))
+        raise NumericalIntegrityError(
+            f"a net point lies above a hull facet by {worst:.3g} rounding allowances"
+        )
+    return inv, m, gap, allowance
+
+
+def _wrap_ridges(
+    points: np.ndarray, level: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Planes and neighbours of the facets `level` (rows of vertex indices).
 
-    Returns (m, met): each facet's plane x.m = 1, and for each vertex j the
-    point met by turning that plane about the ridge opposite j, away from
-    vertex j.  With V the facet's vertex rows, column j of V^-1 is
-    orthogonal to every vertex but j, and v = -(V^-1)[:, j] turns the plane
-    off vertex j; the point met is the one of least t_q = (1 - q.m) / (q.v),
-    q.v > 0.  Facets are taken _HULL_CHUNK / (points x dim) at a time.
-    Raises NumericalIntegrityError when some point lies above a facet
-    plane by more than rounding (the facet is not a hull facet) or when
-    no point is met (the points lie in a closed hemisphere).
+    Returns (m, allowance, met): each facet's plane x.m = 1 and its rounding
+    allowance (`_facet_planes`), and for each vertex j the point met by
+    turning that plane about the ridge opposite j, away from vertex j.
+    With V the facet's vertex rows, column j of V^-1 is orthogonal to every
+    vertex but j, so v = -(V^-1)[:, j] turns the plane off vertex j; the
+    point met is the one of least t_q = (1 - q.m) / (q.v), q.v > 0.  The t_q
+    are laid out as (facets, dim, points), so each least one is taken along
+    a contiguous axis, and facets are taken _HULL_CHUNK / (points x dim) at
+    a time.
+    Raises NumericalIntegrityError when some point lies above a facet plane
+    by more than rounding or when no point is met (the points lie in a
+    closed hemisphere).
     """
     size, dim = points.shape
     m = np.empty(level.shape)
+    allowance = np.empty(level.shape[0])
     met = np.empty(level.shape, dtype=np.int64)
     step = max(1, _HULL_CHUNK // (size * dim))
     for start in range(0, level.shape[0], step):
         part = slice(start, start + step)
         rows = level[part]
         count = rows.shape[0]
-        inv = np.linalg.inv(points[rows])  # vertex i . inv[:, :, j] = delta_ij
-        m[part] = inv.sum(axis=2)  # vertex . m = 1 for each vertex
-        gap = 1.0 - points @ m[part].T  # (size, count): >= 0 under the plane
-        # rounding: the computed plane misses the vertices by their computed
-        # gaps plus the dot's rounding, about dim 2^-53 ||m||, so a point by
-        # the facet that lies on the exact plane computes within twice that
-        resid = np.abs(gap[rows.T, np.arange(count)]).max(axis=0)
-        allowance = 2.0 * resid + 4 * (dim + 2) * 2.0 ** -53 * np.linalg.norm(m[part], axis=1)
-        if np.any(gap < -allowance):
-            worst = float(np.max(-gap / allowance))
-            raise NumericalIntegrityError(
-                f"a net point lies above a hull facet by {worst:.3g} rounding allowances"
-            )
-        rate = -(points @ inv.transpose(1, 0, 2).reshape(dim, -1)).reshape(size, count, dim)
+        inv, m[part], gap, allowance[part] = _facet_planes(points, rows)
+        # rate[f, j, q] = q . (V_f^-1)[:, j] = -q.v, so t_q = -gap / rate
+        rate = (inv.transpose(0, 2, 1).reshape(-1, dim) @ points.T).reshape(count, dim, size)
         t = np.full(rate.shape, np.inf)
-        np.divide(gap[:, :, None], rate, out=t, where=rate > 0.0)
-        t[rows.T, np.arange(count)] = np.inf  # the facet's own vertices
-        if not np.all(np.isfinite(t.min(axis=0))):
+        np.divide(-gap[:, None, :], rate, out=t, where=rate < 0.0)
+        t[np.arange(count)[:, None], :, rows] = np.inf  # the facet's own vertices
+        met[part] = np.argmin(t, axis=2)
+        if not np.all(np.isfinite(np.take_along_axis(t, met[part][:, :, None], axis=2))):
             raise NumericalIntegrityError(
                 "the net lies in a closed hemisphere: its hull misses the origin"
             )
-        met[part] = np.argmin(t, axis=0)
-    return m, met
-
-
-def _insert_sorted(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The ascending index rows `rows` with x[i] inserted into row i, still
-    ascending."""
-    at = np.count_nonzero(rows < x[:, None], axis=1)
-    after = np.arange(rows.shape[1] + 1) > at[:, None]
-    out = np.where(after, np.column_stack([rows[:, :1], rows]),
-                   np.column_stack([rows, rows[:, -1:]]))
-    out[np.arange(rows.shape[0]), at] = x
-    return out
+    return m, allowance, met
 
 
 def _distinct_rows(rows: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -509,20 +522,54 @@ def _distinct_rows(rows: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]
     return np.minimum.reduceat(order, starts), np.diff(starts, append=rows.shape[0])
 
 
-def _hull_caps(points: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Convex hull of the unit rows `points` (dim >= 2) by gift-wrapping.
+def _ridges(facets: np.ndarray) -> np.ndarray:
+    """Every ridge of the facets, as sorted index rows: the rows of `facets`
+    less one entry, for each entry in turn."""
+    return np.concatenate([np.delete(facets, j, axis=1) for j in range(facets.shape[1])])
 
-    Returns (facets, centers, radii): each facet's sorted vertex indices,
-    the center m / ||m|| of its cap, m the facet plane x.m = 1, and the
-    cap's chord radius, the largest chord from that center to the facet's
-    vertices.  The facets are found breadth-first from `_first_facet`: the
-    neighbours across a level's ridges (`_wrap_ridges`), less the facets of
-    that level and the one before, form the next level, deduplicated with
+
+class _Hull(NamedTuple):
+    """The facets of a convex hull of unit rows: each facet's sorted vertex
+    indices, its plane x.m = 1 and that plane's rounding allowance
+    (`_facet_planes`)."""
+
+    facets: np.ndarray
+    planes: np.ndarray
+    allowances: np.ndarray
+
+
+def _caps(points: np.ndarray, hull: _Hull) -> Tuple[np.ndarray, np.ndarray]:
+    """(centers, radii) of the hull's facets: the center m / ||m|| of each
+    facet's cap and the cap's chord radius, the largest chord from that
+    center to the facet's vertices."""
+    centers = _unit_rows(hull.planes)
+    radii = np.max([np.linalg.norm(points[v] - centers, axis=1) for v in hull.facets.T], axis=0)
+    return centers, radii
+
+
+def _check_ridges(facets: np.ndarray, size: int) -> None:
+    """NumericalIntegrityError unless every ridge lies in exactly two facets."""
+    counts = _distinct_rows(_ridges(facets), size)[1]
+    if np.any(counts != 2):
+        raise NumericalIntegrityError(
+            f"hull ridges lie in {sorted(set(counts.tolist()) - {2})} facets, not two"
+        )
+
+
+def _hull_caps(points: np.ndarray) -> Optional[_Hull]:
+    """Convex hull of the unit rows `points` (dim >= 2) by gift-wrapping:
+    its facets, their planes and the planes' rounding allowances (`_Hull`),
+    from which `_caps` gives each facet's empty cap.
+
+    The facets are found breadth-first from `_first_facet`: the neighbours
+    across a level's ridges (`_wrap_ridges`), less the facets of that level
+    and the one before, form the next level, deduplicated with
     `_distinct_rows` over their sorted index rows.
 
     Every facet of a convex hull of points on the sphere is an empty cap
     (no point lies above its plane), and the facets' caps cover the
-    sphere, so max(radii) is the covering radius of the points.  Both
+    sphere, so the widest cap's radius is the covering radius of the
+    points.  Both
     properties are checked: every point lies under every facet plane up to
     rounding, and every ridge lies in exactly two facets, else
     NumericalIntegrityError.  Returns None, before wrapping the level that
@@ -531,32 +578,58 @@ def _hull_caps(points: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray, np.
     size, dim = points.shape
     prev = np.empty((0, dim), dtype=np.int32)
     level = _first_facet(points).astype(np.int32)[None]
-    facets, planes = [], []
+    facets, planes, allowances = [], [], []
     found = 0
     while level.shape[0]:
         found += level.shape[0]
         if found * dim * dim > _HULL_MAX_FACET_DIMS2:
             return None
-        m, met = _wrap_ridges(points, level)
+        m, allowance, met = _wrap_ridges(points, level)
         facets.append(level)
         planes.append(m)
-        # the facet across ridge j of each facet of the level; a candidate
-        # that is not a row of prev or level, taken once, is a new facet
-        rows = np.concatenate([prev, level] + [
-            _insert_sorted(np.delete(level, j, axis=1), met[:, j]) for j in range(dim)
-        ])
+        allowances.append(allowance)
+        # the facet across ridge j of each facet of the level: vertex j
+        # swapped for met[:, j]; a candidate that is not a row of prev or
+        # level, taken once, is a new facet
+        across = np.repeat(level[None], dim, axis=0)
+        across[np.arange(dim), :, np.arange(dim)] = met.T
+        across.sort(axis=2)
+        rows = np.concatenate([prev, level, across.reshape(-1, dim)])
         first = _distinct_rows(rows, size)[0]
         prev, level = level, rows[np.sort(first[first >= prev.shape[0] + level.shape[0]])]
-    facets, planes = np.concatenate(facets), np.concatenate(planes)
-    ridges = np.concatenate([np.delete(facets, j, axis=1) for j in range(dim)])
-    counts = _distinct_rows(ridges, size)[1]
-    if np.any(counts != 2):
-        raise NumericalIntegrityError(
-            f"hull ridges lie in {sorted(set(counts.tolist()) - {2})} facets, not two"
-        )
-    centers = _unit_rows(planes)
-    radii = np.max([np.linalg.norm(points[v] - centers, axis=1) for v in facets.T], axis=0)
-    return facets, centers, radii
+    facets = np.concatenate(facets)
+    _check_ridges(facets, size)
+    return _Hull(facets, np.concatenate(planes), np.concatenate(allowances))
+
+
+def _insert_last(points: np.ndarray, hull: _Hull) -> _Hull:
+    """The hull of `points` from `hull`, the hull of all its rows but the
+    last, p, by beneath-beyond insertion.
+
+    The facets whose planes p lies above (p.m > 1) are deleted, and p is
+    joined to their horizon, the ridges that lie in exactly one deleted
+    facet: each such ridge and p span a new facet, whose plane comes from
+    the inverse of its vertex rows and is checked against every point
+    (`_facet_planes`).  Raises NumericalIntegrityError when p lies within
+    its rounding allowance of some facet's plane, where the side of p is
+    not decided, or under every plane.
+    """
+    size = points.shape[0]
+    gap = 1.0 - hull.planes @ points[-1]
+    if np.any(np.abs(gap) <= hull.allowances):
+        raise NumericalIntegrityError("an added point lies on a hull facet plane up to rounding")
+    seen = gap < 0.0
+    if not np.any(seen):
+        raise NumericalIntegrityError("an added point lies inside the hull")
+    ridges = _ridges(hull.facets[seen])
+    first, counts = _distinct_rows(ridges, size)
+    horizon = ridges[first[counts == 1]]
+    rows = np.column_stack([horizon, np.full(horizon.shape[0], size - 1, dtype=horizon.dtype)])
+    _, m, _, allowance = _facet_planes(points, rows)
+    kept = ~seen
+    return _Hull(np.concatenate([hull.facets[kept], rows]),
+                 np.concatenate([hull.planes[kept], m]),
+                 np.concatenate([hull.allowances[kept], allowance]))
 
 
 def _fill_caps(
@@ -565,16 +638,18 @@ def _fill_caps(
     """Add points to the eps-packing `points` until it is an eps-covering;
     returns the points and their covering radius.
 
-    Each pass computes the hull's caps (`_hull_caps`) and adds the centers
-    of those wider than eps, widest first, skipping a center within eps of
-    one added in the same pass.  A cap is empty, so its center lies at
-    least its width, more than eps, from every net point: the net stays an
-    eps-packing, which the float64 test of the random phase confirms for
-    each added center.  Once no cap is wider than eps, the widest cap's
-    width is the covering radius.  A hull past its memory bound (in
-    practice from dim 9 on) ends the fill: the points added so far are
-    returned, still an eps-packing, with radius None.  On S^0 the net holds
-    both points and the radius is 0.
+    The hull of the random phase's points is wrapped once (`_hull_caps`).
+    Each pass then takes the centers of the caps wider than eps, widest
+    first, skipping a center within eps of one taken in the same pass, and
+    inserts them into the hull one at a time (`_insert_last`).  A cap is
+    empty, so its center lies at least its width, more than eps, from every
+    net point: the net stays an eps-packing, which the float64 test of the
+    random phase confirms for each added center.  Once no cap is wider than
+    eps, the hull's ridges are checked and the widest cap's width is the
+    covering radius.  A hull past its memory bound (in practice from dim 9
+    on), the random phase's or one after a pass, ends the fill: the points
+    added so far are returned, still an eps-packing, with radius None.  On
+    S^0 the net holds both points and the radius is 0.
     """
     dim = points.shape[1]
     if dim == 1:
@@ -582,14 +657,13 @@ def _fill_caps(
             points = np.vstack([points, -points])
         return points, 0.0
     thresh = 1.0 - 0.5 * eps * eps
-    while True:
-        hull = _hull_caps(points)
-        if hull is None:
-            return points, None
-        _, centers, radii = hull
+    hull = _hull_caps(points)
+    while hull is not None:
+        centers, radii = _caps(points, hull)
         order = np.argsort(-radii, kind="stable")
         wide = centers[order[radii[order] > eps]]
         if wide.shape[0] == 0:
+            _check_ridges(hull.facets, points.shape[0])
             return points, float(radii.max())
         live = _band_nearest(points, eps, wide)[1] <= thresh
         added = []
@@ -601,9 +675,15 @@ def _fill_caps(
             raise NumericalIntegrityError(
                 f"no center of the {wide.shape[0]} caps wider than eps is eps from the net"
             )
+        size = points.shape[0]
         points = np.vstack([points, wide[added]])
         if points.shape[0] > max_points:
             raise ResourceError(f"net exceeded max_points={max_points}")
+        for end in range(size + 1, points.shape[0] + 1):
+            hull = _insert_last(points[:end], hull)
+        if hull.facets.shape[0] * dim * dim > _HULL_MAX_FACET_DIMS2:
+            break
+    return points, None
 
 
 def build_eps_net(
@@ -616,9 +696,9 @@ def build_eps_net(
 
     The random phase (`_greedy_packing`) accepts seeded candidates at
     distance >= eps from every accepted point until 200 x (current size)
-    consecutive rejections.  The fill (`_fill_caps`) then computes the
-    convex hull of the points, whose facets are the empty caps, and adds
-    the centers of the caps wider than eps until none is.  The net's
+    consecutive rejections.  The fill (`_fill_caps`) then wraps the convex
+    hull of the points once, whose facets are the empty caps, and inserts
+    the centers of the caps wider than eps into it until none is.  The net's
     `covering_radius` is the widest cap's chord radius, computed, and
     <= eps; it is None, the net an eps-packing only, when a hull passes
     its memory bound, which at the usual eps happens from dim 9 on.

@@ -289,6 +289,51 @@ GREEDY_CASES = [(1, 0.5), (2, 0.1), (2, 0.9), (3, 0.3), (3, 0.9), (4, 0.5),
                 (5, 0.7), (6, 0.8)]
 
 
+def rewrapped_fill(points, eps):
+    """Reference for the fill of `build_eps_net`: the hull of the whole net
+    wrapped afresh on every pass, and the centers of its caps wider than eps
+    added, widest first, skipping a center within eps of one added in the
+    same pass."""
+    thresh = 1.0 - 0.5 * eps * eps
+    while True:
+        hull = sphere._hull_caps(points)
+        if hull is None:
+            return points, None
+        centers, radii = sphere._caps(points, hull)
+        order = np.argsort(-radii, kind="stable")
+        wide = centers[order[radii[order] > eps]]
+        if wide.shape[0] == 0:
+            return points, float(radii.max())
+        live = sphere._band_nearest(points, eps, wide)[1] <= thresh
+        added = []
+        for j in np.nonzero(live)[0]:
+            if live[j]:
+                added.append(j)
+                live[j + 1:] &= wide[j + 1:] @ wide[j] <= thresh
+        points = np.vstack([points, wide[added]])
+
+
+class HullLog:
+    """Counts the `_hull_caps` calls and keeps the last hull that
+    `_hull_caps` or `_insert_last` returned."""
+
+    def __init__(self, monkeypatch):
+        self.wraps, self.last = 0, None
+        hull_caps, insert_last = sphere._hull_caps, sphere._insert_last
+
+        def wrap(points):
+            self.wraps += 1
+            self.last = hull_caps(points)
+            return self.last
+
+        def insert(points, hull):
+            self.last = insert_last(points, hull)
+            return self.last
+
+        monkeypatch.setattr(sphere, "_hull_caps", wrap)
+        monkeypatch.setattr(sphere, "_insert_last", insert)
+
+
 class TestCoveringCertificate:
     @pytest.mark.parametrize("dim, eps", GREEDY_CASES)
     def test_packing_with_a_computed_radius(self, dim, eps):
@@ -304,7 +349,8 @@ class TestCoveringCertificate:
         for seed in (0, 3):
             for points in (sphere._greedy_packing(dim, eps, seed, 10**6),
                            build_eps_net(dim, eps, seed=seed).points):
-                facets, _, radii = sphere._hull_caps(points)
+                hull = sphere._hull_caps(points)
+                facets, radii = hull.facets, sphere._caps(points, hull)[1]
                 expected, rho = hull_oracle(points)
                 assert len(facets) == len(expected)
                 assert set(map(tuple, facets)) == set(map(tuple, expected))
@@ -339,7 +385,7 @@ class TestCoveringCertificate:
 
     def test_a_point_above_a_facet_is_refused(self):
         points = build_eps_net(3, 0.5, seed=0).points
-        facet = sphere._hull_caps(points)[0][0]
+        facet = sphere._hull_caps(points).facets[0]
         # a plane through two vertices of a facet and the point farthest from
         # it cuts the sphere, so net points lie above it
         far = int(np.argmin(points @ points[facet].sum(axis=0)))
@@ -369,7 +415,8 @@ class TestCoveringCertificate:
         points = np.zeros((3405, 6))
         points[:3400, 0], points[:3400, 1] = np.cos(angles), np.sin(angles)
         points[3400:, 2:] = simplex / np.linalg.norm(simplex, axis=1)[:, None]
-        facets, _, radii = sphere._hull_caps(points)
+        hull = sphere._hull_caps(points)
+        facets, radii = hull.facets, sphere._caps(points, hull)[1]
         polygon = [(i, (i + 1) % 3400) for i in range(3400)]
         assert set(map(tuple, facets)) == {
             tuple(sorted((*edge, *(3400 + np.delete(np.arange(5), j)))))
@@ -384,6 +431,22 @@ class TestCoveringCertificate:
         net = build_eps_net(5, 0.7, seed=1)
         assert net.covering_radius is None
         assert np.array_equal(net.points, sphere._greedy_packing(5, 0.7, 1, 10**6))
+
+    def test_a_hull_past_its_bound_after_a_pass_ends_the_fill_as_rewrapping_does(
+            self, monkeypatch):
+        # the bound admits the random phase's hull but not the filled net's,
+        # so the fill stops after its first pass with the points of that pass
+        dim, eps, seed = 5, 0.7, 1
+        phase = sphere._greedy_packing(dim, eps, seed, 10**6)
+        first = sphere._hull_caps(phase).facets.shape[0]
+        filled = sphere._hull_caps(build_eps_net(dim, eps, seed=seed).points).facets.shape[0]
+        assert first < filled
+        monkeypatch.setattr(sphere, "_HULL_MAX_FACET_DIMS2", first * dim * dim)
+        net = build_eps_net(dim, eps, seed=seed)
+        points, rho = rewrapped_fill(phase, eps)
+        assert net.covering_radius is None and rho is None
+        assert np.array_equal(net.points, points)
+        assert net.points.shape[0] > phase.shape[0]
 
     def test_dim_9_net_is_a_packing_without_a_radius(self):
         # the hull of the 96-point random phase passes the bound; the
@@ -964,3 +1027,49 @@ class TestVoronoiMoments:
     def test_needs_triangles(self):
         with pytest.raises(DomainError, match="triangulated"):
             voronoi_moments(EpsNet(dim=3, eps=0.5, points=np.eye(3), seed=0))
+
+
+class TestIncrementalFill:
+    @pytest.mark.parametrize("dim, eps", [case for case in GREEDY_CASES if case[0] > 1])
+    def test_equals_the_rewrapping_reference(self, dim, eps):
+        for seed in range(4):
+            net = build_eps_net(dim, eps, seed=seed)
+            points, rho = rewrapped_fill(sphere._greedy_packing(dim, eps, seed, 10**6), eps)
+            assert np.array_equal(net.points, points), (dim, eps, seed)
+            assert net.covering_radius == rho, (dim, eps, seed)
+
+    @pytest.mark.parametrize("dim, eps", [case for case in GREEDY_CASES if case[0] > 1])
+    def test_one_wrap_and_its_insertions_give_the_fresh_hull(self, dim, eps, monkeypatch):
+        log = HullLog(monkeypatch)
+        for seed in range(4):
+            log.wraps = 0
+            net = build_eps_net(dim, eps, seed=seed)
+            assert log.wraps == 1, (dim, eps, seed)
+            facets = set(map(tuple, log.last.facets))
+            assert len(facets) == log.last.facets.shape[0]
+            assert facets == set(map(tuple, sphere._hull_caps(net.points).facets))
+            assert facets == set(map(tuple, hull_oracle(net.points)[0]))
+
+    def test_an_added_point_on_a_facet_plane_is_refused(self):
+        points = build_eps_net(3, 0.5, seed=0).points
+        hull = sphere._hull_caps(points)
+        m = hull.planes[0]
+        # a unit vector on the circle where the plane x.m = 1 cuts the sphere
+        u = np.cross(m, points[0] - points[1])
+        u /= np.linalg.norm(u)
+        p = m / (m @ m) + math.sqrt(1.0 - 1.0 / (m @ m)) * u
+        assert abs(1.0 - p @ m) <= hull.allowances[0]
+        with pytest.raises(NumericalIntegrityError, match="on a hull facet plane"):
+            sphere._insert_last(np.vstack([points, p]), hull)
+
+    def test_a_point_above_a_new_facet_is_refused(self):
+        # q, next to the inserted center p but left out of the hull, lies
+        # under every kept facet and above some facet joined to p
+        points = build_eps_net(3, 0.5, seed=0).points
+        hull = sphere._hull_caps(points)
+        centers, radii = sphere._caps(points, hull)
+        p = centers[np.argmax(radii)]
+        q = p + 1e-3 * np.cross(p, points[0])
+        q /= np.linalg.norm(q)
+        with pytest.raises(NumericalIntegrityError, match="above a hull facet"):
+            sphere._insert_last(np.vstack([points, q, p]), hull)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import jsonschema
 import numpy as np
@@ -321,10 +322,12 @@ class TestRunWitness:
     # the see-saw's Newton step divides by zero on the constant objective of
     # n = 1 (a known defect, not this test's subject); the report must still
     # fit the schema with the radius 0 of the two-point net on S^0
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
     def test_n1_report_fits_the_schema(self):
+        # at n = 1 about half the restarts draw W^T Y = 0 and start at e_1 e_1^T
         doc = json.loads(run_witness(WitnessConfig(1, 1, 0.5, allow_small_n=True)).to_json())
         assert doc["covering_radius"] == 0.0
+        assert math.isfinite(doc["b_finite_seesaw_d"])
+        assert doc["verdict"] != "violation_of_theory"
         jsonschema.validate(doc, WITNESS_REPORT_SCHEMA)
 
     def test_report_roundtrip(self):
