@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import sys
 import time
@@ -234,7 +235,14 @@ def _cmd_appendix_check(args, manifest: RunManifest, started: float) -> int:
 # parser
 # ----------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Building it costs about 1 ms, mostly argparse's help formatting and
+    gettext lookups; `parse_args` leaves the parser as it found it, so every
+    `main` call can share it.
+    """
     parser = argparse.ArgumentParser(
         prog="dimwitness",
         description="Dimension-reduction ratio bounds, sphere nets, see-saw "

@@ -15,14 +15,17 @@ unit Frobenius norm, and the see-saw is the fixed-point iteration
 C <- W^T X / ||W^T X||_F of f.  `dot_adversary` climbs f on the n x m state
 instead of the regions x m rows: damped Riemannian Newton steps, with that
 fixed-point step as the monotone fallback, converge in tens of iterations
-where the see-saw took hundreds of sweeps.  Its restarts advance together
-in stacks of bounded size; each restart's iterates equal those of a lone
-run bit for bit.  `dot_upper_bound` bounds the same optimum from above at
-every m.
+where the see-saw took hundreds of sweeps.  A Newton step that fails is
+damped again within its own iteration, from the same eigendecomposition.
+Its restarts advance together in stacks of bounded size, with every
+per-region array kept regions-last; each restart's iterates equal those
+of a lone run bit for bit.  `dot_upper_bound` bounds the same optimum
+from above at every m.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple, Union
@@ -82,10 +85,10 @@ _STACK_ROWS = 2 ** 14
 ADVERSARY_RESTARTS = 16
 ADVERSARY_MAX_ITERS = 1000  # iterations per restart
 ADVERSARY_STOP_RULE = "neither the damped Newton step nor the fixed-point step raises f"
-# relative eigenvalue floor of the Newton step: 1e-9 f leaves a nondegenerate
-# maximum's step undamped; failed steps raise it tenfold, up to f itself
-_DAMPING_MIN = 1e-9
-_DAMPING_FACTOR = 10.0
+# the rungs of the Newton step's relative eigenvalue floor: 1e-9 f leaves a
+# nondegenerate maximum's step undamped, and f itself is the most damped step
+_DAMPINGS = 10.0 ** np.arange(-9, 1)
+_DAMPING_LEVELS = np.arange(_DAMPINGS.size)
 # a step raises f only when its gain exceeds this share of the summed
 # magnitudes of the gain's terms, about the rounding of their sum; near a
 # nondegenerate maximum only steps of about 2^-50 or shorter fall under it
@@ -369,94 +372,100 @@ def moment_value_std_error(moments: RegionMoments, vectors: np.ndarray) -> float
     return float(np.sqrt(np.sum((grad_norms * moments.standard_errors) ** 2)))
 
 
-@dataclass(frozen=True)
-class _Pairs:
-    """The pairs a <= b of range(k), for packed symmetric k x k tables:
-    full[a, b] = full[b, a] is the position of pair (a, b)."""
-
-    a: np.ndarray
-    b: np.ndarray
-    full: np.ndarray
-
-    @classmethod
-    def of(cls, k: int) -> "_Pairs":
-        a, b = np.triu_indices(k)
-        full = np.empty((k, k), dtype=np.intp)
-        full[a, b] = full[b, a] = np.arange(a.size)
-        return cls(a=a, b=b, full=full)
-
-    def table(self, v: np.ndarray) -> np.ndarray:
-        """Products v_a v_b, a <= b, along the last axis."""
-        return v[..., self.a] * v[..., self.b]
-
-
 def _dot_objective(
-    w: np.ndarray, c: np.ndarray
+    wt: np.ndarray, c: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Y, s, f) of a (stack, n, k) state: Y = W C, s_u = ||C^T w_u||, f = sum_u s_u."""
-    y = np.matmul(w, c)
-    s = np.sqrt(np.einsum("rnk,rnk->rn", y, y))
+    """(Y, s, f) of a (stack, k, n) stack of states C^T, with W^T as the
+    (n, regions) array `wt`: Y = C^T W^T, (stack, k, regions), s_u =
+    ||C^T w_u|| and f = sum_u s_u.  The regions axis comes last, so every
+    per-region operation runs along contiguous rows."""
+    y = np.matmul(c, wt)
+    s = np.sqrt(np.einsum("skr,skr->sr", y, y))
     return y, s, s.sum(axis=1)
 
 
 def _dot_gain(
-    w: np.ndarray, c: np.ndarray, y: np.ndarray, s: np.ndarray, f: np.ndarray,
-    new_c: np.ndarray, new_s: np.ndarray,
+    wt: np.ndarray, c: np.ndarray, y: np.ndarray, s: np.ndarray, f: np.ndarray,
+    new_c: np.ndarray, new_y: np.ndarray, new_s: np.ndarray,
 ) -> np.ndarray:
     """Gain of f(C) / ||C||_F from c to new_c per state, less its rounding.
 
-    With D = C' - C and d_u = D^T w_u, s'_u^2 - s_u^2 = (2 y_u + d_u) . d_u,
-    so f(C') - f(C) = sum_u (2 y_u + d_u) . d_u / (s'_u + s_u), and
-    f (||C'||^2 - ||C||^2) / 2 = f <2 C + D, D> / 2 takes out, to first
+    With D = C' - C and d_u = D^T w_u, s'_u^2 - s_u^2 = (y_u + y'_u) . d_u,
+    so f(C') - f(C) = sum_u (y_u + y'_u) . d_u / (s'_u + s_u), and
+    f (||C'||^2 - ||C||^2) / 2 = f <C + C', D> / 2 takes out, to first
     order, what the rounding of the states' unit norms adds (f is
     homogeneous of degree 1).  Each term keeps its own relative precision,
     and _GAIN_ROUNDING times their summed magnitudes is subtracted, so the
     result is positive only for a gain that rounding cannot fake.  The
     difference of the two values of f cannot resolve gains below f 2^-52:
     an ascent deciding on it stopped with rows 8e-9 from stationarity.
+    States and Y are laid out as in `_dot_objective`.
     """
     delta = new_c - c
-    d = np.matmul(w, delta)
-    num = np.einsum("rnk,rnk->rn", 2.0 * y + d, d)
+    num = np.einsum("skr,skr->sr", y + new_y, np.matmul(delta, wt))
     total = s + new_s
     terms = np.divide(num, total, out=np.zeros_like(num), where=total > 0.0)
-    norm = 0.5 * f * np.einsum("rnk,rnk->r", 2.0 * c + delta, delta)
+    norm = 0.5 * f * np.einsum("sij,sij->s", c + new_c, delta)
     rounding = _GAIN_ROUNDING * (np.abs(terms).sum(axis=1) + np.abs(norm))
     return terms.sum(axis=1) - norm - rounding
 
 
 def _unit_states(c: np.ndarray) -> np.ndarray:
-    return c / np.linalg.norm(c, axis=(1, 2), keepdims=True)
+    return c / np.sqrt(np.einsum("sij,sij->s", c, c))[:, None, None]
+
+
+@functools.lru_cache(maxsize=None)
+def _newton_tables(n: int, k: int) -> Tuple[np.ndarray, ...]:
+    """The index tables of `_DotNewton` at (n, k), built once per shape:
+    (a, b) with a <= b, the pairs of range(n) that w w^T is packed by; the
+    packed positions of H; and where and with which signs the gauge
+    directions take the entries of C^T."""
+    a, b = np.triu_indices(n)
+    pair = np.empty((n, n), dtype=np.intp)
+    pair[a, b] = pair[b, a] = np.arange(a.size)
+    # H[(i, a), (j, b)] = row i k + j of the (k^2, regions) table times
+    # column pair[a, b] of the packed w w^T
+    hess_k, hess_n = np.broadcast_arrays(
+        np.arange(k)[:, None, None, None] * k + np.arange(k)[None, None, :, None],
+        pair[None, :, None, :])
+    # column 0 of `normal_and_gauge` is vec(C^T); the column of C E_ij,
+    # E_ij = e_i e_j^T - e_j e_i^T, is vec(C^T) with row j of C^T moved to
+    # row i negated and row i to row j: entries at[g] times sign[g]
+    rows = np.arange(k * n).reshape(k, n)
+    at, sign = [rows.ravel()], [np.ones(k * n)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            move, flip = rows.copy(), np.zeros((k, n))
+            move[i], move[j] = rows[j], rows[i]
+            flip[i], flip[j] = -1.0, 1.0
+            at.append(move.ravel())
+            sign.append(flip.ravel())
+    return a, b, hess_k, hess_n, np.stack(at, axis=1), np.stack(sign, axis=1)
 
 
 class _DotNewton:
     """Damped Riemannian Newton steps for f(C) = sum_u ||C^T w_u|| on ||C||_F = 1.
 
-    The Euclidean Hessian is H = sum_u (w_u w_u^T / s_u) (x) (I - x_u x_u^T)
-    with x_u = C^T w_u / s_u.  It is assembled from the fixed regions x
-    n(n+1)/2 table of w_u w_u^T and a regions x k(k+1)/2 table of
-    x_u x_u^T / s_u per state, never from a regions x n k array.
+    States are (stack, k, n) stacks of C^T, as in `_dot_objective`.  On
+    vec(C^T) the Euclidean Hessian is H = sum_u (I - x_u x_u^T) / s_u (x)
+    w_u w_u^T with x_u = C^T w_u / s_u.  It is assembled from the fixed
+    regions x n(n+1)/2 table of w_u w_u^T and a k^2 x regions table of
+    (delta_ij - x_ui x_uj) / s_u per state, never from a regions x n k array.
+    `directions` diagonalizes the projected Newton system once per
+    iteration, and `step` forms the step at any damping from it.
     """
 
     def __init__(self, w: np.ndarray, k: int):
         n = w.shape[1]
-        self.w = w
-        self.n_pairs, self.k_pairs = _Pairs.of(n), _Pairs.of(k)
-        self.w_pairs = self.n_pairs.table(w)
-        self.gauge = [(i, j) for i, j in zip(self.k_pairs.a, self.k_pairs.b) if i < j]
-        self.eye_k, self.eye_nk = np.eye(k), np.eye(n * k)
+        a, b, self.hess_k, self.hess_n, self.gauge_at, self.gauge_sign = _newton_tables(n, k)
+        self.w, self.wt = w, np.ascontiguousarray(w.T)
+        self.w_pairs = w[:, a] * w[:, b]
+        self.eye_k, self.eye_nk = np.eye(k)[:, :, None], np.eye(n * k)
 
     def normal_and_gauge(self, c: np.ndarray) -> np.ndarray:
-        """(stack, n k, 1 + k(k-1)/2): C and each C E_ij of a (stack, n, k)
-        stack, flattened, with E_ij = e_i e_j^T - e_j e_i^T."""
-        directions = [c]
-        for i, j in self.gauge:
-            ce = np.zeros_like(c)
-            ce[:, :, j] = c[:, :, i]
-            ce[:, :, i] = -c[:, :, j]
-            directions.append(ce)
-        stack, n, k = c.shape
-        return np.stack(directions, axis=-1).reshape(stack, n * k, -1)
+        """(stack, k n, 1 + k(k-1)/2): vec(C^T) and each vec((C E_ij)^T) of
+        a (stack, k, n) stack, with E_ij = e_i e_j^T - e_j e_i^T."""
+        return c.reshape(c.shape[0], -1)[:, self.gauge_at] * self.gauge_sign
 
     def off_gauge(self, c: np.ndarray) -> np.ndarray:
         """Projector off the span of `normal_and_gauge(c)`, per unit state.
@@ -469,45 +478,53 @@ class _DotNewton:
         gives I - V V^+.
         """
         v = self.normal_and_gauge(c)
-        if c.shape[2] <= 2:
+        if c.shape[1] <= 2:
             return self.eye_nk - v @ v.transpose(0, 2, 1)
         return self.eye_nk - v @ np.linalg.pinv(v)
 
     def directions(
-        self, c: np.ndarray, y: np.ndarray, s: np.ndarray, f: np.ndarray, damping: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(X, grad, step) of each state of a (stack, n, k) stack.
+        self, c: np.ndarray, y: np.ndarray, s: np.ndarray, f: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(X^T, grad^T, eig) of each state of a (stack, k, n) stack.
 
         X has rows x_u (zero where s_u = 0) and grad = W^T X is the Euclidean
-        gradient of f.  The step solves (f I - Pg H Pg) D = Pg grad, with Pg
-        the projector off the normal direction C and the gauge directions C E
+        gradient of f; both come regions-last and transposed, like Y and C.
+        The Newton step solves (f I - Pg H Pg) D = Pg grad, with Pg the
+        projector off the normal direction C and the gauge directions C E
         (E antisymmetric; f(CQ) = f(C) for orthogonal Q): the Riemannian
         Newton step, with the direction off the sphere and the directions
-        along which f is flat taken out.  Each eigenvalue enters as
-        max(|lambda|, damping f), so the step ascends, and a larger damping
-        shortens it.
+        along which f is flat taken out.  `eig` holds the eigenvalue
+        magnitudes |lambda| of that system, its eigenvectors and the
+        coefficients of Pg grad in them, for `step`.
         """
-        stack, n, k = c.shape
-        full_n, full_k = self.n_pairs.full, self.k_pairs.full
+        stack, k, n = c.shape
         inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0.0)
-        x = y * inv[..., None]
-        grad = np.matmul(self.w.T, x)
-        # per state (1, regions) @ (regions, pairs): the same product for any stack
-        q = np.matmul(inv[:, None, :], self.w_pairs)[:, 0][:, full_n]
-        x_pairs = self.k_pairs.table(x) * inv[..., None]
-        wx = np.matmul(self.w_pairs.T, x_pairs)[:, full_n][:, :, :, full_k]
-        hess = q[..., None, None] * self.eye_k - wx  # (stack, n, n, k, k)
-        hess = hess.transpose(0, 1, 3, 2, 4).reshape(stack, n * k, n * k)
+        x = y * inv[:, None, :]
+        grad = np.matmul(x, self.w)
+        table = (self.eye_k - x[:, :, None] * x[:, None]) * inv[:, None, None]
+        # per state (k^2, regions) @ (regions, pairs): the same product for
+        # any stack
+        packed = np.matmul(table.reshape(stack, k * k, -1), self.w_pairs)
+        hess = packed[:, self.hess_k, self.hess_n].reshape(stack, k * n, k * n)
 
         off = self.off_gauge(c)
         # Pg grad = grad - f C, since <grad, C> = f and grad is orthogonal
         # to every gauge direction
-        tangent = (grad - f[:, None, None] * c).reshape(stack, n * k)
+        tangent = (grad - f[:, None, None] * c).reshape(stack, 1, k * n)
         lam, vecs = np.linalg.eigh(f[:, None, None] * self.eye_nk - off @ hess @ off)
-        coef = np.einsum("rij,ri->rj", vecs, tangent)
-        coef /= np.maximum(np.abs(lam), (damping * f)[:, None])
-        step = np.einsum("rij,rj->ri", vecs, coef).reshape(stack, n, k)
-        return x, grad, step
+        coef = np.matmul(tangent, vecs)[:, 0]
+        return x, grad, (np.abs(lam), vecs, coef)
+
+    @staticmethod
+    def step(
+        eig: Tuple[np.ndarray, np.ndarray, np.ndarray], floor: np.ndarray, shape: tuple
+    ) -> np.ndarray:
+        """The Newton step of `directions` with each eigenvalue entering as
+        max(|lambda|, floor) per state: the step ascends, and a larger
+        floor (damping times f) shortens it."""
+        magnitude, vecs, coef = eig
+        scaled = coef / np.maximum(magnitude, floor[:, None])
+        return np.matmul(vecs, scaled[:, :, None]).reshape(shape)
 
 
 def _dot_ascent(
@@ -515,54 +532,114 @@ def _dot_ascent(
 ) -> List[Tuple[float, np.ndarray, int, bool, List[float]]]:
     """Maximize f(C) = sum_u ||C^T w_u|| over ||C||_F = 1 from each start.
 
-    All states of the (stack, n, k) stack `c` advance together; a state that
-    stops leaves the stack.  Each iteration tries the damped Newton step of
+    All states of the (stack, n, k) stack `c` advance together, stored as
+    C^T with the regions axis last (`_dot_objective`); a state that stops
+    leaves the stack.  Each iteration tries the damped Newton step of
     `_DotNewton` and, where it does not raise f, the fixed-point step
     C <- W^T X / ||W^T X||_F, which never lowers f (it is one see-saw
-    sweep).  A Newton step that raises f divides the damping by
-    _DAMPING_FACTOR (down to _DAMPING_MIN); one that does not multiplies it
-    (up to 1).  Whether a step raises f is decided by the sign of its
-    `_dot_gain`, not by comparing two rounded values of f.  A state stops,
-    converged, when neither step raises f, or after ADVERSARY_MAX_ITERS
-    iterations.  Returns per start
+    sweep).  Where that fixed-point step raises f, the Newton step is
+    scored again at 10, 100, ... times the damping, capped at 1, from the
+    same eigendecomposition, and the least damped rung that raises f
+    replaces the fixed-point step; only if none does is the fixed-point
+    step taken.  The first rung is scored together with the fixed-point
+    step, the rest one at a time.  The next iteration starts at the
+    damping of the step taken: a Newton step that raises f at once
+    divides it by 10 (down to 1e-9), an accepted rung keeps its own, and
+    a fixed-point step multiplies it by 10 (up to 1).  Whether a step
+    raises f is decided by the sign of its `_dot_gain`, not by comparing
+    two rounded values of f.  A state stops, converged, when neither the
+    Newton step nor the fixed-point step raises f, or after
+    ADVERSARY_MAX_ITERS iterations.  Returns per start
     (f, X, iterations, converged, f^2 at the start of each iteration).
     """
     newton = _DotNewton(w, c.shape[2])
-    y, s, f = _dot_objective(w, c)
-    damping = np.full(c.shape[0], _DAMPING_MIN)
+    wt = newton.wt
+    c = np.ascontiguousarray(c.transpose(0, 2, 1))
+    y, s, f = _dot_objective(wt, c)
+    level = np.zeros(c.shape[0], dtype=np.intp)  # the damping is _DAMPINGS[level]
+    top = _DAMPINGS.size - 1
     live = list(range(c.shape[0]))
     traces: List[List[float]] = [[] for _ in live]
     done: List = [None] * len(live)
+
+    def rung_states(rows, rung):
+        """Unit states after the Newton step at damping _DAMPINGS[rung]."""
+        sub = tuple(part[rows] for part in eig)
+        base = c[rows]
+        return _unit_states(base + newton.step(sub, _DAMPINGS[rung] * f[rows], base.shape))
+
+    def score(rows, cand):
+        """(Y, s, f, raises f) of candidate states for the stack rows `rows`."""
+        cand_y, cand_s, cand_f = _dot_objective(wt, cand)
+        gain = _dot_gain(wt, c[rows], y[rows], s[rows], f[rows], cand, cand_y, cand_s)
+        return cand_y, cand_s, cand_f, gain > 0.0
+
+    def take(rows, pick, cand, cand_y, cand_s, cand_f):
+        new_c[rows], new_y[rows], new_s[rows] = cand[pick], cand_y[pick], cand_s[pick]
+        new_f[rows] = cand_f[pick]
+
     for iteration in range(1, ADVERSARY_MAX_ITERS + 1):
         for start, value in zip(live, f.tolist()):
             traces[start].append(value * value)
-        x, grad, step = newton.directions(c, y, s, f, damping)
-        new_c = _unit_states(c + step)
-        new_y, new_s, new_f = _dot_objective(w, new_c)
-        newton_up = _dot_gain(w, c, y, s, f, new_c, new_s) > 0.0
-        raised = newton_up.copy()
-        fall = np.flatnonzero(~newton_up)
-        if fall.size:
-            fixed = _unit_states(grad[fall])
-            fixed_y, fixed_s, fixed_f = _dot_objective(w, fixed)
-            raised[fall] = _dot_gain(w, c[fall], y[fall], s[fall], f[fall],
-                                     fixed, fixed_s) > 0.0
-            new_c[fall], new_y[fall], new_s[fall] = fixed, fixed_y, fixed_s
-            new_f[fall] = fixed_f
-        damping = np.where(newton_up, np.maximum(damping / _DAMPING_FACTOR, _DAMPING_MIN),
-                           np.minimum(damping * _DAMPING_FACTOR, 1.0))
+        x, grad, eig = newton.directions(c, y, s, f)
+        new_c = _unit_states(c + newton.step(eig, _DAMPINGS[level] * f, c.shape))
+        new_y, new_s, new_f = _dot_objective(wt, new_c)
+        raised = _dot_gain(wt, c, y, s, f, new_c, new_y, new_s) > 0.0
+        tried = level
+        level = np.where(raised, np.maximum(level - 1, 0), np.minimum(level + 1, top))
+        if not raised.all():
+            fall = np.flatnonzero(~raised)
+            least = eig[0][fall].min(axis=1)
+            rung = _next_rung(tried[fall], f[fall], least)
+            # each failed state's fixed-point step, then its first rung
+            # (scored at damping 1 where there is none, and not taken)
+            rows = np.concatenate([fall, fall])
+            cand = np.concatenate([_unit_states(grad[fall]), rung_states(fall, rung)])
+            cand_y, cand_s, cand_f, up = score(rows, cand)
+            fixed_up, rung_up = up[:fall.size], up[fall.size:] & (rung >= 0)
+            raised[fall] = fixed_up
+            rung_up &= fixed_up
+            pick = np.flatnonzero(np.concatenate([fixed_up & ~rung_up, rung_up]))
+            take(rows[pick], pick, cand, cand_y, cand_s, cand_f)
+            level[fall[rung_up]] = rung[rung_up]
+            # the rungs above, one at a time, while the fixed-point step
+            # raises f and no rung has yet
+            climb = fixed_up & ~rung_up & (rung >= 0)
+            rows, least, rung = fall[climb], least[climb], rung[climb]
+            while rows.size:
+                rung = _next_rung(rung, f[rows], least)
+                more = rung >= 0
+                rows, least, rung = rows[more], least[more], rung[more]
+                if not rows.size:
+                    break
+                cand = rung_states(rows, rung)
+                cand_y, cand_s, cand_f, up = score(rows, cand)
+                take(rows[up], up, cand, cand_y, cand_s, cand_f)
+                level[rows[up]] = rung[up]
+                rows, least, rung = rows[~up], least[~up], rung[~up]
         leaving = ~raised | (iteration == ADVERSARY_MAX_ITERS)
-        for slot in np.flatnonzero(leaving):
-            start = live[slot]
-            done[start] = (float(f[slot]), x[slot].copy(), iteration, not raised[slot],
-                           traces[start])
-        keep = ~leaving
-        if not np.any(keep):
-            break
-        live = [start for start, kept in zip(live, keep.tolist()) if kept]
-        c, y, s, f = new_c[keep], new_y[keep], new_s[keep], new_f[keep]
-        damping = damping[keep]
+        if leaving.any():
+            for slot in np.flatnonzero(leaving).tolist():
+                start = live[slot]
+                done[start] = (float(f[slot]), x[slot].T.copy(), iteration,
+                               not raised[slot], traces[start])
+            keep = ~leaving
+            if not keep.any():
+                break
+            live = [start for start, kept in zip(live, keep.tolist()) if kept]
+            new_c, new_y, new_s, new_f = new_c[keep], new_y[keep], new_s[keep], new_f[keep]
+            level = level[keep]
+        c, y, s, f = new_c, new_y, new_s, new_f
     return done
+
+
+def _next_rung(level: np.ndarray, f: np.ndarray, least: np.ndarray) -> np.ndarray:
+    """Index in _DAMPINGS of the least damped rung above each `level` whose
+    floor _DAMPINGS[j] f exceeds `least`, the least |lambda|, or -1 where
+    there is none.  A floor at or below every |lambda| leaves every
+    eigenvalue as it is, so that rung gives the step of `level` again."""
+    ok = (_DAMPINGS * f[:, None] > least[:, None]) & (_DAMPING_LEVELS > level[:, None])
+    return np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
 
 
 def _dot_restarts(

@@ -279,6 +279,24 @@ class TestDeterminism:
         b = strip_volatile(json.loads(out2))
         assert a == b
 
+    def test_second_call_writes_the_lone_report(self, capsys, tmp_path):
+        # main builds its parser once per process: a witness call after
+        # other calls writes the report of a call in a fresh process
+        out = tmp_path / "report.json"
+        argv = ["witness", "3", "1", "0.3", "--seed", "6", "--out", str(out)]
+        src = str(Path(dimwitness.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "dimwitness.cli", *argv],
+            env={**os.environ, "PYTHONPATH": path}, check=True, timeout=120,
+        )
+        lone = strip_volatile(json.loads(out.read_text()))
+        out.unlink()
+        assert run_cli(capsys, "bound", "3", "2")[0] == 0
+        assert run_cli(capsys, *argv)[0] == 0
+        assert run_cli(capsys, *argv)[0] == 0
+        assert strip_volatile(json.loads(out.read_text())) == lone
+
     def test_seed_changes_output(self, capsys, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         run_cli(capsys, "net", "2", "0.3", "--seed", "1", "--out", a)

@@ -424,42 +424,127 @@ class TestDotAdversary:
             assert run[4][0] == pytest.approx(f0 * f0, rel=1e-13)
 
     def test_iteration_count_guard(self):
-        # counts repeat exactly.  Measured: largest 46 and total 463; without
-        # the damping of failed Newton steps, 153 and 1123
+        # counts repeat exactly.  Measured: largest 30 and total 322; 46 and
+        # 463 while a failed Newton step raised its damping only for the
+        # next iteration; without the damping of failed Newton steps, 153
+        # and 1123
         w = geodesic_moments(16, 0).moment_vectors  # 2 562 regions
         iterations = [run[2] for run in embedding_opt._dot_restarts(w, 2, seed=1)]
-        assert max(iterations) <= 300
-        assert sum(iterations) <= 800
+        assert max(iterations) <= 150
+        assert sum(iterations) <= 600
+
+    @staticmethod
+    def recorded_ascent(w, start, monkeypatch):
+        """A lone `_dot_ascent` run from the (n, k) state `start`, and per
+        iteration its state, the Newton system and the floors of every
+        Newton step scored: the first is the damped step, the others rungs."""
+        iterations = []
+        directions, step = embedding_opt._DotNewton.directions, embedding_opt._DotNewton.step
+
+        def record_directions(self, c, y, s, f):
+            out = directions(self, c, y, s, f)
+            iterations.append(dict(c=c, y=y, s=s, f=f, grad=out[1], eig=out[2], floors=[]))
+            return out
+
+        def record_step(eig, floor, shape):
+            iterations[-1]["floors"].extend(floor.tolist())
+            return step(eig, floor, shape)
+
+        monkeypatch.setattr(embedding_opt._DotNewton, "directions", record_directions)
+        monkeypatch.setattr(embedding_opt._DotNewton, "step", staticmethod(record_step))
+        run = embedding_opt._dot_ascent(w, start[None])[0]
+        monkeypatch.undo()
+        return run, iterations
+
+    @staticmethod
+    def restart_start(w, seed, restart):
+        start = w.T @ SphereSampler(2, seed, restart).sample(len(w))
+        return start / np.linalg.norm(start)
+
+    def test_failed_newton_steps_are_redamped_at_once(self, monkeypatch):
+        # restart 11 of this input took 24 iterations while its damping
+        # climbed by one factor of ten per iteration, over iterations 3-10
+        # and 14-16, each ending on a fixed-point step
+        moments, seed = witness_moments(0.3, 77)
+        w = moments.moment_vectors
+        run, iterations = self.recorded_ascent(w, self.restart_start(w, seed, 11), monkeypatch)
+        assert run[3] and run[2] <= 16
+        # a failed Newton step is followed by a rung, scored in the same
+        # iteration; the damping tried first never rises over two
+        # consecutive iterations that both failed
+        failed = [len(it["floors"]) > 1 for it in iterations]
+        damping = [it["floors"][0] / it["f"][0] for it in iterations]
+        for i in range(len(iterations) - 1):
+            assert not (failed[i] and failed[i + 1] and damping[i + 1] > damping[i] * 1.5)
+
+    def test_accepted_rung_is_the_least_damped_that_raises_f(self, monkeypatch):
+        moments, seed = witness_moments(0.3, 77)
+        w = moments.moment_vectors
+        wt = np.ascontiguousarray(w.T)
+        newton = embedding_opt._DotNewton(w, 2)
+        iterations = []
+        for restart in range(embedding_opt.ADVERSARY_RESTARTS):
+            start = self.restart_start(w, seed, restart)
+            iterations.append(self.recorded_ascent(w, start, monkeypatch)[1])
+        rungs = 0
+        dampings = embedding_opt._DAMPINGS
+        steps = [pair for run in iterations for pair in zip(run, run[1:])]
+        for it, following in steps:
+            c, y, s, f = it["c"], it["y"], it["s"], it["f"]
+            tried = int(np.argmin(np.abs(np.log(dampings * f[0] / it["floors"][0]))))
+
+            def raises(cand):
+                cand_y, cand_s, _ = embedding_opt._dot_objective(wt, cand)
+                return embedding_opt._dot_gain(wt, c, y, s, f, cand, cand_y, cand_s)[0] > 0.0
+
+            def newton_state(damping):
+                step = newton.step(it["eig"], damping * f, c.shape)
+                return embedding_opt._unit_states(c + step)
+
+            if raises(newton_state(dampings[tried])):
+                continue
+            fixed = embedding_opt._unit_states(it["grad"])
+            assert raises(fixed)  # else the state would have stopped
+            # every rung above the damping tried, least damped first, with
+            # the ones the ascent skipped as giving the failed step again
+            up = [d for d in dampings[tried + 1:] if raises(newton_state(d))]
+            want = newton_state(up[0]) if up else fixed
+            assert np.array_equal(following["c"], want)
+            rungs += bool(up)
+        assert rungs > 0
 
     @pytest.mark.parametrize("n, k", [(3, 2), (5, 2), (4, 3)])
     def test_newton_step_is_tangent_and_off_the_gauge(self, n, k):
+        # states are stored as C^T, (stack, k, n)
         w = SphereSampler(n, 40 + n).sample(60) / 60
-        c = embedding_opt._unit_states(np.random.default_rng(k).normal(size=(2, n, k)))
-        y, s, f = embedding_opt._dot_objective(w, c)
-        x, grad, step = embedding_opt._DotNewton(w, k).directions(
-            c, y, s, f, np.full(2, embedding_opt._DAMPING_MIN))
-        assert np.array_equal(grad, np.matmul(w.T, x))
+        c = embedding_opt._unit_states(np.random.default_rng(k).normal(size=(2, k, n)))
+        newton = embedding_opt._DotNewton(w, k)
+        y, s, f = embedding_opt._dot_objective(newton.wt, c)
+        x, grad, eig = newton.directions(c, y, s, f)
+        step = newton.step(eig, embedding_opt._DAMPINGS[0] * f, c.shape)
+        assert np.array_equal(grad, np.matmul(x, w))
         gauge = [c]
         for i in range(k):
             for j in range(i + 1, k):
                 e = np.zeros((k, k))
                 e[i, j], e[j, i] = 1.0, -1.0
-                gauge.append(c @ e)
+                gauge.append(e.T @ c)  # (C E)^T
         for direction in gauge:  # f is flat along C E, and C is normal
             along = np.einsum("rij,rij->r", step, direction)
             assert np.abs(along).max() <= 1e-12 * np.linalg.norm(step)
 
     def test_gain_is_the_difference_of_values_above_rounding(self):
         w = SphereSampler(3, 61).sample(50) / 50
+        wt = np.ascontiguousarray(w.T)
         rng = np.random.default_rng(62)
-        c = embedding_opt._unit_states(rng.normal(size=(4, 3, 2)))
+        c = embedding_opt._unit_states(rng.normal(size=(4, 2, 3)))
         moved = embedding_opt._unit_states(c + 1e-3 * rng.normal(size=c.shape))
-        y, s, f = embedding_opt._dot_objective(w, c)
-        _, new_s, new_f = embedding_opt._dot_objective(w, moved)
-        gain = embedding_opt._dot_gain(w, c, y, s, f, moved, new_s)
+        y, s, f = embedding_opt._dot_objective(wt, c)
+        new_y, new_s, new_f = embedding_opt._dot_objective(wt, moved)
+        gain = embedding_opt._dot_gain(wt, c, y, s, f, moved, new_y, new_s)
         assert np.allclose(gain, new_f - f, rtol=1e-9, atol=0.0)
         # staying put gains nothing that rounding could not fake
-        assert np.all(embedding_opt._dot_gain(w, c, y, s, f, c, s) <= 0.0)
+        assert np.all(embedding_opt._dot_gain(wt, c, y, s, f, c, y, s) <= 0.0)
 
     def test_converged_states_stop_at_once(self):
         # from each restart's own result no step gains beyond rounding; the
@@ -474,7 +559,7 @@ class TestDotAdversary:
     @pytest.mark.parametrize("n, k", [(3, 1), (3, 2), (5, 1), (5, 2)])
     def test_closed_form_projector_equals_the_pseudoinverse(self, n, k):
         w = SphereSampler(n, 50 + n).sample(40) / 40
-        c = embedding_opt._unit_states(np.random.default_rng(k).normal(size=(3, n, k)))
+        c = embedding_opt._unit_states(np.random.default_rng(k).normal(size=(3, k, n)))
         newton = embedding_opt._DotNewton(w, k)
         v = newton.normal_and_gauge(c)
         reference = np.eye(n * k) - v @ np.linalg.pinv(v)
