@@ -44,7 +44,7 @@ NET_HEADER_SCHEMA = {
         "eps": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
         "seed": {"type": "integer"},
         "size": {"type": "integer", "minimum": 0},
-        "covering_radius": {"type": ["number", "null"]},
+        "covering_radius": {"type": ["number", "null"], "minimum": 0, "maximum": 2},
         "manifest": _MANIFEST,
     },
 }

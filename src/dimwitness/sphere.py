@@ -8,16 +8,15 @@ triangles are its Delaunay triangulation, so the weights and vector moments of
 its Voronoi regions have closed forms (`voronoi_moments`); on any other net
 they are Monte Carlo estimates (`region_moments`).  It is not built as an
 eps-packing: nearest neighbours sit 1.17 to 1.73 covering radii apart
-(measured for k up to 191).  In other dimensions the net is a randomized
-greedy eps-packing: candidates are streamed from a seeded sampler and accepted
-whenever they sit at distance at least eps from every accepted point, until
-200 x (net size) consecutive rejections.  The convex hull of those points,
-computed once by gift-wrapping, then gives every empty cap: the centers of
-the caps wider than eps are inserted into the hull until none is, so the net
-is both an eps-packing and a certified eps-covering, and its covering radius
-is the widest cap's.  A hull past a fixed memory bound (in practice from dim 9
-on) ends the fill, and the net is then an eps-packing whose covering radius is
-not known.
+(measured for k up to 191).  In other dimensions the net is built by
+farthest-point insertion.  It starts from a regular simplex, turned by a
+seeded random rotation and perturbed, and keeps the convex hull of its
+points, whose facets are exactly the empty caps.  While the widest cap is
+wider than eps, its centre is inserted into the hull (beneath-beyond), so the
+net is an eps-packing and a certified eps-covering, and its covering radius
+is the widest cap's.  A hull past a fixed memory bound (in practice from
+dim 9 on) ends the insertion; a float64 greedy tail of seeded candidates then
+completes the eps-packing, whose covering radius is not known.
 
 Every nearest-point query, on a net of any size, goes through one z-band
 scan: any point within eps of a probe has its last coordinate within eps of
@@ -25,22 +24,6 @@ the probe's, so sorting the net by last coordinate limits each probe to a
 band of rows.  A net is sorted once, on first use (`EpsNet.z_order`).
 Region assignment rescans the whole net only for probes farther than eps
 from every net point.
-
-The greedy build needs only whether a candidate's largest dot product with the
-net exceeds 1 - eps^2/2, not which point attains it.  Up to 256 net points
-it answers that with a float32 product on the raw Gaussian draws g, before
-they are normalized, in column blocks of 1024 candidates so each block's
-product stays in cache: float32 rounding moves p.g by at most about
-(dim + 2) 2^-24 ||g||, so every candidate whose float32 maximum lies farther
-than 2 (dim + 2) 2^-24 ||g|| from the threshold times ||g|| is decided as
-float64 would decide its normalized draw, and only the candidates inside
-that margin are normalized and re-decided in float64.  Candidates that pass
-are normalized with the sampler's own expression and walked in stream
-order: each accepted one drops, with one matrix-vector product, the later
-passing candidates it surely blocks, and the survivors are re-checked in
-float64 against the points accepted in the batch, so the Python loop runs
-once per accepted point.  The random phase stays bit-identical to a float64
-build that tests one candidate at a time.
 """
 
 from __future__ import annotations
@@ -78,41 +61,17 @@ __all__ = [
 
 _BATCH = 8192
 MIN_SAMPLES_PER_REGION = 100
-# the greedy build tests candidates with the float32 max-dot screen while its
-# net has at most this many rows: up to here one float32 product over the
-# whole net beats the sort and per-band float64 products of the z-band scan
-_SCREEN_ROWS = 256
-# the screen's float32 product runs over this many candidates at a time, so
-# one block's product (at most 256 x 1024 floats, 1 MB) stays in cache
-_SCREEN_BLOCK = 1024
-# the random phase of the greedy build stops after this many consecutive
-# rejections per net point; the hull then fills what it left uncovered
+# the greedy tail stops after this many consecutive rejections per net point
 _REJECTIONS_PER_POINT = 200
-# the hull's per-chunk products hold at most about this many float64 values
-_HULL_CHUNK = 1 << 18
-# the hull gives up past this many facets x dim^2, about the entries of its
-# ridge rows: the peaks measured at dims 5 to 9 were 11 to 14 bytes per
-# facet x dim^2, so it stays under about 240 MB
+# the insertion gives up past this many facets x dim^2, which it reaches from
+# dim 9 on at the usual eps; its hull then holds about 200 000 facets
 _HULL_MAX_FACET_DIMS2 = 1 << 24
-# float32 screen margin per unit of (dim + 2), relative to the norm of a raw
-# candidate g: rounding a unit row p and g to float32 and summing their dim
-# products in float32, in any order, errs by at most gamma_(dim+2) sum |p_i g_i|
-# <= (dim+2) 2^-24 ||g|| / (1 - (dim+2) 2^-24) (Cauchy-Schwarz), which stays
-# below (4/3) (dim+2) 2^-24 ||g|| while dim < 4e6.  The float64 decision on
-# u = fl(g / ||g||) errs from p.g / ||g|| by at most about (dim/2 + 2) 2^-53
-# (the norm and the division) plus dim 2^-53 (the dot), and the scaled
-# thresholds (thresh -+ margin) ||g|| by about (dim/2 + 3) 2^-53 ||g||: all of
-# it fits in the remaining (2/3) (dim+2) 2^-24 ||g||.  So a float32 max dot
-# farther than 2 (dim+2) 2^-24 ||g|| from thresh ||g|| is on the same side as
-# the float64 one.  Float32 underflow adds at most 3 (dim+2) 2^-150 in
-# absolute terms; _F32_TINY covers it, and every row shorter than 2^-101
-# falls inside the widened margin and is re-decided in float64.
-_F32_MARGIN_UNIT = 2.0 ** -23
-_F32_TINY = 2.0 ** -100
+# scale of the Gaussian that moves each vertex of the start simplex
+_START_JITTER = 1e-3
 
 
 def _unit_rows(g: np.ndarray) -> np.ndarray:
-    """Rows of `g` divided by their norms: the sampler's one normalization."""
+    """Rows of `g` divided by their norms."""
     return g / np.linalg.norm(g, axis=1)[:, None]
 
 
@@ -136,27 +95,14 @@ class SphereSampler:
 
     def sample(self, count: int) -> np.ndarray:
         """(count, dim) array of uniform unit vectors (Gaussian-normalize)."""
-        return _unit_rows(self._draw(count))
-
-    def _draw(self, count: int) -> np.ndarray:
-        """(count, dim) standard normal rows; a row whose norm computes to 0
-        is drawn again.
-
-        `sample` normalizes these rows; the greedy build screens them raw and
-        normalizes only the candidates it needs.
-        """
         g = self._rng.standard_normal((count, self.dim))
-        # a row's norm rounds to 0 only if every entry squares to 0, which
-        # needs |entry| < 2^-537; skip the row norms when no entry is that small
-        if np.abs(g).min(initial=np.inf) >= 2.0 ** -500:
-            return g
         norms = np.linalg.norm(g, axis=1)
         # exact-zero norm is a measure-zero event; resample defensively
         while np.any(norms == 0.0):
             bad = norms == 0.0
             g[bad] = self._rng.standard_normal((int(bad.sum()), self.dim))
             norms = np.linalg.norm(g, axis=1)
-        return g
+        return g / norms[:, None]
 
 
 def sample_uniform(sampler: SphereSampler) -> np.ndarray:
@@ -174,10 +120,11 @@ class EpsNet:
 
     Every point of the sphere lies within `covering_radius`, a computed
     chord length, of a net point.  A greedy net (`build_eps_net`) is also an
-    eps-packing, any two points at least eps apart, and its covering radius
-    is <= eps, or None where its hull passed the memory bound.  A geodesic
-    net (`geodesic_net`) is not an eps-packing, and `eps` equals its
-    covering radius.  A net loaded from a header without the key has
+    eps-packing, any two points at least eps apart; its covering radius is
+    the widest empty cap's, <= eps, or None where the insertion's hull
+    passed its memory bound and the greedy tail completed the net.  A
+    geodesic net (`geodesic_net`) is not an eps-packing, and `eps` equals
+    its covering radius.  A net loaded from a header without the key has
     `covering_radius` None: it is not known to cover either.
 
     `triangles` holds a geodesic net's Delaunay triangulation, rows of
@@ -217,9 +164,9 @@ def _band_nearest(
     probe.  Returns (index, dot): the largest dot product with the probe over
     the band, ties to the lowest row index, and dot = -inf where the band is
     empty.  `order` is the stable argsort of the last coordinate (a net's
-    `z_order`); it is computed here when omitted, as for the build's growing
-    net and the screen's float64 re-decision.  Probes are grouped by bucket with one stable sort, so each group
-    keeps ascending probe order.
+    `z_order`); it is computed here when omitted, as for the greedy tail's
+    growing net.  Probes are grouped by bucket with one stable sort, so each
+    group keeps ascending probe order.
     """
     count = probes.shape[0]
     index = np.zeros(count, dtype=np.int64)
@@ -246,48 +193,6 @@ def _band_nearest(
     return index, dot
 
 
-def _screen_max_dot(
-    rows: np.ndarray,
-    rows32: np.ndarray,
-    eps: float,
-    raw: np.ndarray,
-    prod: np.ndarray,
-    top: np.ndarray,
-) -> np.ndarray:
-    """Mask of the raw candidates g whose normalized largest dot with `rows`
-    is <= 1 - eps^2/2.
-
-    `rows` are unit vectors and `rows32` their float32 copy; `raw` holds
-    unnormalized candidates with entries far below 2^64 in magnitude, as
-    Gaussian draws are.  Their float32 product goes, _SCREEN_BLOCK
-    candidates at a time, into `prod` (at least rows x _SCREEN_BLOCK), and
-    its column maxima into `top` (one per candidate).  A maximum farther
-    than _F32_MARGIN_UNIT (dim + 2) ||g|| + _F32_TINY from thresh ||g||
-    decides its candidate; the others are normalized with `_unit_rows` and
-    re-decided by `_band_nearest` in float64, so the mask is the float64
-    decision on the normalized candidates.
-    """
-    r, count = rows.shape[0], raw.shape[0]
-    if r == 0:
-        return np.ones(count, dtype=bool)
-    thresh = 1.0 - 0.5 * eps * eps
-    margin = _F32_MARGIN_UNIT * (rows.shape[1] + 2)
-    cols = np.ascontiguousarray(raw.T)
-    norm = np.sqrt(np.einsum("ij,ij->j", cols, cols))
-    cols32 = cols.astype(np.float32)
-    for start in range(0, count, _SCREEN_BLOCK):
-        stop = min(start + _SCREEN_BLOCK, count)
-        block = prod[:r, : stop - start]
-        np.matmul(rows32, cols32[:, start:stop], out=block)
-        np.max(block, axis=0, out=top[start:stop])
-    passed = top < norm * (thresh - margin) - _F32_TINY
-    unsure = np.nonzero(~passed & (top <= norm * (thresh + margin) + _F32_TINY))[0]
-    if unsure.size:
-        _, dot = _band_nearest(rows, eps, _unit_rows(raw[unsure]))
-        passed[unsure] = dot <= thresh
-    return passed
-
-
 def _projected_size_bounds(dim: int, eps: float) -> Tuple[float, float]:
     # crude covering lower bound and the volume-argument upper bound (3/eps)^dim
     lo = (1.0 / (3.0 * eps)) ** max(dim - 1, 0)
@@ -295,155 +200,38 @@ def _projected_size_bounds(dim: int, eps: float) -> Tuple[float, float]:
     return lo, hi
 
 
-def _greedy_packing(dim: int, eps: float, seed: int, max_points: int) -> np.ndarray:
-    """The random phase of `build_eps_net`: a greedy eps-packing of
-    S^(dim-1) from seeded candidates, stopped after _REJECTIONS_PER_POINT x
-    (current size) consecutive rejections.
+def _simplex(dim: int, seed: int) -> np.ndarray:
+    """The start of a greedy net: the dim + 1 vertices of a regular simplex
+    inscribed in S^(dim-1), turned by a seeded Haar-random rotation, each
+    moved by a Gaussian of scale _START_JITTER and put back on the sphere.
 
-    Each batch of candidates is tested against the net as it stood before
-    the batch: by the float32 screen `_screen_max_dot` on the raw Gaussian
-    draws, in blocks of 1024 candidates (float64 re-decision within
-    2 (dim + 2) 2^-24 ||g|| of the threshold), while the net has at most 256
-    points, by the float64 z-band scan after that; either way the decision
-    is the float64 one on the normalized draw.  The passing candidates are
-    then taken in stream order: each accepted one drops the later ones
-    whose float64 dot with it exceeds the threshold by more than rounding
-    can explain, and every survivor is re-checked against the points
-    accepted in the batch.  Dropped candidates count as rejections in
-    place, so the points and the stopping point equal those of a
-    one-candidate-at-a-time build.  Raises ResourceError when the net would
-    exceed max_points.
+    Any two vertices lie about sqrt(2 + 2/dim) > 1 > eps apart.  The
+    perturbation makes every later insertion generic: from the exact
+    regular simplex, inserted centres soon fall on neighbouring facet
+    planes, where `_insert_last` refuses them (measured at dims 3 to 6).
     """
-    sampler = SphereSampler(dim, seed)
-    dot_thresh = 1.0 - 0.5 * eps * eps  # ||u-v|| >= eps  <=>  u.v <= 1 - eps^2/2
-    # a float64 dot of two unit vectors errs by at most about dim 2^-53 however
-    # it is summed, so a dot above this exceeds dot_thresh in any evaluation
-    drop_thresh = dot_thresh + 4 * (dim + 2) * 2.0 ** -53
-    cap = 1024
-    pts = np.empty((cap, dim))
-    # screen buffers, allocated once: the float32 copy of the net's first
-    # _SCREEN_ROWS rows, kept as they are accepted, and one block's product
-    pts32 = np.empty((_SCREEN_ROWS, dim), dtype=np.float32)
-    prod = np.empty((_SCREEN_ROWS, _SCREEN_BLOCK), dtype=np.float32)
-    top = np.empty(_BATCH, dtype=np.float32)
-    size = 0
-    rejections = 0
-
-    def limit() -> int:
-        # max(size, 1): an empty net must still draw its first point
-        return _REJECTIONS_PER_POINT * max(size, 1)
-
-    def accept(c: np.ndarray) -> None:
-        nonlocal cap, pts, size, rejections
-        if size == cap:
-            cap *= 2
-            pts = np.vstack([pts, np.empty((cap - size, dim))])
-        pts[size] = c
-        if size < _SCREEN_ROWS:
-            pts32[size] = c
-        size += 1
-        rejections = 0
-        if size > max_points:
-            raise ResourceError(f"net exceeded max_points={max_points}")
-
-    while rejections < limit():
-        raw = sampler._draw(_BATCH)
-        base = size
-        # vectorized pass/fail against the frozen prefix of the net (exact:
-        # the screen re-decides in float64 near the threshold, and every
-        # point within eps of a candidate is in its band)
-        if base <= _SCREEN_ROWS:
-            pass_idx = np.nonzero(
-                _screen_max_dot(pts[:base], pts32[:base], eps, raw, prod, top))[0]
-            cand = _unit_rows(raw[pass_idx])
-        else:
-            batch = _unit_rows(raw)
-            pass_idx = np.nonzero(_band_nearest(pts[:base], eps, batch)[1] <= dot_thresh)[0]
-            cand = batch[pass_idx]
-        # in-batch greedy: each accept drops the later passing candidates
-        # that it surely blocks, and the survivors are re-checked against the
-        # points accepted in this batch as a one-at-a-time build would; a
-        # dropped candidate counts as a rejection inside the gap before the
-        # next survivor, so the consecutive-rejection accounting (and a stop
-        # inside the batch) matches the sequential semantics exactly
-        live = np.ones(pass_idx.size, dtype=bool)
-        j = 0
-        cursor = 0
-        stopped = False
-        while j < pass_idx.size:
-            j += int(np.argmax(live[j:]))
-            if not live[j]:
-                break
-            i = int(pass_idx[j])
-            gap = i - cursor
-            if rejections + gap >= limit():
-                rejections = limit()
-                stopped = True
-                break
-            rejections += gap
-            cursor = i + 1
-            c = cand[j]
-            j += 1
-            if size > base and np.max(pts[base:size] @ c) > dot_thresh:
-                rejections += 1  # blocked by a point accepted in this batch
-            else:
-                accept(c)
-                if j < pass_idx.size:
-                    live[j:] &= cand[j:] @ c <= drop_thresh
-        if not stopped:
-            rejections += _BATCH - cursor
-
-    return pts[:size].copy()
+    rng = make_rng(seed, 1)
+    centred = np.eye(dim + 1) - 1.0 / (dim + 1)
+    # the centred unit vectors in an orthonormal basis of their span
+    vertices = _unit_rows(centred @ np.linalg.svd(centred)[2][:dim].T)
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    rotation = q * np.sign(np.diag(r))
+    return _unit_rows(vertices @ rotation.T + _START_JITTER * rng.standard_normal((dim + 1, dim)))
 
 
-def _first_facet(points: np.ndarray) -> np.ndarray:
-    """Sorted vertex indices of one facet of the convex hull of `points`.
+def _facet_planes(points: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(m, allowance) of the facets `rows` (sorted vertex indices).
 
-    The tangent plane x.m = 1 at point 0 (m = point 0) supports the hull.
-    Each step turns the plane about the points it holds, along a direction
-    v orthogonal to them, until it meets the next point q at
-    t_q = (1 - q.m) / (q.v), the smallest over q with q.v > 0, and holds q
-    too; after dim - 1 steps it holds a facet.  v is the component,
-    orthogonal to the held points, of the point with the largest such
-    component, so that point moves toward the plane and some q is met.
-    """
-    held = [0]
-    m = points[0]
-    basis = np.empty((0, points.shape[1]))  # orthonormal rows spanning the held points
-    for _ in range(points.shape[1] - 1):
-        w = points[held[-1]] - (basis @ points[held[-1]]) @ basis
-        basis = np.vstack([basis, w / np.linalg.norm(w)])
-        resid = points - (points @ basis.T) @ basis
-        v = resid[int(np.argmax(np.einsum("ij,ij->i", resid, resid)))]
-        rate = points @ v
-        rate[held] = 0.0
-        t = np.full(points.shape[0], np.inf)
-        np.divide(1.0 - points @ m, rate, out=t, where=rate > 0.0)
-        q = int(np.argmin(t))
-        if not np.isfinite(t[q]):
-            raise NumericalIntegrityError("the net lies in a hemisphere: its hull misses the origin")
-        m = m + t[q] * v
-        held.append(q)
-    return np.sort(held)
-
-
-def _facet_planes(
-    points: np.ndarray, rows: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(inv, m, gap, allowance) of the facets `rows` (sorted vertex indices).
-
-    With V a facet's vertex rows, inv = V^-1 (vertex i . inv[:, j] =
-    delta_ij) and m = V^-1 1 is its plane x.m = 1; gap[f, q] = 1 - q.m_f is
-    >= 0 for the points q under plane f.  The allowance is a gap's rounding:
-    the computed plane misses the vertices by their computed gaps plus the
-    dot's rounding, about dim 2^-53 ||m||, so a point that lies on the exact
-    plane computes within twice that.  Raises NumericalIntegrityError when
-    some point lies above a plane by more than its allowance (the facet is
-    not a hull facet).
+    With V a facet's vertex rows, m solving V m = 1 is its plane x.m = 1, and
+    gap = 1 - q.m is >= 0 for the points q under it.  The allowance is a
+    gap's rounding: the computed plane misses the vertices by their computed
+    gaps plus the dot's rounding, about dim 2^-53 ||m||, so a point that
+    lies on the exact plane computes within twice that.  Raises
+    NumericalIntegrityError when some point lies above a plane by more than
+    its allowance (the facet is not a hull facet).
     """
     dim = points.shape[1]
-    inv = np.linalg.inv(points[rows])
-    m = inv.sum(axis=2)  # vertex . m = 1 for each vertex
+    m = np.linalg.solve(points[rows], np.ones(rows.shape + (1,)))[..., 0]
     gap = 1.0 - m @ points.T  # (facets, points)
     resid = np.abs(np.take_along_axis(gap, rows, axis=1)).max(axis=1)
     allowance = 2.0 * resid + 4 * (dim + 2) * 2.0 ** -53 * np.linalg.norm(m, axis=1)
@@ -452,48 +240,7 @@ def _facet_planes(
         raise NumericalIntegrityError(
             f"a net point lies above a hull facet by {worst:.3g} rounding allowances"
         )
-    return inv, m, gap, allowance
-
-
-def _wrap_ridges(
-    points: np.ndarray, level: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Planes and neighbours of the facets `level` (rows of vertex indices).
-
-    Returns (m, allowance, met): each facet's plane x.m = 1 and its rounding
-    allowance (`_facet_planes`), and for each vertex j the point met by
-    turning that plane about the ridge opposite j, away from vertex j.
-    With V the facet's vertex rows, column j of V^-1 is orthogonal to every
-    vertex but j, so v = -(V^-1)[:, j] turns the plane off vertex j; the
-    point met is the one of least t_q = (1 - q.m) / (q.v), q.v > 0.  The t_q
-    are laid out as (facets, dim, points), so each least one is taken along
-    a contiguous axis, and facets are taken _HULL_CHUNK / (points x dim) at
-    a time.
-    Raises NumericalIntegrityError when some point lies above a facet plane
-    by more than rounding or when no point is met (the points lie in a
-    closed hemisphere).
-    """
-    size, dim = points.shape
-    m = np.empty(level.shape)
-    allowance = np.empty(level.shape[0])
-    met = np.empty(level.shape, dtype=np.int64)
-    step = max(1, _HULL_CHUNK // (size * dim))
-    for start in range(0, level.shape[0], step):
-        part = slice(start, start + step)
-        rows = level[part]
-        count = rows.shape[0]
-        inv, m[part], gap, allowance[part] = _facet_planes(points, rows)
-        # rate[f, j, q] = q . (V_f^-1)[:, j] = -q.v, so t_q = -gap / rate
-        rate = (inv.transpose(0, 2, 1).reshape(-1, dim) @ points.T).reshape(count, dim, size)
-        t = np.full(rate.shape, np.inf)
-        np.divide(-gap[:, None, :], rate, out=t, where=rate < 0.0)
-        t[np.arange(count)[:, None], :, rows] = np.inf  # the facet's own vertices
-        met[part] = np.argmin(t, axis=2)
-        if not np.all(np.isfinite(np.take_along_axis(t, met[part][:, :, None], axis=2))):
-            raise NumericalIntegrityError(
-                "the net lies in a closed hemisphere: its hull misses the origin"
-            )
-    return m, allowance, met
+    return m, allowance
 
 
 def _distinct_rows(rows: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -522,29 +269,45 @@ def _distinct_rows(rows: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]
     return np.minimum.reduceat(order, starts), np.diff(starts, append=rows.shape[0])
 
 
+@functools.lru_cache(maxsize=None)
+def _ridge_columns(k: int) -> np.ndarray:
+    """(k, k - 1) table whose row j is range(k) less j, read-only since
+    every caller shares it."""
+    columns = np.tile(np.arange(k), (k, 1))[~np.eye(k, dtype=bool)].reshape(k, k - 1)
+    columns.flags.writeable = False
+    return columns
+
+
 def _ridges(facets: np.ndarray) -> np.ndarray:
-    """Every ridge of the facets, as sorted index rows: the rows of `facets`
+    """Every ridge of the facets, as sorted index rows: each row of `facets`
     less one entry, for each entry in turn."""
-    return np.concatenate([np.delete(facets, j, axis=1) for j in range(facets.shape[1])])
+    k = facets.shape[1]
+    return facets[:, _ridge_columns(k)].reshape(-1, k - 1)
 
 
 class _Hull(NamedTuple):
     """The facets of a convex hull of unit rows: each facet's sorted vertex
     indices, its plane x.m = 1 and that plane's rounding allowance
-    (`_facet_planes`)."""
+    (`_facet_planes`), and the chord radius of its cap (`_cap_radii`)."""
 
     facets: np.ndarray
     planes: np.ndarray
     allowances: np.ndarray
+    radii: np.ndarray
 
 
-def _caps(points: np.ndarray, hull: _Hull) -> Tuple[np.ndarray, np.ndarray]:
-    """(centers, radii) of the hull's facets: the center m / ||m|| of each
-    facet's cap and the cap's chord radius, the largest chord from that
-    center to the facet's vertices."""
-    centers = _unit_rows(hull.planes)
-    radii = np.max([np.linalg.norm(points[v] - centers, axis=1) for v in hull.facets.T], axis=0)
-    return centers, radii
+def _cap_radii(points: np.ndarray, facets: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """Chord radius of each facet's cap: the largest chord from the cap's
+    centre m / ||m|| to the facet's vertices."""
+    chords = points[facets] - _unit_rows(planes)[:, None, :]
+    return np.sqrt(np.einsum("fvx,fvx->fv", chords, chords).max(axis=1))
+
+
+def _hull_facets(points: np.ndarray, rows: np.ndarray) -> _Hull:
+    """The facets `rows` of the hull of `points`, with their planes, checked
+    against every point (`_facet_planes`), and their caps' radii."""
+    planes, allowances = _facet_planes(points, rows)
+    return _Hull(rows, planes, allowances, _cap_radii(points, rows, planes))
 
 
 def _check_ridges(facets: np.ndarray, size: int) -> None:
@@ -556,52 +319,6 @@ def _check_ridges(facets: np.ndarray, size: int) -> None:
         )
 
 
-def _hull_caps(points: np.ndarray) -> Optional[_Hull]:
-    """Convex hull of the unit rows `points` (dim >= 2) by gift-wrapping:
-    its facets, their planes and the planes' rounding allowances (`_Hull`),
-    from which `_caps` gives each facet's empty cap.
-
-    The facets are found breadth-first from `_first_facet`: the neighbours
-    across a level's ridges (`_wrap_ridges`), less the facets of that level
-    and the one before, form the next level, deduplicated with
-    `_distinct_rows` over their sorted index rows.
-
-    Every facet of a convex hull of points on the sphere is an empty cap
-    (no point lies above its plane), and the facets' caps cover the
-    sphere, so the widest cap's radius is the covering radius of the
-    points.  Both
-    properties are checked: every point lies under every facet plane up to
-    rounding, and every ridge lies in exactly two facets, else
-    NumericalIntegrityError.  Returns None, before wrapping the level that
-    would take it there, when facets x dim^2 would pass _HULL_MAX_FACET_DIMS2.
-    """
-    size, dim = points.shape
-    prev = np.empty((0, dim), dtype=np.int32)
-    level = _first_facet(points).astype(np.int32)[None]
-    facets, planes, allowances = [], [], []
-    found = 0
-    while level.shape[0]:
-        found += level.shape[0]
-        if found * dim * dim > _HULL_MAX_FACET_DIMS2:
-            return None
-        m, allowance, met = _wrap_ridges(points, level)
-        facets.append(level)
-        planes.append(m)
-        allowances.append(allowance)
-        # the facet across ridge j of each facet of the level: vertex j
-        # swapped for met[:, j]; a candidate that is not a row of prev or
-        # level, taken once, is a new facet
-        across = np.repeat(level[None], dim, axis=0)
-        across[np.arange(dim), :, np.arange(dim)] = met.T
-        across.sort(axis=2)
-        rows = np.concatenate([prev, level, across.reshape(-1, dim)])
-        first = _distinct_rows(rows, size)[0]
-        prev, level = level, rows[np.sort(first[first >= prev.shape[0] + level.shape[0]])]
-    facets = np.concatenate(facets)
-    _check_ridges(facets, size)
-    return _Hull(facets, np.concatenate(planes), np.concatenate(allowances))
-
-
 def _insert_last(points: np.ndarray, hull: _Hull) -> _Hull:
     """The hull of `points` from `hull`, the hull of all its rows but the
     last, p, by beneath-beyond insertion.
@@ -609,10 +326,11 @@ def _insert_last(points: np.ndarray, hull: _Hull) -> _Hull:
     The facets whose planes p lies above (p.m > 1) are deleted, and p is
     joined to their horizon, the ridges that lie in exactly one deleted
     facet: each such ridge and p span a new facet, whose plane comes from
-    the inverse of its vertex rows and is checked against every point
-    (`_facet_planes`).  Raises NumericalIntegrityError when p lies within
-    its rounding allowance of some facet's plane, where the side of p is
-    not decided, or under every plane.
+    the inverse of its vertex rows and is checked against every point, and
+    whose cap radius is computed (`_hull_facets`).  Raises
+    NumericalIntegrityError when p lies within its rounding allowance of
+    some facet's plane, where the side of p is not decided, or under every
+    plane.
     """
     size = points.shape[0]
     gap = 1.0 - hull.planes @ points[-1]
@@ -625,65 +343,88 @@ def _insert_last(points: np.ndarray, hull: _Hull) -> _Hull:
     first, counts = _distinct_rows(ridges, size)
     horizon = ridges[first[counts == 1]]
     rows = np.column_stack([horizon, np.full(horizon.shape[0], size - 1, dtype=horizon.dtype)])
-    _, m, _, allowance = _facet_planes(points, rows)
+    new = _hull_facets(points, rows)
     kept = ~seen
-    return _Hull(np.concatenate([hull.facets[kept], rows]),
-                 np.concatenate([hull.planes[kept], m]),
-                 np.concatenate([hull.allowances[kept], allowance]))
+    return _Hull(*(np.concatenate([old[kept], added]) for old, added in zip(hull, new)))
 
 
 def _fill_caps(
     points: np.ndarray, eps: float, max_points: int
-) -> Tuple[np.ndarray, Optional[float]]:
-    """Add points to the eps-packing `points` until it is an eps-covering;
-    returns the points and their covering radius.
+) -> Tuple[np.ndarray, Optional[_Hull]]:
+    """Farthest-point insertion from the simplex `points`: the points and
+    their final hull, or None for the hull once it has passed its memory
+    bound.
 
-    The hull of the random phase's points is wrapped once (`_hull_caps`).
-    Each pass then takes the centers of the caps wider than eps, widest
-    first, skipping a center within eps of one taken in the same pass, and
-    inserts them into the hull one at a time (`_insert_last`).  A cap is
-    empty, so its center lies at least its width, more than eps, from every
-    net point: the net stays an eps-packing, which the float64 test of the
-    random phase confirms for each added center.  Once no cap is wider than
-    eps, the hull's ridges are checked and the widest cap's width is the
-    covering radius.  A hull past its memory bound (in practice from dim 9
-    on), the random phase's or one after a pass, ends the fill: the points
-    added so far are returned, still an eps-packing, with radius None.  On
-    S^0 the net holds both points and the radius is 0.
+    The simplex's hull has one facet opposite each vertex.  While the
+    widest cap (the argmax of the hull's radii) is wider than eps and the
+    hull has at most _HULL_MAX_FACET_DIMS2 / dim^2 facets, the cap's
+    centre is inserted into the hull (`_insert_last`), which computes the
+    caps of the new facets only.  A cap is empty, so its centre lies at
+    least its radius, more than eps, from every point: the points stay an
+    eps-packing, which a float64 test confirms for each centre.  Once no cap
+    is wider than eps, the hull's ridges are checked and the widest cap's
+    radius is the covering radius of the points.  Raises ResourceError when
+    the points would exceed max_points.
     """
-    dim = points.shape[1]
-    if dim == 1:
-        if points.shape[0] == 1:
-            points = np.vstack([points, -points])
-        return points, 0.0
+    size, dim = points.shape
     thresh = 1.0 - 0.5 * eps * eps
-    hull = _hull_caps(points)
-    while hull is not None:
-        centers, radii = _caps(points, hull)
-        order = np.argsort(-radii, kind="stable")
-        wide = centers[order[radii[order] > eps]]
-        if wide.shape[0] == 0:
-            _check_ridges(hull.facets, points.shape[0])
-            return points, float(radii.max())
-        live = _band_nearest(points, eps, wide)[1] <= thresh
-        added = []
-        for j in np.nonzero(live)[0]:
-            if live[j]:
-                added.append(j)
-                live[j + 1:] &= wide[j + 1:] @ wide[j] <= thresh
-        if not added:
+    hull = _hull_facets(points, _ridges(np.arange(size, dtype=np.int32)[None]))
+    while True:
+        widest = int(np.argmax(hull.radii))
+        if hull.radii[widest] <= eps:
+            _check_ridges(hull.facets, size)
+            return points[:size], hull
+        if hull.facets.shape[0] * dim * dim > _HULL_MAX_FACET_DIMS2:
+            return points[:size], None
+        if size >= max_points:
+            raise ResourceError(f"net exceeded max_points={max_points}")
+        center = _unit_rows(hull.planes[widest : widest + 1])[0]
+        if np.max(points[:size] @ center) > thresh:
             raise NumericalIntegrityError(
-                f"no center of the {wide.shape[0]} caps wider than eps is eps from the net"
+                "the centre of a cap wider than eps lies within eps of a net point"
             )
-        size = points.shape[0]
-        points = np.vstack([points, wide[added]])
+        if size == points.shape[0]:
+            points = np.vstack([points, np.empty_like(points)])
+        points[size] = center
+        size += 1
+        hull = _insert_last(points[:size], hull)
+
+
+def _greedy_tail(points: np.ndarray, eps: float, seed: int, max_points: int) -> np.ndarray:
+    """The eps-packing `points` extended by the seeded candidates of
+    SphereSampler(dim, seed) that lie at least eps from every point, until
+    _REJECTIONS_PER_POINT x (net size) consecutive rejections.
+
+    Each batch of candidates is tested in float64 by the z-band scan against
+    the net as it stood before the batch; the passing ones are then taken in
+    stream order, each re-checked against the points accepted earlier in
+    its batch, so the points and the stopping point are those of a build
+    that tests one candidate at a time.  Raises ResourceError when the net
+    would exceed max_points.
+    """
+    sampler = SphereSampler(points.shape[1], seed)
+    thresh = 1.0 - 0.5 * eps * eps  # ||u-v|| >= eps  <=>  u.v <= 1 - eps^2/2
+    rejections = 0
+    while rejections < _REJECTIONS_PER_POINT * points.shape[0]:
+        batch = sampler.sample(_BATCH)
+        base = points.shape[0]
+        added, cursor = [], 0
+        for i in np.flatnonzero(_band_nearest(points, eps, batch)[1] <= thresh):
+            rejections += i - cursor
+            if rejections >= _REJECTIONS_PER_POINT * (base + len(added)):
+                break
+            cursor = i + 1
+            if added and np.max(batch[added] @ batch[i]) > thresh:
+                rejections += 1  # blocked by a point accepted in this batch
+            else:
+                added.append(i)
+                rejections = 0
+        else:
+            rejections += _BATCH - cursor
+        points = np.vstack([points, batch[added]])
         if points.shape[0] > max_points:
             raise ResourceError(f"net exceeded max_points={max_points}")
-        for end in range(size + 1, points.shape[0] + 1):
-            hull = _insert_last(points[:end], hull)
-        if hull.facets.shape[0] * dim * dim > _HULL_MAX_FACET_DIMS2:
-            break
-    return points, None
+    return points
 
 
 def build_eps_net(
@@ -692,18 +433,18 @@ def build_eps_net(
     seed: int = 0,
     max_points: int = 1_000_000,
 ) -> EpsNet:
-    """Greedy eps-packing of S^(dim-1) that is also a certified eps-covering.
+    """Eps-packing of S^(dim-1) by farthest-point insertion, a certified
+    eps-covering wherever its hull stays within its memory bound.
 
-    The random phase (`_greedy_packing`) accepts seeded candidates at
-    distance >= eps from every accepted point until 200 x (current size)
-    consecutive rejections.  The fill (`_fill_caps`) then wraps the convex
-    hull of the points once, whose facets are the empty caps, and inserts
-    the centers of the caps wider than eps into it until none is.  The net's
-    `covering_radius` is the widest cap's chord radius, computed, and
-    <= eps; it is None, the net an eps-packing only, when a hull passes
-    its memory bound, which at the usual eps happens from dim 9 on.
-    Raises ResourceError when the net would exceed max_points; the
-    volume bound (3/eps)^dim caps the attainable size.
+    The net starts from a perturbed regular simplex (`_simplex`) and takes,
+    one at a time, the centre of the widest empty cap of its convex hull
+    while that cap is wider than eps (`_fill_caps`).  Its `covering_radius`
+    is then the widest cap's chord radius, computed, and <= eps.  Where the
+    hull passes its memory bound first, which at the usual eps happens from
+    dim 9 on, the greedy tail (`_greedy_tail`) completes the eps-packing and
+    the radius is None.  On S^0 the net is both points, with radius 0.
+    Raises ResourceError when the net would exceed max_points; the volume
+    bound (3/eps)^dim caps the attainable size.
     """
     if not (0.0 < eps < 1.0):
         raise DomainError("eps must lie in (0, 1)")
@@ -715,9 +456,16 @@ def build_eps_net(
             f"projected net size >= {lo_est:.3g} (upper bound {hi_est:.3g}) "
             f"exceeds max_points={max_points}"
         )
-    points = _greedy_packing(dim, eps, seed, max_points)
-    points, rho = _fill_caps(points, eps, max_points)
+    points, rho = _simplex(dim, seed), 0.0
+    if dim > 1:
+        points, hull = _fill_caps(points, eps, max_points)
+        if hull is None:
+            points, rho = _greedy_tail(points, eps, seed, max_points), None
+        else:
+            rho = float(hull.radii.max())
     return EpsNet(dim=dim, eps=float(eps), points=points, seed=seed, covering_radius=rho)
+
+
 
 
 # icosahedron: the 12 cyclic permutations of (0, +-1, +-phi)
@@ -1169,9 +917,11 @@ def load_net(csv_path: str) -> EpsNet:
     """Read a net written by `save_net`; DomainError names the bad file and line.
 
     Refused: a header that is not JSON or lacks a numeric dim, size, eps or
-    seed; a CSV that `read_matrix_csv` refuses or whose shape differs from
-    the header's; a row whose norm is off 1 by more than 1e-12 or not finite.
-    A header without `covering_radius` loads with None.
+    seed, or whose `covering_radius` is neither null nor a JSON number in
+    [0, 2] (a chord on the unit sphere); a CSV that `read_matrix_csv`
+    refuses or whose shape differs from the header's; a row whose norm is
+    off 1 by more than 1e-12 or not finite.  A header without
+    `covering_radius` loads with None.
     """
     header_path = _header_path(csv_path)
     with open(header_path, "r", encoding="utf-8") as fh:
@@ -1180,9 +930,13 @@ def load_net(csv_path: str) -> EpsNet:
             dim, size = int(header["dim"]), int(header["size"])
             eps, seed = float(header["eps"]), int(header["seed"])
             rho = header.get("covering_radius")
-            rho = None if rho is None else float(rho)
         except (ValueError, KeyError, TypeError) as exc:
             raise DomainError(f"{header_path}: bad net header: {exc!r}") from None
+    # bool is an int subclass, and NaN fails both comparisons
+    if rho is not None and (isinstance(rho, bool) or not isinstance(rho, (int, float))
+                            or not 0.0 <= rho <= 2.0):
+        raise DomainError(f"{header_path}: bad net header: covering_radius {rho!r} "
+                          "is not a number in [0, 2]")
     pts, lines = _read_matrix_lines(csv_path)
     if pts.shape != (size, dim):
         raise DomainError(f"{csv_path}: shape {pts.shape} differs from the header's "
@@ -1194,4 +948,5 @@ def load_net(csv_path: str) -> EpsNet:
         raise DomainError(
             f"{csv_path}: line {lines[row]} is not a unit vector: {pts[row].tolist()}"
         )
-    return EpsNet(dim=dim, eps=eps, points=pts, seed=seed, covering_radius=rho)
+    return EpsNet(dim=dim, eps=eps, points=pts, seed=seed,
+                  covering_radius=None if rho is None else float(rho))

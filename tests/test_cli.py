@@ -343,6 +343,12 @@ class TestImportCost:
                      f"dimwitness.cli.main(['net', '5', '0.7', '--out', {prefix!r}])")
         assert self.scipy_modules_after(statement) == "[]"
 
+    def test_no_scipy_in_the_greedy_tail(self):
+        # a hull bound of 0 sends the whole build to the float64 greedy tail
+        statement = ("import dimwitness.sphere as sphere; sphere._HULL_MAX_FACET_DIMS2 = 0; "
+                     "assert dimwitness.build_eps_net(4, 0.5).covering_radius is None")
+        assert self.scipy_modules_after(statement) == "[]"
+
     def test_no_scipy_in_tsirelson_command(self):
         statement = "dimwitness.cli.main(['tsirelson', '16', '--pairs', '10'])"
         assert self.scipy_modules_after(statement) == "[]"

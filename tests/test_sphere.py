@@ -34,42 +34,39 @@ from dimwitness.sphere import (
 
 @pytest.fixture(scope="module")
 def net_3_015():
-    """A net of more than 256 points: its build runs the float32 screen up to
-    256 points and the z-band scan after that."""
+    """A greedy net of more than 256 points."""
     return build_eps_net(3, 0.15, seed=3)
 
 
-def float64_eps_net(dim, eps, seed):
-    """Reference for the random phase of build_eps_net: every candidate batch
-    tested in float64, candidates taken one at a time."""
-    sampler = SphereSampler(dim, seed)
+def rescanned_tail(points, eps, seed):
+    """Reference for the greedy tail of build_eps_net: candidates taken one
+    at a time in stream order, the rest of a batch rescanned against the
+    whole net after each acceptance."""
+    sampler = SphereSampler(points.shape[1], seed)
     thresh = 1.0 - 0.5 * eps * eps
-    pts = np.empty((0, dim))
     rejections = 0
 
     def limit():
-        return sphere._REJECTIONS_PER_POINT * max(pts.shape[0], 1)
+        return sphere._REJECTIONS_PER_POINT * points.shape[0]
 
     while rejections < limit():
         batch = sampler.sample(sphere._BATCH)
-        base = pts.shape[0]
-        _, maxdot = sphere._band_nearest(pts, eps, batch)
         cursor = 0
-        for i in np.nonzero(maxdot <= thresh)[0]:
-            gap = int(i) - cursor
-            if rejections + gap >= limit():
-                rejections = limit()
+        while cursor < batch.shape[0]:
+            free = np.flatnonzero(np.max(batch[cursor:] @ points.T, axis=1) <= thresh)
+            if free.size == 0 or rejections + free[0] >= limit():
+                rejections += batch.shape[0] - cursor
                 break
-            rejections += gap
-            cursor = int(i) + 1
-            if pts.shape[0] > base and np.max(pts[base:] @ batch[i]) > thresh:
-                rejections += 1
-            else:
-                pts = np.vstack([pts, batch[i]])
-                rejections = 0
-        else:
-            rejections += sphere._BATCH - cursor
-    return pts
+            points = np.vstack([points, batch[cursor + free[0]]])
+            rejections = 0
+            cursor += free[0] + 1
+    return points
+
+
+def min_chord(points):
+    gram = points @ points.T
+    np.fill_diagonal(gram, -1.0)
+    return math.sqrt(max(2.0 - 2.0 * gram.max(), 0.0))
 
 
 class TestSampler:
@@ -117,10 +114,6 @@ class TestSampler:
         g = make_rng(17, 2).standard_normal((3000, dim))
         pts = SphereSampler(dim, 17, stream_id=2).sample(3000)
         assert np.array_equal(pts, g / np.linalg.norm(g, axis=1)[:, None])
-        # the greedy build normalizes only the candidates it keeps: any subset
-        # of rows, normalized alone, equals the same rows of the whole sample
-        for subset in (np.arange(0, 3000, 7), np.array([11]), np.array([2999, 0])):
-            assert np.array_equal(sphere._unit_rows(g[subset]), pts[subset])
 
     def test_rows_of_zero_norm_are_drawn_again(self):
         class Stub:
@@ -134,12 +127,8 @@ class TestSampler:
         # a zero row, and a row whose squares underflow: both norms compute to 0
         sampler._rng = Stub([[[0.0, 0.0], [3.0, 4.0], [1e-300, -1e-300]],
                              [[1e-200, 1.0], [0.0, 2.0]]])
-        assert np.array_equal(sampler._draw(3), [[1e-200, 1.0], [3.0, 4.0], [0.0, 2.0]])
-
-    def test_draw_is_the_raw_stream(self):
-        sampler = SphereSampler(5, seed=4)
-        raw = np.vstack([sampler._draw(1000), sampler._draw(24)])
-        assert np.array_equal(raw, make_rng(4).standard_normal((1024, 5)))
+        redrawn = np.array([[1e-200, 1.0], [3.0, 4.0], [0.0, 2.0]])
+        assert np.array_equal(sampler.sample(3), sphere._unit_rows(redrawn))
 
 
 class TestEpsNet:
@@ -191,30 +180,27 @@ class TestEpsNet:
         "dim, eps, seed",
         [(1, 0.5, 0), (2, 0.1, 5), (3, 0.3, 7), (4, 0.5, 1), (5, 0.7, 1), (6, 0.8, 0)],
     )
-    def test_equals_float64_reference(self, dim, eps, seed):
-        ref = float64_eps_net(dim, eps, seed)
-        assert np.array_equal(sphere._greedy_packing(dim, eps, seed, 10**6), ref)
-        # the fill appends to the random phase's points
-        assert np.array_equal(build_eps_net(dim, eps, seed=seed).points[: len(ref)], ref)
+    def test_equals_float64_reference(self, dim, eps, seed, monkeypatch):
+        # a bound that no hull meets sends the whole build to the greedy tail
+        monkeypatch.setattr(sphere, "_HULL_MAX_FACET_DIMS2", 0)
+        net = build_eps_net(dim, eps, seed=seed)
+        assert np.array_equal(net.points, rescanned_tail(sphere._simplex(dim, seed), eps, seed))
+        assert (net.covering_radius is None) == (dim > 1)
+        assert min_chord(net.points) >= eps
 
     @pytest.mark.parametrize("tail", [1, 500, 5_000, 12_000])
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
     def test_equals_float64_reference_with_short_tails(self, dim, tail, monkeypatch):
-        # `tail` consecutive rejections per net point: at eps 0.9 the random
-        # phase holds 1 to 54 points, so the stop falls inside a batch, for
-        # the short budgets inside the first one after thousands of
-        # candidates blocked in it.  A build that miscounted the blocked
+        # `tail` consecutive rejections per net point: at eps 0.9 the tail
+        # from the simplex holds 3 to 54 points, so the stop falls inside a
+        # batch, for the short budgets inside the first one after thousands
+        # of candidates blocked in it.  A tail that miscounted the blocked
         # candidates would stop elsewhere or accept a candidate after the stop.
+        monkeypatch.setattr(sphere, "_HULL_MAX_FACET_DIMS2", 0)
         monkeypatch.setattr(sphere, "_REJECTIONS_PER_POINT", tail)
         for seed in range(4):
-            points = sphere._greedy_packing(dim, 0.9, seed, 10**6)
-            assert np.array_equal(points, float64_eps_net(dim, 0.9, seed))
-
-    def test_equals_float64_reference_across_band_cut(self):
-        # the float32 screen runs up to 256 points and the z-bands after
-        points = sphere._greedy_packing(3, 0.15, 3, 10**6)
-        assert points.shape[0] > sphere._SCREEN_ROWS
-        assert np.array_equal(points, float64_eps_net(3, 0.15, 3))
+            points = build_eps_net(dim, 0.9, seed=seed).points
+            assert np.array_equal(points, rescanned_tail(sphere._simplex(dim, seed), 0.9, seed))
 
     def test_save_load_roundtrip(self, tmp_path):
         # a dim-1 net is written one entry per line and must load as (size, 1)
@@ -256,6 +242,22 @@ class TestEpsNet:
         with pytest.raises(DomainError, match="net.json: bad net header"):
             load_net(str(tmp_path / "net.csv"))
 
+    @pytest.mark.parametrize("radius", ['"0.5"', "-1", "true", "NaN", "Infinity", "2.5", "[0.5]"])
+    def test_load_refuses_a_bad_covering_radius(self, tmp_path, radius):
+        net = EpsNet(dim=3, eps=0.5, points=np.eye(3)[:2], seed=0)
+        save_net(net, str(tmp_path / "net.csv"))
+        header = json.loads((tmp_path / "net.json").read_text())
+        header["covering_radius"] = "RADIUS"
+        (tmp_path / "net.json").write_text(json.dumps(header).replace('"RADIUS"', radius))
+        with pytest.raises(DomainError, match="net.json: bad net header: covering_radius"):
+            load_net(str(tmp_path / "net.csv"))
+
+    def test_load_keeps_a_radius_in_range(self, tmp_path):
+        for radius in (0, 0.0, 2, 1.25):
+            net = EpsNet(dim=3, eps=0.5, points=np.eye(3)[:2], seed=0, covering_radius=radius)
+            save_net(net, str(tmp_path / "net.csv"))
+            assert load_net(str(tmp_path / "net.csv")).covering_radius == radius
+
     @pytest.mark.parametrize("bad_row", ["nan,0,0", "0,2,0", "inf,0,0"])
     def test_load_refuses_rows_off_the_sphere(self, tmp_path, bad_row):
         net = EpsNet(dim=3, eps=0.5, points=np.eye(3)[:2], seed=0)
@@ -277,61 +279,29 @@ class TestEpsNet:
 
 def hull_oracle(points):
     """scipy's convex hull of unit rows: its facets as sorted index rows, and
-    the covering radius sqrt(2 - 2 h) of the facet plane nearest the origin."""
+    the centre n and chord radius sqrt(2 - 2 h) of each facet's cap, for
+    the facet plane n.x = h."""
     from scipy.spatial import ConvexHull
 
     hull = ConvexHull(points)
-    offsets = -hull.equations[:, -1]
-    return np.sort(hull.simplices, axis=1), math.sqrt(2.0 - 2.0 * offsets.min())
+    return (np.sort(hull.simplices, axis=1), hull.equations[:, :-1],
+            np.sqrt(2.0 - 2.0 * -hull.equations[:, -1]))
 
 
 GREEDY_CASES = [(1, 0.5), (2, 0.1), (2, 0.9), (3, 0.3), (3, 0.9), (4, 0.5),
                 (5, 0.7), (6, 0.8)]
 
 
-def rewrapped_fill(points, eps):
-    """Reference for the fill of `build_eps_net`: the hull of the whole net
-    wrapped afresh on every pass, and the centers of its caps wider than eps
-    added, widest first, skipping a center within eps of one added in the
-    same pass."""
-    thresh = 1.0 - 0.5 * eps * eps
-    while True:
-        hull = sphere._hull_caps(points)
-        if hull is None:
-            return points, None
-        centers, radii = sphere._caps(points, hull)
-        order = np.argsort(-radii, kind="stable")
-        wide = centers[order[radii[order] > eps]]
-        if wide.shape[0] == 0:
-            return points, float(radii.max())
-        live = sphere._band_nearest(points, eps, wide)[1] <= thresh
-        added = []
-        for j in np.nonzero(live)[0]:
-            if live[j]:
-                added.append(j)
-                live[j + 1:] &= wide[j + 1:] @ wide[j] <= thresh
-        points = np.vstack([points, wide[added]])
-
-
-class HullLog:
-    """Counts the `_hull_caps` calls and keeps the last hull that
-    `_hull_caps` or `_insert_last` returned."""
-
-    def __init__(self, monkeypatch):
-        self.wraps, self.last = 0, None
-        hull_caps, insert_last = sphere._hull_caps, sphere._insert_last
-
-        def wrap(points):
-            self.wraps += 1
-            self.last = hull_caps(points)
-            return self.last
-
-        def insert(points, hull):
-            self.last = insert_last(points, hull)
-            return self.last
-
-        monkeypatch.setattr(sphere, "_hull_caps", wrap)
-        monkeypatch.setattr(sphere, "_insert_last", insert)
+def inserted_hulls(points):
+    """The hulls `_fill_caps` keeps, replayed on the net `points`: the hull
+    of its start simplex, then of each longer prefix, each point inserted
+    in turn."""
+    dim = points.shape[1]
+    hull = sphere._hull_facets(points[: dim + 1], sphere._ridges(np.arange(dim + 1)[None]))
+    yield hull
+    for end in range(dim + 2, points.shape[0] + 1):
+        hull = sphere._insert_last(points[:end], hull)
+        yield hull
 
 
 class TestCoveringCertificate:
@@ -340,28 +310,34 @@ class TestCoveringCertificate:
         for seed in range(3):
             net = build_eps_net(dim, eps, seed=seed)
             assert net.covering_radius is not None and net.covering_radius <= eps
-            gram = net.points @ net.points.T
-            np.fill_diagonal(gram, -1.0)
-            assert math.sqrt(max(2.0 - 2.0 * gram.max(), 0.0)) >= eps, (dim, eps, seed)
+            assert min_chord(net.points) >= eps, (dim, eps, seed)
 
-    @pytest.mark.parametrize("dim, eps", [case for case in GREEDY_CASES if case[0] > 1])
+    @pytest.mark.parametrize("dim, eps", [(2, 0.2), (3, 0.4), (4, 0.5), (5, 0.7)])
+    def test_packing_and_covering_over_twenty_seeds(self, dim, eps):
+        for seed in range(20):
+            net = build_eps_net(dim, eps, seed=seed)
+            assert min_chord(net.points) >= eps, seed
+            assert net.covering_radius <= eps, seed
+
+    def test_seeds_give_different_nets(self):
+        for dim, eps in ((2, 0.3), (3, 0.3), (5, 0.7)):
+            nets = [build_eps_net(dim, eps, seed=seed).points for seed in range(4)]
+            for i, a in enumerate(nets):
+                for b in nets[:i]:
+                    assert a.shape != b.shape or np.abs(a - b).max() > 0.1, (dim, eps)
+
+    @pytest.mark.parametrize("dim, eps", [case for case in GREEDY_CASES if case[0] > 1]
+                             + [(7, 0.9)])
     def test_hull_equals_scipy(self, dim, eps):
-        for seed in (0, 3):
-            for points in (sphere._greedy_packing(dim, eps, seed, 10**6),
-                           build_eps_net(dim, eps, seed=seed).points):
-                hull = sphere._hull_caps(points)
-                facets, radii = hull.facets, sphere._caps(points, hull)[1]
-                expected, rho = hull_oracle(points)
-                assert len(facets) == len(expected)
-                assert set(map(tuple, facets)) == set(map(tuple, expected))
-                assert abs(radii.max() - rho) <= 1e-12
-        assert build_eps_net(dim, eps, seed=3).covering_radius == radii.max()
-
-    def test_random_phase_leaves_wider_caps(self):
-        # at (5, 0.7) the random phase alone covers only within 1.06-1.09 eps
-        for seed in range(3):
-            _, rho = hull_oracle(sphere._greedy_packing(5, 0.7, seed, 10**6))
-            assert rho > 0.7
+        for seed in (0,) if dim == 7 else (0, 3):
+            points, hull = sphere._fill_caps(sphere._simplex(dim, seed), eps, 10**6)
+            net = build_eps_net(dim, eps, seed=seed)
+            assert np.array_equal(net.points, points)
+            assert net.covering_radius == hull.radii.max()
+            expected, _, radii = hull_oracle(points)
+            assert len(hull.facets) == len(expected)
+            assert set(map(tuple, hull.facets.tolist())) == set(map(tuple, expected.tolist()))
+            assert abs(net.covering_radius - radii.max()) <= 1e-12, (dim, eps, seed)
 
     @pytest.mark.parametrize("dim, eps, seed", [(2, 0.1, 5), (3, 0.3, 7), (4, 0.5, 1),
                                                 (5, 0.7, 1)])
@@ -372,26 +348,20 @@ class TestCoveringCertificate:
         assert dist.max() <= net.covering_radius
 
     def test_dim1_radius_is_zero(self):
-        assert build_eps_net(1, 0.5, seed=3).covering_radius == 0.0
-        points, rho = sphere._fill_caps(np.array([[-1.0]]), 0.5, 10)
-        assert points.ravel().tolist() == [-1.0, 1.0] and rho == 0.0
-
-    def test_points_in_a_hemisphere_are_refused(self):
-        points = SphereSampler(3, 0).sample(50)
-        points[:, 2] = np.abs(points[:, 2])
-        points = np.vstack([points, [[0.0, 0.0, 1.0]]])
-        with pytest.raises(NumericalIntegrityError, match="hemisphere"):
-            sphere._hull_caps(points / np.linalg.norm(points, axis=1)[:, None])
+        for seed in range(4):
+            net = build_eps_net(1, 0.5, seed=seed)
+            assert sorted(net.points.ravel().tolist()) == [-1.0, 1.0]
+            assert net.covering_radius == 0.0
 
     def test_a_point_above_a_facet_is_refused(self):
-        points = build_eps_net(3, 0.5, seed=0).points
-        facet = sphere._hull_caps(points).facets[0]
+        points, hull = sphere._fill_caps(sphere._simplex(3, 0), 0.5, 10**6)
+        facet = hull.facets[0]
         # a plane through two vertices of a facet and the point farthest from
         # it cuts the sphere, so net points lie above it
         far = int(np.argmin(points @ points[facet].sum(axis=0)))
         level = np.sort([[facet[0], facet[1], far]])
         with pytest.raises(NumericalIntegrityError, match="above a hull facet"):
-            sphere._wrap_ridges(points, level)
+            sphere._facet_planes(points, level)
 
     def test_distinct_rows_match_numpy(self):
         # 10^6 indices take 20 bits, so rows of 9 pack into three keys
@@ -403,61 +373,35 @@ class TestCoveringCertificate:
         assert np.array_equal(first, expected_first)
         assert np.array_equal(counts, expected_counts)
 
-    def test_hull_of_thousands_of_points_in_dim_6(self):
-        # the join of a 3 400-gon in the first two coordinates and a regular
-        # 4-simplex in the other four: its facets are an edge of the polygon
-        # and a facet of the simplex, 3 400 x 5 of them, the widest cap's
-        # plane at the height of the polygon's edges times the simplex's
-        # facets, 1 / sqrt(1 / cos(pi / 3400)^2 + 4^2)
-        angles = 2.0 * np.pi * np.arange(3400) / 3400
-        simplex = np.eye(5) - 0.2
-        simplex = simplex @ np.linalg.svd(simplex)[2][:4].T
-        points = np.zeros((3405, 6))
-        points[:3400, 0], points[:3400, 1] = np.cos(angles), np.sin(angles)
-        points[3400:, 2:] = simplex / np.linalg.norm(simplex, axis=1)[:, None]
-        hull = sphere._hull_caps(points)
-        facets, radii = hull.facets, sphere._caps(points, hull)[1]
-        polygon = [(i, (i + 1) % 3400) for i in range(3400)]
-        assert set(map(tuple, facets)) == {
-            tuple(sorted((*edge, *(3400 + np.delete(np.arange(5), j)))))
-            for edge in polygon for j in range(5)
-        }
-        height = 1.0 / math.sqrt(1.0 / math.cos(math.pi / 3400) ** 2 + 16.0)
-        assert abs(radii.max() - math.sqrt(2.0 - 2.0 * height)) <= 1e-12
+    @pytest.mark.parametrize("k", [2, 3, 6, 9])
+    def test_ridges_are_the_facets_less_one_vertex(self, k):
+        facets = np.sort(np.random.default_rng(k).integers(0, 100, (50, k)), axis=1)
+        expected = np.stack([np.delete(facets, j, axis=1) for j in range(k)], axis=1)
+        assert np.array_equal(sphere._ridges(facets), expected.reshape(-1, k - 1))
 
     def test_a_hull_past_its_bound_leaves_the_radius_unknown(self, monkeypatch):
-        # a (5, 0.7) hull has about 1 200 facets, 30 000 facets x dim^2
+        # a (5, 0.7) hull ends with about 1 500 facets, 37 500 facets x dim^2:
+        # a bound of 10 000 stops the insertion midway, and the greedy tail
+        # completes the eps-packing from the points inserted so far
+        full = build_eps_net(5, 0.7, seed=1).points
         monkeypatch.setattr(sphere, "_HULL_MAX_FACET_DIMS2", 10_000)
+        inserted, hull = sphere._fill_caps(sphere._simplex(5, 1), 0.7, 10**6)
+        assert hull is None and 6 < inserted.shape[0] < full.shape[0]
+        assert np.array_equal(inserted, full[: inserted.shape[0]])
         net = build_eps_net(5, 0.7, seed=1)
         assert net.covering_radius is None
-        assert np.array_equal(net.points, sphere._greedy_packing(5, 0.7, 1, 10**6))
-
-    def test_a_hull_past_its_bound_after_a_pass_ends_the_fill_as_rewrapping_does(
-            self, monkeypatch):
-        # the bound admits the random phase's hull but not the filled net's,
-        # so the fill stops after its first pass with the points of that pass
-        dim, eps, seed = 5, 0.7, 1
-        phase = sphere._greedy_packing(dim, eps, seed, 10**6)
-        first = sphere._hull_caps(phase).facets.shape[0]
-        filled = sphere._hull_caps(build_eps_net(dim, eps, seed=seed).points).facets.shape[0]
-        assert first < filled
-        monkeypatch.setattr(sphere, "_HULL_MAX_FACET_DIMS2", first * dim * dim)
-        net = build_eps_net(dim, eps, seed=seed)
-        points, rho = rewrapped_fill(phase, eps)
-        assert net.covering_radius is None and rho is None
-        assert np.array_equal(net.points, points)
-        assert net.points.shape[0] > phase.shape[0]
+        assert np.array_equal(net.points, rescanned_tail(inserted, 0.7, 1))
+        assert net.size > inserted.shape[0]
+        assert min_chord(net.points) >= 0.7
 
     def test_dim_9_net_is_a_packing_without_a_radius(self):
-        # the hull of the 96-point random phase passes the bound; the
-        # random phase is returned, still an eps-packing, and a witness
-        # charges eps for its radius
+        # the insertion's hull passes its bound near 100 points, with caps
+        # still wider than eps; the greedy tail completes the eps-packing,
+        # and a witness charges eps for its radius
         net = build_eps_net(9, 0.95, seed=0)
         assert net.covering_radius is None
-        assert np.array_equal(net.points, sphere._greedy_packing(9, 0.95, 0, 10**6))
-        gram = net.points @ net.points.T
-        np.fill_diagonal(gram, -1.0)
-        assert math.sqrt(2.0 - 2.0 * gram.max()) >= 0.95
+        assert np.array_equal(net.points[:10], sphere._simplex(9, 0))
+        assert min_chord(net.points) >= 0.95
 
 
 class TestGeodesicNet:
@@ -782,74 +726,6 @@ class TestNearestPoint:
         assert nearest_point(tied, np.array([1.0, 0.0, 0.0])) == 0
 
 
-class TestMaxDotScreen:
-    @staticmethod
-    def screen_and_count(rows, eps, raw, monkeypatch):
-        """The screen's mask, and how many rows it re-decided in float64."""
-        rechecked = []
-        band_nearest = sphere._band_nearest
-
-        def counting(points, eps, batch):
-            rechecked.append(batch.shape[0])
-            return band_nearest(points, eps, batch)
-
-        monkeypatch.setattr(sphere, "_band_nearest", counting)
-        prod = np.empty((rows.shape[0], sphere._SCREEN_BLOCK), dtype=np.float32)
-        top = np.empty(raw.shape[0], dtype=np.float32)
-        passed = sphere._screen_max_dot(
-            rows, rows.astype(np.float32), eps, raw, prod, top)
-        return passed, sum(rechecked)
-
-    # on S^0 a normalized candidate's dots are +-1, never near the threshold
-    # of eps in (0, 1); test_dim1_threshold_near_one covers dim 1
-    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e2])
-    @pytest.mark.parametrize("dim", [2, 3, 5])
-    def test_ambiguous_band_matches_float64(self, dim, scale, monkeypatch):
-        eps = 0.3
-        thresh = 1.0 - 0.5 * eps * eps
-        rng = np.random.default_rng(dim)
-        target = SphereSampler(dim, 40 + dim).sample(1)[0]
-        # the other rows lie in the far hemisphere of the target, far from
-        # every probe (in dim 1 that is the opposite point)
-        others = SphereSampler(dim, 50 + dim).sample(20)
-        others[others @ target > 0] *= -1.0
-        rows = np.vstack([others[:10], target, others[10:]])
-        # probe dots with the target at thresh + k 1e-9, inside and outside
-        # the float32 margin of 2 (dim + 2) 2^-24 <= 8.4e-7
-        dots = thresh + 1e-9 * np.arange(-1200, 1201)
-        side = rng.standard_normal((dots.size, dim))
-        side -= np.outer(side @ target, target)
-        side /= np.linalg.norm(side, axis=1)[:, None]
-        probes = dots[:, None] * target + np.sqrt(1.0 - dots**2)[:, None] * side
-        # the screen sees raw rows, unnormalized, of norm `scale`
-        raw = probes * scale
-        index, maxdot = sphere._band_nearest(rows, eps, sphere._unit_rows(raw))
-        assert np.all(index == 10)
-        expected = maxdot <= thresh
-        assert expected.any() and not expected.all()
-
-        passed, rechecked = self.screen_and_count(rows, eps, raw, monkeypatch)
-        assert np.array_equal(passed, expected)
-        # the float64 fallback ran, on part of the probes only
-        assert 0 < rechecked < probes.shape[0]
-
-    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e2])
-    def test_dim1_threshold_near_one(self, scale, monkeypatch):
-        # eps 5e-4 puts the threshold 1.25e-7 below 1, inside the float32
-        # margin 6 2^-24 ~ 3.6e-7: probes on the net point are ambiguous and
-        # blocked, probes opposite it are clear and pass
-        eps = 5e-4
-        rows = np.array([[1.0]])
-        signs = np.where(np.random.default_rng(1).random(2401) < 0.5, -1.0, 1.0)
-        raw = signs[:, None] * scale * np.geomspace(0.5, 2.0, 2401)[:, None]
-        expected = sphere._band_nearest(rows, eps, sphere._unit_rows(raw))[1] <= 1 - eps**2 / 2
-        assert np.array_equal(expected, signs < 0)
-
-        passed, rechecked = self.screen_and_count(rows, eps, raw, monkeypatch)
-        assert np.array_equal(passed, expected)
-        assert rechecked == np.count_nonzero(signs > 0)
-
-
 class TestPartialNorm:
     def test_full_norm_is_one(self):
         est, se = partial_norm_expectation(5, 5, 2000, SphereSampler(5, 1))
@@ -1032,27 +908,34 @@ class TestVoronoiMoments:
 class TestIncrementalFill:
     @pytest.mark.parametrize("dim, eps", [case for case in GREEDY_CASES if case[0] > 1])
     def test_equals_the_rewrapping_reference(self, dim, eps):
-        for seed in range(4):
+        # each point after the simplex is the centre of a widest cap of the
+        # hull of the points before it, computed afresh by scipy, and that cap
+        # is wider than eps; the whole net's widest cap is its radius.  An
+        # insertion often leaves two caps equally wide, up to rounding, so
+        # either may come next.
+        for seed in range(3):
             net = build_eps_net(dim, eps, seed=seed)
-            points, rho = rewrapped_fill(sphere._greedy_packing(dim, eps, seed, 10**6), eps)
-            assert np.array_equal(net.points, points), (dim, eps, seed)
-            assert net.covering_radius == rho, (dim, eps, seed)
+            for end in range(dim + 1, net.size):
+                _, centers, radii = hull_oracle(net.points[:end])
+                assert radii.max() > eps
+                widest = centers[radii >= radii.max() - 1e-12]
+                miss = np.abs(widest - net.points[end]).max(axis=1).min()
+                assert miss <= 1e-12, (dim, eps, seed, end)
+            assert abs(hull_oracle(net.points)[2].max() - net.covering_radius) <= 1e-12
 
     @pytest.mark.parametrize("dim, eps", [case for case in GREEDY_CASES if case[0] > 1])
-    def test_one_wrap_and_its_insertions_give_the_fresh_hull(self, dim, eps, monkeypatch):
-        log = HullLog(monkeypatch)
-        for seed in range(4):
-            log.wraps = 0
-            net = build_eps_net(dim, eps, seed=seed)
-            assert log.wraps == 1, (dim, eps, seed)
-            facets = set(map(tuple, log.last.facets))
-            assert len(facets) == log.last.facets.shape[0]
-            assert facets == set(map(tuple, sphere._hull_caps(net.points).facets))
-            assert facets == set(map(tuple, hull_oracle(net.points)[0]))
+    def test_one_wrap_and_its_insertions_give_the_fresh_hull(self, dim, eps):
+        # the one hull built from scratch is the start simplex's; every hull
+        # after it comes from inserting one point, and equals the hull scipy
+        # computes afresh for the same points
+        net = build_eps_net(dim, eps, seed=1)
+        for end, hull in enumerate(inserted_hulls(net.points), start=dim + 1):
+            facets = set(map(tuple, hull.facets.tolist()))
+            assert len(facets) == hull.facets.shape[0]
+            assert facets == set(map(tuple, hull_oracle(net.points[:end])[0].tolist())), end
 
     def test_an_added_point_on_a_facet_plane_is_refused(self):
-        points = build_eps_net(3, 0.5, seed=0).points
-        hull = sphere._hull_caps(points)
+        points, hull = sphere._fill_caps(sphere._simplex(3, 0), 0.5, 10**6)
         m = hull.planes[0]
         # a unit vector on the circle where the plane x.m = 1 cuts the sphere
         u = np.cross(m, points[0] - points[1])
@@ -1065,11 +948,31 @@ class TestIncrementalFill:
     def test_a_point_above_a_new_facet_is_refused(self):
         # q, next to the inserted center p but left out of the hull, lies
         # under every kept facet and above some facet joined to p
-        points = build_eps_net(3, 0.5, seed=0).points
-        hull = sphere._hull_caps(points)
-        centers, radii = sphere._caps(points, hull)
-        p = centers[np.argmax(radii)]
+        points, hull = sphere._fill_caps(sphere._simplex(3, 0), 0.5, 10**6)
+        p = sphere._unit_rows(hull.planes[[np.argmax(hull.radii)]])[0]
         q = p + 1e-3 * np.cross(p, points[0])
         q /= np.linalg.norm(q)
         with pytest.raises(NumericalIntegrityError, match="above a hull facet"):
             sphere._insert_last(np.vstack([points, q, p]), hull)
+
+    def test_an_added_point_inside_the_hull_is_refused(self):
+        points, hull = sphere._fill_caps(sphere._simplex(3, 0), 0.5, 10**6)
+        inside = 0.5 * points[0] + 0.25 * points[1]
+        with pytest.raises(NumericalIntegrityError, match="inside the hull"):
+            sphere._insert_last(np.vstack([points, inside]), hull)
+
+    def test_an_unperturbed_start_is_refused(self, monkeypatch):
+        # the exact regular simplex puts an inserted centre on a facet plane
+        monkeypatch.setattr(sphere, "_START_JITTER", 0.0)
+        with pytest.raises(NumericalIntegrityError, match="on a hull facet plane"):
+            build_eps_net(3, 0.5, seed=0)
+
+    def test_the_start_is_a_perturbed_regular_simplex(self):
+        for dim in range(2, 10):
+            start = sphere._simplex(dim, seed=dim)
+            assert np.abs(np.linalg.norm(start, axis=1) - 1.0).max() <= 1e-15
+            gram = start @ start.T
+            off = gram[~np.eye(dim + 1, dtype=bool)]
+            # a regular simplex's vertices have dot -1/dim, moved by the jitter
+            assert np.abs(off + 1.0 / dim).max() <= 20 * sphere._START_JITTER
+            assert not np.array_equal(start, sphere._simplex(dim, seed=dim + 1))
