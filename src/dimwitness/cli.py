@@ -139,7 +139,14 @@ def _cmd_witness(args, manifest: RunManifest, started: float) -> int:
         allow_small_n=args.allow_small_n,
         moment_samples_per_region=args.moment_samples,
     )
-    report = run_witness(config)
+    try:
+        report = run_witness(config)
+    except ResourceError as exc:
+        if args.deep or f"max_points={cap}" not in str(exc):
+            raise
+        raise ResourceError(
+            f"{exc}; --deep raises the cap to {WitnessConfig.max_net_points}"
+        ) from None
     doc = report.to_dict()
     doc["manifest"] = manifest.finish(started)
     _emit(doc, args.out)

@@ -18,12 +18,8 @@ is the widest cap's.  A hull past a fixed memory bound (in practice from
 dim 9 on) ends the insertion; a float64 greedy tail of seeded candidates then
 completes the eps-packing, whose covering radius is not known.
 
-Every nearest-point query, on a net of any size, goes through one z-band
-scan: any point within eps of a probe has its last coordinate within eps of
-the probe's, so sorting the net by last coordinate limits each probe to a
-band of rows.  A net is sorted once, on first use (`EpsNet.z_order`).
-Region assignment rescans the whole net only for probes farther than eps
-from every net point.
+Every nearest-point query takes the largest dot product over the whole net
+(`_nearest`), in blocks of probes that bound the product's memory.
 """
 
 from __future__ import annotations
@@ -68,6 +64,8 @@ _REJECTIONS_PER_POINT = 200
 _HULL_MAX_FACET_DIMS2 = 1 << 24
 # scale of the Gaussian that moves each vertex of the start simplex
 _START_JITTER = 1e-3
+# dot products (8 bytes each) per block of a nearest-point query: 2 MB
+_NEAREST_BLOCK = 1 << 18
 
 
 def _unit_rows(g: np.ndarray) -> np.ndarray:
@@ -130,9 +128,7 @@ class EpsNet:
     `triangles` holds a geodesic net's Delaunay triangulation, rows of
     point indices counterclockwise seen from outside the sphere, from which
     `voronoi_moments` integrates exactly; it is None for greedy and loaded
-    nets.  `z_order`, the rows by ascending last coordinate, is computed on
-    first use and kept, so every nearest-point query on the net shares one
-    sort.
+    nets.
     """
 
     dim: int
@@ -146,50 +142,23 @@ class EpsNet:
     def size(self) -> int:
         return self.points.shape[0]
 
-    @functools.cached_property
-    def z_order(self) -> np.ndarray:
-        return np.argsort(self.points[:, -1], kind="stable")
 
-
-def _band_nearest(
-    points: np.ndarray,
-    eps: float,
-    probes: np.ndarray,
-    order: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Nearest row of `points` to each probe within the probe's z-band.
-
-    A probe's band holds the rows whose last coordinate lies within eps of the
-    probe's eps-bucket, so it contains every row within distance eps of the
-    probe.  Returns (index, dot): the largest dot product with the probe over
-    the band, ties to the lowest row index, and dot = -inf where the band is
-    empty.  `order` is the stable argsort of the last coordinate (a net's
-    `z_order`); it is computed here when omitted, as for the greedy tail's
-    growing net.  Probes are grouped by bucket with one stable sort, so each
-    group keeps ascending probe order.
-    """
-    count = probes.shape[0]
-    index = np.zeros(count, dtype=np.int64)
-    dot = np.full(count, -np.inf)
-    if points.shape[0] == 0 or count == 0:
-        return index, dot
-    if order is None:
-        order = np.argsort(points[:, -1], kind="stable")
-    z = points[order, -1]
-    buckets = np.floor(probes[:, -1] / eps).astype(np.int64)
-    by_bucket = np.argsort(buckets, kind="stable")
-    starts = np.flatnonzero(np.diff(buckets[by_bucket])) + 1
-    for sel in np.split(by_bucket, starts):
-        b = buckets[sel[0]]
-        lo = np.searchsorted(z, b * eps - eps, side="left")
-        hi = np.searchsorted(z, (b + 1) * eps + eps, side="right")
-        if lo == hi:
-            continue
-        band = np.sort(order[lo:hi])  # ascending index: argmax ties go low
-        dots = probes[sel] @ points[band].T
+def _nearest(points: np.ndarray, probes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(index, dot) per probe: the row of `points` with the largest dot
+    product with the probe, ties to the lowest row index, and that dot
+    product.  Probes are taken in blocks of _NEAREST_BLOCK dot products.
+    Raises DomainError when `points` is empty."""
+    if points.shape[0] == 0:
+        raise DomainError("an empty net has no nearest point")
+    index = np.empty(probes.shape[0], dtype=np.int64)
+    dot = np.empty(probes.shape[0])
+    rows = max(1, _NEAREST_BLOCK // points.shape[0])
+    for start in range(0, probes.shape[0], rows):
+        dots = probes[start : start + rows] @ points.T
         best = np.argmax(dots, axis=1)
-        index[sel] = band[best]
-        dot[sel] = dots[np.arange(sel.size), best]
+        index[start : start + rows] = best
+        dot[start : start + rows] = np.take_along_axis(dots, best[:, None], axis=1)[:, 0]
+        del dots  # so the next block's product does not coexist with this one
     return index, dot
 
 
@@ -395,8 +364,8 @@ def _greedy_tail(points: np.ndarray, eps: float, seed: int, max_points: int) -> 
     SphereSampler(dim, seed) that lie at least eps from every point, until
     _REJECTIONS_PER_POINT x (net size) consecutive rejections.
 
-    Each batch of candidates is tested in float64 by the z-band scan against
-    the net as it stood before the batch; the passing ones are then taken in
+    Each batch of candidates is tested in float64 (`_nearest`) against the
+    net as it stood before the batch; the passing ones are then taken in
     stream order, each re-checked against the points accepted earlier in
     its batch, so the points and the stopping point are those of a build
     that tests one candidate at a time.  Raises ResourceError when the net
@@ -409,7 +378,7 @@ def _greedy_tail(points: np.ndarray, eps: float, seed: int, max_points: int) -> 
         batch = sampler.sample(_BATCH)
         base = points.shape[0]
         added, cursor = [], 0
-        for i in np.flatnonzero(_band_nearest(points, eps, batch)[1] <= thresh):
+        for i in np.flatnonzero(_nearest(points, batch)[1] <= thresh):
             rejections += i - cursor
             if rejections >= _REJECTIONS_PER_POINT * (base + len(added)):
                 break
@@ -636,26 +605,11 @@ def geodesic_net(k: int, seed: int = 0) -> EpsNet:
 
 
 def assign_regions(net: EpsNet, probes: np.ndarray) -> np.ndarray:
-    """Region index (nearest net point, ties to the lowest index) per probe row.
-
-    Each batch of probes takes the z-band scan over the net's cached
-    `z_order`, so the net is sorted once however many batches it serves.
-    """
+    """Region index (nearest net point, ties to the lowest index) per probe row."""
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     if probes.shape[1] != net.dim:
         raise DomainError("probe dimension does not match net dimension")
-    eps2 = net.eps * net.eps
-    out = np.empty(probes.shape[0], dtype=np.int64)
-    for start in range(0, probes.shape[0], _BATCH):
-        block = probes[start : start + _BATCH]
-        index, dot = _band_nearest(net.points, net.eps, block, net.z_order)
-        # ||p - u||^2 = ||p||^2 + 1 - 2 p.u for unit u; the band is exact only
-        # for probes within eps of some net point, so rescan the others
-        far = np.einsum("ij,ij->i", block, block) + 1.0 - 2.0 * dot > eps2
-        if np.any(far):
-            index[far] = np.argmax(block[far] @ net.points.T, axis=1)
-        out[start : start + block.shape[0]] = index
-    return out
+    return _nearest(net.points, probes)[0]
 
 
 def nearest_point(net: EpsNet, a: np.ndarray) -> int:
@@ -916,27 +870,33 @@ def save_net(net: EpsNet, csv_path: str, extra_header: Optional[dict] = None) ->
 def load_net(csv_path: str) -> EpsNet:
     """Read a net written by `save_net`; DomainError names the bad file and line.
 
-    Refused: a header that is not JSON or lacks a numeric dim, size, eps or
-    seed, or whose `covering_radius` is neither null nor a JSON number in
-    [0, 2] (a chord on the unit sphere); a CSV that `read_matrix_csv`
-    refuses or whose shape differs from the header's; a row whose norm is
-    off 1 by more than 1e-12 or not finite.  A header without
-    `covering_radius` loads with None.
+    Refused: a header that is not a JSON object with a dim, size and seed
+    that are JSON integers and an eps that is a JSON number in (0, 1), or
+    whose `covering_radius` is neither null nor a JSON number in [0, 2] (a
+    chord on the unit sphere); a CSV that `read_matrix_csv` refuses or whose
+    shape differs from the header's; a row whose norm is off 1 by more than
+    1e-12 or not finite.  A header without `covering_radius` loads with None.
     """
     header_path = _header_path(csv_path)
     with open(header_path, "r", encoding="utf-8") as fh:
         try:
             header = json.load(fh)
-            dim, size = int(header["dim"]), int(header["size"])
-            eps, seed = float(header["eps"]), int(header["seed"])
+            dim, size, eps, seed = (header[key] for key in ("dim", "size", "eps", "seed"))
             rho = header.get("covering_radius")
         except (ValueError, KeyError, TypeError) as exc:
             raise DomainError(f"{header_path}: bad net header: {exc!r}") from None
-    # bool is an int subclass, and NaN fails both comparisons
-    if rho is not None and (isinstance(rho, bool) or not isinstance(rho, (int, float))
-                            or not 0.0 <= rho <= 2.0):
-        raise DomainError(f"{header_path}: bad net header: covering_radius {rho!r} "
-                          "is not a number in [0, 2]")
+
+    def refuse(key: str, value, what: str) -> DomainError:
+        return DomainError(f"{header_path}: bad net header: {key} {value!r} is not {what}")
+
+    # exact JSON types: a bool is not an int here; NaN fails every comparison
+    for key, value in (("dim", dim), ("size", size), ("seed", seed)):
+        if type(value) is not int:
+            raise refuse(key, value, "an integer")
+    if type(eps) not in (int, float) or not 0.0 < eps < 1.0:
+        raise refuse("eps", eps, "a number in (0, 1)")
+    if rho is not None and (type(rho) not in (int, float) or not 0.0 <= rho <= 2.0):
+        raise refuse("covering_radius", rho, "a number in [0, 2]")
     pts, lines = _read_matrix_lines(csv_path)
     if pts.shape != (size, dim):
         raise DomainError(f"{csv_path}: shape {pts.shape} differs from the header's "
@@ -948,5 +908,5 @@ def load_net(csv_path: str) -> EpsNet:
         raise DomainError(
             f"{csv_path}: line {lines[row]} is not a unit vector: {pts[row].tolist()}"
         )
-    return EpsNet(dim=dim, eps=eps, points=pts, seed=seed,
+    return EpsNet(dim=dim, eps=float(eps), points=pts, seed=seed,
                   covering_radius=None if rho is None else float(rho))

@@ -12,6 +12,7 @@ import dimwitness
 from dimwitness.cli import main
 from dimwitness.errors import NumericalIntegrityError
 from dimwitness.sphere import load_net
+from dimwitness.witness import WitnessConfig
 from dimwitness.schemas import (
     APPENDIX_REPORT_SCHEMA,
     BOUND_REPORT_SCHEMA,
@@ -229,6 +230,15 @@ class TestWitnessCommand:
         code, _, err = run_cli(capsys, "witness", "3", "1", "0.004", "--seed", "0")
         assert code == 3
         assert "exceeds" in err or "exceeded" in err
+        # at eps 0.01 the net (59 292 points) passes the shallow cap but fits
+        # the deep one: the refusal names --deep, which then runs
+        code, _, err = run_cli(capsys, "witness", "3", "1", "0.01", "--seed", "0")
+        assert code == 3
+        assert "max_points=50000" in err
+        assert f"--deep raises the cap to {WitnessConfig.max_net_points}" in err
+        code, out, _ = run_cli(capsys, "witness", "3", "1", "0.01", "--seed", "0", "--deep")
+        assert code == 0
+        assert json.loads(out)["config"]["max_net_points"] == WitnessConfig.max_net_points
 
 
 class TestAppendixCommand:

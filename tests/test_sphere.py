@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,21 @@ class TestEpsNet:
         header["covering_radius"] = "RADIUS"
         (tmp_path / "net.json").write_text(json.dumps(header).replace('"RADIUS"', radius))
         with pytest.raises(DomainError, match="net.json: bad net header: covering_radius"):
+            load_net(str(tmp_path / "net.csv"))
+
+    @pytest.mark.parametrize("key, value", [
+        ("eps", "NaN"), ("eps", "-0.3"), ("eps", "0"), ("eps", "1.0"), ("eps", "Infinity"),
+        ("eps", '"0.5"'), ("eps", "true"), ("dim", "3.9"), ("dim", "true"), ("dim", '"3"'),
+        ("seed", "2.5"), ("seed", "true"), ("seed", "null"), ("size", "99.5"), ("size", '"2"'),
+    ])
+    def test_load_refuses_a_bad_header_value(self, tmp_path, key, value):
+        # each loaded once, truncated by int() or mis-assigned probes later
+        net = EpsNet(dim=3, eps=0.5, points=np.eye(3)[:2], seed=0)
+        save_net(net, str(tmp_path / "net.csv"))
+        header = json.loads((tmp_path / "net.json").read_text())
+        header[key] = "VALUE"
+        (tmp_path / "net.json").write_text(json.dumps(header).replace('"VALUE"', value))
+        with pytest.raises(DomainError, match=f"net.json: bad net header: {key} "):
             load_net(str(tmp_path / "net.csv"))
 
     def test_load_keeps_a_radius_in_range(self, tmp_path):
@@ -664,9 +680,9 @@ class TestNearestPoint:
         dist = np.linalg.norm(probes - net.points[idx], axis=1)
         assert dist.max() <= 0.3
 
-    def test_every_net_size_takes_the_z_bands(self):
-        # geodesic nets of 12 to 252 points and small greedy nets go through
-        # the same z-band scan as large nets and must equal the full argmax
+    def test_every_net_size_equals_the_full_argmax(self):
+        # geodesic nets of 12 to 252 points and small greedy nets, probes
+        # drawn and probes on the net points
         nets = [geodesic_net(k, seed=k) for k in range(1, 6)]
         nets += [build_eps_net(5, 0.7, seed=1), build_eps_net(1, 0.5, seed=0)]
         for net in nets:
@@ -674,18 +690,44 @@ class TestNearestPoint:
             expected = np.argmax(probes @ net.points.T, axis=1)
             assert np.array_equal(assign_regions(net, probes), expected), net.size
 
-    def test_net_is_sorted_once(self):
-        # a ring at z = 0 between the poles: 300 tied last coordinates keep
-        # their index order
-        t = 2 * np.pi * np.arange(300) / 300
-        ring = np.column_stack([np.cos(t), np.sin(t), np.zeros(300)])
-        pts = np.vstack([[[0.0, 0.0, 1.0]], ring, [[0.0, 0.0, -1.0]]])
-        net = EpsNet(dim=3, eps=0.1, points=pts, seed=0)
-        order = net.z_order
-        assert net.z_order is order
-        assert np.array_equal(order, np.r_[301, 1:301, 0])
-        assign_regions(net, SphereSampler(3, 32).sample(100))
-        assert net.z_order is order
+    @pytest.mark.parametrize("block", [1, 1000])
+    def test_blocks_equal_the_full_argmax(self, net_3_015, block, monkeypatch):
+        # one probe per block, and blocks that do not divide the 5 003 probes
+        monkeypatch.setattr(sphere, "_NEAREST_BLOCK", block)
+        probes = SphereSampler(3, 33).sample(5_003)
+        dots = probes @ net_3_015.points.T
+        expected = np.argmax(dots, axis=1)
+        index, dot = sphere._nearest(net_3_015.points, probes)
+        assert np.array_equal(index, expected)
+        assert np.array_equal(assign_regions(net_3_015, probes), expected)
+        assert np.allclose(dot, dots.max(axis=1), rtol=0.0, atol=1e-15)
+
+    def test_memory_is_bounded_by_the_block(self):
+        # 100 probes per point of a net as large as build_eps_net(4, 0.2)'s,
+        # 1 722 points: the whole product would take 2.4 GB, a block 2 MB.
+        # Where the points lie does not matter, so they are drawn, not built.
+        net = EpsNet(dim=4, eps=0.2, points=SphereSampler(4, 37).sample(1722), seed=37)
+        probes = SphereSampler(4, 34).sample(100 * net.size)
+        tracemalloc.start()
+        try:
+            assign_regions(net, probes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block of dot products, an index and a dot per probe, 1 MB spare
+        assert peak < 8 * sphere._NEAREST_BLOCK + 16 * probes.shape[0] + (1 << 20)
+
+    def test_assignment_does_not_read_eps(self, net_3_015):
+        # a NaN eps, which a loaded header could once carry
+        probes = SphereSampler(3, 35).sample(1000)
+        net = EpsNet(dim=3, eps=math.nan, points=net_3_015.points, seed=0)
+        expected = np.argmax(probes @ net.points.T, axis=1)
+        assert np.array_equal(assign_regions(net, probes), expected)
+
+    def test_an_empty_net_is_refused(self):
+        net = EpsNet(dim=3, eps=0.5, points=np.zeros((0, 3)), seed=0)
+        with pytest.raises(DomainError, match="empty net"):
+            assign_regions(net, SphereSampler(3, 36).sample(10))
 
     def test_matches_brute_force_argmax(self, net_3_015):
         probes = SphereSampler(3, 19).sample(20_000)
@@ -696,13 +738,13 @@ class TestNearestPoint:
             assert np.array_equal(got, expected)
             return got
 
-        # z-band path: more than 256 net points
+        # more than 256 net points
         net = net_3_015
         assert net.size > 256
         check(net)
 
-        # fallback: a ring of 300 points at z = 0 plus the poles leaves most
-        # probes farther than eps from the net, many with an empty z-band
+        # a sparse net: a ring of 300 points at z = 0 plus the poles leaves
+        # most probes farther than eps from every net point
         t = 2 * np.pi * np.arange(300) / 300
         ring = np.column_stack([np.cos(t), np.sin(t), np.zeros(300)])
         poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
@@ -717,7 +759,7 @@ class TestNearestPoint:
         assert not np.any(got == 6)
         assert np.any(got == 5)
         # an exact tie between rows at different heights also goes to the
-        # lower index, whatever their order in last coordinate
+        # lower index
         c = math.sqrt(1.0 - 0.01)
         filler = SphereSampler(3, 23).sample(300)
         filler[:, 0] = -np.abs(filler[:, 0])
@@ -801,14 +843,14 @@ class TestRegionMoments:
         ratio = norms[busy] / mom.weights[busy]
         assert np.all(ratio >= 1.0 - 0.3**2 / 2)
 
-    def test_net_sorted_once_equals_per_batch_sort(self):
-        # 400 scattered points: z-bands, and probes farther than eps rescanned
+    def test_equals_the_moments_of_per_batch_assignments(self):
+        # 400 scattered points, many probes farther than eps from all of them
         pts = SphereSampler(3, 25).sample(400)
         net = EpsNet(dim=3, eps=0.15, points=pts, seed=25)
         samples = 5 * sphere._BATCH + 123
         mom = region_moments(net, samples, SphereSampler(3, 26))
 
-        # reference: every batch sorts the net inside assign_regions
+        # reference: each batch of the stream assigned on its own
         sampler = SphereSampler(3, 26)
         counts = np.zeros(net.size, dtype=np.int64)
         sums = np.zeros((net.size, 3))
