@@ -34,10 +34,12 @@ import numpy as np
 
 from .analytic_bounds import y_closed_form
 from .errors import DomainError, ResourceError
+from .seeding import make_rng
 from .sphere import (
     EpsNet,
     RegionMoments,
     SphereSampler,
+    _redraw_zero_rows,
     assign_regions,
     read_matrix_csv,
     require_moments_of,
@@ -650,15 +652,26 @@ def _dot_restarts(
     C ∝ W^T Y, Y the first draw of SphereSampler(k, seed, r); where W^T Y is
     exactly zero (at n = 1 the two regions' signs cancel for about half the
     draws), at C = e_1 e_1^T instead."""
-    regions = w.shape[0]
-    group = max(1, _STACK_ROWS // regions)
+    group = max(1, _STACK_ROWS // w.shape[0])
     for first in range(0, ADVERSARY_RESTARTS, group):
-        starts = np.stack([
-            w.T @ SphereSampler(k, seed, restart).sample(regions)
-            for restart in range(first, min(first + group, ADVERSARY_RESTARTS))
-        ])
-        starts[~np.any(starts != 0.0, axis=(1, 2)), 0, 0] = 1.0
-        yield from _dot_ascent(w, _unit_states(starts))
+        restarts = range(first, min(first + group, ADVERSARY_RESTARTS))
+        yield from _dot_ascent(w, _unit_states(_dot_starts(w, k, seed, restarts)))
+
+
+def _dot_starts(w: np.ndarray, k: int, seed: int, restarts: range) -> np.ndarray:
+    """(restarts, n, k) stack of W^T Y, Y the first draw of
+    SphereSampler(k, seed, r) for each restart r, bit for bit, with
+    C = e_1 e_1^T where W^T Y is exactly zero.  The draws of all restarts
+    are normalized together and multiplied by W^T in one product."""
+    rngs = [make_rng(seed, r) for r in restarts]
+    rows = np.stack([rng.standard_normal((w.shape[0], k)) for rng in rngs])
+    norms = np.linalg.norm(rows, axis=2)
+    for r in np.flatnonzero(np.any(norms == 0.0, axis=1)):
+        _redraw_zero_rows(rngs[r], rows[r], norms[r])
+    rows /= norms[:, :, None]
+    starts = np.matmul(w.T, rows)
+    starts[~np.any(starts != 0.0, axis=(1, 2)), 0, 0] = 1.0
+    return starts
 
 
 def dot_adversary(moments: RegionMoments, m: int, seed: int) -> Tuple[SeesawResult, float]:

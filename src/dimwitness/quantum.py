@@ -29,6 +29,7 @@ for the table and O(d^3) per realification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -100,11 +101,15 @@ def clifford_generators(n: int) -> CliffordSet:
     return CliffordSet(n=n, d=stack.shape[1], generators=list(stack))
 
 
-def _require_unit_rows(rows: np.ndarray, n: int, tol: float = 1e-9) -> np.ndarray:
+# how far a measurement direction's norm may sit from 1
+_UNIT_TOL = 1e-9
+
+
+def _require_unit_rows(rows: np.ndarray, n: int) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != n:
         raise DomainError(f"expected rows of vectors in R^{n}")
-    if not np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= tol):
+    if not np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= _UNIT_TOL):
         raise DomainError("measurement direction must be a unit vector")
     return rows
 
@@ -113,7 +118,11 @@ def _require_unit(vec: np.ndarray, n: int) -> np.ndarray:
     vec = np.asarray(vec, dtype=float)
     if vec.shape != (n,):
         raise DomainError(f"expected a vector in R^{n}")
-    return _require_unit_rows(vec[None], n)[0]
+    # the sum that np.linalg.norm reduces for one row of _require_unit_rows;
+    # NaN and inf fail the comparison
+    if not abs(math.sqrt(np.add.reduce(vec * vec)) - 1.0) <= _UNIT_TOL:
+        raise DomainError("measurement direction must be a unit vector")
+    return vec
 
 
 @dataclass(frozen=True, eq=False)

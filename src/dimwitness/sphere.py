@@ -29,7 +29,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -95,12 +95,18 @@ class SphereSampler:
         """(count, dim) array of uniform unit vectors (Gaussian-normalize)."""
         g = self._rng.standard_normal((count, self.dim))
         norms = np.linalg.norm(g, axis=1)
-        # exact-zero norm is a measure-zero event; resample defensively
-        while np.any(norms == 0.0):
-            bad = norms == 0.0
-            g[bad] = self._rng.standard_normal((int(bad.sum()), self.dim))
-            norms = np.linalg.norm(g, axis=1)
+        _redraw_zero_rows(self._rng, g, norms)
         return g / norms[:, None]
+
+
+def _redraw_zero_rows(rng: np.random.Generator, g: np.ndarray, norms: np.ndarray) -> None:
+    """Draw each standard normal row of `g` whose norm in `norms` is 0 again
+    from `rng`, until none is, updating both in place."""
+    # exact-zero norm is a measure-zero event; resample defensively
+    while np.any(norms == 0.0):
+        bad = norms == 0.0
+        g[bad] = rng.standard_normal((int(bad.sum()), g.shape[1]))
+        norms[:] = np.linalg.norm(g, axis=1)
 
 
 def sample_uniform(sampler: SphereSampler) -> np.ndarray:
@@ -188,54 +194,84 @@ def _simplex(dim: int, seed: int) -> np.ndarray:
     return _unit_rows(vertices @ rotation.T + _START_JITTER * rng.standard_normal((dim + 1, dim)))
 
 
-def _facet_planes(points: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(m, allowance) of the facets `rows` (sorted vertex indices).
+def _facet_planes(
+    points: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, allowance, radius) of the facets `rows` (sorted vertex indices).
 
     With V a facet's vertex rows, m solving V m = 1 is its plane x.m = 1, and
     gap = 1 - q.m is >= 0 for the points q under it.  The allowance is a
     gap's rounding: the computed plane misses the vertices by their computed
     gaps plus the dot's rounding, about dim 2^-53 ||m||, so a point that
-    lies on the exact plane computes within twice that.  Raises
-    NumericalIntegrityError when some point lies above a plane by more than
-    its allowance (the facet is not a hull facet).
+    lies on the exact plane computes within twice that.  The radius is the
+    chord radius of the facet's cap: the largest chord from the cap's centre
+    m / ||m|| to the facet's vertices.  Raises NumericalIntegrityError when
+    some point lies above a plane by more than its allowance (the facet is
+    not a hull facet).
     """
-    dim = points.shape[1]
-    m = np.linalg.solve(points[rows], np.ones(rows.shape + (1,)))[..., 0]
-    gap = 1.0 - m @ points.T  # (facets, points)
-    resid = np.abs(np.take_along_axis(gap, rows, axis=1)).max(axis=1)
-    allowance = 2.0 * resid + 4 * (dim + 2) * 2.0 ** -53 * np.linalg.norm(m, axis=1)
-    if np.any(gap < -allowance[:, None]):
+    size, dim = points.shape
+    vertices = points.take(rows, axis=0)
+    m = np.linalg.solve(vertices, np.ones(rows.shape + (1,)))[..., 0]
+    gap = m @ points.T  # (facets, points)
+    np.subtract(1.0, gap, out=gap)
+    # each facet's gaps at its own vertices, taken by flat index
+    resid = gap.take(rows + size * np.arange(rows.shape[0])[:, None])
+    resid = np.abs(resid, out=resid).max(axis=1)
+    # what np.linalg.norm(m, axis=1) computes, without its wrapper
+    norms = np.sqrt(np.add.reduce(m * m, axis=1))
+    allowance = 2.0 * resid + 4 * (dim + 2) * 2.0 ** -53 * norms
+    if (gap < -allowance[:, None]).any():
         worst = float(np.max(-gap / allowance[:, None]))
         raise NumericalIntegrityError(
             f"a net point lies above a hull facet by {worst:.3g} rounding allowances"
         )
-    return m, allowance
+    chords = vertices - (m / norms[:, None])[:, None, :]
+    radii = np.sqrt(np.einsum("fvx,fvx->fv", chords, chords).max(axis=1))
+    return m, allowance, radii
 
 
-def _distinct_rows(rows: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(first, counts) over the distinct rows of `rows`, entries in
-    range(size): the index of each one's first occurrence and its number of
-    occurrences.  The entries are packed, as many as fit in 64 bits, into
-    uint64 keys; one key is argsorted (an unstable sort, several times
-    faster than a stable one), several are lexsorted."""
+def _sorted_rows(rows: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(order, new): the permutation that sorts `rows`, entries in
+    range(size), and, along it, whether each row differs from the one before
+    it, with True for the first row and for one past the last.
+
+    The entries are packed, as many as fit in 64 bits, into uint64 keys that
+    order as the rows do; one key is argsorted (an unstable sort, several
+    times faster than a stable one), several are lexsorted."""
     bits = max(1, (size - 1).bit_length())
     per = 64 // bits
     entries = rows.astype(np.uint64)
     keys = []
     for c in range(0, rows.shape[1], per):
-        key = entries[:, c].copy()
-        for column in entries[:, c + 1:c + per].T:
-            key <<= np.uint64(bits)
-            key |= column
-        keys.append(key)
+        block = entries[:, c:c + per]
+        # the first entry in the highest bits; the fields are disjoint, so
+        # the product with their weights is their bitwise or
+        weights = [1 << bits * j for j in range(block.shape[1] - 1, -1, -1)]
+        keys.append(block @ np.array(weights, dtype=np.uint64))
     order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
-    new = np.zeros(rows.shape[0], dtype=bool)
-    new[:1] = True
+    new = np.ones(rows.shape[0] + 1, dtype=bool)
+    new[1:-1] = False
     for key in keys:
         ordered = key[order]
-        new[1:] |= ordered[1:] != ordered[:-1]
+        new[1:-1] |= ordered[1:] != ordered[:-1]
+    return order, new
+
+
+def _horizon(ridges: np.ndarray, size: int) -> np.ndarray:
+    """The rows of `ridges`, entries in range(size), that occur exactly
+    once, in the order of `_sorted_rows`: the ridges of a set of facets
+    that lie in only one of them."""
+    order, new = _sorted_rows(ridges, size)
+    return ridges.take(order[new[:-1] & new[1:]], axis=0)
+
+
+def _distinct_rows(rows: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(first, counts) over the distinct rows of `rows`, entries in
+    range(size): the index of each one's first occurrence and its number of
+    occurrences, in the order of `_sorted_rows`."""
+    order, new = _sorted_rows(rows, size)
     starts = np.flatnonzero(new)
-    return np.minimum.reduceat(order, starts), np.diff(starts, append=rows.shape[0])
+    return np.minimum.reduceat(order, starts[:-1]), np.diff(starts)
 
 
 @functools.lru_cache(maxsize=None)
@@ -251,32 +287,93 @@ def _ridges(facets: np.ndarray) -> np.ndarray:
     """Every ridge of the facets, as sorted index rows: each row of `facets`
     less one entry, for each entry in turn."""
     k = facets.shape[1]
-    return facets[:, _ridge_columns(k)].reshape(-1, k - 1)
+    return facets.take(_ridge_columns(k), axis=1).reshape(-1, k - 1)
 
 
-class _Hull(NamedTuple):
+class _Hull:
     """The facets of a convex hull of unit rows: each facet's sorted vertex
-    indices, its plane x.m = 1 and that plane's rounding allowance
-    (`_facet_planes`), and the chord radius of its cap (`_cap_radii`)."""
+    indices, its plane x.m = 1, that plane's rounding allowance and the
+    chord radius of its cap (`_facet_planes`).
 
-    facets: np.ndarray
-    planes: np.ndarray
-    allowances: np.ndarray
-    radii: np.ndarray
+    The four are kept in buffers with spare capacity, whose first `count`
+    rows are the live facets, in no particular order, next to each facet's
+    creation number.  `replace` writes new facets into the slots of the
+    facets they replace and appends the rest, doubling the capacity when
+    full, so a facet that stays is never copied.
+    """
 
+    __slots__ = ("count", "created", "_buffers")
 
-def _cap_radii(points: np.ndarray, facets: np.ndarray, planes: np.ndarray) -> np.ndarray:
-    """Chord radius of each facet's cap: the largest chord from the cap's
-    centre m / ||m|| to the facet's vertices."""
-    chords = points[facets] - _unit_rows(planes)[:, None, :]
-    return np.sqrt(np.einsum("fvx,fvx->fv", chords, chords).max(axis=1))
+    def __init__(self, facets: np.ndarray, planes: np.ndarray, allowances: np.ndarray,
+                 radii: np.ndarray):
+        self.count = self.created = facets.shape[0]
+        self._buffers = (facets, planes, allowances, radii, np.arange(self.count))
+
+    @property
+    def facets(self) -> np.ndarray:
+        return self._buffers[0][: self.count]
+
+    @property
+    def planes(self) -> np.ndarray:
+        return self._buffers[1][: self.count]
+
+    @property
+    def allowances(self) -> np.ndarray:
+        return self._buffers[2][: self.count]
+
+    @property
+    def radii(self) -> np.ndarray:
+        return self._buffers[3][: self.count]
+
+    def widest(self) -> int:
+        """Slot of the widest cap.  Radii tie exactly (on the circle, each
+        insertion halves an arc); ties go to the facet created first, the
+        first in a hull that kept its facets in creation order."""
+        radii = self.radii
+        widest = int(radii.argmax())
+        ties = (radii == radii[widest]).nonzero()[0]
+        if ties.size > 1:
+            widest = int(ties[np.argmin(self._buffers[4][ties])])
+        return widest
+
+    def replace(self, slots: np.ndarray, new: "_Hull") -> None:
+        """Put the facets of `new`, created in their order, in place of the
+        live facets at `slots`, ascending indices.  Where fewer facets come
+        than go, live facets from the end move into the freed slots below
+        the new count, so the live facets stay a prefix of the buffers."""
+        added = new.count
+        count = self.count + added - slots.size
+        if added <= slots.size:
+            holes, slots = slots[added:], slots[:added]
+            below = int(np.searchsorted(holes, count))
+            tail = np.ones(self.count - count, dtype=bool)
+            tail[holes[below:] - count] = False
+            moved = count + np.flatnonzero(tail)
+            for buffer in self._buffers:
+                buffer[holes[:below]] = buffer[moved]
+        else:
+            if count > self._buffers[0].shape[0]:
+                self._grow(max(count, 2 * self._buffers[0].shape[0]))
+            slots = np.concatenate([slots, np.arange(self.count, count)])
+        for buffer, rows in zip(self._buffers, new._buffers[:4]):
+            buffer[slots] = rows
+        self._buffers[4][slots] = new._buffers[4] + self.created
+        self.count = count
+        self.created += added
+
+    def _grow(self, capacity: int) -> None:
+        grown = []
+        for buffer in self._buffers:
+            wider = np.empty((capacity,) + buffer.shape[1:], dtype=buffer.dtype)
+            wider[: self.count] = buffer[: self.count]
+            grown.append(wider)
+        self._buffers = tuple(grown)
 
 
 def _hull_facets(points: np.ndarray, rows: np.ndarray) -> _Hull:
     """The facets `rows` of the hull of `points`, with their planes, checked
-    against every point (`_facet_planes`), and their caps' radii."""
-    planes, allowances = _facet_planes(points, rows)
-    return _Hull(rows, planes, allowances, _cap_radii(points, rows, planes))
+    against every point, and their caps' radii (`_facet_planes`)."""
+    return _Hull(rows, *_facet_planes(points, rows))
 
 
 def _check_ridges(facets: np.ndarray, size: int) -> None:
@@ -289,32 +386,32 @@ def _check_ridges(facets: np.ndarray, size: int) -> None:
 
 
 def _insert_last(points: np.ndarray, hull: _Hull) -> _Hull:
-    """The hull of `points` from `hull`, the hull of all its rows but the
-    last, p, by beneath-beyond insertion.
+    """`hull`, the hull of all rows of `points` but the last, p, made the
+    hull of `points` in place by beneath-beyond insertion, and returned.
 
     The facets whose planes p lies above (p.m > 1) are deleted, and p is
     joined to their horizon, the ridges that lie in exactly one deleted
-    facet: each such ridge and p span a new facet, whose plane comes from
-    the inverse of its vertex rows and is checked against every point, and
-    whose cap radius is computed (`_hull_facets`).  Raises
-    NumericalIntegrityError when p lies within its rounding allowance of
-    some facet's plane, where the side of p is not decided, or under every
-    plane.
+    facet (`_horizon`): each such ridge and p span a new facet, whose plane
+    comes from the inverse of its vertex rows and is checked against every
+    point, and whose cap radius is computed (`_hull_facets`).  The new
+    facets take the deleted facets' slots (`_Hull.replace`).  Raises
+    NumericalIntegrityError, with the hull unchanged, when p lies within its
+    rounding allowance of some facet's plane, where the side of p is not
+    decided, or under every plane, or when a new facet fails its check.
     """
     size = points.shape[0]
-    gap = 1.0 - hull.planes @ points[-1]
-    if np.any(np.abs(gap) <= hull.allowances):
+    gap = hull.planes @ points[-1]
+    np.subtract(1.0, gap, out=gap)
+    seen = (gap < 0.0).nonzero()[0]
+    if (np.abs(gap, out=gap) <= hull.allowances).any():
         raise NumericalIntegrityError("an added point lies on a hull facet plane up to rounding")
-    seen = gap < 0.0
-    if not np.any(seen):
+    if not seen.size:
         raise NumericalIntegrityError("an added point lies inside the hull")
-    ridges = _ridges(hull.facets[seen])
-    first, counts = _distinct_rows(ridges, size)
-    horizon = ridges[first[counts == 1]]
+    del gap  # so that it does not coexist with the new facets' gaps
+    horizon = _horizon(_ridges(hull.facets.take(seen, axis=0)), size)
     rows = np.column_stack([horizon, np.full(horizon.shape[0], size - 1, dtype=horizon.dtype)])
-    new = _hull_facets(points, rows)
-    kept = ~seen
-    return _Hull(*(np.concatenate([old[kept], added]) for old, added in zip(hull, new)))
+    hull.replace(seen, _hull_facets(points, rows))
+    return hull
 
 
 def _fill_caps(
@@ -339,16 +436,18 @@ def _fill_caps(
     thresh = 1.0 - 0.5 * eps * eps
     hull = _hull_facets(points, _ridges(np.arange(size, dtype=np.int32)[None]))
     while True:
-        widest = int(np.argmax(hull.radii))
+        widest = hull.widest()
         if hull.radii[widest] <= eps:
             _check_ridges(hull.facets, size)
             return points[:size], hull
-        if hull.facets.shape[0] * dim * dim > _HULL_MAX_FACET_DIMS2:
+        if hull.count * dim * dim > _HULL_MAX_FACET_DIMS2:
             return points[:size], None
         if size >= max_points:
             raise ResourceError(f"net exceeded max_points={max_points}")
-        center = _unit_rows(hull.planes[widest : widest + 1])[0]
-        if np.max(points[:size] @ center) > thresh:
+        plane = hull.planes[widest]
+        # the centre m / ||m||, as _facet_planes computes it
+        center = plane / math.sqrt(np.add.reduce(plane * plane))
+        if (points[:size] @ center).max() > thresh:
             raise NumericalIntegrityError(
                 "the centre of a cap wider than eps lies within eps of a net point"
             )
@@ -356,7 +455,7 @@ def _fill_caps(
             points = np.vstack([points, np.empty_like(points)])
         points[size] = center
         size += 1
-        hull = _insert_last(points[:size], hull)
+        _insert_last(points[:size], hull)
 
 
 def _greedy_tail(points: np.ndarray, eps: float, seed: int, max_points: int) -> np.ndarray:

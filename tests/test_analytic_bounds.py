@@ -61,6 +61,10 @@ class TestLogGamma:
         np.linspace(0.01, 1e6, 24).reshape(4, 6),
         np.array([]),
         np.ones((0, 3)),
+        # a strided view, a Fortran-ordered array and integers
+        np.linspace(0.01, 1e6, 48).reshape(6, 8)[1::2, ::3],
+        np.asfortranarray(np.linspace(0.01, 1e6, 24).reshape(4, 6)),
+        np.arange(1, 25).reshape(4, 6),
     ])
     def test_arrays_equal_math_lgamma(self, xs):
         out = log_gamma(xs)

@@ -423,6 +423,47 @@ class TestDotAdversary:
             f0 = np.linalg.norm(w @ pulled, axis=1).sum() / np.linalg.norm(pulled)
             assert run[4][0] == pytest.approx(f0 * f0, rel=1e-13)
 
+    @pytest.mark.parametrize("regions, n, k", [(92, 3, 2), (92, 5, 2), (40, 4, 3), (2, 1, 1)])
+    def test_starts_are_the_samplers_draws_bit_for_bit(self, regions, n, k):
+        # restart r starts at W^T Y, Y = SphereSampler(k, seed, r).sample(regions),
+        # or at e_1 e_1^T where that product is exactly zero: at n = 1 with
+        # opposite moments, for the draws whose two signs agree
+        rng = np.random.default_rng(regions + n)
+        w = rng.standard_normal((regions, n))
+        if n == 1:
+            w[1] = -w[0]
+        starts = embedding_opt._dot_starts(w, k, 8, range(16))
+        for restart, start in enumerate(starts):
+            want = w.T @ SphereSampler(k, 8, restart).sample(regions)
+            if not want.any():
+                want[0, 0] = 1.0
+            assert np.array_equal(start, want), restart
+        if n == 1:
+            assert 0 < sum(start.tolist() == [[1.0]] for start in starts) < 16
+
+    def test_starts_draw_rows_of_zero_norm_again(self, monkeypatch):
+        # restart 1's first draw has a zero row and a row whose squares
+        # underflow; both are drawn again from restart 1's own stream, as
+        # SphereSampler.sample draws them
+        class Stub:
+            def __init__(self, draws):
+                self.draws = list(draws)
+
+            def standard_normal(self, shape):
+                return np.array(self.draws.pop(0), dtype=float).reshape(shape)
+
+        make_rng = embedding_opt.make_rng
+        stub = Stub([[[0.0, 0.0], [3.0, 4.0], [1e-300, -1e-300]], [[1e-200, 1.0], [0.0, 2.0]]])
+        monkeypatch.setattr(embedding_opt, "make_rng",
+                            lambda seed, r: stub if r == 1 else make_rng(seed, r))
+        w = np.arange(6.0).reshape(3, 2)
+        starts = embedding_opt._dot_starts(w, 2, 8, range(3))
+        redrawn = np.array([[1e-200, 1.0], [3.0, 4.0], [0.0, 2.0]])
+        redrawn /= np.linalg.norm(redrawn, axis=1)[:, None]
+        assert np.array_equal(starts[1], w.T @ redrawn)
+        for r in (0, 2):
+            assert np.array_equal(starts[r], w.T @ SphereSampler(2, 8, r).sample(3))
+
     def test_iteration_count_guard(self):
         # counts repeat exactly.  Measured: largest 30 and total 322; 46 and
         # 463 while a failed Newton step raised its damping only for the

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -192,6 +193,25 @@ class TestTsirelsonStrategy:
             max_correlation_deviation(st, np.stack([e1, big]), np.stack([e1, e1]))
         with pytest.raises(DomainError):
             max_correlation_deviation(st, np.stack([e1, e1]), e1[None])
+
+    @pytest.mark.parametrize("scale, accepted", [
+        (1.0 + 2e-9, False), (1.0 - 2e-9, False), (1.0 + 5e-10, True), (1.0 - 5e-10, True),
+        (math.nan, False), (math.inf, False),
+    ])
+    def test_unit_norm_tolerance(self, scale, accepted):
+        # a direction's norm may sit at most 1e-9 from 1; NaN and inf fail
+        st = tsirelson_strategy(3)
+        unit = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
+        e1 = np.array([1.0, 0.0, 0.0])
+        off = unit * scale
+        for call in (lambda: st.alice.observable(off), lambda: correlation(st, off, e1),
+                     lambda: correlation(st, e1, off), lambda: vectorize(st, off, e1),
+                     lambda: vectorize(st, e1, off)):
+            if accepted:
+                call()
+            else:
+                with pytest.raises(DomainError, match="unit vector"):
+                    call()
 
     def test_negated_bob(self):
         flipped = variant("flipped", 3)

@@ -1018,3 +1018,103 @@ class TestIncrementalFill:
             # a regular simplex's vertices have dot -1/dim, moved by the jitter
             assert np.abs(off + 1.0 / dim).max() <= 20 * sphere._START_JITTER
             assert not np.array_equal(start, sphere._simplex(dim, seed=dim + 1))
+
+
+def slotted_hull(rows):
+    """A `_Hull` over the index rows `rows` whose plane, allowance and
+    radius entries name each row by its index, so that a test can tell
+    where every row's entries went."""
+    count = rows.shape[0]
+    return sphere._Hull(rows.astype(np.int32), np.arange(2.0 * count).reshape(count, 2),
+                        np.arange(count, dtype=float), np.arange(count, dtype=float))
+
+
+class TestSlottedHull:
+    def test_fewer_new_facets_move_live_facets_into_freed_slots(self):
+        # ten facets, four replaced by two: slots 1 and 4 take the new
+        # facets, hole 7 takes facet 8 from the end, and hole 9 leaves
+        hull = slotted_hull(np.arange(10)[:, None] * [1, 1])
+        new = slotted_hull(np.array([[20, 20], [21, 21]]))
+        new.radii[:] = [20.0, 21.0]
+        hull.replace(np.array([1, 4, 7, 9]), new)
+        assert hull.count == 8
+        assert hull.facets[:, 0].tolist() == [0, 20, 2, 3, 21, 5, 6, 8]
+        assert hull.radii.tolist() == [0.0, 20.0, 2.0, 3.0, 21.0, 5.0, 6.0, 8.0]
+        assert hull.allowances.tolist() == [0.0, 0.0, 2.0, 3.0, 1.0, 5.0, 6.0, 8.0]
+        assert hull.planes[:, 0].tolist() == [0.0, 0.0, 4.0, 6.0, 2.0, 10.0, 12.0, 16.0]
+
+    def test_more_new_facets_append_and_double_the_capacity(self):
+        hull = slotted_hull(np.arange(4)[:, None] * [1, 1])
+        new = slotted_hull(np.arange(10, 13)[:, None] * [1, 1])
+        new.radii[:] = [10.0, 11.0, 12.0]
+        hull.replace(np.array([2]), new)
+        assert hull.count == 6
+        assert hull.facets[:, 0].tolist() == [0, 1, 10, 3, 11, 12]
+        assert hull.radii.tolist() == [0.0, 1.0, 10.0, 3.0, 11.0, 12.0]
+        assert all(buffer.shape[0] == 8 for buffer in hull._buffers)
+
+    def test_ties_go_to_the_facet_created_first(self):
+        # the new facet sits in slot 0, before the older facets 1 and 3 of
+        # equal radius: the oldest of the three wins
+        hull = slotted_hull(np.arange(4)[:, None] * [1, 1])
+        hull.radii[:] = [0.0, 2.0, 1.0, 2.0]
+        new = slotted_hull(np.array([[9, 9]]))
+        new.radii[:] = [2.0]
+        hull.replace(np.array([0]), new)
+        assert hull.radii.tolist() == [2.0, 2.0, 1.0, 2.0]
+        assert hull.widest() == 1
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_an_insertion_that_deletes_more_facets_than_it_creates(self, dim):
+        # a point far out beyond a vertex sees every facet around it and
+        # more: the vertex drops inside, and the seen facets outnumber their
+        # horizon, so live facets from the end fill the freed slots
+        points, hull = sphere._fill_caps(sphere._simplex(dim, 0), 0.5, 10**6)
+        before = hull.count
+        far = np.vstack([points, 3.0 * points[0]])
+        seen = int(np.count_nonzero(hull.planes @ far[-1] > 1.0))
+        sphere._insert_last(far, hull)
+        assert hull.count < before and seen > before - hull.count
+        facets = set(map(tuple, hull.facets.tolist()))
+        assert len(facets) == hull.count
+        assert facets == set(map(tuple, hull_oracle(far)[0].tolist()))
+        sphere._check_ridges(hull.facets, far.shape[0])
+        # every live row keeps its own plane, allowance and radius
+        planes, allowances, radii = sphere._facet_planes(far, hull.facets)
+        assert np.allclose(hull.planes, planes, rtol=1e-13, atol=0.0)
+        assert np.allclose(hull.allowances, allowances, rtol=1e-9, atol=0.0)
+        assert np.allclose(hull.radii, radii, rtol=1e-13, atol=0.0)
+
+    def test_one_insertion_allocates_for_its_new_facets_not_the_hull(self):
+        # the (4, 0.15) hull holds about 26 000 facets of 4 088 points; an
+        # insertion writes a few dozen facets, whose check against every
+        # point is its largest array.  A hull rebuilt by concatenation
+        # allocates more than its four arrays take.
+        points, hull = sphere._fill_caps(sphere._simplex(4, 0), 0.15, 10**6)
+        hull_bytes = sum(part.nbytes for part in
+                         (hull.facets, hull.planes, hull.allowances, hull.radii))
+        plane = hull.planes[hull.widest()]
+        points = np.vstack([points, plane / np.linalg.norm(plane)])
+        before = hull.created
+        tracemalloc.start()
+        try:
+            sphere._insert_last(points, hull)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # twice the new facets' gaps to every point, and 64 KiB
+        bound = 2 * 8 * (hull.created - before) * points.shape[0] + 65536
+        assert bound < hull_bytes
+        assert peak <= bound, (peak, bound, hull_bytes)
+
+    @pytest.mark.parametrize("size, width", [(60, 3), (300, 5), (10**6, 3), (10**6, 8)])
+    def test_horizon_equals_the_rows_counted_once(self, size, width):
+        # 10^6 indices take 20 bits, so rows of 8 pack into three keys
+        rng = np.random.default_rng(width)
+        rows = np.sort(rng.integers(size - 12, size, (400, width)), axis=1)
+        rows = rng.permutation(np.vstack([rows, rows[:150]])).astype(np.int32)
+        first, counts = sphere._distinct_rows(rows, size)
+        horizon = sphere._horizon(rows, size)
+        assert np.array_equal(horizon, rows[first[counts == 1]])
+        unique, unique_counts = np.unique(rows, axis=0, return_counts=True)
+        assert np.array_equal(horizon, unique[unique_counts == 1])
