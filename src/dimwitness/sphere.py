@@ -9,14 +9,16 @@ its Voronoi regions have closed forms (`voronoi_moments`); on any other net
 they are Monte Carlo estimates (`region_moments`).  It is not built as an
 eps-packing: nearest neighbours sit 1.17 to 1.73 covering radii apart
 (measured for k up to 191).  In other dimensions the net is built by
-farthest-point insertion.  It starts from a regular simplex, turned by a
-seeded random rotation and perturbed, and keeps the convex hull of its
-points, whose facets are exactly the empty caps.  While the widest cap is
-wider than eps, its centre is inserted into the hull (beneath-beyond), so the
-net is an eps-packing and a certified eps-covering, and its covering radius
-is the widest cap's.  A hull past a fixed memory bound (in practice from
-dim 9 on) ends the insertion; a float64 greedy tail of seeded candidates then
-completes the eps-packing, whose covering radius is not known.
+farthest-point insertion.  It starts from one perturbed regular simplex and
+keeps the convex hull of its points, whose facets are exactly the empty
+caps.  While the widest cap is wider than eps, its centre is inserted into
+the hull (beneath-beyond), so the net is an eps-packing and a certified
+eps-covering, and its covering radius is the widest cap's.  A hull past a
+fixed memory bound (in practice from dim 9 on) ends the insertion; a float64
+greedy tail of candidates then completes the eps-packing, whose covering
+radius is not known.  That base net is built once per (dim, eps) and process
+and kept; a seed turns it by a Haar-random rotation, and every turned net is
+certified again on its own points.
 
 Every nearest-point query takes the largest dot product over the whole net
 (`_nearest`), in blocks of probes that bound the product's memory.
@@ -28,8 +30,9 @@ import csv
 import functools
 import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -66,6 +69,8 @@ _HULL_MAX_FACET_DIMS2 = 1 << 24
 _START_JITTER = 1e-3
 # dot products (8 bytes each) per block of a nearest-point query: 2 MB
 _NEAREST_BLOCK = 1 << 18
+# base nets kept per process (`_base_net`), the least recently used dropped
+_BASE_NET_ENTRIES = 4
 
 
 def _unit_rows(g: np.ndarray) -> np.ndarray:
@@ -125,8 +130,10 @@ class EpsNet:
     Every point of the sphere lies within `covering_radius`, a computed
     chord length, of a net point.  A greedy net (`build_eps_net`) is also an
     eps-packing, any two points at least eps apart; its covering radius is
-    the widest empty cap's, <= eps, or None where the insertion's hull
-    passed its memory bound and the greedy tail completed the net.  A
+    the widest empty cap's, <= eps up to rounding, or None where the
+    insertion's hull passed its memory bound and the greedy tail completed
+    the net.  It is the base net of its (dim, eps) turned by the seed's
+    rotation, and both properties are checked on its own points.  A
     geodesic net (`geodesic_net`) is not an eps-packing, and `eps` equals
     its covering radius.  A net loaded from a header without the key has
     `covering_radius` None: it is not known to cover either.
@@ -169,62 +176,86 @@ def _nearest(points: np.ndarray, probes: np.ndarray) -> Tuple[np.ndarray, np.nda
 
 
 def _projected_size_bounds(dim: int, eps: float) -> Tuple[float, float]:
-    # crude covering lower bound and the volume-argument upper bound (3/eps)^dim
-    lo = (1.0 / (3.0 * eps)) ** max(dim - 1, 0)
+    """(lo, hi): an eps-covering of S^(dim-1) has at least lo points, and an
+    eps-packing at most hi = (3/eps)^dim, by the volume argument.
+
+    The cap of chord radius eps has angular radius theta = 2 asin(eps/2) and
+    takes the fraction c_d int_0^theta sin^(d-2)(t) dt <= c_d theta^(d-1) /
+    (d-1) of S^(d-1), d = dim, c_d = Gamma(d/2) / (sqrt(pi) Gamma((d-1)/2)),
+    so N caps cover the sphere only if N >= (d-1) / (c_d theta^(d-1)).  On
+    S^0 the caps are points, and both are needed.
+    """
     hi = (3.0 / eps) ** dim
-    return lo, hi
+    if dim < 2:
+        return 2.0, hi
+    theta = 2.0 * math.asin(0.5 * eps)
+    log_c = math.lgamma(0.5 * dim) - 0.5 * math.log(math.pi) - math.lgamma(0.5 * (dim - 1))
+    return math.exp(math.log(dim - 1) - log_c - (dim - 1) * math.log(theta)), hi
 
 
-def _simplex(dim: int, seed: int) -> np.ndarray:
-    """The start of a greedy net: the dim + 1 vertices of a regular simplex
-    inscribed in S^(dim-1), turned by a seeded Haar-random rotation, each
-    moved by a Gaussian of scale _START_JITTER and put back on the sphere.
+def _simplex(dim: int) -> np.ndarray:
+    """The start of every base net (`_base_net`): the dim + 1 vertices of a
+    regular simplex inscribed in S^(dim-1), each moved by a Gaussian of
+    scale _START_JITTER from the fixed stream make_rng(0, 2) and put back on
+    the sphere.
 
     Any two vertices lie about sqrt(2 + 2/dim) > 1 > eps apart.  The
     perturbation makes every later insertion generic: from the exact
     regular simplex, inserted centres soon fall on neighbouring facet
     planes, where `_insert_last` refuses them (measured at dims 3 to 6).
     """
-    rng = make_rng(seed, 1)
     centred = np.eye(dim + 1) - 1.0 / (dim + 1)
     # the centred unit vectors in an orthonormal basis of their span
     vertices = _unit_rows(centred @ np.linalg.svd(centred)[2][:dim].T)
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    rotation = q * np.sign(np.diag(r))
-    return _unit_rows(vertices @ rotation.T + _START_JITTER * rng.standard_normal((dim + 1, dim)))
+    return _unit_rows(vertices + _START_JITTER * make_rng(0, 2).standard_normal((dim + 1, dim)))
+
+
+def _rotation(dim: int, seed: int) -> np.ndarray:
+    """The seed's Haar-random orthogonal dim x dim matrix: the Q of the QR
+    factorization of a Gaussian matrix drawn from make_rng(seed, 1), each
+    column's sign fixed by R's diagonal."""
+    q, r = np.linalg.qr(make_rng(seed, 1).standard_normal((dim, dim)))
+    return q * np.sign(np.diag(r))
 
 
 def _facet_planes(
-    points: np.ndarray, rows: np.ndarray
+    points: np.ndarray, rows: np.ndarray, m: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(m, allowance, radius) of the facets `rows` (sorted vertex indices).
 
     With V a facet's vertex rows, m solving V m = 1 is its plane x.m = 1, and
-    gap = 1 - q.m is >= 0 for the points q under it.  The allowance is a
-    gap's rounding: the computed plane misses the vertices by their computed
-    gaps plus the dot's rounding, about dim 2^-53 ||m||, so a point that
-    lies on the exact plane computes within twice that.  The radius is the
-    chord radius of the facet's cap: the largest chord from the cap's centre
-    m / ||m|| to the facet's vertices.  Raises NumericalIntegrityError when
-    some point lies above a plane by more than its allowance (the facet is
-    not a hull facet).
+    gap = 1 - q.m is >= 0 for the points q under it; planes `m` that are
+    passed in (a base hull's, turned) are checked as solved ones are.  The
+    allowance is a gap's rounding: the computed plane misses the vertices by
+    their computed gaps plus the dot's rounding, about dim 2^-53 ||m||, so a
+    point that lies on the exact plane computes within twice that.  The
+    radius is the chord radius of the facet's cap: the largest chord from
+    the cap's centre m / ||m|| to the facet's vertices.  The gaps are taken
+    in blocks of _NEAREST_BLOCK.  Raises NumericalIntegrityError when some
+    point lies above a plane by more than its allowance (the facet is not a
+    hull facet).
     """
     size, dim = points.shape
     vertices = points.take(rows, axis=0)
-    m = np.linalg.solve(vertices, np.ones(rows.shape + (1,)))[..., 0]
-    gap = m @ points.T  # (facets, points)
-    np.subtract(1.0, gap, out=gap)
-    # each facet's gaps at its own vertices, taken by flat index
-    resid = gap.take(rows + size * np.arange(rows.shape[0])[:, None])
-    resid = np.abs(resid, out=resid).max(axis=1)
+    if m is None:
+        m = np.linalg.solve(vertices, np.ones(rows.shape + (1,)))[..., 0]
     # what np.linalg.norm(m, axis=1) computes, without its wrapper
     norms = np.sqrt(np.add.reduce(m * m, axis=1))
-    allowance = 2.0 * resid + 4 * (dim + 2) * 2.0 ** -53 * norms
-    if (gap < -allowance[:, None]).any():
-        worst = float(np.max(-gap / allowance[:, None]))
-        raise NumericalIntegrityError(
-            f"a net point lies above a hull facet by {worst:.3g} rounding allowances"
-        )
+    allowance = 4 * (dim + 2) * 2.0 ** -53 * norms
+    step = max(1, _NEAREST_BLOCK // size)
+    for start in range(0, rows.shape[0], step):
+        block = slice(start, start + step)
+        gap = m[block] @ points.T  # (facets, points)
+        np.subtract(1.0, gap, out=gap)
+        # each facet's gaps at its own vertices, taken by flat index
+        resid = gap.take(rows[block] + size * np.arange(gap.shape[0])[:, None])
+        allowance[block] += 2.0 * np.abs(resid, out=resid).max(axis=1)
+        if (gap < -allowance[block, None]).any():
+            worst = float(np.max(-gap / allowance[block, None]))
+            raise NumericalIntegrityError(
+                f"a net point lies above a hull facet by {worst:.3g} rounding allowances"
+            )
+        del gap  # so that the next block's gaps do not coexist with these
     chords = vertices - (m / norms[:, None])[:, None, :]
     radii = np.sqrt(np.einsum("fvx,fvx->fv", chords, chords).max(axis=1))
     return m, allowance, radii
@@ -495,6 +526,69 @@ def _greedy_tail(points: np.ndarray, eps: float, seed: int, max_points: int) -> 
     return points
 
 
+class _BaseNet(NamedTuple):
+    """The net of one (dim, eps) before any seed turns it: its points, and
+    the facets and planes of its final hull (`_fill_caps`), both None where
+    the greedy tail completed the net.  Every array is read-only."""
+
+    points: np.ndarray
+    facets: Optional[np.ndarray]
+    planes: Optional[np.ndarray]
+
+
+_BASE_NETS: "OrderedDict[tuple, _BaseNet]" = OrderedDict()
+
+
+def _base_net(dim: int, eps: float, max_points: int) -> _BaseNet:
+    """The base net of (dim, eps): farthest-point insertion from `_simplex`
+    (`_fill_caps`), then, where the hull passed its bound, the greedy tail
+    of SphereSampler(dim, 0).
+
+    Built once and kept in _BASE_NETS, at most _BASE_NET_ENTRIES nets, the
+    least recently used dropped first.  The key holds every module constant
+    the build reads, so a net built under other constants is never served.
+    A build that would exceed max_points raises ResourceError and keeps
+    nothing; a kept net is served whatever the caller's max_points.
+    """
+    key = (dim, eps, _START_JITTER, _HULL_MAX_FACET_DIMS2, _REJECTIONS_PER_POINT, _BATCH,
+           _NEAREST_BLOCK)
+    base = _BASE_NETS.get(key)
+    if base is not None:
+        _BASE_NETS.move_to_end(key)
+        return base
+    points, facets, planes = _simplex(dim), None, None
+    if dim > 1:
+        points, hull = _fill_caps(points, eps, max_points)
+        if hull is None:
+            points = _greedy_tail(points, eps, 0, max_points)
+        else:
+            # copies, so that the hull's spare capacity is not kept
+            facets, planes = hull.facets.copy(), hull.planes.copy()
+    base = _BaseNet(points.copy(), facets, planes)
+    for array in base:
+        if array is not None:
+            array.flags.writeable = False
+    _BASE_NETS[key] = base
+    if len(_BASE_NETS) > _BASE_NET_ENTRIES:
+        _BASE_NETS.popitem(last=False)
+    return base
+
+
+def _check_packing(points: np.ndarray, eps: float) -> None:
+    """NumericalIntegrityError unless every two rows of `points` lie at
+    least eps apart by the float64 test u.v <= 1 - eps^2/2, in blocks of
+    _NEAREST_BLOCK dot products."""
+    size = points.shape[0]
+    thresh = 1.0 - 0.5 * eps * eps
+    step = max(1, _NEAREST_BLOCK // size)
+    for start in range(0, size, step):
+        dots = points[start : start + step] @ points.T
+        # each row's dot with itself: row r of the block holds it at column start + r
+        dots.reshape(-1)[start :: size + 1] = -1.0
+        if (dots > thresh).any():
+            raise NumericalIntegrityError("two net points lie less than eps apart")
+
+
 def build_eps_net(
     dim: int,
     eps: float,
@@ -502,17 +596,28 @@ def build_eps_net(
     max_points: int = 1_000_000,
 ) -> EpsNet:
     """Eps-packing of S^(dim-1) by farthest-point insertion, a certified
-    eps-covering wherever its hull stays within its memory bound.
+    eps-covering wherever its hull stays within its memory bound: the base
+    net of (dim, eps), turned by the seed's Haar-random rotation.
 
-    The net starts from a perturbed regular simplex (`_simplex`) and takes,
-    one at a time, the centre of the widest empty cap of its convex hull
-    while that cap is wider than eps (`_fill_caps`).  Its `covering_radius`
-    is then the widest cap's chord radius, computed, and <= eps.  Where the
-    hull passes its memory bound first, which at the usual eps happens from
-    dim 9 on, the greedy tail (`_greedy_tail`) completes the eps-packing and
-    the radius is None.  On S^0 the net is both points, with radius 0.
-    Raises ResourceError when the net would exceed max_points; the volume
-    bound (3/eps)^dim caps the attainable size.
+    The base net (`_base_net`) starts from a perturbed regular simplex
+    (`_simplex`) and takes, one at a time, the centre of the widest empty
+    cap of its convex hull while that cap is wider than eps (`_fill_caps`).
+    Where the hull passes its memory bound first, which at the usual eps
+    happens from dim 9 on, the greedy tail (`_greedy_tail`) completes the
+    eps-packing.  It is built once per process and kept.  Farthest-point
+    insertion commutes with rotations, so the seed turns the base net by
+    `_rotation(dim, seed)` rather than building its own.
+
+    Every call certifies the turned points again: the float64 packing test
+    runs on them (`_check_packing`), and each base facet's plane, turned,
+    is checked against every turned point with an allowance from its
+    residuals at its own vertices (`_facet_planes`).  `covering_radius` is
+    the widest of those planes' caps, computed, and <= eps up to their
+    rounding; it is None for a net the greedy tail completed.  A rotation
+    keeps the facet set, so its ridges are checked once, on the base build.
+    On S^0 the net is both points, with radius 0.  Raises ResourceError when
+    the net would exceed max_points; the volume bound (3/eps)^dim caps the
+    attainable size.
     """
     if not (0.0 < eps < 1.0):
         raise DomainError("eps must lie in (0, 1)")
@@ -524,16 +629,16 @@ def build_eps_net(
             f"projected net size >= {lo_est:.3g} (upper bound {hi_est:.3g}) "
             f"exceeds max_points={max_points}"
         )
-    points, rho = _simplex(dim, seed), 0.0
-    if dim > 1:
-        points, hull = _fill_caps(points, eps, max_points)
-        if hull is None:
-            points, rho = _greedy_tail(points, eps, seed, max_points), None
-        else:
-            rho = float(hull.radii.max())
+    base = _base_net(dim, float(eps), max_points)
+    if base.points.shape[0] > max_points:
+        raise ResourceError(f"net exceeded max_points={max_points}")
+    rotation = _rotation(dim, seed)
+    points = base.points @ rotation.T
+    _check_packing(points, eps)
+    rho = 0.0 if dim == 1 else None
+    if base.facets is not None:
+        rho = float(_facet_planes(points, base.facets, base.planes @ rotation.T)[2].max())
     return EpsNet(dim=dim, eps=float(eps), points=points, seed=seed, covering_radius=rho)
-
-
 
 
 # icosahedron: the 12 cyclic permutations of (0, +-1, +-phi)

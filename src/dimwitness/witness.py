@@ -263,7 +263,9 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     (`voronoi_moments`): every standard error is exactly 0, so c1-c4 have no
     4-sigma term.  In other dimensions the net is built by farthest-point
     insertion (`build_eps_net`): an eps-packing whose hull's widest empty
-    cap, its computed covering radius rho, is <= eps.  Its moments are Monte
+    cap, its computed covering radius rho, is <= eps.  That base net is built
+    once per (n, eps) and process, and each seed turns it by its own
+    rotation, certified again on the turned points.  Its moments are Monte
     Carlo estimates (`region_moments`, moment_samples_per_region per
     region).  The adversary is `dot_adversary` at
     m = 2d^2: the best of ADVERSARY_RESTARTS damped Newton ascents of the

@@ -240,6 +240,24 @@ class TestWitnessCommand:
         assert code == 0
         assert json.loads(out)["config"]["max_net_points"] == WitnessConfig.max_net_points
 
+    def test_deep_hint_on_a_kept_net(self, capsys, monkeypatch):
+        # a base net kept from an earlier build and larger than the shallow
+        # cap is refused with the text the --deep hint looks for
+        size = dimwitness.build_eps_net(4, 0.5).size
+        monkeypatch.setattr(dimwitness.cli, "_SHALLOW_NET_POINTS", size - 1)
+        code, _, err = run_cli(capsys, "witness", "4", "1", "0.5", "--seed", "0")
+        assert code == 3
+        assert f"net exceeded max_points={size - 1}" in err
+        assert f"--deep raises the cap to {WitnessConfig.max_net_points}" in err
+
+    def test_covering_bound_refuses_n5_at_eps_01(self, capsys):
+        # the covering bound puts a net on S^4 at eps 0.1 above 53 000
+        # points, past the shallow cap, before any insertion
+        code, _, err = run_cli(capsys, "witness", "5", "1", "0.1", "--seed", "0")
+        assert code == 3
+        assert "projected net size >= 5.32e+04" in err
+        assert "--deep raises the cap" in err
+
 
 class TestAppendixCommand:
     def test_all_pass(self, capsys):

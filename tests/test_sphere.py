@@ -185,7 +185,8 @@ class TestEpsNet:
         # a bound that no hull meets sends the whole build to the greedy tail
         monkeypatch.setattr(sphere, "_HULL_MAX_FACET_DIMS2", 0)
         net = build_eps_net(dim, eps, seed=seed)
-        assert np.array_equal(net.points, rescanned_tail(sphere._simplex(dim, seed), eps, seed))
+        base = rescanned_tail(sphere._simplex(dim), eps, 0)
+        assert np.array_equal(net.points, base @ sphere._rotation(dim, seed).T)
         assert (net.covering_radius is None) == (dim > 1)
         assert min_chord(net.points) >= eps
 
@@ -199,9 +200,10 @@ class TestEpsNet:
         # candidates would stop elsewhere or accept a candidate after the stop.
         monkeypatch.setattr(sphere, "_HULL_MAX_FACET_DIMS2", 0)
         monkeypatch.setattr(sphere, "_REJECTIONS_PER_POINT", tail)
+        base = rescanned_tail(sphere._simplex(dim), 0.9, 0)
         for seed in range(4):
             points = build_eps_net(dim, 0.9, seed=seed).points
-            assert np.array_equal(points, rescanned_tail(sphere._simplex(dim, seed), 0.9, seed))
+            assert np.array_equal(points, base @ sphere._rotation(dim, seed).T)
 
     def test_save_load_roundtrip(self, tmp_path):
         # a dim-1 net is written one entry per line and must load as (size, 1)
@@ -328,7 +330,7 @@ class TestCoveringCertificate:
             assert net.covering_radius is not None and net.covering_radius <= eps
             assert min_chord(net.points) >= eps, (dim, eps, seed)
 
-    @pytest.mark.parametrize("dim, eps", [(2, 0.2), (3, 0.4), (4, 0.5), (5, 0.7)])
+    @pytest.mark.parametrize("dim, eps", [(2, 0.2), (3, 0.4), (4, 0.5), (5, 0.7), (6, 0.8)])
     def test_packing_and_covering_over_twenty_seeds(self, dim, eps):
         for seed in range(20):
             net = build_eps_net(dim, eps, seed=seed)
@@ -345,18 +347,23 @@ class TestCoveringCertificate:
     @pytest.mark.parametrize("dim, eps", [case for case in GREEDY_CASES if case[0] > 1]
                              + [(7, 0.9)])
     def test_hull_equals_scipy(self, dim, eps):
+        # the seed turns the base net and its hull's planes; the turned
+        # facets are the hull of the turned points
+        base, hull = sphere._fill_caps(sphere._simplex(dim), eps, 10**6)
         for seed in (0,) if dim == 7 else (0, 3):
-            points, hull = sphere._fill_caps(sphere._simplex(dim, seed), eps, 10**6)
+            rotation = sphere._rotation(dim, seed)
             net = build_eps_net(dim, eps, seed=seed)
+            points = base @ rotation.T
             assert np.array_equal(net.points, points)
-            assert net.covering_radius == hull.radii.max()
+            radii = sphere._facet_planes(points, hull.facets, hull.planes @ rotation.T)[2]
+            assert net.covering_radius == radii.max()
             expected, _, radii = hull_oracle(points)
             assert len(hull.facets) == len(expected)
             assert set(map(tuple, hull.facets.tolist())) == set(map(tuple, expected.tolist()))
             assert abs(net.covering_radius - radii.max()) <= 1e-12, (dim, eps, seed)
 
     @pytest.mark.parametrize("dim, eps, seed", [(2, 0.1, 5), (3, 0.3, 7), (4, 0.5, 1),
-                                                (5, 0.7, 1)])
+                                                (5, 0.7, 1), (5, 0.7, 6), (6, 0.8, 2)])
     def test_uniform_probes_are_covered(self, dim, eps, seed):
         net = build_eps_net(dim, eps, seed=seed)
         probes = SphereSampler(dim, 11).sample(100_000)
@@ -370,7 +377,7 @@ class TestCoveringCertificate:
             assert net.covering_radius == 0.0
 
     def test_a_point_above_a_facet_is_refused(self):
-        points, hull = sphere._fill_caps(sphere._simplex(3, 0), 0.5, 10**6)
+        points, hull = sphere._fill_caps(sphere._simplex(3), 0.5, 10**6)
         facet = hull.facets[0]
         # a plane through two vertices of a facet and the point farthest from
         # it cuts the sphere, so net points lie above it
@@ -399,14 +406,15 @@ class TestCoveringCertificate:
         # a (5, 0.7) hull ends with about 1 500 facets, 37 500 facets x dim^2:
         # a bound of 10 000 stops the insertion midway, and the greedy tail
         # completes the eps-packing from the points inserted so far
-        full = build_eps_net(5, 0.7, seed=1).points
+        full = sphere._fill_caps(sphere._simplex(5), 0.7, 10**6)[0]
         monkeypatch.setattr(sphere, "_HULL_MAX_FACET_DIMS2", 10_000)
-        inserted, hull = sphere._fill_caps(sphere._simplex(5, 1), 0.7, 10**6)
+        inserted, hull = sphere._fill_caps(sphere._simplex(5), 0.7, 10**6)
         assert hull is None and 6 < inserted.shape[0] < full.shape[0]
         assert np.array_equal(inserted, full[: inserted.shape[0]])
         net = build_eps_net(5, 0.7, seed=1)
         assert net.covering_radius is None
-        assert np.array_equal(net.points, rescanned_tail(inserted, 0.7, 1))
+        base = rescanned_tail(inserted, 0.7, 0)
+        assert np.array_equal(net.points, base @ sphere._rotation(5, 1).T)
         assert net.size > inserted.shape[0]
         assert min_chord(net.points) >= 0.7
 
@@ -416,8 +424,127 @@ class TestCoveringCertificate:
         # and a witness charges eps for its radius
         net = build_eps_net(9, 0.95, seed=0)
         assert net.covering_radius is None
-        assert np.array_equal(net.points[:10], sphere._simplex(9, 0))
+        base = sphere._base_net(9, 0.95, 10**6).points
+        assert np.array_equal(base[:10], sphere._simplex(9))
+        assert np.array_equal(net.points, base @ sphere._rotation(9, 0).T)
         assert min_chord(net.points) >= 0.95
+
+
+    @pytest.mark.parametrize("dim, eps", GREEDY_CASES)
+    def test_the_projected_lower_bound_is_at_most_the_size(self, dim, eps):
+        lo, hi = sphere._projected_size_bounds(dim, eps)
+        assert lo <= build_eps_net(dim, eps).size <= hi
+
+    def test_the_covering_bound_on_the_circle_and_on_s2(self):
+        # N >= pi / theta on S^1 and N >= 4 / theta^2 on S^2, theta = 2 asin(eps/2)
+        for eps in (0.05, 0.3, 0.9):
+            theta = 2.0 * math.asin(0.5 * eps)
+            assert sphere._projected_size_bounds(2, eps)[0] == pytest.approx(math.pi / theta)
+            assert sphere._projected_size_bounds(3, eps)[0] == pytest.approx(4.0 / theta**2)
+        assert round(sphere._projected_size_bounds(4, 0.05)[0]) == 37_687
+        assert round(sphere._projected_size_bounds(5, 0.1)[0]) == 53_244
+
+    def test_a_net_over_the_covering_bound_is_refused_before_insertion(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("the build started")
+
+        monkeypatch.setattr(sphere, "_fill_caps", never)
+        with pytest.raises(ResourceError, match=r"^projected net size >= 5\.32e\+04 "
+                                                r"\(upper bound .*\) exceeds max_points=50000$"):
+            build_eps_net(5, 0.1, seed=0, max_points=50_000)
+
+
+class TestBaseNetCache:
+    def test_seeds_turn_one_base_net(self):
+        base = sphere._base_net(4, 0.5, 10**6)
+        for seed in range(3):
+            net = build_eps_net(4, 0.5, seed=seed)
+            assert np.array_equal(net.points, base.points @ sphere._rotation(4, seed).T)
+        assert sphere._base_net(4, 0.5, 10**6) is base
+
+    def test_kept_arrays_are_read_only(self):
+        base = sphere._base_net(3, 0.5, 10**6)
+        for array in base:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        # a net's own points are a fresh array
+        assert build_eps_net(3, 0.5, seed=1).points.flags.writeable
+
+    @pytest.mark.parametrize("dim, eps, hull_bound", [(2, 0.3, sphere._HULL_MAX_FACET_DIMS2),
+                                                      (4, 0.5, 0)])
+    def test_cold_and_warm_caches_give_one_net(self, dim, eps, hull_bound, monkeypatch):
+        # a hull bound of 0 sends the whole build to the greedy tail
+        monkeypatch.setattr(sphere, "_HULL_MAX_FACET_DIMS2", hull_bound)
+        sphere._BASE_NETS.clear()
+        cold = build_eps_net(dim, eps, seed=4)
+        warm = build_eps_net(dim, eps, seed=4)
+        # other nets built in between, then enough of them to drop this one
+        others = [(3, 0.5), (3, 0.55), (2, 0.2), (6, 0.8), (5, 0.75)]
+        build_eps_net(*others[0]), build_eps_net(*others[1])
+        kept = build_eps_net(dim, eps, seed=4)
+        for other in others:
+            build_eps_net(*other)
+        assert all(key[:2] != (dim, eps) for key in sphere._BASE_NETS)
+        rebuilt = build_eps_net(dim, eps, seed=4)
+        for net in (warm, kept, rebuilt):
+            assert np.array_equal(net.points, cold.points)
+            assert net.covering_radius == cold.covering_radius
+
+    def test_the_cache_holds_its_entry_limit(self):
+        for eps in (0.5, 0.55, 0.6, 0.65, 0.7, 0.75):
+            build_eps_net(3, eps)
+        assert len(sphere._BASE_NETS) == sphere._BASE_NET_ENTRIES
+        assert list(sphere._BASE_NETS)[-1][:2] == (3, 0.75)
+
+    def test_a_changed_constant_builds_its_own_base_net(self, monkeypatch):
+        # a net kept under one hull bound is not served under another
+        full = build_eps_net(5, 0.7, seed=1)
+        monkeypatch.setattr(sphere, "_HULL_MAX_FACET_DIMS2", 0)
+        tail = build_eps_net(5, 0.7, seed=1)
+        assert full.covering_radius is not None and tail.covering_radius is None
+        base = rescanned_tail(sphere._simplex(5), 0.7, 0)
+        assert np.array_equal(tail.points, base @ sphere._rotation(5, 1).T)
+        monkeypatch.undo()
+        again = build_eps_net(5, 0.7, seed=1)
+        assert np.array_equal(again.points, full.points)
+        assert again.covering_radius == full.covering_radius
+
+    def test_a_kept_net_over_max_points_is_refused(self):
+        size = build_eps_net(3, 0.3).size
+        message = rf"^net exceeded max_points={size - 1}$"
+        with pytest.raises(ResourceError, match=message):
+            build_eps_net(3, 0.3, seed=5, max_points=size - 1)
+        sphere._BASE_NETS.clear()
+        with pytest.raises(ResourceError, match=message):
+            build_eps_net(3, 0.3, seed=5, max_points=size - 1)
+        assert not sphere._BASE_NETS  # a refused build keeps nothing
+        assert build_eps_net(3, 0.3, seed=5, max_points=size).size == size
+
+    def test_every_call_checks_the_packing(self, monkeypatch):
+        # a kept point moved next to another fails the packing test
+        build_eps_net(3, 0.5, seed=2)
+        base = sphere._base_net(3, 0.5, 10**6)
+        near = base._replace(points=np.vstack([base.points[:-1], base.points[0] * 0.999]))
+        monkeypatch.setitem(sphere._BASE_NETS, next(reversed(sphere._BASE_NETS)), near)
+        with pytest.raises(NumericalIntegrityError, match="less than eps apart"):
+            build_eps_net(3, 0.5, seed=2)
+
+    def test_every_call_checks_the_planes(self, monkeypatch):
+        # a kept facet that is not a hull facet, with its own plane: the
+        # plane through two vertices of a facet and the point farthest from
+        # it cuts the sphere, so turned points lie above it
+        build_eps_net(3, 0.5, seed=2)
+        key = next(reversed(sphere._BASE_NETS))
+        base = sphere._BASE_NETS[key]
+        facet = base.facets[0]
+        far = int(np.argmin(base.points @ base.points[facet].sum(axis=0)))
+        facets, planes = base.facets.copy(), base.planes.copy()
+        facets[0] = np.sort([facet[0], facet[1], far])
+        planes[0] = np.linalg.solve(base.points[facets[0]], np.ones(3))
+        monkeypatch.setitem(sphere._BASE_NETS, key, base._replace(facets=facets, planes=planes))
+        with pytest.raises(NumericalIntegrityError, match="above a hull facet"):
+            build_eps_net(3, 0.5, seed=2)
 
 
 class TestGeodesicNet:
@@ -977,7 +1104,7 @@ class TestIncrementalFill:
             assert facets == set(map(tuple, hull_oracle(net.points[:end])[0].tolist())), end
 
     def test_an_added_point_on_a_facet_plane_is_refused(self):
-        points, hull = sphere._fill_caps(sphere._simplex(3, 0), 0.5, 10**6)
+        points, hull = sphere._fill_caps(sphere._simplex(3), 0.5, 10**6)
         m = hull.planes[0]
         # a unit vector on the circle where the plane x.m = 1 cuts the sphere
         u = np.cross(m, points[0] - points[1])
@@ -990,7 +1117,7 @@ class TestIncrementalFill:
     def test_a_point_above_a_new_facet_is_refused(self):
         # q, next to the inserted center p but left out of the hull, lies
         # under every kept facet and above some facet joined to p
-        points, hull = sphere._fill_caps(sphere._simplex(3, 0), 0.5, 10**6)
+        points, hull = sphere._fill_caps(sphere._simplex(3), 0.5, 10**6)
         p = sphere._unit_rows(hull.planes[[np.argmax(hull.radii)]])[0]
         q = p + 1e-3 * np.cross(p, points[0])
         q /= np.linalg.norm(q)
@@ -998,7 +1125,7 @@ class TestIncrementalFill:
             sphere._insert_last(np.vstack([points, q, p]), hull)
 
     def test_an_added_point_inside_the_hull_is_refused(self):
-        points, hull = sphere._fill_caps(sphere._simplex(3, 0), 0.5, 10**6)
+        points, hull = sphere._fill_caps(sphere._simplex(3), 0.5, 10**6)
         inside = 0.5 * points[0] + 0.25 * points[1]
         with pytest.raises(NumericalIntegrityError, match="inside the hull"):
             sphere._insert_last(np.vstack([points, inside]), hull)
@@ -1011,13 +1138,15 @@ class TestIncrementalFill:
 
     def test_the_start_is_a_perturbed_regular_simplex(self):
         for dim in range(2, 10):
-            start = sphere._simplex(dim, seed=dim)
+            start = sphere._simplex(dim)
             assert np.abs(np.linalg.norm(start, axis=1) - 1.0).max() <= 1e-15
             gram = start @ start.T
             off = gram[~np.eye(dim + 1, dtype=bool)]
             # a regular simplex's vertices have dot -1/dim, moved by the jitter
             assert np.abs(off + 1.0 / dim).max() <= 20 * sphere._START_JITTER
-            assert not np.array_equal(start, sphere._simplex(dim, seed=dim + 1))
+            # each seed turns it by its own rotation
+            turned = start @ sphere._rotation(dim, dim).T
+            assert not np.array_equal(turned, start @ sphere._rotation(dim, dim + 1).T)
 
 
 def slotted_hull(rows):
@@ -1069,7 +1198,7 @@ class TestSlottedHull:
         # a point far out beyond a vertex sees every facet around it and
         # more: the vertex drops inside, and the seen facets outnumber their
         # horizon, so live facets from the end fill the freed slots
-        points, hull = sphere._fill_caps(sphere._simplex(dim, 0), 0.5, 10**6)
+        points, hull = sphere._fill_caps(sphere._simplex(dim), 0.5, 10**6)
         before = hull.count
         far = np.vstack([points, 3.0 * points[0]])
         seen = int(np.count_nonzero(hull.planes @ far[-1] > 1.0))
@@ -1090,7 +1219,7 @@ class TestSlottedHull:
         # insertion writes a few dozen facets, whose check against every
         # point is its largest array.  A hull rebuilt by concatenation
         # allocates more than its four arrays take.
-        points, hull = sphere._fill_caps(sphere._simplex(4, 0), 0.15, 10**6)
+        points, hull = sphere._fill_caps(sphere._simplex(4), 0.15, 10**6)
         hull_bytes = sum(part.nbytes for part in
                          (hull.facets, hull.planes, hull.allowances, hull.radii))
         plane = hull.planes[hull.widest()]
