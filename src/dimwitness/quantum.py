@@ -29,7 +29,6 @@ for the table and O(d^3) per realification.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -237,28 +236,20 @@ def _dense_table(psi: np.ndarray, alice_gens: np.ndarray, bob_gens: np.ndarray) 
     return left.reshape(n, -1) @ bob_gens.reshape(n, -1).T
 
 
-@functools.lru_cache(maxsize=MAX_GENERATORS)
 def tsirelson_strategy(n: int) -> QuantumStrategy:
     """Strategy whose joint correlation equals a . b exactly.
 
     Alice measures sum_i a_i G_i, Bob sum_i b_i G_i^T = sum_i b_i conj(G_i),
     on sum_i |ii> / sqrt(d).  The Pauli tables come from the Jordan-Wigner
-    strings directly; no dense generator is formed.  Each n is built once
-    per process and shared by every caller, so its arrays are read-only,
-    all but the realified slots: np.bincount copies a read-only index array
-    on every call (128 KB per `vectorize` at n = 16).
+    strings directly; no dense generator is formed.
     """
     _check_size(n)
     columns, phases = _jordan_wigner(n)
     d = columns.shape[1]
     state = (np.eye(d, dtype=complex) / np.sqrt(d)).reshape(-1)
     eye = np.eye(n)
-    strategy = QuantumStrategy(d=d, state=state, alice=PauliMap(columns, phases, eye),
-                               bob=PauliMap(columns, phases.conj(), eye))
-    for array in (state, columns, phases, eye, strategy.bob.phases, strategy.table,
-                  strategy.realified[1]):
-        array.flags.writeable = False
-    return strategy
+    return QuantumStrategy(d=d, state=state, alice=PauliMap(columns, phases, eye),
+                           bob=PauliMap(columns, phases.conj(), eye))
 
 
 def _state_matrix(strategy: QuantumStrategy) -> np.ndarray:

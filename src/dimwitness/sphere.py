@@ -219,46 +219,45 @@ def _rotation(dim: int, seed: int) -> np.ndarray:
 
 
 def _facet_planes(
-    points: np.ndarray, rows: np.ndarray, m: Optional[np.ndarray] = None
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(m, allowance, radius) of the facets `rows` (sorted vertex indices).
+    points: np.ndarray, rows: np.ndarray, m: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(allowance, radius) of the facets `rows` (sorted vertex indices) with
+    planes x.m = 1, checked against every point.
 
-    With V a facet's vertex rows, m solving V m = 1 is its plane x.m = 1, and
-    gap = 1 - q.m is >= 0 for the points q under it; planes `m` that are
-    passed in (a base hull's, turned) are checked as solved ones are.  The
-    allowance is a gap's rounding: the computed plane misses the vertices by
-    their computed gaps plus the dot's rounding, about dim 2^-53 ||m||, so a
-    point that lies on the exact plane computes within twice that.  The
-    radius is the chord radius of the facet's cap: the largest chord from
-    the cap's centre m / ||m|| to the facet's vertices.  The gaps are taken
-    in blocks of _NEAREST_BLOCK.  Raises NumericalIntegrityError when some
-    point lies above a plane by more than its allowance (the facet is not a
-    hull facet).
+    With V a facet's vertex rows, m solves V m = 1 up to rounding, and gap =
+    1 - q.m is >= 0 for the points q under the plane.  The allowance is a
+    gap's rounding: the computed plane misses the vertices by their computed
+    gaps plus the dot's rounding, about dim 2^-53 ||m||, so a point that
+    lies on the exact plane computes within twice that.  The radius is the
+    chord radius of the facet's cap: the largest chord from the cap's centre
+    m / ||m|| to the facet's vertices.  The facets are taken in blocks whose
+    gaps and vertex rows each hold at most _NEAREST_BLOCK numbers.  Raises
+    NumericalIntegrityError when some point lies above a plane by more than
+    its allowance (the facet is not a hull facet).
     """
     size, dim = points.shape
-    vertices = points.take(rows, axis=0)
-    if m is None:
-        m = np.linalg.solve(vertices, np.ones(rows.shape + (1,)))[..., 0]
-    # what np.linalg.norm(m, axis=1) computes, without its wrapper
-    norms = np.sqrt(np.add.reduce(m * m, axis=1))
-    allowance = 4 * (dim + 2) * 2.0 ** -53 * norms
-    step = max(1, _NEAREST_BLOCK // size)
+    allowance, radii = np.empty((2, rows.shape[0]))
+    step = max(1, _NEAREST_BLOCK // max(size, dim * dim))
     for start in range(0, rows.shape[0], step):
         block = slice(start, start + step)
-        gap = m[block] @ points.T  # (facets, points)
+        plane = m[block]
+        gap = plane @ points.T  # (facets, points)
         np.subtract(1.0, gap, out=gap)
         # each facet's gaps at its own vertices, taken by flat index
         resid = gap.take(rows[block] + size * np.arange(gap.shape[0])[:, None])
-        allowance[block] += 2.0 * np.abs(resid, out=resid).max(axis=1)
-        if (gap < -allowance[block, None]).any():
-            worst = float(np.max(-gap / allowance[block, None]))
+        # what np.linalg.norm(plane, axis=1) computes, without its wrapper
+        norms = np.sqrt(np.add.reduce(plane * plane, axis=1))
+        edge = 2.0 * np.abs(resid, out=resid).max(axis=1) + 4 * (dim + 2) * 2.0 ** -53 * norms
+        allowance[block] = edge
+        if (gap < -edge[:, None]).any():
+            worst = float(np.max(-gap / edge[:, None]))
             raise NumericalIntegrityError(
                 f"a net point lies above a hull facet by {worst:.3g} rounding allowances"
             )
         del gap  # so that the next block's gaps do not coexist with these
-    chords = vertices - (m / norms[:, None])[:, None, :]
-    radii = np.sqrt(np.einsum("fvx,fvx->fv", chords, chords).max(axis=1))
-    return m, allowance, radii
+        chords = points.take(rows[block], axis=0) - (plane / norms[:, None])[:, None, :]
+        radii[block] = np.sqrt(np.einsum("fvx,fvx->fv", chords, chords).max(axis=1))
+    return allowance, radii
 
 
 def _sorted_rows(rows: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -402,9 +401,11 @@ class _Hull:
 
 
 def _hull_facets(points: np.ndarray, rows: np.ndarray) -> _Hull:
-    """The facets `rows` of the hull of `points`, with their planes, checked
-    against every point, and their caps' radii (`_facet_planes`)."""
-    return _Hull(rows, *_facet_planes(points, rows))
+    """The facets `rows` of the hull of `points`, with their planes, solved
+    on their vertex rows and checked against every point, and their caps'
+    radii (`_facet_planes`)."""
+    m = np.linalg.solve(points.take(rows, axis=0), np.ones(rows.shape + (1,)))[..., 0]
+    return _Hull(rows, m, *_facet_planes(points, rows, m))
 
 
 def _check_ridges(facets: np.ndarray, size: int) -> None:
@@ -545,13 +546,11 @@ def _base_net(dim: int, eps: float, max_points: int) -> _BaseNet:
     of SphereSampler(dim, 0).
 
     Built once and kept in _BASE_NETS, at most _BASE_NET_ENTRIES nets, the
-    least recently used dropped first.  The key holds every module constant
-    the build reads, so a net built under other constants is never served.
-    A build that would exceed max_points raises ResourceError and keeps
-    nothing; a kept net is served whatever the caller's max_points.
+    least recently used dropped first.  A build that would exceed max_points
+    raises ResourceError and keeps nothing; a kept net is served whatever
+    the caller's max_points.
     """
-    key = (dim, eps, _START_JITTER, _HULL_MAX_FACET_DIMS2, _REJECTIONS_PER_POINT, _BATCH,
-           _NEAREST_BLOCK)
+    key = (dim, eps)
     base = _BASE_NETS.get(key)
     if base is not None:
         _BASE_NETS.move_to_end(key)
@@ -611,10 +610,13 @@ def build_eps_net(
     Every call certifies the turned points again: the float64 packing test
     runs on them (`_check_packing`), and each base facet's plane, turned,
     is checked against every turned point with an allowance from its
-    residuals at its own vertices (`_facet_planes`).  `covering_radius` is
-    the widest of those planes' caps, computed, and <= eps up to their
-    rounding; it is None for a net the greedy tail completed.  A rotation
-    keeps the facet set, so its ridges are checked once, on the base build.
+    residuals at its own turned vertices (`_facet_planes`).  Turning the
+    kept planes costs a matrix product, where solving them again would
+    double a warm call.  `covering_radius` is the widest of those planes'
+    caps, computed, and <= eps up to their rounding; it is None for a net
+    the greedy tail completed.  A rotation keeps the facet set, so its
+    ridges are checked once, on the base build.  The cache saves time only
+    where one process asks for the same (dim, eps) again.
     On S^0 the net is both points, with radius 0.  Raises ResourceError when
     the net would exceed max_points; the volume bound (3/eps)^dim caps the
     attainable size.
@@ -637,7 +639,7 @@ def build_eps_net(
     _check_packing(points, eps)
     rho = 0.0 if dim == 1 else None
     if base.facets is not None:
-        rho = float(_facet_planes(points, base.facets, base.planes @ rotation.T)[2].max())
+        rho = float(_facet_planes(points, base.facets, base.planes @ rotation.T)[1].max())
     return EpsNet(dim=dim, eps=float(eps), points=points, seed=seed, covering_radius=rho)
 
 

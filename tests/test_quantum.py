@@ -136,21 +136,6 @@ class TestCliffordGenerators:
 
 
 class TestTsirelsonStrategy:
-    @pytest.mark.parametrize("n", [1, 3, 5, 16])
-    def test_one_read_only_strategy_per_n(self, n):
-        st = tsirelson_strategy(n)
-        assert tsirelson_strategy(n) is st
-        fresh = tsirelson_strategy.__wrapped__(n)
-        assert np.array_equal(st.table, fresh.table)
-        assert np.array_equal(st.state, fresh.state)
-        # all but the realified slots, which np.bincount would copy if read-only
-        arrays = [st.state, st.table, st.realified[1]]
-        arrays += [getattr(party, key) for party in (st.alice, st.bob)
-                   for key in ("columns", "phases", "mix")]
-        for array in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                array.reshape(-1)[0] = 0
-
     def test_same_direction(self):
         st = tsirelson_strategy(4)
         e1 = np.eye(4)[0]

@@ -355,7 +355,7 @@ class TestCoveringCertificate:
             net = build_eps_net(dim, eps, seed=seed)
             points = base @ rotation.T
             assert np.array_equal(net.points, points)
-            radii = sphere._facet_planes(points, hull.facets, hull.planes @ rotation.T)[2]
+            radii = sphere._facet_planes(points, hull.facets, hull.planes @ rotation.T)[1]
             assert net.covering_radius == radii.max()
             expected, _, radii = hull_oracle(points)
             assert len(hull.facets) == len(expected)
@@ -384,7 +384,7 @@ class TestCoveringCertificate:
         far = int(np.argmin(points @ points[facet].sum(axis=0)))
         level = np.sort([[facet[0], facet[1], far]])
         with pytest.raises(NumericalIntegrityError, match="above a hull facet"):
-            sphere._facet_planes(points, level)
+            sphere._hull_facets(points, level)
 
     def test_distinct_rows_match_numpy(self):
         # 10^6 indices take 20 bits, so rows of 9 pack into three keys
@@ -476,7 +476,6 @@ class TestBaseNetCache:
     def test_cold_and_warm_caches_give_one_net(self, dim, eps, hull_bound, monkeypatch):
         # a hull bound of 0 sends the whole build to the greedy tail
         monkeypatch.setattr(sphere, "_HULL_MAX_FACET_DIMS2", hull_bound)
-        sphere._BASE_NETS.clear()
         cold = build_eps_net(dim, eps, seed=4)
         warm = build_eps_net(dim, eps, seed=4)
         # other nets built in between, then enough of them to drop this one
@@ -485,7 +484,7 @@ class TestBaseNetCache:
         kept = build_eps_net(dim, eps, seed=4)
         for other in others:
             build_eps_net(*other)
-        assert all(key[:2] != (dim, eps) for key in sphere._BASE_NETS)
+        assert (dim, eps) not in sphere._BASE_NETS
         rebuilt = build_eps_net(dim, eps, seed=4)
         for net in (warm, kept, rebuilt):
             assert np.array_equal(net.points, cold.points)
@@ -495,20 +494,26 @@ class TestBaseNetCache:
         for eps in (0.5, 0.55, 0.6, 0.65, 0.7, 0.75):
             build_eps_net(3, eps)
         assert len(sphere._BASE_NETS) == sphere._BASE_NET_ENTRIES
-        assert list(sphere._BASE_NETS)[-1][:2] == (3, 0.75)
+        assert list(sphere._BASE_NETS)[-1] == (3, 0.75)
 
-    def test_a_changed_constant_builds_its_own_base_net(self, monkeypatch):
-        # a net kept under one hull bound is not served under another
-        full = build_eps_net(5, 0.7, seed=1)
+    # The cache is keyed on (dim, eps) alone; tests/conftest.py empties it
+    # before each test.  These two run in this order in one process: the
+    # first keeps a net built under a patched hull bound, and the second
+    # must not be served it.
+    def test_a_net_built_under_a_patched_hull_bound(self, monkeypatch):
         monkeypatch.setattr(sphere, "_HULL_MAX_FACET_DIMS2", 0)
         tail = build_eps_net(5, 0.7, seed=1)
-        assert full.covering_radius is not None and tail.covering_radius is None
+        assert tail.covering_radius is None
         base = rescanned_tail(sphere._simplex(5), 0.7, 0)
         assert np.array_equal(tail.points, base @ sphere._rotation(5, 1).T)
-        monkeypatch.undo()
-        again = build_eps_net(5, 0.7, seed=1)
-        assert np.array_equal(again.points, full.points)
-        assert again.covering_radius == full.covering_radius
+        assert (5, 0.7) in sphere._BASE_NETS
+
+    def test_is_not_served_to_the_next_test(self):
+        assert not sphere._BASE_NETS
+        full = build_eps_net(5, 0.7, seed=1)
+        points, hull = sphere._fill_caps(sphere._simplex(5), 0.7, 10**6)
+        assert np.array_equal(full.points, points @ sphere._rotation(5, 1).T)
+        assert full.covering_radius is not None and full.covering_radius <= 0.7
 
     def test_a_kept_net_over_max_points_is_refused(self):
         size = build_eps_net(3, 0.3).size
@@ -1209,10 +1214,10 @@ class TestSlottedHull:
         assert facets == set(map(tuple, hull_oracle(far)[0].tolist()))
         sphere._check_ridges(hull.facets, far.shape[0])
         # every live row keeps its own plane, allowance and radius
-        planes, allowances, radii = sphere._facet_planes(far, hull.facets)
-        assert np.allclose(hull.planes, planes, rtol=1e-13, atol=0.0)
-        assert np.allclose(hull.allowances, allowances, rtol=1e-9, atol=0.0)
-        assert np.allclose(hull.radii, radii, rtol=1e-13, atol=0.0)
+        fresh = sphere._hull_facets(far, hull.facets)
+        assert np.allclose(hull.planes, fresh.planes, rtol=1e-13, atol=0.0)
+        assert np.allclose(hull.allowances, fresh.allowances, rtol=1e-9, atol=0.0)
+        assert np.allclose(hull.radii, fresh.radii, rtol=1e-13, atol=0.0)
 
     def test_one_insertion_allocates_for_its_new_facets_not_the_hull(self):
         # the (4, 0.15) hull holds about 26 000 facets of 4 088 points; an

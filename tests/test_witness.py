@@ -215,35 +215,21 @@ class TestWitnessConfig:
 
 
 class TestRunWitness:
-    def test_kept_base_nets_give_one_net_and_report(self):
-        # the (5, 0.7) net built cold, kept, kept past other nets, rebuilt
-        # after it was dropped, and in a fresh process
-        code = ("net = dimwitness.build_eps_net(5, 0.7, seed=3)\n"
+    def test_a_kept_base_net_gives_the_report_of_a_fresh_process(self):
+        # the (5, 0.7) base net kept from an earlier build here, and built
+        # anew in a fresh process, give one report (TestBaseNetCache covers
+        # the cache's cold, warm and evicted states)
+        build_eps_net(5, 0.7, seed=1)
+        code = ("import json, dimwitness\n"
                 "report = dimwitness.run_witness(dimwitness.WitnessConfig(5, 1, 0.7, seed=3))\n"
-                "result = json.dumps([net.points.tobytes().hex(), net.covering_radius,\n"
-                "                     report.to_dict()])\n")
-
-        def run():
-            scope = {"json": json, "dimwitness": dimwitness}
-            exec(code, scope)
-            return json.loads(scope["result"])
-
-        dimwitness.sphere._BASE_NETS.clear()
-        cold = run()
-        assert run() == cold
-        for eps in (0.5, 0.55):
-            build_eps_net(4, eps)
-        assert run() == cold
-        for eps in (0.6, 0.65, 0.7, 0.75):
-            build_eps_net(4, eps)
-        assert all(key[:2] != (5, 0.7) for key in dimwitness.sphere._BASE_NETS)
-        assert run() == cold
+                "print(json.dumps(report.to_dict()))\n")
+        kept = run_witness(WitnessConfig(5, 1, 0.7, seed=3))
         src = str(Path(dimwitness.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        out = subprocess.run([sys.executable, "-c", f"import json, dimwitness\n{code}print(result)"],
+        out = subprocess.run([sys.executable, "-c", code],
                              env={**os.environ, "PYTHONPATH": path},
                              capture_output=True, text=True, check=True, timeout=120).stdout
-        assert json.loads(out) == cold
+        assert json.loads(out) == json.loads(json.dumps(kept.to_dict()))
 
     def test_baseline_run(self):
         report = run_witness(WitnessConfig(n=3, d=1, eps=0.1, seed=0))
