@@ -12,6 +12,7 @@ import argparse
 import datetime
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -37,6 +38,18 @@ from .witness import VERDICT_VIOLATION, WitnessConfig, run_witness
 
 # net sizes above this need --deep, which lifts the cap to the library default
 _SHALLOW_NET_POINTS = 50_000
+# the variables that set the thread count of the common BLAS builds
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas() -> Optional[dict]:
+    """Name and version of the BLAS numpy was built against, or None where
+    numpy cannot say (its show_config has no dict mode before 1.26)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
+    return {"name": blas.get("name"), "version": blas.get("version")}
 
 
 @dataclass
@@ -55,6 +68,9 @@ class RunManifest:
             # timestamp fields: excluded from determinism comparisons
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "duration_s": time.monotonic() - started,
+            "numpy": np.__version__,
+            "blas": _blas(),
+            "threads": {name: os.environ.get(name) for name in _THREAD_VARIABLES},
         }
 
 

@@ -363,9 +363,13 @@ def moment_value_std_error(moments: RegionMoments, vectors: np.ndarray) -> float
     """First-order standard error of sum_uv (w_u . w_v) x_u . x_v in the moments.
 
     Gradient w.r.t. w_t is 2 sum_v (x_t . x_v) w_v, the rows of 2 X (X^T W);
-    the per-region moment errors combine in quadrature (regions are sampled
-    from one multinomial draw, so this slightly overstates the error).  Exact
-    moments (every standard error 0) have none, and no gradient is formed.
+    the per-region moment errors combine in quadrature, as if the regions
+    were sampled independently.  They are one multinomial draw, and the
+    gradient at region u is about (2/n) u, so count fluctuations, which move
+    w_u along u, cancel across regions: over 40 sampler seeds at (4, 0.3)
+    and (5, 0.5), 100 samples per region, this estimate was 46 to 136 times
+    the spread of the value.  Exact moments (every standard error 0) have
+    none, and no gradient is formed.
     """
     if not np.any(moments.standard_errors):
         return 0.0

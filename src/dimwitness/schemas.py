@@ -13,6 +13,22 @@ _MANIFEST = {
         "version": {"type": "string"},
         "timestamp": {"type": "string"},
         "duration_s": {"type": "number"},
+        "numpy": {"type": "string"},
+        "blas": {
+            "type": ["object", "null"],
+            "properties": {
+                "name": {"type": ["string", "null"]},
+                "version": {"type": ["string", "null"]},
+            },
+            "description": "the BLAS numpy was built against, from "
+                           "np.show_config(mode='dicts'); null on numpy < 1.26",
+        },
+        "threads": {
+            "type": "object",
+            "additionalProperties": {"type": ["string", "null"]},
+            "description": "OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and "
+                           "MKL_NUM_THREADS as set, null when unset",
+        },
     },
 }
 
@@ -134,7 +150,7 @@ WITNESS_REPORT_SCHEMA = {
         },
         "eps_threshold": {"type": "number", "minimum": 0},
         "net_size": {"type": "integer", "minimum": 0},
-        "covering_radius": {"type": ["number", "null"], "minimum": 0},
+        "covering_radius": {"type": "number", "minimum": 0},
         "moment_method": {
             "enum": ["exact", "monte_carlo"],
             "description": "exact: closed-form Voronoi moments of the geodesic "

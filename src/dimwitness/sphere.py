@@ -13,11 +13,10 @@ farthest-point insertion.  It starts from one perturbed regular simplex and
 keeps the convex hull of its points, whose facets are exactly the empty
 caps.  While the widest cap is wider than eps, its centre is inserted into
 the hull (beneath-beyond), so the net is an eps-packing and a certified
-eps-covering, and its covering radius is the widest cap's.  A hull past a
-fixed memory bound (in practice from dim 9 on) ends the insertion; a float64
-greedy tail of candidates then completes the eps-packing, whose covering
-radius is not known.  That base net is built once per (dim, eps) and process
-and kept; a seed turns it by a Haar-random rotation, and every turned net is
+eps-covering, and its covering radius is the widest cap's.  A build whose
+hull passes a fixed memory bound, as (10, 0.95) does, is refused with a
+ResourceError.  That base net is built once per (dim, eps) and process and
+kept; a seed turns it by a Haar-random rotation, and every turned net is
 certified again on its own points.
 
 Every nearest-point query takes the largest dot product over the whole net
@@ -60,11 +59,9 @@ __all__ = [
 
 _BATCH = 8192
 MIN_SAMPLES_PER_REGION = 100
-# the greedy tail stops after this many consecutive rejections per net point
-_REJECTIONS_PER_POINT = 200
-# the insertion gives up past this many facets x dim^2, which it reaches from
-# dim 9 on at the usual eps; its hull then holds about 200 000 facets
-_HULL_MAX_FACET_DIMS2 = 1 << 24
+# a build whose hull passes this many facets x dim^2 is refused; at dim 9 that
+# is about 830 000 facets, and the (9, 0.95) hull ends at about 413 000
+_HULL_MAX_FACET_DIMS2 = 1 << 26
 # scale of the Gaussian that moves each vertex of the start simplex
 _START_JITTER = 1e-3
 # dot products (8 bytes each) per block of a nearest-point query: 2 MB
@@ -130,10 +127,9 @@ class EpsNet:
     Every point of the sphere lies within `covering_radius`, a computed
     chord length, of a net point.  A greedy net (`build_eps_net`) is also an
     eps-packing, any two points at least eps apart; its covering radius is
-    the widest empty cap's, <= eps up to rounding, or None where the
-    insertion's hull passed its memory bound and the greedy tail completed
-    the net.  It is the base net of its (dim, eps) turned by the seed's
-    rotation, and both properties are checked on its own points.  A
+    the widest empty cap's, <= eps up to rounding.  It is the base net of
+    its (dim, eps) turned by the seed's rotation, and both properties are
+    checked on its own points.  A
     geodesic net (`geodesic_net`) is not an eps-packing, and `eps` equals
     its covering radius.  A net loaded from a header without the key has
     `covering_radius` None: it is not known to cover either.
@@ -409,12 +405,31 @@ def _hull_facets(points: np.ndarray, rows: np.ndarray) -> _Hull:
 
 
 def _check_ridges(facets: np.ndarray, size: int) -> None:
-    """NumericalIntegrityError unless every ridge lies in exactly two facets."""
-    counts = _distinct_rows(_ridges(facets), size)[1]
-    if np.any(counts != 2):
-        raise NumericalIntegrityError(
-            f"hull ridges lie in {sorted(set(counts.tolist()) - {2})} facets, not two"
-        )
+    """NumericalIntegrityError unless every ridge lies in exactly two facets.
+
+    A ridge's least vertex is its facet's first, or its second for the ridge
+    that drops the first, so both copies of a ridge share it.  The ridges
+    are counted in blocks of consecutive least vertices, each holding about
+    _NEAREST_BLOCK ridges (more where one vertex alone has more), so that
+    the hull's ridges are never all held at once."""
+    first, second = facets[:, 0], facets[:, 1]
+    k = facets.shape[1]
+    # ridges per least vertex, and the block of each vertex: the ridges before
+    # it, in vertex order, divided by the block size
+    load = (k - 1) * np.bincount(first, minlength=size) + np.bincount(second, minlength=size)
+    block = (np.cumsum(load) - load) // _NEAREST_BLOCK
+    first_block, second_block = block[first], block[second]
+    for b in np.flatnonzero(np.bincount(block, weights=load)):
+        own = facets[first_block == b]
+        ridges = np.concatenate([
+            own.take(_ridge_columns(k)[1:], axis=1).reshape(-1, k - 1),
+            facets[second_block == b, 1:],
+        ])
+        counts = _distinct_rows(ridges, size)[1]
+        if np.any(counts != 2):
+            raise NumericalIntegrityError(
+                f"hull ridges lie in {sorted(set(counts.tolist()) - {2})} facets, not two"
+            )
 
 
 def _insert_last(points: np.ndarray, hull: _Hull) -> _Hull:
@@ -446,23 +461,20 @@ def _insert_last(points: np.ndarray, hull: _Hull) -> _Hull:
     return hull
 
 
-def _fill_caps(
-    points: np.ndarray, eps: float, max_points: int
-) -> Tuple[np.ndarray, Optional[_Hull]]:
+def _fill_caps(points: np.ndarray, eps: float, max_points: int) -> Tuple[np.ndarray, _Hull]:
     """Farthest-point insertion from the simplex `points`: the points and
-    their final hull, or None for the hull once it has passed its memory
-    bound.
+    their final hull.
 
     The simplex's hull has one facet opposite each vertex.  While the
-    widest cap (the argmax of the hull's radii) is wider than eps and the
-    hull has at most _HULL_MAX_FACET_DIMS2 / dim^2 facets, the cap's
-    centre is inserted into the hull (`_insert_last`), which computes the
-    caps of the new facets only.  A cap is empty, so its centre lies at
+    widest cap (the argmax of the hull's radii) is wider than eps, the
+    cap's centre is inserted into the hull (`_insert_last`), which computes
+    the caps of the new facets only.  A cap is empty, so its centre lies at
     least its radius, more than eps, from every point: the points stay an
     eps-packing, which a float64 test confirms for each centre.  Once no cap
     is wider than eps, the hull's ridges are checked and the widest cap's
     radius is the covering radius of the points.  Raises ResourceError when
-    the points would exceed max_points.
+    the points would exceed max_points or the hull would hold more than
+    _HULL_MAX_FACET_DIMS2 / dim^2 facets.
     """
     size, dim = points.shape
     thresh = 1.0 - 0.5 * eps * eps
@@ -473,7 +485,11 @@ def _fill_caps(
             _check_ridges(hull.facets, size)
             return points[:size], hull
         if hull.count * dim * dim > _HULL_MAX_FACET_DIMS2:
-            return points[:size], None
+            raise ResourceError(
+                f"the hull of {size} points has {hull.count} facets, past its bound of "
+                f"{_HULL_MAX_FACET_DIMS2 // (dim * dim)} at dim {dim} "
+                f"(_HULL_MAX_FACET_DIMS2 = {_HULL_MAX_FACET_DIMS2} facets x dim^2)"
+            )
         if size >= max_points:
             raise ResourceError(f"net exceeded max_points={max_points}")
         plane = hull.planes[widest]
@@ -490,47 +506,10 @@ def _fill_caps(
         _insert_last(points[:size], hull)
 
 
-def _greedy_tail(points: np.ndarray, eps: float, seed: int, max_points: int) -> np.ndarray:
-    """The eps-packing `points` extended by the seeded candidates of
-    SphereSampler(dim, seed) that lie at least eps from every point, until
-    _REJECTIONS_PER_POINT x (net size) consecutive rejections.
-
-    Each batch of candidates is tested in float64 (`_nearest`) against the
-    net as it stood before the batch; the passing ones are then taken in
-    stream order, each re-checked against the points accepted earlier in
-    its batch, so the points and the stopping point are those of a build
-    that tests one candidate at a time.  Raises ResourceError when the net
-    would exceed max_points.
-    """
-    sampler = SphereSampler(points.shape[1], seed)
-    thresh = 1.0 - 0.5 * eps * eps  # ||u-v|| >= eps  <=>  u.v <= 1 - eps^2/2
-    rejections = 0
-    while rejections < _REJECTIONS_PER_POINT * points.shape[0]:
-        batch = sampler.sample(_BATCH)
-        base = points.shape[0]
-        added, cursor = [], 0
-        for i in np.flatnonzero(_nearest(points, batch)[1] <= thresh):
-            rejections += i - cursor
-            if rejections >= _REJECTIONS_PER_POINT * (base + len(added)):
-                break
-            cursor = i + 1
-            if added and np.max(batch[added] @ batch[i]) > thresh:
-                rejections += 1  # blocked by a point accepted in this batch
-            else:
-                added.append(i)
-                rejections = 0
-        else:
-            rejections += _BATCH - cursor
-        points = np.vstack([points, batch[added]])
-        if points.shape[0] > max_points:
-            raise ResourceError(f"net exceeded max_points={max_points}")
-    return points
-
-
 class _BaseNet(NamedTuple):
     """The net of one (dim, eps) before any seed turns it: its points, and
-    the facets and planes of its final hull (`_fill_caps`), both None where
-    the greedy tail completed the net.  Every array is read-only."""
+    the facets and planes of its final hull (`_fill_caps`), both None on
+    S^0.  Every array is read-only."""
 
     points: np.ndarray
     facets: Optional[np.ndarray]
@@ -542,13 +521,12 @@ _BASE_NETS: "OrderedDict[tuple, _BaseNet]" = OrderedDict()
 
 def _base_net(dim: int, eps: float, max_points: int) -> _BaseNet:
     """The base net of (dim, eps): farthest-point insertion from `_simplex`
-    (`_fill_caps`), then, where the hull passed its bound, the greedy tail
-    of SphereSampler(dim, 0).
+    (`_fill_caps`).
 
     Built once and kept in _BASE_NETS, at most _BASE_NET_ENTRIES nets, the
     least recently used dropped first.  A build that would exceed max_points
-    raises ResourceError and keeps nothing; a kept net is served whatever
-    the caller's max_points.
+    or the hull's bound raises ResourceError and keeps nothing; a kept net
+    is served whatever the caller's max_points.
     """
     key = (dim, eps)
     base = _BASE_NETS.get(key)
@@ -558,11 +536,8 @@ def _base_net(dim: int, eps: float, max_points: int) -> _BaseNet:
     points, facets, planes = _simplex(dim), None, None
     if dim > 1:
         points, hull = _fill_caps(points, eps, max_points)
-        if hull is None:
-            points = _greedy_tail(points, eps, 0, max_points)
-        else:
-            # copies, so that the hull's spare capacity is not kept
-            facets, planes = hull.facets.copy(), hull.planes.copy()
+        # copies, so that the hull's spare capacity is not kept
+        facets, planes = hull.facets.copy(), hull.planes.copy()
     base = _BaseNet(points.copy(), facets, planes)
     for array in base:
         if array is not None:
@@ -594,16 +569,14 @@ def build_eps_net(
     seed: int = 0,
     max_points: int = 1_000_000,
 ) -> EpsNet:
-    """Eps-packing of S^(dim-1) by farthest-point insertion, a certified
-    eps-covering wherever its hull stays within its memory bound: the base
-    net of (dim, eps), turned by the seed's Haar-random rotation.
+    """Eps-packing and certified eps-covering of S^(dim-1) by farthest-point
+    insertion: the base net of (dim, eps), turned by the seed's Haar-random
+    rotation.
 
     The base net (`_base_net`) starts from a perturbed regular simplex
     (`_simplex`) and takes, one at a time, the centre of the widest empty
     cap of its convex hull while that cap is wider than eps (`_fill_caps`).
-    Where the hull passes its memory bound first, which at the usual eps
-    happens from dim 9 on, the greedy tail (`_greedy_tail`) completes the
-    eps-packing.  It is built once per process and kept.  Farthest-point
+    It is built once per process and kept.  Farthest-point
     insertion commutes with rotations, so the seed turns the base net by
     `_rotation(dim, seed)` rather than building its own.
 
@@ -613,13 +586,13 @@ def build_eps_net(
     residuals at its own turned vertices (`_facet_planes`).  Turning the
     kept planes costs a matrix product, where solving them again would
     double a warm call.  `covering_radius` is the widest of those planes'
-    caps, computed, and <= eps up to their rounding; it is None for a net
-    the greedy tail completed.  A rotation keeps the facet set, so its
-    ridges are checked once, on the base build.  The cache saves time only
-    where one process asks for the same (dim, eps) again.
-    On S^0 the net is both points, with radius 0.  Raises ResourceError when
-    the net would exceed max_points; the volume bound (3/eps)^dim caps the
-    attainable size.
+    caps, computed, and <= eps up to their rounding.  A rotation keeps the
+    facet set, so its ridges are checked once, on the base build.  The
+    cache saves time only where one process asks for the same (dim, eps)
+    again.  On S^0 the net is both points, with radius 0.  Raises
+    ResourceError when the net would exceed max_points or its hull the
+    bound _HULL_MAX_FACET_DIMS2 (facets x dim^2), which (10, 0.95) passes;
+    the volume bound (3/eps)^dim caps the attainable size.
     """
     if not (0.0 < eps < 1.0):
         raise DomainError("eps must lie in (0, 1)")
@@ -637,7 +610,7 @@ def build_eps_net(
     rotation = _rotation(dim, seed)
     points = base.points @ rotation.T
     _check_packing(points, eps)
-    rho = 0.0 if dim == 1 else None
+    rho = 0.0
     if base.facets is not None:
         rho = float(_facet_planes(points, base.facets, base.planes @ rotation.T)[1].max())
     return EpsNet(dim=dim, eps=float(eps), points=points, seed=seed, covering_radius=rho)

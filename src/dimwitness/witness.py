@@ -146,7 +146,7 @@ class WitnessReport:
     adversary_upper_bound: float
     eps_threshold: float
     net_size: int
-    covering_radius: Optional[float]
+    covering_radius: float
     # "exact" (`voronoi_moments`, n = 3) or "monte_carlo" (`region_moments`)
     moment_method: str
     empty_regions: int
@@ -281,10 +281,9 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     U bounds every assignment's value for the moments as given, so c4 has
     no sigma term.
 
-    The verdict is certified_separation only for a computed rho <= eps*; a
-    net without a computed radius (covering_radius None: a greedy net whose
-    hull passed its memory bound, in practice at n >= 9, and that the
-    greedy tail completed) charges eps for rho and never certifies.
+    The verdict is certified_separation only for rho <= eps*.  A greedy
+    net whose hull would pass its memory bound is refused with the
+    ResourceError of `build_eps_net`, so every run has a computed rho.
     """
     n, eps, m = config.n, config.eps, config.m
 
@@ -301,7 +300,7 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
         )
         moment_method = "monte_carlo"
     rho = net.covering_radius
-    loss = 2.0 * (eps if rho is None else rho)
+    loss = 2.0 * rho
 
     validation_dev = _validate_tsirelson_on_net(
         net, VALIDATION_PAIRS, derive_seed(config.seed, "validation")
@@ -342,7 +341,7 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     else:
         gap = b_fq - b_fs
         gap_se = math.sqrt(b_fq_se**2 + b_fs_se**2)
-        if rho is not None and rho <= thr and gap > SLACK_SIGMAS * gap_se:
+        if rho <= thr and gap > SLACK_SIGMAS * gap_se:
             verdict = VERDICT_CERTIFIED
         else:
             verdict = VERDICT_CONSISTENT

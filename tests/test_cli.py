@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import dimwitness
@@ -258,6 +259,35 @@ class TestWitnessCommand:
         assert "projected net size >= 5.32e+04" in err
         assert "--deep raises the cap" in err
 
+    def test_a_hull_past_its_bound_exits_3(self, capsys, monkeypatch):
+        # the (5, 0.7) hull ends with about 37 500 facets x dim^2
+        monkeypatch.setattr(dimwitness.sphere, "_HULL_MAX_FACET_DIMS2", 10_000)
+        code, out, err = run_cli(capsys, "witness", "5", "1", "0.7", "--seed", "0")
+        assert code == 3 and out == ""
+        assert "past its bound of 400 at dim 5 (_HULL_MAX_FACET_DIMS2 = 10000" in err
+        assert "--deep" not in err
+
+    def test_manifest_records_numpy_blas_and_threads(self, capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
+        code, out, _ = run_cli(capsys, "witness", "5", "1", "0.7", "--seed", "0")
+        assert code == 0
+        doc = json.loads(out)
+        jsonschema.validate(doc, WITNESS_REPORT_SCHEMA)
+        manifest = doc["manifest"]
+        assert manifest["numpy"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert manifest["threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                                       "MKL_NUM_THREADS": "2"}
+        # numpy before 1.26 has no dict mode: its show_config takes no argument
+        monkeypatch.setattr(np, "show_config", lambda: None)
+        code, out, _ = run_cli(capsys, "witness", "5", "1", "0.7", "--seed", "0")
+        doc = json.loads(out)
+        jsonschema.validate(doc, WITNESS_REPORT_SCHEMA)
+        assert code == 0 and doc["manifest"]["blas"] is None
+
 
 class TestAppendixCommand:
     def test_all_pass(self, capsys):
@@ -369,12 +399,6 @@ class TestImportCost:
         prefix = str(tmp_path / "net5")
         statement = ("dimwitness.build_eps_net(4, 0.5); "
                      f"dimwitness.cli.main(['net', '5', '0.7', '--out', {prefix!r}])")
-        assert self.scipy_modules_after(statement) == "[]"
-
-    def test_no_scipy_in_the_greedy_tail(self):
-        # a hull bound of 0 sends the whole build to the float64 greedy tail
-        statement = ("import dimwitness.sphere as sphere; sphere._HULL_MAX_FACET_DIMS2 = 0; "
-                     "assert dimwitness.build_eps_net(4, 0.5).covering_radius is None")
         assert self.scipy_modules_after(statement) == "[]"
 
     def test_no_scipy_in_tsirelson_command(self):

@@ -39,31 +39,6 @@ def net_3_015():
     return build_eps_net(3, 0.15, seed=3)
 
 
-def rescanned_tail(points, eps, seed):
-    """Reference for the greedy tail of build_eps_net: candidates taken one
-    at a time in stream order, the rest of a batch rescanned against the
-    whole net after each acceptance."""
-    sampler = SphereSampler(points.shape[1], seed)
-    thresh = 1.0 - 0.5 * eps * eps
-    rejections = 0
-
-    def limit():
-        return sphere._REJECTIONS_PER_POINT * points.shape[0]
-
-    while rejections < limit():
-        batch = sampler.sample(sphere._BATCH)
-        cursor = 0
-        while cursor < batch.shape[0]:
-            free = np.flatnonzero(np.max(batch[cursor:] @ points.T, axis=1) <= thresh)
-            if free.size == 0 or rejections + free[0] >= limit():
-                rejections += batch.shape[0] - cursor
-                break
-            points = np.vstack([points, batch[cursor + free[0]]])
-            rejections = 0
-            cursor += free[0] + 1
-    return points
-
-
 def min_chord(points):
     gram = points @ points.T
     np.fill_diagonal(gram, -1.0)
@@ -176,34 +151,6 @@ class TestEpsNet:
             build_eps_net(3, 1.5, seed=0)
         with pytest.raises(DomainError):
             build_eps_net(3, 0.0, seed=0)
-
-    @pytest.mark.parametrize(
-        "dim, eps, seed",
-        [(1, 0.5, 0), (2, 0.1, 5), (3, 0.3, 7), (4, 0.5, 1), (5, 0.7, 1), (6, 0.8, 0)],
-    )
-    def test_equals_float64_reference(self, dim, eps, seed, monkeypatch):
-        # a bound that no hull meets sends the whole build to the greedy tail
-        monkeypatch.setattr(sphere, "_HULL_MAX_FACET_DIMS2", 0)
-        net = build_eps_net(dim, eps, seed=seed)
-        base = rescanned_tail(sphere._simplex(dim), eps, 0)
-        assert np.array_equal(net.points, base @ sphere._rotation(dim, seed).T)
-        assert (net.covering_radius is None) == (dim > 1)
-        assert min_chord(net.points) >= eps
-
-    @pytest.mark.parametrize("tail", [1, 500, 5_000, 12_000])
-    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
-    def test_equals_float64_reference_with_short_tails(self, dim, tail, monkeypatch):
-        # `tail` consecutive rejections per net point: at eps 0.9 the tail
-        # from the simplex holds 3 to 54 points, so the stop falls inside a
-        # batch, for the short budgets inside the first one after thousands
-        # of candidates blocked in it.  A tail that miscounted the blocked
-        # candidates would stop elsewhere or accept a candidate after the stop.
-        monkeypatch.setattr(sphere, "_HULL_MAX_FACET_DIMS2", 0)
-        monkeypatch.setattr(sphere, "_REJECTIONS_PER_POINT", tail)
-        base = rescanned_tail(sphere._simplex(dim), 0.9, 0)
-        for seed in range(4):
-            points = build_eps_net(dim, 0.9, seed=seed).points
-            assert np.array_equal(points, base @ sphere._rotation(dim, seed).T)
 
     def test_save_load_roundtrip(self, tmp_path):
         # a dim-1 net is written one entry per line and must load as (size, 1)
@@ -402,33 +349,48 @@ class TestCoveringCertificate:
         expected = np.stack([np.delete(facets, j, axis=1) for j in range(k)], axis=1)
         assert np.array_equal(sphere._ridges(facets), expected.reshape(-1, k - 1))
 
-    def test_a_hull_past_its_bound_leaves_the_radius_unknown(self, monkeypatch):
+    def test_a_hull_past_its_bound_is_refused(self, monkeypatch):
         # a (5, 0.7) hull ends with about 1 500 facets, 37 500 facets x dim^2:
-        # a bound of 10 000 stops the insertion midway, and the greedy tail
-        # completes the eps-packing from the points inserted so far
-        full = sphere._fill_caps(sphere._simplex(5), 0.7, 10**6)[0]
+        # a bound of 10 000 stops the insertion midway, and the build keeps
+        # nothing
         monkeypatch.setattr(sphere, "_HULL_MAX_FACET_DIMS2", 10_000)
-        inserted, hull = sphere._fill_caps(sphere._simplex(5), 0.7, 10**6)
-        assert hull is None and 6 < inserted.shape[0] < full.shape[0]
-        assert np.array_equal(inserted, full[: inserted.shape[0]])
-        net = build_eps_net(5, 0.7, seed=1)
-        assert net.covering_radius is None
-        base = rescanned_tail(inserted, 0.7, 0)
-        assert np.array_equal(net.points, base @ sphere._rotation(5, 1).T)
-        assert net.size > inserted.shape[0]
-        assert min_chord(net.points) >= 0.7
+        message = r"^the hull of \d+ points has \d+ facets, past its bound of 400 at dim 5"
+        with pytest.raises(ResourceError, match=message):
+            build_eps_net(5, 0.7, seed=1)
+        assert not sphere._BASE_NETS
 
-    def test_dim_9_net_is_a_packing_without_a_radius(self):
-        # the insertion's hull passes its bound near 100 points, with caps
-        # still wider than eps; the greedy tail completes the eps-packing,
-        # and a witness charges eps for its radius
+    def test_dim_9_net_has_a_radius_within_eps(self):
+        # the insertion ends at 137 points with about 413 000 facets, under
+        # the hull bound
         net = build_eps_net(9, 0.95, seed=0)
-        assert net.covering_radius is None
+        assert net.size == 137
+        assert net.covering_radius <= 0.95
         base = sphere._base_net(9, 0.95, 10**6).points
         assert np.array_equal(base[:10], sphere._simplex(9))
         assert np.array_equal(net.points, base @ sphere._rotation(9, 0).T)
         assert min_chord(net.points) >= 0.95
 
+    def test_the_blocked_ridge_check(self, monkeypatch):
+        # blocks of 1 000 ridges split the (5, 0.7) hull's 7 480 ridges; the
+        # true hull passes, a hull short of one facet or with one facet twice
+        # is refused
+        points, hull = sphere._fill_caps(sphere._simplex(5), 0.7, 10**6)
+        facets, size = hull.facets, points.shape[0]
+        blocks = []
+        distinct_rows = sphere._distinct_rows
+
+        def counted(rows, size):
+            blocks.append(rows.shape[0])
+            return distinct_rows(rows, size)
+
+        monkeypatch.setattr(sphere, "_NEAREST_BLOCK", 1000)
+        monkeypatch.setattr(sphere, "_distinct_rows", counted)
+        sphere._check_ridges(facets, size)
+        assert len(blocks) > 4 and sum(blocks) == 5 * facets.shape[0]
+        with pytest.raises(NumericalIntegrityError, match=r"in \[1\] facets, not two"):
+            sphere._check_ridges(facets[1:], size)
+        with pytest.raises(NumericalIntegrityError, match=r"in \[3\] facets, not two"):
+            sphere._check_ridges(np.vstack([facets, facets[-1:]]), size)
 
     @pytest.mark.parametrize("dim, eps", GREEDY_CASES)
     def test_the_projected_lower_bound_is_at_most_the_size(self, dim, eps):
@@ -471,11 +433,12 @@ class TestBaseNetCache:
         # a net's own points are a fresh array
         assert build_eps_net(3, 0.5, seed=1).points.flags.writeable
 
-    @pytest.mark.parametrize("dim, eps, hull_bound", [(2, 0.3, sphere._HULL_MAX_FACET_DIMS2),
-                                                      (4, 0.5, 0)])
-    def test_cold_and_warm_caches_give_one_net(self, dim, eps, hull_bound, monkeypatch):
-        # a hull bound of 0 sends the whole build to the greedy tail
-        monkeypatch.setattr(sphere, "_HULL_MAX_FACET_DIMS2", hull_bound)
+    @pytest.mark.parametrize("dim, eps, jitter", [(2, 0.3, sphere._START_JITTER),
+                                                  (4, 0.5, 2e-3)])
+    def test_cold_and_warm_caches_give_one_net(self, dim, eps, jitter, monkeypatch):
+        # a patched jitter moves the start simplex of every base net built
+        # in the test, this one's and the others'
+        monkeypatch.setattr(sphere, "_START_JITTER", jitter)
         cold = build_eps_net(dim, eps, seed=4)
         warm = build_eps_net(dim, eps, seed=4)
         # other nets built in between, then enough of them to drop this one
@@ -498,14 +461,13 @@ class TestBaseNetCache:
 
     # The cache is keyed on (dim, eps) alone; tests/conftest.py empties it
     # before each test.  These two run in this order in one process: the
-    # first keeps a net built under a patched hull bound, and the second
-    # must not be served it.
-    def test_a_net_built_under_a_patched_hull_bound(self, monkeypatch):
-        monkeypatch.setattr(sphere, "_HULL_MAX_FACET_DIMS2", 0)
-        tail = build_eps_net(5, 0.7, seed=1)
-        assert tail.covering_radius is None
-        base = rescanned_tail(sphere._simplex(5), 0.7, 0)
-        assert np.array_equal(tail.points, base @ sphere._rotation(5, 1).T)
+    # first keeps a net built from a start simplex under a patched jitter,
+    # and the second must not be served it.
+    def test_a_net_built_under_a_patched_start_jitter(self, monkeypatch):
+        monkeypatch.setattr(sphere, "_START_JITTER", 2e-3)
+        jittered = build_eps_net(5, 0.7, seed=1)
+        points = sphere._fill_caps(sphere._simplex(5), 0.7, 10**6)[0]
+        assert np.array_equal(jittered.points, points @ sphere._rotation(5, 1).T)
         assert (5, 0.7) in sphere._BASE_NETS
 
     def test_is_not_served_to_the_next_test(self):

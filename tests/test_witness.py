@@ -304,8 +304,9 @@ class TestRunWitness:
     def test_certification_needs_a_computed_radius(self, monkeypatch):
         # with eps* raised above both runs' eps, the geodesic net and the
         # greedy n = 4 net, whose covering radii are computed, certify; the
-        # same greedy net with its radius stripped does not.  4000 samples
-        # per region put every gap beyond 4 sigma.
+        # same greedy net with a radius above eps* does not, so the verdict
+        # reads the net's radius, not eps.  4000 samples per region put
+        # every gap beyond 4 sigma.
         monkeypatch.setattr(dimwitness.witness, "eps_threshold", lambda n, d: 0.9)
         geo = run_witness(WitnessConfig(n=3, d=1, eps=0.3, seed=0,
                                         moment_samples_per_region=4000))
@@ -314,16 +315,16 @@ class TestRunWitness:
         greedy = run_witness(greedy_config)
         build = dimwitness.witness.build_eps_net
         monkeypatch.setattr(dimwitness.witness, "build_eps_net", lambda *a, **k:
-                            dataclasses.replace(build(*a, **k), covering_radius=None))
-        stripped = run_witness(greedy_config)
-        for report in (geo, greedy, stripped):
+                            dataclasses.replace(build(*a, **k), covering_radius=0.95))
+        widened = run_witness(greedy_config)
+        for report in (geo, greedy, widened):
             gap = report.b_finite_quantum - report.b_finite_seesaw_d
             assert gap > 4.0 * np.hypot(report.b_finite_quantum_se,
                                         report.b_finite_seesaw_se)
         assert geo.verdict == greedy.verdict == VERDICT_CERTIFIED
         assert greedy.covering_radius <= 0.7
-        assert stripped.covering_radius is None
-        assert stripped.verdict == VERDICT_CONSISTENT
+        assert widened.covering_radius == 0.95
+        assert widened.verdict == VERDICT_CONSISTENT
 
     def test_small_n_override_never_certifies(self):
         report = run_witness(
