@@ -207,10 +207,9 @@ def _cmd_appendix_check(args, manifest: RunManifest, started: float) -> int:
     )
 
     rng = make_rng(derive_seed(args.seed, "log1p"), 0)
-    ns = np.unique(
-        np.exp(rng.uniform(0.0, np.log(1e6), size=200)).astype(np.int64)
-    )
-    ns = ns[ns >= 1]
+    # sorted and deduplicated by hand: np.unique's first call imports numpy.ma
+    ns = np.sort(np.exp(rng.uniform(0.0, np.log(1e6), size=200)).astype(np.int64))
+    ns = ns[np.concatenate([[True], ns[1:] != ns[:-1]]) & (ns >= 1)]
     log1p_ok = True
     detail = f"{ns.size} log-uniform n in [1, 1e6]"
     try:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -693,9 +693,15 @@ def dot_adversary(moments: RegionMoments, m: int, seed: int) -> Tuple[SeesawResu
     ones among them, get e_1); `converged` is false only when the restart
     hit ADVERSARY_MAX_ITERS.  The SE is first order in the moments.
     """
+    adversary = dot_climb(moments.moment_vectors, m, seed)
+    return adversary, moment_value_std_error(moments, adversary.assignment.row_vectors)
+
+
+def dot_climb(w: np.ndarray, m: int, seed: int) -> SeesawResult:
+    """The adversary of `dot_adversary` on the (regions, n) moment vectors
+    `w`, its assignment's arrays read-only."""
     if m < 1:
         raise DomainError("m must be >= 1")
-    w = moments.moment_vectors
     regions, n = w.shape
     k = min(m, n)
     best = None
@@ -706,15 +712,30 @@ def dot_adversary(moments: RegionMoments, m: int, seed: int) -> Tuple[SeesawResu
     vectors = np.zeros((regions, m))
     vectors[:, :k] = x
     vectors[~np.any(x != 0.0, axis=1), 0] = 1.0
-    assignment = VectorAssignment(m=m, row_vectors=vectors, col_vectors=vectors)
-    adversary = SeesawResult(
+    vectors.flags.writeable = False
+    return SeesawResult(
         value=float(np.sum(vectors * (w @ (w.T @ vectors)))),
-        assignment=assignment,
+        assignment=VectorAssignment(m=m, row_vectors=vectors, col_vectors=vectors),
         iterations=iterations,
         converged=converged,
         value_trace=trace,
     )
-    return adversary, moment_value_std_error(moments, vectors)
+
+
+def dot_adversary_at(moments: RegionMoments, adversary: SeesawResult) -> Tuple[SeesawResult, float]:
+    """(adversary, its SE) for an assignment found on other moments:
+    `adversary` with its value and SE computed on `moments`.
+
+    The value sum_u x_u . (W W^T X)_u equals ||W^T X||_F^2, and each entry
+    of W^T X is taken as the math.fsum of its products, so that rounding
+    moves the value by about one unit in the last place; the dense
+    products of `dot_adversary` move it by a few, about as much as
+    re-solving on the other moments moves the optimum itself.
+    """
+    w, x = moments.moment_vectors, adversary.assignment.row_vectors
+    g = [math.fsum(w[:, i] * x[:, j]) for i in range(w.shape[1]) for j in range(x.shape[1])]
+    value = math.fsum(entry * entry for entry in g)
+    return replace(adversary, value=value), moment_value_std_error(moments, x)
 
 
 def dot_upper_bound(moments: RegionMoments) -> float:

@@ -17,7 +17,10 @@ eps-covering, and its covering radius is the widest cap's.  A build whose
 hull passes a fixed memory bound, as (10, 0.95) does, is refused with a
 ResourceError.  That base net is built once per (dim, eps) and process and
 kept; a seed turns it by a Haar-random rotation, and every turned net is
-certified again on its own points.
+certified again on its own points.  The unturned geodesic net of each
+frequency is kept the same way, with its exact moments (`geodesic_base`),
+and a seed's moments are turned from it and checked again
+(`turned_moments`).
 
 Every nearest-point query takes the largest dot product over the whole net
 (`_nearest`), in blocks of probes that bound the product's memory.
@@ -66,7 +69,7 @@ _HULL_MAX_FACET_DIMS2 = 1 << 26
 _START_JITTER = 1e-3
 # dot products (8 bytes each) per block of a nearest-point query: 2 MB
 _NEAREST_BLOCK = 1 << 18
-# base nets kept per process (`_base_net`), the least recently used dropped
+# base results kept per process (`_kept`), the least recently used dropped
 _BASE_NET_ENTRIES = 4
 
 
@@ -516,36 +519,48 @@ class _BaseNet(NamedTuple):
     planes: Optional[np.ndarray]
 
 
-_BASE_NETS: "OrderedDict[tuple, _BaseNet]" = OrderedDict()
+# base results kept per process (`_kept`): greedy nets under (dim, eps),
+# geodesic bases under ("geodesic", k)
+_BASE_NETS: "OrderedDict[tuple, tuple]" = OrderedDict()
+
+
+def _kept(key: tuple, build: Callable[[], tuple]) -> tuple:
+    """The base result of `key`, `build()` on a miss with every array in it
+    made read-only.  Kept in _BASE_NETS, at most _BASE_NET_ENTRIES results,
+    the least recently used dropped first; a build that raises keeps
+    nothing."""
+    base = _BASE_NETS.get(key)
+    if base is not None:
+        _BASE_NETS.move_to_end(key)
+        return base
+    base = build()
+    for array in base:
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    _BASE_NETS[key] = base
+    if len(_BASE_NETS) > _BASE_NET_ENTRIES:
+        _BASE_NETS.popitem(last=False)
+    return base
 
 
 def _base_net(dim: int, eps: float, max_points: int) -> _BaseNet:
     """The base net of (dim, eps): farthest-point insertion from `_simplex`
     (`_fill_caps`).
 
-    Built once and kept in _BASE_NETS, at most _BASE_NET_ENTRIES nets, the
-    least recently used dropped first.  A build that would exceed max_points
-    or the hull's bound raises ResourceError and keeps nothing; a kept net
-    is served whatever the caller's max_points.
+    Built once and kept (`_kept`).  A build that would exceed max_points or
+    the hull's bound raises ResourceError and keeps nothing; a kept net is
+    served whatever the caller's max_points.
     """
-    key = (dim, eps)
-    base = _BASE_NETS.get(key)
-    if base is not None:
-        _BASE_NETS.move_to_end(key)
-        return base
-    points, facets, planes = _simplex(dim), None, None
-    if dim > 1:
-        points, hull = _fill_caps(points, eps, max_points)
-        # copies, so that the hull's spare capacity is not kept
-        facets, planes = hull.facets.copy(), hull.planes.copy()
-    base = _BaseNet(points.copy(), facets, planes)
-    for array in base:
-        if array is not None:
-            array.flags.writeable = False
-    _BASE_NETS[key] = base
-    if len(_BASE_NETS) > _BASE_NET_ENTRIES:
-        _BASE_NETS.popitem(last=False)
-    return base
+
+    def build() -> _BaseNet:
+        points, facets, planes = _simplex(dim), None, None
+        if dim > 1:
+            points, hull = _fill_caps(points, eps, max_points)
+            # copies, so that the hull's spare capacity is not kept
+            facets, planes = hull.facets.copy(), hull.planes.copy()
+        return _BaseNet(points.copy(), facets, planes)
+
+    return _kept((dim, eps), build)
 
 
 def _check_packing(points: np.ndarray, eps: float) -> None:
@@ -752,6 +767,41 @@ def _face_index(k: int) -> np.ndarray:
     return index
 
 
+def _geodesic_grid(k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(points, triangles) of the frequency-k geodesic net before any
+    rotation (`geodesic_net`)."""
+    if k < 1:
+        raise DomainError("geodesic frequency k must be >= 1")
+    index = _face_index(k)
+    i, j = _grid(k)
+    pts = np.empty((10 * k * k + 2, 3))
+    pts[index[:, i, j]] = _project(i, j, k, _ICO_VERTS[_ICO_FACES])
+    tri = np.stack([index[:, ii, jj] for ii, jj in _small_triangles(k)], axis=2)
+    tri[_ICO_INWARD] = tri[_ICO_INWARD][:, :, [0, 2, 1]]
+    return pts, tri.reshape(-1, 3)
+
+
+def _geodesic_rotation(seed: int) -> np.ndarray:
+    """The rotation of the uniform unit quaternion drawn from
+    SphereSampler(4, seed): a Haar-random rotation of R^3."""
+    w, x, y, z = SphereSampler(4, seed).sample(1)[0]
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+def _turned_geodesic(
+    k: int, points: np.ndarray, triangles: np.ndarray, seed: int, rotation: np.ndarray
+) -> EpsNet:
+    """The frequency-k geodesic net of `seed`: `_geodesic_grid(k)`'s points
+    turned by `rotation`, as points @ rotation^T."""
+    rho = geodesic_radius(k)
+    return EpsNet(dim=3, eps=rho, points=points @ rotation.T, seed=seed,
+                  covering_radius=rho, triangles=triangles)
+
+
 def geodesic_net(k: int, seed: int = 0) -> EpsNet:
     """Frequency-k icosahedral geodesic net on S^2, at a seeded rotation.
 
@@ -766,21 +816,8 @@ def geodesic_net(k: int, seed: int = 0) -> EpsNet:
     `triangles`, its Delaunay triangulation, are each face's
     `_small_triangles`, with two columns swapped on clockwise faces.
     """
-    rho = geodesic_radius(k)
-    index = _face_index(k)
-    i, j = _grid(k)
-    pts = np.empty((10 * k * k + 2, 3))
-    pts[index[:, i, j]] = _project(i, j, k, _ICO_VERTS[_ICO_FACES])
-    tri = np.stack([index[:, ii, jj] for ii, jj in _small_triangles(k)], axis=2)
-    tri[_ICO_INWARD] = tri[_ICO_INWARD][:, :, [0, 2, 1]]
-    w, x, y, z = SphereSampler(4, seed).sample(1)[0]
-    rot = np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
-    return EpsNet(dim=3, eps=rho, points=pts @ rot.T, seed=seed, covering_radius=rho,
-                  triangles=tri.reshape(-1, 3))
+    points, triangles = _geodesic_grid(k)
+    return _turned_geodesic(k, points, triangles, seed, _geodesic_rotation(seed))
 
 
 def assign_regions(net: EpsNet, probes: np.ndarray) -> np.ndarray:
@@ -933,13 +970,19 @@ def voronoi_moments(net: EpsNet) -> RegionMoments:
     """
     if net.triangles is None:
         raise DomainError("exact moments need a triangulated (geodesic) net")
-    pts, tri = net.points, net.triangles
+    return _exact_moments(net, *_voronoi_sums(net.points, net.triangles))
+
+
+def _voronoi_sums(pts: np.ndarray, tri: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(weights, moment vectors) of `voronoi_moments` on the points `pts`
+    and their Delaunay triangles `tri`."""
+    size, dim = pts.shape
     a, b, c = pts[tri[:, 0]], pts[tri[:, 1]], pts[tri[:, 2]]
     center = _circumcenters(a, b, c)  # outward: the triangles run counterclockwise
     # half-edge 3 t + e runs from corner e of triangle t to corner e + 1; the
     # two half-edges of an edge sort next to each other by their vertex pair
     tail, head = tri.ravel(), tri[:, [1, 2, 0]].ravel()
-    edge = np.minimum(tail, head) * net.size + np.maximum(tail, head)
+    edge = np.minimum(tail, head) * size + np.maximum(tail, head)
     pairs = np.argsort(edge).reshape(-1, 2)
 
     def area(apex: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -951,8 +994,8 @@ def voronoi_moments(net: EpsNet) -> RegionMoments:
         return 2.0 * np.arctan2(det, 1.0 + dots)
 
     # edges in batches, so that the temporaries stay small on large nets
-    area_sums = np.zeros(net.size)
-    arc_sums = np.zeros((net.size, net.dim))
+    area_sums = np.zeros(size)
+    arc_sums = np.zeros((size, dim))
     for start in range(0, pairs.shape[0], _BATCH):
         fwd, back = pairs[start : start + _BATCH].T
         p, q = pts[tail[fwd]], pts[tail[back]]
@@ -962,20 +1005,113 @@ def voronoi_moments(net: EpsNet) -> RegionMoments:
         arcs = (p - q) * (theta / np.linalg.norm(p - q, axis=1))[:, None]
         owner = np.concatenate([tail[fwd], tail[back]])
         area_sums += np.bincount(
-            owner, np.concatenate([area(p, right, left), area(q, left, right)]), net.size
+            owner, np.concatenate([area(p, right, left), area(q, left, right)]), size
         )
-        for i in range(net.dim):
+        for i in range(dim):
             arc_sums[:, i] += np.bincount(
-                owner, np.concatenate([arcs[:, i], -arcs[:, i]]), net.size
+                owner, np.concatenate([arcs[:, i], -arcs[:, i]]), size
             )
+    return area_sums / (4.0 * math.pi), arc_sums / (8.0 * math.pi)
+
+
+def _exact_moments(net: EpsNet, weights: np.ndarray, vectors: np.ndarray) -> RegionMoments:
+    """RegionMoments of exact weights and moment vectors: no samples, every
+    standard error 0 and no region empty."""
     return RegionMoments(
         net=net,
-        weights=area_sums / (4.0 * math.pi),
-        moment_vectors=arc_sums / (8.0 * math.pi),
+        weights=weights,
+        moment_vectors=vectors,
         samples_used=0,
         standard_errors=np.zeros(net.size),
         empty_regions=np.zeros(0, dtype=np.int64),
     )
+
+
+class GeodesicBase(NamedTuple):
+    """The frequency-k geodesic net before any seed turns it, and its exact
+    moments: `_geodesic_grid(k)` and `voronoi_moments`' weights and moment
+    vectors of it.  `adversaries` maps each m to the adversary that
+    `witness.run_witness` keeps for these moments.  Every array is
+    read-only."""
+
+    k: int
+    points: np.ndarray
+    triangles: np.ndarray
+    weights: np.ndarray
+    moment_vectors: np.ndarray
+    adversaries: dict
+
+
+def geodesic_base(k: int) -> GeodesicBase:
+    """The base of frequency k, built once and kept (`_kept`)."""
+
+    def build() -> GeodesicBase:
+        points, triangles = _geodesic_grid(k)
+        return GeodesicBase(k, points, triangles, *_voronoi_sums(points, triangles), {})
+
+    return _kept(("geodesic", k), build)
+
+
+def turned_moments(base: GeodesicBase, seed: int) -> RegionMoments:
+    """The exact moments of `geodesic_net(base.k, seed)`, turned from the base.
+
+    The net's points are the base's turned by the seed's rotation R, bit
+    for bit those of `geodesic_net`.  Exact moments commute with rotations,
+    w(R p) = R w(p), so the moment vectors are the base's turned and the
+    weights are the base's.  The vectors are turned by R after one Newton
+    step toward the nearest orthogonal matrix, R (3 I - R^T R) / 2: the
+    quaternion's rounding leaves R^T R a few units in the last place off I,
+    which `voronoi_moments` of the turned points does not see (its formulas
+    normalize), but which R w would carry into every value built on the
+    moments.  Both sums are checked again on every call
+    (`_check_exact_moments`).
+    """
+    rotation = _geodesic_rotation(seed)
+    net = _turned_geodesic(base.k, base.points, base.triangles, seed, rotation)
+    orthogonal = 0.5 * rotation @ (3.0 * np.eye(3) - rotation.T @ rotation)
+    moments = _exact_moments(net, base.weights, base.moment_vectors @ orthogonal.T)
+    _check_exact_moments(moments, base.moment_vectors)
+    return moments
+
+
+def _check_exact_moments(moments: RegionMoments, base_vectors: np.ndarray) -> None:
+    """NumericalIntegrityError unless the moments of a turned geodesic base
+    (`turned_moments`) sum as exact moments do, sum_p w_p = 0 and
+    sum_p mu_p = 1, each within an allowance for rounding.
+
+    With N regions, covering radius rho, u the unit roundoff and
+    g(j) = j u / (1 - j u):
+    - sum_p w_p.  The two half-edge terms of an edge are one float and its
+      negation, so the base's exact sum is the rounding of accumulating each
+      p's terms: at most 12 roundings over terms of size at most the arc
+      angles, whose sum is the cell's perimeter.  The cell lies in the cap of
+      chord rho around p, so that perimeter is at most 2 pi rho, and with the
+      division by 8 pi the base sum is at most 3 g(12) N rho / 4 + u A over
+      the components, A = sum_p ||w_p||_1 of the base.  A rotation's entries
+      are at most 1 (plus rounding), so turning a row adds g(4) ||w_p||_1
+      and summing N rows g(N); the allowance per component is
+      g(N + 8) A + g(10) N rho.
+    - sum_p mu_p.  The triangles (p, c_T', c_T) tile the sphere whatever the
+      rounding of the circumcenters c_T, so their exact areas sum to 4 pi.
+      Each of the 6N - 12 areas has sides of at most rho, so it is at most
+      2 rho^2 and is evaluated within g(92) rho^2, and each p accumulates at
+      most 6 of them with 12 roundings; with the division by 4 pi the
+      allowance is g(N + 1) sum_p |mu_p| + g(60) N rho^2.
+    """
+    size, rho = moments.net.size, moments.net.covering_radius
+    unit = np.finfo(float).eps / 2.0
+
+    def g(j: int) -> float:
+        return j * unit / (1.0 - j * unit)
+
+    drift = np.abs(moments.moment_vectors.sum(axis=0)).max()
+    if not drift <= g(size + 8) * np.abs(base_vectors).sum() + g(10) * size * rho:
+        raise NumericalIntegrityError(
+            f"turned exact moments sum to {drift:.3e}, not 0 within rounding")
+    excess = abs(moments.weights.sum() - 1.0)
+    if not excess <= g(size + 1) * np.abs(moments.weights).sum() + g(60) * size * rho * rho:
+        raise NumericalIntegrityError(
+            f"exact region weights miss 1 by {excess:.3e}, beyond rounding")
 
 
 # ----------------------------------------------------------------------

@@ -31,6 +31,8 @@ from .embedding_opt import (
     ADVERSARY_RESTARTS,
     ADVERSARY_STOP_RULE,
     dot_adversary,
+    dot_adversary_at,
+    dot_climb,
     dot_upper_bound,
     moment_value_std_error,
 )
@@ -42,12 +44,12 @@ from .sphere import (
     RegionMoments,
     SphereSampler,
     build_eps_net,
+    geodesic_base,
     geodesic_frequency,
-    geodesic_net,
     mc_mean_and_sem,
     region_moments,
     require_moments_of,
-    voronoi_moments,
+    turned_moments,
 )
 
 __all__ = [
@@ -258,10 +260,21 @@ def _validate_tsirelson_on_net(net, pairs: int, seed: int) -> Optional[float]:
 def run_witness(config: WitnessConfig) -> WitnessReport:
     """Run net -> moments -> Bell values -> adversary -> inequality chain.
 
-    At n = 3 the net is the geodesic net of the smallest frequency whose
+    At n = 3 the net is the geodesic net of the smallest frequency k whose
     computed covering radius rho is <= eps, and its moments are exact
     (`voronoi_moments`): every standard error is exactly 0, so c1-c4 have no
-    4-sigma term.  In other dimensions the net is built by farthest-point
+    4-sigma term.  Every seed's net is one base net turned by the seed's
+    rotation, and exact moments turn with it, so the base net, its moments
+    and, per m, its adversary are computed once per k and process and kept
+    (`geodesic_base`).  That adversary climbs from the fixed restart stream
+    derive_seed(0, "seesaw"), whichever seed asks first, and its vectors
+    x_u = C^T w_u / ||C^T w_u|| do not change under the rotation.  Each run
+    turns the points and moment vectors, checks the turned moments again
+    (`turned_moments`), and computes every reported number on its own turned
+    data: the adversary's value at the kept assignment
+    (`dot_adversary_at`), U, b_fq, the Tsirelson validation and c1-c4.  At
+    n = 3 the seed therefore selects only the net's rotation and the
+    validation pairs.  In other dimensions the net is built by farthest-point
     insertion (`build_eps_net`): an eps-packing whose hull's widest empty
     cap, its computed covering radius rho, is <= eps.  That base net is built
     once per (n, eps) and process, and each seed turns it by its own
@@ -269,7 +282,8 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     Carlo estimates (`region_moments`, moment_samples_per_region per
     region).  The adversary is `dot_adversary` at
     m = 2d^2: the best of ADVERSARY_RESTARTS damped Newton ascents of the
-    reduced objective, a lower bound on the true maximum over R^m vectors.
+    reduced objective, a lower bound on the true maximum over R^m vectors;
+    off n = 3 its restarts come from the seed's own stream.
     The chain-check names keep their see-saw wording.
 
     Chain checks (slack is the satisfied margin; c1-c3 add 4 sigma of
@@ -289,8 +303,15 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
 
     net_seed = derive_seed(config.seed, "net")
     if n == 3:
-        net = geodesic_net(geodesic_frequency(eps, config.max_net_points), net_seed)
-        moments = voronoi_moments(net)
+        base = geodesic_base(geodesic_frequency(eps, config.max_net_points))
+        kept = base.adversaries.get(m)
+        if kept is None:
+            # before the turned arrays exist, so that they add nothing to
+            # the ascent's peak memory
+            kept = base.adversaries[m] = dot_climb(
+                base.moment_vectors, m, derive_seed(0, "seesaw"))
+        moments = turned_moments(base, net_seed)
+        net = moments.net
         moment_method = "exact"
     else:
         net = build_eps_net(n, eps, seed=net_seed, max_points=config.max_net_points)
@@ -312,7 +333,10 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     b_fq = bell_value_finite(net, moments, (u, u))
     b_fq_se = moment_value_std_error(moments, u)
 
-    adversary, b_fs_se = dot_adversary(moments, m, derive_seed(config.seed, "seesaw"))
+    if n == 3:
+        adversary, b_fs_se = dot_adversary_at(moments, kept)
+    else:
+        adversary, b_fs_se = dot_adversary(moments, m, derive_seed(config.seed, "seesaw"))
     b_fs = adversary.value
     upper = dot_upper_bound(moments)
 

@@ -441,3 +441,23 @@ class TestImportCost:
         matrix.write_text(CHSH_CSV)
         statement = f"dimwitness.cli.main(['seesaw', {str(matrix)!r}, '2'])"
         assert self.scipy_modules_after(statement) == "[]"
+
+    def test_no_numpy_ma_in_appendix_check(self):
+        # np.unique's first call imports numpy.ma, about 14 ms
+        src = str(Path(dimwitness.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import contextlib, io, sys, dimwitness.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = dimwitness.cli.main(['appendix-check'])\n"
+            "print(code, 'numpy.ma' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        ).stdout
+        assert out.strip().splitlines()[-1] == "0 False"

@@ -1041,6 +1041,35 @@ class TestVoronoiMoments:
             voronoi_moments(EpsNet(dim=3, eps=0.5, points=np.eye(3), seed=0))
 
 
+class TestGeodesicBase:
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_turned_moments_are_those_of_the_seeds_net(self, k):
+        base = sphere.geodesic_base(k)
+        for seed in range(3):
+            turned = sphere.turned_moments(base, seed)
+            net = geodesic_net(k, seed)
+            assert np.array_equal(turned.net.points, net.points)
+            assert np.array_equal(turned.net.triangles, net.triangles)
+            assert turned.net.covering_radius == net.covering_radius == net.eps
+            exact = voronoi_moments(net)
+            assert np.abs(turned.moment_vectors - exact.moment_vectors).max() <= 1e-15
+            assert np.abs(turned.weights - exact.weights).max() <= 1e-15
+            assert turned.samples_used == 0 and turned.empty_regions.size == 0
+            assert not turned.standard_errors.any()
+
+    def test_kept_once_with_read_only_arrays(self):
+        base = sphere.geodesic_base(3)
+        assert sphere.geodesic_base(3) is base
+        assert list(sphere._BASE_NETS) == [("geodesic", 3)]
+        for array in (base.points, base.triangles, base.weights, base.moment_vectors):
+            assert not array.flags.writeable
+
+    def test_frequency_domain(self):
+        with pytest.raises(DomainError, match="k must be >= 1"):
+            sphere.geodesic_base(0)
+        assert not sphere._BASE_NETS
+
+
 class TestIncrementalFill:
     @pytest.mark.parametrize("dim, eps", [case for case in GREEDY_CASES if case[0] > 1])
     def test_equals_the_rewrapping_reference(self, dim, eps):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import dimwitness.witness
-from dimwitness import embedding_opt
+from dimwitness import embedding_opt, sphere
 from dimwitness import (
     DomainError,
     EpsNet,
@@ -29,7 +30,14 @@ from dimwitness import (
     run_witness,
 )
 from dimwitness.schemas import WITNESS_REPORT_SCHEMA
-from dimwitness.sphere import RegionMoments, geodesic_radius
+from dimwitness.seeding import derive_seed
+from dimwitness.sphere import (
+    RegionMoments,
+    geodesic_frequency,
+    geodesic_net,
+    geodesic_radius,
+    voronoi_moments,
+)
 from dimwitness.witness import (
     VERDICT_CERTIFIED,
     VERDICT_CONSISTENT,
@@ -392,3 +400,86 @@ class TestRunWitness:
         a = run_witness(WitnessConfig(n=3, d=1, eps=0.3, seed=9))
         b = run_witness(WitnessConfig(n=3, d=1, eps=0.3, seed=9))
         assert a.to_dict() == b.to_dict()
+
+
+def bench_seed(seed, i):
+    """Input i of the witness-n3-ci benchmark run with --seed seed, as
+    perfbench/workloads.py derives it."""
+    digest = hashlib.sha256(f"{seed}:op-{i}".encode()).digest()
+    return int.from_bytes(digest[:4], "little") >> 1
+
+
+def per_seed_adversary(eps, seed):
+    """The n = 3 adversary as it was before the base was kept: the seed's
+    own restart stream on the exact moments of the seed's net, with its
+    best assignment's value evaluated as `dot_adversary_at` evaluates the
+    kept one (the dense products of `dot_adversary` overstate it by
+    4.8e-15 relative on the criterion-11 net)."""
+    net = geodesic_net(geodesic_frequency(eps, 200_000), derive_seed(seed, "net"))
+    moments = voronoi_moments(net)
+    own = embedding_opt.dot_adversary(moments, 2, derive_seed(seed, "seesaw"))[0]
+    return embedding_opt.dot_adversary_at(moments, own)[0].value
+
+
+# (eps, seeds) of acceptance criteria 9, 10 and 11 and of the witness-n3-ci
+# benchmark at --seed 1 to 10
+NEVER_LOWER_INPUTS = [
+    pytest.param(0.1, range(10), id="criterion9-eps0.1"),
+    pytest.param(0.3, [0], id="criterion9-eps0.3"),
+    pytest.param(0.2, [0], id="criterion9-eps0.2"),
+    pytest.param(0.2, [3], id="criterion10"),
+    pytest.param(0.006, [0], id="criterion11"),
+    *[pytest.param(0.3, [bench_seed(b, i) for i in range(26)], id=f"bench-seed{b}")
+      for b in range(1, 11)],
+]
+
+
+class TestKeptGeodesicBase:
+    """At n = 3 the net, its exact moments and the adversary of each m are
+    kept per frequency k (`sphere.geodesic_base`) and turned per seed."""
+
+    # at eps 0.1 seed 5's own restart stream stops at a lower maximum, so an
+    # entry that kept the first asker's adversary would show there
+    @pytest.mark.parametrize("eps, seed, other", [(0.3, 4, 7), (0.1, 5, 0), (0.1, 0, 5)])
+    def test_a_cold_and_a_warmed_entry_give_one_report(self, eps, seed, other):
+        cold = json.dumps(run_witness(WitnessConfig(3, 1, eps, seed=seed)).to_dict())
+        sphere._BASE_NETS.clear()
+        run_witness(WitnessConfig(3, 1, eps, seed=other))
+        warm = json.dumps(run_witness(WitnessConfig(3, 1, eps, seed=seed)).to_dict())
+        assert warm == cold
+
+    @pytest.mark.parametrize("eps", [0.3, 0.1])
+    def test_seeds_report_one_adversary_and_every_check_holds(self, eps):
+        reports = [run_witness(WitnessConfig(3, 1, eps, seed=seed)) for seed in range(10)]
+        values = [report.b_finite_seesaw_d for report in reports]
+        assert max(values) - min(values) <= 1e-15 * max(values)
+        for report in reports:
+            assert all(c.holds for c in report.chain_checks)
+            assert report.verdict == VERDICT_CONSISTENT
+
+    @pytest.mark.parametrize("field", ["moment_vectors", "weights"])
+    def test_a_tampered_entry_is_refused_at_the_recheck(self, monkeypatch, field):
+        run_witness(WitnessConfig(3, 1, 0.3, seed=1))
+        key = ("geodesic", geodesic_frequency(0.3, 200_000))
+        base = sphere._BASE_NETS[key]
+        tampered = getattr(base, field).copy()
+        tampered[7] *= 1.0 + 1e-9
+        monkeypatch.setitem(sphere._BASE_NETS, key, base._replace(**{field: tampered}))
+        with pytest.raises(NumericalIntegrityError, match="beyond rounding|not 0 within"):
+            run_witness(WitnessConfig(3, 1, 0.3, seed=2))
+
+    def test_entries_are_evicted_least_recently_used_first(self):
+        # greedy nets and geodesic bases share the _BASE_NET_ENTRIES slots
+        for k in (1, 2, 3):
+            sphere.geodesic_base(k)
+        build_eps_net(3, 0.5)
+        sphere.geodesic_base(1)  # now the most recently used
+        sphere.geodesic_base(4)  # drops k = 2, the least recently used
+        assert list(sphere._BASE_NETS) == [
+            ("geodesic", 3), (3, 0.5), ("geodesic", 1), ("geodesic", 4)]
+
+    @pytest.mark.parametrize("eps, seeds", NEVER_LOWER_INPUTS)
+    def test_never_lower_than_the_per_seed_adversary(self, eps, seeds):
+        for seed in seeds:
+            kept = run_witness(WitnessConfig(3, 1, eps, seed=seed)).b_finite_seesaw_d
+            assert kept >= per_seed_adversary(eps, seed) * (1.0 - 1e-15), seed
