@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -688,10 +688,10 @@ def dot_adversary(moments: RegionMoments, m: int, seed: int) -> Tuple[SeesawResu
     ADVERSARY_RESTARTS restarts (`_dot_restarts`) starts where a see-saw run
     from the same seeded draw stands after its first row update, and climbs
     by `_dot_ascent`.  The best f wins, ties to the lowest restart.  The
-    result's value is the bilinear form sum_u x_u . (W W^T X)_u at its
-    assignment, X for rows and columns (regions with C^T w_u = 0, the empty
-    ones among them, get e_1); `converged` is false only when the restart
-    hit ADVERSARY_MAX_ITERS.  The SE is first order in the moments.
+    result's value is `dot_value(W, X, X)` at its assignment X, rows and
+    columns alike (regions with C^T w_u = 0, the empty ones among them, get
+    e_1); `converged` is false only when the restart hit
+    ADVERSARY_MAX_ITERS.  The SE is first order in the moments.
     """
     adversary = dot_climb(moments.moment_vectors, m, seed)
     return adversary, moment_value_std_error(moments, adversary.assignment.row_vectors)
@@ -714,7 +714,7 @@ def dot_climb(w: np.ndarray, m: int, seed: int) -> SeesawResult:
     vectors[~np.any(x != 0.0, axis=1), 0] = 1.0
     vectors.flags.writeable = False
     return SeesawResult(
-        value=float(np.sum(vectors * (w @ (w.T @ vectors)))),
+        value=dot_value(w, vectors, vectors),
         assignment=VectorAssignment(m=m, row_vectors=vectors, col_vectors=vectors),
         iterations=iterations,
         converged=converged,
@@ -722,20 +722,20 @@ def dot_climb(w: np.ndarray, m: int, seed: int) -> SeesawResult:
     )
 
 
-def dot_adversary_at(moments: RegionMoments, adversary: SeesawResult) -> Tuple[SeesawResult, float]:
-    """(adversary, its SE) for an assignment found on other moments:
-    `adversary` with its value and SE computed on `moments`.
+def dot_value(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    """<W^T X, W^T Y>_F = sum_uv (w_u . w_v) x_u . y_v for (regions, n)
+    moment vectors `w` and (regions, k) factors `x`, `y`.  Each entry of
+    W^T X and W^T Y, one product row at a time, and then the value are
+    math.fsum sums, so rounding moves the value by about one unit in the
+    last place (dense products, by tens on nets of 10^5 regions).  A row is
+    read through a memoryview, which makes no list of it.
+    math.fsum raises ValueError on inf - inf and OverflowError on overflow."""
+    def entries(factor):
+        return [math.fsum(memoryview(column * other)) for column in w.T for other in factor.T]
 
-    The value sum_u x_u . (W W^T X)_u equals ||W^T X||_F^2, and each entry
-    of W^T X is taken as the math.fsum of its products, so that rounding
-    moves the value by about one unit in the last place; the dense
-    products of `dot_adversary` move it by a few, about as much as
-    re-solving on the other moments moves the optimum itself.
-    """
-    w, x = moments.moment_vectors, adversary.assignment.row_vectors
-    g = [math.fsum(w[:, i] * x[:, j]) for i in range(w.shape[1]) for j in range(x.shape[1])]
-    value = math.fsum(entry * entry for entry in g)
-    return replace(adversary, value=value), moment_value_std_error(moments, x)
+    left = entries(x)
+    right = left if y is x else entries(y)
+    return math.fsum(a * b for a, b in zip(left, right))
 
 
 def dot_upper_bound(moments: RegionMoments) -> float:
@@ -764,8 +764,8 @@ def empirical_ratio(
 ) -> Tuple[float, dict]:
     """Net-resolution-limited estimate of the bound certified by the dot kernel.
 
-    numerator   = aligned full-dimension value of the discretized kernel, the
-                  bilinear form at x_u = y_u = w_u / ||w_u|| (empty regions
+    numerator   = aligned full-dimension value of the discretized kernel,
+                  `dot_value` at x_u = y_u = w_u / ||w_u|| (empty regions
                   get zero vectors and contribute nothing), or the adversary
                   value itself when m = n
     denominator = adversary value at embedding dimension m (`dot_adversary`)
@@ -786,8 +786,7 @@ def empirical_ratio(
         norms = np.linalg.norm(w, axis=1)
         safe = np.where(norms == 0, 1.0, norms)
         what = np.where(norms[:, None] > 0, w / safe[:, None], 0.0)
-        t = w.T @ what  # ||W^T What||_F^2 form of the aligned value
-        numerator, num_se = float(np.sum(t * t)), moment_value_std_error(moments, what)
+        numerator, num_se = dot_value(w, what, what), moment_value_std_error(moments, what)
     ratio = numerator / result.value
     ratio_se = abs(ratio) * math.sqrt(
         (num_se / numerator) ** 2 + (den_se / result.value) ** 2

@@ -30,10 +30,9 @@ from .embedding_opt import (
     ADVERSARY_MAX_ITERS,
     ADVERSARY_RESTARTS,
     ADVERSARY_STOP_RULE,
-    dot_adversary,
-    dot_adversary_at,
     dot_climb,
     dot_upper_bound,
+    dot_value,
     moment_value_std_error,
 )
 from .errors import DomainError, NumericalIntegrityError
@@ -195,7 +194,7 @@ def bell_value_infinite(
         corr = np.asarray(correlation_fn(a_pts, b_pts), dtype=float)
         if corr.shape != (b,):
             raise DomainError("correlation_fn must return one value per pair")
-        if np.any(np.abs(corr) > 1.0 + 1e-9):
+        if not np.all(np.abs(corr) <= 1.0 + 1e-9):
             raise DomainError("correlations must lie in [-1, 1]")
         return np.einsum("ij,ij->i", a_pts, b_pts) * corr
 
@@ -203,12 +202,9 @@ def bell_value_infinite(
 
 
 def bell_value_finite(net, moments: RegionMoments, correlations) -> float:
-    """sum_uv (w_u . w_v) E[uv] over net regions.
-
-    `correlations` is the factored pair (L, R) with E = L R^T; the sum runs
-    in O(size * n) memory via the coordinate decomposition of w_u . w_v.
-    """
-    w = moments.moment_vectors
+    """sum_uv (w_u . w_v) E[uv] over net regions, E = L R^T given as the
+    factored pair `correlations` (L, R): `dot_value(W, L, R)`, as the
+    adversary's value is.  DomainError for non-finite factors or value."""
     require_moments_of(net, moments)
     if not (isinstance(correlations, tuple) and len(correlations) == 2):
         raise DomainError("correlations must be a factored pair (L, R) with E = L R^T")
@@ -219,7 +215,15 @@ def bell_value_finite(net, moments: RegionMoments, correlations) -> float:
         raise DomainError("factored correlations do not match the net size")
     if left.shape[1] != right.shape[1]:
         raise DomainError("factored correlations have mismatched inner dimension")
-    return float(np.sum((w.T @ left) * (w.T @ right)))
+    if not (np.all(np.isfinite(left)) and np.all(np.isfinite(right))):
+        raise DomainError("factored correlations must be finite")
+    try:
+        value = dot_value(moments.moment_vectors, left, right)
+    except (ValueError, OverflowError):  # math.fsum met inf - inf or overflowed
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError("the finite Bell value of these correlations overflows")
+    return value
 
 
 def eps_threshold(n: int, d: int) -> float:
@@ -269,22 +273,22 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     (`geodesic_base`).  That adversary climbs from the fixed restart stream
     derive_seed(0, "seesaw"), whichever seed asks first, and its vectors
     x_u = C^T w_u / ||C^T w_u|| do not change under the rotation.  Each run
-    turns the points and moment vectors, checks the turned moments again
-    (`turned_moments`), and computes every reported number on its own turned
-    data: the adversary's value at the kept assignment
-    (`dot_adversary_at`), U, b_fq, the Tsirelson validation and c1-c4.  At
-    n = 3 the seed therefore selects only the net's rotation and the
-    validation pairs.  In other dimensions the net is built by farthest-point
-    insertion (`build_eps_net`): an eps-packing whose hull's widest empty
-    cap, its computed covering radius rho, is <= eps.  That base net is built
-    once per (n, eps) and process, and each seed turns it by its own
-    rotation, certified again on the turned points.  Its moments are Monte
-    Carlo estimates (`region_moments`, moment_samples_per_region per
-    region).  The adversary is `dot_adversary` at
+    turns the points and moment vectors and checks the turned moments again
+    (`turned_moments`).  At n = 3 the seed therefore selects only the net's
+    rotation and the validation pairs.  In other dimensions the net is built
+    by farthest-point insertion (`build_eps_net`): an eps-packing whose
+    hull's widest empty cap, its computed covering radius rho, is <= eps.
+    That base net is built once per (n, eps) and process, and each seed
+    turns it by its own rotation, certified again on the turned points.  Its
+    moments are Monte Carlo estimates (`region_moments`,
+    moment_samples_per_region per region).  The adversary is `dot_climb` at
     m = 2d^2: the best of ADVERSARY_RESTARTS damped Newton ascents of the
     reduced objective, a lower bound on the true maximum over R^m vectors;
-    off n = 3 its restarts come from the seed's own stream.
-    The chain-check names keep their see-saw wording.
+    off n = 3 its restarts come from the seed's own stream.  Only the
+    moments and the adversary's assignment X depend on n: at every n, b_fq
+    and b_fs are `bell_value_finite` of the run's moments at the net points
+    and at X, their SEs `moment_value_std_error`.  The chain-check names
+    keep their see-saw wording.
 
     Chain checks (slack is the satisfied margin; c1-c3 add 4 sigma of
     moment error where the moments are Monte Carlo):
@@ -304,14 +308,13 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     net_seed = derive_seed(config.seed, "net")
     if n == 3:
         base = geodesic_base(geodesic_frequency(eps, config.max_net_points))
-        kept = base.adversaries.get(m)
-        if kept is None:
+        adversary = base.adversaries.get(m)
+        if adversary is None:
             # before the turned arrays exist, so that they add nothing to
             # the ascent's peak memory
-            kept = base.adversaries[m] = dot_climb(
+            adversary = base.adversaries[m] = dot_climb(
                 base.moment_vectors, m, derive_seed(0, "seesaw"))
         moments = turned_moments(base, net_seed)
-        net = moments.net
         moment_method = "exact"
     else:
         net = build_eps_net(n, eps, seed=net_seed, max_points=config.max_net_points)
@@ -319,7 +322,9 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
         moments = region_moments(
             net, samples=config.moment_samples_per_region * net.size, sampler=sampler
         )
+        adversary = dot_climb(moments.moment_vectors, m, derive_seed(config.seed, "seesaw"))
         moment_method = "monte_carlo"
+    net = moments.net
     rho = net.covering_radius
     loss = 2.0 * rho
 
@@ -327,17 +332,12 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
         net, VALIDATION_PAIRS, derive_seed(config.seed, "validation")
     )
 
-    u = net.points
-
-    # finite Bell value of the inner-product correlations, E = U U^T factored
+    # E = U U^T for the inner-product correlations, E = X X^T for the adversary
+    u, x = net.points, adversary.assignment.row_vectors
     b_fq = bell_value_finite(net, moments, (u, u))
     b_fq_se = moment_value_std_error(moments, u)
-
-    if n == 3:
-        adversary, b_fs_se = dot_adversary_at(moments, kept)
-    else:
-        adversary, b_fs_se = dot_adversary(moments, m, derive_seed(config.seed, "seesaw"))
-    b_fs = adversary.value
+    b_fs = bell_value_finite(net, moments, (x, x))
+    b_fs_se = moment_value_std_error(moments, x)
     upper = dot_upper_bound(moments)
 
     k_lower = kg_lower_bound(n, m).bound if m <= n else 1.0

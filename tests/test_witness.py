@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -79,10 +80,11 @@ class TestBellValueInfinite:
         assert abs(val - analytic_d(n, m)) <= 4 * se
 
     def test_out_of_range_correlation_rejected(self):
-        with pytest.raises(DomainError):
-            bell_value_infinite(
-                3, lambda a, b: 2.0 * np.ones(a.shape[0]), 5000, SphereSampler(3, 64)
-            )
+        for value in (2.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError):
+                bell_value_infinite(
+                    3, lambda a, b: np.full(a.shape[0], value), 5000, SphereSampler(3, 64)
+                )
 
 
 class TestBellValueFinite:
@@ -153,15 +155,43 @@ class TestBellValueFinite:
 
     def test_shape_validation(self):
         net, mom = self.exact_dim1()
+        big = np.array([[1e300], [-1e300]])  # W^T big = 1e300
         for corr in (
             (np.zeros((3, 1)), np.zeros((2, 1))),  # not the net size
             (np.zeros((2, 1)), np.zeros((2, 2))),  # mismatched inner dimension
             (np.zeros(2), np.zeros(2)),  # not matrices
             np.zeros((2, 2)),  # a dense matrix, not a factored pair
             (np.zeros((2, 1)),) * 3,
+            (np.full((2, 1), np.nan), np.ones((2, 1))),  # non-finite factors
+            (np.ones((2, 1)), np.full((2, 1), -np.inf)),
+            (big, big),  # finite factors, the entries' product overflows to inf
+            (np.hstack([big, big]), np.hstack([big, -big])),  # inf - inf
+            (np.hstack([big, big]) * 1.2e-146,) * 2,  # 2 * 1.44e308 overflows
         ):
             with pytest.raises(DomainError):
                 bell_value_finite(net, mom, corr)
+
+    def test_within_one_ulp_of_the_exact_value(self):
+        net = geodesic_net(16, 3)
+        mom = voronoi_moments(net)
+        u = net.points
+        w = [[Fraction(a) for a in column] for column in mom.moment_vectors.T.tolist()]
+        x = [[Fraction(a) for a in column] for column in u.T.tolist()]
+        exact = float(sum(sum(a * b for a, b in zip(wi, xj)) ** 2 for wi in w for xj in x))
+        assert abs(bell_value_finite(net, mom, (u, u)) - exact) <= math.ulp(exact)
+
+    def test_the_adversary_and_the_empirical_ratio_share_its_evaluation(self):
+        geodesic, greedy = geodesic_net(16, 4), build_eps_net(5, 0.7, seed=4)
+        for net, mom in ((geodesic, voronoi_moments(geodesic)),
+                         (greedy, region_moments(greedy, 100 * greedy.size, SphereSampler(5, 68)))):
+            adversary = embedding_opt.dot_adversary(mom, 2, 5)[0]
+            x = adversary.assignment.row_vectors
+            assert adversary.value == bell_value_finite(net, mom, (x, x))
+            w = mom.moment_vectors
+            norms = np.linalg.norm(w, axis=1, keepdims=True)
+            what = np.divide(w, norms, out=np.zeros_like(w), where=norms > 0)
+            _, details = embedding_opt.empirical_ratio(net.dim, 2, net, mom, seed=5)
+            assert details["numerator"] == bell_value_finite(net, mom, (what, what))
 
 
 class TestEpsThreshold:
@@ -293,16 +323,14 @@ class TestRunWitness:
 
     def test_adversary_above_its_upper_bound_is_a_violation(self, monkeypatch):
         # an adversary a relative 1e-12 above U breaks c4 alone: c2 and c3
-        # still hold on this greedy net
-        adversary = dimwitness.witness.dot_adversary
-
-        def above(moments, m, seed):
-            result, se = adversary(moments, m, seed)
-            value = embedding_opt.dot_upper_bound(moments) * (1.0 + 1e-12)
-            return dataclasses.replace(result, value=value), se
-
-        monkeypatch.setattr(dimwitness.witness, "dot_adversary", above)
-        report = run_witness(WitnessConfig(n=4, d=1, eps=0.5, seed=0))
+        # still hold on this greedy net.  The report evaluates the adversary
+        # from its assignment, which no assignment lifts above U, so U is
+        # lowered below the adversary.
+        config = WitnessConfig(n=4, d=1, eps=0.5, seed=0)
+        b_fs = run_witness(config).b_finite_seesaw_d
+        monkeypatch.setattr(dimwitness.witness, "dot_upper_bound",
+                            lambda moments: b_fs / (1.0 + 1e-12))
+        report = run_witness(config)
         assert [c.holds for c in report.chain_checks] == [True, True, True, False]
         c4 = report.chain_checks[3]
         assert c4.name == "c4_seesaw_below_full_dim"
@@ -411,14 +439,11 @@ def bench_seed(seed, i):
 
 def per_seed_adversary(eps, seed):
     """The n = 3 adversary as it was before the base was kept: the seed's
-    own restart stream on the exact moments of the seed's net, with its
-    best assignment's value evaluated as `dot_adversary_at` evaluates the
-    kept one (the dense products of `dot_adversary` overstate it by
-    4.8e-15 relative on the criterion-11 net)."""
+    own restart stream on the exact moments of the seed's net.  Its value
+    is `bell_value_finite`'s evaluation, as the kept one's is."""
     net = geodesic_net(geodesic_frequency(eps, 200_000), derive_seed(seed, "net"))
     moments = voronoi_moments(net)
-    own = embedding_opt.dot_adversary(moments, 2, derive_seed(seed, "seesaw"))[0]
-    return embedding_opt.dot_adversary_at(moments, own)[0].value
+    return embedding_opt.dot_adversary(moments, 2, derive_seed(seed, "seesaw"))[0].value
 
 
 # (eps, seeds) of acceptance criteria 9, 10 and 11 and of the witness-n3-ci
