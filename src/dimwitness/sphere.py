@@ -17,10 +17,8 @@ eps-covering, and its covering radius is the widest cap's.  A build whose
 hull passes a fixed memory bound, as (10, 0.95) does, is refused with a
 ResourceError.  That base net is built once per (dim, eps) and process and
 kept; a seed turns it by a Haar-random rotation, and every turned net is
-certified again on its own points.  The unturned geodesic net of each
-frequency is kept the same way, with its exact moments (`geodesic_base`),
-and a seed's moments are turned from it and checked again
-(`turned_moments`).
+certified again on its own points.  The geodesic net of each frequency at
+seed 0 is kept the same way, with its exact moments (`geodesic_base`).
 
 Every nearest-point query takes the largest dot product over the whole net
 (`_nearest`), in blocks of probes that bound the product's memory.
@@ -132,10 +130,11 @@ class EpsNet:
     eps-packing, any two points at least eps apart; its covering radius is
     the widest empty cap's, <= eps up to rounding.  It is the base net of
     its (dim, eps) turned by the seed's rotation, and both properties are
-    checked on its own points.  A
-    geodesic net (`geodesic_net`) is not an eps-packing, and `eps` equals
-    its covering radius.  A net loaded from a header without the key has
-    `covering_radius` None: it is not known to cover either.
+    checked on its own points.  A geodesic net (`geodesic_net`) is not an
+    eps-packing, and `eps` equals its covering radius; its seed selects
+    only its rotation, and the n = 3 witness runs on seed 0's.  A net
+    loaded from a header without the key has `covering_radius` None: it is
+    not known to cover either.
 
     `triangles` holds a geodesic net's Delaunay triangulation, rows of
     point indices counterclockwise seen from outside the sphere, from which
@@ -792,16 +791,6 @@ def _geodesic_rotation(seed: int) -> np.ndarray:
     ])
 
 
-def _turned_geodesic(
-    k: int, points: np.ndarray, triangles: np.ndarray, seed: int, rotation: np.ndarray
-) -> EpsNet:
-    """The frequency-k geodesic net of `seed`: `_geodesic_grid(k)`'s points
-    turned by `rotation`, as points @ rotation^T."""
-    rho = geodesic_radius(k)
-    return EpsNet(dim=3, eps=rho, points=points @ rotation.T, seed=seed,
-                  covering_radius=rho, triangles=triangles)
-
-
 def geodesic_net(k: int, seed: int = 0) -> EpsNet:
     """Frequency-k icosahedral geodesic net on S^2, at a seeded rotation.
 
@@ -817,7 +806,9 @@ def geodesic_net(k: int, seed: int = 0) -> EpsNet:
     `_small_triangles`, with two columns swapped on clockwise faces.
     """
     points, triangles = _geodesic_grid(k)
-    return _turned_geodesic(k, points, triangles, seed, _geodesic_rotation(seed))
+    rho = geodesic_radius(k)
+    return EpsNet(dim=3, eps=rho, points=points @ _geodesic_rotation(seed).T, seed=seed,
+                  covering_radius=rho, triangles=triangles)
 
 
 def assign_regions(net: EpsNet, probes: np.ndarray) -> np.ndarray:
@@ -1028,90 +1019,31 @@ def _exact_moments(net: EpsNet, weights: np.ndarray, vectors: np.ndarray) -> Reg
 
 
 class GeodesicBase(NamedTuple):
-    """The frequency-k geodesic net before any seed turns it, and its exact
-    moments: `_geodesic_grid(k)` and `voronoi_moments`' weights and moment
-    vectors of it.  `adversaries` maps each m to the adversary that
-    `witness.run_witness` keeps for these moments.  Every array is
-    read-only."""
+    """The frequency-k geodesic net at seed 0, `geodesic_net(k, 0)`, and the
+    weights and moment vectors of its `voronoi_moments`.  `adversaries`
+    maps each m to the adversary that `witness.run_witness` keeps for these
+    moments.  Every array is read-only."""
 
-    k: int
-    points: np.ndarray
-    triangles: np.ndarray
+    net: EpsNet
     weights: np.ndarray
     moment_vectors: np.ndarray
     adversaries: dict
+
+    def moments(self) -> RegionMoments:
+        """`voronoi_moments(self.net)`, bit for bit, on the kept arrays."""
+        return _exact_moments(self.net, self.weights, self.moment_vectors)
 
 
 def geodesic_base(k: int) -> GeodesicBase:
     """The base of frequency k, built once and kept (`_kept`)."""
 
     def build() -> GeodesicBase:
-        points, triangles = _geodesic_grid(k)
-        return GeodesicBase(k, points, triangles, *_voronoi_sums(points, triangles), {})
+        net = geodesic_net(k, 0)
+        net.points.flags.writeable = False
+        net.triangles.flags.writeable = False
+        return GeodesicBase(net, *_voronoi_sums(net.points, net.triangles), {})
 
     return _kept(("geodesic", k), build)
-
-
-def turned_moments(base: GeodesicBase, seed: int) -> RegionMoments:
-    """The exact moments of `geodesic_net(base.k, seed)`, turned from the base.
-
-    The net's points are the base's turned by the seed's rotation R, bit
-    for bit those of `geodesic_net`.  Exact moments commute with rotations,
-    w(R p) = R w(p), so the moment vectors are the base's turned and the
-    weights are the base's.  The vectors are turned by R after one Newton
-    step toward the nearest orthogonal matrix, R (3 I - R^T R) / 2: the
-    quaternion's rounding leaves R^T R a few units in the last place off I,
-    which `voronoi_moments` of the turned points does not see (its formulas
-    normalize), but which R w would carry into every value built on the
-    moments.  Both sums are checked again on every call
-    (`_check_exact_moments`).
-    """
-    rotation = _geodesic_rotation(seed)
-    net = _turned_geodesic(base.k, base.points, base.triangles, seed, rotation)
-    orthogonal = 0.5 * rotation @ (3.0 * np.eye(3) - rotation.T @ rotation)
-    moments = _exact_moments(net, base.weights, base.moment_vectors @ orthogonal.T)
-    _check_exact_moments(moments, base.moment_vectors)
-    return moments
-
-
-def _check_exact_moments(moments: RegionMoments, base_vectors: np.ndarray) -> None:
-    """NumericalIntegrityError unless the moments of a turned geodesic base
-    (`turned_moments`) sum as exact moments do, sum_p w_p = 0 and
-    sum_p mu_p = 1, each within an allowance for rounding.
-
-    With N regions, covering radius rho, u the unit roundoff and
-    g(j) = j u / (1 - j u):
-    - sum_p w_p.  The two half-edge terms of an edge are one float and its
-      negation, so the base's exact sum is the rounding of accumulating each
-      p's terms: at most 12 roundings over terms of size at most the arc
-      angles, whose sum is the cell's perimeter.  The cell lies in the cap of
-      chord rho around p, so that perimeter is at most 2 pi rho, and with the
-      division by 8 pi the base sum is at most 3 g(12) N rho / 4 + u A over
-      the components, A = sum_p ||w_p||_1 of the base.  A rotation's entries
-      are at most 1 (plus rounding), so turning a row adds g(4) ||w_p||_1
-      and summing N rows g(N); the allowance per component is
-      g(N + 8) A + g(10) N rho.
-    - sum_p mu_p.  The triangles (p, c_T', c_T) tile the sphere whatever the
-      rounding of the circumcenters c_T, so their exact areas sum to 4 pi.
-      Each of the 6N - 12 areas has sides of at most rho, so it is at most
-      2 rho^2 and is evaluated within g(92) rho^2, and each p accumulates at
-      most 6 of them with 12 roundings; with the division by 4 pi the
-      allowance is g(N + 1) sum_p |mu_p| + g(60) N rho^2.
-    """
-    size, rho = moments.net.size, moments.net.covering_radius
-    unit = np.finfo(float).eps / 2.0
-
-    def g(j: int) -> float:
-        return j * unit / (1.0 - j * unit)
-
-    drift = np.abs(moments.moment_vectors.sum(axis=0)).max()
-    if not drift <= g(size + 8) * np.abs(base_vectors).sum() + g(10) * size * rho:
-        raise NumericalIntegrityError(
-            f"turned exact moments sum to {drift:.3e}, not 0 within rounding")
-    excess = abs(moments.weights.sum() - 1.0)
-    if not excess <= g(size + 1) * np.abs(moments.weights).sum() + g(60) * size * rho * rho:
-        raise NumericalIntegrityError(
-            f"exact region weights miss 1 by {excess:.3e}, beyond rounding")
 
 
 # ----------------------------------------------------------------------

@@ -9,10 +9,11 @@ chain of inequalities connecting the two is checked explicitly on every run;
 a failure beyond the statistical slack is a theory violation and trips the
 build.
 
-At n = 3 the moments are exact (`voronoi_moments` on the geodesic net) and
-there is no statistical slack.  On greedy nets they are Monte Carlo
-estimates, and the slack is 4 standard errors (the inequalities are exact;
-only the moment estimators fluctuate), with errors combined in quadrature.
+At n = 3 the moments are exact (`voronoi_moments` on the geodesic net, one
+kept net per frequency) and there is no statistical slack.  On greedy nets
+they are Monte Carlo estimates, and the slack is 4 standard errors (the
+inequalities are exact; only the moment estimators fluctuate), with errors
+combined in quadrature.
 The c4 check compares two functions of the same moments and has none.
 """
 
@@ -48,7 +49,6 @@ from .sphere import (
     mc_mean_and_sem,
     region_moments,
     require_moments_of,
-    turned_moments,
 )
 
 __all__ = [
@@ -265,30 +265,30 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     """Run net -> moments -> Bell values -> adversary -> inequality chain.
 
     At n = 3 the net is the geodesic net of the smallest frequency k whose
-    computed covering radius rho is <= eps, and its moments are exact
-    (`voronoi_moments`): every standard error is exactly 0, so c1-c4 have no
-    4-sigma term.  Every seed's net is one base net turned by the seed's
-    rotation, and exact moments turn with it, so the base net, its moments
-    and, per m, its adversary are computed once per k and process and kept
-    (`geodesic_base`).  That adversary climbs from the fixed restart stream
-    derive_seed(0, "seesaw"), whichever seed asks first, and its vectors
-    x_u = C^T w_u / ||C^T w_u|| do not change under the rotation.  Each run
-    turns the points and moment vectors and checks the turned moments again
-    (`turned_moments`).  At n = 3 the seed therefore selects only the net's
-    rotation and the validation pairs.  In other dimensions the net is built
-    by farthest-point insertion (`build_eps_net`): an eps-packing whose
-    hull's widest empty cap, its computed covering radius rho, is <= eps.
-    That base net is built once per (n, eps) and process, and each seed
-    turns it by its own rotation, certified again on the turned points.  Its
-    moments are Monte Carlo estimates (`region_moments`,
-    moment_samples_per_region per region).  The adversary is `dot_climb` at
-    m = 2d^2: the best of ADVERSARY_RESTARTS damped Newton ascents of the
-    reduced objective, a lower bound on the true maximum over R^m vectors;
-    off n = 3 its restarts come from the seed's own stream.  Only the
-    moments and the adversary's assignment X depend on n: at every n, b_fq
-    and b_fs are `bell_value_finite` of the run's moments at the net points
-    and at X, their SEs `moment_value_std_error`.  The chain-check names
-    keep their see-saw wording.
+    computed covering radius rho is <= eps, at seed 0 (`geodesic_net(k, 0)`),
+    and its moments are exact (`voronoi_moments`): every standard error is
+    exactly 0, so c1-c4 have no 4-sigma term.  Every term of the finite
+    Bell value is unchanged when the net and the settings turn together, so
+    a seed's rotation would move no reported number beyond rounding.  The
+    net, its moments and, per m, the adversary climbed on exactly those
+    moments from the fixed restart stream derive_seed(0, "seesaw") are
+    computed once per k and process and kept (`geodesic_base`).  At n = 3
+    the seed therefore selects only the Tsirelson validation pairs.  In
+    other dimensions the net is built by farthest-point insertion
+    (`build_eps_net`): an eps-packing whose hull's widest empty cap, its
+    computed covering radius rho, is <= eps.  That base net is built once
+    per (n, eps) and process, and each seed turns it by its own rotation,
+    certified again on the turned points.  Its moments are Monte Carlo
+    estimates (`region_moments`, moment_samples_per_region per region).
+    The adversary is `dot_climb` at m = 2d^2: the best of
+    ADVERSARY_RESTARTS damped Newton ascents of the reduced objective, a
+    lower bound on the true maximum over R^m vectors; off n = 3 its
+    restarts come from the seed's own stream.  Only the moments and the
+    adversary depend on n: at every n, b_fq is `bell_value_finite` of the
+    run's moments at the net points and b_fs the adversary's value, the
+    same `dot_value` at its assignment X, their SEs
+    `moment_value_std_error`.  The chain-check names keep their see-saw
+    wording.
 
     Chain checks (slack is the satisfied margin; c1-c3 add 4 sigma of
     moment error where the moments are Monte Carlo):
@@ -305,19 +305,19 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     """
     n, eps, m = config.n, config.eps, config.m
 
-    net_seed = derive_seed(config.seed, "net")
     if n == 3:
         base = geodesic_base(geodesic_frequency(eps, config.max_net_points))
         adversary = base.adversaries.get(m)
         if adversary is None:
-            # before the turned arrays exist, so that they add nothing to
-            # the ascent's peak memory
             adversary = base.adversaries[m] = dot_climb(
                 base.moment_vectors, m, derive_seed(0, "seesaw"))
-        moments = turned_moments(base, net_seed)
+        # after the climb, so that the moments' zero standard errors add
+        # nothing to the ascent's peak memory
+        moments = base.moments()
         moment_method = "exact"
     else:
-        net = build_eps_net(n, eps, seed=net_seed, max_points=config.max_net_points)
+        net = build_eps_net(n, eps, seed=derive_seed(config.seed, "net"),
+                            max_points=config.max_net_points)
         sampler = SphereSampler(n, derive_seed(config.seed, "moments"))
         moments = region_moments(
             net, samples=config.moment_samples_per_region * net.size, sampler=sampler
@@ -332,11 +332,12 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
         net, VALIDATION_PAIRS, derive_seed(config.seed, "validation")
     )
 
-    # E = U U^T for the inner-product correlations, E = X X^T for the adversary
+    # E = U U^T for the inner-product correlations; the adversary's value is
+    # `dot_value` at its assignment X on these very moments, E = X X^T
     u, x = net.points, adversary.assignment.row_vectors
     b_fq = bell_value_finite(net, moments, (u, u))
     b_fq_se = moment_value_std_error(moments, u)
-    b_fs = bell_value_finite(net, moments, (x, x))
+    b_fs = adversary.value
     b_fs_se = moment_value_std_error(moments, x)
     upper = dot_upper_bound(moments)
 

@@ -11,6 +11,7 @@ from dimwitness import (
     NumericalIntegrityError,
     ResourceError,
     SphereSampler,
+    bell_value_finite,
     build_eps_net,
     dot_squared_expectation,
     eps_threshold,
@@ -23,7 +24,8 @@ from dimwitness import (
     y_closed_form,
 )
 from dimwitness import sphere
-from dimwitness.seeding import make_rng
+from dimwitness.embedding_opt import dot_climb, dot_upper_bound, dot_value
+from dimwitness.seeding import derive_seed, make_rng
 from dimwitness.sphere import (
     assign_regions,
     geodesic_frequency,
@@ -1043,26 +1045,40 @@ class TestVoronoiMoments:
 
 class TestGeodesicBase:
     @pytest.mark.parametrize("k", [1, 3, 8])
-    def test_turned_moments_are_those_of_the_seeds_net(self, k):
+    def test_turning_the_net_moves_no_value_beyond_rounding(self, k):
+        # every term of the finite Bell value is unchanged when the net and
+        # the settings turn together, so the kept seed-0 net stands for all
         base = sphere.geodesic_base(k)
-        for seed in range(3):
-            turned = sphere.turned_moments(base, seed)
+        kept = base.moments()
+        assert np.array_equal(base.net.points, geodesic_net(k, 0).points)
+        exact = voronoi_moments(base.net)
+        assert np.array_equal(kept.weights, exact.weights)
+        assert np.array_equal(kept.moment_vectors, exact.moment_vectors)
+        x = dot_climb(base.moment_vectors, 2, derive_seed(0, "seesaw")).assignment.row_vectors
+        pts = base.net.points
+
+        def values(moments, points):
+            return (bell_value_finite(moments.net, moments, (points, points)),
+                    dot_upper_bound(moments), dot_value(moments.moment_vectors, x, x))
+
+        reference = values(kept, pts)
+        for seed in range(1, 6):
             net = geodesic_net(k, seed)
-            assert np.array_equal(turned.net.points, net.points)
-            assert np.array_equal(turned.net.triangles, net.triangles)
-            assert turned.net.covering_radius == net.covering_radius == net.eps
-            exact = voronoi_moments(net)
-            assert np.abs(turned.moment_vectors - exact.moment_vectors).max() <= 1e-15
-            assert np.abs(turned.weights - exact.weights).max() <= 1e-15
-            assert turned.samples_used == 0 and turned.empty_regions.size == 0
-            assert not turned.standard_errors.any()
+            for value, ref in zip(values(voronoi_moments(net), net.points), reference):
+                assert abs(value - ref) <= 2e-15 * abs(ref), (seed, value, ref)
 
     def test_kept_once_with_read_only_arrays(self):
         base = sphere.geodesic_base(3)
         assert sphere.geodesic_base(3) is base
         assert list(sphere._BASE_NETS) == [("geodesic", 3)]
-        for array in (base.points, base.triangles, base.weights, base.moment_vectors):
+        assert base.net.seed == 0 and not base.adversaries
+        for array in (base.net.points, base.net.triangles, base.weights,
+                      base.moment_vectors):
             assert not array.flags.writeable
+        moments = base.moments()
+        assert moments.samples_used == 0 and moments.empty_regions.size == 0
+        assert moments.standard_errors.shape == (base.net.size,)
+        assert not moments.standard_errors.any()
 
     def test_frequency_domain(self):
         with pytest.raises(DomainError, match="k must be >= 1"):

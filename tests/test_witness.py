@@ -461,7 +461,8 @@ NEVER_LOWER_INPUTS = [
 
 class TestKeptGeodesicBase:
     """At n = 3 the net, its exact moments and the adversary of each m are
-    kept per frequency k (`sphere.geodesic_base`) and turned per seed."""
+    kept per frequency k (`sphere.geodesic_base`), and every seed runs on
+    them."""
 
     # at eps 0.1 seed 5's own restart stream stops at a lower maximum, so an
     # entry that kept the first asker's adversary would show there
@@ -476,22 +477,15 @@ class TestKeptGeodesicBase:
     @pytest.mark.parametrize("eps", [0.3, 0.1])
     def test_seeds_report_one_adversary_and_every_check_holds(self, eps):
         reports = [run_witness(WitnessConfig(3, 1, eps, seed=seed)) for seed in range(10)]
-        values = [report.b_finite_seesaw_d for report in reports]
-        assert max(values) - min(values) <= 1e-15 * max(values)
+        docs = set()
         for report in reports:
             assert all(c.holds for c in report.chain_checks)
             assert report.verdict == VERDICT_CONSISTENT
-
-    @pytest.mark.parametrize("field", ["moment_vectors", "weights"])
-    def test_a_tampered_entry_is_refused_at_the_recheck(self, monkeypatch, field):
-        run_witness(WitnessConfig(3, 1, 0.3, seed=1))
-        key = ("geodesic", geodesic_frequency(0.3, 200_000))
-        base = sphere._BASE_NETS[key]
-        tampered = getattr(base, field).copy()
-        tampered[7] *= 1.0 + 1e-9
-        monkeypatch.setitem(sphere._BASE_NETS, key, base._replace(**{field: tampered}))
-        with pytest.raises(NumericalIntegrityError, match="beyond rounding|not 0 within"):
-            run_witness(WitnessConfig(3, 1, 0.3, seed=2))
+            doc = report.to_dict()
+            del doc["config"]["seed"], doc["tsirelson_validation_dev"]
+            docs.add(json.dumps(doc))
+        # the seed selects only the Tsirelson validation pairs
+        assert len(docs) == 1
 
     def test_entries_are_evicted_least_recently_used_first(self):
         # greedy nets and geodesic bases share the _BASE_NET_ENTRIES slots
