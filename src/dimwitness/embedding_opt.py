@@ -749,7 +749,10 @@ def dot_upper_bound(moments: RegionMoments) -> float:
     tr M = sum_u ||w_u||, and tr(C^T M C) <= lambda_max(M) at ||C||_F = 1.
     The bound holds for the moments as given, Monte Carlo estimates
     included.  M is formed as V^T V, V = W / sqrt(||w||) row by row, so it
-    is symmetric.
+    is symmetric.  At m >= n an assignment can reach U itself, and the
+    computed adversary can then sit above the computed U by rounding: from
+    -2.0e-16 to +1.2e-15 relative on the geodesic nets k = 1..4, so
+    `witness.run_witness` reports U there without checking it (no c4).
     """
     w = moments.moment_vectors
     norms = np.linalg.norm(w, axis=1)

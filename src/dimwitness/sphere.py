@@ -1020,14 +1020,16 @@ def _exact_moments(net: EpsNet, weights: np.ndarray, vectors: np.ndarray) -> Reg
 
 class GeodesicBase(NamedTuple):
     """The frequency-k geodesic net at seed 0, `geodesic_net(k, 0)`, and the
-    weights and moment vectors of its `voronoi_moments`.  `adversaries`
-    maps each m to the adversary that `witness.run_witness` keeps for these
-    moments.  Every array is read-only."""
+    weights and moment vectors of its `voronoi_moments`.  `reports` maps
+    each d to the finished report that `witness.run_witness` keeps for
+    these moments: a later run at the same (k, d) only validates the
+    Tsirelson strategy on its own pairs of `net`.  Every array is
+    read-only."""
 
     net: EpsNet
     weights: np.ndarray
     moment_vectors: np.ndarray
-    adversaries: dict
+    reports: dict
 
     def moments(self) -> RegionMoments:
         """`voronoi_moments(self.net)`, bit for bit, on the kept arrays."""

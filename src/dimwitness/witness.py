@@ -10,10 +10,10 @@ a failure beyond the statistical slack is a theory violation and trips the
 build.
 
 At n = 3 the moments are exact (`voronoi_moments` on the geodesic net, one
-kept net per frequency) and there is no statistical slack.  On greedy nets
-they are Monte Carlo estimates, and the slack is 4 standard errors (the
-inequalities are exact; only the moment estimators fluctuate), with errors
-combined in quadrature.
+kept net per frequency, one kept report per d) and there is no statistical
+slack.  On greedy nets they are Monte Carlo estimates, and the slack is 4
+standard errors (the inequalities are exact; only the moment estimators
+fluctuate), with errors combined in quadrature.
 The c4 check compares two functions of the same moments and has none.
 """
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -79,7 +79,8 @@ class WitnessConfig:
     The pipeline needs n >= 2 d^2 + 1 for a separation to be possible at all;
     smaller n is allowed only with allow_small_n (useful as a null test).
     moment_samples_per_region acts only on greedy nets (n != 3): the n = 3
-    geodesic net takes exact moments and draws no samples.
+    geodesic net takes exact moments and draws no samples.  The integer
+    fields refuse non-integral values and keep integral ones as int.
     """
 
     n: int
@@ -95,6 +96,15 @@ class WitnessConfig:
         return 2 * self.d * self.d
 
     def __post_init__(self):
+        for name in ("n", "d", "seed", "moment_samples_per_region", "max_net_points"):
+            value = getattr(self, name)
+            try:
+                integral = int(value) == value
+            except (TypeError, ValueError, OverflowError):
+                integral = False
+            if not integral:
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n < 1 or self.d < 1:
             raise DomainError("n and d must be positive")
         if not (0.0 < self.eps < 1.0):
@@ -155,7 +165,7 @@ class WitnessReport:
     # the best adversary restart stopped because neither the damped Newton
     # step nor the fixed-point step raised f, not at adversary_max_iters
     seesaw_converged: bool
-    chain_checks: List[ChainCheck]
+    chain_checks: Tuple[ChainCheck, ...]
     verdict: str
 
     def to_dict(self) -> dict:
@@ -270,11 +280,14 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     exactly 0, so c1-c4 have no 4-sigma term.  Every term of the finite
     Bell value is unchanged when the net and the settings turn together, so
     a seed's rotation would move no reported number beyond rounding.  The
-    net, its moments and, per m, the adversary climbed on exactly those
-    moments from the fixed restart stream derive_seed(0, "seesaw") are
-    computed once per k and process and kept (`geodesic_base`).  At n = 3
-    the seed therefore selects only the Tsirelson validation pairs.  In
-    other dimensions the net is built by farthest-point insertion
+    net and its moments are computed once per k and process and kept
+    (`geodesic_base`); so is, per d, the finished report of the adversary
+    climbed on exactly those moments from the fixed restart stream
+    derive_seed(0, "seesaw").  At n = 3 the seed selects only the Tsirelson
+    validation pairs: a run validates the kept strategy on its own pairs of
+    the kept net and returns a copy of the kept report with its own config
+    and deviation; only the first run of a (k, d) climbs and evaluates the
+    chain.  In other dimensions the net is built by farthest-point insertion
     (`build_eps_net`): an eps-packing whose hull's widest empty cap, its
     computed covering radius rho, is <= eps.  That base net is built once
     per (n, eps) and process, and each seed turns it by its own rotation,
@@ -307,30 +320,37 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
 
     if n == 3:
         base = geodesic_base(geodesic_frequency(eps, config.max_net_points))
-        adversary = base.adversaries.get(m)
-        if adversary is None:
-            adversary = base.adversaries[m] = dot_climb(
-                base.moment_vectors, m, derive_seed(0, "seesaw"))
-        # after the climb, so that the moments' zero standard errors add
-        # nothing to the ascent's peak memory
-        moments = base.moments()
-        moment_method = "exact"
-    else:
-        net = build_eps_net(n, eps, seed=derive_seed(config.seed, "net"),
-                            max_points=config.max_net_points)
-        sampler = SphereSampler(n, derive_seed(config.seed, "moments"))
-        moments = region_moments(
-            net, samples=config.moment_samples_per_region * net.size, sampler=sampler
-        )
-        adversary = dot_climb(moments.moment_vectors, m, derive_seed(config.seed, "seesaw"))
-        moment_method = "monte_carlo"
+        validation_dev = _validate_tsirelson_on_net(
+            base.net, VALIDATION_PAIRS, derive_seed(config.seed, "validation"))
+        kept = base.reports.get(config.d)
+        if kept is None:
+            adversary = dot_climb(base.moment_vectors, m, derive_seed(0, "seesaw"))
+            # after the climb, so that the moments' zero standard errors add
+            # nothing to the ascent's peak memory
+            kept = base.reports[config.d] = _report(
+                config, base.moments(), adversary, "exact", validation_dev)
+        return replace(kept, config=config, tsirelson_validation_dev=validation_dev)
+
+    net = build_eps_net(n, eps, seed=derive_seed(config.seed, "net"),
+                        max_points=config.max_net_points)
+    sampler = SphereSampler(n, derive_seed(config.seed, "moments"))
+    moments = region_moments(
+        net, samples=config.moment_samples_per_region * net.size, sampler=sampler
+    )
+    adversary = dot_climb(moments.moment_vectors, m, derive_seed(config.seed, "seesaw"))
+    validation_dev = _validate_tsirelson_on_net(
+        net, VALIDATION_PAIRS, derive_seed(config.seed, "validation"))
+    return _report(config, moments, adversary, "monte_carlo", validation_dev)
+
+
+def _report(config: WitnessConfig, moments: RegionMoments, adversary,
+            moment_method: str, validation_dev: Optional[float]) -> WitnessReport:
+    """The Bell values, bounds, chain checks and verdict of `adversary`
+    climbed on `moments` (see `run_witness`)."""
+    n, m = config.n, config.m
     net = moments.net
     rho = net.covering_radius
     loss = 2.0 * rho
-
-    validation_dev = _validate_tsirelson_on_net(
-        net, VALIDATION_PAIRS, derive_seed(config.seed, "validation")
-    )
 
     # E = U U^T for the inner-product correlations; the adversary's value is
     # `dot_value` at its assignment X on these very moments, E = X X^T
@@ -387,6 +407,6 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
         empty_regions=int(moments.empty_regions.size),
         tsirelson_validation_dev=validation_dev,
         seesaw_converged=adversary.converged,
-        chain_checks=checks,
+        chain_checks=tuple(checks),
         verdict=verdict,
     )

@@ -1,11 +1,13 @@
 import pytest
 
-from dimwitness import sphere
+from dimwitness import quantum, sphere
 
 
 @pytest.fixture(autouse=True)
-def _no_kept_base_nets():
-    """Each test starts with no kept base results, greedy nets and n = 3
-    geodesic bases with their adversaries alike: a result kept under one
-    test's monkeypatched constants would otherwise be served to the next."""
+def _no_kept_results():
+    """Each test starts with no kept results: greedy base nets, n = 3
+    geodesic bases with their reports, and Tsirelson strategies.  A result
+    kept under one test's monkeypatched constants would otherwise be served
+    to the next."""
     sphere._BASE_NETS.clear()
+    quantum._STRATEGIES.clear()

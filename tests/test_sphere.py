@@ -1071,7 +1071,7 @@ class TestGeodesicBase:
         base = sphere.geodesic_base(3)
         assert sphere.geodesic_base(3) is base
         assert list(sphere._BASE_NETS) == [("geodesic", 3)]
-        assert base.net.seed == 0 and not base.adversaries
+        assert base.net.seed == 0 and not base.reports
         for array in (base.net.points, base.net.triangles, base.weights,
                       base.moment_vectors):
             assert not array.flags.writeable

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import dimwitness.witness
-from dimwitness import embedding_opt, sphere
+from dimwitness import embedding_opt, quantum, sphere
 from dimwitness import (
     DomainError,
     EpsNet,
@@ -251,6 +252,25 @@ class TestWitnessConfig:
         with pytest.raises(DomainError):
             WitnessConfig(n=3, d=1, eps=0.1, moment_samples_per_region=99)
 
+    # run_witness used to end in a TypeError on n = 4.5, d = 1.5 or seed = 1.5
+    @pytest.mark.parametrize("name, value", [
+        ("n", 4.5), ("d", 1.5), ("seed", 1.5), ("moment_samples_per_region", 100.5),
+        ("max_net_points", 5e4 + 0.5), ("n", math.nan), ("seed", math.inf),
+        ("seed", "1"), ("d", None),
+    ])
+    def test_non_integral_values_are_refused(self, name, value):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+            WitnessConfig(**{"n": 4, "d": 1, "eps": 0.5, name: value})
+
+    def test_integral_values_are_kept_as_int(self):
+        config = WitnessConfig(3.0, np.int64(1), 0.3, seed=np.float64(2.0),
+                               moment_samples_per_region=100.0, max_net_points=5e4)
+        plain = WitnessConfig(3, 1, 0.3, seed=2, max_net_points=50_000)
+        assert config == plain
+        assert all(type(getattr(config, name)) is int for name in (
+            "n", "d", "seed", "moment_samples_per_region", "max_net_points"))
+        assert run_witness(config).to_json() == run_witness(plain).to_json()
+
 
 class TestRunWitness:
     def test_a_kept_base_net_gives_the_report_of_a_fresh_process(self):
@@ -465,14 +485,53 @@ class TestKeptGeodesicBase:
     them."""
 
     # at eps 0.1 seed 5's own restart stream stops at a lower maximum, so an
-    # entry that kept the first asker's adversary would show there
-    @pytest.mark.parametrize("eps, seed, other", [(0.3, 4, 7), (0.1, 5, 0), (0.1, 0, 5)])
-    def test_a_cold_and_a_warmed_entry_give_one_report(self, eps, seed, other):
-        cold = json.dumps(run_witness(WitnessConfig(3, 1, eps, seed=seed)).to_dict())
+    # entry that kept the first asker's adversary would show there; at d = 2
+    # m = 8 > n, so K is 1.0 and there is no c4
+    @pytest.mark.parametrize("eps, d, seed, other", [
+        pytest.param(0.3, 1, 4, 7, id="0.3-4-7"), pytest.param(0.1, 1, 5, 0, id="0.1-5-0"),
+        pytest.param(0.1, 1, 0, 5, id="0.1-0-5"), pytest.param(0.3, 2, 4, 7, id="d2-0.3-4-7")])
+    def test_a_cold_and_a_warmed_entry_give_one_report(self, eps, d, seed, other):
+        def report(seed):
+            return run_witness(WitnessConfig(3, d, eps, seed=seed, allow_small_n=d > 1))
+
+        cold = report(seed)
+        assert len(cold.chain_checks) == (4 if d == 1 else 3)
+        assert (cold.k_lower == 1.0) == (d > 1)
         sphere._BASE_NETS.clear()
-        run_witness(WitnessConfig(3, 1, eps, seed=other))
-        warm = json.dumps(run_witness(WitnessConfig(3, 1, eps, seed=seed)).to_dict())
-        assert warm == cold
+        report(other)
+        assert report(seed).to_json() == cold.to_json()
+
+    def test_a_later_seed_only_validates(self, monkeypatch):
+        first = run_witness(WitnessConfig(3, 1, 0.3, seed=0))
+        calls = collections.Counter()
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for name in ("dot_climb", "bell_value_finite", "dot_upper_bound",
+                     "moment_value_std_error", "kg_lower_bound", "eps_threshold",
+                     "_validate_tsirelson_on_net"):
+            count(dimwitness.witness, name)
+        count(quantum, "_jordan_wigner")  # the strategy's build
+        later = run_witness(WitnessConfig(3, 1, 0.3, seed=1))
+        assert calls == {"_validate_tsirelson_on_net": 1}
+        assert later.b_finite_seesaw_d == first.b_finite_seesaw_d
+        assert later.config.seed == 1
+
+    def test_a_changed_report_leaves_the_next_one_as_it_was(self):
+        changed = run_witness(WitnessConfig(3, 1, 0.3, seed=0))
+        expected = run_witness(WitnessConfig(3, 1, 0.3, seed=1)).to_json()
+        with pytest.raises(AttributeError):
+            changed.chain_checks.append(changed.chain_checks[0])
+        for field in dataclasses.fields(changed):
+            object.__setattr__(changed, field.name, None)
+        assert run_witness(WitnessConfig(3, 1, 0.3, seed=1)).to_json() == expected
 
     @pytest.mark.parametrize("eps", [0.3, 0.1])
     def test_seeds_report_one_adversary_and_every_check_holds(self, eps):
