@@ -30,9 +30,8 @@ for the table and O(d^3) per realification.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -237,37 +236,20 @@ def _dense_table(psi: np.ndarray, alice_gens: np.ndarray, bob_gens: np.ndarray) 
     return left.reshape(n, -1) @ bob_gens.reshape(n, -1).T
 
 
-# Tsirelson strategies kept per n (`tsirelson_strategy`), at most
-# MAX_GENERATORS of them
-_STRATEGIES: Dict[int, QuantumStrategy] = {}
-
-
 def tsirelson_strategy(n: int) -> QuantumStrategy:
     """Strategy whose joint correlation equals a . b exactly.
 
     Alice measures sum_i a_i G_i, Bob sum_i b_i G_i^T = sum_i b_i conj(G_i),
     on sum_i |ii> / sqrt(d).  The Pauli tables come from the Jordan-Wigner
-    strings directly; no dense generator is formed.  Built once per n and
-    process and kept, so every caller shares one strategy: its state, Pauli
-    maps and table are read-only.  n must be an integer.
+    strings directly; no dense generator is formed.
     """
     _check_size(n)
-    n = operator.index(n)
-    strategy = _STRATEGIES.get(n)
-    if strategy is None:
-        columns, phases = _jordan_wigner(n)
-        d = columns.shape[1]
-        state = (np.eye(d, dtype=complex) / np.sqrt(d)).reshape(-1)
-        eye = np.eye(n)
-        strategy = QuantumStrategy(d=d, state=state, alice=PauliMap(columns, phases, eye),
-                                   bob=PauliMap(columns, phases.conj(), eye))
-        # not the realified slots: np.bincount copies an index array that is
-        # not writeable, 128 KB per `vectorize` call at n = 16
-        for array in (state, columns, phases, eye, strategy.bob.phases, strategy.table,
-                      strategy.realified[1]):
-            array.flags.writeable = False
-        _STRATEGIES[n] = strategy
-    return strategy
+    columns, phases = _jordan_wigner(n)
+    d = columns.shape[1]
+    state = (np.eye(d, dtype=complex) / np.sqrt(d)).reshape(-1)
+    eye = np.eye(n)
+    return QuantumStrategy(d=d, state=state, alice=PauliMap(columns, phases, eye),
+                           bob=PauliMap(columns, phases.conj(), eye))
 
 
 def _state_matrix(strategy: QuantumStrategy) -> np.ndarray:

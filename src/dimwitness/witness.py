@@ -19,6 +19,7 @@ The c4 check compares two functions of the same moments and has none.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
@@ -37,7 +38,12 @@ from .embedding_opt import (
     moment_value_std_error,
 )
 from .errors import DomainError, NumericalIntegrityError
-from .quantum import MAX_GENERATORS, max_correlation_deviation, tsirelson_strategy
+from .quantum import (
+    MAX_GENERATORS,
+    QuantumStrategy,
+    max_correlation_deviation,
+    tsirelson_strategy,
+)
 from .seeding import derive_seed, make_rng
 from .sphere import (
     MIN_SAMPLES_PER_REGION,
@@ -256,14 +262,31 @@ def eps_threshold(n: int, d: int) -> float:
 # pipeline
 # ----------------------------------------------------------------------
 
-def _validate_tsirelson_on_net(net, pairs: int, seed: int) -> Optional[float]:
-    """Max |<A u x B v> - u.v| over sampled net pairs; None when n is too large
+@functools.cache
+def _geodesic_strategy() -> QuantumStrategy:
+    """`tsirelson_strategy(3)`, built once per process: the validation of
+    every n = 3 run shares it, so none of its arrays is writeable."""
+    strategy = tsirelson_strategy(3)
+    arrays = [strategy.state, strategy.table, *(strategy.realified or ())]
+    for party in (strategy.alice, strategy.bob):
+        arrays += [party.columns, party.phases, party.mix]
+    for array in arrays:
+        array.flags.writeable = False
+    return strategy
+
+
+def _validate_tsirelson_on_net(net, pairs: int, seed: int,
+                               strategy: Optional[QuantumStrategy] = None) -> Optional[float]:
+    """Max |<A u x B v> - u.v| over sampled net pairs, for `strategy` (by
+    default a new `tsirelson_strategy(net.dim)`); None when n is too large
     to simulate densely."""
     if net.dim > MAX_GENERATORS or net.size < 1:
         return None
+    if strategy is None:
+        strategy = tsirelson_strategy(net.dim)
     pair_index = make_rng(seed, 0).integers(net.size, size=(pairs, 2))
     u, v = net.points[pair_index.T]
-    worst = max_correlation_deviation(tsirelson_strategy(net.dim), u, v)
+    worst = max_correlation_deviation(strategy, u, v)
     if worst > 1e-10:
         raise NumericalIntegrityError(
             f"inner-product strategy deviated by {worst:.3e} on net points"
@@ -284,10 +307,11 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     (`geodesic_base`); so is, per d, the finished report of the adversary
     climbed on exactly those moments from the fixed restart stream
     derive_seed(0, "seesaw").  At n = 3 the seed selects only the Tsirelson
-    validation pairs: a run validates the kept strategy on its own pairs of
-    the kept net and returns a copy of the kept report with its own config
-    and deviation; only the first run of a (k, d) climbs and evaluates the
-    chain.  In other dimensions the net is built by farthest-point insertion
+    validation pairs: a run validates the Tsirelson strategy, built once per
+    process (`_geodesic_strategy`), on its own pairs of the kept net and
+    returns a copy of the kept report with its own config and deviation;
+    only the first run of a (k, d) climbs and evaluates the chain.  In
+    other dimensions the net is built by farthest-point insertion
     (`build_eps_net`): an eps-packing whose hull's widest empty cap, its
     computed covering radius rho, is <= eps.  That base net is built once
     per (n, eps) and process, and each seed turns it by its own rotation,
@@ -321,7 +345,8 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     if n == 3:
         base = geodesic_base(geodesic_frequency(eps, config.max_net_points))
         validation_dev = _validate_tsirelson_on_net(
-            base.net, VALIDATION_PAIRS, derive_seed(config.seed, "validation"))
+            base.net, VALIDATION_PAIRS, derive_seed(config.seed, "validation"),
+            _geodesic_strategy())
         kept = base.reports.get(config.d)
         if kept is None:
             adversary = dot_climb(base.moment_vectors, m, derive_seed(0, "seesaw"))

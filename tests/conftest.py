@@ -1,13 +1,13 @@
 import pytest
 
-from dimwitness import quantum, sphere
+from dimwitness import sphere, witness
 
 
 @pytest.fixture(autouse=True)
 def _no_kept_results():
     """Each test starts with no kept results: greedy base nets, n = 3
-    geodesic bases with their reports, and Tsirelson strategies.  A result
-    kept under one test's monkeypatched constants would otherwise be served
-    to the next."""
+    geodesic bases with their reports, and the n = 3 validation strategy.
+    A result kept under one test's monkeypatched constants would otherwise
+    be served to the next."""
     sphere._BASE_NETS.clear()
-    quantum._STRATEGIES.clear()
+    witness._geodesic_strategy.cache_clear()

@@ -185,14 +185,6 @@ class TestTsirelsonCommand:
         assert doc["max_deviation"] <= 1e-10
         assert doc["local_dim"] == 16
 
-    def test_a_kept_strategy_prints_the_report_of_a_fresh_one(self, capsys):
-        argv = ("tsirelson", "8", "--pairs", "300", "--seed", "5")
-        code, fresh, _ = run_cli(capsys, *argv)
-        assert code == 0 and list(dimwitness.quantum._STRATEGIES) == [8]
-        code, kept, _ = run_cli(capsys, *argv)
-        assert code == 0
-        assert strip_volatile(json.loads(kept)) == strip_volatile(json.loads(fresh))
-
     def test_pauli_case(self, capsys):
         code, out, _ = run_cli(capsys, "tsirelson", "2", "--pairs", "200")
         assert code == 0

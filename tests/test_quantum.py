@@ -136,48 +136,6 @@ class TestCliffordGenerators:
 
 
 class TestTsirelsonStrategy:
-    def test_kept_once_with_read_only_arrays(self):
-        st = tsirelson_strategy(5)
-        assert tsirelson_strategy(5) is st
-        assert list(quantum._STRATEGIES) == [5]
-        for party in (st.alice, st.bob):
-            for array in (party.columns, party.phases, party.mix):
-                with pytest.raises(ValueError, match="read-only"):
-                    array[...] = 0
-        for array in (st.state, st.table):
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 0
-
-    def test_a_refused_size_keeps_nothing(self):
-        for n in (0, 17):
-            with pytest.raises((DomainError, ResourceError)):
-                tsirelson_strategy(n)
-        with pytest.raises(TypeError):
-            tsirelson_strategy(3.0)
-        assert not quantum._STRATEGIES
-
-    @pytest.mark.parametrize("n", (3, 8, 16))
-    def test_the_kept_strategy_computes_the_bits_of_a_fresh_one(self, n):
-        # the strategy as built before strategies were kept: every array
-        # writeable, nothing shared
-        columns, phases = quantum._jordan_wigner(n)
-        d = columns.shape[1]
-        fresh = QuantumStrategy(
-            d=d, state=(np.eye(d, dtype=complex) / np.sqrt(d)).reshape(-1),
-            alice=quantum.PauliMap(columns, phases, np.eye(n)),
-            bob=quantum.PauliMap(columns, phases.conj(), np.eye(n)))
-        tsirelson_strategy(n)
-        kept = tsirelson_strategy(n)
-        assert np.array_equal(kept.table, fresh.table)
-        rows = SphereSampler(n, seed=40 + n).sample(20)
-        assert (max_correlation_deviation(kept, rows[::2], rows[1::2])
-                == max_correlation_deviation(fresh, rows[::2], rows[1::2]))
-        for a, b in rows.reshape(10, 2, n):
-            assert correlation(kept, a, b) == correlation(fresh, a, b)
-            rk, rf = vectorize(kept, a, b), vectorize(fresh, a, b)
-            assert np.array_equal(rk.alice_vector, rf.alice_vector)
-            assert np.array_equal(rk.bob_vector, rf.bob_vector)
-
     def test_same_direction(self):
         st = tsirelson_strategy(4)
         e1 = np.eye(4)[0]

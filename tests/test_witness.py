@@ -480,9 +480,9 @@ NEVER_LOWER_INPUTS = [
 
 
 class TestKeptGeodesicBase:
-    """At n = 3 the net, its exact moments and the adversary of each m are
-    kept per frequency k (`sphere.geodesic_base`), and every seed runs on
-    them."""
+    """At n = 3 the net, its exact moments and the finished report of each d
+    are kept per frequency k (`sphere.geodesic_base`), and every seed runs
+    on them."""
 
     # at eps 0.1 seed 5's own restart stream stops at a lower maximum, so an
     # entry that kept the first asker's adversary would show there; at d = 2
@@ -561,3 +561,35 @@ class TestKeptGeodesicBase:
         for seed in seeds:
             kept = run_witness(WitnessConfig(3, 1, eps, seed=seed)).b_finite_seesaw_d
             assert kept >= per_seed_adversary(eps, seed) * (1.0 - 1e-15), seed
+
+
+class TestGeodesicStrategy:
+    """Every n = 3 run validates on one kept Tsirelson strategy."""
+
+    def test_kept_once_with_read_only_arrays(self):
+        for seed in (0, 1):
+            run_witness(WitnessConfig(3, 1, 0.3, seed=seed))
+        assert dimwitness.witness._geodesic_strategy.cache_info().misses == 1
+        st = dimwitness.witness._geodesic_strategy()
+        arrays = [st.state, st.table, *st.realified]
+        for party in (st.alice, st.bob):
+            arrays += [party.columns, party.phases, party.mix]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    def test_other_dimensions_keep_none(self):
+        run_witness(WitnessConfig(4, 1, 0.5))
+        assert dimwitness.witness._geodesic_strategy.cache_info().currsize == 0
+
+    def test_computes_the_bits_of_a_fresh_strategy(self):
+        kept, fresh = dimwitness.witness._geodesic_strategy(), quantum.tsirelson_strategy(3)
+        assert fresh.table.flags.writeable and np.array_equal(kept.table, fresh.table)
+        rows = SphereSampler(3, seed=43).sample(128)
+        assert (quantum.max_correlation_deviation(kept, rows[::2], rows[1::2])
+                == quantum.max_correlation_deviation(fresh, rows[::2], rows[1::2]))
+        for a, b in rows[:20].reshape(10, 2, 3):
+            assert quantum.correlation(kept, a, b) == quantum.correlation(fresh, a, b)
+            rk, rf = quantum.vectorize(kept, a, b), quantum.vectorize(fresh, a, b)
+            assert np.array_equal(rk.alice_vector, rf.alice_vector)
+            assert np.array_equal(rk.bob_vector, rf.bob_vector)
