@@ -12,7 +12,7 @@ The inner-product kernel M_uv = w_u . w_v of the witness has its own
 optimizer and never goes through the see-saw: its optimum over unit vectors
 in R^m is (max f)^2 with f(C) = sum_u ||C^T w_u|| over n x m matrices of
 unit Frobenius norm, and the see-saw is the fixed-point iteration
-C <- W^T X / ||W^T X||_F of f.  `dot_adversary` climbs f on the n x m state
+C <- W^T X / ||W^T X||_F of f.  `dot_climb` climbs f on the n x m state
 instead of the regions x m rows: damped Riemannian Newton steps, with that
 fixed-point step as the monotone fallback, converge in tens of iterations
 where the see-saw took hundreds of sweeps.  A Newton step that fails is
@@ -34,12 +34,10 @@ import numpy as np
 
 from .analytic_bounds import y_closed_form
 from .errors import DomainError, ResourceError
-from .seeding import make_rng
 from .sphere import (
     EpsNet,
     RegionMoments,
     SphereSampler,
-    _redraw_zero_rows,
     assign_regions,
     read_matrix_csv,
     require_moments_of,
@@ -58,7 +56,7 @@ __all__ = [
     "project_embed",
     "empirical_ratio",
     "kernel_value",
-    "dot_adversary",
+    "dot_climb",
     "dot_upper_bound",
     "moment_value_std_error",
     "save_kernel_csv",
@@ -77,13 +75,13 @@ _STATIONARY_MOVEMENT = 2.5e-7
 # restarts x regions of a dot-adversary stack that advance together
 # (`_dot_restarts`): on small nets an iteration costs its numpy calls, which
 # the stack shares among restarts; on large ones the stack's arrays leave
-# cache and fill memory.  dot_adversary at m = 2 on the deep run's net
+# cache and fill memory.  dot_climb at m = 2 on the deep run's net
 # (163 842 regions, one BLAS thread, 2-core x86 VM): 5.2 s and 116 MB peak
 # RSS with one restart per stack, against 6.8 s and 563 MB with all 16 in
 # one stack
 _STACK_ROWS = 2 ** 14
 
-# the dot-kernel adversary (dot_adversary)
+# the dot-kernel adversary (dot_climb)
 ADVERSARY_RESTARTS = 16
 ADVERSARY_MAX_ITERS = 1000  # iterations per restart
 ADVERSARY_STOP_RULE = "neither the damped Newton step nor the fixed-point step raises f"
@@ -163,7 +161,7 @@ def discretize_kernel(
 
     For the inner-product kernel (pass DOT_KERNEL) the vector moments make the
     integral exact: M_ij = w_i . w_j, the entries of W W^T.  The witness
-    itself never forms them: `dot_adversary` works on W.  A general kernel
+    itself never forms them: `dot_climb` works on W.  A general kernel
     must be a vectorized callable on (batch, dim) row pairs and is estimated
     by Monte Carlo over `samples` independent (a, b) pairs.
     """
@@ -547,8 +545,11 @@ def _dot_ascent(
     scored again at 10, 100, ... times the damping, capped at 1, from the
     same eigendecomposition, and the least damped rung that raises f
     replaces the fixed-point step; only if none does is the fixed-point
-    step taken.  The first rung is scored together with the fixed-point
-    step, the rest one at a time.  The next iteration starts at the
+    step taken.  The first rung, the least damped whose floor exceeds the
+    least |lambda| (`_next_rung`; a rung below it gives the failed step
+    again), is scored together with the fixed-point step; every rung above
+    it has a larger floor still, and they are scored one at a time, least
+    damped first.  The next iteration starts at the
     damping of the step taken: a Newton step that raises f at once
     divides it by 10 (down to 1e-9), an accepted rung keeps its own, and
     a fixed-point step multiplies it by 10 (up to 1).  Whether a step
@@ -595,8 +596,7 @@ def _dot_ascent(
         level = np.where(raised, np.maximum(level - 1, 0), np.minimum(level + 1, top))
         if not raised.all():
             fall = np.flatnonzero(~raised)
-            least = eig[0][fall].min(axis=1)
-            rung = _next_rung(tried[fall], f[fall], least)
+            rung = _next_rung(tried[fall], f[fall], eig[0][fall].min(axis=1))
             # each failed state's fixed-point step, then its first rung
             # (scored at damping 1 where there is none, and not taken)
             rows = np.concatenate([fall, fall])
@@ -608,21 +608,17 @@ def _dot_ascent(
             pick = np.flatnonzero(np.concatenate([fixed_up & ~rung_up, rung_up]))
             take(rows[pick], pick, cand, cand_y, cand_s, cand_f)
             level[fall[rung_up]] = rung[rung_up]
-            # the rungs above, one at a time, while the fixed-point step
-            # raises f and no rung has yet
-            climb = fixed_up & ~rung_up & (rung >= 0)
-            rows, least, rung = fall[climb], least[climb], rung[climb]
+            # the rungs above, one at a time up to the top, while the
+            # fixed-point step raises f and no rung has yet
+            climb = fixed_up & ~rung_up & (rung >= 0) & (rung < top)
+            rows, rung = fall[climb], rung[climb] + 1
             while rows.size:
-                rung = _next_rung(rung, f[rows], least)
-                more = rung >= 0
-                rows, least, rung = rows[more], least[more], rung[more]
-                if not rows.size:
-                    break
                 cand = rung_states(rows, rung)
                 cand_y, cand_s, cand_f, up = score(rows, cand)
                 take(rows[up], up, cand, cand_y, cand_s, cand_f)
                 level[rows[up]] = rung[up]
-                rows, least, rung = rows[~up], least[~up], rung[~up]
+                more = ~up & (rung < top)
+                rows, rung = rows[more], rung[more] + 1
         leaving = ~raised | (iteration == ADVERSARY_MAX_ITERS)
         if leaving.any():
             for slot in np.flatnonzero(leaving).tolist():
@@ -653,33 +649,23 @@ def _dot_restarts(
 ) -> Iterator[Tuple[float, np.ndarray, int, bool, List[float]]]:
     """`_dot_ascent` runs of every restart, in restart order, from stacks of
     at most max(1, _STACK_ROWS // regions) starts.  Restart r starts at
-    C ∝ W^T Y, Y the first draw of SphereSampler(k, seed, r); where W^T Y is
+    C ∝ W^T Y, Y = SphereSampler(k, seed, r).sample(regions); where W^T Y is
     exactly zero (at n = 1 the two regions' signs cancel for about half the
-    draws), at C = e_1 e_1^T instead."""
-    group = max(1, _STACK_ROWS // w.shape[0])
+    draws), at C = e_j e_1^T instead, column j of W the one of largest norm,
+    so that f > 0 for every nonzero W."""
+    regions = w.shape[0]
+    group = max(1, _STACK_ROWS // regions)
+    column = int(np.argmax(np.linalg.norm(w, axis=0)))
     for first in range(0, ADVERSARY_RESTARTS, group):
-        restarts = range(first, min(first + group, ADVERSARY_RESTARTS))
-        yield from _dot_ascent(w, _unit_states(_dot_starts(w, k, seed, restarts)))
+        starts = np.stack([w.T @ SphereSampler(k, seed, r).sample(regions)
+                           for r in range(first, min(first + group, ADVERSARY_RESTARTS))])
+        starts[~np.any(starts != 0.0, axis=(1, 2)), column, 0] = 1.0
+        yield from _dot_ascent(w, _unit_states(starts))
 
 
-def _dot_starts(w: np.ndarray, k: int, seed: int, restarts: range) -> np.ndarray:
-    """(restarts, n, k) stack of W^T Y, Y the first draw of
-    SphereSampler(k, seed, r) for each restart r, bit for bit, with
-    C = e_1 e_1^T where W^T Y is exactly zero.  The draws of all restarts
-    are normalized together and multiplied by W^T in one product."""
-    rngs = [make_rng(seed, r) for r in restarts]
-    rows = np.stack([rng.standard_normal((w.shape[0], k)) for rng in rngs])
-    norms = np.linalg.norm(rows, axis=2)
-    for r in np.flatnonzero(np.any(norms == 0.0, axis=1)):
-        _redraw_zero_rows(rngs[r], rows[r], norms[r])
-    rows /= norms[:, :, None]
-    starts = np.matmul(w.T, rows)
-    starts[~np.any(starts != 0.0, axis=(1, 2)), 0, 0] = 1.0
-    return starts
-
-
-def dot_adversary(moments: RegionMoments, m: int, seed: int) -> Tuple[SeesawResult, float]:
-    """(adversary, its SE) of the kernel M_uv = w_u . w_v.
+def dot_climb(w: np.ndarray, m: int, seed: int) -> SeesawResult:
+    """The adversary of the kernel M_uv = w_u . w_v on the (regions, n)
+    moment vectors `w`, its assignment's arrays read-only.
 
     The adversary maximizes sum_uv (w_u . w_v) x_u . y_v over unit vectors
     in R^m.  Its optimum is (max f)^2, f(C) = sum_u ||C^T w_u|| over n x m
@@ -691,24 +677,17 @@ def dot_adversary(moments: RegionMoments, m: int, seed: int) -> Tuple[SeesawResu
     result's value is `dot_value(W, X, X)` at its assignment X, rows and
     columns alike (regions with C^T w_u = 0, the empty ones among them, get
     e_1); `converged` is false only when the restart hit
-    ADVERSARY_MAX_ITERS.  The SE is first order in the moments.
+    ADVERSARY_MAX_ITERS.  At W = 0 every assignment has value 0, which is
+    returned without a climb, after 0 iterations.
     """
-    adversary = dot_climb(moments.moment_vectors, m, seed)
-    return adversary, moment_value_std_error(moments, adversary.assignment.row_vectors)
-
-
-def dot_climb(w: np.ndarray, m: int, seed: int) -> SeesawResult:
-    """The adversary of `dot_adversary` on the (regions, n) moment vectors
-    `w`, its assignment's arrays read-only."""
     if m < 1:
         raise DomainError("m must be >= 1")
     regions, n = w.shape
     k = min(m, n)
-    best = None
-    for run in _dot_restarts(w, k, seed):
-        if best is None or run[0] > best[0]:
-            best = run
-    _, x, iterations, converged, trace = best
+    if w.any():
+        _, x, iterations, converged, trace = max(_dot_restarts(w, k, seed), key=lambda run: run[0])
+    else:
+        x, iterations, converged, trace = np.zeros((regions, k)), 0, True, []
     vectors = np.zeros((regions, m))
     vectors[:, :k] = x
     vectors[~np.any(x != 0.0, axis=1), 0] = 1.0
@@ -771,7 +750,7 @@ def empirical_ratio(
                   `dot_value` at x_u = y_u = w_u / ||w_u|| (empty regions
                   get zero vectors and contribute nothing), or the adversary
                   value itself when m = n
-    denominator = adversary value at embedding dimension m (`dot_adversary`)
+    denominator = adversary value at embedding dimension m (`dot_climb`)
     The ratio approaches the analytic bound from below as eps shrinks; a
     finite net only resolves so much.
     """
@@ -779,7 +758,8 @@ def empirical_ratio(
         raise DomainError("net dimension does not match n")
     if not (1 <= m <= n):
         raise DomainError("need 1 <= m <= n")
-    result, den_se = dot_adversary(moments, m, seed)
+    result = dot_climb(moments.moment_vectors, m, seed)
+    den_se = moment_value_std_error(moments, result.assignment.row_vectors)
 
     if m == n:
         # the numerator optimization at dimension n is the denominator itself

@@ -78,11 +78,15 @@ def _jordan_wigner(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.stack(columns), np.stack(phases)
 
 
-def _check_size(n: int) -> None:
+def _check_size(n: int) -> int:
+    """n as an int, refused unless it is a whole number in 1..MAX_GENERATORS."""
+    if int(n) != n:
+        raise DomainError("n must be an integer")
     if n < 1:
         raise DomainError("need n >= 1")
     if n > MAX_GENERATORS:
         raise ResourceError(f"clifford_generators limited to n <= {MAX_GENERATORS}")
+    return int(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +100,7 @@ class CliffordSet:
 
 def clifford_generators(n: int) -> CliffordSet:
     """n anticommuting generators on C^d, d = 2^floor(n/2), via Jordan-Wigner."""
-    _check_size(n)
+    n = _check_size(n)
     stack = PauliMap(*_jordan_wigner(n), np.eye(n)).generators()
     return CliffordSet(n=n, d=stack.shape[1], generators=list(stack))
 
@@ -243,7 +247,7 @@ def tsirelson_strategy(n: int) -> QuantumStrategy:
     on sum_i |ii> / sqrt(d).  The Pauli tables come from the Jordan-Wigner
     strings directly; no dense generator is formed.
     """
-    _check_size(n)
+    n = _check_size(n)
     columns, phases = _jordan_wigner(n)
     d = columns.shape[1]
     state = (np.eye(d, dtype=complex) / np.sqrt(d)).reshape(-1)

@@ -32,10 +32,11 @@ from dimwitness.embedding_opt import (
     SEESAW_TOL,
     SeesawResult,
     VectorAssignment,
-    dot_adversary,
+    dot_climb,
     dot_upper_bound,
     kernel_value,
     load_kernel_csv,
+    moment_value_std_error,
     save_kernel_csv,
 )
 from dimwitness.seeding import derive_seed
@@ -353,13 +354,13 @@ class TestDotAdversary:
     def test_not_below_the_seesaw(self, make, m):
         moments, seed = make()
         seesaw = seesaw_maximize(dot_kernel(moments.moment_vectors), m, seed=seed)
-        adversary = dot_adversary(moments, m, seed)[0]
+        adversary = dot_climb(moments.moment_vectors, m, seed)
         assert adversary.value >= seesaw.value - 1e-9
         assert adversary.converged
 
     def test_assignment_reproduces_the_value(self):
         moments, seed = witness_moments(0.3, 4)
-        adversary = dot_adversary(moments, 2, seed)[0]
+        adversary = dot_climb(moments.moment_vectors, 2, seed)
         rows = adversary.assignment.row_vectors
         assert np.array_equal(rows, adversary.assignment.col_vectors)
         assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() <= 1e-12
@@ -376,19 +377,19 @@ class TestDotAdversary:
         w = moments.moment_vectors.copy()
         w[5] = 0.0
         emptied = dataclasses.replace(moments, moment_vectors=w)
-        first, second = dot_adversary(emptied, 2, 3), dot_adversary(emptied, 2, 3)
-        assert np.isfinite(first[0].value) and np.isfinite(first[1])
-        assert np.array_equal(first[0].assignment.row_vectors[5], [1.0, 0.0])
-        assert first[0].value == second[0].value
-        assert np.array_equal(first[0].assignment.row_vectors,
-                              second[0].assignment.row_vectors)
+        first, second = dot_climb(w, 2, 3), dot_climb(w, 2, 3)
+        assert np.isfinite(first.value)
+        assert np.isfinite(moment_value_std_error(emptied, first.assignment.row_vectors))
+        assert np.array_equal(first.assignment.row_vectors[5], [1.0, 0.0])
+        assert first.value == second.value
+        assert np.array_equal(first.assignment.row_vectors, second.assignment.row_vectors)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_one_dimension_reaches_the_sign_optimum(self, seed):
         moments = geodesic_moments(1, seed)  # 12 regions: signs enumerate
         w = moments.moment_vectors
         exact = brute_force_signs(dot_kernel(w))
-        first, second = dot_adversary(moments, 1, seed)[0], dot_adversary(moments, 1, seed)[0]
+        first, second = dot_climb(w, 1, seed), dot_climb(w, 1, seed)
         assert first.value == pytest.approx(exact, rel=1e-14)
         assert first.value == second.value
         assert np.abs(np.abs(first.assignment.row_vectors) - 1.0).max() <= 1e-15
@@ -396,8 +397,8 @@ class TestDotAdversary:
     @pytest.mark.parametrize("m", [4, 6])
     def test_m_at_least_n_is_solved_at_n(self, m):
         moments = geodesic_moments(2, 2)
-        at_n = dot_adversary(moments, 3, 7)[0]
-        padded = dot_adversary(moments, m, 7)[0]
+        at_n = dot_climb(moments.moment_vectors, 3, 7)
+        padded = dot_climb(moments.moment_vectors, m, 7)
         assert padded.value == pytest.approx(at_n.value, rel=1e-15)
         assert padded.assignment.m == m
         assert np.array_equal(padded.assignment.row_vectors[:, :3],
@@ -423,46 +424,20 @@ class TestDotAdversary:
             f0 = np.linalg.norm(w @ pulled, axis=1).sum() / np.linalg.norm(pulled)
             assert run[4][0] == pytest.approx(f0 * f0, rel=1e-13)
 
-    @pytest.mark.parametrize("regions, n, k", [(92, 3, 2), (92, 5, 2), (40, 4, 3), (2, 1, 1)])
-    def test_starts_are_the_samplers_draws_bit_for_bit(self, regions, n, k):
-        # restart r starts at W^T Y, Y = SphereSampler(k, seed, r).sample(regions),
-        # or at e_1 e_1^T where that product is exactly zero: at n = 1 with
-        # opposite moments, for the draws whose two signs agree
-        rng = np.random.default_rng(regions + n)
-        w = rng.standard_normal((regions, n))
-        if n == 1:
-            w[1] = -w[0]
-        starts = embedding_opt._dot_starts(w, k, 8, range(16))
-        for restart, start in enumerate(starts):
-            want = w.T @ SphereSampler(k, 8, restart).sample(regions)
-            if not want.any():
-                want[0, 0] = 1.0
-            assert np.array_equal(start, want), restart
-        if n == 1:
-            assert 0 < sum(start.tolist() == [[1.0]] for start in starts) < 16
-
-    def test_starts_draw_rows_of_zero_norm_again(self, monkeypatch):
-        # restart 1's first draw has a zero row and a row whose squares
-        # underflow; both are drawn again from restart 1's own stream, as
-        # SphereSampler.sample draws them
-        class Stub:
-            def __init__(self, draws):
-                self.draws = list(draws)
-
-            def standard_normal(self, shape):
-                return np.array(self.draws.pop(0), dtype=float).reshape(shape)
-
-        make_rng = embedding_opt.make_rng
-        stub = Stub([[[0.0, 0.0], [3.0, 4.0], [1e-300, -1e-300]], [[1e-200, 1.0], [0.0, 2.0]]])
-        monkeypatch.setattr(embedding_opt, "make_rng",
-                            lambda seed, r: stub if r == 1 else make_rng(seed, r))
-        w = np.arange(6.0).reshape(3, 2)
-        starts = embedding_opt._dot_starts(w, 2, 8, range(3))
-        redrawn = np.array([[1e-200, 1.0], [3.0, 4.0], [0.0, 2.0]])
-        redrawn /= np.linalg.norm(redrawn, axis=1)[:, None]
-        assert np.array_equal(starts[1], w.T @ redrawn)
-        for r in (0, 2):
-            assert np.array_equal(starts[r], w.T @ SphereSampler(2, 8, r).sample(3))
+    def test_no_restart_starts_at_f_zero(self):
+        # W^T Y is exactly zero for the draws whose two signs agree, and W's
+        # first column is zero: a start at e_1 e_1^T would have f = 0, and
+        # its Newton step and unit state would divide 0 by 0.  W's second
+        # column is the largest, and every restart starts on it
+        w = np.array([[0.0, 1.0], [0.0, -1.0]])
+        for seed in range(6):
+            runs = list(embedding_opt._dot_restarts(w, 1, seed))
+            assert [run[0] for run in runs] == [2.0] * len(runs)
+            assert dot_climb(w, 1, seed).value == 4.0
+        # at W = 0 every state has f = 0: the value 0 needs no climb
+        zero = dot_climb(np.zeros((4, 3)), 2, 0)
+        assert zero.value == 0.0 and zero.iterations == 0 and zero.converged
+        assert np.array_equal(zero.assignment.row_vectors, np.tile([1.0, 0.0], (4, 1)))
 
     def test_iteration_count_guard(self):
         # counts repeat exactly.  Measured: largest 30 and total 322; 46 and
@@ -519,40 +494,52 @@ class TestDotAdversary:
             assert not (failed[i] and failed[i + 1] and damping[i + 1] > damping[i] * 1.5)
 
     def test_accepted_rung_is_the_least_damped_that_raises_f(self, monkeypatch):
-        moments, seed = witness_moments(0.3, 77)
-        w = moments.moment_vectors
-        wt = np.ascontiguousarray(w.T)
-        newton = embedding_opt._DotNewton(w, 2)
-        iterations = []
-        for restart in range(embedding_opt.ADVERSARY_RESTARTS):
-            start = self.restart_start(w, seed, restart)
-            iterations.append(self.recorded_ascent(w, start, monkeypatch)[1])
-        rungs = 0
+        # restart 2 of the second input scores, in its first iteration, the
+        # rungs 7, 8 and 9, the top, after its Newton step at 1e-9 failed
         dampings = embedding_opt._DAMPINGS
-        steps = [pair for run in iterations for pair in zip(run, run[1:])]
-        for it, following in steps:
-            c, y, s, f = it["c"], it["y"], it["s"], it["f"]
-            tried = int(np.argmin(np.abs(np.log(dampings * f[0] / it["floors"][0]))))
+        top = dampings.size - 1
+        rungs = climbs = 0
+        for eps_seed in (77, 10):
+            moments, seed = witness_moments(0.3, eps_seed)
+            w = moments.moment_vectors
+            wt = np.ascontiguousarray(w.T)
+            newton = embedding_opt._DotNewton(w, 2)
+            steps = []
+            for restart in range(embedding_opt.ADVERSARY_RESTARTS):
+                run = self.recorded_ascent(w, self.restart_start(w, seed, restart), monkeypatch)[1]
+                steps += zip(run, run[1:])
+            for it, following in steps:
+                c, y, s, f = it["c"], it["y"], it["s"], it["f"]
+                scored = [int(np.argmin(np.abs(np.log(dampings * f[0] / floor))))
+                          for floor in it["floors"]]
+                tried = scored.pop(0)
 
-            def raises(cand):
-                cand_y, cand_s, _ = embedding_opt._dot_objective(wt, cand)
-                return embedding_opt._dot_gain(wt, c, y, s, f, cand, cand_y, cand_s)[0] > 0.0
+                def raises(cand):
+                    cand_y, cand_s, _ = embedding_opt._dot_objective(wt, cand)
+                    return embedding_opt._dot_gain(wt, c, y, s, f, cand, cand_y, cand_s)[0] > 0.0
 
-            def newton_state(damping):
-                step = newton.step(it["eig"], damping * f, c.shape)
-                return embedding_opt._unit_states(c + step)
+                def newton_state(damping):
+                    step = newton.step(it["eig"], damping * f, c.shape)
+                    return embedding_opt._unit_states(c + step)
 
-            if raises(newton_state(dampings[tried])):
-                continue
-            fixed = embedding_opt._unit_states(it["grad"])
-            assert raises(fixed)  # else the state would have stopped
-            # every rung above the damping tried, least damped first, with
-            # the ones the ascent skipped as giving the failed step again
-            up = [d for d in dampings[tried + 1:] if raises(newton_state(d))]
-            want = newton_state(up[0]) if up else fixed
-            assert np.array_equal(following["c"], want)
-            rungs += bool(up)
-        assert rungs > 0
+                if raises(newton_state(dampings[tried])):
+                    continue
+                fixed = embedding_opt._unit_states(it["grad"])
+                assert raises(fixed)  # else the state would have stopped
+                # every rung above the damping tried, least damped first, with
+                # the ones the ascent skipped as giving the failed step again
+                up = [d for d in dampings[tried + 1:] if raises(newton_state(d))]
+                want = newton_state(up[0]) if up else fixed
+                assert np.array_equal(following["c"], want)
+                rungs += bool(up)
+                # after the first rung, the ones above it in turn, up to the
+                # first that raises f or else the top
+                first = scored[0]
+                last = next((j for j in range(first, top)
+                             if raises(newton_state(dampings[j]))), top)
+                assert scored == list(range(first, last + 1))
+                climbs += len(scored) > 2 and last == top
+        assert rungs > 0 and climbs > 0
 
     @pytest.mark.parametrize("n, k", [(3, 2), (5, 2), (4, 3)])
     def test_newton_step_is_tangent_and_off_the_gauge(self, n, k):
@@ -608,7 +595,7 @@ class TestDotAdversary:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            dot_adversary(geodesic_moments(1, 0), 0, 0)
+            dot_climb(geodesic_moments(1, 0).moment_vectors, 0, 0)
 
 
 class TestDotUpperBound:
@@ -619,7 +606,7 @@ class TestDotUpperBound:
     def test_not_below_the_adversary_on_greedy_nets(self, n, eps):
         # measured gaps 1.3e-3, 4.5e-3 and 5.3e-3
         _, moments = greedy_net_and_moments(n, eps, 0)
-        assert dot_upper_bound(moments) >= dot_adversary(moments, n, 1)[0].value
+        assert dot_upper_bound(moments) >= dot_climb(moments.moment_vectors, n, 1).value
 
     @pytest.mark.parametrize("k", range(1, 5))
     def test_tight_on_geodesic_nets(self, k):
@@ -634,7 +621,8 @@ class TestDotUpperBound:
             regions = moments.moment_vectors.shape[0]
             allowance = 2 * (math.ceil(math.log2(3 * regions)) + 10) * 2.0 ** -53
             upper = dot_upper_bound(moments)
-            assert abs(upper - dot_adversary(moments, 3, seed)[0].value) <= allowance * upper
+            adversary = dot_climb(moments.moment_vectors, 3, seed).value
+            assert abs(upper - adversary) <= allowance * upper
 
     def test_empty_regions_count_nothing(self):
         moments = voronoi_moments(geodesic_net(3, 0))

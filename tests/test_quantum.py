@@ -134,6 +134,13 @@ class TestCliffordGenerators:
         with pytest.raises(DomainError):
             tsirelson_strategy(0)
 
+    def test_non_integral_n_is_refused(self):
+        # a whole number given as a float is taken as that number
+        for make in (clifford_generators, tsirelson_strategy):
+            with pytest.raises(DomainError):
+                make(2.5)
+            assert make(3.0).d == make(3).d == 2
+
 
 class TestTsirelsonStrategy:
     def test_same_direction(self):

@@ -185,7 +185,7 @@ class TestBellValueFinite:
         geodesic, greedy = geodesic_net(16, 4), build_eps_net(5, 0.7, seed=4)
         for net, mom in ((geodesic, voronoi_moments(geodesic)),
                          (greedy, region_moments(greedy, 100 * greedy.size, SphereSampler(5, 68)))):
-            adversary = embedding_opt.dot_adversary(mom, 2, 5)[0]
+            adversary = embedding_opt.dot_climb(mom.moment_vectors, 2, 5)
             x = adversary.assignment.row_vectors
             assert adversary.value == bell_value_finite(net, mom, (x, x))
             w = mom.moment_vectors
@@ -463,7 +463,7 @@ def per_seed_adversary(eps, seed):
     is `bell_value_finite`'s evaluation, as the kept one's is."""
     net = geodesic_net(geodesic_frequency(eps, 200_000), derive_seed(seed, "net"))
     moments = voronoi_moments(net)
-    return embedding_opt.dot_adversary(moments, 2, derive_seed(seed, "seesaw"))[0].value
+    return embedding_opt.dot_climb(moments.moment_vectors, 2, derive_seed(seed, "seesaw")).value
 
 
 # (eps, seeds) of acceptance criteria 9, 10 and 11 and of the witness-n3-ci
