@@ -46,6 +46,12 @@ def log_gamma(x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     which for 1e6 elements would hold 1e6 boxed floats).  Its relative
     error is about 1e-15 (so the absolute error is ~1e-9 at x ~ 1e6), and
     it stays finite far beyond the x = 1e6 this package needs.
+
+    The tests pin arrays to `math.lgamma` bit for bit, which no vectorized
+    path keeps: a numpy port of CPython's Lanczos sum matched it on every
+    argument tried with its logs from `math.log`, but with `np.log` (numpy
+    2.4.6, AVX-512) it differed on 58 of 1e6 arguments in [0.01, 1e6],
+    about 400 of 1e6 in (0, 10] and 102 of the 2e6 multiples of 1/2 to 1e6.
     """
     arr = np.asarray(x, dtype=float)
     if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr <= 0.0)):

@@ -455,7 +455,7 @@ class _DotNewton:
     w_u w_u^T with x_u = C^T w_u / s_u.  It is assembled from the fixed
     regions x n(n+1)/2 table of w_u w_u^T and a k^2 x regions table of
     (delta_ij - x_ui x_uj) / s_u per state, never from a regions x n k array.
-    `directions` diagonalizes the projected Newton system once per
+    `directions` diagonalizes the tangent Newton system once per
     iteration, and `step` forms the step at any damping from it.
     """
 
@@ -464,27 +464,13 @@ class _DotNewton:
         a, b, self.hess_k, self.hess_n, self.gauge_at, self.gauge_sign = _newton_tables(n, k)
         self.w, self.wt = w, np.ascontiguousarray(w.T)
         self.w_pairs = w[:, a] * w[:, b]
-        self.eye_k, self.eye_nk = np.eye(k)[:, :, None], np.eye(n * k)
+        self.eye_k = np.eye(k)[:, :, None]
+        self.eye_tangent = np.eye(n * k - self.gauge_at.shape[1])
 
     def normal_and_gauge(self, c: np.ndarray) -> np.ndarray:
         """(stack, k n, 1 + k(k-1)/2): vec(C^T) and each vec((C E_ij)^T) of
         a (stack, k, n) stack, with E_ij = e_i e_j^T - e_j e_i^T."""
         return c.reshape(c.shape[0], -1)[:, self.gauge_at] * self.gauge_sign
-
-    def off_gauge(self, c: np.ndarray) -> np.ndarray:
-        """Projector off the span of `normal_and_gauge(c)`, per unit state.
-
-        At k <= 2 the spanning directions are orthonormal, so the projector
-        is I - V V^T: C is a unit vector, and the one C E (k = 2) is C with
-        its columns turned by a right angle, a unit vector orthogonal to C
-        (<C, C E> = tr(C^T C E) = 0, C^T C symmetric and E antisymmetric).
-        From k = 3 the C E_ij are not orthogonal, and the pseudoinverse
-        gives I - V V^+.
-        """
-        v = self.normal_and_gauge(c)
-        if c.shape[1] <= 2:
-            return self.eye_nk - v @ v.transpose(0, 2, 1)
-        return self.eye_nk - v @ np.linalg.pinv(v)
 
     def directions(
         self, c: np.ndarray, y: np.ndarray, s: np.ndarray, f: np.ndarray
@@ -493,13 +479,15 @@ class _DotNewton:
 
         X has rows x_u (zero where s_u = 0) and grad = W^T X is the Euclidean
         gradient of f; both come regions-last and transposed, like Y and C.
-        The Newton step solves (f I - Pg H Pg) D = Pg grad, with Pg the
-        projector off the normal direction C and the gauge directions C E
-        (E antisymmetric; f(CQ) = f(C) for orthogonal Q): the Riemannian
-        Newton step, with the direction off the sphere and the directions
-        along which f is flat taken out.  `eig` holds the eigenvalue
-        magnitudes |lambda| of that system, its eigenvectors and the
-        coefficients of Pg grad in them, for `step`.
+        The Newton step D = B z solves (f I - B^T H B) z = B^T grad, the
+        Riemannian Newton system on the tangent space: B is an orthonormal
+        basis of the complement of V, the normal direction C and the gauge
+        directions C E of `normal_and_gauge` (E antisymmetric; f(CQ) = f(C)
+        for orthogonal Q), at every k the last k n - g columns of the
+        complete QR factor of V, g = 1 + k(k-1)/2 (V has full column rank
+        unless rank C <= k - 2).  `eig` holds the eigenvalue magnitudes
+        |lambda| of that system, its eigenvectors times B and the
+        coefficients of grad in them, for `step`.
         """
         stack, k, n = c.shape
         inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0.0)
@@ -511,12 +499,12 @@ class _DotNewton:
         packed = np.matmul(table.reshape(stack, k * k, -1), self.w_pairs)
         hess = packed[:, self.hess_k, self.hess_n].reshape(stack, k * n, k * n)
 
-        off = self.off_gauge(c)
-        # Pg grad = grad - f C, since <grad, C> = f and grad is orthogonal
-        # to every gauge direction
-        tangent = (grad - f[:, None, None] * c).reshape(stack, 1, k * n)
-        lam, vecs = np.linalg.eigh(f[:, None, None] * self.eye_nk - off @ hess @ off)
-        coef = np.matmul(tangent, vecs)[:, 0]
+        v = self.normal_and_gauge(c)
+        basis = np.linalg.qr(v, mode="complete")[0][:, :, v.shape[2]:]
+        system = basis.transpose(0, 2, 1) @ hess @ basis
+        lam, vecs = np.linalg.eigh(f[:, None, None] * self.eye_tangent - system)
+        vecs = np.matmul(basis, vecs)
+        coef = np.matmul(grad.reshape(stack, 1, k * n), vecs)[:, 0]
         return x, grad, (np.abs(lam), vecs, coef)
 
     @staticmethod
@@ -596,7 +584,7 @@ def _dot_ascent(
         level = np.where(raised, np.maximum(level - 1, 0), np.minimum(level + 1, top))
         if not raised.all():
             fall = np.flatnonzero(~raised)
-            rung = _next_rung(tried[fall], f[fall], eig[0][fall].min(axis=1))
+            rung = _next_rung(tried[fall], f[fall], eig[0][fall])
             # each failed state's fixed-point step, then its first rung
             # (scored at damping 1 where there is none, and not taken)
             rows = np.concatenate([fall, fall])
@@ -635,11 +623,13 @@ def _dot_ascent(
     return done
 
 
-def _next_rung(level: np.ndarray, f: np.ndarray, least: np.ndarray) -> np.ndarray:
+def _next_rung(level: np.ndarray, f: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
     """Index in _DAMPINGS of the least damped rung above each `level` whose
-    floor _DAMPINGS[j] f exceeds `least`, the least |lambda|, or -1 where
-    there is none.  A floor at or below every |lambda| leaves every
-    eigenvalue as it is, so that rung gives the step of `level` again."""
+    floor _DAMPINGS[j] f exceeds the least |lambda| of its row of
+    `magnitude`, or -1 where there is none.  A floor at or below every
+    |lambda| leaves every eigenvalue as it is, so that rung gives the step
+    of `level` again; an empty tangent space (n = k = 1) has no rung."""
+    least = magnitude.min(axis=1, initial=np.inf)
     ok = (_DAMPINGS * f[:, None] > least[:, None]) & (_DAMPING_LEVELS > level[:, None])
     return np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -180,7 +180,8 @@ class WitnessReport:
         doc = {"schema": 1, "kind": "witness_report"}
         doc.update((f.name, getattr(self, f.name)) for f in fields(self))
         doc["config"] = self.config.to_dict()
-        doc["chain_checks"] = [asdict(c) for c in self.chain_checks]
+        doc["chain_checks"] = [{"name": c.name, "holds": c.holds, "slack": c.slack}
+                               for c in self.chain_checks]
         return doc
 
     def to_json(self) -> str:

@@ -541,7 +541,7 @@ class TestDotAdversary:
                 climbs += len(scored) > 2 and last == top
         assert rungs > 0 and climbs > 0
 
-    @pytest.mark.parametrize("n, k", [(3, 2), (5, 2), (4, 3)])
+    @pytest.mark.parametrize("n, k", [(3, 2), (5, 2), (4, 3), (9, 8)])
     def test_newton_step_is_tangent_and_off_the_gauge(self, n, k):
         # states are stored as C^T, (stack, k, n)
         w = SphereSampler(n, 40 + n).sample(60) / 60
@@ -584,14 +584,32 @@ class TestDotAdversary:
         states = embedding_opt._unit_states(np.stack([w.T @ x for x in results]))
         assert [run[2] for run in embedding_opt._dot_ascent(w, states)] == [1] * 16
 
-    @pytest.mark.parametrize("n, k", [(3, 1), (3, 2), (5, 1), (5, 2)])
-    def test_closed_form_projector_equals_the_pseudoinverse(self, n, k):
+    @pytest.mark.parametrize("n, k", [(3, 1), (3, 2), (5, 1), (5, 2), (4, 3), (9, 8)])
+    def test_newton_directions_are_an_orthonormal_tangent_basis(self, n, k):
+        # the eigenvectors B U of `directions` (U orthogonal) span what B
+        # does: the complement of the normal and gauge directions V
         w = SphereSampler(n, 50 + n).sample(40) / 40
         c = embedding_opt._unit_states(np.random.default_rng(k).normal(size=(3, k, n)))
         newton = embedding_opt._DotNewton(w, k)
+        y, s, f = embedding_opt._dot_objective(newton.wt, c)
+        magnitude, basis, _ = newton.directions(c, y, s, f)[2]
+        tangent = n * k - 1 - k * (k - 1) // 2
+        assert magnitude.shape == (3, tangent) and basis.shape == (3, n * k, tangent)
+        gram = basis.transpose(0, 2, 1) @ basis
+        assert np.abs(gram - np.eye(tangent)).max() <= 1e-14
         v = newton.normal_and_gauge(c)
         reference = np.eye(n * k) - v @ np.linalg.pinv(v)
-        assert np.abs(newton.off_gauge(c) - reference).max() <= 1e-14
+        assert np.abs(basis @ basis.transpose(0, 2, 1) - reference).max() <= 1e-14
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_one_dimensional_moments_climb_nowhere(self, m):
+        # at n = 1 the state is C = +-1 and f = sum_u |w_u| everywhere: the
+        # tangent space is empty, and the first iteration stops
+        w = np.random.default_rng(m).normal(size=(9, 1))
+        adversary = dot_climb(w, m, 5)
+        want = math.fsum(np.abs(w[:, 0])) ** 2
+        assert abs(adversary.value - want) <= math.ulp(want)
+        assert adversary.iterations == 1 and adversary.converged
 
     def test_domain(self):
         with pytest.raises(DomainError):

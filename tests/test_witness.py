@@ -396,9 +396,9 @@ class TestRunWitness:
             "c3_seesaw_chain_cap",
         ]
 
-    # the see-saw's Newton step divides by zero on the constant objective of
-    # n = 1 (a known defect, not this test's subject); the report must still
-    # fit the schema with the radius 0 of the two-point net on S^0
+    # at n = 1 the adversary's tangent space is empty and f is constant; the
+    # report must still fit the schema with the radius 0 of the two-point
+    # net on S^0
     def test_n1_report_fits_the_schema(self):
         # at n = 1 about half the restarts draw W^T Y = 0 and start at e_1 e_1^T
         doc = json.loads(run_witness(WitnessConfig(1, 1, 0.5, allow_small_n=True)).to_json())
@@ -417,7 +417,8 @@ class TestRunWitness:
         assert len(doc["chain_checks"]) == 4
 
     def test_report_keys_follow_the_fields(self):
-        doc = run_witness(WitnessConfig(n=3, d=1, eps=0.3, seed=6)).to_dict()
+        report = run_witness(WitnessConfig(n=3, d=1, eps=0.3, seed=6))
+        doc = report.to_dict()
         fields = [f.name for f in dataclasses.fields(dimwitness.witness.WitnessReport)]
         assert list(doc) == ["schema", "kind", *fields]
         assert list(doc) == [
@@ -429,6 +430,7 @@ class TestRunWitness:
         ]
         assert doc["config"] == WitnessConfig(n=3, d=1, eps=0.3, seed=6).to_dict()
         assert [list(c) for c in doc["chain_checks"]] == [["name", "holds", "slack"]] * 4
+        assert doc["chain_checks"] == [dataclasses.asdict(c) for c in report.chain_checks]
 
     def test_schema_lists_every_report_key(self):
         doc = run_witness(WitnessConfig(n=3, d=1, eps=0.3, seed=6)).to_dict()
