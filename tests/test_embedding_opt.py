@@ -584,6 +584,22 @@ class TestDotAdversary:
         states = embedding_opt._unit_states(np.stack([w.T @ x for x in results]))
         assert [run[2] for run in embedding_opt._dot_ascent(w, states)] == [1] * 16
 
+    @pytest.mark.parametrize("n, k", [(3, 1), (3, 2), (5, 1), (5, 2)])
+    def test_closed_form_projector_equals_the_pseudoinverse(self, n, k):
+        # at k <= 2 the normal C and the one gauge direction C E are
+        # orthonormal, so the projector off them is I - V V^T in closed form;
+        # it equals I - V V^+ and the projector B B^T of the Newton basis
+        w = SphereSampler(n, 50 + n).sample(40) / 40
+        c = embedding_opt._unit_states(np.random.default_rng(k).normal(size=(3, k, n)))
+        newton = embedding_opt._DotNewton(w, k)
+        v = newton.normal_and_gauge(c)
+        closed_form = np.eye(n * k) - v @ v.transpose(0, 2, 1)
+        reference = np.eye(n * k) - v @ np.linalg.pinv(v)
+        assert np.abs(closed_form - reference).max() <= 1e-14
+        y, s, f = embedding_opt._dot_objective(newton.wt, c)
+        basis = newton.directions(c, y, s, f)[2][1]
+        assert np.abs(basis @ basis.transpose(0, 2, 1) - closed_form).max() <= 1e-14
+
     @pytest.mark.parametrize("n, k", [(3, 1), (3, 2), (5, 1), (5, 2), (4, 3), (9, 8)])
     def test_newton_directions_are_an_orthonormal_tangent_basis(self, n, k):
         # the eigenvectors B U of `directions` (U orthogonal) span what B
