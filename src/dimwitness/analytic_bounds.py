@@ -17,7 +17,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, NumericalIntegrityError
+from .errors import DomainError, NumericalIntegrityError, as_integer
 
 __all__ = [
     "LowerBoundReport",
@@ -128,13 +128,14 @@ class LowerBoundReport:
         return asdict(self)
 
 
-def _check_nm(n: int, m: int) -> None:
-    if int(n) != n or int(m) != m:
-        raise DomainError("n and m must be integers")
+def _check_nm(n: int, m: int) -> Tuple[int, int]:
+    """(n, m) as ints, refused unless they are whole numbers with 1 <= m <= n."""
+    n, m = as_integer("n", n), as_integer("m", m)
     if m < 1:
         raise DomainError("m must satisfy m ≥ 1")
     if m > n:
         raise DomainError("m must satisfy m ≤ n")
+    return n, m
 
 
 def kg_lower_bound(n: int, m: int) -> LowerBoundReport:
@@ -145,9 +146,7 @@ def kg_lower_bound(n: int, m: int) -> LowerBoundReport:
     m = n (permitted as a trivial anchor even though the interesting regime
     is m < n).
     """
-    _check_nm(n, m)
-    n = int(n)
-    m = int(m)
+    n, m = _check_nm(n, m)
     log_f_n = log_f(n)
     log_f_m = log_f(m)
     log_bound = 2.0 * (log_f_n - log_f_m)
@@ -194,6 +193,7 @@ def monotonicity_check(n_max: int) -> Tuple[bool, Optional[int]]:
     lose resolution when f saturates toward 1/sqrt(2) at large n.  Returns
     (True, None) or (False, first_violating_k).
     """
+    n_max = as_integer("n_max", n_max)
     if n_max < 2:
         raise DomainError("n_max must be >= 2")
     ns = np.arange(1, n_max + 1, dtype=float)
@@ -242,11 +242,11 @@ def log1p_bounds(n: int) -> Tuple[float, float]:
     double precision the interval width 1/(4n^4) falls below the ulp of 1/n
     for n beyond ~1e4.
     """
+    n = as_integer("n", n)
     if n < 1:
         raise DomainError("log1p_bounds requires n >= 1")
     from mpmath import mp  # 20-30 ms to import; only the brackets need it
 
-    n = int(n)
     with mp.workdps(60):
         inv = mp.mpf(1) / n
         hi = inv - mp.mpf(1) / (2 * n**2) + mp.mpf(1) / (3 * n**3)

@@ -33,7 +33,7 @@ from typing import Callable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from .analytic_bounds import y_closed_form
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, as_integer
 from .sphere import (
     EpsNet,
     RegionMoments,
@@ -76,9 +76,9 @@ _STATIONARY_MOVEMENT = 2.5e-7
 # (`_dot_restarts`): on small nets an iteration costs its numpy calls, which
 # the stack shares among restarts; on large ones the stack's arrays leave
 # cache and fill memory.  dot_climb at m = 2 on the deep run's net
-# (163 842 regions, one BLAS thread, 2-core x86 VM): 5.2 s and 116 MB peak
-# RSS with one restart per stack, against 6.8 s and 563 MB with all 16 in
-# one stack
+# (163 842 regions, one BLAS thread, 2-core x86 VM): 3.2-3.3 s and 121 MB
+# peak RSS with one restart per stack, against 5.0-5.4 s and 486 MB with
+# all 16 in one stack
 _STACK_ROWS = 2 ** 14
 
 # the dot-kernel adversary (dot_climb)
@@ -249,6 +249,7 @@ def seesaw_maximize(
     whose sum_ij |M_ij| exceeds half of float64's maximum is refused
     (DomainError) before the first sweep.
     """
+    m, restarts = as_integer("m", m), as_integer("restarts", restarts)
     if m < 1:
         raise DomainError("m must be >= 1")
     if restarts < 1:
@@ -670,6 +671,7 @@ def dot_climb(w: np.ndarray, m: int, seed: int) -> SeesawResult:
     ADVERSARY_MAX_ITERS.  At W = 0 every assignment has value 0, which is
     returned without a climb, after 0 iterations.
     """
+    m = as_integer("m", m)
     if m < 1:
         raise DomainError("m must be >= 1")
     regions, n = w.shape

@@ -17,3 +17,24 @@ class ResourceError(RuntimeError):
 
 class NumericalIntegrityError(ArithmeticError):
     """A quantity violated a numerical invariant (e.g. a stray imaginary part)."""
+
+
+def as_integer(name: str, value) -> int:
+    """`value` as an int, or DomainError unless it is a whole number: None,
+    strings, NaN, inf and 2.5 are refused, 3.0 is 3."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def check_open_unit(name: str, value) -> None:
+    """DomainError unless `value` is a number in (0, 1): NaN and strings are not."""
+    try:
+        if 0.0 < value < 1.0:
+            return
+    except TypeError:
+        pass
+    raise DomainError(f"{name} must lie in (0, 1)")

@@ -35,7 +35,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, NumericalIntegrityError, ResourceError
+from .errors import DomainError, NumericalIntegrityError, ResourceError, as_integer
 
 __all__ = [
     "CliffordSet",
@@ -80,13 +80,12 @@ def _jordan_wigner(n: int) -> Tuple[np.ndarray, np.ndarray]:
 
 def _check_size(n: int) -> int:
     """n as an int, refused unless it is a whole number in 1..MAX_GENERATORS."""
-    if int(n) != n:
-        raise DomainError("n must be an integer")
+    n = as_integer("n", n)
     if n < 1:
         raise DomainError("need n >= 1")
     if n > MAX_GENERATORS:
         raise ResourceError(f"clifford_generators limited to n <= {MAX_GENERATORS}")
-    return int(n)
+    return n
 
 
 @dataclass(frozen=True, eq=False)

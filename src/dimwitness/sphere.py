@@ -36,7 +36,8 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, NumericalIntegrityError, ResourceError
+from .errors import (DomainError, NumericalIntegrityError, ResourceError, as_integer,
+                     check_open_unit)
 from .seeding import make_rng
 
 __all__ = [
@@ -90,6 +91,7 @@ class SphereSampler:
     _rng: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.dim = as_integer("dim", self.dim)
         if self.dim < 1:
             raise DomainError("SphereSampler requires dim >= 1")
         self._rng = make_rng(self.seed, self.stream_id)
@@ -285,21 +287,13 @@ def _sorted_rows(rows: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
     return order, new
 
 
-def _horizon(ridges: np.ndarray, size: int) -> np.ndarray:
-    """The rows of `ridges`, entries in range(size), that occur exactly
-    once, in the order of `_sorted_rows`: the ridges of a set of facets
-    that lie in only one of them."""
-    order, new = _sorted_rows(ridges, size)
-    return ridges.take(order[new[:-1] & new[1:]], axis=0)
-
-
 def _distinct_rows(rows: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(first, counts) over the distinct rows of `rows`, entries in
-    range(size): the index of each one's first occurrence and its number of
+    """(index, counts) over the distinct rows of `rows`, entries in
+    range(size): the index of one occurrence of each and its number of
     occurrences, in the order of `_sorted_rows`."""
     order, new = _sorted_rows(rows, size)
     starts = np.flatnonzero(new)
-    return np.minimum.reduceat(order, starts[:-1]), np.diff(starts)
+    return order[starts[:-1]], np.diff(starts)
 
 
 @functools.lru_cache(maxsize=None)
@@ -439,10 +433,10 @@ def _insert_last(points: np.ndarray, hull: _Hull) -> _Hull:
     hull of `points` in place by beneath-beyond insertion, and returned.
 
     The facets whose planes p lies above (p.m > 1) are deleted, and p is
-    joined to their horizon, the ridges that lie in exactly one deleted
-    facet (`_horizon`): each such ridge and p span a new facet, whose plane
-    comes from the inverse of its vertex rows and is checked against every
-    point, and whose cap radius is computed (`_hull_facets`).  The new
+    joined to their horizon, the ridges that `_distinct_rows` counts once
+    among the deleted facets: each such ridge and p span a new facet, whose
+    plane comes from the inverse of its vertex rows and is checked against
+    every point, and whose cap radius is computed (`_hull_facets`).  The new
     facets take the deleted facets' slots (`_Hull.replace`).  Raises
     NumericalIntegrityError, with the hull unchanged, when p lies within its
     rounding allowance of some facet's plane, where the side of p is not
@@ -457,7 +451,9 @@ def _insert_last(points: np.ndarray, hull: _Hull) -> _Hull:
     if not seen.size:
         raise NumericalIntegrityError("an added point lies inside the hull")
     del gap  # so that it does not coexist with the new facets' gaps
-    horizon = _horizon(_ridges(hull.facets.take(seen, axis=0)), size)
+    ridges = _ridges(hull.facets.take(seen, axis=0))
+    index, counts = _distinct_rows(ridges, size)
+    horizon = ridges.take(index[counts == 1], axis=0)
     rows = np.column_stack([horizon, np.full(horizon.shape[0], size - 1, dtype=horizon.dtype)])
     hull.replace(seen, _hull_facets(points, rows))
     return hull
@@ -608,8 +604,8 @@ def build_eps_net(
     bound _HULL_MAX_FACET_DIMS2 (facets x dim^2), which (10, 0.95) passes;
     the volume bound (3/eps)^dim caps the attainable size.
     """
-    if not (0.0 < eps < 1.0):
-        raise DomainError("eps must lie in (0, 1)")
+    check_open_unit("eps", eps)
+    dim = as_integer("dim", dim)
     if dim < 1:
         raise DomainError("dim must be >= 1")
     lo_est, hi_est = _projected_size_bounds(dim, eps)
@@ -696,6 +692,7 @@ def geodesic_radius(k: int) -> float:
     icosahedron's rotations carry face 0 and its subdivision onto every
     face, so face 0's k^2 triangles give the value for all 20 k^2.
     """
+    k = as_integer("k", k)
     if k < 1:
         raise DomainError("geodesic frequency k must be >= 1")
     i, j = _grid(k)
@@ -716,8 +713,7 @@ def geodesic_frequency(eps: float, max_points: int) -> int:
     before any net point is built, when the answer's net (10 k^2 + 2
     points) would exceed max_points.
     """
-    if not (0.0 < eps < 1.0):
-        raise DomainError("eps must lie in (0, 1)")
+    check_open_unit("eps", eps)
     k = max(1, math.floor(math.sqrt(max(4.0 / (eps * eps) - 2.0, 0.0) / 10.0)))
     # the largest k whose net fits: 10 k^2 + 2 <= max_points
     k_max = math.isqrt(max(max_points - 2, 0) // 10)
@@ -769,8 +765,6 @@ def _face_index(k: int) -> np.ndarray:
 def _geodesic_grid(k: int) -> Tuple[np.ndarray, np.ndarray]:
     """(points, triangles) of the frequency-k geodesic net before any
     rotation (`geodesic_net`)."""
-    if k < 1:
-        raise DomainError("geodesic frequency k must be >= 1")
     index = _face_index(k)
     i, j = _grid(k)
     pts = np.empty((10 * k * k + 2, 3))
@@ -805,8 +799,8 @@ def geodesic_net(k: int, seed: int = 0) -> EpsNet:
     `triangles`, its Delaunay triangulation, are each face's
     `_small_triangles`, with two columns swapped on clockwise faces.
     """
-    points, triangles = _geodesic_grid(k)
-    rho = geodesic_radius(k)
+    rho = geodesic_radius(k)  # refuses a k that is not a whole number >= 1
+    points, triangles = _geodesic_grid(int(k))
     return EpsNet(dim=3, eps=rho, points=points @ _geodesic_rotation(seed).T, seed=seed,
                   covering_radius=rho, triangles=triangles)
 
@@ -832,6 +826,7 @@ def mc_mean_and_sem(
     samples: int, draw: Callable[[int], np.ndarray]
 ) -> Tuple[float, float]:
     """Mean and standard error of `samples` values, drawn by `draw(b)` in batches."""
+    samples = as_integer("samples", samples)
     total = total_sq = 0.0
     done = 0
     while done < samples:
@@ -849,6 +844,7 @@ def partial_norm_expectation(
     n: int, k: int, samples: int, sampler: SphereSampler
 ) -> Tuple[float, float]:
     """MC estimate of E[(a_1^2 + ... + a_k^2)^(1/2)] for uniform a on S^(n-1)."""
+    k = as_integer("k", k)
     if not (1 <= k <= n):
         raise DomainError("need 1 <= k <= n")
     if sampler.dim != n:
@@ -911,6 +907,7 @@ def region_moments(net: EpsNet, samples: int, sampler: SphereSampler) -> RegionM
     """Estimate region weights and vector moments from `samples` uniform points."""
     if sampler.dim != net.dim:
         raise DomainError("sampler dimension mismatch")
+    samples = as_integer("samples", samples)
     if samples < MIN_SAMPLES_PER_REGION * net.size:
         raise DomainError(f"samples must be >= {MIN_SAMPLES_PER_REGION} * net size")
     counts = np.zeros(net.size, dtype=np.int64)
@@ -1020,16 +1017,12 @@ def _exact_moments(net: EpsNet, weights: np.ndarray, vectors: np.ndarray) -> Reg
 
 class GeodesicBase(NamedTuple):
     """The frequency-k geodesic net at seed 0, `geodesic_net(k, 0)`, and the
-    weights and moment vectors of its `voronoi_moments`.  `reports` maps
-    each d to the finished report that `witness.run_witness` keeps for
-    these moments: a later run at the same (k, d) only validates the
-    Tsirelson strategy on its own pairs of `net`.  Every array is
+    weights and moment vectors of its `voronoi_moments`.  Every array is
     read-only."""
 
     net: EpsNet
     weights: np.ndarray
     moment_vectors: np.ndarray
-    reports: dict
 
     def moments(self) -> RegionMoments:
         """`voronoi_moments(self.net)`, bit for bit, on the kept arrays."""
@@ -1043,7 +1036,7 @@ def geodesic_base(k: int) -> GeodesicBase:
         net = geodesic_net(k, 0)
         net.points.flags.writeable = False
         net.triangles.flags.writeable = False
-        return GeodesicBase(net, *_voronoi_sums(net.points, net.triangles), {})
+        return GeodesicBase(net, *_voronoi_sums(net.points, net.triangles))
 
     return _kept(("geodesic", k), build)
 

@@ -10,9 +10,9 @@ a failure beyond the statistical slack is a theory violation and trips the
 build.
 
 At n = 3 the moments are exact (`voronoi_moments` on the geodesic net, one
-kept net per frequency, one kept report per d) and there is no statistical
-slack.  On greedy nets they are Monte Carlo estimates, and the slack is 4
-standard errors (the inequalities are exact; only the moment estimators
+kept net per frequency k, one kept report per (k, d)) and there is no
+statistical slack.  On greedy nets they are Monte Carlo estimates, and the
+slack is 4 standard errors (the inequalities are exact; only the moment estimators
 fluctuate), with errors combined in quadrature.
 The c4 check compares two functions of the same moments and has none.
 """
@@ -37,7 +37,7 @@ from .embedding_opt import (
     dot_value,
     moment_value_std_error,
 )
-from .errors import DomainError, NumericalIntegrityError
+from .errors import DomainError, NumericalIntegrityError, as_integer, check_open_unit
 from .quantum import (
     MAX_GENERATORS,
     QuantumStrategy,
@@ -103,18 +103,10 @@ class WitnessConfig:
 
     def __post_init__(self):
         for name in ("n", "d", "seed", "moment_samples_per_region", "max_net_points"):
-            value = getattr(self, name)
-            try:
-                integral = int(value) == value
-            except (TypeError, ValueError, OverflowError):
-                integral = False
-            if not integral:
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.n < 1 or self.d < 1:
             raise DomainError("n and d must be positive")
-        if not (0.0 < self.eps < 1.0):
-            raise DomainError("eps must lie in (0, 1)")
+        check_open_unit("eps", self.eps)
         if self.moment_samples_per_region < MIN_SAMPLES_PER_REGION:
             raise DomainError(
                 f"need >= {MIN_SAMPLES_PER_REGION} moment samples per region"
@@ -264,10 +256,10 @@ def eps_threshold(n: int, d: int) -> float:
 # ----------------------------------------------------------------------
 
 @functools.cache
-def _geodesic_strategy() -> QuantumStrategy:
-    """`tsirelson_strategy(3)`, built once per process: the validation of
-    every n = 3 run shares it, so none of its arrays is writeable."""
-    strategy = tsirelson_strategy(3)
+def _validation_strategy(n: int) -> QuantumStrategy:
+    """`tsirelson_strategy(n)`, built once per n and process: the validation
+    of every run at n shares it, so none of its arrays is writeable."""
+    strategy = tsirelson_strategy(n)
     arrays = [strategy.state, strategy.table, *(strategy.realified or ())]
     for party in (strategy.alice, strategy.bob):
         arrays += [party.columns, party.phases, party.mix]
@@ -276,23 +268,24 @@ def _geodesic_strategy() -> QuantumStrategy:
     return strategy
 
 
-def _validate_tsirelson_on_net(net, pairs: int, seed: int,
-                               strategy: Optional[QuantumStrategy] = None) -> Optional[float]:
-    """Max |<A u x B v> - u.v| over sampled net pairs, for `strategy` (by
-    default a new `tsirelson_strategy(net.dim)`); None when n is too large
-    to simulate densely."""
+def _validate_tsirelson_on_net(net, pairs: int, seed: int) -> Optional[float]:
+    """Max |<A u x B v> - u.v| over sampled net pairs, for the kept
+    `_validation_strategy(net.dim)`; None when n is too large to simulate
+    densely."""
     if net.dim > MAX_GENERATORS or net.size < 1:
         return None
-    if strategy is None:
-        strategy = tsirelson_strategy(net.dim)
     pair_index = make_rng(seed, 0).integers(net.size, size=(pairs, 2))
     u, v = net.points[pair_index.T]
-    worst = max_correlation_deviation(strategy, u, v)
+    worst = max_correlation_deviation(_validation_strategy(net.dim), u, v)
     if worst > 1e-10:
         raise NumericalIntegrityError(
             f"inner-product strategy deviated by {worst:.3e} on net points"
         )
     return worst
+
+
+# the n = 3 report of each (k, d), kept per process by `run_witness`
+_EXACT_REPORTS: dict = {}
 
 
 def run_witness(config: WitnessConfig) -> WitnessReport:
@@ -305,13 +298,13 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     Bell value is unchanged when the net and the settings turn together, so
     a seed's rotation would move no reported number beyond rounding.  The
     net and its moments are computed once per k and process and kept
-    (`geodesic_base`); so is, per d, the finished report of the adversary
-    climbed on exactly those moments from the fixed restart stream
-    derive_seed(0, "seesaw").  At n = 3 the seed selects only the Tsirelson
-    validation pairs: a run validates the Tsirelson strategy, built once per
-    process (`_geodesic_strategy`), on its own pairs of the kept net and
-    returns a copy of the kept report with its own config and deviation;
-    only the first run of a (k, d) climbs and evaluates the chain.  In
+    (`geodesic_base`); so is, per (k, d), the finished report of the
+    adversary climbed on exactly those moments from the fixed restart stream
+    derive_seed(0, "seesaw") (`_EXACT_REPORTS`).  At n = 3 the seed selects
+    only the Tsirelson validation pairs: a run validates the Tsirelson
+    strategy on its own pairs of the kept net and returns a copy of the
+    kept report with its own config and deviation; only the first run of a
+    (k, d) climbs and evaluates the chain.  In
     other dimensions the net is built by farthest-point insertion
     (`build_eps_net`): an eps-packing whose hull's widest empty cap, its
     computed covering radius rho, is <= eps.  That base net is built once
@@ -321,7 +314,9 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     The adversary is `dot_climb` at m = 2d^2: the best of
     ADVERSARY_RESTARTS damped Newton ascents of the reduced objective, a
     lower bound on the true maximum over R^m vectors; off n = 3 its
-    restarts come from the seed's own stream.  Only the moments and the
+    restarts come from the seed's own stream.  At every n the Tsirelson
+    strategy is built once per n and process (`_validation_strategy`).
+    Only the moments and the
     adversary depend on n: at every n, b_fq is `bell_value_finite` of the
     run's moments at the net points and b_fs the adversary's value, the
     same `dot_value` at its assignment X, their SEs
@@ -342,30 +337,31 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     ResourceError of `build_eps_net`, so every run has a computed rho.
     """
     n, eps, m = config.n, config.eps, config.m
+    if n == 3:
+        k = geodesic_frequency(eps, config.max_net_points)
+        base = geodesic_base(k)
+        net = base.net
+    else:
+        net = build_eps_net(n, eps, seed=derive_seed(config.seed, "net"),
+                            max_points=config.max_net_points)
+    validation_dev = _validate_tsirelson_on_net(
+        net, VALIDATION_PAIRS, derive_seed(config.seed, "validation"))
 
     if n == 3:
-        base = geodesic_base(geodesic_frequency(eps, config.max_net_points))
-        validation_dev = _validate_tsirelson_on_net(
-            base.net, VALIDATION_PAIRS, derive_seed(config.seed, "validation"),
-            _geodesic_strategy())
-        kept = base.reports.get(config.d)
+        kept = _EXACT_REPORTS.get((k, config.d))
         if kept is None:
             adversary = dot_climb(base.moment_vectors, m, derive_seed(0, "seesaw"))
             # after the climb, so that the moments' zero standard errors add
             # nothing to the ascent's peak memory
-            kept = base.reports[config.d] = _report(
+            kept = _EXACT_REPORTS[k, config.d] = _report(
                 config, base.moments(), adversary, "exact", validation_dev)
         return replace(kept, config=config, tsirelson_validation_dev=validation_dev)
 
-    net = build_eps_net(n, eps, seed=derive_seed(config.seed, "net"),
-                        max_points=config.max_net_points)
     sampler = SphereSampler(n, derive_seed(config.seed, "moments"))
     moments = region_moments(
         net, samples=config.moment_samples_per_region * net.size, sampler=sampler
     )
     adversary = dot_climb(moments.moment_vectors, m, derive_seed(config.seed, "seesaw"))
-    validation_dev = _validate_tsirelson_on_net(
-        net, VALIDATION_PAIRS, derive_seed(config.seed, "validation"))
     return _report(config, moments, adversary, "monte_carlo", validation_dev)
 
 

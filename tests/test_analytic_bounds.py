@@ -309,6 +309,13 @@ class TestLog1pBounds:
         lo, hi = log1p_bounds(n)  # raises internally if the bracket fails
         assert lo <= hi
 
+    def test_a_non_integral_n_is_refused(self):
+        # 2.5 used to run as 2: a bracket (0.40104, 0.41667) that misses
+        # ln(1 + 1/2.5) = 0.33647
+        with pytest.raises(DomainError, match=r"^n must be an integer, got 2\.5"):
+            log1p_bounds(2.5)
+        assert log1p_bounds(3.0) == log1p_bounds(3)
+
 
 class TestYClosedForm:
     def test_full_norm(self):

@@ -1,0 +1,75 @@
+"""Arguments outside an operation's domain raise DomainError, never a
+TypeError, ValueError or OverflowError from deeper in numpy or Python."""
+
+import math
+
+import numpy as np
+import pytest
+
+from dimwitness import (
+    DomainError,
+    KernelMatrix,
+    SphereSampler,
+    WitnessConfig,
+    asymptotic_estimate,
+    build_eps_net,
+    clifford_generators,
+    dot_squared_expectation,
+    geodesic_net,
+    kg_lower_bound,
+    monotonicity_check,
+    partial_norm_expectation,
+    region_moments,
+    seesaw_maximize,
+    tsirelson_strategy,
+)
+from dimwitness.embedding_opt import dot_climb
+from dimwitness.errors import as_integer
+
+
+def moments_of_a_half_sample():
+    net = build_eps_net(3, 0.5)
+    return region_moments(net, 100 * net.size + 0.5, SphereSampler(3, 0))
+
+
+KERNEL = KernelMatrix(np.eye(2))
+
+# each of these raised TypeError, ValueError or OverflowError instead
+REFUSED = {
+    "net-dim": lambda: build_eps_net(2.5, 0.5),
+    "net-eps-str": lambda: build_eps_net(3, "0.5"),
+    "geodesic-k": lambda: geodesic_net(2.5),
+    "sampler-dim": lambda: SphereSampler(2.5, 0).sample(3),
+    "moments-samples": moments_of_a_half_sample,
+    "climb-m": lambda: dot_climb(np.eye(3), 2.5, 0),
+    "seesaw-m": lambda: seesaw_maximize(KERNEL, 2.5),
+    "seesaw-restarts": lambda: seesaw_maximize(KERNEL, 2, restarts=2.5),
+    "partial-norm-k": lambda: partial_norm_expectation(3, 1.5, 2000, SphereSampler(3, 0)),
+    "dot-squared-samples": lambda: dot_squared_expectation(3, 1000.5, SphereSampler(3, 0)),
+    "config-eps-str": lambda: WitnessConfig(3, 1, "0.3"),
+    "monotonicity-inf": lambda: monotonicity_check(math.inf),
+    "strategy-none": lambda: tsirelson_strategy(None),
+    "strategy-nan": lambda: tsirelson_strategy(math.nan),
+    "generators-inf": lambda: clifford_generators(math.inf),
+    "bound-n-none": lambda: kg_lower_bound(None, 2),
+    "bound-m-nan": lambda: kg_lower_bound(3, math.nan),
+    "estimate-n-inf": lambda: asymptotic_estimate(math.inf, 2),
+}
+
+
+@pytest.mark.parametrize("call", REFUSED.values(), ids=REFUSED.keys())
+def test_out_of_domain_arguments_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("value", [None, "3", 2.5, math.nan, math.inf, -math.inf])
+def test_as_integer_refuses_what_is_not_a_whole_number(value):
+    with pytest.raises(DomainError, match=r"^n must be an integer, got "):
+        as_integer("n", value)
+
+
+@pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float64(3.0), True])
+def test_as_integer_keeps_whole_numbers_as_int(value):
+    assert type(as_integer("n", value)) is int
+    assert as_integer("n", value) == value

@@ -500,6 +500,7 @@ class TestKeptGeodesicBase:
         assert len(cold.chain_checks) == (4 if d == 1 else 3)
         assert (cold.k_lower == 1.0) == (d > 1)
         sphere._BASE_NETS.clear()
+        dimwitness.witness._EXACT_REPORTS.clear()
         report(other)
         assert report(seed).to_json() == cold.to_json()
 
@@ -566,13 +567,13 @@ class TestKeptGeodesicBase:
 
 
 class TestGeodesicStrategy:
-    """Every n = 3 run validates on one kept Tsirelson strategy."""
+    """Every run validates on one kept Tsirelson strategy per n."""
 
     def test_kept_once_with_read_only_arrays(self):
         for seed in (0, 1):
             run_witness(WitnessConfig(3, 1, 0.3, seed=seed))
-        assert dimwitness.witness._geodesic_strategy.cache_info().misses == 1
-        st = dimwitness.witness._geodesic_strategy()
+        assert dimwitness.witness._validation_strategy.cache_info().misses == 1
+        st = dimwitness.witness._validation_strategy(3)
         arrays = [st.state, st.table, *st.realified]
         for party in (st.alice, st.bob):
             arrays += [party.columns, party.phases, party.mix]
@@ -580,18 +581,36 @@ class TestGeodesicStrategy:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
 
-    def test_other_dimensions_keep_none(self):
-        run_witness(WitnessConfig(4, 1, 0.5))
-        assert dimwitness.witness._geodesic_strategy.cache_info().currsize == 0
+    def test_two_runs_at_n5_build_it_once(self, monkeypatch):
+        builds = []
+        jordan_wigner = quantum._jordan_wigner
+
+        def counted(n):
+            builds.append(n)
+            return jordan_wigner(n)
+
+        monkeypatch.setattr(quantum, "_jordan_wigner", counted)
+        for seed in (0, 1):
+            run_witness(WitnessConfig(5, 1, 0.7, seed=seed))
+        assert builds == [5]
+
+    def test_direct_calls_keep_nothing(self):
+        first, second = quantum.tsirelson_strategy(16), quantum.tsirelson_strategy(16)
+        assert first is not second
+        for a, b in ((first.state, second.state), (first.table, second.table)):
+            assert a.flags.writeable and b.flags.writeable
+            assert not np.shares_memory(a, b)
 
     def test_computes_the_bits_of_a_fresh_strategy(self):
-        kept, fresh = dimwitness.witness._geodesic_strategy(), quantum.tsirelson_strategy(3)
-        assert fresh.table.flags.writeable and np.array_equal(kept.table, fresh.table)
-        rows = SphereSampler(3, seed=43).sample(128)
-        assert (quantum.max_correlation_deviation(kept, rows[::2], rows[1::2])
-                == quantum.max_correlation_deviation(fresh, rows[::2], rows[1::2]))
-        for a, b in rows[:20].reshape(10, 2, 3):
-            assert quantum.correlation(kept, a, b) == quantum.correlation(fresh, a, b)
-            rk, rf = quantum.vectorize(kept, a, b), quantum.vectorize(fresh, a, b)
-            assert np.array_equal(rk.alice_vector, rf.alice_vector)
-            assert np.array_equal(rk.bob_vector, rf.bob_vector)
+        for n in (2, 3, 5, 8, 16):
+            kept = dimwitness.witness._validation_strategy(n)
+            fresh = quantum.tsirelson_strategy(n)
+            assert fresh.table.flags.writeable and np.array_equal(kept.table, fresh.table)
+            rows = SphereSampler(n, seed=43).sample(128)
+            assert (quantum.max_correlation_deviation(kept, rows[::2], rows[1::2])
+                    == quantum.max_correlation_deviation(fresh, rows[::2], rows[1::2]))
+            for a, b in rows[:20].reshape(10, 2, n):
+                assert quantum.correlation(kept, a, b) == quantum.correlation(fresh, a, b)
+                rk, rf = quantum.vectorize(kept, a, b), quantum.vectorize(fresh, a, b)
+                assert np.array_equal(rk.alice_vector, rf.alice_vector)
+                assert np.array_equal(rk.bob_vector, rf.bob_vector)
