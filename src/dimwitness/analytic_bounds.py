@@ -128,13 +128,14 @@ class LowerBoundReport:
         return asdict(self)
 
 
-def _check_nm(n: int, m: int) -> Tuple[int, int]:
-    """(n, m) as ints, refused unless they are whole numbers with 1 <= m <= n."""
-    n, m = as_integer("n", n), as_integer("m", m)
+def _check_nm(n: int, m: int, name: str = "m") -> Tuple[int, int]:
+    """(n, m) as ints, refused unless they are whole numbers with 1 <= m <= n;
+    the refusals call m `name`."""
+    n, m = as_integer("n", n), as_integer(name, m)
     if m < 1:
-        raise DomainError("m must satisfy m ≥ 1")
+        raise DomainError(f"{name} must satisfy {name} ≥ 1")
     if m > n:
-        raise DomainError("m must satisfy m ≤ n")
+        raise DomainError(f"{name} must satisfy {name} ≤ n")
     return n, m
 
 
@@ -265,5 +266,5 @@ def y_closed_form(n: int, k: int) -> float:
     Under the unnormalized surface measure every value picks up the same
     factor (the sphere area), so only this ratio is ever reported.
     """
-    _check_nm(n, k)
+    _check_nm(n, k, "k")
     return math.sqrt(k / n) * math.exp(log_f(k) - log_f(n))

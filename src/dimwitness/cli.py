@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every command is deterministic given its full flag set (all randomness flows
-from --seed through named substreams), emits machine-readable JSON on request,
-and embeds a run manifest in each output document.  Exit codes: 0 success,
-2 usage, domain or file error, 3 resource limit, 4 theory-violation tripwire.
+from --seed through named substreams; `net` draws nothing and takes no
+--seed), emits machine-readable JSON on request, and embeds a run manifest in
+each output document.  Exit codes: 0 success, 2 usage, domain or file error,
+3 resource limit, 4 theory-violation tripwire.
 """
 
 from __future__ import annotations
@@ -103,8 +104,8 @@ def _cmd_bound(args, manifest: RunManifest, started: float) -> int:
 
 
 def _cmd_net(args, manifest: RunManifest, started: float) -> int:
-    net = build_eps_net(args.dim, args.eps, seed=args.seed)
-    prefix = args.out or f"net_d{args.dim}_e{args.eps:g}_s{args.seed}"
+    net = build_eps_net(args.dim, args.eps)
+    prefix = args.out or f"net_d{args.dim}_e{args.eps:g}"
     csv_path = prefix + ".csv"
     save_net(net, csv_path, extra_header={"manifest": manifest.finish(started)})
     print(f"wrote {net.size} points to {csv_path} (header {prefix}.json)")
@@ -288,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("net", help="build and save a sphere eps-net")
     p.add_argument("dim", type=int)
     p.add_argument("eps", type=float)
-    common(p)
+    # no --seed: a net depends only on (dim, eps)
+    p.add_argument("--out", type=str, default=None, help="output path")
     p.set_defaults(handler=_cmd_net)
 
     p = sub.add_parser("seesaw", help="maximize a CSV kernel over R^m unit vectors")

@@ -52,13 +52,12 @@ BOUND_REPORT_SCHEMA = {
 
 NET_HEADER_SCHEMA = {
     "type": "object",
-    "required": ["schema", "kind", "dim", "eps", "seed", "size"],
+    "required": ["schema", "kind", "dim", "eps", "size"],
     "properties": {
         "schema": {"const": 1},
         "kind": {"const": "eps_net"},
         "dim": {"type": "integer", "minimum": 1},
         "eps": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "seed": {"type": "integer"},
         "size": {"type": "integer", "minimum": 0},
         "covering_radius": {"type": ["number", "null"], "minimum": 0, "maximum": 2},
         "manifest": _MANIFEST,

@@ -15,10 +15,10 @@ caps.  While the widest cap is wider than eps, its centre is inserted into
 the hull (beneath-beyond), so the net is an eps-packing and a certified
 eps-covering, and its covering radius is the widest cap's.  A build whose
 hull passes a fixed memory bound, as (10, 0.95) does, is refused with a
-ResourceError.  That base net is built once per (dim, eps) and process and
-kept; a seed turns it by a Haar-random rotation, and every turned net is
-certified again on its own points.  The geodesic net of each frequency at
-seed 0 is kept the same way, with its exact moments (`geodesic_base`).
+ResourceError.  Each net depends only on its (dim, eps), or on its
+frequency on S^2: no seed turns it.  A greedy net is built, certified and
+kept once per (dim, eps) and process, and the geodesic net of each
+frequency is kept the same way, with its exact moments (`geodesic_base`).
 
 Every nearest-point query takes the largest dot product over the whole net
 (`_nearest`), in blocks of probes that bound the product's memory.
@@ -94,6 +94,8 @@ class SphereSampler:
         self.dim = as_integer("dim", self.dim)
         if self.dim < 1:
             raise DomainError("SphereSampler requires dim >= 1")
+        self.seed = as_integer("seed", self.seed)
+        self.stream_id = as_integer("stream_id", self.stream_id)
         self._rng = make_rng(self.seed, self.stream_id)
 
     def sample(self, count: int) -> np.ndarray:
@@ -130,13 +132,11 @@ class EpsNet:
     Every point of the sphere lies within `covering_radius`, a computed
     chord length, of a net point.  A greedy net (`build_eps_net`) is also an
     eps-packing, any two points at least eps apart; its covering radius is
-    the widest empty cap's, <= eps up to rounding.  It is the base net of
-    its (dim, eps) turned by the seed's rotation, and both properties are
-    checked on its own points.  A geodesic net (`geodesic_net`) is not an
-    eps-packing, and `eps` equals its covering radius; its seed selects
-    only its rotation, and the n = 3 witness runs on seed 0's.  A net
-    loaded from a header without the key has `covering_radius` None: it is
-    not known to cover either.
+    the widest empty cap's, <= eps up to rounding.  It is the kept base net
+    of its (dim, eps), both properties checked once on its points.  A
+    geodesic net (`geodesic_net`) is not an eps-packing, and `eps` equals
+    its covering radius.  A net loaded from a header without the key has
+    `covering_radius` None: it is not known to cover either.
 
     `triangles` holds a geodesic net's Delaunay triangulation, rows of
     point indices counterclockwise seen from outside the sphere, from which
@@ -147,7 +147,6 @@ class EpsNet:
     dim: int
     eps: float
     points: np.ndarray  # (size, dim)
-    seed: int
     covering_radius: Optional[float] = None
     triangles: Optional[np.ndarray] = field(default=None, repr=False)  # (count, 3)
 
@@ -208,14 +207,6 @@ def _simplex(dim: int) -> np.ndarray:
     # the centred unit vectors in an orthonormal basis of their span
     vertices = _unit_rows(centred @ np.linalg.svd(centred)[2][:dim].T)
     return _unit_rows(vertices + _START_JITTER * make_rng(0, 2).standard_normal((dim + 1, dim)))
-
-
-def _rotation(dim: int, seed: int) -> np.ndarray:
-    """The seed's Haar-random orthogonal dim x dim matrix: the Q of the QR
-    factorization of a Gaussian matrix drawn from make_rng(seed, 1), each
-    column's sign fixed by R's diagonal."""
-    q, r = np.linalg.qr(make_rng(seed, 1).standard_normal((dim, dim)))
-    return q * np.sign(np.diag(r))
 
 
 def _facet_planes(
@@ -505,13 +496,11 @@ def _fill_caps(points: np.ndarray, eps: float, max_points: int) -> Tuple[np.ndar
 
 
 class _BaseNet(NamedTuple):
-    """The net of one (dim, eps) before any seed turns it: its points, and
-    the facets and planes of its final hull (`_fill_caps`), both None on
-    S^0.  Every array is read-only."""
+    """The net of one (dim, eps), built by `_base_net`: its points, read-only,
+    and its covering radius."""
 
     points: np.ndarray
-    facets: Optional[np.ndarray]
-    planes: Optional[np.ndarray]
+    covering_radius: float
 
 
 # base results kept per process (`_kept`): greedy nets under (dim, eps),
@@ -540,20 +529,27 @@ def _kept(key: tuple, build: Callable[[], tuple]) -> tuple:
 
 def _base_net(dim: int, eps: float, max_points: int) -> _BaseNet:
     """The base net of (dim, eps): farthest-point insertion from `_simplex`
-    (`_fill_caps`).
+    (`_fill_caps`), certified once.
 
-    Built once and kept (`_kept`).  A build that would exceed max_points or
-    the hull's bound raises ResourceError and keeps nothing; a kept net is
-    served whatever the caller's max_points.
+    The float64 packing test runs on its points (`_check_packing`), and
+    every plane of its final hull is checked against every point
+    (`_facet_planes`), which also computes the caps: the widest is the
+    covering radius, 0 on S^0.  Built once and kept (`_kept`).  A build
+    that would exceed max_points or the hull's bound raises ResourceError
+    and keeps nothing; a kept net is served whatever the caller's
+    max_points.
     """
 
     def build() -> _BaseNet:
-        points, facets, planes = _simplex(dim), None, None
+        points, hull = _simplex(dim), None
         if dim > 1:
             points, hull = _fill_caps(points, eps, max_points)
-            # copies, so that the hull's spare capacity is not kept
-            facets, planes = hull.facets.copy(), hull.planes.copy()
-        return _BaseNet(points.copy(), facets, planes)
+        _check_packing(points, eps)
+        rho = 0.0
+        if hull is not None:
+            rho = float(_facet_planes(points, hull.facets, hull.planes)[1].max())
+        # a copy, so that the spare rows of the insertion's buffer are not kept
+        return _BaseNet(points.copy(), rho)
 
     return _kept((dim, eps), build)
 
@@ -580,32 +576,30 @@ def build_eps_net(
     max_points: int = 1_000_000,
 ) -> EpsNet:
     """Eps-packing and certified eps-covering of S^(dim-1) by farthest-point
-    insertion: the base net of (dim, eps), turned by the seed's Haar-random
-    rotation.
+    insertion: the base net of (dim, eps).
 
     The base net (`_base_net`) starts from a perturbed regular simplex
     (`_simplex`) and takes, one at a time, the centre of the widest empty
     cap of its convex hull while that cap is wider than eps (`_fill_caps`).
-    It is built once per process and kept.  Farthest-point
-    insertion commutes with rotations, so the seed turns the base net by
-    `_rotation(dim, seed)` rather than building its own.
-
-    Every call certifies the turned points again: the float64 packing test
-    runs on them (`_check_packing`), and each base facet's plane, turned,
-    is checked against every turned point with an allowance from its
-    residuals at its own turned vertices (`_facet_planes`).  Turning the
-    kept planes costs a matrix product, where solving them again would
-    double a warm call.  `covering_radius` is the widest of those planes'
-    caps, computed, and <= eps up to their rounding.  A rotation keeps the
-    facet set, so its ridges are checked once, on the base build.  The
+    It is built and certified once per process and kept: the packing test,
+    and every plane of its final hull checked against every point.  Every
+    call serves its read-only points and its `covering_radius`, the widest
+    of those planes' caps, computed, and <= eps up to their rounding.  The
     cache saves time only where one process asks for the same (dim, eps)
-    again.  On S^0 the net is both points, with radius 0.  Raises
-    ResourceError when the net would exceed max_points or its hull the
-    bound _HULL_MAX_FACET_DIMS2 (facets x dim^2), which (10, 0.95) passes;
-    the volume bound (3/eps)^dim caps the attainable size.
+    again.  On S^0 the net is both points, with radius 0.
+
+    `seed` selects nothing: every seed is served the same net.  It is kept
+    because callers pass it (the warm-up statement of the witness workloads
+    in perfbench/workloads.py does), and it must be a whole number.
+
+    Raises ResourceError when the net would exceed max_points or its hull
+    the bound _HULL_MAX_FACET_DIMS2 (facets x dim^2), which (10, 0.95)
+    passes; the volume bound (3/eps)^dim caps the attainable size.
     """
     check_open_unit("eps", eps)
     dim = as_integer("dim", dim)
+    as_integer("seed", seed)
+    max_points = as_integer("max_points", max_points)
     if dim < 1:
         raise DomainError("dim must be >= 1")
     lo_est, hi_est = _projected_size_bounds(dim, eps)
@@ -617,13 +611,8 @@ def build_eps_net(
     base = _base_net(dim, float(eps), max_points)
     if base.points.shape[0] > max_points:
         raise ResourceError(f"net exceeded max_points={max_points}")
-    rotation = _rotation(dim, seed)
-    points = base.points @ rotation.T
-    _check_packing(points, eps)
-    rho = 0.0
-    if base.facets is not None:
-        rho = float(_facet_planes(points, base.facets, base.planes @ rotation.T)[1].max())
-    return EpsNet(dim=dim, eps=float(eps), points=points, seed=seed, covering_radius=rho)
+    return EpsNet(dim=dim, eps=float(eps), points=base.points,
+                  covering_radius=base.covering_radius)
 
 
 # icosahedron: the 12 cyclic permutations of (0, +-1, +-phi)
@@ -714,6 +703,7 @@ def geodesic_frequency(eps: float, max_points: int) -> int:
     points) would exceed max_points.
     """
     check_open_unit("eps", eps)
+    max_points = as_integer("max_points", max_points)
     k = max(1, math.floor(math.sqrt(max(4.0 / (eps * eps) - 2.0, 0.0) / 10.0)))
     # the largest k whose net fits: 10 k^2 + 2 <= max_points
     k_max = math.isqrt(max(max_points - 2, 0) // 10)
@@ -762,47 +752,27 @@ def _face_index(k: int) -> np.ndarray:
     return index
 
 
-def _geodesic_grid(k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(points, triangles) of the frequency-k geodesic net before any
-    rotation (`geodesic_net`)."""
-    index = _face_index(k)
-    i, j = _grid(k)
-    pts = np.empty((10 * k * k + 2, 3))
-    pts[index[:, i, j]] = _project(i, j, k, _ICO_VERTS[_ICO_FACES])
-    tri = np.stack([index[:, ii, jj] for ii, jj in _small_triangles(k)], axis=2)
-    tri[_ICO_INWARD] = tri[_ICO_INWARD][:, :, [0, 2, 1]]
-    return pts, tri.reshape(-1, 3)
-
-
-def _geodesic_rotation(seed: int) -> np.ndarray:
-    """The rotation of the uniform unit quaternion drawn from
-    SphereSampler(4, seed): a Haar-random rotation of R^3."""
-    w, x, y, z = SphereSampler(4, seed).sample(1)[0]
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
-
-
-def geodesic_net(k: int, seed: int = 0) -> EpsNet:
-    """Frequency-k icosahedral geodesic net on S^2, at a seeded rotation.
+def geodesic_net(k: int) -> EpsNet:
+    """Frequency-k icosahedral geodesic net on S^2.
 
     Each of the 20 icosahedron faces is subdivided k times and its grid
     points are projected onto the sphere: N = 10 k^2 + 2 points, numbered by
     `_face_index`.  Faces sharing an edge project its points equally (their
     barycentric sums differ by exact zeros), and a face's corners project to
-    the icosahedron's vertices bit for bit.
-    The whole net is turned by the rotation of a uniform unit quaternion
-    drawn from SphereSampler(4, seed), a Haar-random rotation, so the seed
-    selects the net.  `covering_radius` and `eps` are `geodesic_radius(k)`;
-    `triangles`, its Delaunay triangulation, are each face's
-    `_small_triangles`, with two columns swapped on clockwise faces.
+    the icosahedron's vertices bit for bit.  `covering_radius` and `eps` are
+    `geodesic_radius(k)`; `triangles`, its Delaunay triangulation, are each
+    face's `_small_triangles`, with two columns swapped on clockwise faces.
     """
     rho = geodesic_radius(k)  # refuses a k that is not a whole number >= 1
-    points, triangles = _geodesic_grid(int(k))
-    return EpsNet(dim=3, eps=rho, points=points @ _geodesic_rotation(seed).T, seed=seed,
-                  covering_radius=rho, triangles=triangles)
+    k = int(k)
+    index = _face_index(k)
+    i, j = _grid(k)
+    points = np.empty((10 * k * k + 2, 3))
+    points[index[:, i, j]] = _project(i, j, k, _ICO_VERTS[_ICO_FACES])
+    tri = np.stack([index[:, ii, jj] for ii, jj in _small_triangles(k)], axis=2)
+    tri[_ICO_INWARD] = tri[_ICO_INWARD][:, :, [0, 2, 1]]
+    return EpsNet(dim=3, eps=rho, points=points, covering_radius=rho,
+                  triangles=tri.reshape(-1, 3))
 
 
 def assign_regions(net: EpsNet, probes: np.ndarray) -> np.ndarray:
@@ -1016,9 +986,8 @@ def _exact_moments(net: EpsNet, weights: np.ndarray, vectors: np.ndarray) -> Reg
 
 
 class GeodesicBase(NamedTuple):
-    """The frequency-k geodesic net at seed 0, `geodesic_net(k, 0)`, and the
-    weights and moment vectors of its `voronoi_moments`.  Every array is
-    read-only."""
+    """The frequency-k geodesic net, `geodesic_net(k)`, and the weights and
+    moment vectors of its `voronoi_moments`.  Every array is read-only."""
 
     net: EpsNet
     weights: np.ndarray
@@ -1033,7 +1002,7 @@ def geodesic_base(k: int) -> GeodesicBase:
     """The base of frequency k, built once and kept (`_kept`)."""
 
     def build() -> GeodesicBase:
-        net = geodesic_net(k, 0)
+        net = geodesic_net(k)
         net.points.flags.writeable = False
         net.triangles.flags.writeable = False
         return GeodesicBase(net, *_voronoi_sums(net.points, net.triangles))
@@ -1092,14 +1061,13 @@ def _header_path(csv_path: str) -> str:
 
 def save_net(net: EpsNet, csv_path: str, extra_header: Optional[dict] = None) -> None:
     """Write the points with `write_matrix_csv` and, at csv_path with a .json
-    extension, a header: dim, eps, seed, size, covering_radius, extra_header."""
+    extension, a header: dim, eps, size, covering_radius, extra_header."""
     write_matrix_csv(csv_path, net.points)
     header = {
         "schema": 1,
         "kind": "eps_net",
         "dim": net.dim,
         "eps": net.eps,
-        "seed": net.seed,
         "size": net.size,
         "covering_radius": net.covering_radius,
         **(extra_header or {}),
@@ -1112,18 +1080,22 @@ def save_net(net: EpsNet, csv_path: str, extra_header: Optional[dict] = None) ->
 def load_net(csv_path: str) -> EpsNet:
     """Read a net written by `save_net`; DomainError names the bad file and line.
 
-    Refused: a header that is not a JSON object with a dim, size and seed
-    that are JSON integers and an eps that is a JSON number in (0, 1), or
-    whose `covering_radius` is neither null nor a JSON number in [0, 2] (a
-    chord on the unit sphere); a CSV that `read_matrix_csv` refuses or whose
+    Refused: a header that is not a JSON object with a dim and size that
+    are JSON integers and an eps that is a JSON number in (0, 1), or whose
+    `covering_radius` is neither null nor a JSON number in [0, 2] (a chord
+    on the unit sphere); a CSV that `read_matrix_csv` refuses or whose
     shape differs from the header's; a row whose norm is off 1 by more than
     1e-12 or not finite.  A header without `covering_radius` loads with None.
+    A `seed`, which headers of earlier versions carry, selects nothing: a
+    header loads with or without one, and one that is not a JSON integer
+    is refused.
     """
     header_path = _header_path(csv_path)
     with open(header_path, "r", encoding="utf-8") as fh:
         try:
             header = json.load(fh)
-            dim, size, eps, seed = (header[key] for key in ("dim", "size", "eps", "seed"))
+            dim, size, eps = (header[key] for key in ("dim", "size", "eps"))
+            seed = header.get("seed", 0)
             rho = header.get("covering_radius")
         except (ValueError, KeyError, TypeError) as exc:
             raise DomainError(f"{header_path}: bad net header: {exc!r}") from None
@@ -1150,5 +1122,5 @@ def load_net(csv_path: str) -> EpsNet:
         raise DomainError(
             f"{csv_path}: line {lines[row]} is not a unit vector: {pts[row].tolist()}"
         )
-    return EpsNet(dim=dim, eps=float(eps), points=pts, seed=seed,
+    return EpsNet(dim=dim, eps=float(eps), points=pts,
                   covering_radius=None if rho is None else float(rho))

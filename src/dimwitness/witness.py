@@ -291,36 +291,35 @@ _EXACT_REPORTS: dict = {}
 def run_witness(config: WitnessConfig) -> WitnessReport:
     """Run net -> moments -> Bell values -> adversary -> inequality chain.
 
+    The net depends only on (n, eps): every term of the finite Bell value
+    is unchanged when the net and the settings turn together, so turning
+    the net by a seed's rotation would leave the distribution of every
+    reported number over seeds as it is.  The seed selects only draws: the Tsirelson validation pairs and, off n = 3, the
+    moment samples and the adversary's restarts.
+
     At n = 3 the net is the geodesic net of the smallest frequency k whose
-    computed covering radius rho is <= eps, at seed 0 (`geodesic_net(k, 0)`),
-    and its moments are exact (`voronoi_moments`): every standard error is
-    exactly 0, so c1-c4 have no 4-sigma term.  Every term of the finite
-    Bell value is unchanged when the net and the settings turn together, so
-    a seed's rotation would move no reported number beyond rounding.  The
-    net and its moments are computed once per k and process and kept
-    (`geodesic_base`); so is, per (k, d), the finished report of the
-    adversary climbed on exactly those moments from the fixed restart stream
-    derive_seed(0, "seesaw") (`_EXACT_REPORTS`).  At n = 3 the seed selects
-    only the Tsirelson validation pairs: a run validates the Tsirelson
-    strategy on its own pairs of the kept net and returns a copy of the
-    kept report with its own config and deviation; only the first run of a
-    (k, d) climbs and evaluates the chain.  In
-    other dimensions the net is built by farthest-point insertion
-    (`build_eps_net`): an eps-packing whose hull's widest empty cap, its
-    computed covering radius rho, is <= eps.  That base net is built once
-    per (n, eps) and process, and each seed turns it by its own rotation,
-    certified again on the turned points.  Its moments are Monte Carlo
-    estimates (`region_moments`, moment_samples_per_region per region).
-    The adversary is `dot_climb` at m = 2d^2: the best of
+    computed covering radius rho is <= eps (`geodesic_net(k)`), and its
+    moments are exact (`voronoi_moments`): every standard error is exactly
+    0, so c1-c4 have no 4-sigma term.  The net and its moments are computed
+    once per k and process and kept (`geodesic_base`); so is, per (k, d),
+    the finished report of the adversary climbed on exactly those moments
+    from the fixed restart stream derive_seed(0, "seesaw")
+    (`_EXACT_REPORTS`).  A run validates the Tsirelson strategy on its own
+    pairs of the kept net and returns a copy of the kept report with its
+    own config and deviation; only the first run of a (k, d) climbs and
+    evaluates the chain.  In other dimensions the net is built by
+    farthest-point insertion (`build_eps_net`): an eps-packing whose hull's
+    widest empty cap, its computed covering radius rho, is <= eps, built
+    and certified once per (n, eps) and process.  Its moments are Monte
+    Carlo estimates (`region_moments`, moment_samples_per_region per
+    region).  The adversary is `dot_climb` at m = 2d^2: the best of
     ADVERSARY_RESTARTS damped Newton ascents of the reduced objective, a
-    lower bound on the true maximum over R^m vectors; off n = 3 its
-    restarts come from the seed's own stream.  At every n the Tsirelson
-    strategy is built once per n and process (`_validation_strategy`).
-    Only the moments and the
-    adversary depend on n: at every n, b_fq is `bell_value_finite` of the
-    run's moments at the net points and b_fs the adversary's value, the
-    same `dot_value` at its assignment X, their SEs
-    `moment_value_std_error`.  The chain-check names keep their see-saw
+    lower bound on the true maximum over R^m vectors.  At every n the
+    Tsirelson strategy is built once per n and process
+    (`_validation_strategy`).  Only the moments and the adversary depend on
+    n: at every n, b_fq is `bell_value_finite` of the run's moments at the
+    net points and b_fs the adversary's value, the same `dot_value` at its
+    assignment X, their SEs `moment_value_std_error`.  The chain-check names keep their see-saw
     wording.
 
     Chain checks (slack is the satisfied margin; c1-c3 add 4 sigma of
@@ -342,8 +341,7 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
         base = geodesic_base(k)
         net = base.net
     else:
-        net = build_eps_net(n, eps, seed=derive_seed(config.seed, "net"),
-                            max_points=config.max_net_points)
+        net = build_eps_net(n, eps, max_points=config.max_net_points)
     validation_dev = _validate_tsirelson_on_net(
         net, VALIDATION_PAIRS, derive_seed(config.seed, "validation"))
 

@@ -1,6 +1,10 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 from dimwitness import sphere, witness
+from dimwitness.sphere import SphereSampler
 
 
 @pytest.fixture(autouse=True)
@@ -12,3 +16,22 @@ def _no_kept_results():
     sphere._BASE_NETS.clear()
     witness._EXACT_REPORTS.clear()
     witness._validation_strategy.cache_clear()
+
+
+@pytest.fixture
+def turned():
+    """turned(net, seed): a net on S^2 with its points turned by the rotation
+    of the uniform unit quaternion drawn from SphereSampler(4, seed), a
+    Haar-random rotation of R^3; its triangles and radius stay.  Geodesic
+    nets were once turned so, one rotation per seed."""
+
+    def turn(net, seed):
+        w, x, y, z = SphereSampler(4, seed).sample(1)[0]
+        rotation = np.array([
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ])
+        return dataclasses.replace(net, points=net.points @ rotation.T)
+
+    return turn

@@ -157,7 +157,7 @@ def test_criterion_08_empirical_ratio_convergence():
         def ratio(n, m, eps, seed):
             # 1600 samples per region: the eps 0.1 -> 0.05 increment of the
             # (2,1) ratio is ~8e-3 and must clear the moment noise
-            net = build_eps_net(n, eps, seed=seed)
+            net = build_eps_net(n, eps)
             moments = region_moments(
                 net, 1600 * net.size, SphereSampler(n, seed + 1)
             )

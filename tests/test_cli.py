@@ -77,8 +77,7 @@ class TestBoundCommand:
 class TestNetCommand:
     def test_two_point_net(self, capsys, tmp_path):
         prefix = str(tmp_path / "net1")
-        code, out, _ = run_cli(capsys, "net", "1", "0.5", "--seed", "3",
-                               "--out", prefix)
+        code, out, _ = run_cli(capsys, "net", "1", "0.5", "--out", prefix)
         assert code == 0
         rows = (tmp_path / "net1.csv").read_text().strip().splitlines()
         assert len(rows) == 2
@@ -88,8 +87,8 @@ class TestNetCommand:
 
     def test_deterministic_csv(self, capsys, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
-        run_cli(capsys, "net", "3", "0.3", "--seed", "7", "--out", a)
-        run_cli(capsys, "net", "3", "0.3", "--seed", "7", "--out", b)
+        run_cli(capsys, "net", "3", "0.3", "--out", a)
+        run_cli(capsys, "net", "3", "0.3", "--out", b)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         ha = strip_volatile(json.loads((tmp_path / "a.json").read_text()))
         hb = strip_volatile(json.loads((tmp_path / "b.json").read_text()))
@@ -99,8 +98,7 @@ class TestNetCommand:
 
     def test_volume_bound(self, capsys, tmp_path):
         prefix = str(tmp_path / "net3")
-        code, _, _ = run_cli(capsys, "net", "3", "0.3", "--seed", "0",
-                             "--out", prefix)
+        code, _, _ = run_cli(capsys, "net", "3", "0.3", "--out", prefix)
         assert code == 0
         header = json.loads((tmp_path / "net3.json").read_text())
         assert header["size"] <= 1000
@@ -114,6 +112,23 @@ class TestNetCommand:
         # the greedy net's hull computes its covering radius, at most eps
         assert 0.0 < header["covering_radius"] <= 0.5
         assert load_net(prefix + ".csv").covering_radius == header["covering_radius"]
+        assert "seed" not in header
+
+    def test_default_prefix_names_dim_and_eps(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, "net", "2", "0.5")
+        assert code == 0
+        assert out == "wrote 12 points to net_d2_e0.5.csv (header net_d2_e0.5.json)\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net_d2_e0.5.csv",
+                                                              "net_d2_e0.5.json"]
+
+    def test_seed_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
+        # a net depends only on (dim, eps), so `net` takes no --seed
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(capsys, "net", "3", "0.5", "--seed", "7")
+        assert code == 2
+        assert "unrecognized arguments: --seed 7" in err
+        assert not list(tmp_path.iterdir())
 
 
 class TestSeesawCommand:
@@ -355,11 +370,13 @@ class TestDeterminism:
         assert run_cli(capsys, *argv)[0] == 0
         assert strip_volatile(json.loads(out.read_text())) == lone
 
-    def test_seed_changes_output(self, capsys, tmp_path):
-        a, b = str(tmp_path / "a"), str(tmp_path / "b")
-        run_cli(capsys, "net", "2", "0.3", "--seed", "1", "--out", a)
-        run_cli(capsys, "net", "2", "0.3", "--seed", "2", "--out", b)
-        assert (tmp_path / "a.csv").read_text() != (tmp_path / "b.csv").read_text()
+    def test_seed_changes_output(self, capsys):
+        # off n = 3 the seed draws the moment samples on the one net
+        _, out1, _ = run_cli(capsys, "witness", "4", "1", "0.5", "--seed", "1")
+        _, out2, _ = run_cli(capsys, "witness", "4", "1", "0.5", "--seed", "2")
+        a, b = json.loads(out1), json.loads(out2)
+        assert a["net_size"] == b["net_size"]
+        assert a["b_finite_quantum"] != b["b_finite_quantum"]
 
 
 class TestImportCost:

@@ -114,7 +114,7 @@ def serial_seesaw(kernel, m, restarts, seed, init=None):
 
 
 def exact_moments_dim1():
-    net = EpsNet(dim=1, eps=0.5, points=np.array([[1.0], [-1.0]]), seed=0)
+    net = EpsNet(dim=1, eps=0.5, points=np.array([[1.0], [-1.0]]))
     return net, RegionMoments(
         net=net,
         weights=np.array([0.5, 0.5]),
@@ -133,7 +133,7 @@ class TestDiscretize:
         assert np.allclose(kernel.entries, 0.25 * np.array([[1, -1], [-1, 1]]), atol=1e-15)
 
     def test_constant_kernel_mc(self):
-        net = build_eps_net(2, 0.5, seed=3)
+        net = build_eps_net(2, 0.5)
         mom = region_moments(net, 100 * net.size, SphereSampler(2, 31))
         kernel = discretize_kernel(
             lambda a, b: np.ones(a.shape[0]),
@@ -148,7 +148,7 @@ class TestDiscretize:
 
     def test_antisymmetric_kernel_column_sums(self):
         pts = np.array([[1.0, 0], [-1.0, 0], [0, 1.0], [0, -1.0]])
-        net = EpsNet(dim=2, eps=0.9, points=pts, seed=0)
+        net = EpsNet(dim=2, eps=0.9, points=pts)
         mom = region_moments(net, 40_000, SphereSampler(2, 33))
         kernel = discretize_kernel(
             lambda a, b: np.einsum("ij,ij->i", a, b),
@@ -162,7 +162,7 @@ class TestDiscretize:
 
     def test_mismatched_moments_rejected(self):
         net, mom = exact_moments_dim1()
-        other = build_eps_net(2, 0.5, seed=4)
+        other = build_eps_net(2, 0.5)
         with pytest.raises(DomainError):
             discretize_kernel(DOT_KERNEL, other, mom)
 
@@ -312,20 +312,21 @@ class TestStackedSeesaw:
 
 
 def geodesic_moments(k, seed):
-    net = geodesic_net(k, seed)
+    net = geodesic_net(k)
     return region_moments(net, 100 * net.size, SphereSampler(3, seed + 100))
 
 
 def witness_moments(eps, seed):
-    """(moments, adversary seed) of run_witness(WitnessConfig(3, 1, eps, seed))."""
-    net = geodesic_net(geodesic_frequency(eps, 200_000), derive_seed(seed, "net"))
+    """(moments, adversary seed): the exact moments of the n = 3 witness net
+    at eps and the seed's own restart stream."""
+    net = geodesic_net(geodesic_frequency(eps, 200_000))
     return voronoi_moments(net), derive_seed(seed, "seesaw")
 
 
 def greedy_2d_moments():
     """(moments, adversary seed) of acceptance criterion 8's (n, m) = (2, 1)
     input at eps 0.1."""
-    net = build_eps_net(2, 0.1, seed=108)
+    net = build_eps_net(2, 0.1)
     return region_moments(net, 1600 * net.size, SphereSampler(2, 109)), 110
 
 
@@ -333,7 +334,7 @@ def greedy_2d_moments():
 def greedy_net_and_moments(n, eps, seed):
     """A greedy net and its moments at 100 samples per region, built once per
     session: the (3, 0.1) net alone takes seconds."""
-    net = build_eps_net(n, eps, seed=seed)
+    net = build_eps_net(n, eps)
     return net, region_moments(net, 100 * net.size, SphereSampler(n, seed + 1))
 
 
@@ -643,7 +644,7 @@ class TestDotUpperBound:
         assert dot_upper_bound(moments) >= dot_climb(moments.moment_vectors, n, 1).value
 
     @pytest.mark.parametrize("k", range(1, 5))
-    def test_tight_on_geodesic_nets(self, k):
+    def test_tight_on_geodesic_nets(self, k, turned):
         # the net's icosahedral symmetry makes M a multiple of I, so C = I / sqrt 3
         # attains the Cauchy-Schwarz bound: f^2 = (tr M)^2 / 3 = U.  Each side
         # sums at most 3 r float64 terms (r regions); with pairwise or blocked
@@ -651,7 +652,7 @@ class TestDotUpperBound:
         # at most (log2(3 r) + 10) 2^-53 relative, about 2e-15 at k = 4.
         # Measured: at most 1.2e-15, either way.
         for seed in range(3):
-            moments = voronoi_moments(geodesic_net(k, seed))
+            moments = voronoi_moments(turned(geodesic_net(k), seed))
             regions = moments.moment_vectors.shape[0]
             allowance = 2 * (math.ceil(math.log2(3 * regions)) + 10) * 2.0 ** -53
             upper = dot_upper_bound(moments)
@@ -659,7 +660,7 @@ class TestDotUpperBound:
             assert abs(upper - adversary) <= allowance * upper
 
     def test_empty_regions_count_nothing(self):
-        moments = voronoi_moments(geodesic_net(3, 0))
+        moments = voronoi_moments(geodesic_net(3))
         w = moments.moment_vectors.copy()
         w[[2, 7]] = 0.0
         emptied = dataclasses.replace(moments, moment_vectors=w)

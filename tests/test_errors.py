@@ -22,9 +22,11 @@ from dimwitness import (
     region_moments,
     seesaw_maximize,
     tsirelson_strategy,
+    y_closed_form,
 )
 from dimwitness.embedding_opt import dot_climb
 from dimwitness.errors import as_integer
+from dimwitness.sphere import geodesic_frequency
 
 
 def moments_of_a_half_sample():
@@ -56,11 +58,43 @@ REFUSED = {
     "estimate-n-inf": lambda: asymptotic_estimate(math.inf, 2),
 }
 
+# (call, the argument its refusal names); each but bound-m raised a TypeError
+# or named the wrong argument
+NAMED = {
+    "sampler-seed": (lambda: SphereSampler(3, 2.5), "seed"),
+    "sampler-stream": (lambda: SphereSampler(3, 1, 0.5), "stream_id"),
+    "net-seed": (lambda: build_eps_net(3, 0.5, seed=1.5), "seed"),
+    "net-max-points": (lambda: build_eps_net(3, 0.5, max_points=None), "max_points"),
+    "frequency-max-points": (lambda: geodesic_frequency(0.3, 2.5e4 + 0.5), "max_points"),
+    "y-closed-form-k": (lambda: y_closed_form(3, 1.5), "k"),
+    "bound-m": (lambda: kg_lower_bound(3, 1.5), "m"),
+}
+
 
 @pytest.mark.parametrize("call", REFUSED.values(), ids=REFUSED.keys())
 def test_out_of_domain_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("call, name", NAMED.values(), ids=NAMED.keys())
+def test_refusals_name_the_argument(call, name):
+    with pytest.raises(DomainError, match=rf"^{name} must be an integer, got "):
+        call()
+
+
+def test_y_closed_form_names_k_in_its_range_refusals():
+    with pytest.raises(DomainError, match="^k must satisfy k ≥ 1$"):
+        y_closed_form(3, 0)
+    with pytest.raises(DomainError, match="^k must satisfy k ≤ n$"):
+        y_closed_form(3, 4)
+
+
+def test_whole_float_seeds_and_sizes_are_kept():
+    assert SphereSampler(3, 2.0, 1.0).seed == 2
+    assert build_eps_net(3, 0.5, max_points=1e6).size == build_eps_net(3, 0.5).size
+    # 2.5e4 is a float, which math.isqrt refused with a TypeError
+    assert geodesic_frequency(0.3, 2.5e4) == geodesic_frequency(0.3, 25_000)
 
 
 @pytest.mark.parametrize("value", [None, "3", 2.5, math.nan, math.inf, -math.inf])

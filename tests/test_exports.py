@@ -33,7 +33,7 @@ def test_every_exported_name_resolves(name):
 
 def array_dataclasses():
     """One fresh instance of each frozen dataclass that holds arrays."""
-    net = build_eps_net(2, 0.5, seed=0)
+    net = build_eps_net(2, 0.5)
     strategy = tsirelson_strategy(3)
     a = np.array([1.0, 0.0, 0.0])
     result = seesaw_maximize(KernelMatrix(np.eye(2)), 2, restarts=1, seed=0)

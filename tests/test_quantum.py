@@ -446,7 +446,7 @@ class TestBatchedDeviation:
             raise AssertionError("per-pair correlation called")
 
         monkeypatch.setattr(quantum, "correlation", refuse)
-        worst = _validate_tsirelson_on_net(build_eps_net(3, 0.5, seed=1), 64, seed=2)
+        worst = _validate_tsirelson_on_net(build_eps_net(3, 0.5), 64, seed=2)
         assert 0.0 <= worst <= 1e-10
 
 

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 import tracemalloc
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from dimwitness import (
 )
 from dimwitness import sphere
 from dimwitness.embedding_opt import dot_climb, dot_upper_bound, dot_value
+from dimwitness.schemas import NET_HEADER_SCHEMA
 from dimwitness.seeding import derive_seed, make_rng
 from dimwitness.sphere import (
     assign_regions,
@@ -38,7 +41,7 @@ from dimwitness.sphere import (
 @pytest.fixture(scope="module")
 def net_3_015():
     """A greedy net of more than 256 points."""
-    return build_eps_net(3, 0.15, seed=3)
+    return build_eps_net(3, 0.15)
 
 
 def min_chord(points):
@@ -111,11 +114,11 @@ class TestSampler:
 
 class TestEpsNet:
     def test_dim1_half(self):
-        net = build_eps_net(1, 0.5, seed=3)
+        net = build_eps_net(1, 0.5)
         assert sorted(net.points.ravel().tolist()) == [-1.0, 1.0]
 
     def test_dim3_size_bound_and_covering(self):
-        net = build_eps_net(3, 0.3, seed=7)
+        net = build_eps_net(3, 0.3)
         assert net.size <= 1000  # (3/eps)^dim volume bound
         probes = SphereSampler(3, 11).sample(100_000)
         idx = assign_regions(net, probes)
@@ -123,55 +126,55 @@ class TestEpsNet:
         assert dist.max() <= 0.3
 
     def test_circle_count(self):
-        net = build_eps_net(2, 0.1, seed=5)
+        net = build_eps_net(2, 0.1)
         # packing/covering count on the unit circle
         assert 31 <= net.size <= 63
 
     def test_packing_exact(self):
-        for dim, eps, seed in ((2, 0.1, 5), (3, 0.3, 7), (4, 0.45, 1)):
-            net = build_eps_net(dim, eps, seed=seed)
+        for dim, eps in ((2, 0.1), (3, 0.3), (4, 0.45)):
+            net = build_eps_net(dim, eps)
             gram = net.points @ net.points.T
             np.fill_diagonal(gram, -1.0)
             min_dist = math.sqrt(max(2.0 - 2.0 * gram.max(), 0.0))
             assert min_dist >= eps
 
     def test_determinism(self):
-        a = build_eps_net(3, 0.25, seed=13)
-        b = build_eps_net(3, 0.25, seed=13)
+        a = build_eps_net(3, 0.25)
+        b = build_eps_net(3, 0.25)
         assert np.array_equal(a.points, b.points)
 
     def test_resource_limit(self):
         with pytest.raises(ResourceError):
-            build_eps_net(3, 0.3, seed=0, max_points=10)
+            build_eps_net(3, 0.3, max_points=10)
 
     def test_projected_refusal(self):
         with pytest.raises(ResourceError):
-            build_eps_net(8, 0.01, seed=0, max_points=1000)
+            build_eps_net(8, 0.01, max_points=1000)
 
     def test_eps_domain(self):
         with pytest.raises(DomainError):
-            build_eps_net(3, 1.5, seed=0)
+            build_eps_net(3, 1.5)
         with pytest.raises(DomainError):
-            build_eps_net(3, 0.0, seed=0)
+            build_eps_net(3, 0.0)
 
     def test_save_load_roundtrip(self, tmp_path):
         # a dim-1 net is written one entry per line and must load as (size, 1)
-        for net in (build_eps_net(3, 0.4, seed=2), build_eps_net(1, 0.5, seed=0)):
+        for net in (build_eps_net(3, 0.4), build_eps_net(1, 0.5)):
             csv_path = str(tmp_path / f"net{net.dim}.csv")
             save_net(net, csv_path)
             back = load_net(csv_path)
-            assert back.dim == net.dim and back.eps == net.eps and back.seed == net.seed
+            assert back.dim == net.dim and back.eps == net.eps
             assert np.array_equal(back.points, net.points)
 
     def test_save_load_keeps_covering_radius(self, tmp_path):
-        geo = geodesic_net(4, seed=1)
+        geo = geodesic_net(4)
         save_net(geo, str(tmp_path / "geo.csv"))
         back = load_net(str(tmp_path / "geo.csv"))
         assert back.eps == geo.eps and back.covering_radius == geo.covering_radius
         assert np.array_equal(back.points, geo.points)
         assert back.triangles is None  # the CSV holds points only
 
-        greedy = build_eps_net(3, 0.4, seed=2)
+        greedy = build_eps_net(3, 0.4)
         assert greedy.covering_radius <= greedy.eps
         save_net(greedy, str(tmp_path / "greedy.csv"))
         assert load_net(str(tmp_path / "greedy.csv")).covering_radius == greedy.covering_radius
@@ -188,7 +191,7 @@ class TestEpsNet:
         '[3, 2, 0.5, 0]',
     ], ids=["not_json", "no_size", "non_numeric_dim", "not_an_object"])
     def test_load_refuses_bad_header(self, tmp_path, header_text):
-        net = EpsNet(dim=3, eps=0.5, points=np.eye(3)[:2], seed=0)
+        net = EpsNet(dim=3, eps=0.5, points=np.eye(3)[:2])
         save_net(net, str(tmp_path / "net.csv"))
         (tmp_path / "net.json").write_text(header_text)
         with pytest.raises(DomainError, match="net.json: bad net header"):
@@ -196,7 +199,7 @@ class TestEpsNet:
 
     @pytest.mark.parametrize("radius", ['"0.5"', "-1", "true", "NaN", "Infinity", "2.5", "[0.5]"])
     def test_load_refuses_a_bad_covering_radius(self, tmp_path, radius):
-        net = EpsNet(dim=3, eps=0.5, points=np.eye(3)[:2], seed=0)
+        net = EpsNet(dim=3, eps=0.5, points=np.eye(3)[:2])
         save_net(net, str(tmp_path / "net.csv"))
         header = json.loads((tmp_path / "net.json").read_text())
         header["covering_radius"] = "RADIUS"
@@ -211,7 +214,7 @@ class TestEpsNet:
     ])
     def test_load_refuses_a_bad_header_value(self, tmp_path, key, value):
         # each loaded once, truncated by int() or mis-assigned probes later
-        net = EpsNet(dim=3, eps=0.5, points=np.eye(3)[:2], seed=0)
+        net = EpsNet(dim=3, eps=0.5, points=np.eye(3)[:2])
         save_net(net, str(tmp_path / "net.csv"))
         header = json.loads((tmp_path / "net.json").read_text())
         header[key] = "VALUE"
@@ -219,15 +222,29 @@ class TestEpsNet:
         with pytest.raises(DomainError, match=f"net.json: bad net header: {key} "):
             load_net(str(tmp_path / "net.csv"))
 
+    def test_headers_with_and_without_a_seed_load(self, tmp_path):
+        # save_net writes no seed; a header written when a seed turned each
+        # net carries one, which loads and selects nothing
+        net = build_eps_net(3, 0.4)
+        save_net(net, str(tmp_path / "net.csv"))
+        header = json.loads((tmp_path / "net.json").read_text())
+        assert "seed" not in header
+        for written in (header, {**header, "seed": 7}):
+            jsonschema.validate(written, NET_HEADER_SCHEMA)
+            (tmp_path / "net.json").write_text(json.dumps(written))
+            back = load_net(str(tmp_path / "net.csv"))
+            assert np.array_equal(back.points, net.points)
+            assert back.covering_radius == net.covering_radius
+
     def test_load_keeps_a_radius_in_range(self, tmp_path):
         for radius in (0, 0.0, 2, 1.25):
-            net = EpsNet(dim=3, eps=0.5, points=np.eye(3)[:2], seed=0, covering_radius=radius)
+            net = EpsNet(dim=3, eps=0.5, points=np.eye(3)[:2], covering_radius=radius)
             save_net(net, str(tmp_path / "net.csv"))
             assert load_net(str(tmp_path / "net.csv")).covering_radius == radius
 
     @pytest.mark.parametrize("bad_row", ["nan,0,0", "0,2,0", "inf,0,0"])
     def test_load_refuses_rows_off_the_sphere(self, tmp_path, bad_row):
-        net = EpsNet(dim=3, eps=0.5, points=np.eye(3)[:2], seed=0)
+        net = EpsNet(dim=3, eps=0.5, points=np.eye(3)[:2])
         csv_path = tmp_path / "net.csv"
         save_net(net, str(csv_path))
         csv_path.write_text(f"1.0,0.0,0.0\n{bad_row}\n")
@@ -236,7 +253,7 @@ class TestEpsNet:
 
     def test_off_sphere_row_names_its_file_line(self, tmp_path):
         # the blank line 2 holds no row, so the bad row is row 2 but line 3
-        net = EpsNet(dim=3, eps=0.5, points=np.eye(3)[:2], seed=0)
+        net = EpsNet(dim=3, eps=0.5, points=np.eye(3)[:2])
         csv_path = tmp_path / "net.csv"
         save_net(net, str(csv_path))
         csv_path.write_text("1.0,0.0,0.0\n\n0.0,2.0,0.0\n")
@@ -274,56 +291,57 @@ def inserted_hulls(points):
 class TestCoveringCertificate:
     @pytest.mark.parametrize("dim, eps", GREEDY_CASES)
     def test_packing_with_a_computed_radius(self, dim, eps):
-        for seed in range(3):
-            net = build_eps_net(dim, eps, seed=seed)
-            assert net.covering_radius is not None and net.covering_radius <= eps
-            assert min_chord(net.points) >= eps, (dim, eps, seed)
+        net = build_eps_net(dim, eps)
+        assert net.covering_radius is not None and net.covering_radius <= eps
+        assert min_chord(net.points) >= eps, (dim, eps)
 
     @pytest.mark.parametrize("dim, eps", [(2, 0.2), (3, 0.4), (4, 0.5), (5, 0.7), (6, 0.8)])
     def test_packing_and_covering_over_twenty_seeds(self, dim, eps):
+        # one net per (dim, eps); the seeds draw the probes it must cover
+        net = build_eps_net(dim, eps)
+        assert min_chord(net.points) >= eps
+        assert net.covering_radius <= eps
         for seed in range(20):
-            net = build_eps_net(dim, eps, seed=seed)
-            assert min_chord(net.points) >= eps, seed
-            assert net.covering_radius <= eps, seed
+            probes = SphereSampler(dim, seed).sample(5000)
+            dist = np.linalg.norm(probes - net.points[assign_regions(net, probes)], axis=1)
+            assert dist.max() <= net.covering_radius, seed
 
-    def test_seeds_give_different_nets(self):
-        for dim, eps in ((2, 0.3), (3, 0.3), (5, 0.7)):
-            nets = [build_eps_net(dim, eps, seed=seed).points for seed in range(4)]
-            for i, a in enumerate(nets):
-                for b in nets[:i]:
-                    assert a.shape != b.shape or np.abs(a - b).max() > 0.1, (dim, eps)
+    def test_seeds_give_one_net(self):
+        # the one test that passes build_eps_net a seed: whole numbers are
+        # accepted and select nothing, each net here built afresh
+        first = build_eps_net(5, 0.7)
+        for seed in (0, 1, 7, 2**40, -3):
+            sphere._BASE_NETS.clear()
+            net = build_eps_net(5, 0.7, seed=seed)
+            assert net.points is not first.points
+            assert np.array_equal(net.points, first.points), seed
+            assert net.covering_radius == first.covering_radius, seed
 
     @pytest.mark.parametrize("dim, eps", [case for case in GREEDY_CASES if case[0] > 1]
                              + [(7, 0.9)])
     def test_hull_equals_scipy(self, dim, eps):
-        # the seed turns the base net and its hull's planes; the turned
-        # facets are the hull of the turned points
-        base, hull = sphere._fill_caps(sphere._simplex(dim), eps, 10**6)
-        for seed in (0,) if dim == 7 else (0, 3):
-            rotation = sphere._rotation(dim, seed)
-            net = build_eps_net(dim, eps, seed=seed)
-            points = base @ rotation.T
-            assert np.array_equal(net.points, points)
-            radii = sphere._facet_planes(points, hull.facets, hull.planes @ rotation.T)[1]
-            assert net.covering_radius == radii.max()
-            expected, _, radii = hull_oracle(points)
-            assert len(hull.facets) == len(expected)
-            assert set(map(tuple, hull.facets.tolist())) == set(map(tuple, expected.tolist()))
-            assert abs(net.covering_radius - radii.max()) <= 1e-12, (dim, eps, seed)
+        points, hull = sphere._fill_caps(sphere._simplex(dim), eps, 10**6)
+        net = build_eps_net(dim, eps)
+        assert np.array_equal(net.points, points)
+        radii = sphere._facet_planes(points, hull.facets, hull.planes)[1]
+        assert net.covering_radius == radii.max()
+        expected, _, radii = hull_oracle(points)
+        assert len(hull.facets) == len(expected)
+        assert set(map(tuple, hull.facets.tolist())) == set(map(tuple, expected.tolist()))
+        assert abs(net.covering_radius - radii.max()) <= 1e-12, (dim, eps)
 
     @pytest.mark.parametrize("dim, eps, seed", [(2, 0.1, 5), (3, 0.3, 7), (4, 0.5, 1),
                                                 (5, 0.7, 1), (5, 0.7, 6), (6, 0.8, 2)])
     def test_uniform_probes_are_covered(self, dim, eps, seed):
-        net = build_eps_net(dim, eps, seed=seed)
-        probes = SphereSampler(dim, 11).sample(100_000)
+        net = build_eps_net(dim, eps)
+        probes = SphereSampler(dim, seed).sample(100_000)
         dist = np.linalg.norm(probes - net.points[assign_regions(net, probes)], axis=1)
         assert dist.max() <= net.covering_radius
 
     def test_dim1_radius_is_zero(self):
-        for seed in range(4):
-            net = build_eps_net(1, 0.5, seed=seed)
-            assert sorted(net.points.ravel().tolist()) == [-1.0, 1.0]
-            assert net.covering_radius == 0.0
+        net = build_eps_net(1, 0.5)
+        assert sorted(net.points.ravel().tolist()) == [-1.0, 1.0]
+        assert net.covering_radius == 0.0
 
     def test_a_point_above_a_facet_is_refused(self):
         points, hull = sphere._fill_caps(sphere._simplex(3), 0.5, 10**6)
@@ -366,18 +384,18 @@ class TestCoveringCertificate:
         monkeypatch.setattr(sphere, "_HULL_MAX_FACET_DIMS2", 10_000)
         message = r"^the hull of \d+ points has \d+ facets, past its bound of 400 at dim 5"
         with pytest.raises(ResourceError, match=message):
-            build_eps_net(5, 0.7, seed=1)
+            build_eps_net(5, 0.7)
         assert not sphere._BASE_NETS
 
     def test_dim_9_net_has_a_radius_within_eps(self):
         # the insertion ends at 137 points with about 413 000 facets, under
         # the hull bound
-        net = build_eps_net(9, 0.95, seed=0)
+        net = build_eps_net(9, 0.95)
         assert net.size == 137
         assert net.covering_radius <= 0.95
         base = sphere._base_net(9, 0.95, 10**6).points
         assert np.array_equal(base[:10], sphere._simplex(9))
-        assert np.array_equal(net.points, base @ sphere._rotation(9, 0).T)
+        assert np.array_equal(net.points, base)
         assert min_chord(net.points) >= 0.95
 
     def test_the_blocked_ridge_check(self, monkeypatch):
@@ -423,25 +441,38 @@ class TestCoveringCertificate:
         monkeypatch.setattr(sphere, "_fill_caps", never)
         with pytest.raises(ResourceError, match=r"^projected net size >= 5\.32e\+04 "
                                                 r"\(upper bound .*\) exceeds max_points=50000$"):
-            build_eps_net(5, 0.1, seed=0, max_points=50_000)
+            build_eps_net(5, 0.1, max_points=50_000)
 
 
 class TestBaseNetCache:
-    def test_seeds_turn_one_base_net(self):
+    def test_every_call_serves_the_kept_base_net(self):
         base = sphere._base_net(4, 0.5, 10**6)
-        for seed in range(3):
-            net = build_eps_net(4, 0.5, seed=seed)
-            assert np.array_equal(net.points, base.points @ sphere._rotation(4, seed).T)
+        for _ in range(3):
+            net = build_eps_net(4, 0.5)
+            assert net.points is base.points
+            assert net.covering_radius == base.covering_radius
+            assert net.triangles is None
         assert sphere._base_net(4, 0.5, 10**6) is base
+
+    @pytest.mark.parametrize("dim, eps, digest", [
+        (3, 0.5, "0bb6e2b8b72a27fb26eb1921a81781de79c79eafde4f49aba134ced877d6956e"),
+        (4, 0.5, "8ce81521c38837e18bfd9e7109722f725536b4a7377f1024497b5c3067e398c1"),
+        (5, 0.7, "50bdf939e4ceeed9a926e56430840a257889b34bd2963d39a4af8e34c8c572c2"),
+        (6, 0.7, "4c83e8dbfe4328d9829f64ba3c4a8538875bb50dbb7d40137edb342040455e65"),
+    ])
+    def test_base_nets_keep_their_bits(self, dim, eps, digest):
+        # SHA-256 of the points' float64 bytes, as built when a seed still
+        # turned each served copy: serving the base net unturned moved none
+        points = sphere._base_net(dim, eps, 10**6).points
+        assert hashlib.sha256(points.tobytes()).hexdigest() == digest
 
     def test_kept_arrays_are_read_only(self):
         base = sphere._base_net(3, 0.5, 10**6)
-        for array in base:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
-        # a net's own points are a fresh array
-        assert build_eps_net(3, 0.5, seed=1).points.flags.writeable
+        assert not base.points.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            base.points[0] = 0
+        # every net is served the kept points
+        assert build_eps_net(3, 0.5).points is base.points
 
     @pytest.mark.parametrize("dim, eps, jitter", [(2, 0.3, sphere._START_JITTER),
                                                   (4, 0.5, 2e-3)])
@@ -449,16 +480,16 @@ class TestBaseNetCache:
         # a patched jitter moves the start simplex of every base net built
         # in the test, this one's and the others'
         monkeypatch.setattr(sphere, "_START_JITTER", jitter)
-        cold = build_eps_net(dim, eps, seed=4)
-        warm = build_eps_net(dim, eps, seed=4)
+        cold = build_eps_net(dim, eps)
+        warm = build_eps_net(dim, eps)
         # other nets built in between, then enough of them to drop this one
         others = [(3, 0.5), (3, 0.55), (2, 0.2), (6, 0.8), (5, 0.75)]
         build_eps_net(*others[0]), build_eps_net(*others[1])
-        kept = build_eps_net(dim, eps, seed=4)
+        kept = build_eps_net(dim, eps)
         for other in others:
             build_eps_net(*other)
         assert (dim, eps) not in sphere._BASE_NETS
-        rebuilt = build_eps_net(dim, eps, seed=4)
+        rebuilt = build_eps_net(dim, eps)
         for net in (warm, kept, rebuilt):
             assert np.array_equal(net.points, cold.points)
             assert net.covering_radius == cold.covering_radius
@@ -475,59 +506,78 @@ class TestBaseNetCache:
     # and the second must not be served it.
     def test_a_net_built_under_a_patched_start_jitter(self, monkeypatch):
         monkeypatch.setattr(sphere, "_START_JITTER", 2e-3)
-        jittered = build_eps_net(5, 0.7, seed=1)
+        jittered = build_eps_net(5, 0.7)
         points = sphere._fill_caps(sphere._simplex(5), 0.7, 10**6)[0]
-        assert np.array_equal(jittered.points, points @ sphere._rotation(5, 1).T)
+        assert np.array_equal(jittered.points, points)
         assert (5, 0.7) in sphere._BASE_NETS
 
     def test_is_not_served_to_the_next_test(self):
         assert not sphere._BASE_NETS
-        full = build_eps_net(5, 0.7, seed=1)
+        full = build_eps_net(5, 0.7)
         points, hull = sphere._fill_caps(sphere._simplex(5), 0.7, 10**6)
-        assert np.array_equal(full.points, points @ sphere._rotation(5, 1).T)
+        assert np.array_equal(full.points, points)
         assert full.covering_radius is not None and full.covering_radius <= 0.7
 
     def test_a_kept_net_over_max_points_is_refused(self):
         size = build_eps_net(3, 0.3).size
         message = rf"^net exceeded max_points={size - 1}$"
         with pytest.raises(ResourceError, match=message):
-            build_eps_net(3, 0.3, seed=5, max_points=size - 1)
+            build_eps_net(3, 0.3, max_points=size - 1)
         sphere._BASE_NETS.clear()
         with pytest.raises(ResourceError, match=message):
-            build_eps_net(3, 0.3, seed=5, max_points=size - 1)
+            build_eps_net(3, 0.3, max_points=size - 1)
         assert not sphere._BASE_NETS  # a refused build keeps nothing
-        assert build_eps_net(3, 0.3, seed=5, max_points=size).size == size
+        assert build_eps_net(3, 0.3, max_points=size).size == size
 
-    def test_every_call_checks_the_packing(self, monkeypatch):
-        # a kept point moved next to another fails the packing test
-        build_eps_net(3, 0.5, seed=2)
-        base = sphere._base_net(3, 0.5, 10**6)
-        near = base._replace(points=np.vstack([base.points[:-1], base.points[0] * 0.999]))
-        monkeypatch.setitem(sphere._BASE_NETS, next(reversed(sphere._BASE_NETS)), near)
+    def test_each_base_net_checks_its_packing(self, monkeypatch):
+        # a built point moved next to another fails the packing test
+        fill_caps = sphere._fill_caps
+
+        def moved(points, eps, max_points):
+            points, hull = fill_caps(points, eps, max_points)
+            return np.vstack([points[:-1], points[0] * 0.999]), hull
+
+        monkeypatch.setattr(sphere, "_fill_caps", moved)
         with pytest.raises(NumericalIntegrityError, match="less than eps apart"):
-            build_eps_net(3, 0.5, seed=2)
+            build_eps_net(3, 0.5)
+        assert not sphere._BASE_NETS
 
-    def test_every_call_checks_the_planes(self, monkeypatch):
-        # a kept facet that is not a hull facet, with its own plane: the
+    def test_each_base_net_checks_its_planes(self, monkeypatch):
+        # a final facet that is not a hull facet, with its own plane: the
         # plane through two vertices of a facet and the point farthest from
-        # it cuts the sphere, so turned points lie above it
-        build_eps_net(3, 0.5, seed=2)
-        key = next(reversed(sphere._BASE_NETS))
-        base = sphere._BASE_NETS[key]
-        facet = base.facets[0]
-        far = int(np.argmin(base.points @ base.points[facet].sum(axis=0)))
-        facets, planes = base.facets.copy(), base.planes.copy()
-        facets[0] = np.sort([facet[0], facet[1], far])
-        planes[0] = np.linalg.solve(base.points[facets[0]], np.ones(3))
-        monkeypatch.setitem(sphere._BASE_NETS, key, base._replace(facets=facets, planes=planes))
+        # it cuts the sphere, so net points lie above it
+        fill_caps = sphere._fill_caps
+
+        def replaced(points, eps, max_points):
+            points, hull = fill_caps(points, eps, max_points)
+            facet = hull.facets[0]
+            far = int(np.argmin(points @ points[facet].sum(axis=0)))
+            hull.facets[0] = np.sort([facet[0], facet[1], far])
+            hull.planes[0] = np.linalg.solve(points[hull.facets[0]], np.ones(3))
+            return points, hull
+
+        monkeypatch.setattr(sphere, "_fill_caps", replaced)
         with pytest.raises(NumericalIntegrityError, match="above a hull facet"):
-            build_eps_net(3, 0.5, seed=2)
+            build_eps_net(3, 0.5)
+        assert not sphere._BASE_NETS
+
+    def test_a_kept_net_is_certified_once(self, monkeypatch):
+        first = build_eps_net(3, 0.5)
+
+        def refuse(*args):
+            raise AssertionError("a kept net was checked again")
+
+        monkeypatch.setattr(sphere, "_check_packing", refuse)
+        monkeypatch.setattr(sphere, "_facet_planes", refuse)
+        net = build_eps_net(3, 0.5)
+        assert net.points is first.points
+        assert net.covering_radius == first.covering_radius
 
 
 class TestGeodesicNet:
     @pytest.mark.parametrize("k", range(1, 13))
     def test_size_norms_and_separation(self, k):
-        net = geodesic_net(k, seed=k)
+        net = geodesic_net(k)
         assert net.size == 10 * k * k + 2
         assert net.points.shape == (net.size, 3)
         assert np.abs(np.linalg.norm(net.points, axis=1) - 1.0).max() <= 1e-15
@@ -544,16 +594,6 @@ class TestGeodesicNet:
         i, j = np.array([0, k, 0]), np.array([0, 0, k])
         assert np.array_equal(sphere._project(i, j, k, corners), corners)
 
-    def test_seed_selects_the_rotation_only(self):
-        a, b = geodesic_net(6, seed=4), geodesic_net(6, seed=4)
-        c = geodesic_net(6, seed=5)
-        assert np.array_equal(a.points, b.points)
-        assert not np.array_equal(a.points, c.points)
-        assert a.covering_radius == c.covering_radius == a.eps == geodesic_radius(6)
-        # the rotation preserves every distance
-        gram_a, gram_c = a.points @ a.points.T, c.points @ c.points.T
-        assert np.allclose(gram_a, gram_c, rtol=0, atol=1e-14)
-
     def test_radius_equals_hull_facet_caps(self):
         # Delaunay caps of points on the sphere are empty, so the largest
         # chord from a convex-hull facet's unit normal to its vertices is the
@@ -561,17 +601,14 @@ class TestGeodesicNet:
         from scipy.spatial import ConvexHull
 
         for k in range(1, 17):
-            for seed in range(3):
-                net = geodesic_net(k, seed=seed)
-                hull = ConvexHull(net.points)
-                normals = hull.equations[:, :3]
-                chords = np.linalg.norm(
-                    net.points[hull.simplices] - normals[:, None, :], axis=2
-                )
-                assert abs(net.covering_radius - chords.max()) <= 1e-12, (k, seed)
+            net = geodesic_net(k)
+            hull = ConvexHull(net.points)
+            normals = hull.equations[:, :3]
+            chords = np.linalg.norm(net.points[hull.simplices] - normals[:, None, :], axis=2)
+            assert abs(net.covering_radius - chords.max()) <= 1e-12, k
 
     def test_uniform_probes_are_covered(self):
-        net = geodesic_net(10, seed=2)
+        net = geodesic_net(10)
         probes = SphereSampler(3, 29).sample(100_000)
         dist = np.linalg.norm(probes - net.points[assign_regions(net, probes)], axis=1)
         assert dist.max() <= net.covering_radius
@@ -626,8 +663,8 @@ def half_edges(triangles):
     return triangles.ravel(), triangles[:, [1, 2, 0]].ravel()
 
 
-def reference_geodesic_net(k, seed):
-    """Points, triangles and covering radius of `geodesic_net(k, seed)` as an
+def reference_geodesic_net(k):
+    """Points, triangles and covering radius of `geodesic_net(k)` as an
     earlier construction built them, each with its own point numbering: the
     vertices, each edge projected as side j = 0 of the degenerate face
     (p, q, q), then the face interiors; the triangles rebuilt that order from
@@ -653,13 +690,6 @@ def reference_geodesic_net(k, seed):
         .reshape(-1, 3),
         project(i, j, verts[faces]).reshape(-1, 3),
     ])
-    w, x, y, z = SphereSampler(4, seed).sample(1)[0]
-    rot = np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
-
     edge_start = np.zeros((12, 12), dtype=np.int64)
     edge_start[edges[:, 0], edges[:, 1]] = 12 + (k - 1) * np.arange(30)
     a, b, c = faces.T
@@ -689,29 +719,28 @@ def reference_geodesic_net(k, seed):
     center /= np.linalg.norm(center, axis=1)[:, None]
     center *= np.sign(np.einsum("ij,ij->i", center, a))[:, None]
     rho = float(max(np.linalg.norm(v - center, axis=1).max() for v in (a, b, c)))
-    return pts @ rot.T, tri.reshape(-1, 3), rho
+    return pts, tri.reshape(-1, 3), rho
 
 
 class TestGeodesicReference:
     @pytest.mark.parametrize("k", [*range(1, 17), 119, 128])
     def test_equals_the_reference_construction(self, k):
-        for seed in (0, 7):
-            points, triangles, rho = reference_geodesic_net(k, seed)
-            net = geodesic_net(k, seed)
-            assert np.array_equal(net.points, points), (k, seed)
-            assert np.array_equal(net.triangles, triangles), (k, seed)
-            assert geodesic_radius(k) == rho == net.covering_radius
-            ours = voronoi_moments(net)
-            ref = voronoi_moments(EpsNet(dim=3, eps=rho, points=points, seed=seed,
-                                         covering_radius=rho, triangles=triangles))
-            assert np.array_equal(ours.weights, ref.weights), (k, seed)
-            assert np.array_equal(ours.moment_vectors, ref.moment_vectors), (k, seed)
+        points, triangles, rho = reference_geodesic_net(k)
+        net = geodesic_net(k)
+        assert np.array_equal(net.points, points), k
+        assert np.array_equal(net.triangles, triangles), k
+        assert geodesic_radius(k) == rho == net.covering_radius
+        ours = voronoi_moments(net)
+        ref = voronoi_moments(EpsNet(dim=3, eps=rho, points=points,
+                                     covering_radius=rho, triangles=triangles))
+        assert np.array_equal(ours.weights, ref.weights), k
+        assert np.array_equal(ours.moment_vectors, ref.moment_vectors), k
 
 
 class TestGeodesicTriangulation:
     @pytest.mark.parametrize("k", range(1, 17))
     def test_closed_outward_surface(self, k):
-        net = geodesic_net(k, seed=k)
+        net = geodesic_net(k)
         tri = net.triangles
         assert tri.shape == (20 * k * k, 3)
         a, b, c = (net.points[tri[:, e]] for e in range(3))
@@ -730,7 +759,7 @@ class TestGeodesicTriangulation:
     def test_every_edge_is_locally_delaunay(self, k):
         # the vertex across an edge lies outside the circumcap of the
         # triangle on this side: s . c_T <= p . c_T, up to rounding
-        net = geodesic_net(k, seed=k)
+        net = geodesic_net(k)
         pts, tri = net.points, net.triangles
         a, b, c = (pts[tri[:, e]] for e in range(3))
         center = np.cross(b - a, c - a)
@@ -748,37 +777,31 @@ class TestGeodesicTriangulation:
     def test_equals_the_convex_hull(self, k):
         from scipy.spatial import ConvexHull
 
-        net = geodesic_net(k, seed=k)
+        net = geodesic_net(k)
         ours = {tuple(sorted(t)) for t in net.triangles.tolist()}
         hull = {tuple(sorted(t)) for t in ConvexHull(net.points).simplices.tolist()}
         assert ours == hull
 
-    def test_rotation_keeps_the_triangles(self):
-        assert np.array_equal(geodesic_net(5, seed=1).triangles,
-                              geodesic_net(5, seed=2).triangles)
-        assert build_eps_net(3, 0.5, seed=0).triangles is None
-
 
 class TestNearestPoint:
     def test_net_point_maps_to_itself(self):
-        net = build_eps_net(3, 0.3, seed=7)
+        net = build_eps_net(3, 0.3)
         for idx in (0, 5, net.size - 1):
             assert nearest_point(net, net.points[idx]) == idx
 
     def test_dim1(self):
-        net = EpsNet(dim=1, eps=0.5, points=np.array([[1.0], [-1.0]]), seed=0)
+        net = EpsNet(dim=1, eps=0.5, points=np.array([[1.0], [-1.0]]))
         assert nearest_point(net, np.array([1.0])) == 0
         assert nearest_point(net, np.array([-1.0])) == 1
 
     def test_tie_breaks_to_lowest_index(self):
         net = EpsNet(
-            dim=2, eps=0.9, points=np.array([[1.0, 0.0], [0.0, 1.0]]), seed=0
-        )
+            dim=2, eps=0.9, points=np.array([[1.0, 0.0], [0.0, 1.0]]))
         bisector = np.array([1.0, 1.0]) / math.sqrt(2.0)
         assert nearest_point(net, bisector) == 0
 
     def test_random_probes_within_eps(self):
-        net = build_eps_net(3, 0.3, seed=7)
+        net = build_eps_net(3, 0.3)
         probes = SphereSampler(3, 17).sample(2000)
         idx = assign_regions(net, probes)
         dist = np.linalg.norm(probes - net.points[idx], axis=1)
@@ -787,8 +810,8 @@ class TestNearestPoint:
     def test_every_net_size_equals_the_full_argmax(self):
         # geodesic nets of 12 to 252 points and small greedy nets, probes
         # drawn and probes on the net points
-        nets = [geodesic_net(k, seed=k) for k in range(1, 6)]
-        nets += [build_eps_net(5, 0.7, seed=1), build_eps_net(1, 0.5, seed=0)]
+        nets = [geodesic_net(k) for k in range(1, 6)]
+        nets += [build_eps_net(5, 0.7), build_eps_net(1, 0.5)]
         for net in nets:
             probes = np.vstack([SphereSampler(net.dim, 31).sample(20_000), net.points])
             expected = np.argmax(probes @ net.points.T, axis=1)
@@ -810,7 +833,7 @@ class TestNearestPoint:
         # 100 probes per point of a net as large as build_eps_net(4, 0.2)'s,
         # 1 722 points: the whole product would take 2.4 GB, a block 2 MB.
         # Where the points lie does not matter, so they are drawn, not built.
-        net = EpsNet(dim=4, eps=0.2, points=SphereSampler(4, 37).sample(1722), seed=37)
+        net = EpsNet(dim=4, eps=0.2, points=SphereSampler(4, 37).sample(1722))
         probes = SphereSampler(4, 34).sample(100 * net.size)
         tracemalloc.start()
         try:
@@ -824,12 +847,12 @@ class TestNearestPoint:
     def test_assignment_does_not_read_eps(self, net_3_015):
         # a NaN eps, which a loaded header could once carry
         probes = SphereSampler(3, 35).sample(1000)
-        net = EpsNet(dim=3, eps=math.nan, points=net_3_015.points, seed=0)
+        net = EpsNet(dim=3, eps=math.nan, points=net_3_015.points)
         expected = np.argmax(probes @ net.points.T, axis=1)
         assert np.array_equal(assign_regions(net, probes), expected)
 
     def test_an_empty_net_is_refused(self):
-        net = EpsNet(dim=3, eps=0.5, points=np.zeros((0, 3)), seed=0)
+        net = EpsNet(dim=3, eps=0.5, points=np.zeros((0, 3)))
         with pytest.raises(DomainError, match="empty net"):
             assign_regions(net, SphereSampler(3, 36).sample(10))
 
@@ -852,13 +875,13 @@ class TestNearestPoint:
         t = 2 * np.pi * np.arange(300) / 300
         ring = np.column_stack([np.cos(t), np.sin(t), np.zeros(300)])
         poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-        sparse = EpsNet(dim=3, eps=0.01, points=np.vstack([ring, poles]), seed=0)
+        sparse = EpsNet(dim=3, eps=0.01, points=np.vstack([ring, poles]))
         dist = np.linalg.norm(probes - sparse.points[check(sparse)], axis=1)
         assert np.mean(dist > sparse.eps) > 0.9
 
         # ties: a duplicated row never wins over its lower-index original
         pts = np.insert(net.points, 6, net.points[5], axis=0)
-        dup = EpsNet(dim=3, eps=0.15, points=pts, seed=3)
+        dup = EpsNet(dim=3, eps=0.15, points=pts)
         got = check(dup)
         assert not np.any(got == 6)
         assert np.any(got == 5)
@@ -868,7 +891,7 @@ class TestNearestPoint:
         filler = SphereSampler(3, 23).sample(300)
         filler[:, 0] = -np.abs(filler[:, 0])
         mirror = np.vstack([[[c, 0.0, 0.1], [c, 0.0, -0.1]], filler])
-        tied = EpsNet(dim=3, eps=0.15, points=mirror, seed=0)
+        tied = EpsNet(dim=3, eps=0.15, points=mirror)
         assert nearest_point(tied, np.array([1.0, 0.0, 0.0])) == 0
 
 
@@ -920,7 +943,7 @@ class TestEstimatorCoverage:
 
 class TestRegionMoments:
     def test_dim1_split(self):
-        net = EpsNet(dim=1, eps=0.5, points=np.array([[1.0], [-1.0]]), seed=0)
+        net = EpsNet(dim=1, eps=0.5, points=np.array([[1.0], [-1.0]]))
         mom = region_moments(net, 20_000, SphereSampler(1, 21))
         se_half = math.sqrt(0.25 / 20_000)
         assert abs(mom.weights[0] - 0.5) <= 3 * se_half
@@ -931,14 +954,14 @@ class TestRegionMoments:
 
     def test_antisymmetric_net_first_moment(self):
         pts = np.array([[1.0, 0], [-1.0, 0], [0, 1.0], [0, -1.0]])
-        net = EpsNet(dim=2, eps=0.9, points=pts, seed=0)
+        net = EpsNet(dim=2, eps=0.9, points=pts)
         mom = region_moments(net, 40_000, SphereSampler(2, 22))
         total = mom.moment_vectors.sum(axis=0)
         se = 3 * math.sqrt(1.0 / 40_000)  # ||a|| = 1 bounds the variance
         assert np.linalg.norm(total) <= se
 
     def test_moment_norm_vs_weight(self):
-        net = build_eps_net(3, 0.3, seed=7)
+        net = build_eps_net(3, 0.3)
         mom = region_moments(net, 100 * net.size, SphereSampler(3, 23))
         norms = np.linalg.norm(mom.moment_vectors, axis=1)
         assert np.all(norms <= mom.weights + 1e-15)
@@ -950,7 +973,7 @@ class TestRegionMoments:
     def test_equals_the_moments_of_per_batch_assignments(self):
         # 400 scattered points, many probes farther than eps from all of them
         pts = SphereSampler(3, 25).sample(400)
-        net = EpsNet(dim=3, eps=0.15, points=pts, seed=25)
+        net = EpsNet(dim=3, eps=0.15, points=pts)
         samples = 5 * sphere._BATCH + 123
         mom = region_moments(net, samples, SphereSampler(3, 26))
 
@@ -978,7 +1001,7 @@ class TestRegionMoments:
         assert np.array_equal(mom.empty_regions, np.nonzero(counts == 0)[0])
 
     def test_weights_sum_and_errors(self):
-        net = build_eps_net(2, 0.3, seed=8)
+        net = build_eps_net(2, 0.3)
         mom = region_moments(net, 100 * net.size, SphereSampler(2, 24))
         assert mom.weights.sum() == pytest.approx(1.0, abs=1e-9)
         assert mom.samples_used == 100 * net.size
@@ -986,12 +1009,12 @@ class TestRegionMoments:
         assert mom.empty_regions.size == 0
 
     def test_min_samples(self):
-        net = build_eps_net(2, 0.3, seed=8)
+        net = build_eps_net(2, 0.3)
         with pytest.raises(DomainError):
             region_moments(net, 10, SphereSampler(2, 0))
 
     def test_determinism(self):
-        net = build_eps_net(2, 0.3, seed=8)
+        net = build_eps_net(2, 0.3)
         m1 = region_moments(net, 100 * net.size, SphereSampler(2, 25))
         m2 = region_moments(net, 100 * net.size, SphereSampler(2, 25))
         assert np.array_equal(m1.moment_vectors, m2.moment_vectors)
@@ -1000,7 +1023,7 @@ class TestRegionMoments:
     def test_zero_sample_region_flagged(self):
         # a duplicated point loses every tie to the lower index and starves
         pts = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
-        net = EpsNet(dim=2, eps=0.9, points=pts, seed=0)
+        net = EpsNet(dim=2, eps=0.9, points=pts)
         mom = region_moments(net, 1000, SphereSampler(2, 26))
         assert 1 in mom.empty_regions
         assert mom.weights[1] == 0.0
@@ -1010,7 +1033,7 @@ class TestRegionMoments:
 class TestVoronoiMoments:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_within_four_sigma_of_monte_carlo(self, k):
-        net = geodesic_net(k, seed=k)
+        net = geodesic_net(k)
         exact = voronoi_moments(net)
         mc = region_moments(net, 1_000_000, SphereSampler(3, 70 + k))
         # one SE per region bounds every coordinate's own SE
@@ -1021,7 +1044,7 @@ class TestVoronoiMoments:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_sums_and_cap_concentration(self, k):
-        net = geodesic_net(k, seed=k)
+        net = geodesic_net(k)
         mom = voronoi_moments(net)
         assert abs(mom.weights.sum() - 1.0) <= 1e-14
         assert np.linalg.norm(mom.moment_vectors.sum(axis=0)) <= 1e-14
@@ -1032,7 +1055,7 @@ class TestVoronoiMoments:
         assert np.all(norms <= mom.weights)
 
     def test_exact_fields(self):
-        net = geodesic_net(3, seed=0)
+        net = geodesic_net(3)
         mom = voronoi_moments(net)
         assert mom.net is net and mom.samples_used == 0
         assert np.array_equal(mom.standard_errors, np.zeros(net.size))
@@ -1040,25 +1063,26 @@ class TestVoronoiMoments:
         assert np.array_equal(mom.weights, voronoi_moments(net).weights)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_weights_do_not_depend_on_the_rotation(self, k):
-        base = voronoi_moments(geodesic_net(k, seed=0)).weights
+    def test_weights_do_not_depend_on_the_rotation(self, k, turned):
+        net = geodesic_net(k)
+        base = voronoi_moments(net).weights
         for seed in (1, 2, 3):
-            other = voronoi_moments(geodesic_net(k, seed=seed)).weights
+            other = voronoi_moments(turned(net, seed)).weights
             assert np.abs(other - base).max() <= 1e-15
 
     def test_needs_triangles(self):
         with pytest.raises(DomainError, match="triangulated"):
-            voronoi_moments(EpsNet(dim=3, eps=0.5, points=np.eye(3), seed=0))
+            voronoi_moments(EpsNet(dim=3, eps=0.5, points=np.eye(3)))
 
 
 class TestGeodesicBase:
     @pytest.mark.parametrize("k", [1, 3, 8])
-    def test_turning_the_net_moves_no_value_beyond_rounding(self, k):
+    def test_turning_the_net_moves_no_value_beyond_rounding(self, k, turned):
         # every term of the finite Bell value is unchanged when the net and
-        # the settings turn together, so the kept seed-0 net stands for all
+        # the settings turn together, so the unturned kept net stands for all
         base = sphere.geodesic_base(k)
         kept = base.moments()
-        assert np.array_equal(base.net.points, geodesic_net(k, 0).points)
+        assert np.array_equal(base.net.points, geodesic_net(k).points)
         exact = voronoi_moments(base.net)
         assert np.array_equal(kept.weights, exact.weights)
         assert np.array_equal(kept.moment_vectors, exact.moment_vectors)
@@ -1071,7 +1095,7 @@ class TestGeodesicBase:
 
         reference = values(kept, pts)
         for seed in range(1, 6):
-            net = geodesic_net(k, seed)
+            net = turned(base.net, seed)
             for value, ref in zip(values(voronoi_moments(net), net.points), reference):
                 assert abs(value - ref) <= 2e-15 * abs(ref), (seed, value, ref)
 
@@ -1079,7 +1103,6 @@ class TestGeodesicBase:
         base = sphere.geodesic_base(3)
         assert sphere.geodesic_base(3) is base
         assert list(sphere._BASE_NETS) == [("geodesic", 3)]
-        assert base.net.seed == 0
         assert base._fields == ("net", "weights", "moment_vectors")  # geometry only
         for array in (base.net.points, base.net.triangles, base.weights,
                       base.moment_vectors):
@@ -1103,22 +1126,21 @@ class TestIncrementalFill:
         # is wider than eps; the whole net's widest cap is its radius.  An
         # insertion often leaves two caps equally wide, up to rounding, so
         # either may come next.
-        for seed in range(3):
-            net = build_eps_net(dim, eps, seed=seed)
-            for end in range(dim + 1, net.size):
-                _, centers, radii = hull_oracle(net.points[:end])
-                assert radii.max() > eps
-                widest = centers[radii >= radii.max() - 1e-12]
-                miss = np.abs(widest - net.points[end]).max(axis=1).min()
-                assert miss <= 1e-12, (dim, eps, seed, end)
-            assert abs(hull_oracle(net.points)[2].max() - net.covering_radius) <= 1e-12
+        net = build_eps_net(dim, eps)
+        for end in range(dim + 1, net.size):
+            _, centers, radii = hull_oracle(net.points[:end])
+            assert radii.max() > eps
+            widest = centers[radii >= radii.max() - 1e-12]
+            miss = np.abs(widest - net.points[end]).max(axis=1).min()
+            assert miss <= 1e-12, (dim, eps, end)
+        assert abs(hull_oracle(net.points)[2].max() - net.covering_radius) <= 1e-12
 
     @pytest.mark.parametrize("dim, eps", [case for case in GREEDY_CASES if case[0] > 1])
     def test_one_wrap_and_its_insertions_give_the_fresh_hull(self, dim, eps):
         # the one hull built from scratch is the start simplex's; every hull
         # after it comes from inserting one point, and equals the hull scipy
         # computes afresh for the same points
-        net = build_eps_net(dim, eps, seed=1)
+        net = build_eps_net(dim, eps)
         for end, hull in enumerate(inserted_hulls(net.points), start=dim + 1):
             facets = set(map(tuple, hull.facets.tolist()))
             assert len(facets) == hull.facets.shape[0]
@@ -1155,7 +1177,7 @@ class TestIncrementalFill:
         # the exact regular simplex puts an inserted centre on a facet plane
         monkeypatch.setattr(sphere, "_START_JITTER", 0.0)
         with pytest.raises(NumericalIntegrityError, match="on a hull facet plane"):
-            build_eps_net(3, 0.5, seed=0)
+            build_eps_net(3, 0.5)
 
     def test_the_start_is_a_perturbed_regular_simplex(self):
         for dim in range(2, 10):
@@ -1165,9 +1187,7 @@ class TestIncrementalFill:
             off = gram[~np.eye(dim + 1, dtype=bool)]
             # a regular simplex's vertices have dot -1/dim, moved by the jitter
             assert np.abs(off + 1.0 / dim).max() <= 20 * sphere._START_JITTER
-            # each seed turns it by its own rotation
-            turned = start @ sphere._rotation(dim, dim).T
-            assert not np.array_equal(turned, start @ sphere._rotation(dim, dim + 1).T)
+            assert np.array_equal(sphere._simplex(dim), start)
 
 
 def slotted_hull(rows):

@@ -91,7 +91,7 @@ class TestBellValueInfinite:
 class TestBellValueFinite:
     @staticmethod
     def exact_dim1():
-        net = EpsNet(dim=1, eps=0.5, points=np.array([[1.0], [-1.0]]), seed=0)
+        net = EpsNet(dim=1, eps=0.5, points=np.array([[1.0], [-1.0]]))
         mom = RegionMoments(
             net=net,
             weights=np.array([0.5, 0.5]),
@@ -113,7 +113,7 @@ class TestBellValueFinite:
         assert bell_value_finite(net, mom, corr) == pytest.approx(1.0, abs=1e-15)
 
     def test_factored_matches_dense(self):
-        net = build_eps_net(3, 0.3, seed=7)
+        net = build_eps_net(3, 0.3)
         mom = region_moments(net, 100 * net.size, SphereSampler(3, 65))
         u, w = net.points, mom.moment_vectors
         # sum_uv (w_u . w_v) E_uv over the dense (size, size) E = u u^T
@@ -122,7 +122,7 @@ class TestBellValueFinite:
         assert factored == pytest.approx(dense, abs=1e-12)
 
     def test_dot_correlations_near_one_over_n(self):
-        net = build_eps_net(3, 0.3, seed=7)
+        net = build_eps_net(3, 0.3)
         mom = region_moments(net, 200 * net.size, SphereSampler(3, 66))
         val = bell_value_finite(net, mom, (net.points, net.points))
         n, eps = 3, 0.3
@@ -132,7 +132,7 @@ class TestBellValueFinite:
     def test_consistency_with_kernel_path(self):
         from dimwitness.embedding_opt import KernelMatrix, VectorAssignment, kernel_value
 
-        net = build_eps_net(3, 0.3, seed=7)
+        net = build_eps_net(3, 0.3)
         mom = region_moments(net, 100 * net.size, SphereSampler(3, 67))
         w = mom.moment_vectors
         via_bell = bell_value_finite(net, mom, (net.points, net.points))
@@ -146,12 +146,12 @@ class TestBellValueFinite:
         net, mom = self.exact_dim1()
         corr = (np.ones((2, 1)), np.ones((2, 1)))
         # same size, other points: only the net check can refuse these
-        swapped = EpsNet(dim=1, eps=0.5, points=net.points[::-1].copy(), seed=0)
-        for other in (swapped, build_eps_net(2, 0.5, seed=4)):
+        swapped = EpsNet(dim=1, eps=0.5, points=net.points[::-1].copy())
+        for other in (swapped, build_eps_net(2, 0.5)):
             with pytest.raises(DomainError, match="different net"):
                 bell_value_finite(other, mom, corr)
         # a copy of the net with equal points is accepted
-        copy = EpsNet(dim=1, eps=0.5, points=net.points.copy(), seed=1)
+        copy = EpsNet(dim=1, eps=0.5, points=net.points.copy())
         assert bell_value_finite(copy, mom, corr) == bell_value_finite(net, mom, corr)
 
     def test_shape_validation(self):
@@ -173,7 +173,7 @@ class TestBellValueFinite:
                 bell_value_finite(net, mom, corr)
 
     def test_within_one_ulp_of_the_exact_value(self):
-        net = geodesic_net(16, 3)
+        net = geodesic_net(16)
         mom = voronoi_moments(net)
         u = net.points
         w = [[Fraction(a) for a in column] for column in mom.moment_vectors.T.tolist()]
@@ -182,7 +182,7 @@ class TestBellValueFinite:
         assert abs(bell_value_finite(net, mom, (u, u)) - exact) <= math.ulp(exact)
 
     def test_the_adversary_and_the_empirical_ratio_share_its_evaluation(self):
-        geodesic, greedy = geodesic_net(16, 4), build_eps_net(5, 0.7, seed=4)
+        geodesic, greedy = geodesic_net(16), build_eps_net(5, 0.7)
         for net, mom in ((geodesic, voronoi_moments(geodesic)),
                          (greedy, region_moments(greedy, 100 * greedy.size, SphereSampler(5, 68)))):
             adversary = embedding_opt.dot_climb(mom.moment_vectors, 2, 5)
@@ -277,7 +277,7 @@ class TestRunWitness:
         # the (5, 0.7) base net kept from an earlier build here, and built
         # anew in a fresh process, give one report (TestBaseNetCache covers
         # the cache's cold, warm and evicted states)
-        build_eps_net(5, 0.7, seed=1)
+        build_eps_net(5, 0.7)
         code = ("import json, dimwitness\n"
                 "report = dimwitness.run_witness(dimwitness.WitnessConfig(5, 1, 0.7, seed=3))\n"
                 "print(json.dumps(report.to_dict()))\n")
@@ -306,6 +306,12 @@ class TestRunWitness:
             assert report.verdict != VERDICT_VIOLATION
             assert all(c.holds for c in report.chain_checks)
             assert report.b_finite_seesaw_d <= report.b_finite_quantum
+
+    def test_seeds_share_the_greedy_net_and_draw_their_own_moments(self):
+        first, second = (run_witness(WitnessConfig(5, 1, 0.7, seed=seed)) for seed in (1, 2))
+        assert first.net_size == second.net_size
+        assert first.covering_radius == second.covering_radius
+        assert first.b_finite_quantum != second.b_finite_quantum
 
     def test_quantum_value_grows_as_eps_shrinks(self):
         values = []
@@ -459,11 +465,12 @@ def bench_seed(seed, i):
     return int.from_bytes(digest[:4], "little") >> 1
 
 
-def per_seed_adversary(eps, seed):
+def per_seed_adversary(eps, seed, turned):
     """The n = 3 adversary as it was before the base was kept: the seed's
-    own restart stream on the exact moments of the seed's net.  Its value
-    is `bell_value_finite`'s evaluation, as the kept one's is."""
-    net = geodesic_net(geodesic_frequency(eps, 200_000), derive_seed(seed, "net"))
+    own restart stream on the exact moments of the seed's net, the net
+    turned by the seed's rotation.  Its value is `bell_value_finite`'s
+    evaluation, as the kept one's is."""
+    net = turned(geodesic_net(geodesic_frequency(eps, 200_000)), derive_seed(seed, "net"))
     moments = voronoi_moments(net)
     return embedding_opt.dot_climb(moments.moment_vectors, 2, derive_seed(seed, "seesaw")).value
 
@@ -560,10 +567,10 @@ class TestKeptGeodesicBase:
             ("geodesic", 3), (3, 0.5), ("geodesic", 1), ("geodesic", 4)]
 
     @pytest.mark.parametrize("eps, seeds", NEVER_LOWER_INPUTS)
-    def test_never_lower_than_the_per_seed_adversary(self, eps, seeds):
+    def test_never_lower_than_the_per_seed_adversary(self, eps, seeds, turned):
         for seed in seeds:
             kept = run_witness(WitnessConfig(3, 1, eps, seed=seed)).b_finite_seesaw_d
-            assert kept >= per_seed_adversary(eps, seed) * (1.0 - 1e-15), seed
+            assert kept >= per_seed_adversary(eps, seed, turned) * (1.0 - 1e-15), seed
 
 
 class TestGeodesicStrategy:
