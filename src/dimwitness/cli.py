@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Every command is deterministic given its full flag set (all randomness flows
-from --seed through named substreams; `net` draws nothing and takes no
---seed), emits machine-readable JSON on request, and embeds a run manifest in
-each output document.  Exit codes: 0 success, 2 usage, domain or file error,
-3 resource limit, 4 theory-violation tripwire.
+from --seed through named substreams; `net` and `bound` draw nothing, take no
+--seed and record a null seed), emits machine-readable JSON on request, and
+embeds a run manifest in each output document.  Exit codes: 0 success,
+2 usage, domain or file error, 3 resource limit, 4 theory-violation
+tripwire.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _blas() -> Optional[dict]:
 class RunManifest:
     command: str
     argv: List[str]
-    seed: int
+    seed: Optional[int]  # None for a command that draws nothing
     version: str = __version__
 
     def finish(self, started: float) -> dict:
@@ -283,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
     p.add_argument("--json", action="store_true")
-    common(p)
+    # no --seed: the bound is a formula
+    p.add_argument("--out", type=str, default=None, help="output path")
     p.set_defaults(handler=_cmd_bound)
 
     p = sub.add_parser("net", help="build and save a sphere eps-net")
@@ -347,7 +349,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     manifest = RunManifest(
         command=args.command,
         argv=argv,
-        seed=getattr(args, "seed", 0),
+        seed=getattr(args, "seed", None),
     )
     started = time.monotonic()
     try:

@@ -424,7 +424,8 @@ def _newton_tables(n: int, k: int) -> Tuple[np.ndarray, ...]:
     """The index tables of `_DotNewton` at (n, k), built once per shape:
     (a, b) with a <= b, the pairs of range(n) that w w^T is packed by; the
     packed positions of H; and where and with which signs the gauge
-    directions take the entries of C^T."""
+    directions take the entries of C^T.  Every climb of the shape shares
+    them, so none is writeable."""
     a, b = np.triu_indices(n)
     pair = np.empty((n, n), dtype=np.intp)
     pair[a, b] = pair[b, a] = np.arange(a.size)
@@ -445,7 +446,10 @@ def _newton_tables(n: int, k: int) -> Tuple[np.ndarray, ...]:
             flip[i], flip[j] = -1.0, 1.0
             at.append(move.ravel())
             sign.append(flip.ravel())
-    return a, b, hess_k, hess_n, np.stack(at, axis=1), np.stack(sign, axis=1)
+    tables = (a, b, hess_k, hess_n, np.stack(at, axis=1), np.stack(sign, axis=1))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 class _DotNewton:
@@ -521,9 +525,10 @@ class _DotNewton:
 
 
 def _dot_ascent(
-    w: np.ndarray, c: np.ndarray
+    newton: _DotNewton, c: np.ndarray
 ) -> List[Tuple[float, np.ndarray, int, bool, List[float]]]:
-    """Maximize f(C) = sum_u ||C^T w_u|| over ||C||_F = 1 from each start.
+    """Maximize f(C) = sum_u ||C^T w_u|| over ||C||_F = 1 from each start,
+    on the moments W of `newton`, built at this k.
 
     All states of the (stack, n, k) stack `c` advance together, stored as
     C^T with the regions axis last (`_dot_objective`); a state that stops
@@ -548,7 +553,6 @@ def _dot_ascent(
     ADVERSARY_MAX_ITERS iterations.  Returns per start
     (f, X, iterations, converged, f^2 at the start of each iteration).
     """
-    newton = _DotNewton(w, c.shape[2])
     wt = newton.wt
     c = np.ascontiguousarray(c.transpose(0, 2, 1))
     y, s, f = _dot_objective(wt, c)
@@ -639,7 +643,8 @@ def _dot_restarts(
     w: np.ndarray, k: int, seed: int
 ) -> Iterator[Tuple[float, np.ndarray, int, bool, List[float]]]:
     """`_dot_ascent` runs of every restart, in restart order, from stacks of
-    at most max(1, _STACK_ROWS // regions) starts.  Restart r starts at
+    at most max(1, _STACK_ROWS // regions) starts, all on one `_DotNewton`
+    of W, whose tables depend on W and k alone.  Restart r starts at
     C ∝ W^T Y, Y = SphereSampler(k, seed, r).sample(regions); where W^T Y is
     exactly zero (at n = 1 the two regions' signs cancel for about half the
     draws), at C = e_j e_1^T instead, column j of W the one of largest norm,
@@ -647,11 +652,12 @@ def _dot_restarts(
     regions = w.shape[0]
     group = max(1, _STACK_ROWS // regions)
     column = int(np.argmax(np.linalg.norm(w, axis=0)))
+    newton = _DotNewton(w, k)
     for first in range(0, ADVERSARY_RESTARTS, group):
         starts = np.stack([w.T @ SphereSampler(k, seed, r).sample(regions)
                            for r in range(first, min(first + group, ADVERSARY_RESTARTS))])
         starts[~np.any(starts != 0.0, axis=(1, 2)), column, 0] = 1.0
-        yield from _dot_ascent(w, _unit_states(starts))
+        yield from _dot_ascent(newton, _unit_states(starts))
 
 
 def dot_climb(w: np.ndarray, m: int, seed: int) -> SeesawResult:

@@ -9,7 +9,11 @@ _MANIFEST = {
     "properties": {
         "command": {"type": "string"},
         "argv": {"type": "array", "items": {"type": "string"}},
-        "seed": {"type": "integer"},
+        "seed": {
+            "type": ["integer", "null"],
+            "description": "the master seed; null for a command that draws "
+                           "nothing (net, bound)",
+        },
         "version": {"type": "string"},
         "timestamp": {"type": "string"},
         "duration_s": {"type": "number"},

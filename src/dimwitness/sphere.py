@@ -16,9 +16,11 @@ the hull (beneath-beyond), so the net is an eps-packing and a certified
 eps-covering, and its covering radius is the widest cap's.  A build whose
 hull passes a fixed memory bound, as (10, 0.95) does, is refused with a
 ResourceError.  Each net depends only on its (dim, eps), or on its
-frequency on S^2: no seed turns it.  A greedy net is built, certified and
-kept once per (dim, eps) and process, and the geodesic net of each
-frequency is kept the same way, with its exact moments (`geodesic_base`).
+frequency on S^2: no seed turns it.  One rule keeps them (`_kept`): a greedy
+net is built and certified once per (dim, eps) and process, and the
+geodesic net of each frequency is built once with its exact moments
+(`geodesic_base`).  Callers are served the kept `EpsNet` and
+`RegionMoments` themselves, every array reachable from them read-only.
 
 Every nearest-point query takes the largest dot product over the whole net
 (`_nearest`), in blocks of probes that bound the product's memory.
@@ -31,8 +33,8 @@ import functools
 import json
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -495,52 +497,52 @@ def _fill_caps(points: np.ndarray, eps: float, max_points: int) -> Tuple[np.ndar
         _insert_last(points[:size], hull)
 
 
-class _BaseNet(NamedTuple):
-    """The net of one (dim, eps), built by `_base_net`: its points, read-only,
-    and its covering radius."""
-
-    points: np.ndarray
-    covering_radius: float
-
-
 # base results kept per process (`_kept`): greedy nets under (dim, eps),
 # geodesic bases under ("geodesic", k)
-_BASE_NETS: "OrderedDict[tuple, tuple]" = OrderedDict()
+_BASE_NETS: "OrderedDict[tuple, object]" = OrderedDict()
 
 
-def _kept(key: tuple, build: Callable[[], tuple]) -> tuple:
-    """The base result of `key`, `build()` on a miss with every array in it
-    made read-only.  Kept in _BASE_NETS, at most _BASE_NET_ENTRIES results,
-    the least recently used dropped first; a build that raises keeps
-    nothing."""
+def _kept(key: tuple, build: Callable[[], object]):
+    """The base result of `key`, `build()` on a miss with every ndarray
+    reachable from it made read-only: a tuple's items and a dataclass's
+    fields, followed down (a RegionMoments to its net).  Kept in
+    _BASE_NETS, at most _BASE_NET_ENTRIES results, the least recently used
+    dropped first; a build that raises keeps nothing.  Every caller is
+    served the kept object itself."""
     base = _BASE_NETS.get(key)
     if base is not None:
         _BASE_NETS.move_to_end(key)
         return base
     base = build()
-    for array in base:
-        if isinstance(array, np.ndarray):
-            array.flags.writeable = False
+    reachable = [base]
+    while reachable:
+        value = reachable.pop()
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        elif isinstance(value, tuple):
+            reachable.extend(value)
+        elif is_dataclass(value):
+            reachable.extend(getattr(value, f.name) for f in fields(value))
     _BASE_NETS[key] = base
     if len(_BASE_NETS) > _BASE_NET_ENTRIES:
         _BASE_NETS.popitem(last=False)
     return base
 
 
-def _base_net(dim: int, eps: float, max_points: int) -> _BaseNet:
+def _base_net(dim: int, eps: float, max_points: int) -> EpsNet:
     """The base net of (dim, eps): farthest-point insertion from `_simplex`
     (`_fill_caps`), certified once.
 
     The float64 packing test runs on its points (`_check_packing`), and
     every plane of its final hull is checked against every point
     (`_facet_planes`), which also computes the caps: the widest is the
-    covering radius, 0 on S^0.  Built once and kept (`_kept`).  A build
-    that would exceed max_points or the hull's bound raises ResourceError
-    and keeps nothing; a kept net is served whatever the caller's
-    max_points.
+    covering radius, 0 on S^0.  Built once and kept (`_kept`): every call
+    is served the one `EpsNet`, its points read-only.  A build that would
+    exceed max_points or the hull's bound raises ResourceError and keeps
+    nothing; a kept net is served whatever the caller's max_points.
     """
 
-    def build() -> _BaseNet:
+    def build() -> EpsNet:
         points, hull = _simplex(dim), None
         if dim > 1:
             points, hull = _fill_caps(points, eps, max_points)
@@ -549,7 +551,7 @@ def _base_net(dim: int, eps: float, max_points: int) -> _BaseNet:
         if hull is not None:
             rho = float(_facet_planes(points, hull.facets, hull.planes)[1].max())
         # a copy, so that the spare rows of the insertion's buffer are not kept
-        return _BaseNet(points.copy(), rho)
+        return EpsNet(dim=dim, eps=eps, points=points.copy(), covering_radius=rho)
 
     return _kept((dim, eps), build)
 
@@ -583,10 +585,11 @@ def build_eps_net(
     cap of its convex hull while that cap is wider than eps (`_fill_caps`).
     It is built and certified once per process and kept: the packing test,
     and every plane of its final hull checked against every point.  Every
-    call serves its read-only points and its `covering_radius`, the widest
-    of those planes' caps, computed, and <= eps up to their rounding.  The
-    cache saves time only where one process asks for the same (dim, eps)
-    again.  On S^0 the net is both points, with radius 0.
+    call is served that one kept `EpsNet`, its points read-only and its
+    `covering_radius` the widest of those planes' caps, computed, and <= eps
+    up to their rounding.  The cache saves time only where one process asks
+    for the same (dim, eps) again.  On S^0 the net is both points, with
+    radius 0.
 
     `seed` selects nothing: every seed is served the same net.  It is kept
     because callers pass it (the warm-up statement of the witness workloads
@@ -608,11 +611,10 @@ def build_eps_net(
             f"projected net size >= {lo_est:.3g} (upper bound {hi_est:.3g}) "
             f"exceeds max_points={max_points}"
         )
-    base = _base_net(dim, float(eps), max_points)
-    if base.points.shape[0] > max_points:
+    net = _base_net(dim, float(eps), max_points)
+    if net.size > max_points:
         raise ResourceError(f"net exceeded max_points={max_points}")
-    return EpsNet(dim=dim, eps=float(eps), points=base.points,
-                  covering_radius=base.covering_radius)
+    return net
 
 
 # icosahedron: the 12 cyclic permutations of (0, +-1, +-phi)
@@ -928,7 +930,15 @@ def voronoi_moments(net: EpsNet) -> RegionMoments:
     """
     if net.triangles is None:
         raise DomainError("exact moments need a triangulated (geodesic) net")
-    return _exact_moments(net, *_voronoi_sums(net.points, net.triangles))
+    weights, vectors = _voronoi_sums(net.points, net.triangles)
+    return RegionMoments(
+        net=net,
+        weights=weights,
+        moment_vectors=vectors,
+        samples_used=0,
+        standard_errors=np.zeros(net.size),
+        empty_regions=np.zeros(0, dtype=np.int64),
+    )
 
 
 def _voronoi_sums(pts: np.ndarray, tri: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -972,40 +982,14 @@ def _voronoi_sums(pts: np.ndarray, tri: np.ndarray) -> Tuple[np.ndarray, np.ndar
     return area_sums / (4.0 * math.pi), arc_sums / (8.0 * math.pi)
 
 
-def _exact_moments(net: EpsNet, weights: np.ndarray, vectors: np.ndarray) -> RegionMoments:
-    """RegionMoments of exact weights and moment vectors: no samples, every
-    standard error 0 and no region empty."""
-    return RegionMoments(
-        net=net,
-        weights=weights,
-        moment_vectors=vectors,
-        samples_used=0,
-        standard_errors=np.zeros(net.size),
-        empty_regions=np.zeros(0, dtype=np.int64),
-    )
+def geodesic_base(k: int) -> Tuple[EpsNet, RegionMoments]:
+    """(net, moments) of frequency k: `geodesic_net(k)` and its
+    `voronoi_moments`, built once and kept (`_kept`), so every call is
+    served the same two objects, with every array in them read-only."""
 
-
-class GeodesicBase(NamedTuple):
-    """The frequency-k geodesic net, `geodesic_net(k)`, and the weights and
-    moment vectors of its `voronoi_moments`.  Every array is read-only."""
-
-    net: EpsNet
-    weights: np.ndarray
-    moment_vectors: np.ndarray
-
-    def moments(self) -> RegionMoments:
-        """`voronoi_moments(self.net)`, bit for bit, on the kept arrays."""
-        return _exact_moments(self.net, self.weights, self.moment_vectors)
-
-
-def geodesic_base(k: int) -> GeodesicBase:
-    """The base of frequency k, built once and kept (`_kept`)."""
-
-    def build() -> GeodesicBase:
+    def build() -> Tuple[EpsNet, RegionMoments]:
         net = geodesic_net(k)
-        net.points.flags.writeable = False
-        net.triangles.flags.writeable = False
-        return GeodesicBase(net, *_voronoi_sums(net.points, net.triangles))
+        return net, voronoi_moments(net)
 
     return _kept(("geodesic", k), build)
 

@@ -301,7 +301,8 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     computed covering radius rho is <= eps (`geodesic_net(k)`), and its
     moments are exact (`voronoi_moments`): every standard error is exactly
     0, so c1-c4 have no 4-sigma term.  The net and its moments are computed
-    once per k and process and kept (`geodesic_base`); so is, per (k, d),
+    once per k and process and kept, and every run is served the same
+    `EpsNet` and `RegionMoments` (`geodesic_base`); so is, per (k, d),
     the finished report of the adversary climbed on exactly those moments
     from the fixed restart stream derive_seed(0, "seesaw")
     (`_EXACT_REPORTS`).  A run validates the Tsirelson strategy on its own
@@ -310,12 +311,12 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     evaluates the chain.  In other dimensions the net is built by
     farthest-point insertion (`build_eps_net`): an eps-packing whose hull's
     widest empty cap, its computed covering radius rho, is <= eps, built
-    and certified once per (n, eps) and process.  Its moments are Monte
-    Carlo estimates (`region_moments`, moment_samples_per_region per
-    region).  The adversary is `dot_climb` at m = 2d^2: the best of
-    ADVERSARY_RESTARTS damped Newton ascents of the reduced objective, a
-    lower bound on the true maximum over R^m vectors.  At every n the
-    Tsirelson strategy is built once per n and process
+    and certified once per (n, eps) and process, every run served that one
+    kept `EpsNet`.  Its moments are Monte Carlo estimates (`region_moments`,
+    moment_samples_per_region per region).  The adversary is `dot_climb` at
+    m = 2d^2: the best of ADVERSARY_RESTARTS damped Newton ascents of the
+    reduced objective, a lower bound on the true maximum over R^m vectors.
+    At every n the Tsirelson strategy is built once per n and process
     (`_validation_strategy`).  Only the moments and the adversary depend on
     n: at every n, b_fq is `bell_value_finite` of the run's moments at the
     net points and b_fs the adversary's value, the same `dot_value` at its
@@ -338,8 +339,7 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     n, eps, m = config.n, config.eps, config.m
     if n == 3:
         k = geodesic_frequency(eps, config.max_net_points)
-        base = geodesic_base(k)
-        net = base.net
+        net, moments = geodesic_base(k)
     else:
         net = build_eps_net(n, eps, max_points=config.max_net_points)
     validation_dev = _validate_tsirelson_on_net(
@@ -348,11 +348,9 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     if n == 3:
         kept = _EXACT_REPORTS.get((k, config.d))
         if kept is None:
-            adversary = dot_climb(base.moment_vectors, m, derive_seed(0, "seesaw"))
-            # after the climb, so that the moments' zero standard errors add
-            # nothing to the ascent's peak memory
+            adversary = dot_climb(moments.moment_vectors, m, derive_seed(0, "seesaw"))
             kept = _EXACT_REPORTS[k, config.d] = _report(
-                config, base.moments(), adversary, "exact", validation_dev)
+                config, moments, adversary, "exact", validation_dev)
         return replace(kept, config=config, tsirelson_validation_dev=validation_dev)
 
     sampler = SphereSampler(n, derive_seed(config.seed, "moments"))

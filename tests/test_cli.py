@@ -72,6 +72,13 @@ class TestBoundCommand:
         doc = json.loads(out)
         jsonschema.validate(doc, BOUND_REPORT_SCHEMA)
         assert doc["bound"] == pytest.approx(32 / (3 * math.pi**2), abs=1e-12)
+        # the bound is a formula: it draws nothing and records no seed
+        assert doc["manifest"]["seed"] is None
+
+    def test_seed_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "bound", "3", "2", "--seed", "1")
+        assert code == 2
+        assert out == "" and "unrecognized arguments: --seed 1" in err
 
 
 class TestNetCommand:
@@ -113,6 +120,8 @@ class TestNetCommand:
         assert 0.0 < header["covering_radius"] <= 0.5
         assert load_net(prefix + ".csv").covering_radius == header["covering_radius"]
         assert "seed" not in header
+        # a net draws nothing, so its manifest records no seed
+        assert header["manifest"]["seed"] is None
 
     def test_default_prefix_names_dim_and_eps(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

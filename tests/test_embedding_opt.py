@@ -440,6 +440,31 @@ class TestDotAdversary:
         assert zero.value == 0.0 and zero.iterations == 0 and zero.converged
         assert np.array_equal(zero.assignment.row_vectors, np.tile([1.0, 0.0], (4, 1)))
 
+    @pytest.mark.parametrize("k", [11, 32])
+    def test_one_newton_table_per_climb(self, k, monkeypatch):
+        # 1 212 regions (k = 11) split the restarts into 2 stacks, 10 242
+        # (k = 32) into 16; every stack climbs on the one `_DotNewton`
+        w = voronoi_moments(geodesic_net(k)).moment_vectors
+        assert embedding_opt.ADVERSARY_RESTARTS > embedding_opt._STACK_ROWS // len(w)
+        builds = []
+        init = embedding_opt._DotNewton.__init__
+
+        def counted(self, *args):
+            builds.append(args[1:])
+            init(self, *args)
+
+        monkeypatch.setattr(embedding_opt._DotNewton, "__init__", counted)
+        dot_climb(w, 2, derive_seed(0, "seesaw"))
+        assert builds == [(2,)]
+
+    @pytest.mark.parametrize("n, k", [(3, 2), (5, 2), (4, 3)])
+    def test_newton_tables_are_read_only(self, n, k):
+        # every climb of the shape shares the cached tables
+        for table in embedding_opt._newton_tables(n, k):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = 0
+
     def test_iteration_count_guard(self):
         # counts repeat exactly.  Measured: largest 30 and total 322; 46 and
         # 463 while a failed Newton step raised its damping only for the
@@ -469,7 +494,7 @@ class TestDotAdversary:
 
         monkeypatch.setattr(embedding_opt._DotNewton, "directions", record_directions)
         monkeypatch.setattr(embedding_opt._DotNewton, "step", staticmethod(record_step))
-        run = embedding_opt._dot_ascent(w, start[None])[0]
+        run = embedding_opt._dot_ascent(embedding_opt._DotNewton(w, 2), start[None])[0]
         monkeypatch.undo()
         return run, iterations
 
@@ -583,7 +608,8 @@ class TestDotAdversary:
         w = moments.moment_vectors
         results = [run[1] for run in embedding_opt._dot_restarts(w, 2, seed)]
         states = embedding_opt._unit_states(np.stack([w.T @ x for x in results]))
-        assert [run[2] for run in embedding_opt._dot_ascent(w, states)] == [1] * 16
+        newton = embedding_opt._DotNewton(w, 2)
+        assert [run[2] for run in embedding_opt._dot_ascent(newton, states)] == [1] * 16
 
     @pytest.mark.parametrize("n, k", [(3, 1), (3, 2), (5, 1), (5, 2)])
     def test_closed_form_projector_equals_the_pseudoinverse(self, n, k):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -307,8 +308,9 @@ class TestCoveringCertificate:
             assert dist.max() <= net.covering_radius, seed
 
     def test_seeds_give_one_net(self):
-        # the one test that passes build_eps_net a seed: whole numbers are
-        # accepted and select nothing, each net here built afresh
+        # whole numbers are accepted and select nothing, each net here built
+        # afresh (`test_one_object_for_every_seed_and_max_points` serves the
+        # kept one)
         first = build_eps_net(5, 0.7)
         for seed in (0, 1, 7, 2**40, -3):
             sphere._BASE_NETS.clear()
@@ -444,15 +446,37 @@ class TestCoveringCertificate:
             build_eps_net(5, 0.1, max_points=50_000)
 
 
+def reachable_arrays(value):
+    """Every ndarray reachable from `value` through tuple items and
+    dataclass fields, with repeats."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [array for item in value for array in reachable_arrays(item)]
+    if dataclasses.is_dataclass(value):
+        return [array for f in dataclasses.fields(value)
+                for array in reachable_arrays(getattr(value, f.name))]
+    return []
+
+
 class TestBaseNetCache:
     def test_every_call_serves_the_kept_base_net(self):
         base = sphere._base_net(4, 0.5, 10**6)
+        assert isinstance(base, EpsNet)
         for _ in range(3):
             net = build_eps_net(4, 0.5)
-            assert net.points is base.points
-            assert net.covering_radius == base.covering_radius
+            assert net is base
             assert net.triangles is None
         assert sphere._base_net(4, 0.5, 10**6) is base
+
+    @pytest.mark.parametrize("dim, eps", [(3, 0.5), (5, 0.7)])
+    def test_one_object_for_every_seed_and_max_points(self, dim, eps):
+        first = build_eps_net(dim, eps)
+        assert (first.dim, first.eps) == (dim, eps)
+        for seed in range(4):
+            for max_points in (first.size, first.size + 1, 10**6):
+                net = build_eps_net(dim, eps, seed=seed, max_points=max_points)
+                assert net is first, (seed, max_points)
 
     @pytest.mark.parametrize("dim, eps, digest", [
         (3, 0.5, "0bb6e2b8b72a27fb26eb1921a81781de79c79eafde4f49aba134ced877d6956e"),
@@ -473,6 +497,20 @@ class TestBaseNetCache:
             base.points[0] = 0
         # every net is served the kept points
         assert build_eps_net(3, 0.5).points is base.points
+
+    def test_every_reachable_array_of_a_kept_base_is_read_only(self):
+        # a greedy net holds its points alone; a geodesic base holds the
+        # net's points and triangles, and the moments' four arrays and net
+        greedy = build_eps_net(4, 0.5)
+        geodesic = sphere.geodesic_base(2)
+        for base, count in ((greedy, 1), (geodesic, 8)):
+            arrays = reachable_arrays(base)
+            assert len(arrays) == count
+            for array in arrays:
+                assert not array.flags.writeable
+                if array.size:
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[(0,) * array.ndim] = 0
 
     @pytest.mark.parametrize("dim, eps, jitter", [(2, 0.3, sphere._START_JITTER),
                                                   (4, 0.5, 2e-3)])
@@ -1080,36 +1118,46 @@ class TestGeodesicBase:
     def test_turning_the_net_moves_no_value_beyond_rounding(self, k, turned):
         # every term of the finite Bell value is unchanged when the net and
         # the settings turn together, so the unturned kept net stands for all
-        base = sphere.geodesic_base(k)
-        kept = base.moments()
-        assert np.array_equal(base.net.points, geodesic_net(k).points)
-        exact = voronoi_moments(base.net)
-        assert np.array_equal(kept.weights, exact.weights)
-        assert np.array_equal(kept.moment_vectors, exact.moment_vectors)
-        x = dot_climb(base.moment_vectors, 2, derive_seed(0, "seesaw")).assignment.row_vectors
-        pts = base.net.points
+        net, kept = sphere.geodesic_base(k)
+        assert np.array_equal(net.points, geodesic_net(k).points)
+        x = dot_climb(kept.moment_vectors, 2, derive_seed(0, "seesaw")).assignment.row_vectors
 
         def values(moments, points):
             return (bell_value_finite(moments.net, moments, (points, points)),
                     dot_upper_bound(moments), dot_value(moments.moment_vectors, x, x))
 
-        reference = values(kept, pts)
+        reference = values(kept, net.points)
         for seed in range(1, 6):
-            net = turned(base.net, seed)
-            for value, ref in zip(values(voronoi_moments(net), net.points), reference):
+            other = turned(net, seed)
+            for value, ref in zip(values(voronoi_moments(other), other.points), reference):
                 assert abs(value - ref) <= 2e-15 * abs(ref), (seed, value, ref)
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_kept_moments_are_those_of_a_fresh_net(self, k):
+        net, kept = sphere.geodesic_base(k)
+        assert kept.net is net
+        fresh = voronoi_moments(geodesic_net(k))
+        assert np.array_equal(kept.net.points, fresh.net.points)
+        assert np.array_equal(kept.net.triangles, fresh.net.triangles)
+        assert kept.net.covering_radius == fresh.net.covering_radius
+        assert kept.samples_used == fresh.samples_used == 0
+        for name in ("weights", "moment_vectors", "standard_errors", "empty_regions"):
+            a, b = getattr(kept, name), getattr(fresh, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
 
     def test_kept_once_with_read_only_arrays(self):
         base = sphere.geodesic_base(3)
+        net, moments = base
         assert sphere.geodesic_base(3) is base
         assert list(sphere._BASE_NETS) == [("geodesic", 3)]
-        assert base._fields == ("net", "weights", "moment_vectors")  # geometry only
-        for array in (base.net.points, base.net.triangles, base.weights,
-                      base.moment_vectors):
+        assert isinstance(net, EpsNet) and isinstance(moments, sphere.RegionMoments)
+        assert moments.net is net
+        for array in (net.points, net.triangles, moments.weights, moments.moment_vectors,
+                      moments.standard_errors, moments.empty_regions):
             assert not array.flags.writeable
-        moments = base.moments()
         assert moments.samples_used == 0 and moments.empty_regions.size == 0
-        assert moments.standard_errors.shape == (base.net.size,)
+        assert moments.standard_errors.shape == (net.size,)
         assert not moments.standard_errors.any()
 
     def test_frequency_domain(self):
