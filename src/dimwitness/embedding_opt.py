@@ -367,10 +367,10 @@ def moment_value_std_error(moments: RegionMoments, vectors: np.ndarray) -> float
     gradient at region u is about (2/n) u, so count fluctuations, which move
     w_u along u, cancel across regions: over 40 sampler seeds at (4, 0.3)
     and (5, 0.5), 100 samples per region, this estimate was 46 to 136 times
-    the spread of the value.  Exact moments (every standard error 0) have
-    none, and no gradient is formed.
+    the spread of the value.  Exact moments (samples_used 0, every standard
+    error 0) have none, and no gradient is formed.
     """
-    if not np.any(moments.standard_errors):
+    if moments.samples_used == 0:
         return 0.0
     grad = 2.0 * (vectors @ (vectors.T @ moments.moment_vectors))
     grad_norms = np.linalg.norm(grad, axis=1)

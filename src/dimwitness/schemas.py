@@ -100,7 +100,7 @@ TSIRELSON_REPORT_SCHEMA = {
 _WITNESS_CONFIG = {
     "type": "object",
     "required": ["n", "d", "eps", "m", "seed", "moment_samples_per_region",
-                 "validation_pairs", "adversary_restarts", "adversary_max_iters",
+                 "adversary_restarts", "adversary_max_iters",
                  "adversary_stop_rule", "max_net_points", "allow_small_n"],
     "properties": {
         "n": {"type": "integer", "minimum": 1},
@@ -109,7 +109,6 @@ _WITNESS_CONFIG = {
         "m": {"type": "integer", "minimum": 2},
         "seed": {"type": "integer"},
         "moment_samples_per_region": {"type": "integer", "minimum": 1},
-        "validation_pairs": {"type": "integer", "minimum": 1},
         "adversary_restarts": {"type": "integer", "minimum": 1},
         "adversary_max_iters": {"type": "integer", "minimum": 1},
         "adversary_stop_rule": {"type": "string"},
@@ -161,7 +160,14 @@ WITNESS_REPORT_SCHEMA = {
                            "config.moment_samples_per_region samples per region",
         },
         "empty_regions": {"type": "integer", "minimum": 0},
-        "tsirelson_validation_dev": {"type": ["number", "null"], "minimum": 0},
+        "tsirelson_validation_dev": {
+            "type": ["number", "null"],
+            "minimum": 0,
+            "description": "||T - I||_2 for the n x n correlation table T of the "
+                           "Tsirelson strategy, so a bound on |E(u, v) - u.v| "
+                           "for every pair of unit vectors; computed once per n, "
+                           "the same for every seed; null for n > 16",
+        },
         "seesaw_converged": {
             "type": "boolean",
             "description": "the best adversary restart stopped because "

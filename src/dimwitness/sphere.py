@@ -857,8 +857,9 @@ class RegionMoments:
 
     `region_moments` estimates them from N = samples_used uniform points.
     `voronoi_moments` computes them in closed form on a triangulated
-    (geodesic) net: there samples_used is 0, every standard error is 0 and
-    no region is empty.
+    (geodesic) net: there samples_used is 0, which marks the moments
+    exact, every standard error is 0 (one read-only zero broadcast, no
+    buffer) and no region is empty.
     """
 
     net: EpsNet
@@ -936,7 +937,7 @@ def voronoi_moments(net: EpsNet) -> RegionMoments:
         weights=weights,
         moment_vectors=vectors,
         samples_used=0,
-        standard_errors=np.zeros(net.size),
+        standard_errors=np.broadcast_to(0.0, (net.size,)),
         empty_regions=np.zeros(0, dtype=np.int64),
     )
 

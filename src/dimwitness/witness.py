@@ -7,7 +7,9 @@ correlations (realizable with local dimension 2^floor(n/2)) score close to
 dimension m = 2d^2 and is therefore capped by the analytic ratio bound.  The
 chain of inequalities connecting the two is checked explicitly on every run;
 a failure beyond the statistical slack is a theory violation and trips the
-build.
+build.  The Tsirelson strategy that realizes the inner-product correlations
+is checked once per n, on its table T: every correlation is u^T T v, so
+||T - I||_2 bounds |E(u, v) - u.v| on every pair of every net.
 
 At n = 3 the moments are exact (`voronoi_moments` on the geodesic net, one
 kept net per frequency k, one kept report per (k, d)) and there is no
@@ -38,13 +40,8 @@ from .embedding_opt import (
     moment_value_std_error,
 )
 from .errors import DomainError, NumericalIntegrityError, as_integer, check_open_unit
-from .quantum import (
-    MAX_GENERATORS,
-    QuantumStrategy,
-    max_correlation_deviation,
-    tsirelson_strategy,
-)
-from .seeding import derive_seed, make_rng
+from .quantum import MAX_GENERATORS, tsirelson_strategy
+from .seeding import derive_seed
 from .sphere import (
     MIN_SAMPLES_PER_REGION,
     RegionMoments,
@@ -75,7 +72,6 @@ VERDICT_CONSISTENT = "consistent_but_uncertified"
 VERDICT_VIOLATION = "violation_of_theory"
 
 SLACK_SIGMAS = 4.0
-VALIDATION_PAIRS = 64  # sampled net pairs on which the Tsirelson strategy is checked
 
 
 @dataclass(frozen=True)
@@ -85,8 +81,10 @@ class WitnessConfig:
     The pipeline needs n >= 2 d^2 + 1 for a separation to be possible at all;
     smaller n is allowed only with allow_small_n (useful as a null test).
     moment_samples_per_region acts only on greedy nets (n != 3): the n = 3
-    geodesic net takes exact moments and draws no samples.  The integer
-    fields refuse non-integral values and keep integral ones as int.
+    geodesic net takes exact moments and draws no samples, and the seed
+    selects nothing.  The integer fields refuse non-integral values and keep
+    integral ones as int; eps is kept as a float, and allow_small_n must be
+    a bool (a numpy bool is kept as one), so `to_dict` is plain JSON.
     """
 
     n: int
@@ -107,6 +105,10 @@ class WitnessConfig:
         if self.n < 1 or self.d < 1:
             raise DomainError("n and d must be positive")
         check_open_unit("eps", self.eps)
+        object.__setattr__(self, "eps", float(self.eps))
+        if not isinstance(self.allow_small_n, (bool, np.bool_)):
+            raise DomainError(f"allow_small_n must be a bool, got {self.allow_small_n!r}")
+        object.__setattr__(self, "allow_small_n", bool(self.allow_small_n))
         if self.moment_samples_per_region < MIN_SAMPLES_PER_REGION:
             raise DomainError(
                 f"need >= {MIN_SAMPLES_PER_REGION} moment samples per region"
@@ -124,7 +126,6 @@ class WitnessConfig:
             "m": self.m,
             "seed": self.seed,
             "moment_samples_per_region": self.moment_samples_per_region,
-            "validation_pairs": VALIDATION_PAIRS,
             "adversary_restarts": ADVERSARY_RESTARTS,
             "adversary_max_iters": ADVERSARY_MAX_ITERS,
             "adversary_stop_rule": ADVERSARY_STOP_RULE,
@@ -159,6 +160,8 @@ class WitnessReport:
     # "exact" (`voronoi_moments`, n = 3) or "monte_carlo" (`region_moments`)
     moment_method: str
     empty_regions: int
+    # ||T - I||_2 of the Tsirelson strategy's table T, a bound on its
+    # deviation from u.v on every pair; None above MAX_GENERATORS
     tsirelson_validation_dev: Optional[float]
     # the best adversary restart stopped because neither the damped Newton
     # step nor the fixed-point step raised f, not at adversary_max_iters
@@ -256,32 +259,20 @@ def eps_threshold(n: int, d: int) -> float:
 # ----------------------------------------------------------------------
 
 @functools.cache
-def _validation_strategy(n: int) -> QuantumStrategy:
-    """`tsirelson_strategy(n)`, built once per n and process: the validation
-    of every run at n shares it, so none of its arrays is writeable."""
-    strategy = tsirelson_strategy(n)
-    arrays = [strategy.state, strategy.table, *(strategy.realified or ())]
-    for party in (strategy.alice, strategy.bob):
-        arrays += [party.columns, party.phases, party.mix]
-    for array in arrays:
-        array.flags.writeable = False
-    return strategy
-
-
-def _validate_tsirelson_on_net(net, pairs: int, seed: int) -> Optional[float]:
-    """Max |<A u x B v> - u.v| over sampled net pairs, for the kept
-    `_validation_strategy(net.dim)`; None when n is too large to simulate
-    densely."""
-    if net.dim > MAX_GENERATORS or net.size < 1:
+def _tsirelson_deviation(n: int) -> Optional[float]:
+    """||T - I||_2 for the table T of `tsirelson_strategy(n)`, computed once
+    per n and process; None above MAX_GENERATORS, where n is too large to
+    simulate densely.  Every correlation of the strategy is u^T T v, so for
+    unit u and v, |E(u, v) - u.v| = |u^T (T - I) v| <= ||T - I||_2: the
+    value bounds the deviation on every pair of every net, and a value
+    above 1e-10 raises NumericalIntegrityError."""
+    if n > MAX_GENERATORS:
         return None
-    pair_index = make_rng(seed, 0).integers(net.size, size=(pairs, 2))
-    u, v = net.points[pair_index.T]
-    worst = max_correlation_deviation(_validation_strategy(net.dim), u, v)
-    if worst > 1e-10:
+    deviation = float(np.linalg.norm(tsirelson_strategy(n).table - np.eye(n), 2))
+    if deviation > 1e-10:
         raise NumericalIntegrityError(
-            f"inner-product strategy deviated by {worst:.3e} on net points"
-        )
-    return worst
+            f"inner-product strategy deviates by up to {deviation:.3e} at n = {n}")
+    return deviation
 
 
 # the n = 3 report of each (k, d), kept per process by `run_witness`
@@ -294,21 +285,20 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     The net depends only on (n, eps): every term of the finite Bell value
     is unchanged when the net and the settings turn together, so turning
     the net by a seed's rotation would leave the distribution of every
-    reported number over seeds as it is.  The seed selects only draws: the Tsirelson validation pairs and, off n = 3, the
-    moment samples and the adversary's restarts.
+    reported number over seeds as it is.  The seed selects only draws: off
+    n = 3, the moment samples and the adversary's restarts; at n = 3,
+    nothing.
 
     At n = 3 the net is the geodesic net of the smallest frequency k whose
     computed covering radius rho is <= eps (`geodesic_net(k)`), and its
     moments are exact (`voronoi_moments`): every standard error is exactly
     0, so c1-c4 have no 4-sigma term.  The net and its moments are computed
-    once per k and process and kept, and every run is served the same
-    `EpsNet` and `RegionMoments` (`geodesic_base`); so is, per (k, d),
+    once per k and process and kept (`geodesic_base`); so is, per (k, d),
     the finished report of the adversary climbed on exactly those moments
     from the fixed restart stream derive_seed(0, "seesaw")
-    (`_EXACT_REPORTS`).  A run validates the Tsirelson strategy on its own
-    pairs of the kept net and returns a copy of the kept report with its
-    own config and deviation; only the first run of a (k, d) climbs and
-    evaluates the chain.  In other dimensions the net is built by
+    (`_EXACT_REPORTS`).  A run returns a copy of the kept report with its
+    own config; only the first run of a (k, d) asks for the base, climbs
+    and evaluates the chain.  In other dimensions the net is built by
     farthest-point insertion (`build_eps_net`): an eps-packing whose hull's
     widest empty cap, its computed covering radius rho, is <= eps, built
     and certified once per (n, eps) and process, every run served that one
@@ -316,11 +306,13 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     moment_samples_per_region per region).  The adversary is `dot_climb` at
     m = 2d^2: the best of ADVERSARY_RESTARTS damped Newton ascents of the
     reduced objective, a lower bound on the true maximum over R^m vectors.
-    At every n the Tsirelson strategy is built once per n and process
-    (`_validation_strategy`).  Only the moments and the adversary depend on
-    n: at every n, b_fq is `bell_value_finite` of the run's moments at the
-    net points and b_fs the adversary's value, the same `dot_value` at its
-    assignment X, their SEs `moment_value_std_error`.  The chain-check names keep their see-saw
+    tsirelson_validation_dev is ||T - I||_2 of the Tsirelson strategy's
+    table, computed once per n and process (`_tsirelson_deviation`), which
+    bounds its deviation from u.v on every net pair.  Only the moments and
+    the adversary depend on n: at every n, b_fq is `bell_value_finite` of
+    the run's moments at the net points and b_fs the adversary's value, the
+    same `dot_value` at its assignment X, their SEs
+    `moment_value_std_error`.  The chain-check names keep their see-saw
     wording.
 
     Chain checks (slack is the satisfied margin; c1-c3 add 4 sigma of
@@ -336,33 +328,26 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     net whose hull would pass its memory bound is refused with the
     ResourceError of `build_eps_net`, so every run has a computed rho.
     """
-    n, eps, m = config.n, config.eps, config.m
+    n, m = config.n, config.m
     if n == 3:
-        k = geodesic_frequency(eps, config.max_net_points)
-        net, moments = geodesic_base(k)
-    else:
-        net = build_eps_net(n, eps, max_points=config.max_net_points)
-    validation_dev = _validate_tsirelson_on_net(
-        net, VALIDATION_PAIRS, derive_seed(config.seed, "validation"))
-
-    if n == 3:
+        k = geodesic_frequency(config.eps, config.max_net_points)
         kept = _EXACT_REPORTS.get((k, config.d))
         if kept is None:
+            _, moments = geodesic_base(k)
             adversary = dot_climb(moments.moment_vectors, m, derive_seed(0, "seesaw"))
-            kept = _EXACT_REPORTS[k, config.d] = _report(
-                config, moments, adversary, "exact", validation_dev)
-        return replace(kept, config=config, tsirelson_validation_dev=validation_dev)
+            kept = _EXACT_REPORTS[k, config.d] = _report(config, moments, adversary)
+        return replace(kept, config=config)
 
+    net = build_eps_net(n, config.eps, max_points=config.max_net_points)
     sampler = SphereSampler(n, derive_seed(config.seed, "moments"))
     moments = region_moments(
         net, samples=config.moment_samples_per_region * net.size, sampler=sampler
     )
     adversary = dot_climb(moments.moment_vectors, m, derive_seed(config.seed, "seesaw"))
-    return _report(config, moments, adversary, "monte_carlo", validation_dev)
+    return _report(config, moments, adversary)
 
 
-def _report(config: WitnessConfig, moments: RegionMoments, adversary,
-            moment_method: str, validation_dev: Optional[float]) -> WitnessReport:
+def _report(config: WitnessConfig, moments: RegionMoments, adversary) -> WitnessReport:
     """The Bell values, bounds, chain checks and verdict of `adversary`
     climbed on `moments` (see `run_witness`)."""
     n, m = config.n, config.m
@@ -421,9 +406,9 @@ def _report(config: WitnessConfig, moments: RegionMoments, adversary,
         eps_threshold=thr,
         net_size=net.size,
         covering_radius=rho,
-        moment_method=moment_method,
+        moment_method="exact" if moments.samples_used == 0 else "monte_carlo",
         empty_regions=int(moments.empty_regions.size),
-        tsirelson_validation_dev=validation_dev,
+        tsirelson_validation_dev=_tsirelson_deviation(n),
         seesaw_converged=adversary.converged,
         chain_checks=tuple(checks),
         verdict=verdict,

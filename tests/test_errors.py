@@ -1,6 +1,7 @@
 """Arguments outside an operation's domain raise DomainError, never a
 TypeError, ValueError or OverflowError from deeper in numpy or Python."""
 
+import json
 import math
 
 import numpy as np
@@ -49,6 +50,9 @@ REFUSED = {
     "partial-norm-k": lambda: partial_norm_expectation(3, 1.5, 2000, SphereSampler(3, 0)),
     "dot-squared-samples": lambda: dot_squared_expectation(3, 1000.5, SphereSampler(3, 0)),
     "config-eps-str": lambda: WitnessConfig(3, 1, "0.3"),
+    # each of these two was kept as a truthy string or int, which allowed small n
+    "config-allow-small-n-str": lambda: WitnessConfig(3, 2, 0.3, allow_small_n="no"),
+    "config-allow-small-n-int": lambda: WitnessConfig(3, 2, 0.3, allow_small_n=1),
     "monotonicity-inf": lambda: monotonicity_check(math.inf),
     "strategy-none": lambda: tsirelson_strategy(None),
     "strategy-nan": lambda: tsirelson_strategy(math.nan),
@@ -95,6 +99,22 @@ def test_whole_float_seeds_and_sizes_are_kept():
     assert build_eps_net(3, 0.5, max_points=1e6).size == build_eps_net(3, 0.5).size
     # 2.5e4 is a float, which math.isqrt refused with a TypeError
     assert geodesic_frequency(0.3, 2.5e4) == geodesic_frequency(0.3, 25_000)
+
+
+@pytest.mark.parametrize("eps", [np.float32(0.3), np.float64(0.3), 0.3])
+def test_config_keeps_eps_as_a_float(eps):
+    # a float32 eps was kept, and `to_json` of the finished report raised
+    # TypeError: Object of type float32 is not JSON serializable
+    config = WitnessConfig(3, 1, eps)
+    assert type(config.eps) is float and config.eps == float(eps)
+    assert json.loads(json.dumps(config.to_dict()))["eps"] == float(eps)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.bool_(True), np.bool_(False)])
+def test_config_keeps_allow_small_n_as_a_bool(flag):
+    config = WitnessConfig(4, 1, 0.5, allow_small_n=flag)
+    assert type(config.allow_small_n) is bool and config.allow_small_n == flag
+    assert json.dumps(config.to_dict())
 
 
 @pytest.mark.parametrize("value", [None, "3", 2.5, math.nan, math.inf, -math.inf])

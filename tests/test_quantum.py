@@ -437,18 +437,6 @@ class TestBatchedDeviation:
                     for a, b in zip(left, right)]
             assert max_correlation_deviation(st, left, right) == max(devs)
 
-    def test_witness_validation_has_no_per_pair_call(self, monkeypatch):
-        # the witness checks its 64 net pairs in one contraction
-        from dimwitness import build_eps_net
-        from dimwitness.witness import _validate_tsirelson_on_net
-
-        def refuse(*args):
-            raise AssertionError("per-pair correlation called")
-
-        monkeypatch.setattr(quantum, "correlation", refuse)
-        worst = _validate_tsirelson_on_net(build_eps_net(3, 0.5), 64, seed=2)
-        assert 0.0 <= worst <= 1e-10
-
 
 def reference_generators(n):
     """The Jordan-Wigner generators as dense Kronecker products."""

@@ -511,7 +511,7 @@ class TestKeptGeodesicBase:
         report(other)
         assert report(seed).to_json() == cold.to_json()
 
-    def test_a_later_seed_only_validates(self, monkeypatch):
+    def test_a_later_seed_only_copies_the_report(self, monkeypatch):
         first = run_witness(WitnessConfig(3, 1, 0.3, seed=0))
         calls = collections.Counter()
 
@@ -526,11 +526,12 @@ class TestKeptGeodesicBase:
 
         for name in ("dot_climb", "bell_value_finite", "dot_upper_bound",
                      "moment_value_std_error", "kg_lower_bound", "eps_threshold",
-                     "_validate_tsirelson_on_net"):
+                     "geodesic_base", "tsirelson_strategy"):
             count(dimwitness.witness, name)
         count(quantum, "_jordan_wigner")  # the strategy's build
         later = run_witness(WitnessConfig(3, 1, 0.3, seed=1))
-        assert calls == {"_validate_tsirelson_on_net": 1}
+        assert calls == {}
+        assert dataclasses.replace(later, config=first.config).to_json() == first.to_json()
         assert later.b_finite_seesaw_d == first.b_finite_seesaw_d
         assert later.config.seed == 1
 
@@ -551,9 +552,9 @@ class TestKeptGeodesicBase:
             assert all(c.holds for c in report.chain_checks)
             assert report.verdict == VERDICT_CONSISTENT
             doc = report.to_dict()
-            del doc["config"]["seed"], doc["tsirelson_validation_dev"]
+            del doc["config"]["seed"]
             docs.add(json.dumps(doc))
-        # the seed selects only the Tsirelson validation pairs
+        # at n = 3 the seed selects nothing
         assert len(docs) == 1
 
     def test_entries_are_evicted_least_recently_used_first(self):
@@ -574,21 +575,11 @@ class TestKeptGeodesicBase:
 
 
 class TestGeodesicStrategy:
-    """Every run validates on one kept Tsirelson strategy per n."""
+    """The Tsirelson strategy is checked once per n, on its table."""
 
-    def test_kept_once_with_read_only_arrays(self):
-        for seed in (0, 1):
-            run_witness(WitnessConfig(3, 1, 0.3, seed=seed))
-        assert dimwitness.witness._validation_strategy.cache_info().misses == 1
-        st = dimwitness.witness._validation_strategy(3)
-        arrays = [st.state, st.table, *st.realified]
-        for party in (st.alice, st.bob):
-            arrays += [party.columns, party.phases, party.mix]
-        for array in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 0
-
-    def test_two_runs_at_n5_build_it_once(self, monkeypatch):
+    @staticmethod
+    def builds(monkeypatch, n, eps):
+        """The strategy builds (`_jordan_wigner` calls) of two runs at (n, eps)."""
         builds = []
         jordan_wigner = quantum._jordan_wigner
 
@@ -598,8 +589,14 @@ class TestGeodesicStrategy:
 
         monkeypatch.setattr(quantum, "_jordan_wigner", counted)
         for seed in (0, 1):
-            run_witness(WitnessConfig(5, 1, 0.7, seed=seed))
-        assert builds == [5]
+            run_witness(WitnessConfig(n, 1, eps, seed=seed))
+        return builds
+
+    def test_two_runs_at_n3_build_it_once(self, monkeypatch):
+        assert self.builds(monkeypatch, 3, 0.3) == [3]
+
+    def test_two_runs_at_n5_build_it_once(self, monkeypatch):
+        assert self.builds(monkeypatch, 5, 0.7) == [5]
 
     def test_direct_calls_keep_nothing(self):
         first, second = quantum.tsirelson_strategy(16), quantum.tsirelson_strategy(16)
@@ -608,16 +605,41 @@ class TestGeodesicStrategy:
             assert a.flags.writeable and b.flags.writeable
             assert not np.shares_memory(a, b)
 
-    def test_computes_the_bits_of_a_fresh_strategy(self):
-        for n in (2, 3, 5, 8, 16):
-            kept = dimwitness.witness._validation_strategy(n)
-            fresh = quantum.tsirelson_strategy(n)
-            assert fresh.table.flags.writeable and np.array_equal(kept.table, fresh.table)
+    def test_reports_the_norm_of_the_table_deviation(self):
+        # every correlation is a^T T b, so ||T - I||_2 bounds |E(a, b) - a.b|
+        # on every pair: at least the deviation on sampled pairs, less the
+        # rounding of the contraction, which sums n^2 terms a_j T_jk b_k of
+        # total size <= ||a||_1 ||b||_1 max|T| <= n max|T|, and of a.b
+        for n in range(1, 17):
+            strategy = quantum.tsirelson_strategy(n)
+            table = strategy.table
+            reported = dimwitness.witness._tsirelson_deviation(n)
+            assert reported == float(np.linalg.norm(table - np.eye(n), 2)) <= 1e-10
             rows = SphereSampler(n, seed=43).sample(128)
-            assert (quantum.max_correlation_deviation(kept, rows[::2], rows[1::2])
-                    == quantum.max_correlation_deviation(fresh, rows[::2], rows[1::2]))
-            for a, b in rows[:20].reshape(10, 2, n):
-                assert quantum.correlation(kept, a, b) == quantum.correlation(fresh, a, b)
-                rk, rf = quantum.vectorize(kept, a, b), quantum.vectorize(fresh, a, b)
-                assert np.array_equal(rk.alice_vector, rf.alice_vector)
-                assert np.array_equal(rk.bob_vector, rf.bob_vector)
+            sampled = quantum.max_correlation_deviation(strategy, rows[::2], rows[1::2])
+            allowance = np.finfo(float).eps * (n**3 * np.abs(table).max() + n)
+            assert reported >= sampled - allowance, n
+        assert dimwitness.witness._tsirelson_deviation(17) is None
+
+    @pytest.mark.parametrize("n, eps, dev", [(3, 0.3, 2.220446049250313e-16),
+                                             (4, 0.5, 0.0), (5, 0.7, 0.0)])
+    def test_runs_report_it(self, n, eps, dev):
+        report = run_witness(WitnessConfig(n, 1, eps, seed=2))
+        assert report.tsirelson_validation_dev == dimwitness.witness._tsirelson_deviation(n)
+        assert report.tsirelson_validation_dev == dev
+
+    def test_a_bent_strategy_is_refused(self, monkeypatch):
+        # one diagonal entry of the Z string negated, as in
+        # test_flipping_one_pauli_sign_fails: T_44 drops to 1/2
+        def bent(n):
+            base = quantum.tsirelson_strategy(n)
+            phases = base.alice.phases.copy()
+            phases[4, 0] = -phases[4, 0]
+            alice = dataclasses.replace(base.alice, phases=phases)
+            return quantum.QuantumStrategy(d=base.d, state=base.state, alice=alice,
+                                           bob=base.bob)
+
+        assert bent(5).table[4, 4] == pytest.approx(0.5, abs=1e-15)
+        monkeypatch.setattr(dimwitness.witness, "tsirelson_strategy", bent)
+        with pytest.raises(NumericalIntegrityError, match="deviates by up to 5.000e-01"):
+            run_witness(WitnessConfig(5, 1, 0.7))
