@@ -36,6 +36,8 @@ __all__ = [
 HALF_LOG_TWO_PI = 0.9189385332046727  # ln(2*pi)/2
 HALF_LOG_TWO = 0.34657359027997264  # ln(2)/2
 _LOG_F_SERIES_FROM = 50  # log_f switches to its asymptotic series here
+# decimal digits that a bracket's certification carries beyond its margin's
+_HEADROOM_DIGITS = 10
 
 
 def log_gamma(x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
@@ -86,13 +88,13 @@ def log_f(n: Union[int, float, np.ndarray]) -> Union[float, np.ndarray]:
     """
     if np.ndim(n) == 0:
         x = float(n)
-        if x < 1:
+        if not x >= 1:  # NaN too
             raise DomainError("f requires n >= 1")
         if x >= _LOG_F_SERIES_FROM:
             return _log_f_series(x)
         return math.lgamma((x + 1.0) / 2.0) - math.lgamma(x / 2.0) - 0.5 * math.log(x)
     arr = np.asarray(n, dtype=float)
-    if arr.size and np.any(arr < 1):
+    if not (arr >= 1).all():  # NaN too
         raise DomainError("f requires n >= 1")
     val = np.empty_like(arr)
     big = arr >= _LOG_F_SERIES_FROM
@@ -175,7 +177,7 @@ def gamma_ratio_series(k: float, terms: int) -> float:
     The first omitted term after three is (5/1024) sqrt(k)/k^3, which sets the
     accuracy floor of the 3-term truncation.
     """
-    if k < 1:
+    if not k >= 1:  # NaN too
         raise DomainError("gamma_ratio_series requires k >= 1")
     if terms not in (1, 2, 3):
         raise DomainError("terms must be 1, 2 or 3")
@@ -213,20 +215,25 @@ def robbins_bounds(x: float) -> Tuple[float, float]:
     ln hi = same with exponent correction 1/(12x)
     and ln lo < ln Gamma(x+1) < ln hi for all real x >= 2.
 
-    The strict bracket is certified on every call at 40 digits: the upper
-    margin shrinks like 1/(360 x^3) and falls below the float64 resolution of
-    ln Gamma near x ~ 4000, so the returned doubles bracket only up to ulp
-    noise at the top of the range.
+    The strict bracket is certified on every call in mpmath.  The upper
+    margin shrinks like 1/(360 x^3), a fraction 1/(360 x^4 ln x) of ln
+    Gamma(x+1), so telling it apart takes log10(360 x^4 ln x) digits (19.5
+    at x = 1e4, 41.8 at 3e9); the comparison runs at that plus
+    _HEADROOM_DIGITS = 10, and at no fewer than 40.  The margin falls below
+    the float64 resolution of ln Gamma near x ~ 4000, so the returned
+    doubles bracket only up to ulp noise beyond.  A NaN or infinite x is
+    refused.
     """
-    if x < 2:
-        raise DomainError("robbins_bounds requires x >= 2")
+    if not 2 <= x < math.inf:
+        raise DomainError("robbins_bounds requires a finite x >= 2")
     from mpmath import mp  # 20-30 ms to import; only the brackets need it
 
     x = float(x)
     base = HALF_LOG_TWO_PI + (x + 0.5) * math.log(x) - x
     lo = base + 1.0 / (12.0 * x + 1.0)
     hi = base + 1.0 / (12.0 * x)
-    with mp.workdps(40):
+    margin_digits = 4 * math.log10(x) + math.log10(360 * math.log(x))
+    with mp.workdps(max(40, math.ceil(margin_digits) + _HEADROOM_DIGITS)):
         xm = mp.mpf(x)
         base_m = 0.5 * mp.log(2 * mp.pi) + (xm + 0.5) * mp.log(xm) - xm
         val = mp.loggamma(xm + 1)
@@ -239,16 +246,20 @@ def log1p_bounds(n: int) -> Tuple[float, float]:
     """Four/three-term alternating-series bracket of ln(1 + 1/n).
 
     lo = 1/n - 1/(2n^2) + 1/(3n^3) - 1/(4n^4), hi drops the last term.  The
-    bracket is certified on every call by a 60-digit comparison, since in
-    double precision the interval width 1/(4n^4) falls below the ulp of 1/n
-    for n beyond ~1e4.
+    bracket is certified on every call in mpmath, since in double precision
+    the interval width 1/(4n^4) falls below the ulp of 1/n for n beyond
+    ~1e4.  The lower margin, about 1/(5n^5), is a fraction 1/(5n^4) of
+    ln(1 + 1/n), so telling it apart takes log10(5n^4) digits (24.7 at n =
+    1e6, 64.7 at 1e16); the comparison runs at that plus _HEADROOM_DIGITS =
+    10, and at no fewer than 60.
     """
     n = as_integer("n", n)
     if n < 1:
         raise DomainError("log1p_bounds requires n >= 1")
     from mpmath import mp  # 20-30 ms to import; only the brackets need it
 
-    with mp.workdps(60):
+    margin_digits = math.log10(5) + 4 * math.log10(n)
+    with mp.workdps(max(60, math.ceil(margin_digits) + _HEADROOM_DIGITS)):
         inv = mp.mpf(1) / n
         hi = inv - mp.mpf(1) / (2 * n**2) + mp.mpf(1) / (3 * n**3)
         lo = hi - mp.mpf(1) / (4 * n**4)

@@ -68,8 +68,9 @@ MIN_SAMPLES_PER_REGION = 100
 _HULL_MAX_FACET_DIMS2 = 1 << 26
 # scale of the Gaussian that moves each vertex of the start simplex
 _START_JITTER = 1e-3
-# dot products (8 bytes each) per block of a nearest-point query: 2 MB
-_NEAREST_BLOCK = 1 << 18
+# bytes of the temporaries of one block of a blocked pass (`_nearest`,
+# `_facet_planes`, `_check_packing`, `_check_ridges`): 256 KiB
+_BLOCK_BYTES = 1 << 18
 # base results kept per process (`_kept`), the least recently used dropped
 _BASE_NET_ENTRIES = 4
 
@@ -77,6 +78,12 @@ _BASE_NET_ENTRIES = 4
 def _unit_rows(g: np.ndarray) -> np.ndarray:
     """Rows of `g` divided by their norms."""
     return g / np.linalg.norm(g, axis=1)[:, None]
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows per block of a blocked pass whose temporaries take `row_bytes`
+    per row: as many as fit in _BLOCK_BYTES, at least one."""
+    return max(1, _BLOCK_BYTES // row_bytes)
 
 
 @dataclass
@@ -101,11 +108,13 @@ class SphereSampler:
         self._rng = make_rng(self.seed, self.stream_id)
 
     def sample(self, count: int) -> np.ndarray:
-        """(count, dim) array of uniform unit vectors (Gaussian-normalize)."""
+        """(count, dim) array of uniform unit vectors (Gaussian-normalize),
+        the draws divided by their norms in place."""
         g = self._rng.standard_normal((count, self.dim))
         norms = np.linalg.norm(g, axis=1)
         _redraw_zero_rows(self._rng, g, norms)
-        return g / norms[:, None]
+        g /= norms[:, None]
+        return g
 
 
 def _redraw_zero_rows(rng: np.random.Generator, g: np.ndarray, norms: np.ndarray) -> None:
@@ -160,13 +169,14 @@ class EpsNet:
 def _nearest(points: np.ndarray, probes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(index, dot) per probe: the row of `points` with the largest dot
     product with the probe, ties to the lowest row index, and that dot
-    product.  Probes are taken in blocks of _NEAREST_BLOCK dot products.
-    Raises DomainError when `points` is empty."""
+    product.  Probes are taken in blocks whose dot products, 8 bytes per
+    point per probe, fit in _BLOCK_BYTES.  Raises DomainError when `points`
+    is empty."""
     if points.shape[0] == 0:
         raise DomainError("an empty net has no nearest point")
     index = np.empty(probes.shape[0], dtype=np.int64)
     dot = np.empty(probes.shape[0])
-    rows = max(1, _NEAREST_BLOCK // points.shape[0])
+    rows = _block_rows(8 * points.shape[0])
     for start in range(0, probes.shape[0], rows):
         dots = probes[start : start + rows] @ points.T
         best = np.argmax(dots, axis=1)
@@ -223,33 +233,36 @@ def _facet_planes(
     gaps plus the dot's rounding, about dim 2^-53 ||m||, so a point that
     lies on the exact plane computes within twice that.  The radius is the
     chord radius of the facet's cap: the largest chord from the cap's centre
-    m / ||m|| to the facet's vertices.  The facets are taken in blocks whose
-    gaps and vertex rows each hold at most _NEAREST_BLOCK numbers.  Raises
-    NumericalIntegrityError when some point lies above a plane by more than
-    its allowance (the facet is not a hull facet).
+    m / ||m|| to the facet's vertices.  A facet's least gap is 1 less its
+    largest dot, rounding being monotone, so only the dots are held.  The
+    facets are taken in blocks that fit in _BLOCK_BYTES, a facet costing its
+    dots with every point (8 bytes each) or, after those are freed, its
+    vertex rows and chords (16 dim^2 bytes), and its few rows of dim
+    numbers.  Raises NumericalIntegrityError when some point lies above a
+    plane by more than its allowance (the facet is not a hull facet).
     """
     size, dim = points.shape
     allowance, radii = np.empty((2, rows.shape[0]))
-    step = max(1, _NEAREST_BLOCK // max(size, dim * dim))
+    step = _block_rows(max(8 * size, 16 * dim * dim) + 32 * dim)
     for start in range(0, rows.shape[0], step):
         block = slice(start, start + step)
         plane = m[block]
-        gap = plane @ points.T  # (facets, points)
-        np.subtract(1.0, gap, out=gap)
-        # each facet's gaps at its own vertices, taken by flat index
-        resid = gap.take(rows[block] + size * np.arange(gap.shape[0])[:, None])
+        dots = plane @ points.T  # (facets, points)
+        # each facet's gaps at its own vertices, its dots taken by flat index
+        resid = 1.0 - dots.take(rows[block] + size * np.arange(dots.shape[0])[:, None])
         # what np.linalg.norm(plane, axis=1) computes, without its wrapper
         norms = np.sqrt(np.add.reduce(plane * plane, axis=1))
         edge = 2.0 * np.abs(resid, out=resid).max(axis=1) + 4 * (dim + 2) * 2.0 ** -53 * norms
         allowance[block] = edge
-        if (gap < -edge[:, None]).any():
-            worst = float(np.max(-gap / edge[:, None]))
+        if (1.0 - dots.max(axis=1) < -edge).any():
+            worst = float(np.max((dots - 1.0) / edge[:, None]))
             raise NumericalIntegrityError(
                 f"a net point lies above a hull facet by {worst:.3g} rounding allowances"
             )
-        del gap  # so that the next block's gaps do not coexist with these
+        del dots  # so that neither the chords nor the next block's dots coexist with these
         chords = points.take(rows[block], axis=0) - (plane / norms[:, None])[:, None, :]
         radii[block] = np.sqrt(np.einsum("fvx,fvx->fv", chords, chords).max(axis=1))
+        del chords  # so that the next block's dots do not coexist with these
     return allowance, radii
 
 
@@ -398,27 +411,43 @@ def _check_ridges(facets: np.ndarray, size: int) -> None:
 
     A ridge's least vertex is its facet's first, or its second for the ridge
     that drops the first, so both copies of a ridge share it.  The ridges
-    are counted in blocks of consecutive least vertices, each holding about
-    _NEAREST_BLOCK ridges (more where one vertex alone has more), so that
-    the hull's ridges are never all held at once."""
+    are counted in blocks of consecutive least vertices, each taking as many
+    vertices as their ridges fit in _BLOCK_BYTES, and at least one, a ridge
+    costing its index row and the uint64 copy, key and sort index that
+    `_sorted_rows` makes for it, so that the hull's ridges are never all
+    held at once.  The facets are put in order of their first and of their
+    second vertex once, so that each block takes only its own."""
     first, second = facets[:, 0], facets[:, 1]
     k = facets.shape[1]
-    # ridges per least vertex, and the block of each vertex: the ridges before
-    # it, in vertex order, divided by the block size
-    load = (k - 1) * np.bincount(first, minlength=size) + np.bincount(second, minlength=size)
-    block = (np.cumsum(load) - load) // _NEAREST_BLOCK
-    first_block, second_block = block[first], block[second]
-    for b in np.flatnonzero(np.bincount(block, weights=load)):
-        own = facets[first_block == b]
+    per_block = _block_rows((facets.itemsize + 8) * (k - 1) + 16)
+    first_count = np.bincount(first, minlength=size)
+    second_count = np.bincount(second, minlength=size)
+    # ridges per least vertex, and their running total in vertex order
+    load = (k - 1) * first_count + second_count
+    ends = np.cumsum(load)
+    # the facets in order of their first and of their second vertex, and
+    # where each vertex's facets start in those orders
+    first_order = np.argsort(first)
+    second_order = np.argsort(second)
+    first_at = np.concatenate([[0], np.cumsum(first_count)])
+    second_at = np.concatenate([[0], np.cumsum(second_count)])
+    columns = _ridge_columns(k)[1:]
+    lo = 0
+    while lo < size:
+        # the block's least vertices range(lo, hi)
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - load[lo] + per_block, "right")))
+        own = facets.take(first_order[first_at[lo] : first_at[hi]], axis=0)
         ridges = np.concatenate([
-            own.take(_ridge_columns(k)[1:], axis=1).reshape(-1, k - 1),
-            facets[second_block == b, 1:],
+            own.take(columns, axis=1).reshape(-1, k - 1),
+            facets[second_order[second_at[lo] : second_at[hi]], 1:],
         ])
         counts = _distinct_rows(ridges, size)[1]
         if np.any(counts != 2):
             raise NumericalIntegrityError(
                 f"hull ridges lie in {sorted(set(counts.tolist()) - {2})} facets, not two"
             )
+        del own, ridges, counts  # so that the next block's do not coexist with these
+        lo = hi
 
 
 def _insert_last(points: np.ndarray, hull: _Hull) -> _Hull:
@@ -559,16 +588,18 @@ def _base_net(dim: int, eps: float, max_points: int) -> EpsNet:
 def _check_packing(points: np.ndarray, eps: float) -> None:
     """NumericalIntegrityError unless every two rows of `points` lie at
     least eps apart by the float64 test u.v <= 1 - eps^2/2, in blocks of
-    _NEAREST_BLOCK dot products."""
+    rows that fit in _BLOCK_BYTES, a row costing its dot products and their
+    comparison mask (9 bytes per point)."""
     size = points.shape[0]
     thresh = 1.0 - 0.5 * eps * eps
-    step = max(1, _NEAREST_BLOCK // size)
+    step = _block_rows(9 * size)
     for start in range(0, size, step):
         dots = points[start : start + step] @ points.T
         # each row's dot with itself: row r of the block holds it at column start + r
         dots.reshape(-1)[start :: size + 1] = -1.0
         if (dots > thresh).any():
             raise NumericalIntegrityError("two net points lie less than eps apart")
+        del dots  # so the next block's product does not coexist with this one
 
 
 def build_eps_net(

@@ -286,6 +286,17 @@ class TestRobbinsBounds:
         with pytest.raises(DomainError):
             robbins_bounds(1.99)
 
+    @pytest.mark.parametrize("x", [c * 10.0**e for e in range(9, 31) for c in (1, 2, 5)])
+    def test_large_arguments_are_bracketed(self, x):
+        # at 40 digits each but 1e9 and 1e12 raised "factorial bracket
+        # failed": the upper margin needs log10(360 x^4 ln x) digits
+        lo, hi = robbins_bounds(x)
+        assert lo <= hi
+        with mp.workdps(200):
+            val = mp.loggamma(mp.mpf(x) + 1)
+        slack = 4 * np.finfo(float).eps * float(val)
+        assert lo - slack <= val <= hi + slack
+
 
 class TestLog1pBounds:
     def test_n1(self):
@@ -308,6 +319,15 @@ class TestLog1pBounds:
     def test_bracket_certified(self, n):
         lo, hi = log1p_bounds(n)  # raises internally if the bracket fails
         assert lo <= hi
+
+    @pytest.mark.parametrize("n", [10**16, 10**22, 10**28, 10**29, 10**31,
+                                   3 * 10**20, 3 * 10**21, 3 * 10**30])
+    def test_large_arguments_are_bracketed(self, n):
+        # at 60 digits each raised "log1p bracket failed": the lower margin
+        # needs log10(5 n^4) digits
+        lo, hi = log1p_bounds(n)
+        assert lo <= hi
+        assert hi == pytest.approx(1.0 / n, rel=1e-15)
 
     def test_a_non_integral_n_is_refused(self):
         # 2.5 used to run as 2: a bracket (0.40104, 0.41667) that misses

@@ -16,15 +16,19 @@ from dimwitness import (
     build_eps_net,
     clifford_generators,
     dot_squared_expectation,
+    f,
+    gamma_ratio_series,
     geodesic_net,
     kg_lower_bound,
     monotonicity_check,
     partial_norm_expectation,
     region_moments,
+    robbins_bounds,
     seesaw_maximize,
     tsirelson_strategy,
     y_closed_form,
 )
+from dimwitness.analytic_bounds import log_f
 from dimwitness.embedding_opt import dot_climb
 from dimwitness.errors import as_integer
 from dimwitness.sphere import geodesic_frequency
@@ -75,9 +79,28 @@ NAMED = {
 }
 
 
+# (call, its refusal); the first three returned NaN, the array named
+# log_gamma, and robbins_bounds raised NumericalIntegrityError
+NOT_A_NUMBER = {
+    "log-f-nan": (lambda: log_f(math.nan), "f requires n >= 1"),
+    "f-nan": (lambda: f(math.nan), "f requires n >= 1"),
+    "gamma-ratio-series-nan": (lambda: gamma_ratio_series(math.nan, 3),
+                               "gamma_ratio_series requires k >= 1"),
+    "log-f-array-nan": (lambda: log_f(np.array([math.nan, 3.0])), "f requires n >= 1"),
+    "robbins-nan": (lambda: robbins_bounds(math.nan), "robbins_bounds requires a finite x >= 2"),
+    "robbins-inf": (lambda: robbins_bounds(math.inf), "robbins_bounds requires a finite x >= 2"),
+}
+
+
 @pytest.mark.parametrize("call", REFUSED.values(), ids=REFUSED.keys())
 def test_out_of_domain_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("call, message", NOT_A_NUMBER.values(), ids=NOT_A_NUMBER.keys())
+def test_nan_and_inf_are_refused_as_out_of_range(call, message):
+    with pytest.raises(DomainError, match=rf"^{message}$"):
         call()
 
 

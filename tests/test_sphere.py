@@ -401,9 +401,9 @@ class TestCoveringCertificate:
         assert min_chord(net.points) >= 0.95
 
     def test_the_blocked_ridge_check(self, monkeypatch):
-        # blocks of 1 000 ridges split the (5, 0.7) hull's 7 480 ridges; the
-        # true hull passes, a hull short of one facet or with one facet twice
-        # is refused
+        # blocks of at most 1 000 ridges split the (5, 0.7) hull's 7 480
+        # ridges; the true hull passes, a hull short of one facet or with one
+        # facet twice is refused
         points, hull = sphere._fill_caps(sphere._simplex(5), 0.7, 10**6)
         facets, size = hull.facets, points.shape[0]
         blocks = []
@@ -413,10 +413,13 @@ class TestCoveringCertificate:
             blocks.append(rows.shape[0])
             return distinct_rows(rows, size)
 
-        monkeypatch.setattr(sphere, "_NEAREST_BLOCK", 1000)
+        # a ridge of four int32 indices costs 16 bytes, 32 for their uint64
+        # copy, 8 for its key and 8 for its sort index
+        assert facets.dtype == np.int32
+        monkeypatch.setattr(sphere, "_BLOCK_BYTES", 1000 * 64)
         monkeypatch.setattr(sphere, "_distinct_rows", counted)
         sphere._check_ridges(facets, size)
-        assert len(blocks) > 4 and sum(blocks) == 5 * facets.shape[0]
+        assert len(blocks) > 4 and max(blocks) <= 1000 and sum(blocks) == 5 * facets.shape[0]
         with pytest.raises(NumericalIntegrityError, match=r"in \[1\] facets, not two"):
             sphere._check_ridges(facets[1:], size)
         with pytest.raises(NumericalIntegrityError, match=r"in \[3\] facets, not two"):
@@ -858,7 +861,7 @@ class TestNearestPoint:
     @pytest.mark.parametrize("block", [1, 1000])
     def test_blocks_equal_the_full_argmax(self, net_3_015, block, monkeypatch):
         # one probe per block, and blocks that do not divide the 5 003 probes
-        monkeypatch.setattr(sphere, "_NEAREST_BLOCK", block)
+        monkeypatch.setattr(sphere, "_BLOCK_BYTES", 8 * block)
         probes = SphereSampler(3, 33).sample(5_003)
         dots = probes @ net_3_015.points.T
         expected = np.argmax(dots, axis=1)
@@ -866,21 +869,6 @@ class TestNearestPoint:
         assert np.array_equal(index, expected)
         assert np.array_equal(assign_regions(net_3_015, probes), expected)
         assert np.allclose(dot, dots.max(axis=1), rtol=0.0, atol=1e-15)
-
-    def test_memory_is_bounded_by_the_block(self):
-        # 100 probes per point of a net as large as build_eps_net(4, 0.2)'s,
-        # 1 722 points: the whole product would take 2.4 GB, a block 2 MB.
-        # Where the points lie does not matter, so they are drawn, not built.
-        net = EpsNet(dim=4, eps=0.2, points=SphereSampler(4, 37).sample(1722))
-        probes = SphereSampler(4, 34).sample(100 * net.size)
-        tracemalloc.start()
-        try:
-            assign_regions(net, probes)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # one block of dot products, an index and a dot per probe, 1 MB spare
-        assert peak < 8 * sphere._NEAREST_BLOCK + 16 * probes.shape[0] + (1 << 20)
 
     def test_assignment_does_not_read_eps(self, net_3_015):
         # a NaN eps, which a loaded header could once carry
@@ -931,6 +919,55 @@ class TestNearestPoint:
         mirror = np.vstack([[[c, 0.0, 0.1], [c, 0.0, -0.1]], filler])
         tied = EpsNet(dim=3, eps=0.15, points=mirror)
         assert nearest_point(tied, np.array([1.0, 0.0, 0.0])) == 0
+
+
+@pytest.fixture(scope="module")
+def hull_6_06():
+    # 403 points and 37 287 facets
+    return sphere._fill_caps(sphere._simplex(6), 0.6, 10**6)
+
+
+def nearest_case(hull_6_06):
+    # 100 probes per point of a net as large as build_eps_net(4, 0.2)'s,
+    # 1 722 points: the whole product would take 2.4 GB.  Where the points
+    # lie does not matter, so they are drawn, not built.  It returns an
+    # index and a dot per probe.
+    points = SphereSampler(4, 37).sample(1722)
+    probes = SphereSampler(4, 34).sample(100 * points.shape[0])
+    return (lambda: sphere._nearest(points, probes)), 16 * probes.shape[0]
+
+
+def facet_planes_case(hull_6_06):
+    # it returns an allowance and a radius per facet
+    points, hull = hull_6_06
+    return (lambda: sphere._facet_planes(points, hull.facets, hull.planes)), 16 * hull.count
+
+
+def packing_case(hull_6_06):
+    points = hull_6_06[0]
+    return (lambda: sphere._check_packing(points, 0.6)), 0
+
+
+def ridges_case(hull_6_06):
+    # it holds the facets in order of their first and of their second vertex
+    points, hull = hull_6_06
+    return (lambda: sphere._check_ridges(hull.facets, points.shape[0])), 16 * hull.count
+
+
+@pytest.mark.parametrize("case", [nearest_case, facet_planes_case, packing_case, ridges_case],
+                         ids=["_nearest", "_facet_planes", "_check_packing", "_check_ridges"])
+def test_memory_is_bounded_by_the_block(case, hull_6_06):
+    # one block's temporaries within _BLOCK_BYTES, what the pass returns or
+    # holds across its blocks, and one more _BLOCK_BYTES for what a row's
+    # count leaves out (its arrays of a few numbers, sort buffers)
+    call, held = case(hull_6_06)
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * sphere._BLOCK_BYTES + held
 
 
 class TestPartialNorm:
