@@ -66,8 +66,9 @@ def log_gamma(x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
 
 
 def _log_f_series(n):
-    """The asymptotic series of log_f at n >= 50, for a float or an array."""
-    t = 1.0 / n
+    """The asymptotic series of log_f at n >= 50, for a number or an array.
+    An int divides exactly (1 / n), so an n past float range gives t = 0."""
+    t = 1 / n
     t2 = t * t
     series = -0.25 + t2 * (1.0 / 24.0 + t2 * (-0.05 + t2 * (17.0 / 112.0)))
     return t * series - HALF_LOG_TWO
@@ -84,14 +85,16 @@ def log_f(n: Union[int, float, np.ndarray]) -> Union[float, np.ndarray]:
     would put K at or below 1.
 
     A scalar takes `math.lgamma` and `math.log` directly, with no array
-    machinery; on integers it equals the array path bit for bit.
+    machinery; on integers it equals the array path bit for bit.  It is
+    compared as given, not as a float, so an int past float range (10^400)
+    takes the series.
     """
     if np.ndim(n) == 0:
-        x = float(n)
-        if not x >= 1:  # NaN too
+        if not n >= 1:  # NaN too
             raise DomainError("f requires n >= 1")
-        if x >= _LOG_F_SERIES_FROM:
-            return _log_f_series(x)
+        if n >= _LOG_F_SERIES_FROM:
+            return float(_log_f_series(n))
+        x = float(n)
         return math.lgamma((x + 1.0) / 2.0) - math.lgamma(x / 2.0) - 0.5 * math.log(x)
     arr = np.asarray(n, dtype=float)
     if not (arr >= 1).all():  # NaN too
@@ -165,9 +168,10 @@ def kg_lower_bound(n: int, m: int) -> LowerBoundReport:
 
 
 def asymptotic_estimate(n: int, m: int) -> float:
-    """Two-term large-dimension estimate 1 + 1/(2m) - 1/(2n)."""
-    _check_nm(n, m)
-    return 1.0 + 1.0 / (2.0 * m) - 1.0 / (2.0 * n)
+    """Two-term large-dimension estimate 1 + 1/(2m) - 1/(2n).  The ints
+    divide exactly, so an n past float range gives 1 + 1/(2m)."""
+    n, m = _check_nm(n, m)
+    return 1.0 + 1 / (2 * m) - 1 / (2 * n)
 
 
 def gamma_ratio_series(k: float, terms: int) -> float:

@@ -160,10 +160,11 @@ def _cmd_witness(args, manifest: RunManifest, started: float) -> int:
     try:
         report = run_witness(config)
     except ResourceError as exc:
-        if args.deep or f"max_points={cap}" not in str(exc):
+        # --deep is offered only where the count the refusal established fits its cap
+        if args.deep or exc.needed is None or exc.needed > WitnessConfig.max_net_points:
             raise
         raise ResourceError(
-            f"{exc}; --deep raises the cap to {WitnessConfig.max_net_points}"
+            f"{exc}; --deep raises the cap to {WitnessConfig.max_net_points}", exc.needed
         ) from None
     doc = report.to_dict()
     doc["manifest"] = manifest.finish(started)

@@ -12,7 +12,18 @@ class DomainError(ValueError):
 
 
 class ResourceError(RuntimeError):
-    """A requested computation exceeds a configured size or memory budget."""
+    """A requested computation exceeds a configured size or memory budget.
+
+    `needed` is the least point count that the refusal established for a
+    net: the covering floor (math.inf past float range), 10 k^2 + 2 from
+    the geodesic search, a kept net's size, or max_points + 1 when the
+    insertion reaches the cap.  It is None where no point count would do,
+    as for the hull's facet bound or a budget that is not a net's.
+    """
+
+    def __init__(self, message: str, needed=None):
+        super().__init__(message)
+        self.needed = needed
 
 
 class NumericalIntegrityError(ArithmeticError):

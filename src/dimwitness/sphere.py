@@ -15,11 +15,12 @@ caps.  While the widest cap is wider than eps, its centre is inserted into
 the hull (beneath-beyond), so the net is an eps-packing and a certified
 eps-covering, and its covering radius is the widest cap's.  A build whose
 hull passes a fixed memory bound, as (10, 0.95) does, is refused with a
-ResourceError.  Each net depends only on its (dim, eps), or on its
-frequency on S^2: no seed turns it.  One rule keeps them (`_kept`): a greedy
-net is built and certified once per (dim, eps) and process, and the
-geodesic net of each frequency is built once with its exact moments
-(`geodesic_base`).  Callers are served the kept `EpsNet` and
+ResourceError, and so, before any point is built, is a net of either kind
+whose covering floor passes its max_points (`_check_floor`).  Each net
+depends only on its (dim, eps), or on its frequency on S^2: no seed turns
+it.  One rule keeps them (`_kept`): a greedy net is built and certified
+once per (dim, eps) and process, and the geodesic net of each frequency is
+built once with its exact moments (`geodesic_base`).  Callers are served the kept `EpsNet` and
 `RegionMoments` themselves, every array reachable from them read-only.
 
 Every nearest-point query takes the largest dot product over the whole net
@@ -186,22 +187,55 @@ def _nearest(points: np.ndarray, probes: np.ndarray) -> Tuple[np.ndarray, np.nda
     return index, dot
 
 
-def _projected_size_bounds(dim: int, eps: float) -> Tuple[float, float]:
-    """(lo, hi): an eps-covering of S^(dim-1) has at least lo points, and an
-    eps-packing at most hi = (3/eps)^dim, by the volume argument.
+def _covering_floor(dim: int, eps: float) -> float:
+    """ln N_min: an eps-covering of S^(dim-1) has at least N_min points.
 
-    The cap of chord radius eps has angular radius theta = 2 asin(eps/2) and
-    takes the fraction c_d int_0^theta sin^(d-2)(t) dt <= c_d theta^(d-1) /
-    (d-1) of S^(d-1), d = dim, c_d = Gamma(d/2) / (sqrt(pi) Gamma((d-1)/2)),
-    so N caps cover the sphere only if N >= (d-1) / (c_d theta^(d-1)).  On
-    S^0 the caps are points, and both are needed.
+    The cap of chord radius eps has angular radius theta = 2 asin(eps/2)
+    and takes the fraction c_d int_0^theta sin^(d-2)(t) dt <= c_d theta^(d-1)
+    / (d-1) of S^(d-1), d = dim, c_d = Gamma(d/2) / (sqrt(pi) Gamma((d-1)/2)),
+    so N caps cover the sphere only if N >= (d-1) / (c_d theta^(d-1)).  Every
+    product is a sum of logs, so no eps in (0, 1) and no dim overflows.  On
+    S^0 the caps are points, and both are needed: ln 2.
     """
-    hi = (3.0 / eps) ** dim
     if dim < 2:
-        return 2.0, hi
+        return math.log(2.0)
     theta = 2.0 * math.asin(0.5 * eps)
     log_c = math.lgamma(0.5 * dim) - 0.5 * math.log(math.pi) - math.lgamma(0.5 * (dim - 1))
-    return math.exp(math.log(dim - 1) - log_c - (dim - 1) * math.log(theta)), hi
+    return math.log(dim - 1) - log_c - (dim - 1) * math.log(theta)
+
+
+def _check_floor(dim: int, eps: float, max_points: int) -> float:
+    """The covering floor ln N_min of (dim, eps) (`_covering_floor`), or a
+    ResourceError, before any net point is built, when N_min exceeds
+    max_points.  The refusal prints N_min from its base-10 log, so a floor
+    past float range (10^1383 points at eps 1e-300 on S^2) prints too, and
+    carries ceil(N_min) as `needed`, math.inf where exp overflows.  A
+    max_points below 1 is refused whatever the floor."""
+    floor = _covering_floor(dim, eps)
+    if max_points < 1 or floor > math.log(max_points):
+        log10 = floor / math.log(10.0)
+        exponent = math.floor(log10)
+        mantissa = round(10.0 ** (log10 - exponent), 2)
+        if mantissa >= 10.0:
+            mantissa, exponent = 1.0, exponent + 1
+        raise ResourceError(
+            f"an eps-covering of S^{dim - 1} at eps={eps:g} needs at least "
+            f"{mantissa:.2f}e{exponent:+03d} points (covering floor), which exceeds "
+            f"max_points={max_points}",
+            needed=math.ceil(math.exp(floor)) if floor < 700.0 else math.inf,
+        )
+    return floor
+
+
+def _check_facets(size: int, facets: int, dim: int) -> None:
+    """ResourceError, with no `needed` count, when a hull of `size` points
+    and `facets` facets passes _HULL_MAX_FACET_DIMS2 facets x dim^2."""
+    if facets * dim * dim > _HULL_MAX_FACET_DIMS2:
+        raise ResourceError(
+            f"the hull of {size} points has {facets} facets, past its bound of "
+            f"{_HULL_MAX_FACET_DIMS2 // (dim * dim)} at dim {dim} "
+            f"(_HULL_MAX_FACET_DIMS2 = {_HULL_MAX_FACET_DIMS2} facets x dim^2)"
+        )
 
 
 def _simplex(dim: int) -> np.ndarray:
@@ -390,12 +424,15 @@ class _Hull:
         self.created += added
 
     def _grow(self, capacity: int) -> None:
-        grown = []
-        for buffer in self._buffers:
-            wider = np.empty((capacity,) + buffer.shape[1:], dtype=buffer.dtype)
-            wider[: self.count] = buffer[: self.count]
-            grown.append(wider)
-        self._buffers = tuple(grown)
+        """Each buffer widened to `capacity` rows, one at a time, each old
+        buffer dropped once copied, so that a growth holds at most one old
+        buffer beside the grown ones."""
+        buffers, self._buffers = list(self._buffers), ()
+        for i, buffer in enumerate(buffers):
+            buffers[i] = np.empty((capacity,) + buffer.shape[1:], dtype=buffer.dtype)
+            buffers[i][: self.count] = buffer[: self.count]
+        del buffer
+        self._buffers = tuple(buffers)
 
 
 def _hull_facets(points: np.ndarray, rows: np.ndarray) -> _Hull:
@@ -504,17 +541,13 @@ def _fill_caps(points: np.ndarray, eps: float, max_points: int) -> Tuple[np.ndar
         if hull.radii[widest] <= eps:
             _check_ridges(hull.facets, size)
             return points[:size], hull
-        if hull.count * dim * dim > _HULL_MAX_FACET_DIMS2:
-            raise ResourceError(
-                f"the hull of {size} points has {hull.count} facets, past its bound of "
-                f"{_HULL_MAX_FACET_DIMS2 // (dim * dim)} at dim {dim} "
-                f"(_HULL_MAX_FACET_DIMS2 = {_HULL_MAX_FACET_DIMS2} facets x dim^2)"
-            )
+        _check_facets(size, hull.count, dim)
         if size >= max_points:
-            raise ResourceError(f"net exceeded max_points={max_points}")
-        plane = hull.planes[widest]
-        # the centre m / ||m||, as _facet_planes computes it
-        center = plane / math.sqrt(np.add.reduce(plane * plane))
+            raise ResourceError(f"net exceeded max_points={max_points}", needed=max_points + 1)
+        # the centre m / ||m||, as _facet_planes computes it; no view of the
+        # planes buffer outlives this, so _Hull._grow can free it
+        center = hull.planes[widest]
+        center = center / math.sqrt(np.add.reduce(center * center))
         if (points[:size] @ center).max() > thresh:
             raise NumericalIntegrityError(
                 "the centre of a cap wider than eps lies within eps of a net point"
@@ -628,7 +661,9 @@ def build_eps_net(
 
     Raises ResourceError when the net would exceed max_points or its hull
     the bound _HULL_MAX_FACET_DIMS2 (facets x dim^2), which (10, 0.95)
-    passes; the volume bound (3/eps)^dim caps the attainable size.
+    passes.  Two of these refusals come before any geometry is built: a
+    covering floor past max_points (`_check_floor`), and a start simplex
+    whose dim + 1 facets alone pass the hull's bound, as from dim 407.
     """
     check_open_unit("eps", eps)
     dim = as_integer("dim", dim)
@@ -636,15 +671,11 @@ def build_eps_net(
     max_points = as_integer("max_points", max_points)
     if dim < 1:
         raise DomainError("dim must be >= 1")
-    lo_est, hi_est = _projected_size_bounds(dim, eps)
-    if lo_est > max_points:
-        raise ResourceError(
-            f"projected net size >= {lo_est:.3g} (upper bound {hi_est:.3g}) "
-            f"exceeds max_points={max_points}"
-        )
+    _check_floor(dim, eps, max_points)
+    _check_facets(dim + 1, dim + 1, dim)
     net = _base_net(dim, float(eps), max_points)
     if net.size > max_points:
-        raise ResourceError(f"net exceeded max_points={max_points}")
+        raise ResourceError(f"net exceeded max_points={max_points}", needed=net.size)
     return net
 
 
@@ -728,28 +759,33 @@ def geodesic_radius(k: int) -> float:
 def geodesic_frequency(eps: float, max_points: int) -> int:
     """Smallest frequency k whose geodesic net covers S^2 within chord eps.
 
-    A cap of chord radius r has area pi r^2, so N caps cover the sphere only
-    if N r^2 >= 4: no k with 10 k^2 + 2 < 4 / eps^2 can do, and the search
-    starts there.  It doubles its step until a radius is <= eps, then
-    bisects, since the radius falls strictly with k.  Raises ResourceError,
-    before any net point is built, when the answer's net (10 k^2 + 2
-    points) would exceed max_points.
+    No net of fewer points than the covering floor N_min of S^2 covers it
+    (`_check_floor`, which refuses an N_min past max_points): the search
+    starts at the least k with 10 k^2 + 2 >= N_min.  It doubles its step
+    until a radius is <= eps, then bisects, since the radius falls strictly
+    with k.  Raises ResourceError, before any net point is built, when the
+    floor or the answer's net (10 k^2 + 2 points) would exceed max_points;
+    the search's refusal carries 10 k^2 + 2 as `needed`.
     """
     check_open_unit("eps", eps)
     max_points = as_integer("max_points", max_points)
-    k = max(1, math.floor(math.sqrt(max(4.0 / (eps * eps) - 2.0, 0.0) / 10.0)))
+    # N_min <= max_points here: exp overflows only for a max_points past 1.8e308
+    n_min = math.exp(_check_floor(3, eps, max_points))
+    k = max(1, math.ceil(math.sqrt(max(n_min - 2.0, 0.0) / 10.0)))
     # the largest k whose net fits: 10 k^2 + 2 <= max_points
     k_max = math.isqrt(max(max_points - 2, 0) // 10)
 
     def too_large(k: int) -> ResourceError:
         return ResourceError(
             f"a geodesic net of covering radius {eps:g} needs at least "
-            f"{10 * k * k + 2} points (k = {k}), which exceeds max_points={max_points}"
+            f"{10 * k * k + 2} points (k = {k}), which exceeds max_points={max_points}",
+            needed=10 * k * k + 2,
         )
 
+    # the start can be k_max + 1 (N_min fits, its least net does not)
     if k > k_max:
         raise too_large(k)
-    lo, step = k - 1, 1  # every k <= lo fails the area bound
+    lo, step = k - 1, 1  # every k <= lo is below the floor
     while geodesic_radius(k) > eps:
         if k == k_max:
             raise too_large(k + 1)

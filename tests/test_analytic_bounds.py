@@ -194,6 +194,14 @@ class TestAsymptoticEstimate:
             gap = abs(kg_lower_bound(n, m).bound - asymptotic_estimate(n, m))
             assert gap <= 1.0 / m**2
 
+    def test_n_past_float_range(self):
+        # n = 10^400 cannot be made a float; the ints divide exactly, and
+        # f(n) is its limit 1/sqrt(2), so K = (f(n)/f(2))^2 = 4/pi
+        report = kg_lower_bound(10**400, 2)
+        assert report.bound == pytest.approx(4 / math.pi)
+        assert report.asymptotic_estimate == asymptotic_estimate(10**400, 2) == 1.25
+        assert log_f(10**400) == -0.5 * math.log(2.0)
+
 
 class TestGammaRatioSeries:
     def test_one_term_at_one(self):

@@ -54,6 +54,13 @@ class TestBoundCommand:
         assert code == 0
         assert ">= 1.0" in out
 
+    def test_n_past_float_range(self, capsys):
+        # n = 10^400 took float(n) and exited 1 with an OverflowError
+        code, out, _ = run_cli(capsys, "bound", str(10**400), "2")
+        assert code == 0
+        assert f">= {dimwitness.kg_lower_bound(10**400, 2).bound!r}\n" in out
+        assert "asymptotic estim.  1.25\n" in out
+
     def test_domain_error_message(self, capsys):
         code, out, err = run_cli(capsys, "bound", "2", "3")
         assert code == 2
@@ -251,10 +258,12 @@ class TestWitnessCommand:
         assert doc["verdict"] == "consistent_but_uncertified"
 
     def test_deep_gate(self, capsys):
-        # a net this fine needs --deep; without it the size estimate trips
+        # a net this fine needs more points than even --deep allows: its
+        # covering floor, 2.50e+05 points, is refused with no --deep hint
         code, _, err = run_cli(capsys, "witness", "3", "1", "0.004", "--seed", "0")
         assert code == 3
-        assert "exceeds" in err or "exceeded" in err
+        assert "needs at least 2.50e+05 points (covering floor)" in err
+        assert "--deep" not in err
         # at eps 0.01 the net (59 292 points) passes the shallow cap but fits
         # the deep one: the refusal names --deep, which then runs
         code, _, err = run_cli(capsys, "witness", "3", "1", "0.01", "--seed", "0")
@@ -280,8 +289,29 @@ class TestWitnessCommand:
         # points, past the shallow cap, before any insertion
         code, _, err = run_cli(capsys, "witness", "5", "1", "0.1", "--seed", "0")
         assert code == 3
-        assert "projected net size >= 5.32e+04" in err
+        assert "needs at least 5.32e+04 points (covering floor)" in err
         assert "--deep raises the cap" in err
+
+    @pytest.mark.parametrize("argv", [
+        "witness 51 5 9.6e-07", "witness 100 1 0.001", "witness 1000000 1 0.5",
+        "witness 3 1 1e-160", "witness 3 1 1e-300", "witness 33 4 0.0001",
+        "net 100 0.001", "net 4 1e-160", "net 3 1e-300",
+    ])
+    def test_a_floor_past_every_cap_exits_3_without_a_hint(self, capsys, tmp_path, argv):
+        # each overflowed a float or divided by zero (exit 1) until the
+        # floor was kept in logs; none fits --deep, so none is offered it
+        code, out, err = run_cli(capsys, *argv.split(), "--out", str(tmp_path / "out"))
+        assert code == 3 and out == ""
+        assert err.startswith("resource error: an eps-covering of S^") and err.count("\n") == 1
+        assert "points (covering floor), which exceeds max_points=" in err
+        assert "--deep" not in err
+        assert not any(tmp_path.iterdir())
+
+    def test_a_start_simplex_past_the_facet_bound_exits_3(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "net", "410", "0.99", "--out", str(tmp_path / "out"))
+        assert code == 3 and out == ""
+        assert err == ("resource error: the hull of 411 points has 411 facets, past its bound "
+                       "of 399 at dim 410 (_HULL_MAX_FACET_DIMS2 = 67108864 facets x dim^2)\n")
 
     def test_a_hull_past_its_bound_exits_3(self, capsys, monkeypatch):
         # the (5, 0.7) hull ends with about 37 500 facets x dim^2

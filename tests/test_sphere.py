@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import jsonschema
@@ -147,6 +148,15 @@ class TestEpsNet:
     def test_resource_limit(self):
         with pytest.raises(ResourceError):
             build_eps_net(3, 0.3, max_points=10)
+        for max_points in (0, -1):
+            with pytest.raises(ResourceError, match="covering floor"):
+                build_eps_net(410, 0.99, max_points=max_points)
+            with pytest.raises(ResourceError, match="covering floor"):
+                geodesic_frequency(0.5, max_points)
+        # past the floor of about 44 points, the insertion stops at the cap
+        with pytest.raises(ResourceError, match=r"^net exceeded max_points=50$") as refused:
+            build_eps_net(3, 0.3, max_points=50)
+        assert refused.value.needed == 51
 
     def test_projected_refusal(self):
         with pytest.raises(ResourceError):
@@ -427,26 +437,62 @@ class TestCoveringCertificate:
 
     @pytest.mark.parametrize("dim, eps", GREEDY_CASES)
     def test_the_projected_lower_bound_is_at_most_the_size(self, dim, eps):
-        lo, hi = sphere._projected_size_bounds(dim, eps)
-        assert lo <= build_eps_net(dim, eps).size <= hi
+        assert math.exp(sphere._covering_floor(dim, eps)) <= build_eps_net(dim, eps).size
 
     def test_the_covering_bound_on_the_circle_and_on_s2(self):
         # N >= pi / theta on S^1 and N >= 4 / theta^2 on S^2, theta = 2 asin(eps/2)
         for eps in (0.05, 0.3, 0.9):
             theta = 2.0 * math.asin(0.5 * eps)
-            assert sphere._projected_size_bounds(2, eps)[0] == pytest.approx(math.pi / theta)
-            assert sphere._projected_size_bounds(3, eps)[0] == pytest.approx(4.0 / theta**2)
-        assert round(sphere._projected_size_bounds(4, 0.05)[0]) == 37_687
-        assert round(sphere._projected_size_bounds(5, 0.1)[0]) == 53_244
+            assert sphere._covering_floor(2, eps) == pytest.approx(math.log(math.pi / theta))
+            assert sphere._covering_floor(3, eps) == pytest.approx(math.log(4.0 / theta**2))
+            assert sphere._covering_floor(1, eps) == math.log(2.0)
+        assert round(math.exp(sphere._covering_floor(4, 0.05))) == 37_687
+        assert round(math.exp(sphere._covering_floor(5, 0.1))) == 53_244
+        # in logs, far past float range: 4 / theta^2 at theta = 1e-300
+        log_floor = math.log(4.0) + 600.0 * math.log(10.0)
+        assert sphere._covering_floor(3, 1e-300) == pytest.approx(log_floor)
 
     def test_a_net_over_the_covering_bound_is_refused_before_insertion(self, monkeypatch):
         def never(*args):
             raise AssertionError("the build started")
 
         monkeypatch.setattr(sphere, "_fill_caps", never)
-        with pytest.raises(ResourceError, match=r"^projected net size >= 5\.32e\+04 "
-                                                r"\(upper bound .*\) exceeds max_points=50000$"):
+        with pytest.raises(ResourceError, match=r"^an eps-covering of S\^4 at eps=0\.1 needs at "
+                                                r"least 5\.32e\+04 points \(covering floor\), "
+                                                r"which exceeds max_points=50000$") as refused:
             build_eps_net(5, 0.1, max_points=50_000)
+        assert refused.value.needed == 53_245
+
+    @pytest.mark.parametrize("dim, eps, printed", [
+        (100, 1e-3, "2.50e+298"), (4, 1e-160, "4.71e+480"), (3, 1e-300, "4.00e+600"),
+        (1_000_000, 0.5, "6.31e+296401"),
+    ])
+    def test_a_floor_past_float_range_is_refused_and_printed(self, dim, eps, printed,
+                                                              monkeypatch):
+        # the volume bound (3/eps)^dim that these overflowed is gone; the
+        # floor is printed from its base-10 log
+        monkeypatch.setattr(sphere, "_simplex", None)
+        with pytest.raises(ResourceError, match=f"needs at least {re.escape(printed)} points "
+                                                r"\(covering floor\)") as refused:
+            build_eps_net(dim, eps)
+        needed = refused.value.needed
+        assert needed > 10**6 and (needed == math.inf) == (dim != 100)
+
+    def test_the_start_simplex_past_the_facet_bound_is_refused_before_its_hull(self,
+                                                                             monkeypatch):
+        # (410, 0.99) has a floor of 3e-5 points, but its start simplex alone
+        # has 411 facets x 410^2 > _HULL_MAX_FACET_DIMS2; solving for their
+        # planes would take a (411, 410, 410) stack, 527 MiB
+        def never(*args):
+            raise AssertionError("the start hull was built")
+
+        monkeypatch.setattr(sphere, "_hull_facets", never)
+        assert math.exp(sphere._covering_floor(410, 0.99)) < 1e-4
+        with pytest.raises(ResourceError, match=r"^the hull of 411 points has 411 facets, "
+                                                r"past its bound of 399 at dim 410") as refused:
+            build_eps_net(410, 0.99)
+        assert refused.value.needed is None
+        assert not sphere._BASE_NETS
 
 
 def reachable_arrays(value):
@@ -560,13 +606,17 @@ class TestBaseNetCache:
         assert full.covering_radius is not None and full.covering_radius <= 0.7
 
     def test_a_kept_net_over_max_points_is_refused(self):
+        # each refusal carries the least count it established: the kept
+        # net's size, or one point past the cap where the insertion stopped
         size = build_eps_net(3, 0.3).size
         message = rf"^net exceeded max_points={size - 1}$"
-        with pytest.raises(ResourceError, match=message):
+        with pytest.raises(ResourceError, match=message) as refused:
             build_eps_net(3, 0.3, max_points=size - 1)
+        assert refused.value.needed == size
         sphere._BASE_NETS.clear()
-        with pytest.raises(ResourceError, match=message):
+        with pytest.raises(ResourceError, match=message) as refused:
             build_eps_net(3, 0.3, max_points=size - 1)
+        assert refused.value.needed == size
         assert not sphere._BASE_NETS  # a refused build keeps nothing
         assert build_eps_net(3, 0.3, max_points=size).size == size
 
@@ -670,7 +720,7 @@ class TestGeodesicNet:
 
     def test_frequency_equals_a_linear_scan(self):
         def scan(eps):
-            k = max(1, math.floor(math.sqrt(max(4.0 / eps**2 - 2.0, 0.0) / 10.0)))
+            k = 1
             while geodesic_radius(k) > eps:
                 k += 1
             return k
@@ -680,17 +730,27 @@ class TestGeodesicNet:
             assert geodesic_frequency(eps, 10**6) == k
             # the net of the answer fits exactly, or misses by one point
             assert geodesic_frequency(eps, 10 * k * k + 2) == k
-            with pytest.raises(ResourceError, match=f"k = {k}\\)"):
+            with pytest.raises(ResourceError, match=f"k = {k}\\)") as refused:
                 geodesic_frequency(eps, 10 * k * k + 1)
+            assert refused.value.needed == 10 * k * k + 2
 
     def test_size_guard_builds_nothing(self, monkeypatch):
         def never(*args):
             raise AssertionError("net geometry computed before the size guard")
 
         monkeypatch.setattr(sphere, "_project", never)
-        # the area bound alone puts eps 0.004 at k >= 158, 249 642 points
-        with pytest.raises(ResourceError, match="exceeds"):
-            geodesic_frequency(0.004, 50_000)
+        # the covering floor of S^2, 4 / theta^2 points: eps 1e-160 overflowed
+        # a float to int conversion and eps 1e-300 divided by zero
+        for eps, max_points, printed, needed in [
+            (0.004, 50_000, "2.50e+05", 250_000), (1e-160, 200_000, "4.00e+320", math.inf),
+            (1e-300, 200_000, "4.00e+600", math.inf),
+        ]:
+            message = (rf"^an eps-covering of S\^2 at eps={eps:g} needs at least "
+                       rf"{re.escape(printed)} points \(covering floor\), which exceeds "
+                       rf"max_points={max_points}$")
+            with pytest.raises(ResourceError, match=message) as refused:
+                geodesic_frequency(eps, max_points)
+            assert refused.value.needed == pytest.approx(needed, rel=1e-6)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -968,6 +1028,29 @@ def test_memory_is_bounded_by_the_block(case, hull_6_06):
     finally:
         tracemalloc.stop()
     assert peak < 2 * sphere._BLOCK_BYTES + held
+
+
+def test_a_growth_holds_one_old_buffer_at_a_time(hull_6_06):
+    # the five buffers of a hull of 37 287 facets, 3.6 MB, made under the
+    # trace so that freeing them counts; the largest, the planes, is half.
+    # A growth that made every wider buffer before dropping the old ones
+    # would peak the sum of the five above what it holds after.
+    live = hull_6_06[1]
+    tracemalloc.start()
+    try:
+        hull = sphere._Hull(live.facets.copy(), live.planes.copy(), live.allowances.copy(),
+                            live.radii.copy())
+        old = [buffer.nbytes for buffer in hull._buffers]
+        tracemalloc.reset_peak()
+        hull._grow(2 * hull.count)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 64 KiB for the tuple, the list and the views
+    assert peak - held <= max(old) + 65536 < sum(old)
+    for grown, part in zip((hull.facets, hull.planes, hull.allowances, hull.radii),
+                           (live.facets, live.planes, live.allowances, live.radii)):
+        assert np.array_equal(grown, part)
 
 
 class TestPartialNorm:
