@@ -38,6 +38,7 @@ from .sphere import (
     EpsNet,
     RegionMoments,
     SphereSampler,
+    _draws,
     assign_regions,
     read_matrix_csv,
     require_moments_of,
@@ -163,7 +164,8 @@ def discretize_kernel(
     integral exact: M_ij = w_i . w_j, the entries of W W^T.  The witness
     itself never forms them: `dot_climb` works on W.  A general kernel
     must be a vectorized callable on (batch, dim) row pairs and is estimated
-    by Monte Carlo over `samples` independent (a, b) pairs.
+    by Monte Carlo over `samples` >= 1 independent (a, b) pairs
+    (`sphere._draws`).
     """
     require_moments_of(net, moments)
     if kernel == DOT_KERNEL:
@@ -173,20 +175,12 @@ def discretize_kernel(
         raise DomainError("kernel must be DOT_KERNEL or a callable")
     if samples is None or sampler is None:
         raise DomainError("MC discretization needs samples and a sampler")
-    if sampler.dim != net.dim:
-        raise DomainError("sampler dimension mismatch")
     r = net.size
     acc = np.zeros((r, r))
-    done = 0
-    batch = 8192
-    while done < samples:
-        b = min(batch, samples - done)
-        pair = sampler.sample(2 * b)
-        a_pts, b_pts = pair[:b], pair[b:]
+    for a_pts, b_pts in _draws(sampler, net.dim, samples, 1, 2):
         ia = assign_regions(net, a_pts)
         ib = assign_regions(net, b_pts)
         np.add.at(acc, (ia, ib), np.asarray(kernel(a_pts, b_pts), dtype=float))
-        done += b
     return KernelMatrix(entries=acc / float(samples))
 
 
@@ -675,11 +669,14 @@ def dot_climb(w: np.ndarray, m: int, seed: int) -> SeesawResult:
     columns alike (regions with C^T w_u = 0, the empty ones among them, get
     e_1); `converged` is false only when the restart hit
     ADVERSARY_MAX_ITERS.  At W = 0 every assignment has value 0, which is
-    returned without a climb, after 0 iterations.
+    returned without a climb, after 0 iterations.  DomainError unless `w`
+    is a finite 2-D array.
     """
     m = as_integer("m", m)
     if m < 1:
         raise DomainError("m must be >= 1")
+    if np.ndim(w) != 2 or not np.isfinite(w).all():
+        raise DomainError("moment vectors must be a finite 2-D array")
     regions, n = w.shape
     k = min(m, n)
     if w.any():

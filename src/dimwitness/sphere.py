@@ -35,7 +35,7 @@ import json
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -765,11 +765,13 @@ def geodesic_frequency(eps: float, max_points: int) -> int:
     until a radius is <= eps, then bisects, since the radius falls strictly
     with k.  Raises ResourceError, before any net point is built, when the
     floor or the answer's net (10 k^2 + 2 points) would exceed max_points;
-    the search's refusal carries 10 k^2 + 2 as `needed`.
+    the search's refusal carries 10 k^2 + 2 as `needed`.  `_face_index`
+    numbers the points in int64, so a max_points past 2^63 - 1 is taken as
+    2^63 - 1: a floor past it is refused before any grid is allocated.
     """
     check_open_unit("eps", eps)
-    max_points = as_integer("max_points", max_points)
-    # N_min <= max_points here: exp overflows only for a max_points past 1.8e308
+    max_points = min(as_integer("max_points", max_points), np.iinfo(np.int64).max)
+    # N_min <= max_points < 2^63 here, so its exp does not overflow
     n_min = math.exp(_check_floor(3, eps, max_points))
     k = max(1, math.ceil(math.sqrt(max(n_min - 2.0, 0.0) / 10.0)))
     # the largest k whose net fits: 10 k^2 + 2 <= max_points
@@ -861,19 +863,33 @@ def nearest_point(net: EpsNet, a: np.ndarray) -> int:
 # Monte Carlo estimators
 # ----------------------------------------------------------------------
 
-def mc_mean_and_sem(
-    samples: int, draw: Callable[[int], np.ndarray]
-) -> Tuple[float, float]:
-    """Mean and standard error of `samples` values, drawn by `draw(b)` in batches."""
+def _draws(
+    sampler: SphereSampler, dim: int, samples: int, least: int, points: int = 1
+) -> Iterator[np.ndarray]:
+    """The one sample rule and draw loop of every Monte Carlo estimator:
+    DomainError, before any draw, unless the sampler draws in R^dim and
+    `samples` is a whole number >= `least`; then the sampler's stream in
+    batches of b <= _BATCH samples, each a (points, b, dim) view of one
+    `sampler.sample(points * b)`."""
+    if sampler.dim != dim:
+        raise DomainError("sampler dimension mismatch")
     samples = as_integer("samples", samples)
-    total = total_sq = 0.0
-    done = 0
-    while done < samples:
+    if samples < least:
+        raise DomainError(f"samples must be >= {least}, got {samples}")
+    for done in range(0, samples, _BATCH):
         b = min(_BATCH, samples - done)
-        vals = draw(b)
+        yield sampler.sample(points * b).reshape(points, b, sampler.dim)
+
+
+def mc_mean_and_sem(batches: Iterable[np.ndarray]) -> Tuple[float, float]:
+    """Mean and standard error of the values in `batches`, at least one
+    value, summed batch by batch in order."""
+    total = total_sq = 0.0
+    samples = 0
+    for vals in batches:
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
-        done += b
+        samples += vals.size
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     return mean, math.sqrt(var / samples)
@@ -882,33 +898,24 @@ def mc_mean_and_sem(
 def partial_norm_expectation(
     n: int, k: int, samples: int, sampler: SphereSampler
 ) -> Tuple[float, float]:
-    """MC estimate of E[(a_1^2 + ... + a_k^2)^(1/2)] for uniform a on S^(n-1)."""
+    """MC estimate and standard error of E[(a_1^2 + ... + a_k^2)^(1/2)] for
+    uniform a on S^(n-1), from `samples` >= 1000 points (`_draws`)."""
     k = as_integer("k", k)
     if not (1 <= k <= n):
         raise DomainError("need 1 <= k <= n")
-    if sampler.dim != n:
-        raise DomainError("sampler dimension mismatch")
-    if samples < 1000:
-        raise DomainError("samples must be >= 1000")
     return mc_mean_and_sem(
-        samples, lambda b: np.linalg.norm(sampler.sample(b)[:, :k], axis=1)
+        np.linalg.norm(a[:, :k], axis=1) for (a,) in _draws(sampler, n, samples, 1000)
     )
 
 
 def dot_squared_expectation(
     n: int, samples: int, sampler: SphereSampler
 ) -> Tuple[float, float]:
-    """MC estimate of E[(a.b)^2] for independent uniform a, b on S^(n-1)."""
-    if sampler.dim != n:
-        raise DomainError("sampler dimension mismatch")
-    if samples < 1000:
-        raise DomainError("samples must be >= 1000")
-
-    def draw(b: int) -> np.ndarray:
-        pair = sampler.sample(2 * b)
-        return np.einsum("ij,ij->i", pair[:b], pair[b:]) ** 2
-
-    return mc_mean_and_sem(samples, draw)
+    """MC estimate and standard error of E[(a.b)^2] for independent uniform
+    a, b on S^(n-1), from `samples` >= 1000 pairs (`_draws`)."""
+    return mc_mean_and_sem(
+        np.einsum("ij,ij->i", a, b) ** 2 for a, b in _draws(sampler, n, samples, 1000, 2)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -944,23 +951,15 @@ def require_moments_of(net: EpsNet, moments: RegionMoments) -> None:
 
 
 def region_moments(net: EpsNet, samples: int, sampler: SphereSampler) -> RegionMoments:
-    """Estimate region weights and vector moments from `samples` uniform points."""
-    if sampler.dim != net.dim:
-        raise DomainError("sampler dimension mismatch")
-    samples = as_integer("samples", samples)
-    if samples < MIN_SAMPLES_PER_REGION * net.size:
-        raise DomainError(f"samples must be >= {MIN_SAMPLES_PER_REGION} * net size")
+    """Estimate region weights and vector moments from `samples` >=
+    MIN_SAMPLES_PER_REGION * net.size uniform points (`_draws`)."""
     counts = np.zeros(net.size, dtype=np.int64)
     sums = np.zeros((net.size, net.dim))
-    done = 0
-    while done < samples:
-        b = min(_BATCH, samples - done)
-        pts = sampler.sample(b)
+    for (pts,) in _draws(sampler, net.dim, samples, MIN_SAMPLES_PER_REGION * net.size):
         idx = assign_regions(net, pts)
         counts += np.bincount(idx, minlength=net.size)
         for c in range(net.dim):
             sums[:, c] += np.bincount(idx, weights=pts[:, c], minlength=net.size)
-        done += b
     weights = counts / float(samples)
     moments = sums / float(samples)
     norms_sq = np.einsum("ij,ij->i", moments, moments)

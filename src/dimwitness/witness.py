@@ -46,6 +46,7 @@ from .sphere import (
     MIN_SAMPLES_PER_REGION,
     RegionMoments,
     SphereSampler,
+    _draws,
     build_eps_net,
     geodesic_base,
     geodesic_frequency,
@@ -193,24 +194,18 @@ def bell_value_infinite(
     """MC estimate of the integral of (a.b) E[ab] over independent uniform a, b.
 
     `correlation_fn` must be vectorized: (batch, n) x (batch, n) -> (batch,)
-    with values in [-1, 1].
+    with values in [-1, 1].  `samples` >= 1 pairs are drawn (`sphere._draws`).
     """
-    if sampler.dim != n:
-        raise DomainError("sampler dimension mismatch")
-    if samples < 1:
-        raise DomainError("samples must be positive")
 
-    def draw(b: int) -> np.ndarray:
-        pair = sampler.sample(2 * b)
-        a_pts, b_pts = pair[:b], pair[b:]
+    def values(a_pts: np.ndarray, b_pts: np.ndarray) -> np.ndarray:
         corr = np.asarray(correlation_fn(a_pts, b_pts), dtype=float)
-        if corr.shape != (b,):
+        if corr.shape != (a_pts.shape[0],):
             raise DomainError("correlation_fn must return one value per pair")
         if not np.all(np.abs(corr) <= 1.0 + 1e-9):
             raise DomainError("correlations must lie in [-1, 1]")
         return np.einsum("ij,ij->i", a_pts, b_pts) * corr
 
-    return mc_mean_and_sem(samples, draw)
+    return mc_mean_and_sem(values(a, b) for a, b in _draws(sampler, n, samples, 1, 2))
 
 
 def bell_value_finite(net, moments: RegionMoments, correlations) -> float:
@@ -243,8 +238,11 @@ def eps_threshold(n: int, d: int) -> float:
 
     Solving the strict inequality with K the analytic ratio bound at
     m = 2 d^2 gives eps* = (K - 1) / (2 n (K + 1)); the chain certifies a
-    separation only below it.
+    separation only below it.  DomainError unless d is a whole number >= 1.
     """
+    d = as_integer("d", d)
+    if d < 1:
+        raise DomainError("d must satisfy d ≥ 1")
     m = 2 * d * d
     if n <= m:
         raise DomainError("eps_threshold requires n > 2*d^2")

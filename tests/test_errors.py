@@ -29,14 +29,28 @@ from dimwitness import (
     y_closed_form,
 )
 from dimwitness.analytic_bounds import log_f
-from dimwitness.embedding_opt import dot_climb
+from dimwitness.embedding_opt import discretize_kernel, dot_climb
 from dimwitness.errors import as_integer
-from dimwitness.sphere import geodesic_frequency
+from dimwitness.sphere import EpsNet, geodesic_frequency
+from dimwitness.witness import bell_value_infinite, eps_threshold
 
 
 def moments_of_a_half_sample():
     net = build_eps_net(3, 0.5)
     return region_moments(net, 100 * net.size + 0.5, SphereSampler(3, 0))
+
+
+def dot(a, b):
+    """Row-wise dot products of two (batch, dim) arrays."""
+    return np.einsum("ij,ij->i", a, b)
+
+
+def kernel_of(samples):
+    """The kernel `dot` discretized by Monte Carlo over `samples` pairs on a
+    net of three points on S^2."""
+    net = EpsNet(dim=3, eps=0.9, points=np.eye(3))
+    moments = region_moments(net, 300, SphereSampler(3, 0))
+    return discretize_kernel(dot, net, moments, samples=samples, sampler=SphereSampler(3, 1))
 
 
 KERNEL = KernelMatrix(np.eye(2))
@@ -64,6 +78,15 @@ REFUSED = {
     "bound-n-none": lambda: kg_lower_bound(None, 2),
     "bound-m-nan": lambda: kg_lower_bound(3, math.nan),
     "estimate-n-inf": lambda: asymptotic_estimate(math.inf, 2),
+    # these returned a kernel of NaN (with a RuntimeWarning) and of -0.0
+    "kernel-samples-zero": lambda: kernel_of(0),
+    "kernel-samples-negative": lambda: kernel_of(-5),
+    # this returned the d = 1 threshold, as m = 2 d^2
+    "eps-threshold-d-negative": lambda: eps_threshold(3, -1),
+    # these returned NaN, raised a RuntimeWarning and "not enough values to unpack"
+    "climb-nan": lambda: dot_climb(np.full((3, 3), math.nan), 2, 0),
+    "climb-inf": lambda: dot_climb(np.diag([1.0, math.inf, 1.0]), 2, 0),
+    "climb-1d": lambda: dot_climb(np.ones(3), 2, 0),
 }
 
 # (call, the argument its refusal names); each but bound-m raised a TypeError
@@ -76,6 +99,14 @@ NAMED = {
     "frequency-max-points": (lambda: geodesic_frequency(0.3, 2.5e4 + 0.5), "max_points"),
     "y-closed-form-k": (lambda: y_closed_form(3, 1.5), "k"),
     "bound-m": (lambda: kg_lower_bound(3, 1.5), "m"),
+    "partial-norm-samples": (
+        lambda: partial_norm_expectation(3, 2, None, SphereSampler(3, 0)), "samples"),
+    "dot-squared-samples-str": (
+        lambda: dot_squared_expectation(3, "2000", SphereSampler(3, 0)), "samples"),
+    "bell-infinite-samples": (
+        lambda: bell_value_infinite(3, dot, None, SphereSampler(3, 0)), "samples"),
+    "kernel-samples": (lambda: kernel_of(2.5), "samples"),
+    "eps-threshold-d": (lambda: eps_threshold(3, 1.5), "d"),
 }
 
 
@@ -117,11 +148,20 @@ def test_y_closed_form_names_k_in_its_range_refusals():
         y_closed_form(3, 4)
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_eps_threshold_names_d_in_its_range_refusal(d):
+    # d = 0 blamed m, and d = -1 returned the d = 1 threshold
+    with pytest.raises(DomainError, match="^d must satisfy d ≥ 1$"):
+        eps_threshold(3, d)
+
+
 def test_whole_float_seeds_and_sizes_are_kept():
     assert SphereSampler(3, 2.0, 1.0).seed == 2
     assert build_eps_net(3, 0.5, max_points=1e6).size == build_eps_net(3, 0.5).size
     # 2.5e4 is a float, which math.isqrt refused with a TypeError
     assert geodesic_frequency(0.3, 2.5e4) == geodesic_frequency(0.3, 25_000)
+    assert (dot_squared_expectation(3.0, 2000, SphereSampler(3, 0))
+            == dot_squared_expectation(3, 2000, SphereSampler(3, 0)))
 
 
 @pytest.mark.parametrize("eps", [np.float32(0.3), np.float64(0.3), 0.3])

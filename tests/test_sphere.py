@@ -752,6 +752,22 @@ class TestGeodesicNet:
                 geodesic_frequency(eps, max_points)
             assert refused.value.needed == pytest.approx(needed, rel=1e-6)
 
+    def test_floors_past_int64_are_refused_before_any_grid(self, monkeypatch):
+        # these raised OverflowError from exp of the floor, or numpy's
+        # ValueError from the face grid of k ~ 6e99
+        def never(*args):
+            raise AssertionError("a face grid allocated before the refusal")
+
+        monkeypatch.setattr(sphere, "_grid", never)
+        for eps, max_points, needed in [
+            (1e-300, 10**700, math.inf), (1e-200, 10**500, math.inf),
+            (1e-160, 10**400, math.inf), (1e-100, 10**400, 4e200),
+        ]:
+            message = r"\(covering floor\), which exceeds max_points=9223372036854775807$"
+            with pytest.raises(ResourceError, match=message) as refused:
+                geodesic_frequency(eps, max_points)
+            assert refused.value.needed == pytest.approx(needed, rel=1e-6)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             geodesic_net(0)
@@ -1051,6 +1067,24 @@ def test_a_growth_holds_one_old_buffer_at_a_time(hull_6_06):
     for grown, part in zip((hull.facets, hull.planes, hull.allowances, hull.radii),
                            (live.facets, live.planes, live.allowances, live.radii)):
         assert np.array_equal(grown, part)
+
+
+class TestDraws:
+    @pytest.mark.parametrize("points", [1, 2])
+    def test_batches_stacked_are_one_draw_of_the_stream(self, points):
+        samples = 2 * sphere._BATCH + 3
+        batches = list(sphere._draws(SphereSampler(4, 31), 4, samples, 1, points))
+        assert [b.shape for b in batches] == (
+            [(points, sphere._BATCH, 4)] * 2 + [(points, 3, 4)])
+        stacked = np.concatenate([b.reshape(-1, 4) for b in batches])
+        assert np.array_equal(stacked, SphereSampler(4, 31).sample(points * samples))
+
+    @pytest.mark.parametrize("dim, samples", [(3, 1000), (4, 999), (4, 1000.5), (4, None)])
+    def test_a_refusal_draws_nothing(self, dim, samples):
+        sampler = SphereSampler(4, 32)
+        with pytest.raises(DomainError):
+            next(sphere._draws(sampler, dim, samples, 1000))
+        assert np.array_equal(sampler.sample(5), SphereSampler(4, 32).sample(5))
 
 
 class TestPartialNorm:
