@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Every command is deterministic given its full flag set (all randomness flows
-from --seed through named substreams; `net` and `bound` draw nothing, take no
---seed and record a null seed), emits machine-readable JSON on request, and
-embeds a run manifest in each output document.  Exit codes: 0 success,
-2 usage, domain or file error, 3 resource limit, 4 theory-violation
-tripwire.
+from --seed through named substreams; `net`, `bound` and `tsirelson` draw
+nothing, take no --seed and record a null seed), emits machine-readable
+JSON on request, and embeds a run manifest in each output document.  Exit
+codes: 0 success, 2 usage, domain or file error, 3 resource limit,
+4 theory-violation tripwire.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from .analytic_bounds import (
 )
 from .embedding_opt import SEESAW_RESTARTS, load_kernel_csv, seesaw_maximize
 from .errors import DomainError, NumericalIntegrityError, ResourceError
-from .quantum import MAX_GENERATORS, max_correlation_deviation, tsirelson_strategy
+from .quantum import MAX_GENERATORS, tsirelson_deviation, tsirelson_strategy
 from .seeding import derive_seed, make_rng
-from .sphere import SphereSampler, build_eps_net, save_net
+from .sphere import build_eps_net, save_net
 from .witness import VERDICT_VIOLATION, WitnessConfig, run_witness
 
 # net sizes above this need --deep, which lifts the cap to the library default
@@ -125,21 +125,15 @@ def _cmd_seesaw(args, manifest: RunManifest, started: float) -> int:
 
 
 def _cmd_tsirelson(args, manifest: RunManifest, started: float) -> int:
-    if args.n > MAX_GENERATORS:
+    bound = tsirelson_deviation(args.n)
+    if bound is None:
         raise DomainError(f"n must satisfy n ≤ {MAX_GENERATORS}")
-    if args.pairs < 1:
-        raise DomainError("--pairs must be >= 1")
-    strategy = tsirelson_strategy(args.n)
-    sampler = SphereSampler(args.n, derive_seed(args.seed, "tsirelson-pairs"))
-    points = sampler.sample(2 * args.pairs)
-    worst = max_correlation_deviation(strategy, points[0::2], points[1::2])
     doc = {
-        "schema": 1,
+        "schema": 2,
         "kind": "tsirelson_report",
         "n": args.n,
-        "local_dim": strategy.d,
-        "pairs": args.pairs,
-        "max_deviation": worst,
+        "local_dim": tsirelson_strategy(args.n).d,
+        "deviation_bound": bound,
         "manifest": manifest.finish(started),
     }
     _emit(doc, args.out)
@@ -306,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tsirelson", help="check inner-product correlation exactness")
     p.add_argument("n", type=int)
-    p.add_argument("--pairs", type=int, default=1000)
-    common(p)
+    # no --seed: the check is on the strategy's table and draws nothing
+    p.add_argument("--out", type=str, default=None, help="output path")
     p.set_defaults(handler=_cmd_tsirelson)
 
     p = sub.add_parser("witness", help="run the dimension-witness pipeline")

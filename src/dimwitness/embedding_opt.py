@@ -32,7 +32,7 @@ from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .analytic_bounds import y_closed_form
+from .analytic_bounds import _check_nm, y_closed_form
 from .errors import DomainError, ResourceError, as_integer
 from .sphere import (
     EpsNet,
@@ -329,8 +329,7 @@ def analytic_d(n: int, m: int) -> float:
     normalized uniform measure; at m = n this reduces to 1/n, the value of the
     squared-inner-product integral.
     """
-    if not (1 <= m <= n):
-        raise DomainError("need 1 <= m <= n")
+    n, m = _check_nm(n, m)
     y = y_closed_form(n, m)
     return y * y / m
 
@@ -340,7 +339,7 @@ def project_embed(a: np.ndarray, m: int) -> np.ndarray:
 
     The measure-zero all-zero prefix maps to e_1.
     """
-    a = np.asarray(a, dtype=float)
+    a, m = np.asarray(a, dtype=float), as_integer("m", m)
     if a.ndim != 1 or a.shape[0] < m or m < 1:
         raise DomainError("need a vector with dim >= m >= 1")
     head = a[:m]
@@ -749,10 +748,10 @@ def empirical_ratio(
     The ratio approaches the analytic bound from below as eps shrinks; a
     finite net only resolves so much.
     """
+    n, m = _check_nm(n, m)
     if net.dim != n:
         raise DomainError("net dimension does not match n")
-    if not (1 <= m <= n):
-        raise DomainError("need 1 <= m <= n")
+    require_moments_of(net, moments)
     result = dot_climb(moments.moment_vectors, m, seed)
     den_se = moment_value_std_error(moments, result.assignment.row_vectors)
 

@@ -29,6 +29,7 @@ for the table and O(d^3) per realification.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -45,7 +46,7 @@ __all__ = [
     "clifford_generators",
     "tsirelson_strategy",
     "correlation",
-    "max_correlation_deviation",
+    "tsirelson_deviation",
     "vectorize",
 ]
 
@@ -108,21 +109,11 @@ def clifford_generators(n: int) -> CliffordSet:
 _UNIT_TOL = 1e-9
 
 
-def _require_unit_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != n:
-        raise DomainError(f"expected rows of vectors in R^{n}")
-    if not np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= _UNIT_TOL):
-        raise DomainError("measurement direction must be a unit vector")
-    return rows
-
-
 def _require_unit(vec: np.ndarray, n: int) -> np.ndarray:
     vec = np.asarray(vec, dtype=float)
     if vec.shape != (n,):
         raise DomainError(f"expected a vector in R^{n}")
-    # the sum that np.linalg.norm reduces for one row of _require_unit_rows;
-    # NaN and inf fail the comparison
+    # the norm as a plain sum of squares; NaN and inf fail the comparison
     if not abs(math.sqrt(np.add.reduce(vec * vec)) - 1.0) <= _UNIT_TOL:
         raise DomainError("measurement direction must be a unit vector")
     return vec
@@ -276,45 +267,37 @@ def _schmidt_diagonal(psi: np.ndarray) -> Optional[np.ndarray]:
     return np.diagonal(psi)
 
 
-def _correlations(strategy: QuantumStrategy, a_rows: np.ndarray,
-                  b_rows: np.ndarray) -> np.ndarray:
-    """a^T T b for each pair of rows, each asserted real to 1e-12.
-
-    Every row is reduced on its own, over the n^2 terms a_j T_jk b_k, so a
-    row's value does not depend on the other rows in the batch.
-    """
-    terms = a_rows[:, :, None] * strategy.table * b_rows[:, None, :]
-    vals = terms.reshape(len(terms), -1).sum(axis=1)
-    if np.abs(vals.imag).max() > 1e-12:
-        raise NumericalIntegrityError(
-            f"correlation has imaginary part {vals.imag[np.abs(vals.imag).argmax()]:.3e}"
-        )
-    return vals.real
-
-
 def correlation(strategy: QuantumStrategy, a: np.ndarray, b: np.ndarray) -> float:
     """<psi| A_a tensor B_b |psi> = a^T T b, O(n^2), asserted real to 1e-12."""
     n = strategy.table.shape[0]
-    rows = _correlations(strategy, _require_unit(a, n)[None], _require_unit(b, n)[None])
-    return float(rows[0])
+    terms = _require_unit(a, n)[:, None] * strategy.table * _require_unit(b, n)[None, :]
+    value = terms.reshape(-1).sum()
+    if abs(value.imag) > 1e-12:
+        raise NumericalIntegrityError(f"correlation has imaginary part {value.imag:.3e}")
+    return float(value.real)
 
 
-def max_correlation_deviation(
-    strategy: QuantumStrategy, a_rows: np.ndarray, b_rows: np.ndarray
-) -> float:
-    """max |correlation(strategy, a, b) - a.b| over the paired rows (0.0 for none).
+def tsirelson_deviation(n: int) -> Optional[float]:
+    """||T - I||_2 for the table T of `tsirelson_strategy(n)`, the one
+    exactness check of the strategy, computed once per n and process; None
+    above MAX_GENERATORS, where n is too large to simulate densely.  Every
+    correlation of the strategy is u^T T v, so for unit u and v,
+    |E(u, v) - u.v| = |u^T (T - I) v| <= ||T - I||_2: the value bounds the
+    deviation on every pair, and a value above 1e-10 raises
+    NumericalIntegrityError."""
+    # checked before the cache, which would hash an unchecked n
+    return _table_deviation(as_integer("n", n))
 
-    One contraction over all rows; each row's correlation equals what
-    `correlation` returns for that pair, and a.b is the row sum of a * b.
-    """
-    n = strategy.table.shape[0]
-    a_rows, b_rows = _require_unit_rows(a_rows, n), _require_unit_rows(b_rows, n)
-    if a_rows.shape != b_rows.shape:
-        raise DomainError("a_rows and b_rows must pair up")
-    if not len(a_rows):
-        return 0.0
-    dots = (a_rows * b_rows).sum(axis=1)
-    return float(np.abs(_correlations(strategy, a_rows, b_rows) - dots).max())
+
+@functools.cache
+def _table_deviation(n: int) -> Optional[float]:
+    if n > MAX_GENERATORS:
+        return None
+    deviation = float(np.linalg.norm(tsirelson_strategy(n).table - np.eye(n), 2))
+    if deviation > 1e-10:
+        raise NumericalIntegrityError(
+            f"inner-product strategy deviates by up to {deviation:.3e} at n = {n}")
+    return deviation
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,7 @@
 """JSON Schemas for every machine-readable output of the CLI.
 
-Each document carries "schema": 1; bumping a format bumps the constant.
+Each document carries its own format's version as "schema", and changing a
+format bumps it: the tsirelson report is at 2, every other document at 1.
 """
 
 _MANIFEST = {
@@ -12,7 +13,7 @@ _MANIFEST = {
         "seed": {
             "type": ["integer", "null"],
             "description": "the master seed; null for a command that draws "
-                           "nothing (net, bound)",
+                           "nothing (net, bound, tsirelson)",
         },
         "version": {"type": "string"},
         "timestamp": {"type": "string"},
@@ -85,14 +86,19 @@ SEESAW_RESULT_SCHEMA = {
 
 TSIRELSON_REPORT_SCHEMA = {
     "type": "object",
-    "required": ["schema", "kind", "n", "local_dim", "pairs", "max_deviation"],
+    "required": ["schema", "kind", "n", "local_dim", "deviation_bound"],
     "properties": {
-        "schema": {"const": 1},
+        "schema": {"const": 2},
         "kind": {"const": "tsirelson_report"},
         "n": {"type": "integer", "minimum": 1},
         "local_dim": {"type": "integer", "minimum": 1},
-        "pairs": {"type": "integer", "minimum": 1},
-        "max_deviation": {"type": "number", "minimum": 0},
+        "deviation_bound": {
+            "type": "number",
+            "minimum": 0,
+            "description": "||T - I||_2 for the n x n correlation table T of the "
+                           "Tsirelson strategy, a bound on |E(u, v) - u.v| for "
+                           "every pair of unit vectors",
+        },
         "manifest": _MANIFEST,
     },
 }

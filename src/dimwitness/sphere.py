@@ -900,7 +900,7 @@ def partial_norm_expectation(
 ) -> Tuple[float, float]:
     """MC estimate and standard error of E[(a_1^2 + ... + a_k^2)^(1/2)] for
     uniform a on S^(n-1), from `samples` >= 1000 points (`_draws`)."""
-    k = as_integer("k", k)
+    n, k = as_integer("n", n), as_integer("k", k)
     if not (1 <= k <= n):
         raise DomainError("need 1 <= k <= n")
     return mc_mean_and_sem(
@@ -913,6 +913,7 @@ def dot_squared_expectation(
 ) -> Tuple[float, float]:
     """MC estimate and standard error of E[(a.b)^2] for independent uniform
     a, b on S^(n-1), from `samples` >= 1000 pairs (`_draws`)."""
+    n = as_integer("n", n)
     return mc_mean_and_sem(
         np.einsum("ij,ij->i", a, b) ** 2 for a, b in _draws(sampler, n, samples, 1000, 2)
     )

@@ -21,7 +21,6 @@ The c4 check compares two functions of the same moments and has none.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -40,7 +39,7 @@ from .embedding_opt import (
     moment_value_std_error,
 )
 from .errors import DomainError, NumericalIntegrityError, as_integer, check_open_unit
-from .quantum import MAX_GENERATORS, tsirelson_strategy
+from .quantum import tsirelson_deviation
 from .seeding import derive_seed
 from .sphere import (
     MIN_SAMPLES_PER_REGION,
@@ -196,6 +195,7 @@ def bell_value_infinite(
     `correlation_fn` must be vectorized: (batch, n) x (batch, n) -> (batch,)
     with values in [-1, 1].  `samples` >= 1 pairs are drawn (`sphere._draws`).
     """
+    n = as_integer("n", n)
 
     def values(a_pts: np.ndarray, b_pts: np.ndarray) -> np.ndarray:
         corr = np.asarray(correlation_fn(a_pts, b_pts), dtype=float)
@@ -238,9 +238,10 @@ def eps_threshold(n: int, d: int) -> float:
 
     Solving the strict inequality with K the analytic ratio bound at
     m = 2 d^2 gives eps* = (K - 1) / (2 n (K + 1)); the chain certifies a
-    separation only below it.  DomainError unless d is a whole number >= 1.
+    separation only below it.  DomainError unless n and d are whole numbers
+    and d >= 1.
     """
-    d = as_integer("d", d)
+    n, d = as_integer("n", n), as_integer("d", d)
     if d < 1:
         raise DomainError("d must satisfy d ≥ 1")
     m = 2 * d * d
@@ -255,23 +256,6 @@ def eps_threshold(n: int, d: int) -> float:
 # ----------------------------------------------------------------------
 # pipeline
 # ----------------------------------------------------------------------
-
-@functools.cache
-def _tsirelson_deviation(n: int) -> Optional[float]:
-    """||T - I||_2 for the table T of `tsirelson_strategy(n)`, computed once
-    per n and process; None above MAX_GENERATORS, where n is too large to
-    simulate densely.  Every correlation of the strategy is u^T T v, so for
-    unit u and v, |E(u, v) - u.v| = |u^T (T - I) v| <= ||T - I||_2: the
-    value bounds the deviation on every pair of every net, and a value
-    above 1e-10 raises NumericalIntegrityError."""
-    if n > MAX_GENERATORS:
-        return None
-    deviation = float(np.linalg.norm(tsirelson_strategy(n).table - np.eye(n), 2))
-    if deviation > 1e-10:
-        raise NumericalIntegrityError(
-            f"inner-product strategy deviates by up to {deviation:.3e} at n = {n}")
-    return deviation
-
 
 # the n = 3 report of each (k, d), kept per process by `run_witness`
 _EXACT_REPORTS: dict = {}
@@ -304,12 +288,12 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     moment_samples_per_region per region).  The adversary is `dot_climb` at
     m = 2d^2: the best of ADVERSARY_RESTARTS damped Newton ascents of the
     reduced objective, a lower bound on the true maximum over R^m vectors.
-    tsirelson_validation_dev is ||T - I||_2 of the Tsirelson strategy's
-    table, computed once per n and process (`_tsirelson_deviation`), which
-    bounds its deviation from u.v on every net pair.  Only the moments and
-    the adversary depend on n: at every n, b_fq is `bell_value_finite` of
-    the run's moments at the net points and b_fs the adversary's value, the
-    same `dot_value` at its assignment X, their SEs
+    tsirelson_validation_dev is `quantum.tsirelson_deviation(n)`, the
+    ||T - I||_2 of the Tsirelson strategy's table, computed once per n and
+    process, which bounds its deviation from u.v on every net pair.  Only
+    the moments and the adversary depend on n: at every n, b_fq is
+    `bell_value_finite` of the run's moments at the net points and b_fs the
+    adversary's value, the same `dot_value` at its assignment X, their SEs
     `moment_value_std_error`.  The chain-check names keep their see-saw
     wording.
 
@@ -406,7 +390,7 @@ def _report(config: WitnessConfig, moments: RegionMoments, adversary) -> Witness
         covering_radius=rho,
         moment_method="exact" if moments.samples_used == 0 else "monte_carlo",
         empty_regions=int(moments.empty_regions.size),
-        tsirelson_validation_dev=_tsirelson_deviation(n),
+        tsirelson_validation_dev=tsirelson_deviation(n),
         seesaw_converged=adversary.converged,
         chain_checks=tuple(checks),
         verdict=verdict,

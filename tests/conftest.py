@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dimwitness import sphere, witness
+from dimwitness import quantum, sphere, witness
 from dimwitness.sphere import SphereSampler
 
 
@@ -15,7 +15,7 @@ def _no_kept_results():
     served to the next."""
     sphere._BASE_NETS.clear()
     witness._EXACT_REPORTS.clear()
-    witness._tsirelson_deviation.cache_clear()
+    quantum._table_deviation.cache_clear()
 
 
 @pytest.fixture
@@ -35,3 +35,21 @@ def turned():
         return dataclasses.replace(net, points=net.points @ rotation.T)
 
     return turn
+
+
+@pytest.fixture
+def bent_strategy():
+    """tsirelson_strategy with one diagonal entry of the Z string negated,
+    as in test_flipping_one_pauli_sign_fails: at n = 5, T_44 drops to 1/2."""
+    original = quantum.tsirelson_strategy
+
+    def bent(n):
+        base = original(n)
+        phases = base.alice.phases.copy()
+        phases[4, 0] = -phases[4, 0]
+        alice = dataclasses.replace(base.alice, phases=phases)
+        return quantum.QuantumStrategy(d=base.d, state=base.state, alice=alice,
+                                       bob=base.bob)
+
+    assert bent(5).table[4, 4] == pytest.approx(0.5, abs=1e-15)
+    return bent

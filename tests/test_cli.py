@@ -208,18 +208,33 @@ class TestOutputPath:
 
 
 class TestTsirelsonCommand:
-    def test_exactness_report(self, capsys):
-        code, out, _ = run_cli(capsys, "tsirelson", "8", "--pairs", "1000")
+    # the report is the table bound ||T - I||_2 of `quantum.tsirelson_deviation`;
+    # the command draws nothing, so it takes no --seed and records a null seed
+    @staticmethod
+    def report(capsys, n):
+        code, out, _ = run_cli(capsys, "tsirelson", str(n))
         assert code == 0
         doc = json.loads(out)
         jsonschema.validate(doc, TSIRELSON_REPORT_SCHEMA)
-        assert doc["max_deviation"] <= 1e-10
+        assert doc["schema"] == 2
+        assert doc["manifest"]["seed"] is None
+        assert doc["deviation_bound"] == dimwitness.quantum.tsirelson_deviation(n)
+        return doc
+
+    def test_exactness_report(self, capsys):
+        doc = self.report(capsys, 8)
+        assert doc["deviation_bound"] <= 1e-10
         assert doc["local_dim"] == 16
 
     def test_pauli_case(self, capsys):
-        code, out, _ = run_cli(capsys, "tsirelson", "2", "--pairs", "200")
-        assert code == 0
-        assert json.loads(out)["max_deviation"] <= 1e-14
+        assert self.report(capsys, 2)["deviation_bound"] <= 1e-14
+
+    def test_sixteen_generators(self, capsys):
+        doc = self.report(capsys, 16)
+        assert doc["deviation_bound"] <= 1e-10
+        assert doc["local_dim"] == 256
+        assert set(doc) == {"schema", "kind", "n", "local_dim", "deviation_bound",
+                            "manifest"}
 
     def test_cap_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "tsirelson", "17")
@@ -227,10 +242,20 @@ class TestTsirelsonCommand:
         assert "16" in err
 
     def test_no_pairs_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "tsirelson", "3", "--pairs", "0")
+        code, out, err = run_cli(capsys, "tsirelson", "3", "--pairs", "10")
         assert code == 2
-        assert out == ""
-        assert "--pairs" in err
+        assert out == "" and "unrecognized arguments: --pairs 10" in err
+
+    def test_no_seed_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "tsirelson", "3", "--seed", "1")
+        assert code == 2
+        assert out == "" and "unrecognized arguments: --seed 1" in err
+
+    def test_a_bent_strategy_fails_the_command(self, capsys, monkeypatch, bent_strategy):
+        monkeypatch.setattr(dimwitness.quantum, "tsirelson_strategy", bent_strategy)
+        with pytest.raises(NumericalIntegrityError, match="deviates by up to 5.000e-01"):
+            main(["tsirelson", "5"])
+        assert capsys.readouterr().out == ""
 
 
 class TestWitnessCommand:
@@ -458,7 +483,7 @@ class TestImportCost:
         assert self.scipy_modules_after(statement) == "[]"
 
     def test_no_scipy_in_tsirelson_command(self):
-        statement = "dimwitness.cli.main(['tsirelson', '16', '--pairs', '10'])"
+        statement = "dimwitness.cli.main(['tsirelson', '16'])"
         assert self.scipy_modules_after(statement) == "[]"
 
     def test_no_scipy_in_log_gamma(self):
@@ -474,7 +499,7 @@ class TestImportCost:
             "pass",
             "dimwitness.run_witness(dimwitness.WitnessConfig(3, 1, 0.3))",
             "dimwitness.run_witness(dimwitness.WitnessConfig(5, 1, 0.7))",
-            "dimwitness.cli.main(['tsirelson', '16', '--pairs', '10'])",
+            "dimwitness.cli.main(['tsirelson', '16'])",
         ]
         report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))"
         code = "import sys, dimwitness, dimwitness.cli\n" + "".join(

@@ -12,16 +12,19 @@ from dimwitness import (
     KernelMatrix,
     SphereSampler,
     WitnessConfig,
+    analytic_d,
     asymptotic_estimate,
     build_eps_net,
     clifford_generators,
     dot_squared_expectation,
+    empirical_ratio,
     f,
     gamma_ratio_series,
     geodesic_net,
     kg_lower_bound,
     monotonicity_check,
     partial_norm_expectation,
+    project_embed,
     region_moments,
     robbins_bounds,
     seesaw_maximize,
@@ -31,6 +34,7 @@ from dimwitness import (
 from dimwitness.analytic_bounds import log_f
 from dimwitness.embedding_opt import discretize_kernel, dot_climb
 from dimwitness.errors import as_integer
+from dimwitness.quantum import tsirelson_deviation
 from dimwitness.sphere import EpsNet, geodesic_frequency
 from dimwitness.witness import bell_value_infinite, eps_threshold
 
@@ -38,6 +42,13 @@ from dimwitness.witness import bell_value_infinite, eps_threshold
 def moments_of_a_half_sample():
     net = build_eps_net(3, 0.5)
     return region_moments(net, 100 * net.size + 0.5, SphereSampler(3, 0))
+
+
+def ratio_on_moments_of_another_net():
+    """empirical_ratio on the (3, 0.5) net, given the moments of (3, 0.4)."""
+    other = build_eps_net(3, 0.4)
+    moments = region_moments(other, 100 * other.size, SphereSampler(3, 0))
+    return empirical_ratio(3, 2, build_eps_net(3, 0.5), moments)
 
 
 def dot(a, b):
@@ -87,6 +98,8 @@ REFUSED = {
     "climb-nan": lambda: dot_climb(np.full((3, 3), math.nan), 2, 0),
     "climb-inf": lambda: dot_climb(np.diag([1.0, math.inf, 1.0]), 2, 0),
     "climb-1d": lambda: dot_climb(np.ones(3), 2, 0),
+    # this returned a ratio, 1.0594
+    "ratio-moments-of-another-net": ratio_on_moments_of_another_net,
 }
 
 # (call, the argument its refusal names); each but bound-m raised a TypeError
@@ -107,6 +120,22 @@ NAMED = {
         lambda: bell_value_infinite(3, dot, None, SphereSampler(3, 0)), "samples"),
     "kernel-samples": (lambda: kernel_of(2.5), "samples"),
     "eps-threshold-d": (lambda: eps_threshold(3, 1.5), "d"),
+    "eps-threshold-n-none": (lambda: eps_threshold(None, 1), "n"),
+    "eps-threshold-n-str": (lambda: eps_threshold("9", 1), "n"),
+    "partial-norm-n-none": (
+        lambda: partial_norm_expectation(None, 1, 2000, SphereSampler(3, 0)), "n"),
+    # this blamed the sampler, as did the next two
+    "partial-norm-n-float": (
+        lambda: partial_norm_expectation(3.5, 1, 2000, SphereSampler(3, 0)), "n"),
+    "dot-squared-n": (lambda: dot_squared_expectation(None, 2000, SphereSampler(3, 0)), "n"),
+    "bell-infinite-n": (lambda: bell_value_infinite(None, dot, 10, SphereSampler(3, 0)), "n"),
+    "analytic-d-n": (lambda: analytic_d(None, 1), "n"),
+    # this named k
+    "analytic-d-m": (lambda: analytic_d(3, 1.5), "m"),
+    "project-embed-m": (lambda: project_embed([1.0, 0.0, 0.0], 1.5), "m"),
+    "tsirelson-deviation-n": (lambda: tsirelson_deviation(None), "n"),
+    # the cache hashed n first: TypeError, unhashable type 'list'
+    "tsirelson-deviation-n-list": (lambda: tsirelson_deviation([3]), "n"),
 }
 
 

@@ -18,7 +18,6 @@ from dimwitness import (
     vectorize,
 )
 from dimwitness import quantum
-from dimwitness.quantum import max_correlation_deviation
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -168,18 +167,6 @@ class TestTsirelsonStrategy:
             worst = max(worst, dev)
         assert worst <= 1e-10
 
-    def test_max_deviation_pairs_rows_in_order(self):
-        st = tsirelson_strategy(5)
-        rows = SphereSampler(5, seed=52).sample(40)
-        left, right = rows[::2], rows[1::2]
-        devs = [abs(correlation(st, a, b) - float(np.sum(a * b)))
-                for a, b in zip(left, right)]
-        assert max_correlation_deviation(st, left, right) == max(devs)
-        assert max_correlation_deviation(st, rows[:0], rows[:0]) == 0.0
-        # Bob's sign flipped: correlation -1 against a.b = 1 on a repeated row
-        flipped = variant("flipped", 5)
-        assert max_correlation_deviation(flipped, rows[:1], rows[:1]) == pytest.approx(2.0)
-
     def test_observables_square_to_identity(self):
         st = tsirelson_strategy(5)
         a = SphereSampler(5, seed=51).sample(1)[0]
@@ -196,10 +183,6 @@ class TestTsirelsonStrategy:
             correlation(st, big, e1)
         with pytest.raises(DomainError):
             vectorize(st, e1, big)
-        with pytest.raises(DomainError):
-            max_correlation_deviation(st, np.stack([e1, big]), np.stack([e1, e1]))
-        with pytest.raises(DomainError):
-            max_correlation_deviation(st, np.stack([e1, e1]), e1[None])
 
     @pytest.mark.parametrize("scale, accepted", [
         (1.0 + 2e-9, False), (1.0 - 2e-9, False), (1.0 + 5e-10, True), (1.0 - 5e-10, True),
@@ -411,8 +394,8 @@ class TestSchmidtDiagonalContraction:
         bent = QuantumStrategy(d=base.d, state=base.state, alice=alice, bob=base.bob)
         self.assert_matches_dense(bent, 5, seed=121)
         assert bent.table[4, 4] == pytest.approx(0.5, abs=1e-15)
-        rows = SphereSampler(5, seed=122).sample(128)
-        assert max_correlation_deviation(bent, rows[::2], rows[1::2]) > 1e-3
+        pairs = SphereSampler(5, seed=122).sample(128).reshape(64, 2, 5)
+        assert max(abs(correlation(bent, a, b) - float(a @ b)) for a, b in pairs) > 1e-3
 
     @pytest.mark.parametrize("d", (1, 2, 3, 8))
     def test_every_off_diagonal_entry_is_seen(self, d):
@@ -424,18 +407,6 @@ class TestSchmidtDiagonalContraction:
                     bent = psi.copy()
                     bent[i, j] = 1e-300j
                     assert quantum._schmidt_diagonal(bent) is None
-
-
-class TestBatchedDeviation:
-    @pytest.mark.parametrize("name", (None,) + VARIANTS)
-    def test_equals_the_per_pair_maximum(self, name):
-        for n in (3, 8, 16):
-            st = tsirelson_strategy(n) if name is None else variant(name, n, seed=130 + n)
-            rows = SphereSampler(n, seed=140 + n).sample(128)
-            left, right = rows[::2], rows[1::2]
-            devs = [abs(correlation(st, a, b) - float(np.sum(a * b)))
-                    for a, b in zip(left, right)]
-            assert max_correlation_deviation(st, left, right) == max(devs)
 
 
 def reference_generators(n):
@@ -519,8 +490,6 @@ class TestIntegrity:
         e1 = np.array([1.0, 0.0])
         with pytest.raises(NumericalIntegrityError):
             correlation(broken, e1, e1)
-        with pytest.raises(NumericalIntegrityError):
-            max_correlation_deviation(broken, e1[None], e1[None])
 
     def test_state_must_match_the_observables(self):
         st = tsirelson_strategy(4)

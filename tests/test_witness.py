@@ -526,8 +526,9 @@ class TestKeptGeodesicBase:
 
         for name in ("dot_climb", "bell_value_finite", "dot_upper_bound",
                      "moment_value_std_error", "kg_lower_bound", "eps_threshold",
-                     "geodesic_base", "tsirelson_strategy"):
+                     "geodesic_base"):
             count(dimwitness.witness, name)
+        count(quantum, "tsirelson_strategy")
         count(quantum, "_jordan_wigner")  # the strategy's build
         later = run_witness(WitnessConfig(3, 1, 0.3, seed=1))
         assert calls == {}
@@ -613,33 +614,23 @@ class TestGeodesicStrategy:
         for n in range(1, 17):
             strategy = quantum.tsirelson_strategy(n)
             table = strategy.table
-            reported = dimwitness.witness._tsirelson_deviation(n)
+            reported = quantum.tsirelson_deviation(n)
             assert reported == float(np.linalg.norm(table - np.eye(n), 2)) <= 1e-10
-            rows = SphereSampler(n, seed=43).sample(128)
-            sampled = quantum.max_correlation_deviation(strategy, rows[::2], rows[1::2])
+            pairs = SphereSampler(n, seed=43).sample(128).reshape(64, 2, n)
+            sampled = max(abs(quantum.correlation(strategy, a, b) - float(np.sum(a * b)))
+                          for a, b in pairs)
             allowance = np.finfo(float).eps * (n**3 * np.abs(table).max() + n)
             assert reported >= sampled - allowance, n
-        assert dimwitness.witness._tsirelson_deviation(17) is None
+        assert quantum.tsirelson_deviation(17) is None
 
     @pytest.mark.parametrize("n, eps, dev", [(3, 0.3, 2.220446049250313e-16),
                                              (4, 0.5, 0.0), (5, 0.7, 0.0)])
     def test_runs_report_it(self, n, eps, dev):
         report = run_witness(WitnessConfig(n, 1, eps, seed=2))
-        assert report.tsirelson_validation_dev == dimwitness.witness._tsirelson_deviation(n)
+        assert report.tsirelson_validation_dev == quantum.tsirelson_deviation(n)
         assert report.tsirelson_validation_dev == dev
 
-    def test_a_bent_strategy_is_refused(self, monkeypatch):
-        # one diagonal entry of the Z string negated, as in
-        # test_flipping_one_pauli_sign_fails: T_44 drops to 1/2
-        def bent(n):
-            base = quantum.tsirelson_strategy(n)
-            phases = base.alice.phases.copy()
-            phases[4, 0] = -phases[4, 0]
-            alice = dataclasses.replace(base.alice, phases=phases)
-            return quantum.QuantumStrategy(d=base.d, state=base.state, alice=alice,
-                                           bob=base.bob)
-
-        assert bent(5).table[4, 4] == pytest.approx(0.5, abs=1e-15)
-        monkeypatch.setattr(dimwitness.witness, "tsirelson_strategy", bent)
+    def test_a_bent_strategy_is_refused(self, monkeypatch, bent_strategy):
+        monkeypatch.setattr(quantum, "tsirelson_strategy", bent_strategy)
         with pytest.raises(NumericalIntegrityError, match="deviates by up to 5.000e-01"):
             run_witness(WitnessConfig(5, 1, 0.7))
