@@ -83,9 +83,9 @@ def _check_size(n: int) -> int:
     """n as an int, refused unless it is a whole number in 1..MAX_GENERATORS."""
     n = as_integer("n", n)
     if n < 1:
-        raise DomainError("need n >= 1")
+        raise DomainError("n must satisfy n ≥ 1")
     if n > MAX_GENERATORS:
-        raise ResourceError(f"clifford_generators limited to n <= {MAX_GENERATORS}")
+        raise ResourceError(f"n must satisfy n ≤ {MAX_GENERATORS}")
     return n
 
 

@@ -110,7 +110,11 @@ class SphereSampler:
 
     def sample(self, count: int) -> np.ndarray:
         """(count, dim) array of uniform unit vectors (Gaussian-normalize),
-        the draws divided by their norms in place."""
+        the draws divided by their norms in place.  DomainError unless
+        `count` is a whole number >= 0."""
+        count = as_integer("count", count)
+        if count < 0:
+            raise DomainError(f"count must be >= 0, got {count}")
         g = self._rng.standard_normal((count, self.dim))
         norms = np.linalg.norm(g, axis=1)
         _redraw_zero_rows(self._rng, g, norms)
@@ -847,11 +851,18 @@ def geodesic_net(k: int) -> EpsNet:
 
 
 def assign_regions(net: EpsNet, probes: np.ndarray) -> np.ndarray:
-    """Region index (nearest net point, ties to the lowest index) per probe row."""
+    """Region index (nearest net point, ties to the lowest index) per probe
+    row.  DomainError for a probe whose best dot product is not finite,
+    which a NaN or infinite coordinate always makes it; the product's own
+    warnings about them are silenced."""
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     if probes.shape[1] != net.dim:
         raise DomainError("probe dimension does not match net dimension")
-    return _nearest(net.points, probes)[0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        index, dot = _nearest(net.points, probes)
+    if not np.isfinite(dot).all():
+        raise DomainError("probes and their dot products with the net must be finite")
+    return index
 
 
 def nearest_point(net: EpsNet, a: np.ndarray) -> int:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -444,25 +445,63 @@ class TestDeterminism:
 
 
 class TestImportCost:
-    # scipy.spatial alone adds 0.35 s and 32 MB to every run's start-up, and
-    # scipy.optimize about 0.5 s and 44 MB
     @staticmethod
-    def scipy_modules_after(statement):
+    def fresh(code):
+        """The lines `code` prints in a fresh interpreter that imports this
+        package."""
         src = str(Path(dimwitness.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = (
-            f"import sys, dimwitness, dimwitness.cli; {statement}; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
-        out = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-c", code],
             env={**os.environ, "PYTHONPATH": path},
             capture_output=True,
             text=True,
             check=True,
             timeout=60,
-        ).stdout
-        return out.strip().splitlines()[-1]
+        ).stdout.strip().splitlines()
+
+    # scipy.spatial alone adds 0.35 s and 32 MB to every run's start-up, and
+    # scipy.optimize about 0.5 s and 44 MB
+    @classmethod
+    def scipy_modules_after(cls, statement):
+        return cls.fresh(
+            f"import sys, dimwitness, dimwitness.cli; {statement}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )[-1]
+
+    # without a bytecode cache a process compiles every module it loads, so
+    # a name should load only its home module and what that imports
+    @classmethod
+    def own_modules_after(cls, statement):
+        return cls.fresh(
+            f"import sys, dimwitness; {statement}; "
+            "print(sorted(m for m in sys.modules if m.startswith('dimwitness.')))"
+        )[-1]
+
+    def test_import_loads_no_submodule_and_no_numpy(self):
+        assert self.fresh(
+            "import sys, dimwitness; "
+            "print([m for m in sys.modules if m.startswith('dimwitness.')], 'numpy' in sys.modules)"
+        ) == ["[] False"]
+
+    def test_theory_loads_only_its_modules(self):
+        statement = "dimwitness.kg_lower_bound(3, 2); dimwitness.tsirelson_strategy(3)"
+        assert self.own_modules_after(statement) == (
+            "['dimwitness.analytic_bounds', 'dimwitness.errors', 'dimwitness.quantum']")
+
+    def test_a_net_loads_only_its_modules(self):
+        assert self.own_modules_after("dimwitness.build_eps_net(3, 0.5)") == (
+            "['dimwitness.errors', 'dimwitness.seeding', 'dimwitness.sphere']")
+
+    def test_the_cli_loads_every_module(self):
+        # on purpose: a program that imports the CLI, as the benchmark does,
+        # compiles every module before it times anything, not in its first
+        # timed call.  The schemas describe the CLI's documents to their
+        # readers; the CLI itself never reads them
+        every = sorted(f"dimwitness.{info.name}"
+                       for info in pkgutil.iter_modules(dimwitness.__path__)
+                       if info.name != "schemas")
+        assert self.own_modules_after("import dimwitness.cli") == repr(every)
 
     def test_no_scipy_at_import(self):
         assert self.scipy_modules_after("pass") == "[]"
@@ -493,8 +532,6 @@ class TestImportCost:
     def test_no_mpmath_at_import_or_in_runs(self):
         # mpmath adds 20-30 ms to start-up; only the factorial and log1p
         # brackets import it, on their first call
-        src = str(Path(dimwitness.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         steps = [
             "pass",
             "dimwitness.run_witness(dimwitness.WitnessConfig(3, 1, 0.3))",
@@ -505,15 +542,7 @@ class TestImportCost:
         code = "import sys, dimwitness, dimwitness.cli\n" + "".join(
             f"{step}\n{report}\n" for step in steps
         ) + "dimwitness.robbins_bounds(3.0)\n" + report
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=60,
-        ).stdout
-        lines = [line for line in out.splitlines() if line.startswith("[")]
+        lines = [line for line in self.fresh(code) if line.startswith("[")]
         assert lines[:-1] == ["[]"] * len(steps)
         assert "'mpmath'" in lines[-1]  # the check sees mpmath once it loads
 
@@ -525,20 +554,10 @@ class TestImportCost:
 
     def test_no_numpy_ma_in_appendix_check(self):
         # np.unique's first call imports numpy.ma, about 14 ms
-        src = str(Path(dimwitness.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = (
             "import contextlib, io, sys, dimwitness.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = dimwitness.cli.main(['appendix-check'])\n"
             "print(code, 'numpy.ma' in sys.modules)"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=60,
-        ).stdout
-        assert out.strip().splitlines()[-1] == "0 False"
+        assert self.fresh(code)[-1] == "0 False"

@@ -1,5 +1,6 @@
-"""Every name the package and its modules export resolves, and the exported
-dataclasses that hold arrays compare and hash by identity."""
+"""Every name the package and its modules export resolves, the package's
+lazy names are its home modules' objects, and the exported dataclasses that
+hold arrays compare and hash by identity."""
 
 import importlib
 import pkgutil
@@ -29,6 +30,23 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported)
     assert [attr for attr in exported if not hasattr(module, attr)] == []
+
+
+def test_every_export_is_its_home_modules_object():
+    for name, home in dimwitness._HOME.items():
+        module = importlib.import_module(f"dimwitness.{home}")
+        assert name in getattr(module, "__all__", [name]), name
+        assert getattr(dimwitness, name) is getattr(module, name), name
+
+
+def test_dir_lists_every_export():
+    assert set(dimwitness.__all__) <= set(dir(dimwitness))
+
+
+def test_an_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'build_net'"):
+        dimwitness.build_net
+    assert not hasattr(dimwitness, "main")  # the CLI's, not exported
 
 
 def array_dataclasses():

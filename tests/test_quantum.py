@@ -133,6 +133,13 @@ class TestCliffordGenerators:
         with pytest.raises(DomainError):
             tsirelson_strategy(0)
 
+    def test_refusals_name_n_and_its_range(self):
+        for make in (clifford_generators, tsirelson_strategy):
+            with pytest.raises(DomainError, match="^n must satisfy n ≥ 1$"):
+                make(0)
+            with pytest.raises(ResourceError, match="^n must satisfy n ≤ 16$"):
+                make(17)
+
     def test_non_integral_n_is_refused(self):
         # a whole number given as a float is taken as that number
         for make in (clifford_generators, tsirelson_strategy):

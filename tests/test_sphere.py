@@ -87,6 +87,19 @@ class TestSampler:
         sq = pts[:, 0] ** 2
         assert abs(sq.mean() - 1 / 3) <= 4 * sq.std() / math.sqrt(n)
 
+    @pytest.mark.parametrize("count", [-1, 2.5, math.nan, None, "3"])
+    def test_a_count_that_is_not_a_whole_number_is_refused(self, count):
+        sampler = SphereSampler(3, seed=4)
+        with pytest.raises(DomainError, match="count"):
+            sampler.sample(count)
+        # the refusal drew nothing
+        assert np.array_equal(sampler.sample(2), SphereSampler(3, seed=4).sample(2))
+
+    def test_whole_counts(self):
+        assert SphereSampler(3, seed=4).sample(0).shape == (0, 3)
+        assert np.array_equal(SphereSampler(3, seed=4).sample(2.0),
+                              SphereSampler(3, seed=4).sample(2))
+
     def test_single_draw(self):
         v = sample_uniform(SphereSampler(4, seed=5))
         assert v.shape == (4,)
@@ -952,6 +965,17 @@ class TestNearestPoint:
         net = EpsNet(dim=3, eps=math.nan, points=net_3_015.points)
         expected = np.argmax(probes @ net.points.T, axis=1)
         assert np.array_equal(assign_regions(net, probes), expected)
+
+    @pytest.mark.parametrize("probe", [[math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0]])
+    def test_a_probe_that_is_not_finite_is_refused(self, probe):
+        # once put in region 0; geodesic points have zero coordinates, where
+        # inf * 0 is NaN, and greedy ones have none
+        for net in (geodesic_net(2), build_eps_net(3, 0.5)):
+            with pytest.raises(DomainError, match="finite"):
+                nearest_point(net, probe)
+            probes = np.vstack([SphereSampler(3, 37).sample(5), probe])
+            with pytest.raises(DomainError, match="finite"):
+                assign_regions(net, probes)
 
     def test_an_empty_net_is_refused(self):
         net = EpsNet(dim=3, eps=0.5, points=np.zeros((0, 3)))
