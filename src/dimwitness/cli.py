@@ -33,7 +33,7 @@ from .analytic_bounds import (
 )
 from .embedding_opt import SEESAW_RESTARTS, load_kernel_csv, seesaw_maximize
 from .errors import DomainError, NumericalIntegrityError, ResourceError
-from .quantum import MAX_GENERATORS, tsirelson_deviation, tsirelson_strategy
+from .quantum import tsirelson_deviation, tsirelson_strategy
 from .seeding import derive_seed, make_rng
 from .sphere import build_eps_net, save_net
 from .witness import VERDICT_VIOLATION, WitnessConfig, run_witness
@@ -126,8 +126,6 @@ def _cmd_seesaw(args, manifest: RunManifest, started: float) -> int:
 
 def _cmd_tsirelson(args, manifest: RunManifest, started: float) -> int:
     bound = tsirelson_deviation(args.n)
-    if bound is None:
-        raise DomainError(f"n must satisfy n ≤ {MAX_GENERATORS}")
     doc = {
         "schema": 2,
         "kind": "tsirelson_report",

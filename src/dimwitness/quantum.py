@@ -277,10 +277,11 @@ def correlation(strategy: QuantumStrategy, a: np.ndarray, b: np.ndarray) -> floa
     return float(value.real)
 
 
-def tsirelson_deviation(n: int) -> Optional[float]:
+def tsirelson_deviation(n: int) -> float:
     """||T - I||_2 for the table T of `tsirelson_strategy(n)`, the one
-    exactness check of the strategy, computed once per n and process; None
-    above MAX_GENERATORS, where n is too large to simulate densely.  Every
+    exactness check of the strategy, computed once per n and process.
+    Above MAX_GENERATORS, where n is too large to simulate densely, it
+    raises the ResourceError of `tsirelson_strategy`.  Every
     correlation of the strategy is u^T T v, so for unit u and v,
     |E(u, v) - u.v| = |u^T (T - I) v| <= ||T - I||_2: the value bounds the
     deviation on every pair, and a value above 1e-10 raises
@@ -290,9 +291,7 @@ def tsirelson_deviation(n: int) -> Optional[float]:
 
 
 @functools.cache
-def _table_deviation(n: int) -> Optional[float]:
-    if n > MAX_GENERATORS:
-        return None
+def _table_deviation(n: int) -> float:
     deviation = float(np.linalg.norm(tsirelson_strategy(n).table - np.eye(n), 2))
     if deviation > 1e-10:
         raise NumericalIntegrityError(

@@ -362,18 +362,17 @@ class _Hull:
     chord radius of its cap (`_facet_planes`).
 
     The four are kept in buffers with spare capacity, whose first `count`
-    rows are the live facets, in no particular order, next to each facet's
-    creation number.  `replace` writes new facets into the slots of the
-    facets they replace and appends the rest, doubling the capacity when
-    full, so a facet that stays is never copied.
+    rows are the live facets, in no particular order.  `replace` writes new
+    facets into the slots of the facets they replace and appends the rest,
+    doubling the capacity when full, so a facet that stays is never copied.
     """
 
-    __slots__ = ("count", "created", "_buffers")
+    __slots__ = ("count", "_buffers")
 
     def __init__(self, facets: np.ndarray, planes: np.ndarray, allowances: np.ndarray,
                  radii: np.ndarray):
-        self.count = self.created = facets.shape[0]
-        self._buffers = (facets, planes, allowances, radii, np.arange(self.count))
+        self.count = facets.shape[0]
+        self._buffers = (facets, planes, allowances, radii)
 
     @property
     def facets(self) -> np.ndarray:
@@ -391,20 +390,9 @@ class _Hull:
     def radii(self) -> np.ndarray:
         return self._buffers[3][: self.count]
 
-    def widest(self) -> int:
-        """Slot of the widest cap.  Radii tie exactly (on the circle, each
-        insertion halves an arc); ties go to the facet created first, the
-        first in a hull that kept its facets in creation order."""
-        radii = self.radii
-        widest = int(radii.argmax())
-        ties = (radii == radii[widest]).nonzero()[0]
-        if ties.size > 1:
-            widest = int(ties[np.argmin(self._buffers[4][ties])])
-        return widest
-
     def replace(self, slots: np.ndarray, new: "_Hull") -> None:
-        """Put the facets of `new`, created in their order, in place of the
-        live facets at `slots`, ascending indices.  Where fewer facets come
+        """Put the facets of `new`, in their order, in place of the live
+        facets at `slots`, ascending indices.  Where fewer facets come
         than go, live facets from the end move into the freed slots below
         the new count, so the live facets stay a prefix of the buffers."""
         added = new.count
@@ -421,11 +409,9 @@ class _Hull:
             if count > self._buffers[0].shape[0]:
                 self._grow(max(count, 2 * self._buffers[0].shape[0]))
             slots = np.concatenate([slots, np.arange(self.count, count)])
-        for buffer, rows in zip(self._buffers, new._buffers[:4]):
+        for buffer, rows in zip(self._buffers, new._buffers):
             buffer[slots] = rows
-        self._buffers[4][slots] = new._buffers[4] + self.created
         self.count = count
-        self.created += added
 
     def _grow(self, capacity: int) -> None:
         """Each buffer widened to `capacity` rows, one at a time, each old
@@ -527,13 +513,14 @@ def _fill_caps(points: np.ndarray, eps: float, max_points: int) -> Tuple[np.ndar
     their final hull.
 
     The simplex's hull has one facet opposite each vertex.  While the
-    widest cap (the argmax of the hull's radii) is wider than eps, the
-    cap's centre is inserted into the hull (`_insert_last`), which computes
-    the caps of the new facets only.  A cap is empty, so its centre lies at
-    least its radius, more than eps, from every point: the points stay an
-    eps-packing, which a float64 test confirms for each centre.  Once no cap
-    is wider than eps, the hull's ridges are checked and the widest cap's
-    radius is the covering radius of the points.  Raises ResourceError when
+    widest cap (the first argmax of the hull's radii, so ties go to the
+    lowest slot) is wider than eps, the cap's centre is inserted into the
+    hull (`_insert_last`), which computes the caps of the new facets only.
+    A cap is empty, so its centre lies at least its radius, more than eps,
+    from every point: the points stay an eps-packing, which a float64 test
+    confirms for each centre.  Once no cap is wider than eps, the hull's
+    ridges are checked and the widest cap's radius is the covering radius
+    of the points.  Raises ResourceError when
     the points would exceed max_points or the hull would hold more than
     _HULL_MAX_FACET_DIMS2 / dim^2 facets.
     """
@@ -541,7 +528,7 @@ def _fill_caps(points: np.ndarray, eps: float, max_points: int) -> Tuple[np.ndar
     thresh = 1.0 - 0.5 * eps * eps
     hull = _hull_facets(points, _ridges(np.arange(size, dtype=np.int32)[None]))
     while True:
-        widest = hull.widest()
+        widest = int(hull.radii.argmax())
         if hull.radii[widest] <= eps:
             _check_ridges(hull.facets, size)
             return points[:size], hull
@@ -564,7 +551,8 @@ def _fill_caps(points: np.ndarray, eps: float, max_points: int) -> Tuple[np.ndar
 
 
 # base results kept per process (`_kept`): greedy nets under (dim, eps),
-# geodesic bases under ("geodesic", k)
+# geodesic bases under ("geodesic", k), n = 3 witness reports under
+# ("witness", k, d)
 _BASE_NETS: "OrderedDict[tuple, object]" = OrderedDict()
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .sphere import (
     RegionMoments,
     SphereSampler,
     _draws,
+    _kept,
     build_eps_net,
     geodesic_base,
     geodesic_frequency,
@@ -161,8 +162,8 @@ class WitnessReport:
     moment_method: str
     empty_regions: int
     # ||T - I||_2 of the Tsirelson strategy's table T, a bound on its
-    # deviation from u.v on every pair; None above MAX_GENERATORS
-    tsirelson_validation_dev: Optional[float]
+    # deviation from u.v on every pair
+    tsirelson_validation_dev: float
     # the best adversary restart stopped because neither the damped Newton
     # step nor the fixed-point step raised f, not at adversary_max_iters
     seesaw_converged: bool
@@ -257,10 +258,6 @@ def eps_threshold(n: int, d: int) -> float:
 # pipeline
 # ----------------------------------------------------------------------
 
-# the n = 3 report of each (k, d), kept per process by `run_witness`
-_EXACT_REPORTS: dict = {}
-
-
 def run_witness(config: WitnessConfig) -> WitnessReport:
     """Run net -> moments -> Bell values -> adversary -> inequality chain.
 
@@ -277,14 +274,15 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     0, so c1-c4 have no 4-sigma term.  The net and its moments are computed
     once per k and process and kept (`geodesic_base`); so is, per (k, d),
     the finished report of the adversary climbed on exactly those moments
-    from the fixed restart stream derive_seed(0, "seesaw")
-    (`_EXACT_REPORTS`).  A run returns a copy of the kept report with its
-    own config; only the first run of a (k, d) asks for the base, climbs
-    and evaluates the chain.  In other dimensions the net is built by
-    farthest-point insertion (`build_eps_net`): an eps-packing whose hull's
-    widest empty cap, its computed covering radius rho, is <= eps, built
-    and certified once per (n, eps) and process, every run served that one
-    kept `EpsNet`.  Its moments are Monte Carlo estimates (`region_moments`,
+    from the fixed restart stream derive_seed(0, "seesaw"), kept under
+    ("witness", k, d) beside the nets (`sphere._kept`).  A run returns a
+    copy of the kept report with its own config; only a run whose (k, d)
+    is not kept asks for the base, climbs and evaluates the chain.  In
+    other dimensions the net is built by farthest-point insertion
+    (`build_eps_net`): an eps-packing whose hull's widest empty cap, its
+    computed covering radius rho, is <= eps, built and certified once per
+    (n, eps) and process, every run served that one kept `EpsNet`.  Its
+    moments are Monte Carlo estimates (`region_moments`,
     moment_samples_per_region per region).  The adversary is `dot_climb` at
     m = 2d^2: the best of ADVERSARY_RESTARTS damped Newton ascents of the
     reduced objective, a lower bound on the true maximum over R^m vectors.
@@ -313,12 +311,13 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     n, m = config.n, config.m
     if n == 3:
         k = geodesic_frequency(config.eps, config.max_net_points)
-        kept = _EXACT_REPORTS.get((k, config.d))
-        if kept is None:
+
+        def build():
             _, moments = geodesic_base(k)
             adversary = dot_climb(moments.moment_vectors, m, derive_seed(0, "seesaw"))
-            kept = _EXACT_REPORTS[k, config.d] = _report(config, moments, adversary)
-        return replace(kept, config=config)
+            return _report(config, moments, adversary)
+
+        return replace(_kept(("witness", k, config.d), build), config=config)
 
     net = build_eps_net(n, config.eps, max_points=config.max_net_points)
     sampler = SphereSampler(n, derive_seed(config.seed, "moments"))

@@ -3,18 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dimwitness import quantum, sphere, witness
+from dimwitness import quantum, sphere
 from dimwitness.sphere import SphereSampler
 
 
 @pytest.fixture(autouse=True)
 def _no_kept_results():
     """Each test starts with no kept results: greedy base nets, n = 3
-    geodesic bases, the n = 3 reports and the Tsirelson deviations.  A
+    geodesic bases and reports, and the Tsirelson deviations.  A
     result kept under one test's monkeypatched constants would otherwise be
     served to the next."""
     sphere._BASE_NETS.clear()
-    witness._EXACT_REPORTS.clear()
     quantum._table_deviation.cache_clear()
 
 

@@ -237,10 +237,10 @@ class TestTsirelsonCommand:
         assert set(doc) == {"schema", "kind", "n", "local_dim", "deviation_bound",
                             "manifest"}
 
-    def test_cap_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "tsirelson", "17")
-        assert code == 2
-        assert "16" in err
+    def test_cap_is_resource_error(self, capsys):
+        code, out, err = run_cli(capsys, "tsirelson", "17")
+        assert code == 3 and out == ""
+        assert "resource error: n must satisfy n ≤ 16" in err
 
     def test_no_pairs_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "tsirelson", "3", "--pairs", "10")

@@ -19,6 +19,7 @@ from dimwitness import (
     DomainError,
     EpsNet,
     NumericalIntegrityError,
+    ResourceError,
     SphereSampler,
     WitnessConfig,
     analytic_d,
@@ -507,7 +508,6 @@ class TestKeptGeodesicBase:
         assert len(cold.chain_checks) == (4 if d == 1 else 3)
         assert (cold.k_lower == 1.0) == (d > 1)
         sphere._BASE_NETS.clear()
-        dimwitness.witness._EXACT_REPORTS.clear()
         report(other)
         assert report(seed).to_json() == cold.to_json()
 
@@ -535,6 +535,25 @@ class TestKeptGeodesicBase:
         assert dataclasses.replace(later, config=first.config).to_json() == first.to_json()
         assert later.b_finite_seesaw_d == first.b_finite_seesaw_d
         assert later.config.seed == 1
+
+    def test_an_evicted_report_is_climbed_again_to_the_same_json(self, monkeypatch):
+        # each frequency keeps two entries, its geodesic base and its report,
+        # so two other frequencies evict the first one's
+        first = run_witness(WitnessConfig(3, 1, 0.5, seed=0)).to_json()
+        for eps in (0.3, 0.2):
+            run_witness(WitnessConfig(3, 1, eps, seed=0))
+        assert ("witness", 2, 1) not in sphere._BASE_NETS
+        climbs = []
+        climb = dimwitness.witness.dot_climb
+
+        def counted(*args):
+            climbs.append(args)
+            return climb(*args)
+
+        monkeypatch.setattr(dimwitness.witness, "dot_climb", counted)
+        assert run_witness(WitnessConfig(3, 1, 0.5, seed=0)).to_json() == first
+        assert len(climbs) == 1
+        assert list(sphere._BASE_NETS)[-1] == ("witness", 2, 1)
 
     def test_a_changed_report_leaves_the_next_one_as_it_was(self):
         changed = run_witness(WitnessConfig(3, 1, 0.3, seed=0))
@@ -621,7 +640,8 @@ class TestGeodesicStrategy:
                           for a, b in pairs)
             allowance = np.finfo(float).eps * (n**3 * np.abs(table).max() + n)
             assert reported >= sampled - allowance, n
-        assert quantum.tsirelson_deviation(17) is None
+        with pytest.raises(ResourceError, match="n ≤ 16"):
+            quantum.tsirelson_deviation(17)
 
     @pytest.mark.parametrize("n, eps, dev", [(3, 0.3, 2.220446049250313e-16),
                                              (4, 0.5, 0.0), (5, 0.7, 0.0)])
