@@ -38,6 +38,8 @@ HALF_LOG_TWO = 0.34657359027997264  # ln(2)/2
 _LOG_F_SERIES_FROM = 50  # log_f switches to its asymptotic series here
 # decimal digits that a bracket's certification carries beyond its margin's
 _HEADROOM_DIGITS = 10
+# steps f(k) -> f(k+1) that `monotonicity_check` tests per block
+_MONOTONE_BLOCK = 1 << 16
 
 
 def log_gamma(x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
@@ -197,18 +199,20 @@ def monotonicity_check(n_max: int) -> Tuple[bool, Optional[int]]:
     """Check f(k+1) > f(k) strictly for all 1 <= k < n_max.
 
     Works entirely on log f and compares differences, so the check does not
-    lose resolution when f saturates toward 1/sqrt(2) at large n.  Returns
-    (True, None) or (False, first_violating_k).
+    lose resolution when f saturates toward 1/sqrt(2) at large n.  The
+    values are computed in blocks of _MONOTONE_BLOCK steps, each block
+    starting at the last k of the one before, so memory stays fixed
+    whatever n_max and every step is tested once.  Returns (True, None) or
+    (False, first_violating_k).
     """
     n_max = as_integer("n_max", n_max)
     if n_max < 2:
         raise DomainError("n_max must be >= 2")
-    ns = np.arange(1, n_max + 1, dtype=float)
-    lf = log_f(ns)
-    diffs = np.diff(lf)
-    bad = np.nonzero(~(diffs > 0.0))[0]
-    if bad.size:
-        return False, int(bad[0]) + 1
+    for first in range(1, n_max, _MONOTONE_BLOCK):
+        ns = np.arange(first, min(first + _MONOTONE_BLOCK, n_max) + 1, dtype=float)
+        bad = np.flatnonzero(~(np.diff(log_f(ns)) > 0.0))
+        if bad.size:
+            return False, first + int(bad[0])
     return True, None
 
 

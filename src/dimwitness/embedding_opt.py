@@ -532,17 +532,15 @@ def _dot_ascent(
     scored again at 10, 100, ... times the damping, capped at 1, from the
     same eigendecomposition, and the least damped rung that raises f
     replaces the fixed-point step; only if none does is the fixed-point
-    step taken.  The first rung, the least damped whose floor exceeds the
-    least |lambda| (`_next_rung`; a rung below it gives the failed step
-    again), is scored together with the fixed-point step; every rung above
-    it has a larger floor still, and they are scored one at a time, least
-    damped first.  The next iteration starts at the
-    damping of the step taken: a Newton step that raises f at once
-    divides it by 10 (down to 1e-9), an accepted rung keeps its own, and
-    a fixed-point step multiplies it by 10 (up to 1).  Whether a step
-    raises f is decided by the sign of its `_dot_gain`, not by comparing
-    two rounded values of f.  A state stops, converged, when neither the
-    Newton step nor the fixed-point step raises f, or after
+    step taken.  The rungs are scored one at a time, least damped first,
+    from the least damped whose floor exceeds the least |lambda|
+    (`_next_rung`; a rung below it gives the failed step again).  The next
+    iteration starts at the damping of the step taken: a Newton step that
+    raises f at once divides it by 10 (down to 1e-9), an accepted rung keeps
+    its own, and a fixed-point step multiplies it by 10 (up to 1).  Whether
+    a step raises f is decided by the sign of its `_dot_gain`, not by
+    comparing two rounded values of f.  A state stops, converged, when
+    neither the Newton step nor the fixed-point step raises f, or after
     ADVERSARY_MAX_ITERS iterations.  Returns per start
     (f, X, iterations, converged, f^2 at the start of each iteration).
     """
@@ -561,15 +559,15 @@ def _dot_ascent(
         base = c[rows]
         return _unit_states(base + newton.step(sub, _DAMPINGS[rung] * f[rows], base.shape))
 
-    def score(rows, cand):
-        """(Y, s, f, raises f) of candidate states for the stack rows `rows`."""
+    def advance(rows, cand):
+        """Where the candidate states of the stack rows `rows` raise f, take
+        them as those rows' new states; returns where they do."""
         cand_y, cand_s, cand_f = _dot_objective(wt, cand)
-        gain = _dot_gain(wt, c[rows], y[rows], s[rows], f[rows], cand, cand_y, cand_s)
-        return cand_y, cand_s, cand_f, gain > 0.0
-
-    def take(rows, pick, cand, cand_y, cand_s, cand_f):
-        new_c[rows], new_y[rows], new_s[rows] = cand[pick], cand_y[pick], cand_s[pick]
-        new_f[rows] = cand_f[pick]
+        up = _dot_gain(wt, c[rows], y[rows], s[rows], f[rows], cand, cand_y, cand_s) > 0.0
+        taken = rows[up]
+        new_c[taken], new_y[taken], new_s[taken] = cand[up], cand_y[up], cand_s[up]
+        new_f[taken] = cand_f[up]
+        return up
 
     for iteration in range(1, ADVERSARY_MAX_ITERS + 1):
         for start, value in zip(live, f.tolist()):
@@ -582,26 +580,15 @@ def _dot_ascent(
         level = np.where(raised, np.maximum(level - 1, 0), np.minimum(level + 1, top))
         if not raised.all():
             fall = np.flatnonzero(~raised)
-            rung = _next_rung(tried[fall], f[fall], eig[0][fall])
-            # each failed state's fixed-point step, then its first rung
-            # (scored at damping 1 where there is none, and not taken)
-            rows = np.concatenate([fall, fall])
-            cand = np.concatenate([_unit_states(grad[fall]), rung_states(fall, rung)])
-            cand_y, cand_s, cand_f, up = score(rows, cand)
-            fixed_up, rung_up = up[:fall.size], up[fall.size:] & (rung >= 0)
-            raised[fall] = fixed_up
-            rung_up &= fixed_up
-            pick = np.flatnonzero(np.concatenate([fixed_up & ~rung_up, rung_up]))
-            take(rows[pick], pick, cand, cand_y, cand_s, cand_f)
-            level[fall[rung_up]] = rung[rung_up]
-            # the rungs above, one at a time up to the top, while the
-            # fixed-point step raises f and no rung has yet
-            climb = fixed_up & ~rung_up & (rung >= 0) & (rung < top)
-            rows, rung = fall[climb], rung[climb] + 1
+            up = advance(fall, _unit_states(grad[fall]))
+            raised[fall] = up
+            # where the fixed-point step raises f, the rungs from the first,
+            # one at a time up to the top, until one raises f too
+            rows = fall[up]
+            rung = _next_rung(tried[rows], f[rows], eig[0][rows])
+            rows, rung = rows[rung >= 0], rung[rung >= 0]
             while rows.size:
-                cand = rung_states(rows, rung)
-                cand_y, cand_s, cand_f, up = score(rows, cand)
-                take(rows[up], up, cand, cand_y, cand_s, cand_f)
+                up = advance(rows, rung_states(rows, rung))
                 level[rows[up]] = rung[up]
                 more = ~up & (rung < top)
                 rows, rung = rows[more], rung[more] + 1

@@ -18,10 +18,9 @@ hull passes a fixed memory bound, as (10, 0.95) does, is refused with a
 ResourceError, and so, before any point is built, is a net of either kind
 whose covering floor passes its max_points (`_check_floor`).  Each net
 depends only on its (dim, eps), or on its frequency on S^2: no seed turns
-it.  One rule keeps them (`_kept`): a greedy net is built and certified
-once per (dim, eps) and process, and the geodesic net of each frequency is
-built once with its exact moments (`geodesic_base`).  Callers are served the kept `EpsNet` and
-`RegionMoments` themselves, every array reachable from them read-only.
+it.  A greedy net is built and certified once per (dim, eps) and process
+and kept (`_kept`); callers are served the kept `EpsNet` itself, its
+points read-only.  A geodesic net is built afresh on each call.
 
 Every nearest-point query takes the largest dot product over the whole net
 (`_nearest`), in blocks of probes that bound the product's memory.
@@ -551,18 +550,16 @@ def _fill_caps(points: np.ndarray, eps: float, max_points: int) -> Tuple[np.ndar
 
 
 # base results kept per process (`_kept`): greedy nets under (dim, eps),
-# geodesic bases under ("geodesic", k), n = 3 witness reports under
-# ("witness", k, d)
+# n = 3 witness reports under ("witness", k, d)
 _BASE_NETS: "OrderedDict[tuple, object]" = OrderedDict()
 
 
 def _kept(key: tuple, build: Callable[[], object]):
     """The base result of `key`, `build()` on a miss with every ndarray
-    reachable from it made read-only: a tuple's items and a dataclass's
-    fields, followed down (a RegionMoments to its net).  Kept in
-    _BASE_NETS, at most _BASE_NET_ENTRIES results, the least recently used
-    dropped first; a build that raises keeps nothing.  Every caller is
-    served the kept object itself."""
+    reachable from it made read-only: a dataclass's fields, followed down.
+    Kept in _BASE_NETS, at most _BASE_NET_ENTRIES results, the least
+    recently used dropped first; a build that raises keeps nothing.  Every
+    caller is served the kept object itself."""
     base = _BASE_NETS.get(key)
     if base is not None:
         _BASE_NETS.move_to_end(key)
@@ -573,8 +570,6 @@ def _kept(key: tuple, build: Callable[[], object]):
         value = reachable.pop()
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
-        elif isinstance(value, tuple):
-            reachable.extend(value)
         elif is_dataclass(value):
             reachable.extend(getattr(value, f.name) for f in fields(value))
     _BASE_NETS[key] = base
@@ -1047,18 +1042,6 @@ def _voronoi_sums(pts: np.ndarray, tri: np.ndarray) -> Tuple[np.ndarray, np.ndar
                 owner, np.concatenate([arcs[:, i], -arcs[:, i]]), size
             )
     return area_sums / (4.0 * math.pi), arc_sums / (8.0 * math.pi)
-
-
-def geodesic_base(k: int) -> Tuple[EpsNet, RegionMoments]:
-    """(net, moments) of frequency k: `geodesic_net(k)` and its
-    `voronoi_moments`, built once and kept (`_kept`), so every call is
-    served the same two objects, with every array in them read-only."""
-
-    def build() -> Tuple[EpsNet, RegionMoments]:
-        net = geodesic_net(k)
-        return net, voronoi_moments(net)
-
-    return _kept(("geodesic", k), build)
 
 
 # ----------------------------------------------------------------------

@@ -12,10 +12,10 @@ is checked once per n, on its table T: every correlation is u^T T v, so
 ||T - I||_2 bounds |E(u, v) - u.v| on every pair of every net.
 
 At n = 3 the moments are exact (`voronoi_moments` on the geodesic net, one
-kept net per frequency k, one kept report per (k, d)) and there is no
-statistical slack.  On greedy nets they are Monte Carlo estimates, and the
-slack is 4 standard errors (the inequalities are exact; only the moment estimators
-fluctuate), with errors combined in quadrature.
+kept report per frequency k and d) and there is no statistical slack.  On
+greedy nets they are Monte Carlo estimates, and the slack is 4 standard
+errors (the inequalities are exact; only the moment estimators fluctuate),
+with errors combined in quadrature.
 The c4 check compares two functions of the same moments and has none.
 """
 
@@ -48,11 +48,12 @@ from .sphere import (
     _draws,
     _kept,
     build_eps_net,
-    geodesic_base,
     geodesic_frequency,
+    geodesic_net,
     mc_mean_and_sem,
     region_moments,
     require_moments_of,
+    voronoi_moments,
 )
 
 __all__ = [
@@ -271,18 +272,17 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     At n = 3 the net is the geodesic net of the smallest frequency k whose
     computed covering radius rho is <= eps (`geodesic_net(k)`), and its
     moments are exact (`voronoi_moments`): every standard error is exactly
-    0, so c1-c4 have no 4-sigma term.  The net and its moments are computed
-    once per k and process and kept (`geodesic_base`); so is, per (k, d),
-    the finished report of the adversary climbed on exactly those moments
-    from the fixed restart stream derive_seed(0, "seesaw"), kept under
-    ("witness", k, d) beside the nets (`sphere._kept`).  A run returns a
-    copy of the kept report with its own config; only a run whose (k, d)
-    is not kept asks for the base, climbs and evaluates the chain.  In
-    other dimensions the net is built by farthest-point insertion
-    (`build_eps_net`): an eps-packing whose hull's widest empty cap, its
-    computed covering radius rho, is <= eps, built and certified once per
-    (n, eps) and process, every run served that one kept `EpsNet`.  Its
-    moments are Monte Carlo estimates (`region_moments`,
+    0, so c1-c4 have no 4-sigma term.  Only the finished report is kept,
+    once per (k, d) and process: the adversary climbed on exactly those
+    moments from the fixed restart stream derive_seed(0, "seesaw"), kept
+    under ("witness", k, d) beside the greedy nets (`sphere._kept`).  A run
+    returns a copy of the kept report with its own config; only a run whose
+    (k, d) is not kept builds the net and its moments, climbs and evaluates
+    the chain.  In other dimensions the net is built by farthest-point
+    insertion (`build_eps_net`): an eps-packing whose hull's widest empty
+    cap, its computed covering radius rho, is <= eps, built and certified
+    once per (n, eps) and process, every run served that one kept `EpsNet`.
+    Its moments are Monte Carlo estimates (`region_moments`,
     moment_samples_per_region per region).  The adversary is `dot_climb` at
     m = 2d^2: the best of ADVERSARY_RESTARTS damped Newton ascents of the
     reduced objective, a lower bound on the true maximum over R^m vectors.
@@ -313,7 +313,7 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
         k = geodesic_frequency(config.eps, config.max_net_points)
 
         def build():
-            _, moments = geodesic_base(k)
+            moments = voronoi_moments(geodesic_net(k))
             adversary = dot_climb(moments.moment_vectors, m, derive_seed(0, "seesaw"))
             return _report(config, moments, adversary)
 

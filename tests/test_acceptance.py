@@ -225,3 +225,6 @@ def test_criterion_11_certified_deep_run(tmp_path):
         assert doc["net_size"] == 163_842 and doc["moment_method"] == "exact"
         assert [c["holds"] for c in doc["chain_checks"]] == [True] * 4
         assert doc["verdict"] == VERDICT_CERTIFIED
+        # the adversary must never fall below the value it reaches here
+        # (ROADMAP item 7), which README quotes
+        assert doc["b_finite_seesaw_d"] >= 0.30842136760679834

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from dimwitness import (
     robbins_bounds,
     y_closed_form,
 )
+from dimwitness import analytic_bounds
 from dimwitness.analytic_bounds import LowerBoundReport, log_f
 
 mp.dps = 40
@@ -266,6 +268,30 @@ class TestMonotonicity:
     def test_domain(self):
         with pytest.raises(DomainError):
             monotonicity_check(1)
+
+    def test_memory_does_not_grow_with_the_range(self):
+        # all at once, 4e6 values took about 185 MB
+        tracemalloc.start()
+        try:
+            assert monotonicity_check(4_000_000) == (True, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_a_dip_at_a_block_boundary_is_found(self, shift, monkeypatch):
+        # f(k + 1) <= f(k) at k one before, at and one past the first k of
+        # the second block, which is the last k of the first
+        k = analytic_bounds._MONOTONE_BLOCK + 1 + shift
+
+        def dipped(n):
+            values = log_f(n)
+            values[n == k + 1] -= 1.0
+            return values
+
+        monkeypatch.setattr(analytic_bounds, "log_f", dipped)
+        assert monotonicity_check(3 * analytic_bounds._MONOTONE_BLOCK) == (False, k)
 
 
 class TestRobbinsBounds:

@@ -237,6 +237,19 @@ class TestTsirelsonCommand:
         assert set(doc) == {"schema", "kind", "n", "local_dim", "deviation_bound",
                             "manifest"}
 
+    def test_the_strategy_is_built_once(self, capsys, monkeypatch):
+        builds = []
+        jordan_wigner = dimwitness.quantum._jordan_wigner
+
+        def counted(n):
+            builds.append(n)
+            return jordan_wigner(n)
+
+        monkeypatch.setattr(dimwitness.quantum, "_jordan_wigner", counted)
+        code, out, _ = run_cli(capsys, "tsirelson", "16")
+        assert code == 0 and json.loads(out)["local_dim"] == 256
+        assert builds == [16]
+
     def test_cap_is_resource_error(self, capsys):
         code, out, err = run_cli(capsys, "tsirelson", "17")
         assert code == 3 and out == ""

@@ -565,18 +565,13 @@ class TestBaseNetCache:
         assert build_eps_net(3, 0.5).points is base.points
 
     def test_every_reachable_array_of_a_kept_base_is_read_only(self):
-        # a greedy net holds its points alone; a geodesic base holds the
-        # net's points and triangles, and the moments' four arrays and net
-        greedy = build_eps_net(4, 0.5)
-        geodesic = sphere.geodesic_base(2)
-        for base, count in ((greedy, 1), (geodesic, 8)):
-            arrays = reachable_arrays(base)
-            assert len(arrays) == count
-            for array in arrays:
-                assert not array.flags.writeable
-                if array.size:
-                    with pytest.raises(ValueError, match="read-only"):
-                        array[(0,) * array.ndim] = 0
+        # a greedy net holds its points alone
+        arrays = reachable_arrays(build_eps_net(4, 0.5))
+        assert len(arrays) == 1
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0
 
     @pytest.mark.parametrize("dim, eps, jitter", [(2, 0.3, sphere._START_JITTER),
                                                   (4, 0.5, 2e-3)])
@@ -1299,53 +1294,20 @@ class TestGeodesicBase:
     @pytest.mark.parametrize("k", [1, 3, 8])
     def test_turning_the_net_moves_no_value_beyond_rounding(self, k, turned):
         # every term of the finite Bell value is unchanged when the net and
-        # the settings turn together, so the unturned kept net stands for all
-        net, kept = sphere.geodesic_base(k)
-        assert np.array_equal(net.points, geodesic_net(k).points)
-        x = dot_climb(kept.moment_vectors, 2, derive_seed(0, "seesaw")).assignment.row_vectors
+        # the settings turn together, so the unturned net stands for all
+        exact = voronoi_moments(geodesic_net(k))
+        net = exact.net
+        x = dot_climb(exact.moment_vectors, 2, derive_seed(0, "seesaw")).assignment.row_vectors
 
         def values(moments, points):
             return (bell_value_finite(moments.net, moments, (points, points)),
                     dot_upper_bound(moments), dot_value(moments.moment_vectors, x, x))
 
-        reference = values(kept, net.points)
+        reference = values(exact, net.points)
         for seed in range(1, 6):
             other = turned(net, seed)
             for value, ref in zip(values(voronoi_moments(other), other.points), reference):
                 assert abs(value - ref) <= 2e-15 * abs(ref), (seed, value, ref)
-
-    @pytest.mark.parametrize("k", [1, 3, 8])
-    def test_kept_moments_are_those_of_a_fresh_net(self, k):
-        net, kept = sphere.geodesic_base(k)
-        assert kept.net is net
-        fresh = voronoi_moments(geodesic_net(k))
-        assert np.array_equal(kept.net.points, fresh.net.points)
-        assert np.array_equal(kept.net.triangles, fresh.net.triangles)
-        assert kept.net.covering_radius == fresh.net.covering_radius
-        assert kept.samples_used == fresh.samples_used == 0
-        for name in ("weights", "moment_vectors", "standard_errors", "empty_regions"):
-            a, b = getattr(kept, name), getattr(fresh, name)
-            assert a.dtype == b.dtype and a.shape == b.shape, name
-            assert a.tobytes() == b.tobytes(), name
-
-    def test_kept_once_with_read_only_arrays(self):
-        base = sphere.geodesic_base(3)
-        net, moments = base
-        assert sphere.geodesic_base(3) is base
-        assert list(sphere._BASE_NETS) == [("geodesic", 3)]
-        assert isinstance(net, EpsNet) and isinstance(moments, sphere.RegionMoments)
-        assert moments.net is net
-        for array in (net.points, net.triangles, moments.weights, moments.moment_vectors,
-                      moments.standard_errors, moments.empty_regions):
-            assert not array.flags.writeable
-        assert moments.samples_used == 0 and moments.empty_regions.size == 0
-        assert moments.standard_errors.shape == (net.size,)
-        assert not moments.standard_errors.any()
-
-    def test_frequency_domain(self):
-        with pytest.raises(DomainError, match="k must be >= 1"):
-            sphere.geodesic_base(0)
-        assert not sphere._BASE_NETS
 
 
 class TestIncrementalFill:

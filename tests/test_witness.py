@@ -290,6 +290,19 @@ class TestRunWitness:
                              capture_output=True, text=True, check=True, timeout=120).stdout
         assert json.loads(out) == json.loads(json.dumps(kept.to_dict()))
 
+    # SHA-256 of whole reports, which pins every bit of the net, its moments
+    # and the adversary's climb at each of these (n, eps, seed)
+    @pytest.mark.parametrize("n, eps, seed, digest", [
+        (3, 0.3, 0, "b15375dd0d7bfa05fcb0ce3ec8505cb537e5c3a786b7f76d619b31bf597d856f"),
+        (3, 0.1, 0, "14e4e4220163072faa23ca54d95fd62efe65acf0bac089337d3c3afaeed92fed"),
+        (4, 0.5, 1, "24d0ec531477df6a78b067740018f362ef1ea699c52d4fb7f6c42b3e30d0bd94"),
+        (5, 0.7, 1, "531e64680a2f86ce215d921ee48a59f6bda77d882c10830ff3c35a10a3a78002"),
+        (6, 0.7, 2, "3ac7cdbc9eb9bb379854540483e2cf1325b8c5d2358dee7a83638cd43fb66c00"),
+    ])
+    def test_reports_keep_their_bits(self, n, eps, seed, digest):
+        report = run_witness(WitnessConfig(n, 1, eps, seed=seed)).to_json()
+        assert hashlib.sha256(report.encode()).hexdigest() == digest
+
     def test_baseline_run(self):
         report = run_witness(WitnessConfig(n=3, d=1, eps=0.1, seed=0))
         assert report.verdict in (VERDICT_CERTIFIED, VERDICT_CONSISTENT)
@@ -490,9 +503,8 @@ NEVER_LOWER_INPUTS = [
 
 
 class TestKeptGeodesicBase:
-    """At n = 3 the net, its exact moments and the finished report of each d
-    are kept per frequency k (`sphere.geodesic_base`), and every seed runs
-    on them."""
+    """At n = 3 only the finished report of each frequency k and d is kept
+    (`sphere._kept`), and every seed is served a copy of it."""
 
     # at eps 0.1 seed 5's own restart stream stops at a lower maximum, so an
     # entry that kept the first asker's adversary would show there; at d = 2
@@ -526,7 +538,7 @@ class TestKeptGeodesicBase:
 
         for name in ("dot_climb", "bell_value_finite", "dot_upper_bound",
                      "moment_value_std_error", "kg_lower_bound", "eps_threshold",
-                     "geodesic_base"):
+                     "geodesic_net", "voronoi_moments"):
             count(dimwitness.witness, name)
         count(quantum, "tsirelson_strategy")
         count(quantum, "_jordan_wigner")  # the strategy's build
@@ -536,21 +548,27 @@ class TestKeptGeodesicBase:
         assert later.b_finite_seesaw_d == first.b_finite_seesaw_d
         assert later.config.seed == 1
 
-    def test_an_evicted_report_is_climbed_again_to_the_same_json(self, monkeypatch):
-        # each frequency keeps two entries, its geodesic base and its report,
-        # so two other frequencies evict the first one's
-        first = run_witness(WitnessConfig(3, 1, 0.5, seed=0)).to_json()
-        for eps in (0.3, 0.2):
-            run_witness(WitnessConfig(3, 1, eps, seed=0))
-        assert ("witness", 2, 1) not in sphere._BASE_NETS
-        climbs = []
+    @pytest.fixture
+    def climbs(self, monkeypatch):
+        """The arguments of every `dot_climb` call of `run_witness`."""
+        calls = []
         climb = dimwitness.witness.dot_climb
 
         def counted(*args):
-            climbs.append(args)
+            calls.append(args)
             return climb(*args)
 
         monkeypatch.setattr(dimwitness.witness, "dot_climb", counted)
+        return calls
+
+    def test_an_evicted_report_is_climbed_again_to_the_same_json(self, climbs):
+        # each frequency keeps one entry, its report, so four other
+        # frequencies (k = 3, 4, 6, 8) evict the first one's (k = 2)
+        first = run_witness(WitnessConfig(3, 1, 0.5, seed=0)).to_json()
+        for eps in (0.3, 0.2, 0.15, 0.1):
+            run_witness(WitnessConfig(3, 1, eps, seed=0))
+        assert ("witness", 2, 1) not in sphere._BASE_NETS
+        climbs.clear()
         assert run_witness(WitnessConfig(3, 1, 0.5, seed=0)).to_json() == first
         assert len(climbs) == 1
         assert list(sphere._BASE_NETS)[-1] == ("witness", 2, 1)
@@ -578,14 +596,25 @@ class TestKeptGeodesicBase:
         assert len(docs) == 1
 
     def test_entries_are_evicted_least_recently_used_first(self):
-        # greedy nets and geodesic bases share the _BASE_NET_ENTRIES slots
-        for k in (1, 2, 3):
-            sphere.geodesic_base(k)
+        # greedy nets and n = 3 reports share the _BASE_NET_ENTRIES slots
+        def report(eps):
+            run_witness(WitnessConfig(3, 1, eps, seed=0))
+
+        for eps in (0.5, 0.3, 0.2):  # k = 2, 3, 4
+            report(eps)
         build_eps_net(3, 0.5)
-        sphere.geodesic_base(1)  # now the most recently used
-        sphere.geodesic_base(4)  # drops k = 2, the least recently used
+        report(0.5)  # now the most recently used
+        report(0.15)  # k = 6 drops k = 3, the least recently used
         assert list(sphere._BASE_NETS) == [
-            ("geodesic", 3), (3, 0.5), ("geodesic", 1), ("geodesic", 4)]
+            ("witness", 4, 1), (3, 0.5), ("witness", 2, 1), ("witness", 6, 1)]
+
+    def test_each_frequency_takes_one_entry(self, climbs):
+        # four frequencies fill the _BASE_NET_ENTRIES slots with reports
+        # alone, so the first is still kept when it is asked for again
+        for eps in (0.5, 0.3, 0.2, 0.15, 0.5):
+            run_witness(WitnessConfig(3, 1, eps, seed=0))
+        assert len(climbs) == 4
+        assert len(sphere._BASE_NETS) == sphere._BASE_NET_ENTRIES
 
     @pytest.mark.parametrize("eps, seeds", NEVER_LOWER_INPUTS)
     def test_never_lower_than_the_per_seed_adversary(self, eps, seeds, turned):
