@@ -25,9 +25,8 @@ _HOMES = {
         "log1p_bounds", "log_gamma", "monotonicity_check", "robbins_bounds", "y_closed_form",
     ),
     "embedding_opt": (
-        "DOT_KERNEL", "KernelMatrix", "SeesawResult", "VectorAssignment", "analytic_d",
-        "brute_force_signs", "discretize_kernel", "empirical_ratio", "project_embed",
-        "seesaw_maximize",
+        "KernelMatrix", "SeesawResult", "VectorAssignment", "analytic_d", "brute_force_signs",
+        "discretize_kernel", "empirical_ratio", "project_embed", "seesaw_maximize",
     ),
     "errors": ("DomainError", "NumericalIntegrityError", "ResourceError"),
     "quantum": (

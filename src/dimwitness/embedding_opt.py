@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,7 +49,6 @@ __all__ = [
     "KernelMatrix",
     "VectorAssignment",
     "SeesawResult",
-    "DOT_KERNEL",
     "discretize_kernel",
     "seesaw_maximize",
     "brute_force_signs",
@@ -63,8 +62,6 @@ __all__ = [
     "save_kernel_csv",
     "load_kernel_csv",
 ]
-
-DOT_KERNEL = "dot"  # sentinel for the inner-product kernel M'(a, b) = a.b
 
 SEESAW_RESTARTS = 16
 SEESAW_MAX_ITERS = 10_000  # sweeps per restart
@@ -152,29 +149,20 @@ def kernel_value(kernel: KernelMatrix, assignment: VectorAssignment) -> float:
 # ----------------------------------------------------------------------
 
 def discretize_kernel(
-    kernel: Union[str, Callable[[np.ndarray, np.ndarray], np.ndarray]],
+    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
     net: EpsNet,
-    moments: RegionMoments,
-    samples: Optional[int] = None,
-    sampler: Optional[SphereSampler] = None,
+    samples: int,
+    sampler: SphereSampler,
 ) -> KernelMatrix:
     """Entries M_ij = integral of M'(a, b) over region pairs R_i x R_j.
 
-    For the inner-product kernel (pass DOT_KERNEL) the vector moments make the
-    integral exact: M_ij = w_i . w_j, the entries of W W^T.  The witness
-    itself never forms them: `dot_climb` works on W.  A general kernel
-    must be a vectorized callable on (batch, dim) row pairs and is estimated
-    by Monte Carlo over `samples` >= 1 independent (a, b) pairs
-    (`sphere._draws`).
+    `kernel` must be a vectorized callable on (batch, dim) row pairs; the
+    integral is estimated by Monte Carlo over `samples` >= 1 independent
+    (a, b) pairs (`sphere._draws`).  The inner-product kernel has its own
+    exact form, W on the vector moments (`dot_climb`, `dot_upper_bound`).
     """
-    require_moments_of(net, moments)
-    if kernel == DOT_KERNEL:
-        w = moments.moment_vectors
-        return KernelMatrix(entries=w @ w.T)
     if not callable(kernel):
-        raise DomainError("kernel must be DOT_KERNEL or a callable")
-    if samples is None or sampler is None:
-        raise DomainError("MC discretization needs samples and a sampler")
+        raise DomainError("kernel must be a callable")
     r = net.size
     acc = np.zeros((r, r))
     for a_pts, b_pts in _draws(sampler, net.dim, samples, 1, 2):
@@ -205,27 +193,11 @@ def _normalize_rows(vecs: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return scaled / np.linalg.norm(scaled, axis=1, keepdims=True)
 
 
-def _start(
-    kernel: KernelMatrix, m: int, seed: int, restart: int, init: Optional[VectorAssignment]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of one restart: `init` zero-padded to R^m, else seeded draws."""
-    if restart == 0 and init is not None:
-        rows = np.zeros((kernel.rows, m))
-        rows[:, : init.m] = init.row_vectors
-        cols = np.zeros((kernel.cols, m))
-        cols[:, : init.m] = init.col_vectors
-        return rows, cols
-    sampler = SphereSampler(m, seed, restart)
-    cols = sampler.sample(kernel.cols)
-    return sampler.sample(kernel.rows), cols
-
-
 def seesaw_maximize(
     kernel: KernelMatrix,
     m: int,
     restarts: int = SEESAW_RESTARTS,
     seed: int = 0,
-    init: Optional[VectorAssignment] = None,
 ) -> SeesawResult:
     """Alternating maximization of sum_ij M_ij x_i . y_j over unit vectors in R^m.
 
@@ -235,8 +207,8 @@ def seesaw_maximize(
     most SEESAW_TOL (relative) while no vector moves more than
     _STATIONARY_MOVEMENT, or after SEESAW_MAX_ITERS sweeps.  The best result
     over `restarts` independent starts is returned (ties to the lowest
-    restart index).  An optional `init` seeds restart 0, which makes the
-    value monotone under embedding into a larger m.
+    restart index); restart r draws its columns and then its rows from
+    SphereSampler(m, seed, r).
 
     Rows are rescaled by exact powers of two before normalizing, so their
     norms neither overflow nor underflow at any kernel scale.  A kernel
@@ -248,12 +220,6 @@ def seesaw_maximize(
         raise DomainError("m must be >= 1")
     if restarts < 1:
         raise DomainError("restarts must be >= 1")
-    r, s = kernel.rows, kernel.cols
-    if init is not None:
-        if init.row_vectors.shape[0] != r or init.col_vectors.shape[0] != s:
-            raise DomainError("init assignment shape mismatch")
-        if init.m > m:
-            raise DomainError("init dimension exceeds target m")
     # |x_i . y_j| <= 1 for unit vectors, so sum_ij |M_ij| bounds every entry
     # of M Y and M^T X and every partial sum of the value.  Rounding moves a
     # sum of k terms by a relative k 2^-52 at most, which half of float64's
@@ -266,7 +232,9 @@ def seesaw_maximize(
 
     best: Optional[SeesawResult] = None
     for restart in range(restarts):
-        rows, cols = _start(kernel, m, seed, restart, init)
+        sampler = SphereSampler(m, seed, restart)
+        cols = sampler.sample(kernel.cols)
+        rows = sampler.sample(kernel.rows)
         trace: List[float] = []
         prev = -math.inf
         converged = False

@@ -15,9 +15,9 @@ chosen because every required identity can be checked factor by factor.
 
 Each generator is a Pauli string with one nonzero per row (+-1, or +-i when
 it holds a Y), so a party is a `PauliMap`: the column and phase of that
-nonzero for every generator and row, and an n x n mixing matrix, so that
-direction v measures sum_k (v @ mix)_k G_k.  Observables are therefore
-linear in the direction, and a strategy computes, once, the n x n table
+nonzero for every generator and row.  Direction v measures sum_k v_k G_k,
+so observables are linear in the direction, and a strategy computes, once,
+the n x n table
 T_jk = <psi| G_j tensor H_k |psi> of its two parties' generators; every
 correlation is then a^T T b, O(n^2).  On a Schmidt-diagonal state (no
 nonzero off-diagonal entry in its d x d matrix, the maximally entangled
@@ -101,7 +101,7 @@ class CliffordSet:
 def clifford_generators(n: int) -> CliffordSet:
     """n anticommuting generators on C^d, d = 2^floor(n/2), via Jordan-Wigner."""
     n = _check_size(n)
-    stack = PauliMap(*_jordan_wigner(n), np.eye(n)).generators()
+    stack = PauliMap(*_jordan_wigner(n)).generators()
     return CliffordSet(n=n, d=stack.shape[1], generators=list(stack))
 
 
@@ -124,19 +124,11 @@ class PauliMap:
     """One party's observables, linear in the measurement direction.
 
     Generator k has one nonzero per row r: `phases[k, r]` (+-1 or +-i) at
-    column `columns[k, r]`, both (n, d).  Direction v measures
-    sum_k (v @ mix)_k G_k with `mix` real (n, n): the identity for the
-    generators themselves, its negative for a flipped party, an orthogonal
-    matrix for a rotated one.
+    column `columns[k, r]`, both (n, d).  Direction v measures sum_k v_k G_k.
     """
 
     columns: np.ndarray
     phases: np.ndarray
-    mix: np.ndarray
-
-    def coefficients(self, v: np.ndarray) -> np.ndarray:
-        """The generator weights v @ mix of a unit direction v."""
-        return _require_unit(v, self.mix.shape[0]) @ self.mix
 
     def dense(self, weights: np.ndarray) -> np.ndarray:
         """sum_k weights[k] G_k as a dense d x d complex array."""
@@ -147,11 +139,11 @@ class PauliMap:
         return parts.view(complex).reshape(d, d)
 
     def observable(self, v: np.ndarray) -> np.ndarray:
-        """The dense d x d observable sum_k (v @ mix)_k G_k of direction v."""
-        return self.dense(self.coefficients(v))
+        """The dense d x d observable sum_k v_k G_k of unit direction v."""
+        return self.dense(_require_unit(v, self.columns.shape[0]))
 
     def generators(self) -> np.ndarray:
-        """The dense (n, d, d) stack of G_k, without the mixing matrix."""
+        """The dense (n, d, d) stack of G_k."""
         return np.stack([self.dense(row) for row in np.eye(self.columns.shape[0])])
 
 
@@ -184,8 +176,7 @@ class QuantumStrategy:
     `state` is a unit vector on the d^2-dimensional joint space (row-major
     over the two d-dimensional factors).  `table` is computed on
     construction: T_jk = <psi| G_j tensor H_k |psi> over Alice's generators
-    G and Bob's H, with both mixing matrices folded in, so that the
-    correlation of directions a and b is a^T T b.
+    G and Bob's H, so that the correlation of directions a and b is a^T T b.
     """
 
     d: int
@@ -199,12 +190,10 @@ class QuantumStrategy:
 
     def __post_init__(self) -> None:
         a, b = self.alice, self.bob
-        n = a.mix.shape[0]
+        n = a.columns.shape[0]
         for party in (a, b):
-            if (party.columns.shape != (n, self.d) or party.phases.shape != (n, self.d)
-                    or party.mix.shape != (n, n)):
-                raise DomainError("each party needs n generators on C^d and an "
-                                  "n x n mixing matrix")
+            if party.columns.shape != (n, self.d) or party.phases.shape != (n, self.d):
+                raise DomainError("each party needs n generators on C^d")
         psi = _state_matrix(self)
         s = _schmidt_diagonal(psi)
         realified = None
@@ -219,7 +208,7 @@ class QuantumStrategy:
             table = np.where(same, terms, 0.0).sum(axis=2)
             entries = np.stack([alice_entries, b.phases * s[b.columns]])
             realified = (_realified_slots(a, b), entries)
-        object.__setattr__(self, "table", a.mix @ table @ b.mix.T)
+        object.__setattr__(self, "table", table)
         object.__setattr__(self, "realified", realified)
 
 
@@ -241,9 +230,8 @@ def tsirelson_strategy(n: int) -> QuantumStrategy:
     columns, phases = _jordan_wigner(n)
     d = columns.shape[1]
     state = (np.eye(d, dtype=complex) / np.sqrt(d)).reshape(-1)
-    eye = np.eye(n)
-    return QuantumStrategy(d=d, state=state, alice=PauliMap(columns, phases, eye),
-                           bob=PauliMap(columns, phases.conj(), eye))
+    return QuantumStrategy(d=d, state=state, alice=PauliMap(columns, phases),
+                           bob=PauliMap(columns, phases.conj()))
 
 
 def _state_matrix(strategy: QuantumStrategy) -> np.ndarray:
@@ -321,8 +309,8 @@ def vectorize(strategy: QuantumStrategy, a: np.ndarray, b: np.ndarray) -> Realiz
     plus O(d^2) for zeroing them; any other state takes the dense products,
     O(d^3).
     """
-    d = strategy.d
-    coef_a, coef_b = strategy.alice.coefficients(a), strategy.bob.coefficients(b)
+    d, n = strategy.d, strategy.table.shape[0]
+    coef_a, coef_b = _require_unit(a, n), _require_unit(b, n)
     if strategy.realified is not None:
         # one buffer for both outputs: a second 1 MB array at d = 256 would
         # take glibc's heap past its trim threshold and fault on every call

@@ -172,7 +172,9 @@ WITNESS_REPORT_SCHEMA = {
             "description": "||T - I||_2 for the n x n correlation table T of the "
                            "Tsirelson strategy, so a bound on |E(u, v) - u.v| "
                            "for every pair of unit vectors; computed once per n, "
-                           "the same for every seed; null for n > 16",
+                           "the same for every seed.  A run past n = 16 is "
+                           "refused; null only in documents written before "
+                           "that refusal",
         },
         "seesaw_converged": {
             "type": "boolean",

@@ -33,7 +33,7 @@ import functools
 import json
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -555,23 +555,15 @@ _BASE_NETS: "OrderedDict[tuple, object]" = OrderedDict()
 
 
 def _kept(key: tuple, build: Callable[[], object]):
-    """The base result of `key`, `build()` on a miss with every ndarray
-    reachable from it made read-only: a dataclass's fields, followed down.
-    Kept in _BASE_NETS, at most _BASE_NET_ENTRIES results, the least
-    recently used dropped first; a build that raises keeps nothing.  Every
-    caller is served the kept object itself."""
+    """The base result of `key`, `build()` on a miss, kept in _BASE_NETS:
+    at most _BASE_NET_ENTRIES results, the least recently used dropped
+    first; a build that raises keeps nothing.  Every caller is served the
+    kept object itself, so a build makes its arrays read-only."""
     base = _BASE_NETS.get(key)
     if base is not None:
         _BASE_NETS.move_to_end(key)
         return base
     base = build()
-    reachable = [base]
-    while reachable:
-        value = reachable.pop()
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-        elif is_dataclass(value):
-            reachable.extend(getattr(value, f.name) for f in fields(value))
     _BASE_NETS[key] = base
     if len(_BASE_NETS) > _BASE_NET_ENTRIES:
         _BASE_NETS.popitem(last=False)
@@ -585,8 +577,9 @@ def _base_net(dim: int, eps: float, max_points: int) -> EpsNet:
     The float64 packing test runs on its points (`_check_packing`), and
     every plane of its final hull is checked against every point
     (`_facet_planes`), which also computes the caps: the widest is the
-    covering radius, 0 on S^0.  Built once and kept (`_kept`): every call
-    is served the one `EpsNet`, its points read-only.  A build that would
+    covering radius, 0 on S^0.  Its points are a read-only copy of the
+    insertion's buffer, without its spare rows.  Built once and kept
+    (`_kept`): every call is served the one `EpsNet`.  A build that would
     exceed max_points or the hull's bound raises ResourceError and keeps
     nothing; a kept net is served whatever the caller's max_points.
     """
@@ -600,7 +593,9 @@ def _base_net(dim: int, eps: float, max_points: int) -> EpsNet:
         if hull is not None:
             rho = float(_facet_planes(points, hull.facets, hull.planes)[1].max())
         # a copy, so that the spare rows of the insertion's buffer are not kept
-        return EpsNet(dim=dim, eps=eps, points=points.copy(), covering_radius=rho)
+        points = points.copy()
+        points.flags.writeable = False
+        return EpsNet(dim=dim, eps=eps, points=points, covering_radius=rho)
 
     return _kept((dim, eps), build)
 

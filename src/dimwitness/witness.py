@@ -288,7 +288,9 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     reduced objective, a lower bound on the true maximum over R^m vectors.
     tsirelson_validation_dev is `quantum.tsirelson_deviation(n)`, the
     ||T - I||_2 of the Tsirelson strategy's table, computed once per n and
-    process, which bounds its deviation from u.v on every net pair.  Only
+    process, which bounds its deviation from u.v on every net pair.  It is
+    computed first, so an n past MAX_GENERATORS = 16 is refused with its
+    ResourceError before any net is built.  Only
     the moments and the adversary depend on n: at every n, b_fq is
     `bell_value_finite` of the run's moments at the net points and b_fs the
     adversary's value, the same `dot_value` at its assignment X, their SEs
@@ -309,13 +311,14 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
     ResourceError of `build_eps_net`, so every run has a computed rho.
     """
     n, m = config.n, config.m
+    tsirelson_dev = tsirelson_deviation(n)
     if n == 3:
         k = geodesic_frequency(config.eps, config.max_net_points)
 
         def build():
             moments = voronoi_moments(geodesic_net(k))
             adversary = dot_climb(moments.moment_vectors, m, derive_seed(0, "seesaw"))
-            return _report(config, moments, adversary)
+            return _report(config, moments, adversary, tsirelson_dev)
 
         return replace(_kept(("witness", k, config.d), build), config=config)
 
@@ -325,12 +328,15 @@ def run_witness(config: WitnessConfig) -> WitnessReport:
         net, samples=config.moment_samples_per_region * net.size, sampler=sampler
     )
     adversary = dot_climb(moments.moment_vectors, m, derive_seed(config.seed, "seesaw"))
-    return _report(config, moments, adversary)
+    return _report(config, moments, adversary, tsirelson_dev)
 
 
-def _report(config: WitnessConfig, moments: RegionMoments, adversary) -> WitnessReport:
+def _report(
+    config: WitnessConfig, moments: RegionMoments, adversary, tsirelson_dev: float
+) -> WitnessReport:
     """The Bell values, bounds, chain checks and verdict of `adversary`
-    climbed on `moments` (see `run_witness`)."""
+    climbed on `moments`, with the Tsirelson check's `tsirelson_dev` (see
+    `run_witness`)."""
     n, m = config.n, config.m
     net = moments.net
     rho = net.covering_radius
@@ -389,7 +395,7 @@ def _report(config: WitnessConfig, moments: RegionMoments, adversary) -> Witness
         covering_radius=rho,
         moment_method="exact" if moments.samples_used == 0 else "monte_carlo",
         empty_regions=int(moments.empty_regions.size),
-        tsirelson_validation_dev=tsirelson_deviation(n),
+        tsirelson_validation_dev=tsirelson_dev,
         seesaw_converged=adversary.converged,
         chain_checks=tuple(checks),
         verdict=verdict,

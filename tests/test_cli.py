@@ -332,9 +332,8 @@ class TestWitnessCommand:
         assert "--deep raises the cap" in err
 
     @pytest.mark.parametrize("argv", [
-        "witness 51 5 9.6e-07", "witness 100 1 0.001", "witness 1000000 1 0.5",
-        "witness 3 1 1e-160", "witness 3 1 1e-300", "witness 33 4 0.0001",
-        "net 100 0.001", "net 4 1e-160", "net 3 1e-300",
+        "net 51 9.6e-07", "net 1000000 0.5", "witness 3 1 1e-160", "witness 3 1 1e-300",
+        "net 33 0.0001", "net 100 0.001", "net 4 1e-160", "net 3 1e-300",
     ])
     def test_a_floor_past_every_cap_exits_3_without_a_hint(self, capsys, tmp_path, argv):
         # each overflowed a float or divided by zero (exit 1) until the
@@ -344,6 +343,14 @@ class TestWitnessCommand:
         assert err.startswith("resource error: an eps-covering of S^") and err.count("\n") == 1
         assert "points (covering floor), which exceeds max_points=" in err
         assert "--deep" not in err
+        assert not any(tmp_path.iterdir())
+
+    def test_past_16_generators_a_witness_exits_3_without_a_hint(self, capsys, tmp_path):
+        # refused by the Tsirelson check, before any net is built
+        code, out, err = run_cli(capsys, "witness", "17", "1", "0.99",
+                                 "--out", str(tmp_path / "out"))
+        assert code == 3 and out == ""
+        assert err == "resource error: n must satisfy n ≤ 16\n"
         assert not any(tmp_path.iterdir())
 
     def test_a_start_simplex_past_the_facet_bound_exits_3(self, capsys, tmp_path):

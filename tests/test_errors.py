@@ -60,8 +60,7 @@ def kernel_of(samples):
     """The kernel `dot` discretized by Monte Carlo over `samples` pairs on a
     net of three points on S^2."""
     net = EpsNet(dim=3, eps=0.9, points=np.eye(3))
-    moments = region_moments(net, 300, SphereSampler(3, 0))
-    return discretize_kernel(dot, net, moments, samples=samples, sampler=SphereSampler(3, 1))
+    return discretize_kernel(dot, net, samples=samples, sampler=SphereSampler(3, 1))
 
 
 KERNEL = KernelMatrix(np.eye(2))
@@ -92,6 +91,9 @@ REFUSED = {
     # these returned a kernel of NaN (with a RuntimeWarning) and of -0.0
     "kernel-samples-zero": lambda: kernel_of(0),
     "kernel-samples-negative": lambda: kernel_of(-5),
+    # a kernel that is not a callable
+    "kernel-str": lambda: discretize_kernel("dot", build_eps_net(3, 0.5), 100,
+                                            SphereSampler(3, 0)),
     # this returned the d = 1 threshold, as m = 2 d^2
     "eps-threshold-d-negative": lambda: eps_threshold(3, -1),
     # these returned NaN, raised a RuntimeWarning and "not enough values to unpack"

@@ -679,6 +679,15 @@ class TestGeodesicStrategy:
         assert report.tsirelson_validation_dev == quantum.tsirelson_deviation(n)
         assert report.tsirelson_validation_dev == dev
 
+    def test_past_16_generators_a_run_is_refused_before_any_net(self, monkeypatch):
+        def no_net(*args, **kwargs):
+            raise AssertionError("a net was built")
+
+        monkeypatch.setattr(dimwitness.witness, "build_eps_net", no_net)
+        monkeypatch.setattr(dimwitness.witness, "geodesic_frequency", no_net)
+        with pytest.raises(ResourceError, match="n ≤ 16"):
+            run_witness(WitnessConfig(17, 1, 0.99))
+
     def test_a_bent_strategy_is_refused(self, monkeypatch, bent_strategy):
         monkeypatch.setattr(quantum, "tsirelson_strategy", bent_strategy)
         with pytest.raises(NumericalIntegrityError, match="deviates by up to 5.000e-01"):
