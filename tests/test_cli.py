@@ -333,7 +333,7 @@ class TestWitnessCommand:
 
     @pytest.mark.parametrize("argv", [
         "net 51 9.6e-07", "net 1000000 0.5", "witness 3 1 1e-160", "witness 3 1 1e-300",
-        "net 33 0.0001", "net 100 0.001", "net 4 1e-160", "net 3 1e-300",
+        "witness 16 1 0.001", "net 33 0.0001", "net 100 0.001", "net 4 1e-160", "net 3 1e-300",
     ])
     def test_a_floor_past_every_cap_exits_3_without_a_hint(self, capsys, tmp_path, argv):
         # each overflowed a float or divided by zero (exit 1) until the
